@@ -24,6 +24,11 @@
 #                  the session-table knob/reuse tests, and the mux ablation
 #                  bench at smoke scale - the fast "did a refactor break
 #                  session multiplexing" gate.
+#   --sanitize     build the ASan+UBSan preset (build-sanitize/) and run the
+#                  whole unit suite plus the launch and STAT integration
+#                  suites under it; any sanitizer report fails the run. The
+#                  protocol decoders (RPDTAB, LMONP, TBON packets) read raw
+#                  byte spans, which is what this gate watches.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -60,6 +65,22 @@ if [[ "${1:-}" == "--mux-smoke" ]]; then
     --gtest_filter='MultiSession.SessionBound*:MultiSession.Destroyed*'
   LMON_BENCH_SMOKE=1 build-release/bench_ablation_mux
   echo "mux-smoke OK"
+  exit 0
+fi
+
+if [[ "${1:-}" == "--sanitize" ]]; then
+  tests=()
+  for src in tests/unit/*.cpp; do tests+=("$(basename "$src" .cpp)"); done
+  tests+=(launch_spawn_test stat_test)
+  cmake --preset sanitize
+  cmake --build --preset sanitize -j "$JOBS" --target "${tests[@]}"
+  export ASAN_OPTIONS=${ASAN_OPTIONS:-abort_on_error=1:detect_leaks=1}
+  export UBSAN_OPTIONS=${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}
+  for t in "${tests[@]}"; do
+    echo "== $t"
+    build-sanitize/"$t" --gtest_brief=1
+  done
+  echo "sanitize OK: ${#tests[@]} suites"
   exit 0
 fi
 

@@ -4,14 +4,6 @@
 
 namespace lmon::comm {
 
-namespace {
-
-/// Largest power of two dividing `r` (the "lowest set bit"); only called
-/// with r != 0.
-std::uint32_t low_bit(std::uint32_t r) { return r & (~r + 1u); }
-
-}  // namespace
-
 std::string_view to_string(TopologyKind kind) {
   switch (kind) {
     case TopologyKind::KAry:
@@ -95,33 +87,7 @@ std::optional<std::uint32_t> Topology::parent_of(std::uint32_t rank) const {
 
 std::vector<std::uint32_t> Topology::children_of(std::uint32_t rank) const {
   std::vector<std::uint32_t> out;
-  if (rank >= size_) return out;
-  switch (spec_.kind) {
-    case TopologyKind::KAry:
-      for (std::uint32_t i = 1; i <= spec_.arity; ++i) {
-        const std::uint64_t c =
-            static_cast<std::uint64_t>(rank) * spec_.arity + i;
-        if (c >= size_) break;
-        out.push_back(static_cast<std::uint32_t>(c));
-      }
-      break;
-    case TopologyKind::Binomial: {
-      // Children are rank + 2^j for every 2^j below rank's lowest set bit
-      // (the root owns every power of two).
-      const std::uint64_t limit = rank == 0 ? size_ : low_bit(rank);
-      for (std::uint64_t bit = 1; bit < limit; bit <<= 1) {
-        const std::uint64_t c = rank + bit;
-        if (c < size_) out.push_back(static_cast<std::uint32_t>(c));
-      }
-      break;
-    }
-    case TopologyKind::Flat:
-      if (rank == 0) {
-        out.reserve(size_ > 0 ? size_ - 1 : 0);
-        for (std::uint32_t r = 1; r < size_; ++r) out.push_back(r);
-      }
-      break;
-  }
+  for_each_child(rank, [&](std::uint32_t c) { out.push_back(c); });
   return out;
 }
 
@@ -133,7 +99,7 @@ std::vector<std::uint32_t> Topology::subtree_of(std::uint32_t rank) const {
     const std::uint32_t r = frontier.back();
     frontier.pop_back();
     out.push_back(r);
-    for (std::uint32_t c : children_of(r)) frontier.push_back(c);
+    for_each_child(r, [&](std::uint32_t c) { frontier.push_back(c); });
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -162,7 +128,7 @@ std::uint32_t Topology::depth() const {
 std::uint64_t Topology::edge_count() const {
   std::uint64_t edges = 0;
   for (std::uint32_t r = 0; r < size_; ++r) {
-    edges += children_of(r).size();
+    for_each_child(r, [&](std::uint32_t) { edges += 1; });
   }
   return edges;
 }

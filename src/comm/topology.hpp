@@ -74,6 +74,39 @@ class Topology {
   [[nodiscard]] std::vector<std::uint32_t> children_of(
       std::uint32_t rank) const;
 
+  /// Calls fn(child) for each direct child of `rank`, ascending, without
+  /// building a vector (the PerfModel replays visit every rank per probe).
+  template <typename Fn>
+  void for_each_child(std::uint32_t rank, Fn&& fn) const {
+    if (rank >= size_) return;
+    switch (spec_.kind) {
+      case TopologyKind::KAry:
+        for (std::uint32_t i = 1; i <= spec_.arity; ++i) {
+          const std::uint64_t c =
+              static_cast<std::uint64_t>(rank) * spec_.arity + i;
+          if (c >= size_) break;
+          fn(static_cast<std::uint32_t>(c));
+        }
+        break;
+      case TopologyKind::Binomial: {
+        // Children are rank + 2^j for every 2^j below rank's lowest set bit
+        // (the root owns every power of two).
+        const std::uint64_t limit =
+            rank == 0 ? size_ : (rank & (~rank + 1u));
+        for (std::uint64_t bit = 1; bit < limit; bit <<= 1) {
+          const std::uint64_t c = rank + bit;
+          if (c < size_) fn(static_cast<std::uint32_t>(c));
+        }
+        break;
+      }
+      case TopologyKind::Flat:
+        if (rank == 0) {
+          for (std::uint32_t r = 1; r < size_; ++r) fn(r);
+        }
+        break;
+    }
+  }
+
   /// All ranks in the subtree rooted at `rank` (including `rank`), sorted.
   [[nodiscard]] std::vector<std::uint32_t> subtree_of(
       std::uint32_t rank) const;

@@ -12,11 +12,9 @@ void ByteWriter::patch_u32(std::size_t offset, std::uint32_t v) {
 }
 
 std::optional<std::string> ByteReader::str() {
-  auto len = u32();
-  if (!len || remaining() < *len) return std::nullopt;
-  std::string s(reinterpret_cast<const char*>(data_.data() + pos_), *len);
-  pos_ += *len;
-  return s;
+  auto view = str_view();
+  if (!view) return std::nullopt;
+  return std::string(*view);
 }
 
 std::optional<Bytes> ByteReader::blob() {

@@ -119,6 +119,17 @@ class ByteReader {
   std::optional<std::string> str();
   std::optional<Bytes> blob();
 
+  /// Like str(), but views the bytes in place instead of copying them; the
+  /// view lives as long as the buffer being read.
+  std::optional<std::string_view> str_view() {
+    auto len = u32();
+    if (!len || remaining() < *len) return std::nullopt;
+    std::string_view s(reinterpret_cast<const char*>(data_.data() + pos_),
+                       *len);
+    pos_ += *len;
+    return s;
+  }
+
   /// Raw bytes of exactly `n`, no prefix.
   std::optional<Bytes> raw(std::size_t n);
 

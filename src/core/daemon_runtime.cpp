@@ -184,7 +184,7 @@ void DaemonRuntime::on_handshake_bcast(const Bytes& data) {
     fail(Status(Rc::Esubcom, "malformed handshake broadcast"));
     return;
   }
-  auto rpdtab = Rpdtab::unpack(*table);
+  auto rpdtab = Rpdtab::unpack(std::move(*table));
   if (!rpdtab) {
     fail(Status(Rc::Esubcom, "bad RPDTAB in handshake"));
     return;

@@ -450,7 +450,7 @@ void FrontEnd::on_engine_message(Session& s, const LmonpMessage& msg) {
         finish(s, Status(Rc::Esys, "daemon spawn failed: " + spawned->error));
         break;
       }
-      auto table = Rpdtab::unpack(spawned->daemon_table);
+      auto table = Rpdtab::unpack(std::move(spawned->daemon_table));
       if (table) s.infra->daemon_table = std::move(*table);
       if (!spawned->tuned.empty()) {
         if (auto tuned = TunedConfig::decode(spawned->tuned)) {
@@ -468,7 +468,7 @@ void FrontEnd::on_engine_message(Session& s, const LmonpMessage& msg) {
         finish_mw(s, Status(Rc::Esys, "MW spawn failed: " + spawned->error));
         break;
       }
-      auto table = Rpdtab::unpack(spawned->daemon_table);
+      auto table = Rpdtab::unpack(std::move(spawned->daemon_table));
       if (table) s.infra->mw_table = std::move(*table);
       break;
     }

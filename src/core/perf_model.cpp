@@ -359,6 +359,14 @@ sim::Time scaled_per_kb(sim::Time per_kb, double bytes) {
                                 1024.0);
 }
 
+/// Refills `out` with the children of `rank`, reusing its storage across
+/// the ranks of a replay.
+void children_into(const comm::Topology& topo, std::uint32_t rank,
+                   std::vector<std::uint32_t>& out) {
+  out.clear();
+  topo.for_each_child(rank, [&](std::uint32_t c) { out.push_back(c); });
+}
+
 /// Shared probe geometry for the protocol-crossover solvers: both latency
 /// curves are affine within a chunk segment, so probing both endpoints of
 /// every segment up to max_payload finds the last eager win exactly, and
@@ -404,11 +412,7 @@ double PerfModel::collective_bcast(CollectiveProtocol proto,
                                    const comm::TopologySpec& spec, int n,
                                    std::size_t payload_bytes) const {
   if (n <= 1) return 0.0;
-  comm::TopologySpec resolved = spec;
-  if (resolved.kind == comm::TopologyKind::KAry && resolved.arity == 0) {
-    resolved.arity = static_cast<std::uint32_t>(costs_.rm_launch_fanout);
-  }
-  const comm::Topology topo(resolved, static_cast<std::uint32_t>(n));
+  const comm::Topology topo = resolved_topology(spec, n);
   const sim::Time L = costs_.net_latency;
   const sim::Time h = costs_.iccl_msg_handle;
   const double bw = costs_.bandwidth_bytes_per_sec;
@@ -425,9 +429,10 @@ double PerfModel::collective_bcast(CollectiveProtocol proto,
         h + scaled_per_kb(costs_.iccl_eager_copy_per_kb, S);
     const sim::Time frame_wire = wire(kFrameBytes + kEntryBytes + S);
     std::vector<sim::Time> start(static_cast<std::size_t>(n), 0);
+    std::vector<std::uint32_t> children;
     sim::Time worst = 0;
     for (std::uint32_t r = 0; r < static_cast<std::uint32_t>(n); ++r) {
-      const auto children = topo.children_of(r);
+      children_into(topo, r, children);
       for (std::size_t i = 0; i < children.size(); ++i) {
         const sim::Time send = start[r] + static_cast<sim::Time>(i) * q;
         start[children[i]] = send + frame_wire + recv;
@@ -452,12 +457,14 @@ double PerfModel::collective_bcast(CollectiveProtocol proto,
   std::vector<sim::Time> H(static_cast<std::size_t>(n), 0);
   std::vector<std::vector<sim::Time>> P(static_cast<std::size_t>(n));
   P[0].assign(m, 0);  // the root holds every chunk at issue time
+  std::vector<std::uint32_t> children;
+  std::vector<sim::Time> last_arrival;
   sim::Time worst = 0;
   for (std::uint32_t r = 0; r < static_cast<std::uint32_t>(n); ++r) {
-    const auto children = topo.children_of(r);
+    children_into(topo, r, children);
     if (children.empty()) continue;
     // RTS fan-out and the CTS collection gate.
-    std::vector<sim::Time> last_arrival(children.size());
+    last_arrival.assign(children.size(), 0);
     sim::Time cts_done = 0;
     for (std::size_t i = 0; i < children.size(); ++i) {
       const sim::Time rts_arr =
@@ -505,157 +512,246 @@ std::optional<std::size_t> PerfModel::collective_crossover(
       });
 }
 
-double PerfModel::collective_gather(CollectiveProtocol proto,
-                                    const comm::TopologySpec& spec, int n,
-                                    std::size_t payload_bytes) const {
-  if (n <= 1) return 0.0;
+namespace {
+
+/// Exact replay of the Iccl upstream schedule on one fabric. The release
+/// wave, subtree sizes, announce wave and clearance chain do not depend on
+/// the payload, so they are computed once; chunk buffers are pooled, so a
+/// crossover scan replays every probe payload without rebuilding either.
+class GatherReplay {
+ public:
+  GatherReplay(const cluster::CostModel& costs, const comm::Topology& topo)
+      : costs_(costs), topo_(topo) {
+    const std::uint32_t nn = topo_.size();
+    if (nn <= 1) return;
+    const sim::Time h = costs_.iccl_msg_handle;
+    // Release wave: the root broadcasts an empty go frame (eager; 21 wire
+    // bytes, handle-only quanta); rank r's contribution is issued the
+    // moment its release frame is processed. A[0] = 0: the root issues the
+    // release and contributes in the same event.
+    A_.assign(nn, 0);
+    const sim::Time frame_wire = wire(kFrameBytes + kEntryBytes);
+    for (std::uint32_t r = 0; r < nn; ++r) {
+      sim::Time stagger = 0;
+      topo_.for_each_child(r, [&](std::uint32_t c) {
+        A_[c] = A_[r] + stagger + frame_wire + h;
+        stagger += h;
+      });
+    }
+    // Subtree sizes (parent < child in every fabric family).
+    sz_.assign(nn, 1);
+    for (std::uint32_t r = nn - 1; r >= 1; --r) {
+      sz_[*topo_.parent_of(r)] += sz_[r];
+    }
+    // Rendezvous announce wave up (GatherRts, one 12-byte origin record per
+    // subtree rank). R[r]: rank r's announce time (at the root: last
+    // announce processed, >= own contribute); rts_arr[c]: c's RTS arrival
+    // at its parent.
+    R_.assign(nn, 0);
+    rts_arr_.assign(nn, 0);
+    for (std::uint32_t r = nn; r-- > 0;) {
+      sim::Time t = A_[r];
+      topo_.for_each_child(r, [&](std::uint32_t c) {
+        rts_arr_[c] = R_[c] + wire(kFrameBytes + 12.0 * sz_[c]);
+        t = std::max(t, rts_arr_[c] + h);
+      });
+      R_[r] = t;
+    }
+    // G[c]: time child c's clearance (GatherCts) is processed at c. The
+    // root clears each child the moment its RTS is processed; an interior
+    // node clears its children (ascending rank, staggered handle quanta)
+    // only after its own clearance arrives - the flow-control chain.
+    G_.assign(nn, 0);
+    const sim::Time cts_wire = wire(kFrameBytes);
+    for (std::uint32_t r = 0; r < nn; ++r) {
+      sim::Time stagger = 0;
+      topo_.for_each_child(r, [&](std::uint32_t c) {
+        const sim::Time depart = r == 0 ? rts_arr_[c] + h : G_[r] + stagger;
+        G_[c] = depart + cts_wire + h;
+        stagger += h;
+      });
+    }
+    sched_.resize(nn);
+  }
+
+  /// Root delivery time of a gather of `payload_bytes` per rank.
+  sim::Time run(CollectiveProtocol proto, std::size_t payload_bytes) {
+    if (topo_.size() <= 1) return 0;
+    if (proto == CollectiveProtocol::Eager || payload_bytes == 0) {
+      return eager(static_cast<double>(payload_bytes));
+    }
+    return rendezvous(payload_bytes);
+  }
+
+ private:
+  /// One chunk on a link: its ready (or departure) time and the wire time
+  /// of its frame. Every chunk is full-sized except each contribution's
+  /// tail, so only two wire times exist per replay.
+  struct Chunk {
+    sim::Time t;
+    sim::Time wire;
+  };
+
+  [[nodiscard]] sim::Time wire(double bytes) const {
+    return costs_.net_latency +
+           static_cast<sim::Time>(bytes / costs_.bandwidth_bytes_per_sec * 1e9);
+  }
+
+  /// Store-and-forward: each node waits for every child's whole-subtree
+  /// GatherUp, then forwards one combined frame; the receiver pays the
+  /// handle plus the bounce-buffer copy-out of the full frame payload.
+  sim::Time eager(double S) {
+    const std::uint32_t nn = topo_.size();
+    const sim::Time h = costs_.iccl_msg_handle;
+    U_.assign(nn, 0);
+    for (std::uint32_t r = nn; r-- > 0;) {
+      sim::Time t = A_[r];
+      topo_.for_each_child(r, [&](std::uint32_t c) {
+        const double entry_bytes =
+            static_cast<double>(sz_[c]) * (kEntryBytes + S);
+        const sim::Time processed =
+            U_[c] + wire(kFrameBytes + entry_bytes) + h +
+            scaled_per_kb(costs_.iccl_eager_copy_per_kb,
+                          static_cast<double>(sz_[c]) * S);
+        t = std::max(t, processed);
+      });
+      U_[r] = t;
+    }
+    return U_[0];
+  }
+
+  /// Chunks stream through each node's serialized cursor with cut-through
+  /// relay. A relay's own chunks are all enqueued at G[r] and each child's
+  /// arrival stream strictly increases (per-channel FIFO), so the cursor's
+  /// time order is a stable merge of those sorted streams: own chunks
+  /// first, then each child's stream in ascending child order, the earlier
+  /// stream winning ties.
+  sim::Time rendezvous(std::size_t payload_bytes) {
+    const std::uint32_t nn = topo_.size();
+    const std::uint32_t C = costs_.iccl_rndv_chunk_bytes;
+    const sim::Time c_h = costs_.iccl_chunk_handle;
+    const double S = static_cast<double>(payload_bytes);
+    const auto m = static_cast<std::uint32_t>((payload_bytes + C - 1) / C);
+    const sim::Time full_wire =
+        wire(kFrameBytes + kEntryBytes + static_cast<double>(C));
+    const sim::Time tail_wire =
+        wire(kFrameBytes + kEntryBytes + (S - static_cast<double>(m - 1) * C));
+    // sched[r]: rank r's upstream chunk departures, built children-first.
+    for (std::uint32_t r = nn; r-- > 1;) {
+      own_.assign(m - 1, Chunk{G_[r], full_wire});
+      own_.push_back(Chunk{G_[r], tail_wire});
+      heads_.clear();
+      heads_.push_back({G_[r], own_.data(), own_.data() + m});
+      std::size_t total = m;
+      topo_.for_each_child(r, [&](std::uint32_t c) {
+        arrive(c, c_h);
+        const std::vector<Chunk>& in = sched_[c];
+        if (in.empty()) return;
+        heads_.push_back({in.front().t, in.data(), in.data() + in.size()});
+        total += in.size();
+      });
+      std::vector<Chunk> out = take_buffer();
+      out.resize(total);
+      Chunk* o = out.data();
+      sim::Time cursor = 0;
+      while (!heads_.empty()) {
+        std::size_t best = 0;  // strict < keeps the earliest stream on ties
+        for (std::size_t i = 1; i < heads_.size(); ++i) {
+          if (heads_[i].t < heads_[best].t) best = i;
+        }
+        Head& hd = heads_[best];
+        const sim::Time depart = std::max(cursor, hd.t);
+        *o++ = Chunk{depart, hd.next->wire};
+        cursor = depart + c_h;
+        if (++hd.next == hd.end) {
+          heads_.erase(heads_.begin() + static_cast<std::ptrdiff_t>(best));
+        } else {
+          hd.t = hd.next->t;
+        }
+      }
+      topo_.for_each_child(r, [&](std::uint32_t c) { release(sched_[c]); });
+      sched_[r] = std::move(out);
+    }
+    // Root delivery: own contribution and every announce processed (R[0]),
+    // plus the last chunk of every child stream processed.
+    sim::Time done = R_[0];
+    topo_.for_each_child(0, [&](std::uint32_t c) {
+      arrive(c, c_h);
+      if (!sched_[c].empty()) done = std::max(done, sched_[c].back().t);
+      release(sched_[c]);
+    });
+    return done;
+  }
+
+  /// Rewrites child c's departures into processed times at its parent:
+  /// arrival (clamped behind c's RTS and its previous chunk, per-channel
+  /// FIFO) plus the chunk handle.
+  void arrive(std::uint32_t c, sim::Time c_h) {
+    sim::Time last_arrival = rts_arr_[c];
+    for (Chunk& ch : sched_[c]) {
+      sim::Time arr = ch.t + ch.wire;
+      if (arr <= last_arrival) arr = last_arrival + 1;  // FIFO
+      last_arrival = arr;
+      ch.t = arr + c_h;
+    }
+  }
+
+  std::vector<Chunk> take_buffer() {
+    if (pool_.empty()) return {};
+    std::vector<Chunk> buf = std::move(pool_.back());
+    pool_.pop_back();
+    buf.clear();
+    return buf;
+  }
+
+  void release(std::vector<Chunk>& buf) {
+    if (buf.capacity() != 0) pool_.push_back(std::move(buf));
+    buf = {};
+  }
+
+  const cluster::CostModel& costs_;
+  const comm::Topology& topo_;
+  std::vector<sim::Time> A_, R_, rts_arr_, G_, U_;
+  std::vector<std::uint32_t> sz_;
+  std::vector<std::vector<Chunk>> sched_;
+  std::vector<std::vector<Chunk>> pool_;  // freed schedules, for reuse
+  // Merge state of the rank being replayed: its own chunks and the next
+  // unconsumed chunk of every stream.
+  struct Head {
+    sim::Time t;  // ready time of *next
+    const Chunk* next;
+    const Chunk* end;
+  };
+  std::vector<Chunk> own_;
+  std::vector<Head> heads_;
+};
+
+}  // namespace
+
+comm::Topology PerfModel::resolved_topology(const comm::TopologySpec& spec,
+                                            int n) const {
   comm::TopologySpec resolved = spec;
   if (resolved.kind == comm::TopologyKind::KAry && resolved.arity == 0) {
     resolved.arity = static_cast<std::uint32_t>(costs_.rm_launch_fanout);
   }
-  const comm::Topology topo(resolved, static_cast<std::uint32_t>(n));
-  const sim::Time L = costs_.net_latency;
-  const sim::Time h = costs_.iccl_msg_handle;
-  const double bw = costs_.bandwidth_bytes_per_sec;
-  auto wire = [&](double bytes) {
-    return L + static_cast<sim::Time>(bytes / bw * 1e9);
-  };
-  const double S = static_cast<double>(payload_bytes);
-  const auto nn = static_cast<std::uint32_t>(n);
+  return comm::Topology(resolved, static_cast<std::uint32_t>(std::max(n, 0)));
+}
 
-  // Release wave: the root broadcasts an empty go frame (eager; 21 wire
-  // bytes, handle-only quanta); rank r's contribution is issued the moment
-  // its release frame is processed. A[0] = 0: the root issues the release
-  // and contributes in the same event.
-  std::vector<sim::Time> A(nn, 0);
-  {
-    const sim::Time frame_wire = wire(kFrameBytes + kEntryBytes);
-    for (std::uint32_t r = 0; r < nn; ++r) {
-      const auto children = topo.children_of(r);
-      for (std::size_t i = 0; i < children.size(); ++i) {
-        A[children[i]] = A[r] + static_cast<sim::Time>(i) * h + frame_wire + h;
-      }
-    }
-  }
-  // Subtree sizes (parent < child in every fabric family).
-  std::vector<std::uint32_t> sz(nn, 1);
-  for (std::uint32_t r = nn - 1; r >= 1; --r) {
-    sz[*topo.parent_of(r)] += sz[r];
-  }
-
-  if (proto == CollectiveProtocol::Eager || payload_bytes == 0) {
-    // Store-and-forward: each node waits for every child's whole-subtree
-    // GatherUp, then forwards one combined frame; the receiver pays the
-    // handle plus the bounce-buffer copy-out of the full frame payload.
-    std::vector<sim::Time> U(nn, 0);
-    for (std::uint32_t r = nn; r-- > 0;) {
-      sim::Time t = A[r];
-      for (std::uint32_t c : topo.children_of(r)) {
-        const double entry_bytes =
-            static_cast<double>(sz[c]) * (kEntryBytes + S);
-        const sim::Time processed =
-            U[c] + wire(kFrameBytes + entry_bytes) + h +
-            scaled_per_kb(costs_.iccl_eager_copy_per_kb,
-                          static_cast<double>(sz[c]) * S);
-        t = std::max(t, processed);
-      }
-      U[r] = t;
-    }
-    return seconds(U[0]);
-  }
-
-  // Rendezvous: announce wave up (GatherRts, one 12-byte origin record per
-  // subtree rank), per-child CTS clearances gated on the parent's own
-  // clearance (the flow-control chain), then chunks stream through each
-  // node's serialized cursor with cut-through relay.
-  const std::uint32_t C = costs_.iccl_rndv_chunk_bytes;
-  const sim::Time c_h = costs_.iccl_chunk_handle;
-  const sim::Time cts_wire = wire(kFrameBytes);
-
-  // R[r]: rank r's announce time; rts_arr[c]: c's RTS arrival at its parent.
-  std::vector<sim::Time> R(nn, 0);
-  std::vector<sim::Time> rts_arr(nn, 0);
-  for (std::uint32_t r = nn; r-- > 0;) {
-    sim::Time t = A[r];
-    for (std::uint32_t c : topo.children_of(r)) {
-      rts_arr[c] = R[c] + wire(kFrameBytes + 12.0 * sz[c]);
-      t = std::max(t, rts_arr[c] + h);
-    }
-    R[r] = t;  // at the root: last announce processed (>= own contribute)
-  }
-  // G[c]: time child c's clearance (GatherCts) is processed at c. The root
-  // clears each child the moment its RTS is processed; an interior node
-  // clears its children (ascending rank, staggered handle quanta) only
-  // after its own clearance arrives.
-  std::vector<sim::Time> G(nn, 0);
-  for (std::uint32_t r = 0; r < nn; ++r) {
-    const auto children = topo.children_of(r);
-    for (std::size_t i = 0; i < children.size(); ++i) {
-      const sim::Time depart =
-          r == 0 ? rts_arr[children[i]] + h
-                 : G[r] + static_cast<sim::Time>(i) * h;
-      G[children[i]] = depart + cts_wire + h;
-    }
-  }
-  // Chunk pattern of one per-rank contribution.
-  const auto m = static_cast<std::uint32_t>((payload_bytes + C - 1) / C);
-  auto chunk_size = [&](std::uint32_t j) {
-    return j + 1 == m ? S - static_cast<double>(j) * C
-                      : static_cast<double>(C);
-  };
-  // sched[r]: rank r's upstream chunk departures (time, bytes), built
-  // children-first so relays merge their children's processed chunks with
-  // their own (enqueued all at once at G[r]) through the cursor.
-  std::vector<std::vector<std::pair<sim::Time, double>>> sched(nn);
-  for (std::uint32_t r = nn; r-- > 1;) {
-    std::vector<std::pair<sim::Time, double>> ready;
-    ready.reserve(m + 1);
-    for (std::uint32_t j = 0; j < m; ++j) {
-      ready.emplace_back(G[r], chunk_size(j));
-    }
-    for (std::uint32_t c : topo.children_of(r)) {
-      sim::Time last_arrival = rts_arr[c];
-      for (const auto& [dep, bytes] : sched[c]) {
-        sim::Time arr = dep + wire(kFrameBytes + kEntryBytes + bytes);
-        if (arr <= last_arrival) arr = last_arrival + 1;  // FIFO
-        last_arrival = arr;
-        ready.emplace_back(arr + c_h, bytes);
-      }
-    }
-    std::stable_sort(ready.begin(), ready.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first < b.first;
-                     });
-    auto& out = sched[r];
-    out.reserve(ready.size());
-    sim::Time cursor = 0;
-    for (const auto& [t, bytes] : ready) {
-      const sim::Time depart = std::max(cursor, t);
-      out.emplace_back(depart, bytes);
-      cursor = depart + c_h;
-    }
-  }
-  // Root delivery: own contribution and every announce processed (R[0]),
-  // plus the last chunk of every child stream processed.
-  sim::Time done = R[0];
-  for (std::uint32_t c : topo.children_of(0)) {
-    sim::Time last_arrival = rts_arr[c];
-    for (const auto& [dep, bytes] : sched[c]) {
-      sim::Time arr = dep + wire(kFrameBytes + kEntryBytes + bytes);
-      if (arr <= last_arrival) arr = last_arrival + 1;  // FIFO
-      last_arrival = arr;
-      done = std::max(done, arr + c_h);
-    }
-  }
-  return seconds(done);
+double PerfModel::collective_gather(CollectiveProtocol proto,
+                                    const comm::TopologySpec& spec, int n,
+                                    std::size_t payload_bytes) const {
+  const comm::Topology topo = resolved_topology(spec, n);
+  return seconds(GatherReplay(costs_, topo).run(proto, payload_bytes));
 }
 
 std::optional<std::size_t> PerfModel::collective_gather_crossover(
     const comm::TopologySpec& spec, int n, std::size_t max_payload) const {
+  const comm::Topology topo = resolved_topology(spec, n);
+  GatherReplay replay(costs_, topo);
   return crossover_from_gap(
       costs_.iccl_rndv_chunk_bytes, max_payload, [&](std::size_t s) {
-        return collective_gather(CollectiveProtocol::Eager, spec, n, s) -
-               collective_gather(CollectiveProtocol::Rendezvous, spec, n, s);
+        return seconds(replay.run(CollectiveProtocol::Eager, s)) -
+               seconds(replay.run(CollectiveProtocol::Rendezvous, s));
       });
 }
 
@@ -663,11 +759,7 @@ double PerfModel::collective_scatter(CollectiveProtocol proto,
                                      const comm::TopologySpec& spec, int n,
                                      std::size_t payload_bytes) const {
   if (n <= 1) return 0.0;
-  comm::TopologySpec resolved = spec;
-  if (resolved.kind == comm::TopologyKind::KAry && resolved.arity == 0) {
-    resolved.arity = static_cast<std::uint32_t>(costs_.rm_launch_fanout);
-  }
-  const comm::Topology topo(resolved, static_cast<std::uint32_t>(n));
+  const comm::Topology topo = resolved_topology(spec, n);
   const sim::Time L = costs_.net_latency;
   const sim::Time h = costs_.iccl_msg_handle;
   const double bw = costs_.bandwidth_bytes_per_sec;
@@ -689,9 +781,10 @@ double PerfModel::collective_scatter(CollectiveProtocol proto,
     // in that same event. Child i's frame departs after the serialized
     // quanta of the parts queued before it.
     std::vector<sim::Time> start(nn, 0);
+    std::vector<std::uint32_t> children;
     sim::Time worst = 0;
     for (std::uint32_t r = 0; r < nn; ++r) {
-      const auto children = topo.children_of(r);
+      children_into(topo, r, children);
       sim::Time offset = 0;
       for (const std::uint32_t c : children) {
         const double part_data = static_cast<double>(sz[c]) * S;
@@ -730,9 +823,10 @@ double PerfModel::collective_scatter(CollectiveProtocol proto,
   std::vector<sim::Time> H(nn, 0);
   std::vector<std::vector<sim::Time>> P(nn);
   std::vector<sim::Time> delivered(nn, 0);
+  std::vector<std::uint32_t> children;
   sim::Time worst = 0;
   for (std::uint32_t r = 0; r < nn; ++r) {
-    const auto children = topo.children_of(r);
+    children_into(topo, r, children);
     if (children.empty()) continue;
     // RTS fan-out and the CTS collection gate, as in the bcast replay.
     std::vector<sim::Time> last_arrival(children.size());

@@ -218,6 +218,10 @@ class PerfModel {
   [[nodiscard]] double seconds(sim::Time t) const {
     return sim::to_seconds(t);
   }
+  /// The fabric a collective replay walks: arity 0 resolves to the cost
+  /// model's RM fan-out, mirroring the FE API.
+  [[nodiscard]] comm::Topology resolved_topology(
+      const comm::TopologySpec& spec, int n) const;
   [[nodiscard]] double spawn_cost(double image_mb) const;
   [[nodiscard]] double connect_cost() const;
   [[nodiscard]] double transfer_cost(double bytes) const;

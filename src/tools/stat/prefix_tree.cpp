@@ -83,6 +83,9 @@ void pack_node(ByteWriter& w, const PrefixTree::Node& n) {
   for (const auto& [frame, child] : n.children) pack_node(w, *child);
 }
 
+// pack_node writes rank sets in ascending order, so each insert is hinted
+// at end(): amortized O(1) instead of a tree descent. The hint is only a
+// hint, so unsorted or duplicate input still decodes to the same set.
 bool unpack_node(ByteReader& r, PrefixTree::Node& n) {
   auto frame = r.str();
   auto nranks = r.u32();
@@ -91,14 +94,14 @@ bool unpack_node(ByteReader& r, PrefixTree::Node& n) {
   for (std::uint32_t i = 0; i < *nranks; ++i) {
     auto rank = r.i32();
     if (!rank) return false;
-    n.ranks.insert(*rank);
+    n.ranks.insert(n.ranks.end(), *rank);
   }
   auto nterm = r.u32();
   if (!nterm) return false;
   for (std::uint32_t i = 0; i < *nterm; ++i) {
     auto rank = r.i32();
     if (!rank) return false;
-    n.terminal_ranks.insert(*rank);
+    n.terminal_ranks.insert(n.terminal_ranks.end(), *rank);
   }
   auto nchildren = r.u32();
   if (!nchildren) return false;

@@ -373,13 +373,18 @@ TEST(Tracing, AttachStopsRunningProcessAndDetachResumes) {
   int ticks = 0;
 
   auto target = std::make_unique<Hooks>();
+  // A self-reposting functor rather than a closure owning a shared_ptr to
+  // itself, which would be a reference cycle (a leak under LeakSanitizer).
+  struct Ticker {
+    Process* self;
+    int* ticks;
+    void operator()() const {
+      ++*ticks;
+      self->post(sim::ms(10), *this);
+    }
+  };
   target->start = [&ticks](Process& self) {
-    auto tick = std::make_shared<std::function<void()>>();
-    *tick = [&self, &ticks, tick] {
-      ++ticks;
-      self.post(sim::ms(10), *tick);
-    };
-    self.post(sim::ms(10), *tick);
+    self.post(sim::ms(10), Ticker{&self, &ticks});
   };
   target_pid = f.spawn_hooks(f.machine.compute_node(0), std::move(target));
 

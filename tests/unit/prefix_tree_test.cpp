@@ -73,6 +73,33 @@ TEST(PrefixTree, UnpackRejectsGarbage) {
   EXPECT_FALSE(PrefixTree::unpack(Bytes{1, 2, 3}).has_value());
 }
 
+TEST(PrefixTree, UnpackAcceptsUnsortedAndDuplicateRanks) {
+  // pack() always writes ascending ranks; a hand-built blob that does not
+  // must still decode to the same sets.
+  ByteWriter w;
+  w.str("<root>");
+  w.u32(5);
+  for (std::int32_t r : {7, 2, 9, 2, -1}) w.i32(r);
+  w.u32(0);  // no terminal ranks at the root
+  w.u32(1);
+  w.str("main");
+  w.u32(3);
+  for (std::int32_t r : {9, 7, 9}) w.i32(r);
+  w.u32(2);
+  for (std::int32_t r : {9, 7}) w.i32(r);
+  w.u32(0);
+  auto t = PrefixTree::unpack(std::move(w).take());
+  ASSERT_TRUE(t.has_value());
+  EXPECT_EQ(t->all_ranks(), (std::set<std::int32_t>{-1, 2, 7, 9}));
+  auto classes = t->equivalence_classes();
+  ASSERT_EQ(classes.size(), 1u);
+  EXPECT_EQ(classes[0].ranks, (std::set<std::int32_t>{7, 9}));
+  // Re-packing sorts and deduplicates: the canonical form round-trips.
+  auto again = PrefixTree::unpack(t->pack());
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->pack(), t->pack());
+}
+
 /// Generates a random trace set and checks merge properties.
 class PrefixTreeProperty : public ::testing::TestWithParam<std::uint64_t> {};
 

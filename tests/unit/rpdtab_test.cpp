@@ -58,6 +58,94 @@ TEST(Rpdtab, MalformedBlobRejected) {
   EXPECT_FALSE(Rpdtab::unpack(std::move(w).take()).has_value());
 }
 
+// --- the packed form ------------------------------------------------------------
+
+TEST(RpdtabPacked, TruncatedOrOvercountedBlobsRejected) {
+  const Bytes good = Rpdtab(sample_entries()).pack();
+  ASSERT_TRUE(Rpdtab::unpack(good).has_value());
+  // Every strict prefix that still has a count cuts some entry short.
+  for (std::size_t len = 0; len < good.size(); ++len) {
+    const Bytes cut(good.begin(),
+                    good.begin() + static_cast<std::ptrdiff_t>(len));
+    EXPECT_FALSE(Rpdtab::unpack(cut).has_value()) << "len " << len;
+  }
+  // A count larger than the entries present.
+  Bytes over = good;
+  over[0] = 6;
+  EXPECT_FALSE(Rpdtab::unpack(over).has_value());
+  // A string length running past the end of the blob.
+  ByteWriter w;
+  w.u32(1);
+  w.u32(1000);
+  w.raw(as_bytes("atlas1"));
+  EXPECT_FALSE(Rpdtab::unpack(std::move(w).take()).has_value());
+}
+
+TEST(RpdtabPacked, PackOfUnpackIsByteIdentical) {
+  const Bytes blob = rm::apai::encode_proctable(sample_entries());
+  auto t = Rpdtab::unpack(blob);
+  ASSERT_TRUE(t.has_value());
+  EXPECT_EQ(t->pack(), blob);
+  // Before and after the decode cache fills.
+  (void)t->entries();
+  EXPECT_EQ(t->pack(), blob);
+  EXPECT_EQ(std::move(*t).pack(), blob);
+}
+
+TEST(RpdtabPacked, TrailingBytesDroppedLikeTheDecoder) {
+  Bytes blob = rm::apai::encode_proctable(sample_entries());
+  const Bytes canonical = blob;
+  blob.push_back(0xAB);
+  auto t = Rpdtab::unpack(blob);
+  ASSERT_TRUE(t.has_value());
+  EXPECT_EQ(t->pack(), canonical);
+  EXPECT_EQ(t->entries(), *rm::apai::decode_proctable(blob));
+}
+
+TEST(RpdtabPacked, EntriesForHostSameFromPackedAndDecoded) {
+  const Rpdtab from_vector(sample_entries());
+  auto packed = Rpdtab::unpack(from_vector.pack());
+  ASSERT_TRUE(packed.has_value());
+  for (const std::string host : {"atlas1", "atlas2", "atlas3", "atlas9"}) {
+    // `packed` has not decoded; `from_vector` holds its entries already.
+    const auto a = packed->entries_for_host(host);
+    const auto b = from_vector.entries_for_host(host);
+    EXPECT_EQ(a, b) << host;
+    std::vector<rm::TaskDesc> want;
+    for (const auto& e : sample_entries()) {
+      if (e.host == host) want.push_back(e);
+    }
+    EXPECT_EQ(a, want) << host;
+  }
+  EXPECT_EQ(packed->hosts(), from_vector.hosts());
+}
+
+TEST(RpdtabPacked, SizeAndEmptyBeforeAnyDecode) {
+  auto t = Rpdtab::unpack(rm::apai::encode_proctable(sample_entries()));
+  ASSERT_TRUE(t.has_value());
+  EXPECT_EQ(t->size(), 5u);
+  EXPECT_FALSE(t->empty());
+  auto none = Rpdtab::unpack(rm::apai::encode_proctable({}));
+  ASSERT_TRUE(none.has_value());
+  EXPECT_EQ(none->size(), 0u);
+  EXPECT_TRUE(none->empty());
+  EXPECT_EQ(*none, Rpdtab());
+  // And the decode agrees with the count.
+  EXPECT_EQ(t->entries().size(), t->size());
+}
+
+TEST(RpdtabPacked, EqualityAcrossConstructionPaths) {
+  const Rpdtab from_vector(sample_entries());
+  auto from_blob = Rpdtab::unpack(rm::apai::encode_proctable(sample_entries()));
+  ASSERT_TRUE(from_blob.has_value());
+  EXPECT_EQ(from_vector, *from_blob);
+  EXPECT_EQ(*from_blob, from_vector);
+  EXPECT_EQ(from_blob->entries(), from_vector.entries());
+  auto other = sample_entries();
+  other[3].pid += 1;
+  EXPECT_FALSE(Rpdtab(other) == *from_blob);
+}
+
 TEST(Rpdtab, PackedSizeLinearInEntries) {
   std::vector<rm::TaskDesc> entries;
   for (int i = 0; i < 100; ++i) {
