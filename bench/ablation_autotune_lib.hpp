@@ -39,7 +39,6 @@
 #include "core/auto_tune.hpp"
 #include "core/fe_api.hpp"
 #include "core/perf_model.hpp"
-#include "simkernel/stats.hpp"
 
 namespace lmon::bench {
 
@@ -151,9 +150,7 @@ inline double measure_autotune_session(const cluster::CostModel& costs,
                                        int tpn, const HandPick* pick,
                                        core::TunedConfig* tuned_out) {
   TestCluster tc(nodes, 0, costs);
-  ScopedTrace trace(tc);
-  sim::Timeline timeline;
-  tc.machine.set_timeline(&timeline);
+  ScopedTrace trace(tc, nullptr, /*record=*/true);
 
   bool done = false;
   Status status;
@@ -185,7 +182,8 @@ inline double measure_autotune_session(const cluster::CostModel& costs,
       *tuned_out = *t;
     }
   }
-  return sim::to_seconds(timeline.between("e0_fe_call", "e11_return"));
+  return sim::to_seconds(
+      trace.tracer()->marks().between("e0_fe_call", "e11_return"));
 }
 
 inline AutotuneAblationReport run_autotune_ablation(

@@ -9,8 +9,8 @@
 // every point against core::PerfModel::collective_bcast(), and compares the
 // measured eager->rendezvous crossover payload against the analytic
 // collective_crossover() solver. Protocols are forced through the real
-// session option (SpawnConfig::rndv_threshold_bytes), so the sweep drives
-// the identical code path tools use.
+// session option (SpawnConfig::rndv), so the sweep drives the identical
+// code path tools use.
 #pragma once
 
 #include <algorithm>
@@ -211,7 +211,7 @@ inline std::vector<double> measure_bcast_sweep(
     core::FrontEnd::SpawnConfig cfg;
     cfg.daemon_exe = "sweep_be";
     cfg.topology = topo;
-    cfg.rndv_threshold_bytes = threshold;
+    cfg.rndv = core::RndvSetting{core::RndvSetting::Mode::Bytes, threshold};
     rm::JobSpec job{nodes, 1, "mpi_app", {}};
     fe->launch_and_spawn(sid.value, job, cfg, [](Status) {});
   });

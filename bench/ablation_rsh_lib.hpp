@@ -21,7 +21,6 @@
 #include "bench/bench_util.hpp"
 #include "core/fe_api.hpp"
 #include "core/perf_model.hpp"
-#include "simkernel/stats.hpp"
 
 namespace lmon::bench {
 
@@ -79,9 +78,7 @@ inline double measure_launch_and_spawn(comm::LaunchStrategyKind kind,
   // the simulated expectation, not against one noisy sample.
   const cluster::CostModel costs = cluster::CostModel{}.deterministic();
   TestCluster tc(nodes, 0, costs);
-  ScopedTrace trace(tc);
-  sim::Timeline timeline;
-  tc.machine.set_timeline(&timeline);
+  ScopedTrace trace(tc, nullptr, /*record=*/true);
 
   bool done = false;
   Status status;
@@ -102,7 +99,8 @@ inline double measure_launch_and_spawn(comm::LaunchStrategyKind kind,
   });
   tc.run_until([&] { return done; }, sim::seconds(3600));
   if (!done || !status.is_ok()) return -1.0;
-  return sim::to_seconds(timeline.between("e0_fe_call", "e11_return"));
+  return sim::to_seconds(
+      trace.tracer()->marks().between("e0_fe_call", "e11_return"));
 }
 
 inline RshAblationReport run_rsh_ablation(const RshAblationOptions& opts) {

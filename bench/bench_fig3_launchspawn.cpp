@@ -10,38 +10,23 @@
 // (core::PerfModel's per-strategy family), not just the rm-bulk default.
 #include <cstdio>
 #include <memory>
+#include <optional>
 
 #include "bench/ablation_rsh_lib.hpp"
 #include "bench/bench_util.hpp"
 #include "core/fe_api.hpp"
 #include "core/perf_model.hpp"
-#include "simkernel/stats.hpp"
+#include "obs/critical_path.hpp"
 
 namespace lmon {
 namespace {
 
-struct Measurement {
-  double total = 0;
-  double t_job = 0;
-  double t_daemon = 0;
-  double t_setup = 0;
-  double t_collective = 0;
-  double tracing = 0;
-  double rpdtab = 0;
-  double handshake = 0;
-  double other = 0;
-  bool ok = false;
-};
-
-Measurement run_once(int ndaemons, int tpn) {
+/// One measured launchAndSpawn split into the paper's regions; nullopt when
+/// the launch failed.
+std::optional<obs::RegionBreakdown> run_once(int ndaemons, int tpn) {
   bench::TestCluster tc(ndaemons);
-  bench::ScopedTrace trace(tc);
-  sim::Timeline timeline;
-  sim::CostLedger ledger;
-  tc.machine.set_timeline(&timeline);
-  tc.machine.set_ledger(&ledger);
+  bench::ScopedTrace trace(tc, nullptr, /*record=*/true);
 
-  Measurement m;
   bool done = false;
   Status status;
   std::shared_ptr<core::FrontEnd> fe;
@@ -58,26 +43,8 @@ Measurement run_once(int ndaemons, int tpn) {
     });
   });
   tc.run_until([&] { return done; }, sim::seconds(600));
-  if (!done || !status.is_ok()) return m;
-
-  m.ok = true;
-  m.total = sim::to_seconds(timeline.between("e0_fe_call", "e11_return"));
-  m.t_job = sim::to_seconds(timeline.between("t_job_begin", "t_job_end"));
-  m.t_daemon =
-      sim::to_seconds(timeline.between("t_daemon_begin", "t_daemon_end"));
-  m.t_setup = sim::to_seconds(
-      timeline.between("be_e8_setup_begin", "be_e9_setup_done"));
-  m.t_collective = sim::to_seconds(
-      timeline.between("be_t_collective_begin", "be_t_collective_end"));
-  m.tracing = sim::to_seconds(ledger.total("tracing"));
-  m.rpdtab = sim::to_seconds(ledger.total("rpdtab_fetch"));
-  m.handshake = sim::to_seconds(
-      timeline.between("be_e10_ready", "e11_return") +
-      timeline.between("e7_handshake_begin", "be_t_collective_begin") -
-      timeline.between("be_e8_setup_begin", "be_e9_setup_done"));
-  if (m.handshake < 0) m.handshake = 0;
-  m.other = sim::to_seconds(ledger.total("other"));
-  return m;
+  if (!done || !status.is_ok()) return std::nullopt;
+  return obs::extract_regions(*trace.tracer());
 }
 
 }  // namespace
@@ -101,24 +68,24 @@ int main(int argc, char** argv) {
       "T(coll)", "tracing", "rpdtab", "handshk", "other", "lmon%");
 
   const cluster::CostModel costs;
-  const core::PerfModel model(costs,
-                              static_cast<std::uint32_t>(costs.rm_launch_fanout));
+  const auto fanout = static_cast<std::uint32_t>(costs.rm_launch_fanout);
+  const core::PerfModel model(costs, fanout);
   const int tpn = 8;
   for (int n : bench::scales({16, 32, 48, 64, 80, 96, 112, 128}, {16})) {
-    const Measurement m = run_once(n, tpn);
-    const auto p = model.predict(n, tpn);
-    if (!m.ok) {
+    const std::optional<obs::RegionBreakdown> m = run_once(n, tpn);
+    const auto p = model.predict(
+        comm::LaunchStrategyKind::RmBulk,
+        comm::TopologySpec{comm::TopologyKind::KAry, fanout}, n, tpn);
+    if (!m) {
       std::printf("%8d %6d | launch failed\n", n, n * tpn);
       continue;
     }
-    const double lmon_share =
-        (m.tracing + m.rpdtab + m.handshake + m.other) / m.total * 100.0;
     std::printf(
         "%8d %6d | %8.3fs %8.3fs | %7.3fs %7.3fs %7.3fs %7.3fs %7.3fs "
         "%7.3fs %7.3fs %7.3fs | %6.1f%%\n",
-        n, n * tpn, m.total, p.total(), m.t_job, m.t_daemon, m.t_setup,
-        m.t_collective, m.tracing, m.rpdtab, m.handshake, m.other,
-        lmon_share);
+        n, n * tpn, m->total, p.total(), m->t_job, m->t_daemon, m->t_setup,
+        m->t_collective, m->tracing, m->rpdtab, m->handshake, m->other,
+        m->lmon_overhead() / m->total * 100.0);
   }
   std::printf(
       "\npaper anchors: <1 s total at 128 daemons/1024 tasks; tracing 18 ms "

@@ -1,10 +1,10 @@
 // bench_micro_protocol - google-benchmark microbenchmarks of the hot
 // protocol-layer operations (real CPU time, not simulated time): LMONP
-// encode/decode, RPDTAB pack/unpack, ICCL tree math, prefix-tree merging
+// encode/decode, RPDTAB pack/unpack, fabric tree math, prefix-tree merging
 // and the event queue.
 #include <benchmark/benchmark.h>
 
-#include "core/iccl.hpp"
+#include "comm/topology.hpp"
 #include "core/lmonp.hpp"
 #include "core/rpdtab.hpp"
 #include "simkernel/event_queue.hpp"
@@ -71,9 +71,10 @@ void BM_RpdtabUnpack(benchmark::State& state) {
 BENCHMARK(BM_RpdtabUnpack)->Range(8, 1 << 14);
 
 void BM_IcclSubtreeEnumeration(benchmark::State& state) {
-  const auto size = static_cast<std::uint32_t>(state.range(0));
+  const comm::Topology topo({comm::TopologyKind::KAry, 32},
+                            static_cast<std::uint32_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::Iccl::subtree_of(1, size, 32));
+    benchmark::DoNotOptimize(topo.subtree_of(1));
   }
 }
 BENCHMARK(BM_IcclSubtreeEnumeration)->Range(64, 1 << 16);

@@ -14,7 +14,7 @@
 
 #include "bench/bench_util.hpp"
 #include "core/fe_api.hpp"
-#include "simkernel/stats.hpp"
+#include "obs/critical_path.hpp"
 
 namespace lmon {
 namespace {
@@ -28,11 +28,7 @@ struct Split {
 
 Split run_once(int ndaemons, const cluster::CostModel& costs) {
   bench::TestCluster tc(ndaemons, 0, costs);
-  bench::ScopedTrace trace(tc);
-  sim::Timeline timeline;
-  sim::CostLedger ledger;
-  tc.machine.set_timeline(&timeline);
-  tc.machine.set_ledger(&ledger);
+  bench::ScopedTrace trace(tc, nullptr, /*record=*/true);
 
   bool done = false;
   Status status;
@@ -52,18 +48,11 @@ Split run_once(int ndaemons, const cluster::CostModel& costs) {
   tc.run_until([&] { return done; }, sim::seconds(900));
   Split s;
   if (!done || !status.is_ok()) return s;
+  const obs::RegionBreakdown r = obs::extract_regions(*trace.tracer());
   s.ok = true;
-  s.total = sim::to_seconds(timeline.between("e0_fe_call", "e11_return"));
-  s.rm_regions =
-      sim::to_seconds(timeline.between("t_job_begin", "t_job_end")) +
-      sim::to_seconds(timeline.between("t_daemon_begin", "t_daemon_end")) +
-      sim::to_seconds(
-          timeline.between("be_e8_setup_begin", "be_e9_setup_done")) +
-      sim::to_seconds(timeline.between("be_t_collective_begin",
-                                       "be_t_collective_end"));
-  s.launchmon = sim::to_seconds(ledger.total("tracing")) +
-                sim::to_seconds(ledger.total("rpdtab_fetch")) +
-                sim::to_seconds(ledger.total("other"));
+  s.total = r.total;
+  s.rm_regions = r.t_job + r.t_daemon + r.t_setup + r.t_collective;
+  s.launchmon = r.tracing + r.rpdtab + r.other;
   return s;
 }
 

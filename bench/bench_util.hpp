@@ -70,21 +70,21 @@ inline bool common_flag(const std::string& arg) {
 }
 
 /// Attaches a Tracer (and optionally a Metrics registry) to a TestCluster's
-/// machine for one measured run; the destructor detaches and writes the
-/// Chrome trace. With an empty path and no metrics this is a no-op and the
-/// run is bit-identical to an uninstrumented one.
+/// machine for one measured run; the destructor detaches and, when a trace
+/// path is set, writes the Chrome trace. `record` attaches the tracer even
+/// without a path, so the caller can read the run's Machine::mark()/charge()
+/// record back through tracer(). With no path, no metrics and no `record`
+/// this is a no-op. Either way the simulated run is bit-identical to an
+/// uninstrumented one.
 class ScopedTrace {
  public:
-  explicit ScopedTrace(TestCluster& tc, obs::Metrics* metrics = nullptr)
-      : ScopedTrace(tc, trace_out_path(), metrics) {}
-
-  ScopedTrace(TestCluster& tc, std::string path,
-              obs::Metrics* metrics = nullptr)
-      : machine_(tc.machine), path_(std::move(path)) {
+  explicit ScopedTrace(TestCluster& tc, obs::Metrics* metrics = nullptr,
+                       bool record = false)
+      : machine_(tc.machine), path_(trace_out_path()) {
     if (metrics != nullptr) machine_.set_metrics(metrics);
-    if (path_.empty()) return;
+    if (path_.empty() && !record) return;
     tracer_ = std::make_unique<obs::Tracer>(tc.simulator);
-    bridge_ = std::make_unique<obs::LogBridge>(*tracer_);
+    if (!path_.empty()) bridge_ = std::make_unique<obs::LogBridge>(*tracer_);
     machine_.set_tracer(tracer_.get());
   }
 
@@ -96,6 +96,7 @@ class ScopedTrace {
     if (tracer_ == nullptr) return;
     machine_.set_tracer(nullptr);
     bridge_.reset();
+    if (path_.empty()) return;
     const Status st = obs::write_chrome_trace(*tracer_, path_);
     if (!st.is_ok()) {
       std::fprintf(stderr, "trace export to %s failed: %s\n", path_.c_str(),

@@ -8,8 +8,8 @@
 // protocol, pins every point against core::PerfModel::collective_gather(),
 // and compares the measured eager->rendezvous crossover against the
 // analytic collective_gather_crossover() solver. Protocols are forced
-// through the real session option (SpawnConfig::rndv_threshold_bytes), so
-// the sweep drives the identical upstream path the tools use.
+// through the real session option (SpawnConfig::rndv), so the sweep drives
+// the identical upstream path the tools use.
 //
 // Payload-grid constraint: points must be <= one chunk (64 KiB) or an
 // exact multiple of it. The model replays chunk-cursor ties exactly only
@@ -218,7 +218,7 @@ inline std::vector<double> measure_gather_sweep(
     core::FrontEnd::SpawnConfig cfg;
     cfg.daemon_exe = "gather_sweep_be";
     cfg.topology = topo;
-    cfg.rndv_threshold_bytes = threshold;
+    cfg.rndv = core::RndvSetting{core::RndvSetting::Mode::Bytes, threshold};
     rm::JobSpec job{nodes, 1, "mpi_app", {}};
     fe->launch_and_spawn(sid.value, job, cfg, [](Status) {});
   });

@@ -25,10 +25,12 @@
 #                  bench at smoke scale - the fast "did a refactor break
 #                  session multiplexing" gate.
 #   --sanitize     build the ASan+UBSan preset (build-sanitize/) and run the
-#                  whole unit suite plus the launch and STAT integration
+#                  whole unit suite plus the launch, STAT, ICCL rendezvous,
+#                  self-heal, mux-session and trace-session integration
 #                  suites under it; any sanitizer report fails the run. The
 #                  protocol decoders (RPDTAB, LMONP, TBON packets) read raw
-#                  byte spans, which is what this gate watches.
+#                  byte spans, and the raw-ICCL fault and mux harnesses tear
+#                  daemons down mid-round, which is what this gate watches.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -71,7 +73,8 @@ fi
 if [[ "${1:-}" == "--sanitize" ]]; then
   tests=()
   for src in tests/unit/*.cpp; do tests+=("$(basename "$src" .cpp)"); done
-  tests+=(launch_spawn_test stat_test)
+  tests+=(launch_spawn_test stat_test iccl_rendezvous_test self_heal_test
+          mux_session_test trace_session_test)
   cmake --preset sanitize
   cmake --build --preset sanitize -j "$JOBS" --target "${tests[@]}"
   export ASAN_OPTIONS=${ASAN_OPTIONS:-abort_on_error=1:detect_leaks=1}

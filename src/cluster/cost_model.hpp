@@ -131,7 +131,7 @@ struct CostModel {
   std::uint32_t iccl_rndv_chunk_bytes = 64 * 1024;
   /// Default eager->rendezvous switch threshold (payload bytes). Deliberately
   /// conservative so stock sessions keep the calibrated eager path; tools
-  /// tune it per session (SpawnConfig::rndv_threshold_bytes) with
+  /// tune it per session (SpawnConfig::rndv) with
   /// core::PerfModel::collective_crossover() as the guide.
   std::uint32_t iccl_rndv_threshold_bytes = 1024 * 1024;
 

@@ -21,7 +21,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "simkernel/simulator.hpp"
-#include "simkernel/stats.hpp"
 
 namespace lmon::cluster {
 
@@ -106,28 +105,22 @@ class Machine {
     return it == programs_.end() ? nullptr : &it->second;
   }
 
-  // --- instrumentation hooks (benches/tests only) --------------------------
-  /// When set, components mark critical-path events (e0..e11 of the paper's
-  /// §4 model) and charge component costs; this models the "instrumented
-  /// version of LaunchMON" the authors used to fit their model.
-  [[nodiscard]] sim::Timeline* timeline() noexcept { return timeline_; }
-  void set_timeline(sim::Timeline* t) noexcept { timeline_ = t; }
-  [[nodiscard]] sim::CostLedger* ledger() noexcept { return ledger_; }
-  void set_ledger(sim::CostLedger* l) noexcept { ledger_ = l; }
+  // --- observability hooks (obs/) ------------------------------------------
+  // Purely observational: components record spans, marks and counters
+  // through these when attached, never schedule events or charge costs, and
+  // skip all work when the hooks are null - so traced and untraced runs of
+  // the same seed produce identical simulated timings.
+
+  /// Critical-path events (e0..e11 of the paper's §4 model) and component
+  /// cost charges; this models the "instrumented version of LaunchMON" the
+  /// authors used to fit their model. Both land in the attached Tracer
+  /// (Tracer::marks()/charges(), obs::extract_regions()).
   void mark(const std::string& label) {
-    if (timeline_ != nullptr) timeline_->mark(label, sim_.now());
     if (tracer_ != nullptr) tracer_->mark(label);
   }
   void charge(const std::string& label, sim::Time amount) {
-    if (ledger_ != nullptr) ledger_->charge(label, amount);
     if (tracer_ != nullptr) tracer_->charge(label, amount);
   }
-
-  // --- observability hooks (obs/) ------------------------------------------
-  // Purely observational like timeline/ledger above: components record spans
-  // and counters through these when attached, never schedule events or
-  // charge costs, and skip all work when the hooks are null - so traced and
-  // untraced runs of the same seed produce identical simulated timings.
   [[nodiscard]] obs::Tracer* tracer() noexcept { return tracer_; }
   /// Attaches a tracer and names its export tracks/lanes after the cluster's
   /// hostnames and already-running programs (defined in machine.cpp).
@@ -168,8 +161,6 @@ class Machine {
   std::unordered_map<std::string, Node*> host_index_;
   std::unordered_map<Pid, Process*> pid_index_;
   std::unordered_map<std::string, ProgramImage> programs_;
-  sim::Timeline* timeline_ = nullptr;
-  sim::CostLedger* ledger_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
   obs::Metrics* metrics_ = nullptr;
   obs::FlightRecorderHub* flight_ = nullptr;

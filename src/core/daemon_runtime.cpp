@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "cluster/machine.hpp"
+#include "comm/bootstrap.hpp"
 #include "common/argparse.hpp"
 #include "core/payloads.hpp"
 #include "simkernel/log.hpp"
@@ -21,7 +22,7 @@ Status DaemonRuntime::init(Callbacks callbacks) {
   sessions_[0];  // the infrastructure session always exists
   // The hostname backs the rank-from-host fallback used by launch
   // strategies that hand every daemon an identical argv (tree-rsh).
-  auto params = Iccl::params_from_args(self_.args(), self_.node().hostname());
+  auto params = comm::parse_bootstrap(self_.args(), self_.node().hostname());
   if (!params) {
     return Status(Rc::Einval,
                   "daemon not launched by LaunchMON (missing --lmon-* argv)");
@@ -30,16 +31,19 @@ Status DaemonRuntime::init(Callbacks callbacks) {
   fe_port_ = params->fe_port;
 
   iccl_ = std::make_unique<Iccl>(self_, std::move(*params));
-  iccl_->set_bcast_handler(
-      [this](std::uint32_t tag, const Bytes& data) { dispatch_bcast(tag, data); });
-  iccl_->set_gather_handler(
+  Iccl::SessionHandlers handlers;
+  handlers.on_bcast = [this](std::uint32_t tag, const Bytes& data) {
+    dispatch_bcast(tag, data);
+  };
+  handlers.on_gather =
       [this](std::uint32_t tag,
              std::vector<std::pair<std::uint32_t, Bytes>> entries) {
         on_internal_gather(tag, std::move(entries));
-      });
-  iccl_->set_scatter_handler([this](std::uint32_t tag, const Bytes& data) {
-    dispatch_scatter(tag, data);
-  });
+      };
+  handlers.on_scatter = [this](std::uint32_t tag, const Bytes& data) {
+    dispatch_vs_scatter(0, tag, data);
+  };
+  iccl_->bind_session(0, std::move(handlers));
 
   if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
     const std::string& session = iccl_->params().session;
@@ -558,10 +562,6 @@ void DaemonRuntime::on_vs_gather(
   auto fn = std::move(it->second);
   vs->gather_waiters.erase(it);
   if (fn) fn(std::move(entries));
-}
-
-void DaemonRuntime::dispatch_scatter(std::uint32_t tag, const Bytes& data) {
-  dispatch_vs_scatter(0, tag, data);
 }
 
 void DaemonRuntime::fail(Status st) {

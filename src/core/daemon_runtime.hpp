@@ -169,7 +169,6 @@ class DaemonRuntime {
       std::uint32_t tag,
       std::vector<std::pair<std::uint32_t, Bytes>> entries);
   void dispatch_bcast(std::uint32_t tag, const Bytes& data);
-  void dispatch_scatter(std::uint32_t tag, const Bytes& data);
   // --- virtual-session plumbing -------------------------------------------
   /// Master: FE asked for a virtual attach; runs admission control and, on
   /// accept, announces the session tree-wide.

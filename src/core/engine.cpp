@@ -75,10 +75,6 @@ void EngineProgram::on_start(cluster::Process& self) {
   }
   if (const auto rndv = arg_value(args, "--rndv=")) {
     rndv_setting_ = RndvSetting::parse(*rndv).value_or(RndvSetting{});
-  } else if (const auto legacy = arg_int(args, "--rndv-threshold=");
-             legacy && *legacy != 0) {
-    rndv_setting_ = RndvSetting{RndvSetting::Mode::Bytes,
-                                static_cast<std::uint32_t>(*legacy)};
   }
   platform_ = arg_value(args, "--platform=").value_or("");
   calibration_ = arg_value(args, "--calibration=").value_or("");
@@ -88,17 +84,16 @@ void EngineProgram::on_start(cluster::Process& self) {
   max_tree_sessions_ = static_cast<std::uint32_t>(
       arg_int(args, "--max-tree-sessions=").value_or(0));
 
-  // Pre-tuning placeholders; tune_session() overwrites all four. The launch
-  // protocol's fan-out is independent of the fabric family: binomial/flat
-  // fabrics still forward the bulk launch (and tree-rsh agents) at the
-  // configured degree, not at the spec's unused arity.
+  // Pre-tuning placeholders; tune_session() overwrites all three, plus
+  // rndv_threshold_ (0 until then). The launch protocol's fan-out is
+  // independent of the fabric family: binomial/flat fabrics still forward
+  // the bulk launch (and tree-rsh agents) at the configured degree, not at
+  // the spec's unused arity.
   strategy_kind_ = strategy_opt_.value_or(comm::LaunchStrategyKind::RmBulk);
   fabric_topo_ = topo_opt_.value_or(comm::TopologySpec{
       comm::TopologyKind::KAry, 0});
   launch_fanout_ = static_cast<std::uint32_t>(
       arg_int(args, "--fabric-fanout=").value_or(fabric_topo_.arity));
-  rndv_threshold_ = static_cast<std::uint32_t>(
-      arg_int(args, "--rndv-threshold=").value_or(0));
 
   adapter_ = adapter_factory_ ? adapter_factory_()
                               : std::make_unique<SlurmAdapter>();

@@ -251,13 +251,7 @@ void FrontEnd::start_operation(int sid, bool attach, const rm::JobSpec* job,
       (s->cfg.launch_strategy
            ? std::string(comm::to_string(*s->cfg.launch_strategy))
            : std::string("auto")));
-  // Precedence explicit > profile > model: a nonzero legacy byte count is
-  // the explicit spelling and wins over the structured setting.
-  const RndvSetting rndv =
-      s->cfg.rndv_threshold_bytes != 0
-          ? RndvSetting{RndvSetting::Mode::Bytes, s->cfg.rndv_threshold_bytes}
-          : s->cfg.rndv;
-  opts.args.push_back("--rndv=" + rndv.to_string());
+  opts.args.push_back("--rndv=" + s->cfg.rndv.to_string());
   if (!s->cfg.platform_profile.empty()) {
     opts.args.push_back("--platform=" + s->cfg.platform_profile);
   }

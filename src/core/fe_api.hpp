@@ -76,12 +76,8 @@ class FrontEnd {
     /// ICCL eager->rendezvous switch: auto (default, model-driven via
     /// PerfModel::collective_crossover on the tuned fabric),
     /// platform-default, always-eager, always-rndv, or an explicit byte
-    /// count. Overrides rndv_threshold_bytes semantics below.
+    /// count (Mode::Bytes; UINT32_MAX pins eager, 1 pins rendezvous).
     RndvSetting rndv;
-    /// Legacy spelling of an explicit threshold (payload bytes). Nonzero
-    /// takes precedence over `rndv`; 0 defers to it. UINT32_MAX pins the
-    /// session to eager, 1 pins it to rendezvous (benches ablate both).
-    std::uint32_t rndv_threshold_bytes = 0;
     /// Platform calibration profile consulted by the auto-tuner and the
     /// daemons' ICCL ("atlas", "thunder", "zeus", "bluegene" - see
     /// cluster::CostModelRegistry). Empty = the machine's own cost model.

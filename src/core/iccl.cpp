@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
+#include <string>
 
 #include "cluster/cost_model_registry.hpp"
 #include "cluster/machine.hpp"
@@ -61,32 +63,6 @@ std::optional<Frame> decode_frame(const cluster::Message& m) {
 obs::SpanId Iccl::trace_parent(obs::Tracer& tracer) const {
   return tracer.anchor("daemon:" + params_.session + ":" +
                        std::to_string(params_.rank));
-}
-
-std::optional<Iccl::Params> Iccl::params_from_args(
-    const std::vector<std::string>& args, std::string_view self_host) {
-  return comm::parse_bootstrap(args, self_host);
-}
-
-std::vector<std::uint32_t> Iccl::children_of(std::uint32_t rank,
-                                             std::uint32_t size,
-                                             std::uint32_t fanout) {
-  return comm::Topology({comm::TopologyKind::KAry, fanout}, size)
-      .children_of(rank);
-}
-
-std::optional<std::uint32_t> Iccl::parent_of(std::uint32_t rank,
-                                             std::uint32_t fanout) {
-  // Size does not matter for a k-ary parent; rank+1 keeps rank in range.
-  return comm::Topology({comm::TopologyKind::KAry, fanout}, rank + 1)
-      .parent_of(rank);
-}
-
-std::vector<std::uint32_t> Iccl::subtree_of(std::uint32_t rank,
-                                            std::uint32_t size,
-                                            std::uint32_t fanout) {
-  return comm::Topology({comm::TopologyKind::KAry, fanout}, size)
-      .subtree_of(rank);
 }
 
 Iccl::Iccl(cluster::Process& self, Params params)
@@ -221,15 +197,9 @@ void Iccl::on_fabric_message(const cluster::ChannelPtr& ch,
                              cluster::Message m) {
   auto frame = decode_frame(m);
   if (!frame) return;
-  const std::size_t tap_bytes =
-      frame->entries.empty() ? 0 : frame->entries.front().second.size();
   if (frame_tap_) {
-    frame_tap_(static_cast<Kind>(frame->kind), frame->tag.tag, frame->src,
-               tap_bytes);
-  }
-  if (keyed_frame_tap_) {
-    keyed_frame_tap_(static_cast<Kind>(frame->kind), frame->tag, frame->src,
-                     tap_bytes);
+    frame_tap_(static_cast<Kind>(frame->kind), frame->tag, frame->src,
+               frame->entries.empty() ? 0 : frame->entries.front().second.size());
   }
   // Per-message handling cost inside the daemon's collective layer. Eager
   // payload frames (broadcast, scatter and whole-subtree gather-up alike)
@@ -1737,10 +1707,6 @@ void Iccl::handle_leave(std::uint32_t src) {
 // --- multiplexed delivery / fairness --------------------------------------
 
 void Iccl::deliver_bcast(StreamKey tag, const Bytes& data) {
-  if (tag.session == 0) {
-    if (on_bcast_) on_bcast_(tag.tag, data);
-    return;
-  }
   auto it = session_handlers_.find(tag.session);
   if (it == session_handlers_.end() || !it->second.on_bcast) {
     self_.machine().count("iccl.mux.unbound_drops");
@@ -1751,10 +1717,6 @@ void Iccl::deliver_bcast(StreamKey tag, const Bytes& data) {
 
 void Iccl::deliver_gather(
     StreamKey tag, std::vector<std::pair<std::uint32_t, Bytes>> entries) {
-  if (tag.session == 0) {
-    if (on_gather_) on_gather_(tag.tag, std::move(entries));
-    return;
-  }
   auto it = session_handlers_.find(tag.session);
   if (it == session_handlers_.end() || !it->second.on_gather) {
     self_.machine().count("iccl.mux.unbound_drops");
@@ -1764,10 +1726,6 @@ void Iccl::deliver_gather(
 }
 
 void Iccl::deliver_scatter(StreamKey tag, const Bytes& data) {
-  if (tag.session == 0) {
-    if (on_scatter_) on_scatter_(tag.tag, data);
-    return;
-  }
   auto it = session_handlers_.find(tag.session);
   if (it == session_handlers_.end() || !it->second.on_scatter) {
     self_.machine().count("iccl.mux.unbound_drops");

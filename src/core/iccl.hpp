@@ -18,9 +18,7 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
-#include <string>
 #include <vector>
 
 #include "cluster/process.hpp"
@@ -40,7 +38,7 @@ class Iccl {
   using Params = comm::BootstrapParams;
 
   /// Fabric frame kinds (public so protocol tests can assert on the wire
-  /// sequence through set_frame_tap()).
+  /// sequence through set_keyed_frame_tap()).
   enum class Kind : std::uint8_t {
     Register = 1,  ///< child -> parent: {rank}
     SetupUp,       ///< child -> parent: subtree fully wired
@@ -71,21 +69,16 @@ class Iccl {
     Leave,         ///< child -> parent: graceful departure (elastic shrink)
   };
 
-  /// Parses the RM-provided "--lmon-*" daemon argv. `self_host` enables the
-  /// rank-from-host fallback used by broadcast-style launchers.
-  static std::optional<Params> params_from_args(
-      const std::vector<std::string>& args, std::string_view self_host = {});
-
   /// Handlers receive the *within-session* tag; the session id is implied
-  /// by which handler set fired (the legacy set_*_handler trio observes the
-  /// infrastructure session 0, bind_session() observes one virtual session).
+  /// by which bind_session() handler set fired.
   using BcastHandler = std::function<void(std::uint32_t tag, const Bytes&)>;
   /// Root-side gather completion: contributions sorted by rank.
   using GatherHandler = std::function<void(
       std::uint32_t tag, std::vector<std::pair<std::uint32_t, Bytes>>)>;
   using ScatterHandler = std::function<void(std::uint32_t tag, const Bytes&)>;
 
-  /// Handler set for one virtual session multiplexed over this fabric.
+  /// Handler set for one session multiplexed over this fabric (session 0 is
+  /// the infrastructure session; nonzero ids are virtual sessions).
   struct SessionHandlers {
     BcastHandler on_bcast;
     GatherHandler on_gather;
@@ -134,13 +127,10 @@ class Iccl {
   /// are the only payloads that depart with it.
   void leave();
 
-  void set_bcast_handler(BcastHandler h) { on_bcast_ = std::move(h); }
-  void set_gather_handler(GatherHandler h) { on_gather_ = std::move(h); }
-  void set_scatter_handler(ScatterHandler h) { on_scatter_ = std::move(h); }
-
-  /// Routes rounds keyed to a nonzero `session` to this handler set
-  /// (handlers see the within-session tag). Rebinding replaces; rounds for
-  /// an unbound session are dropped at delivery, never cross-delivered.
+  /// Routes rounds keyed to `session` to this handler set (handlers see the
+  /// within-session tag). Rebinding replaces; rounds for an unbound session,
+  /// or of a kind the bound set has no handler for, are dropped at delivery
+  /// (counted in iccl.mux.unbound_drops), never cross-delivered.
   void bind_session(std::uint32_t session, SessionHandlers handlers) {
     session_handlers_[session] = std::move(handlers);
   }
@@ -149,18 +139,11 @@ class Iccl {
   }
 
   /// Test-only tap: observes every decoded inbound fabric frame (before the
-  /// handling cost is charged). `bytes` is the first entry's payload size.
-  /// The legacy tap sees the within-session tag only; the keyed tap sees
-  /// the full StreamKey (cross-session isolation tests use it).
-  using FrameTap = std::function<void(Kind kind, std::uint32_t tag,
+  /// handling cost is charged) with its full StreamKey. `bytes` is the
+  /// first entry's payload size.
+  using FrameTap = std::function<void(Kind kind, StreamKey key,
                                       std::uint32_t src, std::size_t bytes)>;
-  void set_frame_tap(FrameTap tap) { frame_tap_ = std::move(tap); }
-  using KeyedFrameTap = std::function<void(Kind kind, StreamKey key,
-                                           std::uint32_t src,
-                                           std::size_t bytes)>;
-  void set_keyed_frame_tap(KeyedFrameTap tap) {
-    keyed_frame_tap_ = std::move(tap);
-  }
+  void set_keyed_frame_tap(FrameTap tap) { frame_tap_ = std::move(tap); }
 
   /// Effective eager->rendezvous switch threshold (payload bytes): the
   /// session option when set, else the platform default.
@@ -193,18 +176,6 @@ class Iccl {
   [[nodiscard]] bool heal_idle() const noexcept {
     return heal_slots_.empty() && !reparenting_;
   }
-
-  // Legacy k-ary helpers; thin forwards to comm::Topology (kept because
-  // tools and tests use them as free-standing tree arithmetic).
-  static std::vector<std::uint32_t> children_of(std::uint32_t rank,
-                                                std::uint32_t size,
-                                                std::uint32_t fanout);
-  static std::optional<std::uint32_t> parent_of(std::uint32_t rank,
-                                                std::uint32_t fanout);
-  /// All ranks in the subtree rooted at `rank` (includes `rank`).
-  static std::vector<std::uint32_t> subtree_of(std::uint32_t rank,
-                                               std::uint32_t size,
-                                               std::uint32_t fanout);
 
  private:
   /// One gather round (keyed by tag). Small rounds run eager: each node
@@ -339,8 +310,8 @@ class Iccl {
   GatherState& gather_state(StreamKey tag);
 
   // --- multiplexed delivery / fairness ------------------------------------
-  /// Route a completed round to the owning session's handler set (session 0
-  /// -> the legacy trio). Rounds for an unbound session are dropped.
+  /// Route a completed round to the owning session's handler set. Rounds
+  /// for an unbound session are dropped.
   void deliver_bcast(StreamKey tag, const Bytes& data);
   void deliver_gather(StreamKey tag,
                       std::vector<std::pair<std::uint32_t, Bytes>> entries);
@@ -435,14 +406,8 @@ class Iccl {
   bool parent_linked_ = false;
   bool ready_fired_ = false;
   std::function<void(Status)> subtree_ready_;
-  BcastHandler on_bcast_;
-  GatherHandler on_gather_;
-  ScatterHandler on_scatter_;
-  /// Nonzero-session handler sets (bind_session); session 0 uses the legacy
-  /// trio above.
   std::map<std::uint32_t, SessionHandlers> session_handlers_;
   FrameTap frame_tap_;
-  KeyedFrameTap keyed_frame_tap_;
   std::map<StreamKey, GatherState> gathers_;
   std::map<StreamKey, RndvSend> rndv_sends_;  ///< by stream key
   std::map<StreamKey, RndvRecv> rndv_recvs_;  ///< by stream key

@@ -221,7 +221,7 @@ double PerfModel::tree_rsh_daemons(int n, std::uint32_t launch_fanout) const {
 LaunchSpawnPrediction PerfModel::predict(
     comm::LaunchStrategyKind strategy, const comm::TopologySpec& fabric,
     int n_nodes, int procs_per_node,
-    std::uint32_t rndv_threshold_bytes) const {
+    std::uint32_t rndv_threshold) const {
   LaunchSpawnPrediction p;
   const double n = static_cast<double>(n_nodes);
   const double ntasks = n * static_cast<double>(procs_per_node);
@@ -283,8 +283,7 @@ LaunchSpawnPrediction PerfModel::predict(
   // rendezvous replay prices the RTS/CTS waves and chunk pipeline instead.
   const double rpdtab_bytes = kRpdtabEntryBytes * ntasks;
   const std::uint32_t eff_threshold =
-      rndv_threshold_bytes != 0 ? rndv_threshold_bytes
-                                : costs_.iccl_rndv_threshold_bytes;
+      rndv_threshold != 0 ? rndv_threshold : costs_.iccl_rndv_threshold_bytes;
   const double ack_path = df * (transfer_cost(16.0 * n) +
                                 seconds(costs_.iccl_msg_handle));
   if (rpdtab_bytes >= static_cast<double>(eff_threshold)) {
@@ -314,13 +313,6 @@ LaunchSpawnPrediction PerfModel::predict(
   p.other = seconds(costs_.engine_fixed_cost) + spawn_cost(9.0) +
             connect_cost();
   return p;
-}
-
-LaunchSpawnPrediction PerfModel::predict(int ndaemons,
-                                         int tasks_per_daemon) const {
-  return predict(comm::LaunchStrategyKind::RmBulk,
-                 comm::TopologySpec{comm::TopologyKind::KAry, fanout_},
-                 ndaemons, tasks_per_daemon);
 }
 
 bool PerfModel::predicts_failure(comm::LaunchStrategyKind strategy,

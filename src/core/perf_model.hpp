@@ -75,18 +75,12 @@ class PerfModel {
   /// `fanout` is the RM launch/fabric tree degree in effect.
   PerfModel(const cluster::CostModel& costs, std::uint32_t fanout);
 
-  /// Predicts launchAndSpawn for `ndaemons` nodes with `tasks_per_daemon`
-  /// MPI tasks per node (the paper sweeps 16..128 daemons at 8 tasks each).
-  /// Legacy single-strategy entry: rm-bulk over a k-ary fabric of this
-  /// model's fanout.
-  [[nodiscard]] LaunchSpawnPrediction predict(int ndaemons,
-                                              int tasks_per_daemon) const;
-
-  /// Per-strategy entry point: predicts the full launchAndSpawn for
-  /// `strategy` bootstrapping `n_nodes` daemons over a `fabric`-shaped
-  /// tree, with `procs_per_node` MPI tasks per node. A fabric arity of 0
+  /// Predicts the full launchAndSpawn for `strategy` bootstrapping
+  /// `n_nodes` daemons over a `fabric`-shaped tree, with `procs_per_node`
+  /// MPI tasks per node (the paper sweeps 16..128 daemons at 8 tasks each,
+  /// rm-bulk over a k-ary fabric of the RM fan-out). A fabric arity of 0
   /// resolves to the cost model's RM fan-out, mirroring the FE API.
-  /// `rndv_threshold_bytes` is the session's wire threshold (0 = the cost
+  /// `rndv_threshold` is the session's wire threshold (0 = the cost
   /// model's platform default): when the handshake RPDTAB payload reaches
   /// it, T(collective) is predicted with the rendezvous broadcast replay
   /// instead of the eager closed form - so auto-tuned thresholds and the
@@ -95,7 +89,7 @@ class PerfModel {
   [[nodiscard]] LaunchSpawnPrediction predict(
       comm::LaunchStrategyKind strategy, const comm::TopologySpec& fabric,
       int n_nodes, int procs_per_node,
-      std::uint32_t rndv_threshold_bytes = 0) const;
+      std::uint32_t rndv_threshold = 0) const;
 
   /// True when the strategy cannot complete at this scale at all: the
   /// serial front end holds one rsh helper child per node, so past the
@@ -157,7 +151,7 @@ class PerfModel {
   /// dips where the chunk count steps up) and interpolates the zero
   /// crossing after the last eager win in closed form - ~2 evaluations per
   /// chunk of max_payload. This is the analytic answer to "where should a
-  /// session set SpawnConfig::rndv_threshold_bytes".
+  /// session set SpawnConfig::rndv".
   [[nodiscard]] std::optional<std::size_t> collective_crossover(
       const comm::TopologySpec& spec, int n,
       std::size_t max_payload = 16u << 20) const;

@@ -6,12 +6,12 @@
 
 namespace lmon::obs {
 
-RegionBreakdown extract_regions(const sim::Timeline& marks,
-                                const sim::CostLedger& charges,
+RegionBreakdown extract_regions(const Tracer& tracer,
                                 const std::string& prefix) {
-  // This arithmetic is bench_fig3_launchspawn's, verbatim: the integration
-  // gate (trace_session_test) asserts exact equality against the bench's
-  // own Measurement, so keep the two in lock step.
+  // The integration gate (trace_session_test) asserts exact equality
+  // against a verbatim copy of this arithmetic, so keep the two in step.
+  const sim::Timeline& marks = tracer.marks();
+  const sim::CostLedger& charges = tracer.charges();
   RegionBreakdown r;
   r.total = sim::to_seconds(marks.between("e0_fe_call", "e11_return"));
   r.t_job = sim::to_seconds(marks.between("t_job_begin", "t_job_end"));
@@ -30,11 +30,6 @@ RegionBreakdown extract_regions(const sim::Timeline& marks,
   if (r.handshake < 0) r.handshake = 0;
   r.other = sim::to_seconds(charges.total("other"));
   return r;
-}
-
-RegionBreakdown extract_regions(const Tracer& tracer,
-                                const std::string& prefix) {
-  return extract_regions(tracer.marks(), tracer.charges(), prefix);
 }
 
 std::vector<const SpanRecord*> critical_path(const Tracer& tracer) {

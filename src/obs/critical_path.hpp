@@ -5,10 +5,9 @@
 //   * extract_regions() reproduces the paper's §4 region decomposition
 //     (Fig. 3: T(job), T(daemon), T(setup), T(collective), tracing, RPDTAB
 //     fetch, handshake, other) from a Tracer's absorbed e0..e11 marks and
-//     cost charges. The arithmetic is *identical* to
-//     bench_fig3_launchspawn's, so the extractor's sums match the bench's
-//     measured columns exactly - model-vs-measured residuals become
-//     diagnosable per PerfModel term.
+//     cost charges. bench_fig3_launchspawn prints its measured columns
+//     straight from it, so model-vs-measured residuals are diagnosable per
+//     PerfModel term.
 //   * critical_path() walks span parent links backward from the
 //     latest-ending span to its root, yielding the causal chain that
 //     bounded the run (e.g. session -> engine -> cospawn -> deepest
@@ -41,14 +40,9 @@ struct RegionBreakdown {
   }
 };
 
-/// Region decomposition from explicit marks + charges. `prefix` selects the
-/// daemon-side mark vocabulary ("be_" for back ends, "mw_" for middleware).
-[[nodiscard]] RegionBreakdown extract_regions(const sim::Timeline& marks,
-                                              const sim::CostLedger& charges,
-                                              const std::string& prefix = "be_");
-
-/// Same, over the marks/charges a Tracer absorbed from Machine::mark() /
-/// Machine::charge().
+/// Region decomposition over the marks/charges a Tracer absorbed from
+/// Machine::mark() / Machine::charge(). `prefix` selects the daemon-side
+/// mark vocabulary ("be_" for back ends, "mw_" for middleware).
 [[nodiscard]] RegionBreakdown extract_regions(const Tracer& tracer,
                                               const std::string& prefix = "be_");
 

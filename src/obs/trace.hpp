@@ -10,8 +10,8 @@
 // Instrumentation is strictly observational. Recording never schedules
 // simulator events and never charges cost, so attaching a Tracer does not
 // perturb simulated timings - a traced run and an untraced run of the same
-// seed measure identical e0..e11 timelines (asserted by
-// tests/integration/trace_session_test.cpp).
+// seed finish at the same simulated instant after the same number of
+// events (asserted by tests/integration/trace_session_test.cpp).
 //
 // Cross-process causality uses *anchors* instead of wire-format changes:
 // a parent registers its span under a well-known key ("spawn:<session>:
@@ -86,12 +86,12 @@ class Tracer {
                std::uint64_t pid, SpanId parent = kNoSpan,
                std::string detail = {});
 
-  // --- timeline absorption -------------------------------------------------
+  // --- critical-path marks and region costs ---------------------------------
   /// Machine::mark() forwards every critical-path label (the paper's
   /// e0..e11 vocabulary) here: recorded both as a Timeline mark (for
   /// critical-path extraction) and as an instant (for the exported trace).
   void mark(const std::string& label);
-  /// Machine::charge() mirror (tracing/rpdtab_fetch/other region costs).
+  /// Machine::charge() target (tracing/rpdtab_fetch/other region costs).
   void charge(const std::string& label, sim::Time amount);
   [[nodiscard]] const sim::Timeline& marks() const noexcept { return marks_; }
   [[nodiscard]] const sim::CostLedger& charges() const noexcept {

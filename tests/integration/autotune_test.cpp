@@ -145,22 +145,6 @@ TEST(AutoTune, RndvSpellingsPinTheSessionThreshold) {
   }
 }
 
-TEST(AutoTune, LegacyThresholdBytesStillWins) {
-  // The pre-RndvSetting spelling (nonzero rndv_threshold_bytes) keeps its
-  // meaning and takes precedence over the new setting.
-  TestCluster tc(4);
-  SessionResult r;
-  std::shared_ptr<core::FrontEnd> fe;
-  core::FrontEnd::SpawnConfig cfg;
-  cfg.rndv_threshold_bytes = 2048;
-  cfg.rndv = {core::RndvSetting::Mode::AlwaysEager, 0};
-  run_session(tc, cfg, 4, 1, &r, &fe);
-  ASSERT_TRUE(tc.run_until([&] { return r.done; }));
-  ASSERT_TRUE(r.status.is_ok()) << r.status.to_string();
-  ASSERT_TRUE(r.have_tuned);
-  EXPECT_EQ(r.tuned.rndv_threshold, 2048u);
-}
-
 TEST(AutoTune, PlatformProfileSteersTheTunerAndIsRecorded) {
   // A bluegene-profile session on a matching machine: every rsh flavor
   // predicts failure, so the tuner must land on rm-bulk, and the profile

@@ -9,6 +9,7 @@
 #include "bench/ablation_rsh_lib.hpp"
 #include "core/fe_api.hpp"
 #include "core/perf_model.hpp"
+#include "obs/critical_path.hpp"
 #include "rsh/launchers.hpp"
 #include "tests/test_util.hpp"
 #include "tools/jobsnap/jobsnap_be.hpp"
@@ -57,10 +58,7 @@ TEST(Calibration, LaunchmonShareAboutFivePercentAt128Nodes) {
   // Paper Fig. 3: "the portions due to LaunchMON constitute only about
   // 5.2% of that total time."
   TestCluster tc(128);
-  sim::Timeline timeline;
-  sim::CostLedger ledger;
-  tc.machine.set_timeline(&timeline);
-  tc.machine.set_ledger(&ledger);
+  bench::ScopedTrace trace(tc, nullptr, /*record=*/true);
 
   bool done = false;
   std::shared_ptr<core::FrontEnd> fe;
@@ -75,16 +73,12 @@ TEST(Calibration, LaunchmonShareAboutFivePercentAt128Nodes) {
   });
   ASSERT_TRUE(tc.run_until([&] { return done; }));
 
-  const double total =
-      sim::to_seconds(timeline.between("e0_fe_call", "e11_return"));
-  const double lmon = sim::to_seconds(ledger.total("tracing")) +
-                      sim::to_seconds(ledger.total("rpdtab_fetch")) +
-                      sim::to_seconds(ledger.total("other"));
-  const double share = lmon / total;
+  const obs::RegionBreakdown r = obs::extract_regions(*trace.tracer());
+  const double share = (r.tracing + r.rpdtab + r.other) / r.total;
   EXPECT_GT(share, 0.02);
   EXPECT_LT(share, 0.10);
   // Tracing cost is 18 ms at any scale (12 events x 1.5 ms).
-  EXPECT_EQ(ledger.total("tracing"), sim::ms(18));
+  EXPECT_EQ(trace.tracer()->charges().total("tracing"), sim::ms(18));
 }
 
 TEST(Calibration, SerialRshIsRoughlyQuarterSecondPerNode) {

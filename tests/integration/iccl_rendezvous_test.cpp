@@ -14,6 +14,7 @@
 #include "core/be_api.hpp"
 #include "core/fe_api.hpp"
 #include "core/iccl.hpp"
+#include "obs/metrics.hpp"
 #include "tests/flight_check.hpp"
 #include "tests/test_util.hpp"
 
@@ -41,6 +42,7 @@ struct Shared {
       gather_by_tag;
   std::map<std::uint32_t, Iccl*> iccls;             // rank -> live instance
   int ready = 0;
+  bool bind_scatter = true;  ///< false leaves session 0's scatter unbound
 };
 
 class RawIcclDaemon : public cluster::Program {
@@ -49,28 +51,31 @@ class RawIcclDaemon : public cluster::Program {
   [[nodiscard]] std::string_view name() const override { return "raw_iccl"; }
 
   void on_start(cluster::Process& self) override {
-    auto params = Iccl::params_from_args(self.args(), self.node().hostname());
+    auto params = comm::parse_bootstrap(self.args(), self.node().hostname());
     ASSERT_TRUE(params.has_value());
     iccl_ = std::make_unique<Iccl>(self, std::move(*params));
     const std::uint32_t rank = iccl_->rank();
-    iccl_->set_frame_tap([this, rank](Iccl::Kind kind, std::uint32_t tag,
-                                      std::uint32_t src, std::size_t bytes) {
-      sh_->frames.push_back(FrameEvent{rank, kind, tag, src, bytes});
+    iccl_->set_keyed_frame_tap([this, rank](Iccl::Kind kind, StreamKey key,
+                                            std::uint32_t src,
+                                            std::size_t bytes) {
+      sh_->frames.push_back(FrameEvent{rank, kind, key.tag, src, bytes});
     });
-    iccl_->set_bcast_handler([this, rank](std::uint32_t tag,
-                                          const Bytes& data) {
+    Iccl::SessionHandlers handlers;
+    handlers.on_bcast = [this, rank](std::uint32_t tag, const Bytes& data) {
       sh_->bcast_delivered[rank] = data;
       sh_->bcast_by_tag[rank][tag] = data;
-    });
-    iccl_->set_scatter_handler([this, rank](std::uint32_t,
-                                            const Bytes& data) {
-      sh_->scatter_delivered[rank] = data;
-    });
-    iccl_->set_gather_handler(
+    };
+    if (sh_->bind_scatter) {
+      handlers.on_scatter = [this, rank](std::uint32_t, const Bytes& data) {
+        sh_->scatter_delivered[rank] = data;
+      };
+    }
+    handlers.on_gather =
         [this](std::uint32_t tag,
                std::vector<std::pair<std::uint32_t, Bytes>> entries) {
           sh_->gather_by_tag[tag] = std::move(entries);
-        });
+        };
+    iccl_->bind_session(0, std::move(handlers));
     sh_->iccls[rank] = iccl_.get();
     iccl_->start([this](Status st) {
       if (st.is_ok()) sh_->ready += 1;
@@ -352,6 +357,30 @@ TEST(IcclProtocol, ScatterDeliversCorrectPartsUnderNonContiguousPlacement) {
   }
 }
 
+TEST(IcclProtocol, RoundOfAnUnboundKindIsDroppedAndCounted) {
+  // Session 0 is bound like any other session: a scatter round reaching a
+  // handler set without a scatter handler is dropped at every rank and
+  // counted, never delivered elsewhere.
+  const int n = 5;
+  TestCluster tc(n);
+  obs::Metrics metrics;
+  tc.machine.set_metrics(&metrics);
+  Shared sh;
+  sh.bind_scatter = false;
+  wire_fabric(tc, sh, {comm::TopologyKind::KAry, 2}, identity_placement(n),
+              kEagerOnly);
+  ASSERT_TRUE(tc.run_until([&] { return sh.ready == n; }));
+
+  std::vector<Bytes> parts(static_cast<std::size_t>(n), Bytes(4, 0x5A));
+  sh.iccls[0]->scatter(6, std::move(parts));
+  EXPECT_TRUE(tc.run_until(
+      [&] { return metrics.counter("iccl.mux.unbound_drops") == n; }));
+  EXPECT_TRUE(sh.scatter_delivered.empty());
+  EXPECT_TRUE(sh.bcast_delivered.empty());
+  EXPECT_TRUE(sh.gather_by_tag.empty());
+  tc.machine.set_metrics(nullptr);
+}
+
 // --- rendezvous gathers (upstream data plane) ------------------------------
 
 /// Deterministic per-origin fill so an entry's bytes identify its origin.
@@ -582,7 +611,8 @@ TEST(IcclProtocol, OverlappingLargeCommandsDeliverIntactUnderRendezvous) {
     auto sid = fe->create_session();
     FrontEnd::SpawnConfig cfg;
     cfg.daemon_exe = "cmd_be";
-    cfg.rndv_threshold_bytes = 1;  // every non-empty broadcast rendezvous
+    // Every non-empty broadcast runs rendezvous.
+    cfg.rndv = RndvSetting{RndvSetting::Mode::Bytes, 1};
     rm::JobSpec job{n, 1, "mpi_app", {}};
     fe->launch_and_spawn(sid.value, job, cfg, [](Status) {});
   });

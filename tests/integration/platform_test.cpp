@@ -5,7 +5,9 @@
 
 #include <memory>
 
+#include "bench/bench_util.hpp"
 #include "core/fe_api.hpp"
+#include "obs/critical_path.hpp"
 #include "tests/test_util.hpp"
 
 namespace lmon {
@@ -22,10 +24,7 @@ struct Observed {
 
 Observed run(int ndaemons, const cluster::CostModel& costs) {
   TestCluster tc(ndaemons, 0, costs);
-  sim::Timeline timeline;
-  sim::CostLedger ledger;
-  tc.machine.set_timeline(&timeline);
-  tc.machine.set_ledger(&ledger);
+  bench::ScopedTrace trace(tc, nullptr, /*record=*/true);
 
   Observed obs;
   bool done = false;
@@ -49,10 +48,10 @@ Observed run(int ndaemons, const cluster::CostModel& costs) {
   });
   EXPECT_TRUE(tc.run_until([&] { return done; }, sim::seconds(900)));
   if (!status.is_ok()) return obs;
+  const obs::RegionBreakdown r = obs::extract_regions(*trace.tracer());
   obs.ok = true;
-  obs.total = sim::to_seconds(timeline.between("e0_fe_call", "e11_return"));
-  obs.launchmon = sim::to_seconds(ledger.total("tracing")) +
-                  sim::to_seconds(ledger.total("other"));
+  obs.total = r.total;
+  obs.launchmon = r.tracing + r.other;
   return obs;
 }
 

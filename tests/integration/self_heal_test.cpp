@@ -51,22 +51,23 @@ class RawHealDaemon : public cluster::Program {
   [[nodiscard]] std::string_view name() const override { return "raw_heal"; }
 
   void on_start(cluster::Process& self) override {
-    auto params = Iccl::params_from_args(self.args(), self.node().hostname());
+    auto params = comm::parse_bootstrap(self.args(), self.node().hostname());
     ASSERT_TRUE(params.has_value());
     iccl_ = std::make_unique<Iccl>(self, std::move(*params));
     rank_ = iccl_->rank();
     const std::uint32_t rank = rank_;
-    iccl_->set_bcast_handler([this, rank](std::uint32_t tag,
-                                          const Bytes& data) {
+    Iccl::SessionHandlers handlers;
+    handlers.on_bcast = [this, rank](std::uint32_t tag, const Bytes& data) {
       sh_->bcast_count[rank][tag] += 1;
       sh_->bcast_by_tag[rank][tag] = data;
-    });
-    iccl_->set_gather_handler(
+    };
+    handlers.on_gather =
         [this](std::uint32_t tag,
                std::vector<std::pair<std::uint32_t, Bytes>> entries) {
           sh_->gather_fired[tag] += 1;
           sh_->gather_by_tag[tag] = std::move(entries);
-        });
+        };
+    iccl_->bind_session(0, std::move(handlers));
     sh_->iccls[rank] = iccl_.get();
     iccl_->start([this](Status st) {
       if (st.is_ok()) sh_->ready += 1;

@@ -55,8 +55,23 @@ TEST(Topology, KAryMatchesHeapLayout) {
   EXPECT_EQ(t.children_of(2), (std::vector<std::uint32_t>{5, 6}));
   EXPECT_TRUE(t.children_of(3).empty());
   EXPECT_FALSE(t.parent_of(0).has_value());
+  EXPECT_EQ(t.parent_of(1), 0u);
   EXPECT_EQ(t.parent_of(6), 2u);
   EXPECT_EQ(t.depth(), 2u);
+}
+
+TEST(Topology, KAryFanoutOneIsAChain) {
+  Topology t({TopologyKind::KAry, 1}, 4);
+  EXPECT_EQ(t.children_of(0), (std::vector<std::uint32_t>{1}));
+  EXPECT_EQ(t.children_of(2), (std::vector<std::uint32_t>{3}));
+  EXPECT_EQ(t.parent_of(3), 2u);
+  EXPECT_EQ(t.depth(), 3u);
+}
+
+TEST(Topology, KAryFanoutZeroIsTreatedAsAChain) {
+  Topology t({TopologyKind::KAry, 0}, 3);
+  EXPECT_EQ(t.children_of(0), (std::vector<std::uint32_t>{1}));
+  EXPECT_EQ(t.parent_of(2), 1u);
 }
 
 TEST(Topology, BinomialClearsLowestSetBit) {
@@ -186,6 +201,11 @@ std::vector<SweepParam> sweep_params() {
     out.push_back({{TopologyKind::Binomial, 0}, size});
     out.push_back({{TopologyKind::Flat, 0}, size});
   }
+  // Extra k-ary shapes the daemon fabrics run at: a fanout outside the
+  // grid, an odd-sized chain and a 3-ary tree with a partial last level.
+  out.push_back({{TopologyKind::KAry, 8}, 64});
+  out.push_back({{TopologyKind::KAry, 1}, 9});
+  out.push_back({{TopologyKind::KAry, 3}, 13});
   return out;
 }
 
@@ -356,6 +376,22 @@ TEST(Bootstrap, LegacyFanoutSpellingStillParses) {
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->topology.kind, TopologyKind::KAry);
   EXPECT_EQ(p->topology.arity, 4u);
+}
+
+TEST(Bootstrap, ParsesHandWrittenDaemonArgv) {
+  const std::vector<std::string> args{
+      "--lmon-rank=3",    "--lmon-size=8",          "--lmon-fanout=2",
+      "--lmon-port=7100", "--lmon-session=s1p1000",
+      "--lmon-hosts=a,b,c,d,e,f,g,h"};
+  const auto p = parse_bootstrap(args);
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(p->rank, 3u);
+  EXPECT_EQ(p->size, 8u);
+  EXPECT_EQ(p->topology.kind, TopologyKind::KAry);
+  EXPECT_EQ(p->topology.arity, 2u);
+  EXPECT_EQ(p->port, 7100);
+  EXPECT_EQ(p->session, "s1p1000");
+  EXPECT_EQ(p->hosts.size(), 8u);
 }
 
 TEST(Bootstrap, RejectsInconsistentArgv) {

@@ -60,17 +60,6 @@ cluster::CostModel session_only_costs() {
   return c;
 }
 
-TEST(PerStrategyModel, LegacyEntryIsRmBulkOverKAryFabric) {
-  const cluster::CostModel costs;
-  PerfModel m(costs, static_cast<std::uint32_t>(costs.rm_launch_fanout));
-  for (int n : {16, 128, 512}) {
-    const auto legacy = m.predict(n, 8);
-    const auto per_strategy = m.predict(
-        kRm, kary(static_cast<std::uint32_t>(costs.rm_launch_fanout)), n, 8);
-    EXPECT_DOUBLE_EQ(legacy.total(), per_strategy.total()) << "n=" << n;
-  }
-}
-
 TEST(PerStrategyModel, OnlyTDaemonDependsOnTheStrategy) {
   const cluster::CostModel costs;
   PerfModel m(costs, static_cast<std::uint32_t>(costs.rm_launch_fanout));

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.hpp"
 #include "cluster/cost_model_registry.hpp"
 #include "core/auto_tune.hpp"
 #include "core/fe_api.hpp"
@@ -18,6 +19,14 @@
 
 namespace lmon::core {
 namespace {
+
+/// The paper's Figure 3 configuration: rm-bulk over a k-ary fabric.
+LaunchSpawnPrediction predict_rm_bulk(const PerfModel& m, std::uint32_t fanout,
+                                      int n, int tpn) {
+  return m.predict(comm::LaunchStrategyKind::RmBulk,
+                   comm::TopologySpec{comm::TopologyKind::KAry, fanout}, n,
+                   tpn);
+}
 
 TEST(PerfModel, DepthMatchesTreeGeometry) {
   const cluster::CostModel costs;
@@ -35,10 +44,11 @@ TEST(PerfModel, DepthMatchesTreeGeometry) {
 
 TEST(PerfModel, TotalsGrowMonotonically) {
   const cluster::CostModel costs;
-  PerfModel m(costs, static_cast<std::uint32_t>(costs.rm_launch_fanout));
+  const auto fanout = static_cast<std::uint32_t>(costs.rm_launch_fanout);
+  PerfModel m(costs, fanout);
   double prev = 0;
   for (int n : {16, 32, 64, 128, 256, 512, 1024}) {
-    const double total = m.predict(n, 8).total();
+    const double total = predict_rm_bulk(m, fanout, n, 8).total();
     EXPECT_GT(total, prev) << "at n=" << n;
     prev = total;
   }
@@ -47,8 +57,8 @@ TEST(PerfModel, TotalsGrowMonotonically) {
 TEST(PerfModel, ScaleIndependentTermsAreConstant) {
   const cluster::CostModel costs;
   PerfModel m(costs, 32);
-  const auto small = m.predict(16, 8);
-  const auto large = m.predict(1024, 8);
+  const auto small = predict_rm_bulk(m, 32, 16, 8);
+  const auto large = predict_rm_bulk(m, 32, 1024, 8);
   EXPECT_DOUBLE_EQ(small.tracing, large.tracing);
   EXPECT_DOUBLE_EQ(small.other, large.other);
   // Paper: tracing 18 ms, other 12 ms (plus engine spawn/connect in ours).
@@ -61,11 +71,11 @@ TEST(PerfModel, LaunchmonShareShrinksWithScale) {
   PerfModel m(costs, 32);
   // The RM terms grow with n while LaunchMON's stay near-constant, so the
   // share falls - the paper's headline scalability claim.
-  EXPECT_GT(m.predict(16, 8).launchmon_share(),
-            m.predict(128, 8).launchmon_share());
+  EXPECT_GT(predict_rm_bulk(m, 32, 16, 8).launchmon_share(),
+            predict_rm_bulk(m, 32, 128, 8).launchmon_share());
   // And at 128 daemons it is in the paper's ~5% neighbourhood.
-  EXPECT_LT(m.predict(128, 8).launchmon_share(), 0.10);
-  EXPECT_GT(m.predict(128, 8).launchmon_share(), 0.02);
+  EXPECT_LT(predict_rm_bulk(m, 32, 128, 8).launchmon_share(), 0.10);
+  EXPECT_GT(predict_rm_bulk(m, 32, 128, 8).launchmon_share(), 0.02);
 }
 
 /// The Figure 3 validation: model vs simulated measurement within
@@ -77,8 +87,7 @@ TEST_P(ModelValidation, PredictsMeasuredTotalWithinTolerance) {
   const int tpn = 8;
 
   lmon::testing::TestCluster tc(ndaemons);
-  sim::Timeline timeline;
-  tc.machine.set_timeline(&timeline);
+  bench::ScopedTrace trace(tc, nullptr, /*record=*/true);
 
   bool done = false;
   Status status;
@@ -98,11 +107,13 @@ TEST_P(ModelValidation, PredictsMeasuredTotalWithinTolerance) {
   ASSERT_TRUE(tc.run_until([&] { return done; }));
   ASSERT_TRUE(status.is_ok()) << status.to_string();
 
-  const double measured =
-      sim::to_seconds(timeline.between("e0_fe_call", "e11_return"));
+  const double measured = sim::to_seconds(
+      trace.tracer()->marks().between("e0_fe_call", "e11_return"));
   const cluster::CostModel costs;
-  PerfModel model(costs, static_cast<std::uint32_t>(costs.rm_launch_fanout));
-  const double predicted = model.predict(ndaemons, tpn).total();
+  const auto fanout = static_cast<std::uint32_t>(costs.rm_launch_fanout);
+  PerfModel model(costs, fanout);
+  const double predicted =
+      predict_rm_bulk(model, fanout, ndaemons, tpn).total();
 
   EXPECT_NEAR(predicted / measured, 1.0, 0.25)
       << "model " << predicted << "s vs measured " << measured << "s at "
