@@ -26,11 +26,14 @@
 #                  session multiplexing" gate.
 #   --sanitize     build the ASan+UBSan preset (build-sanitize/) and run the
 #                  whole unit suite plus the launch, STAT, ICCL rendezvous,
-#                  self-heal, mux-session and trace-session integration
-#                  suites under it; any sanitizer report fails the run. The
+#                  self-heal, mux-session, trace-session, multi-session,
+#                  failure, collectives and TBON-network integration suites
+#                  under it; any sanitizer report fails the run. The
 #                  protocol decoders (RPDTAB, LMONP, TBON packets) read raw
-#                  byte spans, and the raw-ICCL fault and mux harnesses tear
-#                  daemons down mid-round, which is what this gate watches.
+#                  byte spans, ICCL payload buffers are shared views that
+#                  outlive the process that sent them, and the raw-ICCL
+#                  fault and mux harnesses tear daemons down mid-round,
+#                  which is what this gate watches.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -74,7 +77,8 @@ if [[ "${1:-}" == "--sanitize" ]]; then
   tests=()
   for src in tests/unit/*.cpp; do tests+=("$(basename "$src" .cpp)"); done
   tests+=(launch_spawn_test stat_test iccl_rendezvous_test self_heal_test
-          mux_session_test trace_session_test)
+          mux_session_test trace_session_test multi_session_test
+          failure_test collectives_test tbon_net_test)
   cmake --preset sanitize
   cmake --build --preset sanitize -j "$JOBS" --target "${tests[@]}"
   export ASAN_OPTIONS=${ASAN_OPTIONS:-abort_on_error=1:detect_leaks=1}

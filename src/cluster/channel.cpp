@@ -51,10 +51,14 @@ void Channel::send(Pid self, Message msg) {
     const double size = static_cast<double>(msg.size());
     machine_.count("net.messages_total");
     machine_.count("net.bytes_total", size);
-    machine_.count("net.link." + std::to_string(src.node) + "->" +
-                       std::to_string(dst.node) + ".bytes",
-                   size);
-    machine_.count("net.channel." + std::to_string(id_) + ".messages");
+    if (dst.link_bytes_metric.empty()) {
+      dst.link_bytes_metric = "net.link." + std::to_string(src.node) + "->" +
+                              std::to_string(dst.node) + ".bytes";
+      dst.channel_messages_metric =
+          "net.channel." + std::to_string(id_) + ".messages";
+    }
+    machine_.count(dst.link_bytes_metric, size);
+    machine_.count(dst.channel_messages_metric);
     machine_.observe("net.message_bytes", size);
   }
   if (obs::Tracer* tracer = machine_.tracer(); tracer != nullptr) {

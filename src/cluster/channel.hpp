@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 
 #include "cluster/message.hpp"
 #include "cluster/types.hpp"
@@ -46,6 +47,10 @@ class Channel : public std::enable_shared_from_this<Channel> {
     Pid pid = kInvalidPid;
     NodeId node = kInvalidNode;
     sim::Time last_arrival = 0;  ///< FIFO watermark for this direction
+    /// Metric names for traffic *into* this end, built on the first send
+    /// with metrics attached instead of on every send.
+    std::string link_bytes_metric;
+    std::string channel_messages_metric;
   };
 
   End& end_for(Pid pid);

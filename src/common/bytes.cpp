@@ -4,6 +4,44 @@
 
 namespace lmon {
 
+ByteSlice::ByteSlice(std::shared_ptr<const Bytes> buf, std::size_t offset,
+                     std::size_t length)
+    : buf_(std::move(buf)), offset_(offset), length_(length) {
+  assert(length_ == 0 || (buf_ && offset_ + length_ <= buf_->size()));
+}
+
+ByteSlice ByteSlice::sub(std::size_t offset, std::size_t length) const {
+  assert(offset + length <= length_);
+  return ByteSlice(buf_, offset_ + offset, length);
+}
+
+void SliceJoin::append(const ByteSlice& s) {
+  if (s.empty()) return;
+  size_ += s.size();
+  if (parts_.empty()) {
+    if (run_.empty()) {
+      run_ = s;
+      return;
+    }
+    if (run_.buf_ == s.buf_ && run_.offset_ + run_.length_ == s.offset_) {
+      run_.length_ += s.length_;  // `s` continues the run in its buffer
+      return;
+    }
+    parts_.push_back(run_);
+  }
+  parts_.push_back(s);
+}
+
+ByteSlice SliceJoin::join() {
+  if (parts_.empty()) return run_;
+  auto out = std::make_shared<Bytes>();
+  out->reserve(size_);
+  for (const ByteSlice& p : parts_) out->insert(out->end(), p.begin(), p.end());
+  parts_.clear();
+  run_ = ByteSlice(std::move(out));
+  return run_;
+}
+
 void ByteWriter::patch_u32(std::size_t offset, std::uint32_t v) {
   assert(offset + 4 <= buf_.size());
   for (std::size_t i = 0; i < 4; ++i) {

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -19,6 +20,69 @@
 namespace lmon {
 
 using Bytes = std::vector<std::uint8_t>;
+
+/// An immutable view (shared buffer, offset, length) of bytes that already
+/// exist: the zero-copy payload carrier. A slice keeps its buffer alive, and
+/// a buffer is never written once it is shared, so any number of frames,
+/// queues and deliveries may hold slices of one buffer without copying it.
+class ByteSlice {
+ public:
+  ByteSlice() = default;
+  /// The whole of `buf`.
+  explicit ByteSlice(std::shared_ptr<const Bytes> buf)
+      : buf_(std::move(buf)), length_(buf_ ? buf_->size() : 0) {}
+  /// `length` bytes of `buf` from `offset`; the range must lie inside it.
+  ByteSlice(std::shared_ptr<const Bytes> buf, std::size_t offset,
+            std::size_t length);
+
+  [[nodiscard]] std::size_t size() const noexcept { return length_; }
+  [[nodiscard]] bool empty() const noexcept { return length_ == 0; }
+  [[nodiscard]] const std::uint8_t* data() const noexcept {
+    return buf_ ? buf_->data() + offset_ : nullptr;
+  }
+  [[nodiscard]] std::span<const std::uint8_t> span() const noexcept {
+    return {data(), length_};
+  }
+  /// `length` bytes from `offset` within this slice (no copy).
+  [[nodiscard]] ByteSlice sub(std::size_t offset, std::size_t length) const;
+
+  /// The backing buffer when this slice is all of it, else nullptr:
+  /// delivery hands such a buffer out by reference instead of copying it.
+  [[nodiscard]] const Bytes* whole() const noexcept {
+    return buf_ && offset_ == 0 && length_ == buf_->size() ? buf_.get()
+                                                           : nullptr;
+  }
+
+  /// An owned copy of the viewed bytes.
+  [[nodiscard]] Bytes to_bytes() const { return Bytes(begin(), end()); }
+  [[nodiscard]] const std::uint8_t* begin() const noexcept { return data(); }
+  [[nodiscard]] const std::uint8_t* end() const noexcept {
+    return data() + length_;
+  }
+
+ private:
+  friend class SliceJoin;
+
+  std::shared_ptr<const Bytes> buf_;
+  std::size_t offset_ = 0;
+  std::size_t length_ = 0;
+};
+
+/// Joins slices appended in order. While each slice continues the previous
+/// one in the same buffer the join is just a wider view of that buffer;
+/// once one does not, join() copies every byte once into a new buffer.
+class SliceJoin {
+ public:
+  void append(const ByteSlice& s);
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  /// Everything appended so far, as one slice.
+  ByteSlice join();
+
+ private:
+  ByteSlice run_;                 ///< the join while it is one view
+  std::vector<ByteSlice> parts_;  ///< every slice, once the view broke
+  std::size_t size_ = 0;
+};
 
 /// Appends primitive values and length-prefixed containers to a byte buffer.
 ///
@@ -128,6 +192,15 @@ class ByteReader {
                        *len);
     pos_ += *len;
     return s;
+  }
+
+  /// Like blob(), but views the bytes in place instead of copying them.
+  std::optional<std::span<const std::uint8_t>> blob_view() {
+    auto len = u32();
+    if (!len || remaining() < *len) return std::nullopt;
+    std::span<const std::uint8_t> b = data_.subspan(pos_, *len);
+    pos_ += *len;
+    return b;
   }
 
   /// Raw bytes of exactly `n`, no prefix.

@@ -13,47 +13,106 @@ namespace lmon::core {
 
 namespace {
 
-cluster::Message encode_frame(
-    std::uint8_t kind, StreamKey tag, std::uint32_t src,
-    const std::vector<std::pair<std::uint32_t, Bytes>>& entries) {
-  ByteWriter w;
-  w.u8(kind);
+using Kind = Iccl::Kind;
+
+/// Frame header: kind (u8), session, tag, src and entry count (u32 each).
+constexpr std::size_t kFrameHeaderBytes = 17;
+/// Entry header: rank and payload length (u32 each).
+constexpr std::size_t kEntryHeaderBytes = 8;
+
+void write_frame_header(ByteWriter& w, Kind kind, StreamKey tag,
+                        std::uint32_t src, std::size_t count) {
+  w.u8(static_cast<std::uint8_t>(kind));
   w.u32(tag.session);
   w.u32(tag.tag);
   w.u32(src);
-  w.u32(static_cast<std::uint32_t>(entries.size()));
+  w.u32(static_cast<std::uint32_t>(count));
+}
+
+/// A flat frame: header, then every entry copied in behind it. Control and
+/// multi-entry frames (GatherUp, Scatter, GatherRts, ...) use this form.
+/// `Blob` is Bytes or ByteSlice.
+template <typename Blob = Bytes>
+cluster::Message encode_frame(
+    Kind kind, StreamKey tag, std::uint32_t src,
+    const std::vector<std::pair<std::uint32_t, Blob>>& entries = {}) {
+  std::size_t size = kFrameHeaderBytes;
+  for (const auto& [rank, data] : entries) {
+    size += kEntryHeaderBytes + data.size();
+  }
+  ByteWriter w(size);
+  write_frame_header(w, kind, tag, src, entries.size());
   for (const auto& [rank, data] : entries) {
     w.u32(rank);
-    w.blob(data);
+    w.blob(std::span<const std::uint8_t>(data.data(), data.size()));
   }
   return cluster::Message(std::move(w).take());
 }
 
+/// Bcast, RndvChunk and GatherChunk carry exactly one entry: its payload.
+bool is_payload_kind(Kind kind) {
+  return kind == Kind::Bcast || kind == Kind::RndvChunk ||
+         kind == Kind::GatherChunk;
+}
+
+/// A payload frame: only the header is encoded; the payload follows it on
+/// the wire as a view of the sender's buffer, so the wire image (and its
+/// size) is that of the flat frame without copying a payload byte.
+cluster::Message payload_frame(Kind kind, StreamKey tag, std::uint32_t src,
+                               std::uint32_t rank, ByteSlice data) {
+  ByteWriter w(kFrameHeaderBytes + kEntryHeaderBytes);
+  write_frame_header(w, kind, tag, src, 1);
+  w.u32(rank);
+  w.u32(static_cast<std::uint32_t>(data.size()));
+  return cluster::Message(std::move(w).take(), std::move(data));
+}
+
 struct Frame {
-  std::uint8_t kind;
+  Kind kind;
   StreamKey tag;
   std::uint32_t src;
-  std::vector<std::pair<std::uint32_t, Bytes>> entries;
+  std::vector<std::pair<std::uint32_t, ByteSlice>> entries;
 };
 
-std::optional<Frame> decode_frame(const cluster::Message& m) {
+/// Decodes without copying a payload byte: a payload frame's entry is the
+/// message's view, and a flat frame's entries view the message's own bytes.
+/// Rejects a payload frame whose entry count is not 1, or whose length field
+/// disagrees with the view behind its header.
+std::optional<Frame> decode_frame(cluster::Message m) {
   ByteReader r(m.bytes);
-  Frame f;
   auto kind = r.u8();
   auto session = r.u32();
   auto tag = r.u32();
   auto src = r.u32();
   auto count = r.u32();
   if (!kind || !session || !tag || !src || !count) return std::nullopt;
-  f.kind = *kind;
-  f.tag = StreamKey{*session, *tag};
-  f.src = *src;
-  f.entries.reserve(*count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
+  Frame f{static_cast<Kind>(*kind), StreamKey{*session, *tag}, *src, {}};
+  // Payload frames carry exactly one entry, and only they may carry a view.
+  const bool payload = is_payload_kind(f.kind);
+  if ((payload && *count != 1) || (!payload && !m.view.empty())) {
+    return std::nullopt;
+  }
+  if (!m.view.empty()) {
     auto rank = r.u32();
-    auto data = r.blob();
+    auto len = r.u32();
+    if (!rank || !len || *len != m.view.size() || !r.exhausted()) {
+      return std::nullopt;
+    }
+    f.entries.emplace_back(*rank, std::move(m.view));
+    return f;
+  }
+  if (*count == 0) return f;
+  auto buf = std::make_shared<const Bytes>(std::move(m.bytes));
+  ByteReader body(std::span<const std::uint8_t>(*buf).subspan(
+      kFrameHeaderBytes));
+  f.entries.reserve(
+      std::min<std::size_t>(*count, body.remaining() / kEntryHeaderBytes));
+  for (std::uint32_t i = 0; i < *count; ++i) {
+    auto rank = body.u32();
+    auto data = body.blob_view();
     if (!rank || !data) return std::nullopt;
-    f.entries.emplace_back(*rank, std::move(*data));
+    const auto offset = static_cast<std::size_t>(data->data() - buf->data());
+    f.entries.emplace_back(*rank, ByteSlice(buf, offset, data->size()));
   }
   return f;
 }
@@ -186,8 +245,7 @@ void Iccl::connect_parent(int attempts_left) {
           parent_ = nullptr;
           if (heal_ && ready_fired_ && !left_) begin_reparent();
         });
-    self_.send(ch, encode_frame(static_cast<std::uint8_t>(Kind::Register), 0,
-                                params_.rank, {}));
+    self_.send(ch, encode_frame(Kind::Register, 0, params_.rank));
     parent_linked_ = true;
     maybe_subtree_ready();
   });
@@ -195,10 +253,10 @@ void Iccl::connect_parent(int attempts_left) {
 
 void Iccl::on_fabric_message(const cluster::ChannelPtr& ch,
                              cluster::Message m) {
-  auto frame = decode_frame(m);
+  auto frame = decode_frame(std::move(m));
   if (!frame) return;
   if (frame_tap_) {
-    frame_tap_(static_cast<Kind>(frame->kind), frame->tag, frame->src,
+    frame_tap_(frame->kind, frame->tag, frame->src,
                frame->entries.empty() ? 0 : frame->entries.front().second.size());
   }
   // Per-message handling cost inside the daemon's collective layer. Eager
@@ -207,7 +265,7 @@ void Iccl::on_fabric_message(const cluster::ChannelPtr& ch,
   // pre-registered zero-copy buffer instead, which is what makes the chunk
   // path cheap per byte in both directions.
   const auto& costs = self_.machine().costs();
-  const Kind kind = static_cast<Kind>(frame->kind);
+  const Kind kind = frame->kind;
   sim::Time handle_cost = costs.iccl_msg_handle;
   if (kind == Kind::RndvChunk || kind == Kind::GatherChunk) {
     handle_cost = costs.iccl_chunk_handle;
@@ -220,7 +278,7 @@ void Iccl::on_fabric_message(const cluster::ChannelPtr& ch,
     handle_cost += eager_copy_cost(payload_bytes);
   }
   self_.post(handle_cost, [this, ch, frame = std::move(*frame)]() mutable {
-    switch (static_cast<Kind>(frame.kind)) {
+    switch (frame.kind) {
       case Kind::Register:
         handle_register(ch, frame.src);
         break;
@@ -228,9 +286,7 @@ void Iccl::on_fabric_message(const cluster::ChannelPtr& ch,
         handle_setup_up();
         break;
       case Kind::Bcast:
-        if (!frame.entries.empty()) {
-          handle_bcast(frame.tag, std::move(frame.entries.front().second));
-        }
+        handle_bcast(frame.tag, std::move(frame.entries.front().second));
         break;
       case Kind::GatherUp:
         handle_gather_up(frame.tag, frame.src, std::move(frame.entries));
@@ -240,7 +296,7 @@ void Iccl::on_fabric_message(const cluster::ChannelPtr& ch,
         break;
       case Kind::RndvRts:
         if (!frame.entries.empty()) {
-          ByteReader r(frame.entries.front().second);
+          ByteReader r(frame.entries.front().second.span());
           handle_rndv_rts(frame.tag, frame.entries.front().first,
                           r.u32().value_or(0));
         }
@@ -249,22 +305,18 @@ void Iccl::on_fabric_message(const cluster::ChannelPtr& ch,
         handle_rndv_cts(frame.tag, frame.src);
         break;
       case Kind::RndvChunk:
-        if (!frame.entries.empty()) {
-          handle_rndv_chunk(frame.tag, frame.entries.front().first,
-                            std::move(frame.entries.front().second));
-        }
+        handle_rndv_chunk(frame.tag, frame.entries.front().first,
+                          std::move(frame.entries.front().second));
         break;
       case Kind::GatherRts:
-        handle_gather_rts(frame.tag, frame.src, std::move(frame.entries));
+        handle_gather_rts(frame.tag, frame.src, frame.entries);
         break;
       case Kind::GatherCts:
         handle_gather_cts(frame.tag);
         break;
       case Kind::GatherChunk:
-        if (!frame.entries.empty()) {
-          handle_gather_chunk(frame.tag, frame.entries.front().first,
-                              std::move(frame.entries.front().second));
-        }
+        handle_gather_chunk(frame.tag, frame.entries.front().first,
+                            std::move(frame.entries.front().second));
         break;
       case Kind::GatherDrop:
         handle_gather_drop(frame.tag, frame.entries);
@@ -305,8 +357,7 @@ void Iccl::maybe_subtree_ready() {
   if (setups_pending_ > 0) return;
   ready_fired_ = true;
   if (!is_root() && parent_ != nullptr) {
-    send_up(encode_frame(static_cast<std::uint8_t>(Kind::SetupUp), 0,
-                         params_.rank, {}));
+    send_up(encode_frame(Kind::SetupUp, 0, params_.rank));
   }
   if (subtree_ready_) subtree_ready_(Status::ok());
 }
@@ -321,15 +372,15 @@ sim::Time Iccl::eager_copy_cost(std::size_t bytes) const {
                                 static_cast<double>(bytes) / 1024.0);
 }
 
-void Iccl::eager_fanout(StreamKey tag,
-                        const std::shared_ptr<const Bytes>& payload) {
+void Iccl::eager_fanout(StreamKey tag, const ByteSlice& payload) {
   // Fan-out sends serialize on this daemon's CPU: the k-th child's copy
   // leaves after k quanta, and each quantum stretches with the payload
-  // (the per-child copy into the send buffer). This is the per-level cost
-  // that makes eager T(collective) grow with fan-out and payload size
-  // (swept in bench_ablation_iccl; rendezvous exists to beat it).
+  // (the simulated per-child copy into the send buffer; on the host every
+  // frame views the one payload buffer). This is the per-level cost that
+  // makes eager T(collective) grow with fan-out and payload size (swept in
+  // bench_ablation_iccl; rendezvous exists to beat it).
   const sim::Time quantum = self_.machine().costs().iccl_msg_handle +
-                            eager_copy_cost(payload->size());
+                            eager_copy_cost(payload.size());
   count_mux(tag, "eager_frames", static_cast<double>(children_.size()));
   if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
     tracer->instant("iccl.eager_fanout", "iccl",
@@ -337,32 +388,31 @@ void Iccl::eager_fanout(StreamKey tag,
                     trace_parent(*tracer),
                     "tag=" + tag.str() +
                         " children=" + std::to_string(children_.size()) +
-                        " bytes=" + std::to_string(payload->size()));
+                        " bytes=" + std::to_string(payload.size()));
   }
   int k = 0;
   for (auto& [rank, ch] : children_) {
     cluster::ChannelPtr child = ch;
     self_.post(static_cast<sim::Time>(k++) * quantum, [this, child, tag,
                                                        payload] {
-      self_.send(child, encode_frame(static_cast<std::uint8_t>(Kind::Bcast),
-                                     tag, params_.rank, {{0, *payload}}));
+      self_.send(child,
+                 payload_frame(Kind::Bcast, tag, params_.rank, 0, payload));
     });
   }
 }
 
-void Iccl::handle_bcast(StreamKey tag, Bytes data) {
+void Iccl::handle_bcast(StreamKey tag, ByteSlice payload) {
   // Heal replay duplicate: this round was already delivered here (and fanned
   // out); drop it entirely so neither the handler nor the subtree sees it
   // twice. Tags are unique per round, so the ring is an exact guard.
   if (heal_ && bcast_history_.count(tag) != 0) return;
   // This node holds the complete payload (root issue, or an eager frame
-  // arrived). One shared buffer backs every per-child send lambda.
-  auto payload = std::make_shared<const Bytes>(std::move(data));
+  // arrived). Every frame sent below views that one buffer.
   if (!children_.empty()) {
-    if (use_rendezvous(payload->size())) {
+    if (use_rendezvous(payload.size())) {
       const std::uint32_t chunk =
           self_.machine().costs().iccl_rndv_chunk_bytes;
-      const auto total = static_cast<std::uint32_t>(payload->size());
+      const auto total = static_cast<std::uint32_t>(payload.size());
       const std::uint32_t nchunks = (total + chunk - 1) / chunk;
       RndvSend& st = rndv_open_send(tag, nchunks, total);
       // The root has every chunk ready up front; they stream (round-robin
@@ -372,9 +422,7 @@ void Iccl::handle_bcast(StreamKey tag, Bytes data) {
         const std::size_t begin = static_cast<std::size_t>(seq) * chunk;
         const std::size_t len = std::min<std::size_t>(chunk,
                                                       total - begin);
-        st.ready.push_back(std::make_shared<const Bytes>(
-            payload->begin() + static_cast<std::ptrdiff_t>(begin),
-            payload->begin() + static_cast<std::ptrdiff_t>(begin + len)));
+        st.ready.push_back(payload.sub(begin, len));
       }
       rndv_flush(tag, st);
     } else {
@@ -382,12 +430,12 @@ void Iccl::handle_bcast(StreamKey tag, Bytes data) {
     }
   }
   if (heal_) heal_record_bcast(tag, payload);
-  deliver_bcast(tag, *payload);
+  deliver_bcast(tag, payload);
 }
 
 void Iccl::broadcast(StreamKey tag, Bytes data) {
   assert(is_root() && "broadcast must originate at the ICCL root");
-  handle_bcast(tag, std::move(data));
+  handle_bcast(tag, ByteSlice(std::make_shared<const Bytes>(std::move(data))));
 }
 
 // --- rendezvous (RTS/CTS + pipelined chunks) -----------------------------
@@ -417,9 +465,8 @@ Iccl::RndvSend& Iccl::rndv_open_send(StreamKey tag, std::uint32_t nchunks,
                  ByteWriter w;
                  w.u32(total);
                  self_.send(child,
-                            encode_frame(
-                                static_cast<std::uint8_t>(Kind::RndvRts), tag,
-                                params_.rank, {{nchunks, std::move(w).take()}}));
+                            encode_frame(Kind::RndvRts, tag, params_.rank,
+                                         {{nchunks, std::move(w).take()}}));
                });
   }
   return st;
@@ -432,13 +479,12 @@ void Iccl::handle_rndv_rts(StreamKey tag, std::uint32_t nchunks,
   if (heal_ && bcast_history_.count(tag) != 0) return;
   if (nchunks == 0) {
     // Degenerate empty rendezvous: deliver immediately.
-    if (heal_) heal_record_bcast(tag, std::make_shared<const Bytes>());
-    deliver_bcast(tag, Bytes{});
+    if (heal_) heal_record_bcast(tag, ByteSlice());
+    deliver_bcast(tag, ByteSlice());
     return;
   }
   RndvRecv& rc = rndv_recvs_[tag];
   rc.nchunks = nchunks;
-  rc.assembled.reserve(total);
   if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
     rc.span = tracer->begin_span(
         "iccl.rndv_recv", "iccl", static_cast<int>(self_.node().id()),
@@ -450,8 +496,7 @@ void Iccl::handle_rndv_rts(StreamKey tag, std::uint32_t nchunks,
   if (!children_.empty()) rndv_open_send(tag, nchunks, total);
   // Clear the parent to stream.
   count_mux(tag, "cts_sent");
-  send_up(encode_frame(static_cast<std::uint8_t>(Kind::RndvCts), tag,
-                       params_.rank, {}));
+  send_up(encode_frame(Kind::RndvCts, tag, params_.rank));
 }
 
 void Iccl::handle_rndv_cts(StreamKey tag, std::uint32_t src) {
@@ -482,14 +527,13 @@ void Iccl::rndv_flush(StreamKey tag, RndvSend& st) {
   const sim::Time now = self_.sim().now();
   while (st.next_seq < st.ready.size()) {
     const std::uint32_t seq = st.next_seq++;
-    std::shared_ptr<const Bytes> chunk = st.ready[seq];
+    const ByteSlice& chunk = st.ready[seq];
     for (auto& [rank, ch] : children_) {
       cluster::ChannelPtr child = ch;
       sim::Time depart = std::max(st.cursor, now);
       self_.post(depart - now, [this, child, tag, seq, chunk] {
-        self_.send(child,
-                   encode_frame(static_cast<std::uint8_t>(Kind::RndvChunk),
-                                tag, params_.rank, {{seq, *chunk}}));
+        self_.send(child, payload_frame(Kind::RndvChunk, tag, params_.rank,
+                                        seq, chunk));
       });
       st.cursor = depart + occ;
     }
@@ -503,13 +547,13 @@ void Iccl::rndv_flush(StreamKey tag, RndvSend& st) {
 }
 
 void Iccl::handle_rndv_chunk(StreamKey tag, std::uint32_t seq,
-                             Bytes data) {
+                             ByteSlice data) {
   auto it = rndv_recvs_.find(tag);
   if (it == rndv_recvs_.end()) return;
   RndvRecv& rc = it->second;
   if (seq != rc.received) return;  // FIFO channels make this unreachable
   rc.received += 1;
-  rc.assembled.insert(rc.assembled.end(), data.begin(), data.end());
+  rc.payload.append(data);
   count_mux(tag, "chunks_received");
   // Relay toward this node's own children (cut-through forwarding).
   auto sit = rndv_sends_.find(tag);
@@ -522,24 +566,17 @@ void Iccl::handle_rndv_chunk(StreamKey tag, std::uint32_t seq,
                       "tag=" + tag.str() +
                           " seq=" + std::to_string(seq));
     }
-    sit->second.ready.push_back(
-        std::make_shared<const Bytes>(std::move(data)));
+    sit->second.ready.push_back(std::move(data));
     rndv_flush(tag, sit->second);
   }
   if (rc.received == rc.nchunks) {
-    Bytes assembled = std::move(rc.assembled);
+    const ByteSlice payload = rc.payload.join();
     if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
-      tracer->end_span(rc.span,
-                       "bytes=" + std::to_string(assembled.size()));
+      tracer->end_span(rc.span, "bytes=" + std::to_string(payload.size()));
     }
     rndv_recvs_.erase(it);
-    if (heal_) {
-      auto payload = std::make_shared<const Bytes>(std::move(assembled));
-      heal_record_bcast(tag, payload);
-      deliver_bcast(tag, *payload);
-      return;
-    }
-    deliver_bcast(tag, assembled);
+    if (heal_) heal_record_bcast(tag, payload);
+    deliver_bcast(tag, payload);
   }
 }
 
@@ -621,14 +658,16 @@ void Iccl::contribute(StreamKey tag, Bytes data) {
   count_mux(tag, "gather_contributions");
   count_mux(tag, "gather_bytes_contributed",
             static_cast<double>(data.size()));
-  st.acc.emplace_back(params_.rank, std::move(data));
-  if (heal_) st.retained[params_.rank] = st.acc.back().second;
+  // From here on the contribution is one shared buffer: rendezvous chunks
+  // and heal copies are views of it.
+  st.acc.emplace_back(
+      params_.rank, ByteSlice(std::make_shared<const Bytes>(std::move(data))));
+  if (heal_) st.retained[params_.rank].append(st.acc.back().second);
   flush_gather(tag);
 }
 
-void Iccl::handle_gather_up(
-    StreamKey tag, std::uint32_t src,
-    std::vector<std::pair<std::uint32_t, Bytes>> entries) {
+void Iccl::handle_gather_up(StreamKey tag, std::uint32_t src,
+                            Entries entries) {
   GatherState& st = gather_state(tag);
   st.children_pending.erase(src);
   if (heal_) {
@@ -646,7 +685,7 @@ void Iccl::handle_gather_up(
         entries.end());
     if (st.retired && entries.empty()) return;
     for (auto& e : entries) {
-      st.retained[e.first] = e.second;
+      st.retained[e.first].append(e.second);
       st.acc.push_back(std::move(e));
     }
   } else {
@@ -685,8 +724,7 @@ void Iccl::flush_gather(StreamKey tag) {
   }
   std::sort(st.acc.begin(), st.acc.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  send_up(encode_frame(static_cast<std::uint8_t>(Kind::GatherUp), tag,
-                       params_.rank, st.acc));
+  send_up(encode_frame(Kind::GatherUp, tag, params_.rank, st.acc));
   if (heal_) {
     heal_retire_gather(tag, st, /*eager=*/true);
   } else {
@@ -725,13 +763,11 @@ void Iccl::gather_announce(StreamKey tag, GatherState& st) {
             " origins=" + std::to_string(origins.size()) + " bytes=" +
             std::to_string(gather_subtree_bytes(st)));
   }
-  send_up(encode_frame(static_cast<std::uint8_t>(Kind::GatherRts), tag,
-                       params_.rank, origins));
+  send_up(encode_frame(Kind::GatherRts, tag, params_.rank, origins));
 }
 
-void Iccl::handle_gather_rts(
-    StreamKey tag, std::uint32_t src,
-    std::vector<std::pair<std::uint32_t, Bytes>> entries) {
+void Iccl::handle_gather_rts(StreamKey tag, std::uint32_t src,
+                             const Entries& entries) {
   GatherState& st = gather_state(tag);
   st.children_pending.erase(src);
   st.rndv_children.insert(src);
@@ -750,7 +786,7 @@ void Iccl::handle_gather_rts(
   }
   std::vector<std::pair<std::uint32_t, Bytes>> resume;
   for (const auto& [origin, blob] : entries) {
-    ByteReader r(blob);
+    ByteReader r(blob.span());
     const std::uint32_t sz = r.u32().value_or(0);
     std::uint32_t got = 0;
     if (heal_ && st.origin_bytes.count(origin) != 0) {
@@ -810,8 +846,7 @@ void Iccl::handle_gather_rts(
     }
     self_.machine().count("iccl.heal.gather_resumes_sent");
     send_to_child(src,
-                  encode_frame(static_cast<std::uint8_t>(Kind::GatherResume),
-                               tag, params_.rank, resume));
+                  encode_frame(Kind::GatherResume, tag, params_.rank, resume));
   } else if (is_root()) {
     // The root is the sink: clear this child the moment its announce is
     // processed (no upstream clearance to wait for). Interior nodes instead
@@ -832,8 +867,7 @@ void Iccl::handle_gather_rts(
       mux_mark_cleared(tag, st);
       count_mux(tag, "gather_cts_sent");
       send_to_child(src,
-                    encode_frame(static_cast<std::uint8_t>(Kind::GatherCts),
-                                 tag, params_.rank, {}));
+                    encode_frame(Kind::GatherCts, tag, params_.rank));
     } else {
       st.grant_waiters.push_back(src);
       count_mux(tag, "mux.cts_deferred");
@@ -863,8 +897,7 @@ void Iccl::gather_begin_streaming(StreamKey tag, GatherState& st) {
     count_mux(tag, "gather_cts_sent");
     self_.post(static_cast<sim::Time>(k++) * quantum, [this, child, tag] {
       send_to_child(child,
-                    encode_frame(static_cast<std::uint8_t>(Kind::GatherCts),
-                                 tag, params_.rank, {}));
+                    encode_frame(Kind::GatherCts, tag, params_.rank));
     });
   }
   // Queue the locally-held entries as chunks (rank order); relayed chunks
@@ -874,10 +907,7 @@ void Iccl::gather_begin_streaming(StreamKey tag, GatherState& st) {
     const auto total = static_cast<std::uint32_t>(data.size());
     for (std::uint32_t begin = 0; begin < total; begin += chunk) {
       const std::uint32_t len = std::min(chunk, total - begin);
-      st.outq.emplace_back(
-          rank, std::make_shared<const Bytes>(
-                    data.begin() + static_cast<std::ptrdiff_t>(begin),
-                    data.begin() + static_cast<std::ptrdiff_t>(begin + len)));
+      st.outq.emplace_back(rank, data.sub(begin, len));
     }
   }
   st.acc.clear();
@@ -902,18 +932,16 @@ void Iccl::gather_flush(StreamKey tag, GatherState& st) {
       self_.post(depart - now,
                  [this, up, tag, origin = origin, chunk = std::move(chunk)] {
                    if (up != nullptr) {
-                     self_.send(up, encode_frame(
-                                        static_cast<std::uint8_t>(
-                                            Kind::GatherChunk),
-                                        tag, params_.rank, {{origin, *chunk}}));
+                     self_.send(up, payload_frame(Kind::GatherChunk, tag,
+                                                  params_.rank, origin,
+                                                  chunk));
                    }
                  });
     } else {
       self_.post(depart - now,
                  [this, tag, origin = origin, chunk = std::move(chunk)] {
-                   send_up(encode_frame(
-                       static_cast<std::uint8_t>(Kind::GatherChunk), tag,
-                       params_.rank, {{origin, *chunk}}));
+                   send_up(payload_frame(Kind::GatherChunk, tag,
+                                         params_.rank, origin, chunk));
                  });
     }
     st.cursor = depart + occ;
@@ -921,14 +949,20 @@ void Iccl::gather_flush(StreamKey tag, GatherState& st) {
 }
 
 void Iccl::handle_gather_chunk(StreamKey tag, std::uint32_t origin,
-                               Bytes data) {
+                               ByteSlice data) {
   auto it = gathers_.find(tag);
   if (it == gathers_.end()) return;  // round retired (late chunk after drop)
   GatherState& st = it->second;
   if (st.dropped.count(origin) != 0) return;
   count_mux(tag, "gather_chunks_received");
   if (is_root()) {
+    // The root's one copy of this origin: into the buffer deliver_gather
+    // hands out, sized once from the announce.
     Bytes& buf = st.assembling[origin];
+    if (buf.empty()) {
+      auto announced = st.origin_bytes.find(origin);
+      if (announced != st.origin_bytes.end()) buf.reserve(announced->second);
+    }
     buf.insert(buf.end(), data.begin(), data.end());
     gather_check_complete(tag);
     return;
@@ -952,12 +986,10 @@ void Iccl::handle_gather_chunk(StreamKey tag, std::uint32_t origin,
   }
   if (heal_) {
     // Retain relayed bytes so a future reparent can re-stream them from
-    // this node's own copy (the resume handshake asks for a byte offset).
-    Bytes& keep = st.retained[origin];
-    keep.insert(keep.end(), data.begin(), data.end());
+    // this node's own view (the resume handshake asks for a byte offset).
+    st.retained[origin].append(data);
   }
-  st.outq.emplace_back(origin,
-                       std::make_shared<const Bytes>(std::move(data)));
+  st.outq.emplace_back(origin, std::move(data));
   gather_flush(tag, st);
   gather_relay_maybe_done(tag);
 }
@@ -976,7 +1008,14 @@ void Iccl::gather_check_complete(StreamKey tag) {
     const std::size_t got = a == st.assembling.end() ? 0 : a->second.size();
     if (got != sz) return;
   }
-  std::vector<std::pair<std::uint32_t, Bytes>> out = std::move(st.acc);
+  // The root copies each origin exactly once: held entries here, streamed
+  // ones chunk by chunk into `assembling`.
+  std::vector<std::pair<std::uint32_t, Bytes>> out;
+  out.reserve(st.acc.size() + st.origin_bytes.size());
+  for (const auto& [rank, data] : st.acc) {
+    out.emplace_back(rank, data.to_bytes());
+  }
+  st.acc.clear();
   for (auto& [origin, bytes] : st.assembling) {
     if (st.dropped.count(origin) == 0) out.emplace_back(origin,
                                                         std::move(bytes));
@@ -997,8 +1036,7 @@ void Iccl::gather_check_complete(StreamKey tag) {
     // Tell the tree the round is over so retired replay copies can be freed
     // and a late-reattaching orphan does not re-announce a delivered round.
     for (auto& [rank, ch] : children_) {
-      self_.send(ch, encode_frame(static_cast<std::uint8_t>(Kind::GatherDone),
-                                  tag, params_.rank, {}));
+      self_.send(ch, encode_frame(Kind::GatherDone, tag, params_.rank));
     }
     heal_retire_gather(tag, st, /*eager=*/false);
   } else {
@@ -1074,8 +1112,8 @@ void Iccl::gather_drop_origin(StreamKey tag, GatherState& st,
     // chunks for dropped origins, so the race is benign.
     auto rem = st.origin_remaining.find(origin);
     if (rem != st.origin_remaining.end()) rem->second = 0;
-    send_up(encode_frame(static_cast<std::uint8_t>(Kind::GatherDrop), tag,
-                         params_.rank, {{origin, Bytes{}}}));
+    send_up(encode_frame(Kind::GatherDrop, tag, params_.rank,
+                         {{origin, Bytes{}}}));
   } else {
     // Not yet announced: the parent never heard of the origin; just forget
     // it so the eventual RTS excludes it.
@@ -1084,9 +1122,7 @@ void Iccl::gather_drop_origin(StreamKey tag, GatherState& st,
   }
 }
 
-void Iccl::handle_gather_drop(
-    StreamKey tag,
-    const std::vector<std::pair<std::uint32_t, Bytes>>& entries) {
+void Iccl::handle_gather_drop(StreamKey tag, const Entries& entries) {
   auto it = gathers_.find(tag);
   if (it == gathers_.end()) return;
   GatherState& st = it->second;
@@ -1102,16 +1138,16 @@ void Iccl::handle_gather_drop(
 
 void Iccl::scatter(StreamKey tag, std::vector<Bytes> parts) {
   assert(is_root());
-  std::vector<std::pair<std::uint32_t, Bytes>> entries;
+  Entries entries;
   entries.reserve(parts.size());
   for (std::uint32_t r = 0; r < parts.size(); ++r) {
-    entries.emplace_back(r, std::move(parts[r]));
+    entries.emplace_back(
+        r, ByteSlice(std::make_shared<const Bytes>(std::move(parts[r]))));
   }
   handle_scatter(tag, std::move(entries));
 }
 
-void Iccl::handle_scatter(
-    StreamKey tag, std::vector<std::pair<std::uint32_t, Bytes>> entries) {
+void Iccl::handle_scatter(StreamKey tag, Entries entries) {
   // Partition by child subtree; deliver own part locally. Child sends go
   // through the same serialized-send path as broadcast so that collectives
   // issued in one event preserve their issue order on the wire. The
@@ -1121,7 +1157,7 @@ void Iccl::handle_scatter(
   sim::Time offset = 0;
   for (auto& [child, link] : children_) {
     auto sub = topo_.subtree_of(child);
-    std::vector<std::pair<std::uint32_t, Bytes>> part;
+    Entries part;
     std::size_t part_bytes = 0;
     for (auto& [rank, data] : entries) {
       if (std::binary_search(sub.begin(), sub.end(), rank)) {
@@ -1130,8 +1166,7 @@ void Iccl::handle_scatter(
       }
     }
     if (!part.empty()) {
-      cluster::Message m = encode_frame(
-          static_cast<std::uint8_t>(Kind::Scatter), tag, params_.rank, part);
+      cluster::Message m = encode_frame(Kind::Scatter, tag, params_.rank, part);
       self_.post(offset, [this, child, m = std::move(m)]() mutable {
         send_to_child(child, std::move(m));
       });
@@ -1146,8 +1181,7 @@ void Iccl::handle_scatter(
 
 // --- self-healing recovery (heal mode only) -------------------------------
 
-void Iccl::heal_record_bcast(StreamKey tag,
-                             const std::shared_ptr<const Bytes>& payload) {
+void Iccl::heal_record_bcast(StreamKey tag, const ByteSlice& payload) {
   if (!bcast_history_.emplace(tag, payload).second) return;
   bcast_history_order_.push_back(tag);
   while (bcast_history_order_.size() > kHealHistory) {
@@ -1385,8 +1419,8 @@ void Iccl::adopt_parent(std::uint32_t target, cluster::ChannelPtr ch) {
     w.u32(rc.received);
     w.u32(rc.nchunks);
   }
-  self_.send(ch, encode_frame(static_cast<std::uint8_t>(Kind::Reattach), 0,
-                              params_.rank, {{0, std::move(w).take()}}));
+  self_.send(ch, encode_frame(Kind::Reattach, 0, params_.rank,
+                              {{0, std::move(w).take()}}));
   heal_send_reannounces();
 }
 
@@ -1394,16 +1428,15 @@ void Iccl::heal_send_reannounces() {
   for (auto& [tag, st] : gathers_) {
     if (st.retired && st.eager_sent) {
       // The eager combined frame may have died with the old parent's inbox;
-      // re-send it from the retained copies (the receiver keeps only the
+      // re-send it from the retained views (the receiver keeps only the
       // origins it has not seen).
-      std::vector<std::pair<std::uint32_t, Bytes>> entries;
+      Entries entries;
       entries.reserve(st.retained.size());
-      for (const auto& [origin, data] : st.retained) {
-        entries.emplace_back(origin, data);
+      for (auto& [origin, data] : st.retained) {
+        entries.emplace_back(origin, data.join());
       }
       self_.machine().count("iccl.heal.gather_reannounces");
-      send_up(encode_frame(static_cast<std::uint8_t>(Kind::GatherUp), tag,
-                           params_.rank, entries));
+      send_up(encode_frame(Kind::GatherUp, tag, params_.rank, entries));
       continue;
     }
     if (!st.announced) continue;
@@ -1423,23 +1456,21 @@ void Iccl::heal_send_reannounces() {
       origins.emplace_back(origin, std::move(w).take());
     }
     self_.machine().count("iccl.heal.gather_reannounces");
-    send_up(encode_frame(static_cast<std::uint8_t>(Kind::GatherRts), tag,
-                         params_.rank, origins));
+    send_up(encode_frame(Kind::GatherRts, tag, params_.rank, origins));
     if (!st.dropped.empty()) {
       std::vector<std::pair<std::uint32_t, Bytes>> drops;
       drops.reserve(st.dropped.size());
       for (std::uint32_t origin : st.dropped) {
         drops.emplace_back(origin, Bytes{});
       }
-      send_up(encode_frame(static_cast<std::uint8_t>(Kind::GatherDrop), tag,
-                           params_.rank, drops));
+      send_up(encode_frame(Kind::GatherDrop, tag, params_.rank, drops));
     }
   }
 }
 
 void Iccl::handle_reattach(const cluster::ChannelPtr& ch, std::uint32_t src,
-                           const Bytes& blob) {
-  ByteReader r(blob);
+                           const ByteSlice& blob) {
+  ByteReader r(blob.span());
   std::set<std::uint32_t> via;
   const std::uint32_t nvia = r.u32().value_or(0);
   for (std::uint32_t i = 0; i < nvia; ++i) via.insert(r.u32().value_or(0));
@@ -1533,18 +1564,16 @@ void Iccl::heal_replay_bcasts(
     if (open == open_recvs.end()) {
       ByteWriter w;
       w.u32(snd.total);
-      send_to_child(orphan, encode_frame(
-                                static_cast<std::uint8_t>(Kind::RndvRts), tag,
-                                params_.rank, {{snd.nchunks,
-                                                std::move(w).take()}}));
+      send_to_child(orphan,
+                    encode_frame(Kind::RndvRts, tag, params_.rank,
+                                 {{snd.nchunks, std::move(w).take()}}));
     }
     self_.machine().count("iccl.heal.bcast_replays");
     for (std::uint32_t seq = from; seq < snd.next_seq; ++seq) {
-      send_to_child(orphan,
-                    encode_frame(static_cast<std::uint8_t>(Kind::RndvChunk),
-                                 tag, params_.rank, {{seq, *snd.ready[seq]}}));
+      send_to_child(orphan, payload_frame(Kind::RndvChunk, tag, params_.rank,
+                                          seq, snd.ready[seq]));
       self_.machine().count("iccl.heal.bcast_replay_bytes",
-                            static_cast<double>(snd.ready[seq]->size()));
+                            static_cast<double>(snd.ready[seq].size()));
     }
   }
   // Delivered history: rounds the orphan missed entirely, or was mid-
@@ -1553,53 +1582,38 @@ void Iccl::heal_replay_bcasts(
   for (StreamKey tag : bcast_history_order_) {
     if (delivered.count(tag) != 0) continue;
     if (rndv_sends_.count(tag) != 0) continue;  // caught up above
-    const std::shared_ptr<const Bytes>& payload = bcast_history_.at(tag);
-    const auto total = static_cast<std::uint32_t>(payload->size());
+    const ByteSlice& payload = bcast_history_.at(tag);
+    const auto total = static_cast<std::uint32_t>(payload.size());
     auto open = open_recvs.find(tag);
     self_.machine().count("iccl.heal.bcast_replays");
+    if (open == open_recvs.end() && !use_rendezvous(total)) {
+      send_to_child(orphan,
+                    payload_frame(Kind::Bcast, tag, params_.rank, 0, payload));
+      self_.machine().count("iccl.heal.bcast_replay_bytes",
+                            static_cast<double>(total));
+      continue;
+    }
+    // Rendezvous: the whole round for a missed tag, or the rest of the
+    // chunk stream the orphan already assembled a prefix of. Every chunk
+    // views the delivered payload.
+    const std::uint32_t nchunks = (total + chunk - 1) / chunk;
+    std::uint32_t from = 0;
     if (open != open_recvs.end()) {
-      // The orphan already assembled a prefix; finish its chunk stream.
-      for (std::uint32_t seq = open->second.first; seq < open->second.second;
-           ++seq) {
-        const std::size_t begin = static_cast<std::size_t>(seq) * chunk;
-        const std::size_t len = std::min<std::size_t>(chunk, total - begin);
-        Bytes piece(
-            payload->begin() + static_cast<std::ptrdiff_t>(begin),
-            payload->begin() + static_cast<std::ptrdiff_t>(begin + len));
-        send_to_child(orphan,
-                      encode_frame(static_cast<std::uint8_t>(Kind::RndvChunk),
-                                   tag, params_.rank,
-                                   {{seq, std::move(piece)}}));
-        self_.machine().count("iccl.heal.bcast_replay_bytes",
-                              static_cast<double>(len));
-      }
-    } else if (use_rendezvous(payload->size())) {
-      const std::uint32_t nchunks = (total + chunk - 1) / chunk;
+      from = open->second.first;
+    } else {
       ByteWriter w;
       w.u32(total);
-      send_to_child(orphan, encode_frame(
-                                static_cast<std::uint8_t>(Kind::RndvRts), tag,
-                                params_.rank, {{nchunks,
-                                                std::move(w).take()}}));
-      for (std::uint32_t seq = 0; seq < nchunks; ++seq) {
-        const std::size_t begin = static_cast<std::size_t>(seq) * chunk;
-        const std::size_t len = std::min<std::size_t>(chunk, total - begin);
-        Bytes piece(
-            payload->begin() + static_cast<std::ptrdiff_t>(begin),
-            payload->begin() + static_cast<std::ptrdiff_t>(begin + len));
-        send_to_child(orphan,
-                      encode_frame(static_cast<std::uint8_t>(Kind::RndvChunk),
-                                   tag, params_.rank,
-                                   {{seq, std::move(piece)}}));
-      }
-      self_.machine().count("iccl.heal.bcast_replay_bytes",
-                            static_cast<double>(total));
-    } else {
       send_to_child(orphan,
-                    encode_frame(static_cast<std::uint8_t>(Kind::Bcast), tag,
-                                 params_.rank, {{0, *payload}}));
+                    encode_frame(Kind::RndvRts, tag, params_.rank,
+                                 {{nchunks, std::move(w).take()}}));
+    }
+    for (std::uint32_t seq = from; seq < nchunks; ++seq) {
+      const std::size_t begin = static_cast<std::size_t>(seq) * chunk;
+      const std::size_t len = std::min<std::size_t>(chunk, total - begin);
+      send_to_child(orphan, payload_frame(Kind::RndvChunk, tag, params_.rank,
+                                          seq, payload.sub(begin, len)));
       self_.machine().count("iccl.heal.bcast_replay_bytes",
-                            static_cast<double>(total));
+                            static_cast<double>(len));
     }
   }
   // Anything the orphan was mid-receive on that this node can no longer
@@ -1616,9 +1630,7 @@ void Iccl::heal_replay_bcasts(
   }
 }
 
-void Iccl::handle_gather_resume(
-    StreamKey tag,
-    const std::vector<std::pair<std::uint32_t, Bytes>>& entries) {
+void Iccl::handle_gather_resume(StreamKey tag, const Entries& entries) {
   auto it = gathers_.find(tag);
   if (it == gathers_.end()) return;
   GatherState& st = it->second;
@@ -1629,10 +1641,10 @@ void Iccl::handle_gather_resume(
   self_.machine().count("iccl.heal.gather_resumes");
   const std::uint32_t chunk = self_.machine().costs().iccl_rndv_chunk_bytes;
   for (const auto& [origin, blob] : entries) {
-    ByteReader r(blob);
+    ByteReader r(blob.span());
     const std::uint32_t from = r.u32().value_or(0);
     // Unscheduled queue entries for this origin are superseded: the
-    // retained copy re-queued below covers them from the adopter's offset.
+    // retained view re-queued below covers them from the adopter's offset.
     st.outq.erase(
         std::remove_if(
             st.outq.begin() + static_cast<std::ptrdiff_t>(st.next_out),
@@ -1641,14 +1653,11 @@ void Iccl::handle_gather_resume(
         st.outq.end());
     auto ret = st.retained.find(origin);
     if (ret == st.retained.end()) continue;
-    const auto total = static_cast<std::uint32_t>(ret->second.size());
+    const ByteSlice kept = ret->second.join();
+    const auto total = static_cast<std::uint32_t>(kept.size());
     for (std::uint32_t begin = from; begin < total; begin += chunk) {
       const std::uint32_t len = std::min(chunk, total - begin);
-      st.outq.emplace_back(
-          origin,
-          std::make_shared<const Bytes>(
-              ret->second.begin() + static_cast<std::ptrdiff_t>(begin),
-              ret->second.begin() + static_cast<std::ptrdiff_t>(begin + len)));
+      st.outq.emplace_back(origin, kept.sub(begin, len));
       self_.machine().count("iccl.heal.gather_requeued_bytes",
                             static_cast<double>(len));
     }
@@ -1660,8 +1669,7 @@ void Iccl::handle_gather_resume(
 void Iccl::handle_gather_done(StreamKey tag) {
   // Propagate: every descendant can free its replay copy of the round.
   for (auto& [rank, ch] : children_) {
-    self_.send(ch, encode_frame(static_cast<std::uint8_t>(Kind::GatherDone),
-                                tag, params_.rank, {}));
+    self_.send(ch, encode_frame(Kind::GatherDone, tag, params_.rank));
   }
   auto it = gathers_.find(tag);
   if (it != gathers_.end()) {
@@ -1684,8 +1692,7 @@ void Iccl::leave() {
                                 "heal: rank " + std::to_string(params_.rank) +
                                     " leaving the session");
   if (!is_root() && parent_ != nullptr) {
-    send_up(encode_frame(static_cast<std::uint8_t>(Kind::Leave), 0,
-                         params_.rank, {}));
+    send_up(encode_frame(Kind::Leave, 0, params_.rank));
   }
   // Give the frame a head start, then exit. Children notice the closed
   // links and heal onto an ancestor through the normal reparent path.
@@ -1706,13 +1713,17 @@ void Iccl::handle_leave(std::uint32_t src) {
 
 // --- multiplexed delivery / fairness --------------------------------------
 
-void Iccl::deliver_bcast(StreamKey tag, const Bytes& data) {
+void Iccl::deliver_bcast(StreamKey tag, const ByteSlice& data) {
   auto it = session_handlers_.find(tag.session);
   if (it == session_handlers_.end() || !it->second.on_bcast) {
     self_.machine().count("iccl.mux.unbound_drops");
     return;
   }
-  it->second.on_bcast(tag.tag, data);
+  if (const Bytes* whole = data.whole()) {
+    it->second.on_bcast(tag.tag, *whole);
+  } else {
+    it->second.on_bcast(tag.tag, data.to_bytes());
+  }
 }
 
 void Iccl::deliver_gather(
@@ -1725,16 +1736,21 @@ void Iccl::deliver_gather(
   it->second.on_gather(tag.tag, std::move(entries));
 }
 
-void Iccl::deliver_scatter(StreamKey tag, const Bytes& data) {
+void Iccl::deliver_scatter(StreamKey tag, const ByteSlice& data) {
   auto it = session_handlers_.find(tag.session);
   if (it == session_handlers_.end() || !it->second.on_scatter) {
     self_.machine().count("iccl.mux.unbound_drops");
     return;
   }
-  it->second.on_scatter(tag.tag, data);
+  if (const Bytes* whole = data.whole()) {
+    it->second.on_scatter(tag.tag, *whole);
+  } else {
+    it->second.on_scatter(tag.tag, data.to_bytes());
+  }
 }
 
 void Iccl::count_mux(StreamKey tag, const char* name, double v) {
+  if (self_.machine().metrics() == nullptr) return;
   self_.machine().count(std::string("iccl.") + name, v);
   if (tag.session != 0) {
     self_.machine().count(
@@ -1759,8 +1775,7 @@ void Iccl::mux_mark_cleared(StreamKey tag, GatherState& st) {
   for (std::uint32_t child : st.grant_waiters) {
     count_mux(tag, "gather_cts_sent");
     send_to_child(child,
-                  encode_frame(static_cast<std::uint8_t>(Kind::GatherCts),
-                               tag, params_.rank, {}));
+                  encode_frame(Kind::GatherCts, tag, params_.rank));
   }
   st.grant_waiters.clear();
 }

@@ -178,6 +178,9 @@ class Iccl {
   }
 
  private:
+  /// (rank, payload) frame entries; every payload is a view, not a copy.
+  using Entries = std::vector<std::pair<std::uint32_t, ByteSlice>>;
+
   /// One gather round (keyed by tag). Small rounds run eager: each node
   /// waits for every child's whole-subtree GatherUp frame, appends its own
   /// contribution and forwards one combined frame. Rounds whose *subtree
@@ -194,7 +197,7 @@ class Iccl {
     /// outstanding. A set (not a count) so a dying child can be forgiven.
     std::set<std::uint32_t> children_pending;
     /// Entries held whole on this node: own contribution + eager children.
-    std::vector<std::pair<std::uint32_t, Bytes>> acc;
+    Entries acc;
     // --- rendezvous upstream state ---------------------------------------
     bool announced = false;  ///< GatherRts sent up (non-root only)
     bool streaming = false;  ///< own GatherCts processed; chunks may flow
@@ -207,18 +210,19 @@ class Iccl {
     /// Relay only: bytes of each announced origin not yet relayed.
     std::map<std::uint32_t, std::uint32_t> origin_remaining;
     std::set<std::uint32_t> dropped;  ///< origins lost mid-stream
-    /// Chunk send queue through the serialized cursor; entries release
-    /// their buffer once scheduled (the posted send keeps its own ref).
-    std::vector<std::pair<std::uint32_t, std::shared_ptr<const Bytes>>> outq;
+    /// Chunk send queue through the serialized cursor: views of the origin's
+    /// contribution. Entries release their buffer once scheduled (the posted
+    /// send keeps its own ref).
+    Entries outq;
     std::size_t next_out = 0;
     sim::Time cursor = 0;  ///< serialized send occupancy (absolute time)
     obs::SpanId span = obs::kNoSpan;
     // --- self-heal replay state (heal mode only) -------------------------
-    /// Per-origin copies of everything that entered this round here (own
-    /// contribution, eager child entries, relayed chunk bytes). Heal trades
+    /// Per-origin views of everything that entered this round here (own
+    /// contribution, eager child entries, relayed chunks). Heal trades
     /// O(payload) memory per retained round for the ability to re-announce
     /// and resume after a reparent; bounded by the retired-round ring.
-    std::map<std::uint32_t, Bytes> retained;
+    std::map<std::uint32_t, SliceJoin> retained;
     bool retired = false;     ///< forwarded/delivered; kept for heal replay
     bool eager_sent = false;  ///< retired via an eager GatherUp forward
     /// Orphaned mid-stream: chunks must not race ahead of the resume
@@ -248,17 +252,19 @@ class Iccl {
     std::set<std::uint32_t> cts_pending;  ///< child ranks yet to CTS
     bool streaming = false;               ///< all CTS in, chunks may flow
     std::uint32_t next_seq = 0;           ///< next chunk to schedule
-    std::vector<std::shared_ptr<const Bytes>> ready;  ///< chunks, by seq
+    std::vector<ByteSlice> ready;  ///< chunk views of the payload, by seq
     sim::Time cursor = 0;  ///< serialized send occupancy (absolute time)
     obs::SpanId span = obs::kNoSpan;  ///< RTS fan-out .. last chunk out
   };
 
-  /// Receiver side: assembles chunks in sequence order (per-channel FIFO
-  /// guarantees ordering) and delivers once complete.
+  /// Receiver side: joins chunks in sequence order (per-channel FIFO
+  /// guarantees ordering) and delivers once complete. Every relay forwards
+  /// the root's chunk views unchanged, so the join is normally the root's
+  /// payload buffer itself and nothing is copied.
   struct RndvRecv {
     std::uint32_t nchunks = 0;
     std::uint32_t received = 0;
-    Bytes assembled;
+    SliceJoin payload;
     obs::SpanId span = obs::kNoSpan;  ///< RTS in .. payload assembled
   };
 
@@ -266,11 +272,9 @@ class Iccl {
   void on_fabric_message(const cluster::ChannelPtr& ch, cluster::Message m);
   void handle_register(const cluster::ChannelPtr& ch, std::uint32_t rank);
   void handle_setup_up();
-  void handle_bcast(StreamKey tag, Bytes data);
-  void handle_gather_up(StreamKey tag, std::uint32_t src,
-                        std::vector<std::pair<std::uint32_t, Bytes>> entries);
-  void handle_scatter(StreamKey tag,
-                      std::vector<std::pair<std::uint32_t, Bytes>> entries);
+  void handle_bcast(StreamKey tag, ByteSlice payload);
+  void handle_gather_up(StreamKey tag, std::uint32_t src, Entries entries);
+  void handle_scatter(StreamKey tag, Entries entries);
   void maybe_subtree_ready();
   void flush_gather(StreamKey tag);
   // --- rendezvous gather (upstream data plane) ----------------------------
@@ -280,16 +284,14 @@ class Iccl {
   /// the parent's GatherCts before any payload moves.
   void gather_announce(StreamKey tag, GatherState& st);
   void handle_gather_rts(StreamKey tag, std::uint32_t src,
-                         std::vector<std::pair<std::uint32_t, Bytes>> entries);
+                         const Entries& entries);
   void handle_gather_cts(StreamKey tag);
   /// The CTS body (clear children, queue held entries): shared by the
   /// normal clearance and the heal resume path.
   void gather_begin_streaming(StreamKey tag, GatherState& st);
   void handle_gather_chunk(StreamKey tag, std::uint32_t origin,
-                           Bytes data);
-  void handle_gather_drop(StreamKey tag,
-                          const std::vector<std::pair<std::uint32_t, Bytes>>&
-                              entries);
+                           ByteSlice data);
+  void handle_gather_drop(StreamKey tag, const Entries& entries);
   /// Streams every queued-but-unsent gather chunk through the cursor.
   void gather_flush(StreamKey tag, GatherState& st);
   /// Root: delivers the round once every announced origin is complete or
@@ -312,12 +314,15 @@ class Iccl {
   // --- multiplexed delivery / fairness ------------------------------------
   /// Route a completed round to the owning session's handler set. Rounds
   /// for an unbound session are dropped.
-  void deliver_bcast(StreamKey tag, const Bytes& data);
+  /// Payloads that are a whole buffer are handed out by reference; a
+  /// partial view is copied once.
+  void deliver_bcast(StreamKey tag, const ByteSlice& data);
   void deliver_gather(StreamKey tag,
                       std::vector<std::pair<std::uint32_t, Bytes>> entries);
-  void deliver_scatter(StreamKey tag, const Bytes& data);
+  void deliver_scatter(StreamKey tag, const ByteSlice& data);
   /// Bumps `iccl.<name>` and, for nonzero sessions, the per-session twin
   /// `iccl.s<session>.<name>` so shared-tree metrics stay attributable.
+  /// Builds no name while metrics are detached.
   void count_mux(StreamKey tag, const char* name, double v = 1.0);
   /// Root: may a new round for `session` enter the cleared set? True unless
   /// some *other* session currently holds cleared open rounds.
@@ -343,10 +348,8 @@ class Iccl {
   /// live-stream traffic before the replay runs, or catch-up chunks would
   /// arrive out of order.
   void handle_reattach(const cluster::ChannelPtr& ch, std::uint32_t src,
-                       const Bytes& blob);
-  void handle_gather_resume(
-      StreamKey tag,
-      const std::vector<std::pair<std::uint32_t, Bytes>>& entries);
+                       const ByteSlice& blob);
+  void handle_gather_resume(StreamKey tag, const Entries& entries);
   void handle_gather_done(StreamKey tag);
   void handle_leave(std::uint32_t src);
   /// Adopter side: open a heal slot for a dead child and suspend its stake
@@ -356,8 +359,7 @@ class Iccl {
   /// claimed by a reattached orphan (or reported dead on a climb path).
   void heal_check_slot(std::uint32_t dead);
   void heal_resolve_slot(std::uint32_t dead, bool expired);
-  void heal_record_bcast(StreamKey tag,
-                         const std::shared_ptr<const Bytes>& payload);
+  void heal_record_bcast(StreamKey tag, const ByteSlice& payload);
   /// Replays broadcast state a reattached orphan missed: catch-up chunks
   /// for rounds it was mid-assembly on, full replays for rounds it never
   /// saw (it re-fans-out to its own subtree natively).
@@ -379,16 +381,16 @@ class Iccl {
   /// Serialized per-KB copy charge (iccl_eager_copy_per_kb scaled to size).
   [[nodiscard]] sim::Time eager_copy_cost(std::size_t bytes) const;
   /// Eager fan-out: one full-payload frame per child, serialized by
-  /// (msg-handle + payload-copy) quanta in rank order.
-  void eager_fanout(StreamKey tag,
-                    const std::shared_ptr<const Bytes>& payload);
+  /// (msg-handle + payload-copy) quanta in rank order. Every frame views
+  /// the same payload buffer.
+  void eager_fanout(StreamKey tag, const ByteSlice& payload);
   /// Opens a rendezvous round toward this node's children (RTS fan-out).
   RndvSend& rndv_open_send(StreamKey tag, std::uint32_t nchunks,
                            std::uint32_t total);
   void handle_rndv_rts(StreamKey tag, std::uint32_t nchunks,
                        std::uint32_t total);
   void handle_rndv_cts(StreamKey tag, std::uint32_t src);
-  void handle_rndv_chunk(StreamKey tag, std::uint32_t seq, Bytes data);
+  void handle_rndv_chunk(StreamKey tag, std::uint32_t seq, ByteSlice data);
   /// Streams every ready-but-unsent chunk through the serialized cursor.
   void rndv_flush(StreamKey tag, RndvSend& st);
   /// A child link died: drop it from the fan-out and unblock any rendezvous
@@ -427,7 +429,7 @@ class Iccl {
   /// every node: a descendant's delivery order is a FIFO subsequence of
   /// every ancestor's, so an orphan can never have evicted a tag its
   /// adopter still holds.
-  std::map<StreamKey, std::shared_ptr<const Bytes>> bcast_history_;
+  std::map<StreamKey, ByteSlice> bcast_history_;
   std::vector<StreamKey> bcast_history_order_;
   /// Retired gather rounds kept for replay, oldest-first (evicted FIFO).
   std::vector<StreamKey> retired_gather_order_;

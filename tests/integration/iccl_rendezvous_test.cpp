@@ -36,6 +36,9 @@ struct Shared {
   std::map<std::uint32_t, Bytes> bcast_delivered;   // rank -> last payload
   /// rank -> tag -> payload (for rounds that overlap in flight).
   std::map<std::uint32_t, std::map<std::uint32_t, Bytes>> bcast_by_tag;
+  /// rank -> tag -> address of the delivered buffer (zero-copy checks).
+  std::map<std::uint32_t, std::map<std::uint32_t, const std::uint8_t*>>
+      bcast_addr;
   std::map<std::uint32_t, Bytes> scatter_delivered; // rank -> part
   /// tag -> rank-sorted entries delivered at the root's gather handler.
   std::map<std::uint32_t, std::vector<std::pair<std::uint32_t, Bytes>>>
@@ -64,6 +67,7 @@ class RawIcclDaemon : public cluster::Program {
     handlers.on_bcast = [this, rank](std::uint32_t tag, const Bytes& data) {
       sh_->bcast_delivered[rank] = data;
       sh_->bcast_by_tag[rank][tag] = data;
+      sh_->bcast_addr[rank][tag] = data.data();
     };
     if (sh_->bind_scatter) {
       handlers.on_scatter = [this, rank](std::uint32_t, const Bytes& data) {
@@ -635,6 +639,297 @@ TEST(IcclProtocol, OverlappingLargeCommandsDeliverIntactUnderRendezvous) {
     EXPECT_EQ(got[0], Bytes(150 * 1024, 0x61)) << "rank " << r;
     EXPECT_EQ(got[1], Bytes(70 * 1024, 0x62)) << "rank " << r;
   }
+}
+
+// --- zero-copy data plane: wire image, frame checks, receiver join --------
+
+TEST(IcclWire, FixedCollectiveMixPutsTheRecordedBytesOnTheWire) {
+  // Payload frames carry a view of the sender's buffer instead of a copy,
+  // but their wire image is unchanged: the totals below were recorded when
+  // every frame still copied its payload in behind the header.
+  const int n = 7;
+  TestCluster tc(n);
+  Shared sh;
+  wire_fabric(tc, sh, {comm::TopologyKind::KAry, 2}, identity_placement(n),
+              64 * 1024);
+  ASSERT_TRUE(tc.run_until([&] { return sh.ready == n; }));
+  obs::Metrics metrics;
+  tc.machine.set_metrics(&metrics);
+  sh.frames.clear();
+
+  sh.iccls[0]->broadcast(1, Bytes(4096, 0x11));  // eager
+  ASSERT_TRUE(tc.run_until([&] {
+    return static_cast<int>(sh.bcast_by_tag.size()) == n &&
+           std::all_of(sh.bcast_by_tag.begin(), sh.bcast_by_tag.end(),
+                       [](const auto& r) { return r.second.count(1) != 0; });
+  }));
+  sh.iccls[0]->broadcast(2, Bytes(3 * kChunk + 1000, 0x22));  // rendezvous
+  ASSERT_TRUE(tc.run_until([&] {
+    return std::all_of(sh.bcast_by_tag.begin(), sh.bcast_by_tag.end(),
+                       [](const auto& r) { return r.second.count(2) != 0; });
+  }));
+  for (std::uint32_t r = 0; r < static_cast<std::uint32_t>(n); ++r) {
+    sh.iccls[r]->contribute(3, origin_payload(r, 512));  // eager
+  }
+  ASSERT_TRUE(tc.run_until([&] { return sh.gather_by_tag.count(3) != 0; }));
+  for (std::uint32_t r = 0; r < static_cast<std::uint32_t>(n); ++r) {
+    sh.iccls[r]->contribute(4, origin_payload(r, kChunk + 100));  // rendezvous
+  }
+  ASSERT_TRUE(tc.run_until([&] { return sh.gather_by_tag.count(4) != 0; }));
+  ASSERT_EQ(sh.gather_by_tag[3].size(), static_cast<std::size_t>(n));
+  ASSERT_EQ(sh.gather_by_tag[4].size(), static_cast<std::size_t>(n));
+
+  std::map<Iccl::Kind, std::pair<int, std::size_t>> by_kind;
+  for (const auto& f : sh.frames) {
+    by_kind[f.kind].first += 1;
+    by_kind[f.kind].second += f.bytes;
+  }
+  using K = Iccl::Kind;
+  const std::map<Iccl::Kind, std::pair<int, std::size_t>> recorded = {
+      {K::Bcast, {6, 24576}},        {K::GatherUp, {6, 3072}},
+      {K::RndvRts, {6, 24}},         {K::RndvCts, {6, 0}},
+      {K::RndvChunk, {24, 1185648}}, {K::GatherRts, {6, 24}},
+      {K::GatherCts, {6, 0}},        {K::GatherChunk, {20, 656360}},
+  };
+  EXPECT_EQ(by_kind, recorded);
+  EXPECT_EQ(metrics.counter("net.bytes_total"), 1873736.0);
+  tc.machine.set_metrics(nullptr);
+}
+
+TEST(IcclWire, EveryRankDeliversTheRootsBroadcastBuffer) {
+  // Eager frames and rendezvous chunks view the root's payload, relays
+  // forward those views, and a receiver whose chunks view one buffer in
+  // order delivers that buffer: no rank copies the payload.
+  const int n = 12;
+  TestCluster tc(n);
+  Shared sh;
+  wire_fabric(tc, sh, {comm::TopologyKind::KAry, 3}, identity_placement(n),
+              64 * 1024);
+  ASSERT_TRUE(tc.run_until([&] { return sh.ready == n; }));
+
+  Bytes large(3 * kChunk + 1000);
+  for (std::size_t i = 0; i < large.size(); ++i) {
+    large[i] = static_cast<std::uint8_t>(i * 7);
+  }
+  sh.iccls[0]->broadcast(1, Bytes(4096, 0x11));
+  sh.iccls[0]->broadcast(2, large);
+  ASSERT_TRUE(tc.run_until([&] {
+    return static_cast<int>(sh.bcast_addr.size()) == n &&
+           std::all_of(sh.bcast_addr.begin(), sh.bcast_addr.end(),
+                       [](const auto& r) { return r.second.size() == 2; });
+  }));
+  for (std::uint32_t tag : {1u, 2u}) {
+    const std::uint8_t* root = sh.bcast_addr[0][tag];
+    for (std::uint32_t r = 1; r < static_cast<std::uint32_t>(n); ++r) {
+      EXPECT_EQ(sh.bcast_addr[r][tag], root) << "rank " << r << " tag " << tag;
+    }
+  }
+  for (std::uint32_t r = 0; r < static_cast<std::uint32_t>(n); ++r) {
+    EXPECT_EQ(sh.bcast_by_tag[r][2], large) << "rank " << r;
+  }
+}
+
+// A stand-in for rank 0 of a two-rank flat fabric, so a test can put
+// hand-built frames on the wire to a real Iccl leaf (rank 1). Frames are
+// spelled out byte by byte here: kind u8, session u32, tag u32, src u32,
+// entry count u32, then per entry rank u32 and a u32-length-prefixed blob.
+struct FakeRootState {
+  cluster::Process* self = nullptr;
+  cluster::ChannelPtr child;
+  std::vector<Iccl::Kind> received;
+};
+
+class FakeRoot : public cluster::Program {
+ public:
+  explicit FakeRoot(FakeRootState* st) : st_(st) {}
+  [[nodiscard]] std::string_view name() const override { return "fake_root"; }
+  void on_start(cluster::Process& self) override {
+    st_->self = &self;
+    ASSERT_TRUE(self.listen(cluster::kToolFabricBasePort,
+                            [this](cluster::ChannelPtr ch) {
+                              st_->child = std::move(ch);
+                            })
+                    .is_ok());
+  }
+  void on_message(cluster::Process&, const cluster::ChannelPtr&,
+                  cluster::Message m) override {
+    if (!m.bytes.empty()) st_->received.push_back(Iccl::Kind{m.bytes[0]});
+  }
+
+ private:
+  FakeRootState* st_;
+};
+
+Bytes frame_header(Iccl::Kind kind, std::uint32_t tag, std::uint32_t count) {
+  ByteWriter w;
+  w.u8(static_cast<std::uint8_t>(kind));
+  w.u32(0);  // session
+  w.u32(tag);
+  w.u32(0);  // src: the root
+  w.u32(count);
+  return std::move(w).take();
+}
+
+/// Header of a one-entry frame up to and including the entry's length.
+Bytes entry_header(Iccl::Kind kind, std::uint32_t tag, std::uint32_t rank,
+                   std::size_t len, std::uint32_t count = 1) {
+  ByteWriter w;
+  w.raw(frame_header(kind, tag, count));
+  w.u32(rank);
+  w.u32(static_cast<std::uint32_t>(len));
+  return std::move(w).take();
+}
+
+/// The same frame with its payload copied in behind the header.
+cluster::Message flat_frame(Iccl::Kind kind, std::uint32_t tag,
+                            std::uint32_t rank,
+                            std::span<const std::uint8_t> payload) {
+  Bytes b = entry_header(kind, tag, rank, payload.size());
+  b.insert(b.end(), payload.begin(), payload.end());
+  return cluster::Message(std::move(b));
+}
+
+struct FakeRootFabric {
+  TestCluster tc{2};
+  Shared sh;
+  FakeRootState root;
+
+  FakeRootFabric() {
+    comm::BootstrapSpec spec;
+    spec.size = 2;
+    spec.topology = {comm::TopologyKind::Flat, 0};
+    spec.port = cluster::kToolFabricBasePort;
+    spec.session = "raw";
+    spec.rndv_threshold = kRndvAlways;
+    for (int node : {0, 1}) {
+      spec.hosts.push_back(tc.machine.compute_node(node).hostname());
+    }
+    cluster::SpawnOptions root_opts;
+    root_opts.executable = "fake_root";
+    EXPECT_TRUE(tc.machine.compute_node(0)
+                    .spawn(std::make_unique<FakeRoot>(&root),
+                           std::move(root_opts))
+                    .is_ok());
+    cluster::SpawnOptions leaf_opts;
+    leaf_opts.executable = "raw_iccl";
+    leaf_opts.args = comm::bootstrap_args(spec, 1);
+    EXPECT_TRUE(tc.machine.compute_node(1)
+                    .spawn(std::make_unique<RawIcclDaemon>(&sh),
+                           std::move(leaf_opts))
+                    .is_ok());
+  }
+
+  void send(cluster::Message m) { root.self->send(root.child, std::move(m)); }
+
+  /// Opens a rendezvous broadcast at the leaf and waits for its CTS.
+  bool open_rendezvous(std::uint32_t tag, std::uint32_t nchunks,
+                       std::size_t total) {
+    ByteWriter w;
+    w.raw(frame_header(Iccl::Kind::RndvRts, tag, 1));
+    w.u32(nchunks);
+    ByteWriter size;
+    size.u32(static_cast<std::uint32_t>(total));
+    w.blob(size.bytes());
+    root.received.clear();
+    send(cluster::Message(std::move(w).take()));
+    return tc.run_until([&] {
+      return std::count(root.received.begin(), root.received.end(),
+                        Iccl::Kind::RndvCts) == 1;
+    });
+  }
+};
+
+Bytes patterned(std::size_t size) {
+  Bytes b(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    b[i] = static_cast<std::uint8_t>(i ^ (i >> 8));
+  }
+  return b;
+}
+
+TEST(IcclWire, PayloadFrameWithWrongLengthOrEntryCountIsRejected) {
+  FakeRootFabric f;
+  ASSERT_TRUE(f.tc.run_until([&] { return f.sh.ready == 1; }));
+  auto buf = std::make_shared<const Bytes>(patterned(300));
+  const ByteSlice view(buf);
+  using K = Iccl::Kind;
+
+  // Header length disagrees with the view behind it, either way.
+  f.send(cluster::Message(entry_header(K::Bcast, 1, 0, 299), view));
+  f.send(cluster::Message(entry_header(K::Bcast, 2, 0, 301), view));
+  f.send(cluster::Message(entry_header(K::RndvChunk, 3, 0, 0), view));
+  f.send(cluster::Message(entry_header(K::GatherChunk, 4, 0, 299), view));
+  // A header with bytes after its length field, then the view.
+  Bytes trailing = entry_header(K::Bcast, 5, 0, 300);
+  trailing.push_back(0);
+  f.send(cluster::Message(std::move(trailing), view));
+  // Entry count is not 1: with a view, flat with two entries, and empty.
+  f.send(cluster::Message(entry_header(K::Bcast, 6, 0, 300, 2), view));
+  ByteWriter two;
+  two.raw(frame_header(K::Bcast, 7, 2));
+  for (std::uint32_t rank : {0u, 1u}) {
+    two.u32(rank);
+    two.blob(view.span());
+  }
+  f.send(cluster::Message(std::move(two).take()));
+  f.send(cluster::Message(frame_header(K::Bcast, 8, 0)));
+  // A view behind a frame kind that carries no payload view.
+  f.send(cluster::Message(frame_header(K::GatherCts, 9, 0), view));
+  // Then one good frame of each form: both are decoded and delivered.
+  f.send(cluster::Message(entry_header(K::Bcast, 10, 0, 300), view));
+  f.send(flat_frame(K::Bcast, 11, 0, view.span()));
+
+  ASSERT_TRUE(
+      f.tc.run_until([&] { return f.sh.bcast_by_tag[1].size() == 2; }));
+  f.tc.run_until([] { return false; }, sim::ms(50));
+  ASSERT_EQ(f.sh.frames.size(), 2u) << "a malformed frame was decoded";
+  EXPECT_EQ(f.sh.frames[0].tag, 10u);
+  EXPECT_EQ(f.sh.frames[1].tag, 11u);
+  EXPECT_EQ(f.sh.bcast_by_tag[1][10], *buf);
+  EXPECT_EQ(f.sh.bcast_by_tag[1][11], *buf);
+  EXPECT_EQ(f.sh.bcast_addr[1][10], buf->data());
+}
+
+TEST(IcclWire, RendezvousReceiverDeliversTheSendersBufferWhenChunksViewIt) {
+  FakeRootFabric f;
+  ASSERT_TRUE(f.tc.run_until([&] { return f.sh.ready == 1; }));
+  auto buf = std::make_shared<const Bytes>(patterned(2 * kChunk + 500));
+  const ByteSlice payload(buf);
+  ASSERT_TRUE(f.open_rendezvous(1, 3, payload.size()));
+  for (std::uint32_t seq = 0; seq < 3; ++seq) {
+    const std::size_t begin = seq * kChunk;
+    const ByteSlice chunk = payload.sub(
+        begin, std::min<std::size_t>(kChunk, payload.size() - begin));
+    f.send(cluster::Message(
+        entry_header(Iccl::Kind::RndvChunk, 1, seq, chunk.size()), chunk));
+  }
+  ASSERT_TRUE(
+      f.tc.run_until([&] { return f.sh.bcast_by_tag[1].count(1) != 0; }));
+  EXPECT_EQ(f.sh.bcast_addr[1][1], buf->data());
+  EXPECT_EQ(f.sh.bcast_by_tag[1][1], *buf);
+}
+
+TEST(IcclWire, RendezvousReceiverJoinsChunksFromDifferentBuffersOnce) {
+  // The middle chunk arrives flat (its bytes inside the frame), so the
+  // chunks do not view one buffer: the receiver concatenates them, and the
+  // delivered bytes are still exactly the payload.
+  FakeRootFabric f;
+  ASSERT_TRUE(f.tc.run_until([&] { return f.sh.ready == 1; }));
+  auto buf = std::make_shared<const Bytes>(patterned(2 * kChunk + 500));
+  const ByteSlice payload(buf);
+  ASSERT_TRUE(f.open_rendezvous(1, 3, payload.size()));
+  const ByteSlice first = payload.sub(0, kChunk);
+  const ByteSlice middle = payload.sub(kChunk, kChunk);
+  const ByteSlice last = payload.sub(2 * kChunk, 500);
+  f.send(cluster::Message(
+      entry_header(Iccl::Kind::RndvChunk, 1, 0, first.size()), first));
+  f.send(flat_frame(Iccl::Kind::RndvChunk, 1, 1, middle.span()));
+  f.send(cluster::Message(
+      entry_header(Iccl::Kind::RndvChunk, 1, 2, last.size()), last));
+  ASSERT_TRUE(
+      f.tc.run_until([&] { return f.sh.bcast_by_tag[1].count(1) != 0; }));
+  EXPECT_EQ(f.sh.bcast_by_tag[1][1], *buf);
+  EXPECT_NE(f.sh.bcast_addr[1][1], buf->data());
 }
 
 }  // namespace

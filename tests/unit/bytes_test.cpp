@@ -174,6 +174,47 @@ TEST_P(BytesPropertyTest, RandomSequenceRoundTrips) {
 INSTANTIATE_TEST_SUITE_P(Seeds, BytesPropertyTest,
                          ::testing::Range<std::uint64_t>(0, 25));
 
+TEST(Bytes, BlobViewReadsInPlace) {
+  ByteWriter w;
+  w.blob(Bytes{7, 8, 9});
+  w.u32(5);  // a length prefix promising more than is left
+  const Bytes b = w.bytes();
+  ByteReader r(b);
+  auto view = r.blob_view();
+  ASSERT_TRUE(view.has_value());
+  EXPECT_EQ(view->data(), b.data() + 4);
+  EXPECT_EQ(view->size(), 3u);
+  EXPECT_FALSE(r.blob_view().has_value());
+}
+
+TEST(Bytes, SliceJoinStaysAViewWhileSlicesContinueOneBuffer) {
+  auto buf = std::make_shared<const Bytes>(Bytes{0, 1, 2, 3, 4, 5, 6, 7});
+  const ByteSlice all(buf);
+  EXPECT_EQ(all.whole(), buf.get());
+  EXPECT_EQ(all.sub(2, 3).whole(), nullptr);
+  SliceJoin join;
+  join.append(all.sub(0, 3));
+  join.append(ByteSlice());  // empty slices are skipped
+  join.append(all.sub(3, 5));
+  EXPECT_EQ(join.size(), 8u);
+  EXPECT_EQ(join.join().whole(), buf.get());
+}
+
+TEST(Bytes, SliceJoinCopiesOnceWhenASliceBreaksTheRun) {
+  auto a = std::make_shared<const Bytes>(Bytes{0, 1, 2, 3});
+  auto b = std::make_shared<const Bytes>(Bytes{4, 5});
+  SliceJoin join;
+  join.append(ByteSlice(a).sub(0, 2));
+  join.append(ByteSlice(b));  // another buffer
+  join.append(ByteSlice(a).sub(2, 2));
+  const ByteSlice joined = join.join();
+  EXPECT_EQ(joined.to_bytes(), (Bytes{0, 1, 4, 5, 2, 3}));
+  EXPECT_NE(joined.data(), a->data());
+  EXPECT_NE(joined.whole(), nullptr);
+  // A later join of the same content reuses the one copy.
+  EXPECT_EQ(join.join().data(), joined.data());
+}
+
 // Property: hex always round-trips random blobs.
 class HexPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
 

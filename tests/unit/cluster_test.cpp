@@ -174,6 +174,73 @@ TEST(Cluster, MessagesArriveInFifoOrderDespiteJitter) {
   for (int i = 0; i < 50; ++i) EXPECT_EQ(received[static_cast<size_t>(i)], i);
 }
 
+struct Arrival {
+  sim::Time at = 0;
+  std::size_t size = 0;
+  std::uint8_t seq = 0;
+  const std::uint8_t* view = nullptr;
+};
+
+/// Sends one message per entry of `sizes` over a jittered channel and
+/// records every arrival. With `as_view`, each message is a 3-byte header
+/// plus a view of a shared pool; otherwise all its bytes are in the frame.
+std::vector<Arrival> transfer(const std::vector<std::size_t>& sizes,
+                              bool as_view,
+                              std::shared_ptr<const Bytes> pool) {
+  sim::Simulator sim(7);
+  Machine machine(sim, MachineConfig{2, 0, "test", CostModel{}});
+  std::vector<Arrival> got;
+  auto server = std::make_unique<Hooks>();
+  server->start = [](Process& self) { (void)self.listen(9010); };
+  server->message = [&](Process& self, const ChannelPtr&, Message m) {
+    got.push_back({self.sim().now(), m.size(), m.bytes.at(0), m.view.data()});
+  };
+  EXPECT_TRUE(machine.compute_node(0).spawn(std::move(server), {}).is_ok());
+  auto client = std::make_unique<Hooks>();
+  client->start = [&](Process& self) {
+    self.connect("test1", 9010, [&](Status st, ChannelPtr ch) {
+      ASSERT_TRUE(st.is_ok());
+      for (std::size_t i = 0; i < sizes.size(); ++i) {
+        const auto seq = static_cast<std::uint8_t>(i);
+        if (as_view) {
+          self.send(ch, Message(Bytes{seq, 0, 0},
+                                ByteSlice(pool, i, sizes[i] - 3)));
+        } else {
+          Bytes flat(sizes[i], 0);
+          flat[0] = seq;
+          self.send(ch, Message(std::move(flat)));
+        }
+      }
+    });
+  };
+  EXPECT_TRUE(machine.front_end().spawn(std::move(client), {}).is_ok());
+  sim.run();
+  return got;
+}
+
+TEST(Cluster, HeaderPlusViewTravelsExactlyLikeAFlatMessageOfEqualSize) {
+  // A 1 MiB message followed by small ones makes the FIFO clamp engage.
+  const std::vector<std::size_t> sizes = {3,    40,  64 * 1024 + 25, 25,
+                                          1 << 20, 700, 3,    9000};
+  auto pool = std::make_shared<const Bytes>(Bytes((1 << 20) + 64, 0x33));
+  const auto flat = transfer(sizes, false, pool);
+  const auto view = transfer(sizes, true, pool);
+  ASSERT_EQ(flat.size(), sizes.size());
+  ASSERT_EQ(view.size(), sizes.size());
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    EXPECT_EQ(view[i].seq, i) << "FIFO order";
+    EXPECT_EQ(view[i].seq, flat[i].seq);
+    EXPECT_EQ(view[i].at, flat[i].at) << "message " << i;
+    EXPECT_EQ(view[i].size, sizes[i]);
+    EXPECT_EQ(flat[i].size, sizes[i]);
+    // The receiver sees the sender's bytes, not a copy of them.
+    EXPECT_EQ(view[i].view, pool->data() + i);
+  }
+  // The clamp did engage: the message after the 1 MiB one arrived 1 ns
+  // behind it, not after its own (shorter) transfer time.
+  EXPECT_EQ(flat[5].at, flat[4].at + 1);
+}
+
 TEST(Cluster, PeerGetsClosedNotification) {
   Fixture f;
   bool closed = false;
