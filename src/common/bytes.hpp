@@ -205,6 +205,12 @@ class ByteReader {
 
   /// Raw bytes of exactly `n`, no prefix.
   std::optional<Bytes> raw(std::size_t n);
+  /// Advances past `n` bytes; false (and no move) when fewer remain.
+  bool skip(std::size_t n) {
+    if (remaining() < n) return false;
+    pos_ += n;
+    return true;
+  }
 
   [[nodiscard]] std::size_t remaining() const noexcept {
     return data_.size() - pos_;

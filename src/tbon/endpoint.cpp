@@ -433,9 +433,9 @@ void TbonEndpoint::send_up(std::uint32_t stream, std::uint32_t tag,
     const std::uint64_t key =
         (static_cast<std::uint64_t>(stream) << 32) | tag;
     auto it = rounds_.find(key);
-    if (it != rounds_.end() && it->second.acc_valid) {
-      fold_into_round(it->second, stream, std::move(p.data));
-      const Bytes reduced = std::move(it->second.acc);
+    if (it != rounds_.end() && it->second.reduction != nullptr) {
+      fold_into_round(it->second, stream, p.data);
+      const Bytes reduced = it->second.reduction->take();
       rounds_.erase(it);
       cbs_.on_up(stream, tag, reduced, p.ranks);
     } else {
@@ -463,7 +463,7 @@ void TbonEndpoint::send_up_part(std::uint32_t stream, std::uint32_t tag,
   } else if (is_root()) {
     const std::uint64_t key =
         (static_cast<std::uint64_t>(stream) << 32) | tag;
-    fold_into_round(round_for(key), stream, std::move(p.data));
+    fold_into_round(round_for(key), stream, p.data);
   }
 }
 
@@ -485,28 +485,20 @@ TbonEndpoint::Round& TbonEndpoint::round_for(std::uint64_t key) {
 }
 
 void TbonEndpoint::fold_into_round(Round& round, std::uint32_t stream,
-                                   Bytes data) {
-  // Incremental left fold: byte-identical to the all-at-once apply() for
-  // associative filters (concat flattens nested frames; the structured
-  // merges are order-stable), which is what lets a hop discard child bytes
-  // the moment they arrive instead of staging the whole round.
-  if (!round.acc_valid) {
-    round.acc =
-        FilterRegistry::instance().apply(filter_of(stream), {data});
-    round.acc_valid = true;
-    return;
+                                   const Bytes& data) {
+  if (round.reduction == nullptr) {
+    round.reduction = FilterRegistry::instance().make(filter_of(stream));
   }
-  round.acc = FilterRegistry::instance().apply(
-      filter_of(stream), {std::move(round.acc), std::move(data)});
+  round.reduction->add(data);
 }
 
 void TbonEndpoint::maybe_flush_part(Round& round, std::uint32_t stream,
                                     std::uint32_t tag) {
-  // Root has nowhere to stream to; everyone else relays the accumulator
-  // upward once it outgrows a chunk so per-level memory stays O(chunk).
-  if (is_root() || parent_ == nullptr || !round.acc_valid) return;
+  // Root has nowhere to stream to; everyone else relays the reduction
+  // upward once it reaches a chunk so per-level memory stays O(chunk).
+  if (is_root() || parent_ == nullptr || round.reduction == nullptr) return;
   const std::size_t chunk = self_.machine().costs().iccl_rndv_chunk_bytes;
-  if (round.acc.size() < chunk) return;
+  if (round.reduction->packed_size() < chunk) return;
   count_stream(stream, "part_flushes");
   Packet part;
   part.kind = PacketKind::UpPart;
@@ -514,9 +506,10 @@ void TbonEndpoint::maybe_flush_part(Round& round, std::uint32_t stream,
   part.stream = stream;
   part.tag = tag;
   part.node_index = my_index_;
-  part.data = std::move(round.acc);
-  round.acc.clear();
-  round.acc_valid = false;
+  part.data = round.reduction->take();
+  // Back to "nothing since the last flush": a round that then completes
+  // without another arrival (a heal-mode loss) relays an empty residue.
+  round.reduction.reset();
   self_.send(parent_, part.encode());
 }
 
@@ -528,7 +521,7 @@ void TbonEndpoint::handle_up_part(int child_index, Packet p) {
   count_stream(p.stream, "up_parts");
   count_stream(p.stream, "up_part_bytes",
                static_cast<double>(p.data.size()));
-  fold_into_round(round, p.stream, std::move(p.data));
+  fold_into_round(round, p.stream, p.data);
   maybe_flush_part(round, p.stream, p.tag);
 }
 
@@ -537,7 +530,7 @@ void TbonEndpoint::handle_up(int child_index, Packet p) {
       (static_cast<std::uint64_t>(p.stream) << 32) | p.tag;
   Round& round = round_for(key);
   round.pending_children.erase(child_index);
-  fold_into_round(round, p.stream, std::move(p.data));
+  fold_into_round(round, p.stream, p.data);
   round.ranks.insert(round.ranks.end(), p.ranks.begin(), p.ranks.end());
   if (!round.pending_children.empty()) {
     maybe_flush_part(round, p.stream, p.tag);
@@ -552,10 +545,12 @@ void TbonEndpoint::maybe_complete_round(std::uint64_t key) {
   const auto stream = static_cast<std::uint32_t>(key >> 32);
   const auto tag = static_cast<std::uint32_t>(key & 0xffffffffu);
 
-  // All (surviving) child subtrees contributed: the accumulator IS the
-  // reduction.
+  // All (surviving) child subtrees contributed: what the reduction holds
+  // is the round's result.
   count_stream(stream, "rounds_reduced");
-  const Bytes reduced = std::move(it->second.acc);
+  Bytes reduced = it->second.reduction != nullptr
+                            ? it->second.reduction->take()
+                            : Bytes{};
   std::vector<std::uint32_t> ranks = std::move(it->second.ranks);
   std::sort(ranks.begin(), ranks.end());
   rounds_.erase(it);
@@ -570,7 +565,7 @@ void TbonEndpoint::maybe_complete_round(std::uint64_t key) {
   up.tag = tag;
   up.node_index = my_index_;
   up.ranks = std::move(ranks);
-  up.data = reduced;
+  up.data = std::move(reduced);
   if (parent_ != nullptr) self_.send(parent_, up.encode());
 }
 

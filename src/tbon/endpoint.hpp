@@ -96,11 +96,11 @@ class TbonEndpoint {
  private:
   struct Round {
     std::set<int> pending_children;  ///< topology child indices outstanding
-    /// Running filter fold of everything that has arrived for this round.
-    /// Parts and final payloads alike fold in on arrival, so memory here
-    /// tracks the *reduced* size, not the sum of raw child payloads.
-    Bytes acc;
-    bool acc_valid = false;
+    /// The stream filter's reduction of everything that has arrived since
+    /// the last flush (null: nothing has). Parts and final payloads alike
+    /// are added on arrival, so memory here tracks the *reduced* size, not
+    /// the sum of raw child payloads.
+    std::unique_ptr<Reduction> reduction;
     std::vector<std::uint32_t> ranks;
   };
 
@@ -123,11 +123,11 @@ class TbonEndpoint {
   void handle_up(int child_index, Packet p);
   void handle_up_part(int child_index, Packet p);
   [[nodiscard]] Round& round_for(std::uint64_t key);
-  /// Folds `data` into the round accumulator with the stream's filter.
-  void fold_into_round(Round& round, std::uint32_t stream, Bytes data);
-  /// Interior (non-root) nodes relay the accumulator upward as an UpPart
-  /// once it outgrows the chunk threshold, keeping per-level memory
-  /// O(chunk) while reduction overlaps transport.
+  /// Adds `data` to the round's reduction with the stream's filter.
+  void fold_into_round(Round& round, std::uint32_t stream, const Bytes& data);
+  /// Interior (non-root) nodes relay the reduction upward as an UpPart
+  /// once its packed size reaches the chunk threshold, keeping per-level
+  /// memory O(chunk) while reduction overlaps transport.
   void maybe_flush_part(Round& round, std::uint32_t stream,
                         std::uint32_t tag);
   void maybe_tree_ready();

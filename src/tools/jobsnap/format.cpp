@@ -80,7 +80,8 @@ Bytes encode_snapshots(const std::vector<TaskSnapshot>& snaps) {
   return std::move(w).take();
 }
 
-std::optional<std::vector<TaskSnapshot>> decode_snapshots(const Bytes& data) {
+std::optional<std::vector<TaskSnapshot>> decode_snapshots(
+    std::span<const std::uint8_t> data) {
   ByteReader r(data);
   auto count = r.u32();
   if (!count) return std::nullopt;

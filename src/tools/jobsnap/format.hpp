@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -33,6 +34,10 @@ struct TaskSnapshot {
   std::uint64_t maj_faults = 0;
 
   void encode(ByteWriter& w) const;
+  /// Bytes encode() writes.
+  [[nodiscard]] std::size_t encoded_size() const {
+    return 73 + host.size() + executable.size();
+  }
   static std::optional<TaskSnapshot> decode(ByteReader& r);
 
   /// One line of the report, exactly the "one line info per task" the
@@ -41,7 +46,8 @@ struct TaskSnapshot {
 };
 
 Bytes encode_snapshots(const std::vector<TaskSnapshot>& snaps);
-std::optional<std::vector<TaskSnapshot>> decode_snapshots(const Bytes& data);
+std::optional<std::vector<TaskSnapshot>> decode_snapshots(
+    std::span<const std::uint8_t> data);
 
 /// Header line for the report table.
 std::string report_header();

@@ -8,26 +8,47 @@
 
 namespace lmon::tools::jobsnap {
 
+namespace {
+
+/// The snapshot merge filter: every input is a concat frame of snapshot
+/// batches, decoded once into one vector; take() sorts it by rank and
+/// emits it as a single-element concat frame.
+class SnapshotMerge final : public tbon::Reduction {
+ public:
+  void add(const Bytes& data) override {
+    tbon::for_each_concat_part(data, [this](std::span<const std::uint8_t> b) {
+      auto snaps = decode_snapshots(b);
+      if (!snaps) return;  // a malformed batch contributes nothing
+      for (auto& s : *snaps) {
+        bytes_ += s.encoded_size();
+        merged_.push_back(std::move(s));
+      }
+    });
+  }
+  [[nodiscard]] std::size_t packed_size() const override {
+    return 8 + 4 + bytes_;  // part count + blob length + batch count
+  }
+  Bytes take() override {
+    std::stable_sort(merged_.begin(), merged_.end(),
+                     [](const TaskSnapshot& a, const TaskSnapshot& b) {
+                       return a.rank < b.rank;
+                     });
+    Bytes out = tbon::wrap_leaf_payload(encode_snapshots(merged_));
+    merged_.clear();
+    bytes_ = 0;
+    return out;
+  }
+
+ private:
+  std::vector<TaskSnapshot> merged_;
+  std::size_t bytes_ = 0;  ///< encoded size of merged_'s snapshots
+};
+
+}  // namespace
+
 void register_jobsnap_filter() {
   tbon::FilterRegistry::instance().register_filter(
-      kFilterSnapshotMerge, [](const std::vector<Bytes>& inputs) {
-        // Inputs are concat frames of snapshot batches; merge into one
-        // rank-sorted batch per hop (the "reduction" of the report).
-        std::vector<TaskSnapshot> merged;
-        for (const auto& frame : inputs) {
-          for (const auto& batch : tbon::split_concat(frame)) {
-            auto snaps = decode_snapshots(batch);
-            if (!snaps) continue;
-            merged.insert(merged.end(), snaps->begin(), snaps->end());
-          }
-        }
-        std::sort(merged.begin(), merged.end(),
-                  [](const TaskSnapshot& a, const TaskSnapshot& b) {
-                    return a.rank < b.rank;
-                  });
-        return tbon::concat_payloads(
-            {tbon::wrap_leaf_payload(encode_snapshots(merged))});
-      });
+      kFilterSnapshotMerge, [] { return std::make_unique<SnapshotMerge>(); });
 }
 
 // --- back end --------------------------------------------------------------
@@ -149,10 +170,10 @@ void JobsnapTbonFe::on_start(cluster::Process& self) {
                               const std::vector<std::uint32_t>&) {
       if (tag != kTagSnap) return;
       std::vector<TaskSnapshot> all;
-      for (const auto& batch : tbon::split_concat(data)) {
-        auto snaps = decode_snapshots(batch);
+      tbon::for_each_concat_part(data, [&](std::span<const std::uint8_t> b) {
+        auto snaps = decode_snapshots(b);
         if (snaps) all.insert(all.end(), snaps->begin(), snaps->end());
-      }
+      });
       out_->t_collected = self.sim().now();
       out_->tasks = static_cast<std::uint32_t>(all.size());
       std::string report = report_header() + "\n";

@@ -14,7 +14,9 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -23,11 +25,13 @@ namespace lmon::tools::stat {
 
 class PrefixTree {
  public:
+  /// Rank sets are sorted, duplicate-free vectors: one allocation per set
+  /// instead of one per rank, and a merge is a linear union.
   struct Node {
     std::string frame;
-    std::set<std::int32_t> ranks;           ///< traces passing through
-    std::set<std::int32_t> terminal_ranks;  ///< traces ending exactly here
-    std::map<std::string, std::unique_ptr<Node>> children;
+    std::vector<std::int32_t> ranks;           ///< traces passing through
+    std::vector<std::int32_t> terminal_ranks;  ///< traces ending exactly here
+    std::map<std::string, std::unique_ptr<Node>, std::less<>> children;
   };
 
   PrefixTree();
@@ -55,7 +59,14 @@ class PrefixTree {
   [[nodiscard]] bool empty() const { return root_->children.empty(); }
 
   [[nodiscard]] Bytes pack() const;
+  /// Exactly pack().size(), without encoding.
+  [[nodiscard]] std::size_t packed_size() const;
   static std::optional<PrefixTree> unpack(const Bytes& data);
+  /// Merges a packed tree straight into this one, as merge(*unpack(packed))
+  /// would, without building the temporary tree. The packed root's frame
+  /// name is ignored. Malformed input is rejected whole: returns false and
+  /// leaves this tree unchanged.
+  bool merge_packed(std::span<const std::uint8_t> packed);
 
   /// Indented text rendering ("main / solver_loop / ... : ranks [...]").
   [[nodiscard]] std::string render() const;
@@ -63,7 +74,6 @@ class PrefixTree {
   [[nodiscard]] const Node& root() const { return *root_; }
 
  private:
-  static void merge_into(Node& dst, const Node& src);
   std::unique_ptr<Node> root_;
 };
 

@@ -6,21 +6,36 @@
 
 namespace lmon::tools::stat {
 
+namespace {
+
+/// STAT's merge filter: every input is a concat frame of packed prefix
+/// trees, merged straight into one live tree; take() emits it as a
+/// single-element concat frame.
+class StatMerge final : public tbon::Reduction {
+ public:
+  void add(const Bytes& data) override {
+    tbon::for_each_concat_part(data, [this](std::span<const std::uint8_t> p) {
+      (void)tree_.merge_packed(p);  // a malformed tree contributes nothing
+    });
+  }
+  [[nodiscard]] std::size_t packed_size() const override {
+    return 8 + tree_.packed_size();  // part count + blob length + tree
+  }
+  Bytes take() override {
+    Bytes out = tbon::wrap_leaf_payload(tree_.pack());
+    tree_ = PrefixTree{};
+    return out;
+  }
+
+ private:
+  PrefixTree tree_;
+};
+
+}  // namespace
+
 void register_stat_filter() {
   tbon::FilterRegistry::instance().register_filter(
-      kFilterStatMerge, [](const std::vector<Bytes>& inputs) {
-        // Inputs are concat frames of packed prefix trees; merge them all
-        // into one tree and emit a single-element concat frame.
-        PrefixTree merged;
-        for (const auto& frame : inputs) {
-          for (const auto& packed : tbon::split_concat(frame)) {
-            auto t = PrefixTree::unpack(packed);
-            if (t) merged.merge(*t);
-          }
-        }
-        return tbon::concat_payloads(
-            {tbon::wrap_leaf_payload(merged.pack())});
-      });
+      kFilterStatMerge, [] { return std::make_unique<StatMerge>(); });
 }
 
 void StatBe::on_start(cluster::Process& self) {
@@ -153,8 +168,8 @@ void StatBe::on_sample_request(cluster::Process& self, std::uint32_t stream,
       auto* app = dynamic_cast<apps::MpiApp*>(&p->program());
       if (app == nullptr) continue;
       local.add_trace(app->call_stack(), rank >= 0 ? rank : app->rank());
-      if (Bytes packed = local.pack(); packed.size() >= chunk) {
-        tbon_->send_up_part(stream, tag, std::move(packed));
+      if (local.packed_size() >= chunk) {
+        tbon_->send_up_part(stream, tag, local.pack());
         local = PrefixTree{};
       }
     }

@@ -146,10 +146,9 @@ void StatFe::make_root(cluster::Process& self, tbon::Topology topo) {
                             const std::vector<std::uint32_t>&) {
     if (tag != kTagSample) return;
     PrefixTree merged;
-    for (const auto& packed : tbon::split_concat(data)) {
-      auto t = PrefixTree::unpack(packed);
-      if (t) merged.merge(*t);
-    }
+    tbon::for_each_concat_part(data, [&](std::span<const std::uint8_t> p) {
+      (void)merged.merge_packed(p);
+    });
     out_->t_sampled = self.sim().now();
     out_->classes = merged.equivalence_classes();
     out_->tree = std::move(merged);

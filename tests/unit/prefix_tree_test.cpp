@@ -100,6 +100,23 @@ TEST(PrefixTree, UnpackAcceptsUnsortedAndDuplicateRanks) {
   EXPECT_EQ(again->pack(), t->pack());
 }
 
+TEST(PrefixTree, MergePackedRejectsTruncatedInputWhole) {
+  PrefixTree t;
+  t.add_trace({"main", "a"}, 1);
+  PrefixTree other;
+  other.add_trace({"main", "a", "b"}, 2);
+  other.add_trace({"main", "c"}, 0);
+  const Bytes before = t.pack();
+  const Bytes packed = other.pack();
+  // Every cut of a valid blob is malformed: nothing of it may land.
+  for (std::size_t len = 0; len < packed.size(); ++len) {
+    EXPECT_FALSE(t.merge_packed({packed.data(), len})) << "len " << len;
+    EXPECT_EQ(t.pack(), before) << "len " << len;
+  }
+  ASSERT_TRUE(t.merge_packed(packed));
+  EXPECT_EQ(t.all_ranks(), (std::set<std::int32_t>{0, 1, 2}));
+}
+
 /// Generates a random trace set and checks merge properties.
 class PrefixTreeProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -196,6 +213,30 @@ TEST_P(PrefixTreeProperty, ChunkBoundaryPartialsFoldToTheWholeTree) {
     fold.merge(*t);
   }
   EXPECT_EQ(fold.pack(), whole.pack());
+}
+
+TEST_P(PrefixTreeProperty, MergePackedEqualsMergeOfUnpackedTree) {
+  // merge_packed unions straight into the live tree; it must land exactly
+  // where merge(*unpack(...)) does, and packed_size() must be pack()'s
+  // size at every step (the STAT filter's flush test reads it).
+  sim::Rng rng(GetParam() * 613 + 5);
+  PrefixTree via_unpack;
+  PrefixTree via_packed;
+  for (int part = 0; part < 6; ++part) {
+    PrefixTree p;
+    const int ntraces = 1 + static_cast<int>(rng.next_below(8));
+    for (const auto& trace : random_traces(rng, ntraces)) {
+      p.add_trace(trace, static_cast<std::int32_t>(rng.next_below(64)));
+    }
+    const Bytes packed = p.pack();
+    ASSERT_EQ(p.packed_size(), packed.size());
+    auto t = PrefixTree::unpack(packed);
+    ASSERT_TRUE(t.has_value());
+    via_unpack.merge(*t);
+    ASSERT_TRUE(via_packed.merge_packed(packed));
+    EXPECT_EQ(via_packed.pack(), via_unpack.pack());
+    EXPECT_EQ(via_packed.packed_size(), via_packed.pack().size());
+  }
 }
 
 TEST_P(PrefixTreeProperty, PackUnpackIsLossless) {

@@ -356,7 +356,7 @@ TEST(Filter, SumU64Elementwise) {
   ByteWriter b;
   b.u64(2);
   b.u64(20);
-  const Bytes out = FilterRegistry::instance().apply(
+  const Bytes out = tbon::apply(
       kFilterSumU64, {a.bytes(), b.bytes()});
   ByteReader r(out);
   EXPECT_EQ(r.u64(), 3u);
@@ -368,7 +368,7 @@ TEST(Filter, MaxU64Elementwise) {
   a.u64(7);
   ByteWriter b;
   b.u64(3);
-  const Bytes out = FilterRegistry::instance().apply(
+  const Bytes out = tbon::apply(
       kFilterMaxU64, {a.bytes(), b.bytes()});
   ByteReader r(out);
   EXPECT_EQ(r.u64(), 7u);
@@ -376,30 +376,29 @@ TEST(Filter, MaxU64Elementwise) {
 
 TEST(Filter, UnknownIdFallsBackToConcat) {
   const Bytes a = wrap_leaf_payload(Bytes{5});
-  const Bytes out = FilterRegistry::instance().apply(424242, {a});
+  const Bytes out = tbon::apply(424242, {a});
   EXPECT_EQ(split_concat(out).size(), 1u);
 }
 
-/// The incremental UpPart fold (TbonEndpoint::fold_into_round): first part
-/// applied alone, every later part folded pairwise into the accumulator.
+/// Re-reduces the running aggregate with each next input: first part
+/// reduced alone, every later part reduced together with the aggregate.
 /// For every filter the tree uses this must be byte-identical to the
-/// all-at-once apply, or streamed and unstreamed rounds would diverge.
+/// all-at-once apply (associativity of the encoded form), or a hop that
+/// relays partial aggregates would diverge from one that does not.
 Bytes left_fold(std::uint32_t id, const std::vector<Bytes>& inputs) {
-  const FilterRegistry& reg = FilterRegistry::instance();
-  Bytes acc = reg.apply(id, {inputs.front()});
+  Bytes acc = tbon::apply(id, {inputs.front()});
   for (std::size_t i = 1; i < inputs.size(); ++i) {
-    acc = reg.apply(id, {acc, inputs[i]});
+    acc = tbon::apply(id, {acc, inputs[i]});
   }
   return acc;
 }
 
 TEST(Filter, BuiltinFoldsMatchAllAtOnceApplyByteForByte) {
-  const FilterRegistry& reg = FilterRegistry::instance();
   const std::vector<Bytes> frames = {
       wrap_leaf_payload(Bytes{1}), wrap_leaf_payload(Bytes{2, 2}),
       wrap_leaf_payload(Bytes{3, 3, 3}), wrap_leaf_payload(Bytes{4})};
   EXPECT_EQ(left_fold(kFilterConcat, frames),
-            reg.apply(kFilterConcat, frames));
+            tbon::apply(kFilterConcat, frames));
 
   std::vector<Bytes> vecs;
   for (std::uint64_t seed : {3u, 7u, 11u}) {
@@ -408,8 +407,10 @@ TEST(Filter, BuiltinFoldsMatchAllAtOnceApplyByteForByte) {
     w.u64(seed * 1000);
     vecs.push_back(w.bytes());
   }
-  EXPECT_EQ(left_fold(kFilterSumU64, vecs), reg.apply(kFilterSumU64, vecs));
-  EXPECT_EQ(left_fold(kFilterMaxU64, vecs), reg.apply(kFilterMaxU64, vecs));
+  EXPECT_EQ(left_fold(kFilterSumU64, vecs),
+            tbon::apply(kFilterSumU64, vecs));
+  EXPECT_EQ(left_fold(kFilterMaxU64, vecs),
+            tbon::apply(kFilterMaxU64, vecs));
 }
 
 TEST(Filter, StatMergeFoldsChunkPartialsToTheWholePayloadTree) {
@@ -432,7 +433,7 @@ TEST(Filter, StatMergeFoldsChunkPartialsToTheWholePayloadTree) {
     parts.push_back(wrap_leaf_payload(part.pack()));
   }
   const Bytes expected = concat_payloads({wrap_leaf_payload(whole.pack())});
-  EXPECT_EQ(FilterRegistry::instance().apply(tools::stat::kFilterStatMerge,
+  EXPECT_EQ(tbon::apply(tools::stat::kFilterStatMerge,
                                              parts),
             expected);
   EXPECT_EQ(left_fold(tools::stat::kFilterStatMerge, parts), expected);
@@ -466,20 +467,176 @@ TEST(Filter, SnapshotMergeFoldsChunkPartialsToTheSortedBatch) {
             [](const auto& a, const auto& b) { return a.rank < b.rank; });
   const Bytes expected = concat_payloads(
       {wrap_leaf_payload(tools::jobsnap::encode_snapshots(all))});
-  EXPECT_EQ(FilterRegistry::instance().apply(
+  EXPECT_EQ(tbon::apply(
                 tools::jobsnap::kFilterSnapshotMerge, parts),
             expected);
   EXPECT_EQ(left_fold(tools::jobsnap::kFilterSnapshotMerge, parts), expected);
 }
 
+/// Emits one fixed byte whatever it absorbed.
+class FixedReduction final : public Reduction {
+ public:
+  explicit FixedReduction(std::uint8_t v) : v_(v) {}
+  void add(const Bytes&) override {}
+  [[nodiscard]] std::size_t packed_size() const override { return 1; }
+  Bytes take() override { return Bytes{v_}; }
+
+ private:
+  std::uint8_t v_;
+};
+
 TEST(Filter, RegistrationAndOverride) {
   FilterRegistry::instance().register_filter(
-      9000, [](const std::vector<Bytes>&) { return Bytes{42}; });
-  EXPECT_EQ(FilterRegistry::instance().apply(9000, {}), Bytes{42});
+      9000, [] { return std::make_unique<FixedReduction>(42); });
+  EXPECT_EQ(tbon::apply(9000, {}), Bytes{42});
   FilterRegistry::instance().register_filter(
-      9000, [](const std::vector<Bytes>&) { return Bytes{43}; });
-  EXPECT_EQ(FilterRegistry::instance().apply(9000, {}), Bytes{43});
+      9000, [] { return std::make_unique<FixedReduction>(43); });
+  EXPECT_EQ(tbon::apply(9000, {}), Bytes{43});
 }
+
+// --- the Reduction contract, property-tested per filter --------------------
+
+/// Seeded random inputs for one filter, already framed the way a back end
+/// sends them (framed filters get concat frames, sum/max raw words).
+std::vector<Bytes> random_inputs(std::uint32_t id, sim::Rng& rng) {
+  std::vector<Bytes> inputs;
+  const std::size_t n = 1 + rng.next_below(12);
+  auto random_bytes = [&rng](std::size_t max_len) {
+    Bytes b(rng.next_below(max_len + 1));
+    for (auto& byte : b) byte = static_cast<std::uint8_t>(rng.next());
+    return b;
+  };
+  // Unique jobsnap ranks in shuffled (daemon) order.
+  std::vector<std::int32_t> ranks(64);
+  for (std::size_t i = 0; i < ranks.size(); ++i) {
+    ranks[i] = static_cast<std::int32_t>(i);
+  }
+  for (std::size_t i = ranks.size(); i > 1; --i) {
+    std::swap(ranks[i - 1], ranks[rng.next_below(i)]);
+  }
+  std::size_t next_rank = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (rng.next_below(10) == 0) {
+      // Malformed or empty input: contributes nothing, must not corrupt.
+      inputs.push_back(random_bytes(6));
+      continue;
+    }
+    switch (id) {
+      case kFilterSumU64:
+      case kFilterMaxU64: {
+        ByteWriter w;
+        const std::size_t words = rng.next_below(6);
+        for (std::size_t k = 0; k < words; ++k) w.u64(rng.next());
+        Bytes b = std::move(w).take();
+        const Bytes tail = random_bytes(7);  // a partial word is ignored
+        b.insert(b.end(), tail.begin(), tail.end());
+        inputs.push_back(std::move(b));
+        break;
+      }
+      case tools::stat::kFilterStatMerge: {
+        static const std::vector<std::string> frames = {
+            "main", "solve", "exchange", "MPI_Waitall", "io", "bc"};
+        std::vector<Bytes> trees;
+        for (std::size_t t = 1 + rng.next_below(2); t > 0; --t) {
+          tools::stat::PrefixTree tree;
+          for (std::size_t k = 1 + rng.next_below(5); k > 0; --k) {
+            std::vector<std::string> stack{"_start"};
+            for (std::size_t d = rng.next_below(4); d > 0; --d) {
+              stack.push_back(frames[rng.next_below(frames.size())]);
+            }
+            tree.add_trace(stack,
+                           static_cast<std::int32_t>(rng.next_below(200)));
+          }
+          trees.push_back(wrap_leaf_payload(tree.pack()));
+        }
+        inputs.push_back(concat_payloads(trees));
+        break;
+      }
+      case tools::jobsnap::kFilterSnapshotMerge: {
+        std::vector<tools::jobsnap::TaskSnapshot> batch;
+        for (std::size_t k = rng.next_below(4);
+             k > 0 && next_rank < ranks.size(); --k) {
+          tools::jobsnap::TaskSnapshot s;
+          s.rank = ranks[next_rank++];
+          s.host = "n" + std::to_string(rng.next_below(1000));
+          s.pid = static_cast<cluster::Pid>(rng.next_below(1 << 20));
+          s.executable = std::string(rng.next_below(12), 'x');
+          s.state = 'R';
+          s.utime_ms = rng.next();
+          batch.push_back(std::move(s));
+        }
+        inputs.push_back(
+            wrap_leaf_payload(tools::jobsnap::encode_snapshots(batch)));
+        break;
+      }
+      default: {  // concat: leaves and already-nested frames
+        std::vector<Bytes> leaves;
+        for (std::size_t k = 1 + rng.next_below(3); k > 0; --k) {
+          leaves.push_back(wrap_leaf_payload(random_bytes(20)));
+        }
+        inputs.push_back(concat_payloads(leaves));
+        break;
+      }
+    }
+  }
+  return inputs;
+}
+
+class ReductionContract
+    : public ::testing::TestWithParam<std::tuple<std::uint32_t, int>> {};
+
+TEST_P(ReductionContract, StreamedFlushesReproduceApplyOfAllInputs) {
+  tools::stat::register_stat_filter();
+  tools::jobsnap::register_jobsnap_filter();
+  const auto [id, seed] = GetParam();
+  sim::Rng rng(static_cast<std::uint64_t>(seed) * 7919 + id);
+  const std::vector<Bytes> inputs = random_inputs(id, rng);
+  const Bytes expected = tbon::apply(id, inputs);
+
+  // One interior hop, as TbonEndpoint drives it: every input is added as
+  // it arrives, and at random flush points the hop take()s its reduction
+  // and relays it to the parent, then restarts empty.
+  const FilterRegistry& reg = FilterRegistry::instance();
+  auto parent = reg.make(id);
+  auto hop = reg.make(id);
+  // `twin` sees the same adds and flushes; after every add it take()s to
+  // check the hop's packed_size() (the flush threshold reads it, so an
+  // off-by-one would shift simulated time) and re-adds its own output, a
+  // take()-and-restart that must change nothing.
+  auto twin = reg.make(id);
+  auto check_size = [&] {
+    const std::size_t predicted = hop->packed_size();
+    Bytes now = twin->take();
+    EXPECT_EQ(predicted, now.size());
+    twin->add(now);
+    EXPECT_EQ(twin->packed_size(), predicted);
+  };
+  check_size();
+  for (const Bytes& in : inputs) {
+    hop->add(in);
+    twin->add(in);
+    check_size();
+    if (rng.next_below(3) == 0) {
+      Bytes part = hop->take();
+      EXPECT_EQ(twin->take(), part);
+      EXPECT_EQ(hop->packed_size(), reg.make(id)->packed_size());
+      parent->add(part);
+    }
+  }
+  parent->add(hop->take());
+  EXPECT_EQ(parent->packed_size(), expected.size());
+  EXPECT_EQ(parent->take(), expected);
+  // take() reset the parent: what it now emits is the empty reduction.
+  EXPECT_EQ(parent->take(), tbon::apply(id, {}));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Filters, ReductionContract,
+    ::testing::Combine(
+        ::testing::Values(kFilterConcat, kFilterSumU64, kFilterMaxU64,
+                          tools::stat::kFilterStatMerge,
+                          tools::jobsnap::kFilterSnapshotMerge),
+        ::testing::Range(0, 20)));
 
 class TopologyPropertyTest : public ::testing::TestWithParam<std::uint64_t> {
 };
