@@ -407,7 +407,18 @@ void FrontEnd::bind_daemon_channel(Session& s, const cluster::ChannelPtr& ch,
         }
       });
 
-  // Kick off the handshake: RPDTAB plus (optionally piggybacked) tool data.
+  if (cls == MsgClass::FeMw && !s.infra->mw_spawned) {
+    // The MW master can dial in before the engine's MwSpawned lands. The
+    // tool's data provider builds its topology from the MW table, so the
+    // handshake waits for it (sent from the MwSpawned handler).
+    s.infra->mw_handshake_held = true;
+    return;
+  }
+  send_handshake_init(s, ch, cls);
+}
+
+void FrontEnd::send_handshake_init(Session& s, const cluster::ChannelPtr& ch,
+                                   MsgClass cls) {
   const SpawnConfig& cfg = cls == MsgClass::FeBe ? s.cfg : s.mw_cfg;
   payload::HandshakeInit init;
   init.rpdtab = s.infra->proctable.pack();
@@ -464,6 +475,11 @@ void FrontEnd::on_engine_message(Session& s, const LmonpMessage& msg) {
       }
       auto table = Rpdtab::unpack(std::move(spawned->daemon_table));
       if (table) s.infra->mw_table = std::move(*table);
+      s.infra->mw_spawned = true;
+      if (s.infra->mw_handshake_held && s.infra->mw_ch != nullptr) {
+        s.infra->mw_handshake_held = false;
+        send_handshake_init(s, s.infra->mw_ch, MsgClass::FeMw);
+      }
       break;
     }
     case FeEngineMsg::EngineError: {
@@ -627,6 +643,8 @@ void FrontEnd::launch_mw_daemons(int sid, std::uint32_t nnodes,
   }
   s->mw_cfg = std::move(cfg);
   s->mw_done = std::move(done);
+  s->infra->mw_spawned = false;
+  s->infra->mw_handshake_held = false;
 
   payload::LaunchMwReq req;
   req.nnodes = nnodes;

@@ -237,6 +237,10 @@ class FrontEnd {
     bool have_tuned = false;
     bool have_proctable = false;
     bool daemons_spawned = false;
+    bool mw_spawned = false;  ///< MwSpawned filled mw_table (this launch)
+    /// The MW master dialed in before MwSpawned: its HandshakeInit waits,
+    /// because the tool's data provider needs the MW table.
+    bool mw_handshake_held = false;
     cluster::Port fabric_port = 0;
     cluster::Port report_port = 0;
     cluster::Port mw_fabric_port = 0;
@@ -275,6 +279,10 @@ class FrontEnd {
   void on_accept(cluster::ChannelPtr ch);
   void bind_engine_channel(Session& s, const cluster::ChannelPtr& ch);
   void bind_daemon_channel(Session& s, const cluster::ChannelPtr& ch,
+                           MsgClass cls);
+  /// Sends the daemons' HandshakeInit: RPDTAB plus (optionally
+  /// piggybacked) tool data.
+  void send_handshake_init(Session& s, const cluster::ChannelPtr& ch,
                            MsgClass cls);
   void on_engine_message(Session& s, const LmonpMessage& msg);
   void on_daemon_message(Session& s, MsgClass cls, const LmonpMessage& msg);

@@ -67,6 +67,8 @@ TEST(MiddleWare, DaemonsGetPersonalitiesAndJobRpdtab) {
   bool mw_done = false;
   Status be_status;
   Status mw_status;
+  int provider_calls = 0;
+  std::size_t provider_saw_mw = 0;
 
   tc.spawn_fe([&](cluster::Process& self) {
     fe = std::make_shared<core::FrontEnd>(self);
@@ -81,7 +83,14 @@ TEST(MiddleWare, DaemonsGetPersonalitiesAndJobRpdtab) {
       ASSERT_TRUE(st.is_ok()) << st.to_string();
       core::FrontEnd::SpawnConfig mw_cfg;
       mw_cfg.daemon_exe = "probe_mw";
-      mw_cfg.fe_to_be_data = Bytes{0xAB};
+      // The provider runs when the FE sends the MW handshake; a tool
+      // builds its TBON topology here, so the MW table must be known.
+      mw_cfg.fe_data_provider = [&]() -> Bytes {
+        provider_calls += 1;
+        const core::Rpdtab* table = fe->mw_table(sid);
+        provider_saw_mw = table != nullptr ? table->size() : 0;
+        return Bytes{0xAB};
+      };
       fe->launch_mw_daemons(sid, 4, mw_cfg, [&](Status mst) {
         mw_status = mst;
         mw_done = true;
@@ -123,6 +132,10 @@ TEST(MiddleWare, DaemonsGetPersonalitiesAndJobRpdtab) {
   const core::Rpdtab* mw_table = fe->mw_table(sid);
   ASSERT_NE(mw_table, nullptr);
   EXPECT_EQ(mw_table->size(), 4u);
+  // ... and it was already filled when the handshake asked the tool for
+  // its data (the MW master can dial in before the engine reports it).
+  EXPECT_EQ(provider_calls, 1);
+  EXPECT_EQ(provider_saw_mw, 4u);
 }
 
 TEST(MiddleWare, FailsWhenMiddlewarePartitionTooSmall) {

@@ -161,6 +161,8 @@ TEST(Stat, LaunchMonSurvivesWhereAdHocFails) {
 
 TEST(Stat, DeepTopologyViaMiddlewareApi) {
   TestCluster tc(16, /*middleware=*/4);
+  obs::Metrics metrics;
+  tc.machine.set_metrics(&metrics);
   JobHandle job = start_job(tc, 16, 4);
   StatConfig cfg;
   cfg.mode = StartupMode::LaunchMon;
@@ -168,8 +170,13 @@ TEST(Stat, DeepTopologyViaMiddlewareApi) {
   cfg.n_comm_nodes = 4;
   cfg.tbon_fanout = 4;
   StatOutcome out = run_stat(tc, cfg);
+  tc.machine.set_metrics(nullptr);
   ASSERT_TRUE(out.status.is_ok()) << out.status.to_string();
   check_tree(out, 64);
+  // The tree really is 2-deep: the sample round is reduced once at every
+  // comm node and once at the FE root. A topology built before the MW
+  // table was known has no comm nodes, and only the root reduces.
+  EXPECT_EQ(metrics.counter("tbon.rounds_reduced"), 1.0 + 4.0);
 }
 
 TEST(Stat, ChunkStreamedSampleMatchesWholePayloadByteForByte) {
@@ -202,6 +209,12 @@ TEST(Stat, ChunkStreamedSampleMatchesWholePayloadByteForByte) {
   // default chunk kept the toy-scale sample whole.
   EXPECT_GT(streamed_metrics.counter("tbon.up_parts"), 0.0);
   EXPECT_EQ(whole_metrics.counter("tbon.up_parts"), 0.0);
+  // Interior comm nodes relayed partial aggregates upward before their
+  // round completed (only non-root nodes early-flush).
+  EXPECT_GT(streamed_metrics.counter("tbon.part_flushes"), 0.0);
+  EXPECT_EQ(whole_metrics.counter("tbon.part_flushes"), 0.0);
+  EXPECT_EQ(streamed_metrics.counter("tbon.rounds_reduced"), 1.0 + 4.0);
+  EXPECT_EQ(whole_metrics.counter("tbon.rounds_reduced"), 1.0 + 4.0);
   ASSERT_TRUE(streamed.status.is_ok()) << streamed.status.to_string();
   ASSERT_TRUE(whole.status.is_ok()) << whole.status.to_string();
   check_tree(streamed, 64);
