@@ -549,8 +549,8 @@ void TbonEndpoint::maybe_complete_round(std::uint64_t key) {
   // is the round's result.
   count_stream(stream, "rounds_reduced");
   Bytes reduced = it->second.reduction != nullptr
-                            ? it->second.reduction->take()
-                            : Bytes{};
+                      ? it->second.reduction->take()
+                      : Bytes{};
   std::vector<std::uint32_t> ranks = std::move(it->second.ranks);
   std::sort(ranks.begin(), ranks.end());
   rounds_.erase(it);

@@ -34,7 +34,8 @@ struct TaskSnapshot {
   std::uint64_t maj_faults = 0;
 
   void encode(ByteWriter& w) const;
-  /// Bytes encode() writes.
+  /// Bytes encode() writes: 73 of fixed-width fields and string lengths,
+  /// plus the two strings.
   [[nodiscard]] std::size_t encoded_size() const {
     return 73 + host.size() + executable.size();
   }

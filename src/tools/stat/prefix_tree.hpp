@@ -16,7 +16,6 @@
 #include <set>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/bytes.hpp"
