@@ -27,8 +27,9 @@
 #   --sanitize     build the ASan+UBSan preset (build-sanitize/) and run the
 #                  whole unit suite plus the launch, STAT, ICCL rendezvous,
 #                  self-heal, mux-session, trace-session, multi-session,
-#                  failure, collectives, TBON-network, middleware and both
-#                  jobsnap integration suites under it; any sanitizer report
+#                  failure, collectives, TBON-network, middleware, both
+#                  jobsnap, auto-tune, calibration and platform integration
+#                  suites under it; any sanitizer report
 #                  fails the run. The protocol decoders (RPDTAB, LMONP, TBON
 #                  packets, tool filter inputs) read raw byte spans, ICCL
 #                  payload buffers are shared views that outlive the process
@@ -80,7 +81,8 @@ if [[ "${1:-}" == "--sanitize" ]]; then
   tests+=(launch_spawn_test stat_test iccl_rendezvous_test self_heal_test
           mux_session_test trace_session_test multi_session_test
           failure_test collectives_test tbon_net_test mw_test
-          jobsnap_tbon_test jobsnap_test)
+          jobsnap_tbon_test jobsnap_test autotune_test calibration_test
+          platform_test)
   cmake --preset sanitize
   cmake --build --preset sanitize -j "$JOBS" --target "${tests[@]}"
   export ASAN_OPTIONS=${ASAN_OPTIONS:-abort_on_error=1:detect_leaks=1}

@@ -9,14 +9,14 @@
 //
 //   * shipped profiles: atlas (the defaults), thunder, zeus (Table 1
 //     platforms), bluegene (CostModel::bluegene_like());
-//   * sessions select one by name (SpawnConfig::platform_profile ->
-//     --lmon-platform= plumbing), and the engine's auto-tuner consults the
+//   * sessions select one by name (SpawnConfig::platform_profile -> the
+//     engine's --platform=), and the engine's auto-tuner consults the
 //     selected profile's constants instead of the machine defaults;
 //   * a key=value calibration file can override any constant on top of a
 //     profile, so a site can re-fit without recompiling.
 //
 // The profile changes *model-driven decisions* (auto-tuned strategy,
-// topology, rendezvous threshold and the daemons' default threshold); the
+// topology and the rendezvous threshold every daemon is handed); the
 // simulated machine keeps charging its own configured costs, which is what
 // lets tests pit a mis-calibrated profile against reality.
 #pragma once

@@ -15,9 +15,6 @@ std::vector<std::string> bootstrap_args(const BootstrapSpec& spec,
     args.push_back("--lmon-rndv-threshold=" +
                    std::to_string(spec.rndv_threshold));
   }
-  if (!spec.platform.empty()) {
-    args.push_back("--lmon-platform=" + spec.platform);
-  }
   if (spec.heal) {
     args.push_back("--lmon-heal=1");
     if (spec.heal_grace_ms != 0) {
@@ -44,7 +41,8 @@ std::optional<BootstrapParams> parse_bootstrap(
   const auto size = arg_int(args, "--lmon-size=");
   const auto port = arg_int(args, "--lmon-port=");
   const auto hosts = arg_value(args, "--lmon-hosts=");
-  if (!size || !port || !hosts) return std::nullopt;
+  const auto topo = arg_value(args, "--lmon-topo=");
+  if (!size || !port || !hosts || !topo) return std::nullopt;
   p.size = static_cast<std::uint32_t>(*size);
   p.port = static_cast<cluster::Port>(*port);
   p.hosts = split_csv(*hosts);
@@ -54,24 +52,15 @@ std::optional<BootstrapParams> parse_bootstrap(
       arg_int(args, "--lmon-fe-port=").value_or(0));
   p.rndv_threshold = static_cast<std::uint32_t>(
       arg_int(args, "--lmon-rndv-threshold=").value_or(0));
-  p.platform = arg_value(args, "--lmon-platform=").value_or("");
   p.heal = arg_int(args, "--lmon-heal=").value_or(0) != 0;
   p.heal_grace_ms = static_cast<std::uint32_t>(
       arg_int(args, "--lmon-heal-grace-ms=").value_or(0));
   p.max_sessions = static_cast<std::uint32_t>(
       arg_int(args, "--lmon-max-sessions=").value_or(0));
 
-  // Tree shape: the modern "--lmon-topo=kind:arity" form, with the
-  // pre-topology "--lmon-fanout=K" spelling still accepted (k-ary).
-  if (const auto topo = arg_value(args, "--lmon-topo=")) {
-    auto spec = TopologySpec::parse(*topo);
-    if (!spec) return std::nullopt;
-    p.topology = *spec;
-  } else {
-    p.topology.kind = TopologyKind::KAry;
-    p.topology.arity =
-        static_cast<std::uint32_t>(arg_int(args, "--lmon-fanout=").value_or(2));
-  }
+  const auto spec = TopologySpec::parse(*topo);
+  if (!spec) return std::nullopt;
+  p.topology = *spec;
   if (p.topology.arity == 0) p.topology.arity = 1;
 
   if (const auto rank = arg_int(args, "--lmon-rank=")) {

@@ -34,14 +34,10 @@ struct BootstrapSpec {
   std::string fe_host;          ///< tool front end (master daemon connects)
   cluster::Port fe_port = 0;
   std::vector<std::string> hosts;  ///< daemon hosts in rank order
-  /// Eager->rendezvous collective switch threshold in payload bytes;
-  /// 0 means "use the platform default" (CostModel::iccl_rndv_threshold_bytes).
+  /// Eager->rendezvous collective switch threshold in payload bytes, as the
+  /// engine's tuner resolved it; 0 means "use this machine's costs"
+  /// (CostModel::iccl_rndv_threshold_bytes).
   std::uint32_t rndv_threshold = 0;
-  /// Platform calibration profile name (cluster::CostModelRegistry); empty
-  /// means "the machine's own costs". When set, daemons resolve platform
-  /// defaults (the rendezvous threshold above) from the named profile, so
-  /// every rank agrees with the engine's tuner about what "default" means.
-  std::string platform;
   /// Self-healing: when set, daemons survive comm-daemon death by
   /// reparenting orphaned subtrees onto the nearest live ancestor and
   /// replaying in-flight collective state. Off by default - the historical
@@ -66,8 +62,7 @@ struct BootstrapParams {
   std::string fe_host;
   cluster::Port fe_port = 0;
   std::vector<std::string> hosts;
-  std::uint32_t rndv_threshold = 0;  ///< 0 = platform default
-  std::string platform;              ///< profile name; empty = machine costs
+  std::uint32_t rndv_threshold = 0;  ///< 0 = this machine's costs
   bool heal = false;                 ///< self-healing tree recovery enabled
   std::uint32_t heal_grace_ms = 0;   ///< orphan-reattach grace; 0 = default
   std::uint32_t max_sessions = 0;    ///< virtual-session cap; 0 = default

@@ -58,7 +58,6 @@ Bytes TunedConfig::encode() const {
   w.boolean(rndv_from_model);
   w.f64(predicted_total_s);
   w.u32(bcast_crossover);
-  w.u32(gather_crossover);
   w.str(platform);
   w.boolean(heal);
   return std::move(w).take();
@@ -75,11 +74,10 @@ std::optional<TunedConfig> TunedConfig::decode(const Bytes& b) {
   const auto rm = r.boolean();
   const auto total = r.f64();
   const auto bx = r.u32();
-  const auto gx = r.u32();
   auto platform = r.str();
   const auto heal_f = r.boolean();
   if (!strat || !kind_raw || !arity || !rndv || !sm || !tm || !rm || !total ||
-      !bx || !gx || !platform || !heal_f) {
+      !bx || !platform || !heal_f) {
     return std::nullopt;
   }
   if (*strat > static_cast<std::uint8_t>(comm::LaunchStrategyKind::TreeRsh)) {
@@ -96,7 +94,6 @@ std::optional<TunedConfig> TunedConfig::decode(const Bytes& b) {
   cfg.rndv_from_model = *rm;
   cfg.predicted_total_s = *total;
   cfg.bcast_crossover = *bx;
-  cfg.gather_crossover = *gx;
   cfg.platform = std::move(*platform);
   cfg.heal = *heal_f;
   return cfg;
@@ -173,11 +170,11 @@ TunedConfig auto_tune(const cluster::CostModel& costs,
     best = model.predict(cfg.strategy, cfg.topology, n, tpn).total();
   }
 
-  // Solver evidence for the decision record, computed on the *chosen*
-  // fabric: the handshake RPDTAB broadcast and the tool gathers run there.
-  // The probe range is capped well above every crossover the calibrated
-  // platforms exhibit - the solvers replay the fabric per candidate payload
-  // (O(n x chunks)) and probe two payloads per chunk segment, so both the
+  // The broadcast crossover, solved on the *chosen* fabric: the handshake
+  // RPDTAB broadcast and the tool collectives run there. The probe range is
+  // capped well above every crossover the calibrated platforms exhibit - the
+  // solver replays the fabric per candidate payload (O(n x chunks)) and
+  // probes two payloads per chunk segment, so both the
   // byte range and the segment count must be bounded for session setup to
   // stay cheap (tests shrink iccl_rndv_chunk_bytes to a few bytes to force
   // chunk streaming; an uncapped probe would grind for minutes there).
@@ -189,9 +186,6 @@ TunedConfig auto_tune(const cluster::CostModel& costs,
           kProbeMaxSegments);
   cfg.bcast_crossover = static_cast<std::uint32_t>(
       model.collective_crossover(cfg.topology, n, probe_max).value_or(0));
-  cfg.gather_crossover = static_cast<std::uint32_t>(
-      model.collective_gather_crossover(cfg.topology, n, probe_max)
-          .value_or(0));
 
   switch (req.rndv.mode) {
     case RndvSetting::Mode::Bytes:

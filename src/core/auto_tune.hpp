@@ -1,13 +1,18 @@
 // auto_tune.hpp - model-driven session configuration (the ROADMAP's
 // "self-tuning sessions": close the loop from PerfModel to the engine).
 //
-// PRs 4-7 built exact analytic solvers - predict()/predicts_failure() for
-// the launch strategies, collective_crossover()/collective_gather_crossover()
-// for the eager/rendezvous switch - with sub-percent residuals against the
-// sim. This header is where those solvers become decisions: at session
-// setup the engine calls auto_tune() with whatever knobs the SpawnConfig
-// left unset, and the tuner sweeps the candidate space against the selected
-// platform profile's CostModel.
+// PerfModel's analytic solvers - predict()/predicts_failure() for the
+// launch strategies, collective_crossover() for the eager/rendezvous switch -
+// hold sub-percent residuals against the sim. This header is where those
+// solvers become decisions: at session setup the engine calls auto_tune()
+// with whatever knobs the SpawnConfig left unset, and the tuner sweeps the
+// candidate space against the selected platform profile's CostModel.
+//
+// This is the one place the eager/rendezvous switch is decided. The engine
+// hands the resolved rndv_threshold (never 0) to every daemon it launches,
+// BE and MW alike, through the bootstrap; daemons never consult a profile
+// themselves. ICCL uses that one threshold for broadcast and gather, so the
+// tuner solves only the broadcast crossover.
 //
 // Precedence (per knob): explicit > profile > model.
 //   * explicit  - the SpawnConfig named a strategy/topology/threshold;
@@ -16,7 +21,7 @@
 //                 profile's calibrated iccl_rndv_threshold_bytes.
 //   * model     - unset knobs are chosen by minimizing predict().total()
 //                 (strategy x topology, skipping predicted failures) and by
-//                 the collective crossover solvers (threshold).
+//                 the broadcast crossover solver (threshold).
 //
 // Ties in the sweep keep the *first* candidate, and the candidate order
 // starts from the platform defaults (rm-bulk, k-ary at the RM fan-out), so
@@ -75,10 +80,10 @@ struct TunedConfig {
   bool rndv_from_model = false;
   /// Predicted launchAndSpawn total (seconds) for the chosen configuration.
   double predicted_total_s = 0;
-  /// Solver evidence: smallest payload from which rendezvous stays ahead on
-  /// the chosen fabric (0 = eager wins through the whole probe range).
+  /// Solver evidence: smallest broadcast payload from which rendezvous stays
+  /// ahead on the chosen fabric (0 = eager wins through the whole probe
+  /// range). Auto mode's threshold, and the only crossover solved here.
   std::uint32_t bcast_crossover = 0;
-  std::uint32_t gather_crossover = 0;
   /// Profile the tuner consulted ("" = the machine's own costs).
   std::string platform;
   /// Self-healing daemon trees enabled for the session (a session option,

@@ -336,8 +336,6 @@ bool EngineProgram::tune_session(cluster::Process& self) {
                        static_cast<double>(tuned_.rndv_threshold));
     metrics->set_gauge("autotune.bcast_crossover_bytes",
                        static_cast<double>(tuned_.bcast_crossover));
-    metrics->set_gauge("autotune.gather_crossover_bytes",
-                       static_cast<double>(tuned_.gather_crossover));
     metrics->set_gauge("autotune.heal", tuned_.heal ? 1.0 : 0.0);
   }
   return true;
@@ -361,7 +359,6 @@ void EngineProgram::co_spawn_daemons(cluster::Process& self) {
   req.bootstrap.size =
       static_cast<std::uint32_t>(req.bootstrap.hosts.size());
   req.bootstrap.rndv_threshold = rndv_threshold_;
-  req.bootstrap.platform = platform_;
   req.bootstrap.heal = heal_;
   req.bootstrap.heal_grace_ms = heal_grace_ms_;
   req.bootstrap.max_sessions = max_tree_sessions_;
@@ -486,7 +483,6 @@ void EngineProgram::handle_launch_mw(cluster::Process& self,
   cfg.fabric.fanout = req->fabric_fanout;
   cfg.fabric.topo_kind = req->fabric_topo;
   cfg.fabric.rndv_threshold = rndv_threshold_;
-  cfg.fabric.platform = platform_;
   cfg.fabric.heal = heal_;
   cfg.fabric.heal_grace_ms = heal_grace_ms_;
   cfg.fabric.max_sessions = max_tree_sessions_;

@@ -78,8 +78,8 @@ class FrontEnd {
     /// platform-default, always-eager, always-rndv, or an explicit byte
     /// count (Mode::Bytes; UINT32_MAX pins eager, 1 pins rendezvous).
     RndvSetting rndv;
-    /// Platform calibration profile consulted by the auto-tuner and the
-    /// daemons' ICCL ("atlas", "thunder", "zeus", "bluegene" - see
+    /// Platform calibration profile consulted by the engine's auto-tuner
+    /// ("atlas", "thunder", "zeus", "bluegene" - see
     /// cluster::CostModelRegistry). Empty = the machine's own cost model.
     std::string platform_profile;
     /// Optional key=value calibration file overlaid on the profile

@@ -5,7 +5,6 @@
 #include <optional>
 #include <string>
 
-#include "cluster/cost_model_registry.hpp"
 #include "cluster/machine.hpp"
 #include "simkernel/log.hpp"
 
@@ -131,21 +130,12 @@ Iccl::Iccl(cluster::Process& self, Params params)
   expected_children_ = topo_.children_of(params_.rank);
   // Every node (including leaves) reports SetupUp; we expect one per child.
   setups_pending_ = static_cast<int>(expected_children_.size());
-  // Threshold resolution order: an explicit session threshold wins; else the
-  // named platform profile's default (so every daemon agrees with the
-  // engine-side tuner about what "platform default" means, even when the
-  // machine it runs on is calibrated differently); else this machine's costs.
-  if (params_.rndv_threshold != 0) {
-    rndv_threshold_ = params_.rndv_threshold;
-  } else {
-    std::optional<cluster::CostModel> profile;
-    if (!params_.platform.empty()) {
-      profile = cluster::CostModelRegistry::builtin().find(params_.platform);
-    }
-    rndv_threshold_ = profile
-                          ? profile->iccl_rndv_threshold_bytes
-                          : self_.machine().costs().iccl_rndv_threshold_bytes;
-  }
+  // The engine's tuner resolves the threshold for every launch path and
+  // hands it down in the bootstrap; 0 only reaches here from harnesses that
+  // start daemons without an engine, which take this machine's costs.
+  rndv_threshold_ = params_.rndv_threshold != 0
+                        ? params_.rndv_threshold
+                        : self_.machine().costs().iccl_rndv_threshold_bytes;
   if (rndv_threshold_ == 0) rndv_threshold_ = 1;
   heal_ = params_.heal;
   heal_grace_ = params_.heal_grace_ms != 0 ? sim::ms(params_.heal_grace_ms)

@@ -146,7 +146,8 @@ class Iccl {
   void set_keyed_frame_tap(FrameTap tap) { frame_tap_ = std::move(tap); }
 
   /// Effective eager->rendezvous switch threshold (payload bytes): the
-  /// session option when set, else the platform default.
+  /// bootstrap threshold the engine's tuner resolved, else this machine's
+  /// costs.
   [[nodiscard]] std::uint32_t rndv_threshold() const noexcept {
     return rndv_threshold_;
   }

@@ -87,7 +87,6 @@ void Launcher::start_cospawn(cluster::Process& self) {
   fabric_.session = arg_value(args, "--session=").value_or("s0");
   fabric_.rndv_threshold = static_cast<std::uint32_t>(
       arg_int(args, "--rndv-threshold=").value_or(0));
-  fabric_.platform = arg_value(args, "--platform=").value_or("");
   fabric_.heal = arg_int(args, "--heal=").value_or(0) != 0;
   fabric_.heal_grace_ms = static_cast<std::uint32_t>(
       arg_int(args, "--heal-grace-ms=").value_or(0));
@@ -432,9 +431,6 @@ void RmBulkStrategy::launch(cluster::Process& self, comm::LaunchRequest req,
   if (req.bootstrap.rndv_threshold != 0) {
     opts.args.push_back("--rndv-threshold=" +
                         std::to_string(req.bootstrap.rndv_threshold));
-  }
-  if (!req.bootstrap.platform.empty()) {
-    opts.args.push_back("--platform=" + req.bootstrap.platform);
   }
   if (req.bootstrap.heal) {
     opts.args.push_back("--heal=1");

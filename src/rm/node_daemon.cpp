@@ -176,7 +176,6 @@ void NodeDaemon::handle_launch(cluster::Process& self,
       boot.fe_port = req.fabric.fe_port;
       boot.hosts = req.all_hosts;
       boot.rndv_threshold = req.fabric.rndv_threshold;
-      boot.platform = req.fabric.platform;
       boot.heal = req.fabric.heal;
       boot.heal_grace_ms = req.fabric.heal_grace_ms;
       boot.max_sessions = req.fabric.max_sessions;

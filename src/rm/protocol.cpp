@@ -199,7 +199,6 @@ cluster::Message TreeLaunchReq::encode() const {
   w.str(fabric.session);
   w.u8(static_cast<std::uint8_t>(fabric.topo_kind));
   w.u32(fabric.rndv_threshold);
-  w.str(fabric.platform);
   w.boolean(fabric.heal);
   w.u32(fabric.heal_grace_ms);
   w.u32(fabric.max_sessions);
@@ -250,20 +249,26 @@ std::optional<TreeLaunchReq> TreeLaunchReq::decode(const cluster::Message& m) {
   auto fsess = r->str();
   auto ftopo = r->u8();
   auto frndv = r->u32();
-  auto fplatform = r->str();
   auto fheal = r->boolean();
   auto fheal_grace = r->u32();
   auto fmax_sessions = r->u32();
   if (!fport || !ffan || !ftotal || !fhost || !ffeport || !fsess || !ftopo ||
-      !frndv || !fplatform || !fheal || !fheal_grace || !fmax_sessions) {
+      !frndv || !fheal || !fheal_grace || !fmax_sessions) {
     return std::nullopt;
   }
   const auto kind = comm::topology_kind_from_u8(*ftopo);
   if (!kind) return std::nullopt;
-  out.fabric = FabricSpec{*fport,   *ffan,    *ftotal,
-                          std::move(*fhost), *ffeport, std::move(*fsess),
-                          *kind,    *frndv,   std::move(*fplatform),
-                          *fheal,   *fheal_grace, *fmax_sessions};
+  out.fabric.port = *fport;
+  out.fabric.fanout = *ffan;
+  out.fabric.total = *ftotal;
+  out.fabric.fe_host = std::move(*fhost);
+  out.fabric.fe_port = *ffeport;
+  out.fabric.session = std::move(*fsess);
+  out.fabric.topo_kind = *kind;
+  out.fabric.rndv_threshold = *frndv;
+  out.fabric.heal = *fheal;
+  out.fabric.heal_grace_ms = *fheal_grace;
+  out.fabric.max_sessions = *fmax_sessions;
   return out;
 }
 

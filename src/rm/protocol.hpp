@@ -92,12 +92,9 @@ struct FabricSpec {
   std::string session;           ///< session cookie
   /// Fabric tree shape; KAry uses `fanout` as its arity.
   comm::TopologyKind topo_kind = comm::TopologyKind::KAry;
-  /// ICCL eager->rendezvous switch threshold (bytes; 0 = platform default).
+  /// ICCL eager->rendezvous switch threshold (bytes; 0 = this machine's
+  /// costs).
   std::uint32_t rndv_threshold = 0;
-  /// Platform calibration profile name (cluster::CostModelRegistry); empty
-  /// means "the machine's own costs". Daemons use it to resolve defaults
-  /// (e.g. the rendezvous threshold) the same way the engine's tuner did.
-  std::string platform;
   /// Self-healing daemon trees (reparent orphans onto live ancestors).
   bool heal = false;
   /// Orphan-reattach grace window (ms); 0 = the ICCL default.

@@ -6,10 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <limits>
+#include <map>
 #include <memory>
+#include <string>
 
 #include "cluster/cost_model_registry.hpp"
+#include "core/be_api.hpp"
 #include "core/fe_api.hpp"
 #include "core/perf_model.hpp"
 #include "obs/metrics.hpp"
@@ -39,7 +44,7 @@ void run_session(TestCluster& tc, core::FrontEnd::SpawnConfig cfg, int nnodes,
     ASSERT_TRUE(fe->init().is_ok());
     auto sid = fe->create_session();
     ASSERT_TRUE(sid.is_ok());
-    cfg.daemon_exe = "hello_be";
+    if (cfg.daemon_exe.empty()) cfg.daemon_exe = "hello_be";
     rm::JobSpec job{nnodes, tpn, "mpi_app", {}};
     fe->launch_and_spawn(sid.value, job, std::move(cfg),
                          [out, fe, sid = sid.value](Status st) {
@@ -143,6 +148,81 @@ TEST(AutoTune, RndvSpellingsPinTheSessionThreshold) {
     EXPECT_EQ(r.tuned.rndv_threshold, c.expect) << c.setting.to_string();
     EXPECT_FALSE(r.tuned.rndv_from_model) << c.setting.to_string();
   }
+}
+
+/// A BE daemon that records, per rank, the eager/rendezvous threshold its
+/// ICCL resolved from the bootstrap.
+class ThresholdProbeBe : public cluster::Program {
+ public:
+  explicit ThresholdProbeBe(std::map<std::uint32_t, std::uint32_t>* seen)
+      : seen_(seen) {}
+  [[nodiscard]] std::string_view name() const override {
+    return "threshold_probe_be";
+  }
+
+  void on_start(cluster::Process& self) override {
+    be_ = std::make_unique<core::BackEnd>(self);
+    core::BackEnd::Callbacks cbs;
+    cbs.on_init = [this](const core::Rpdtab&, const Bytes&,
+                         std::function<void(Status)> done) {
+      (*seen_)[be_->rank()] = be_->iccl().rndv_threshold();
+      done(Status::ok());
+    };
+    cbs.on_ready = [](Status) {};
+    ASSERT_TRUE(be_->init(std::move(cbs)).is_ok());
+  }
+
+  static void install(cluster::Machine& machine,
+                      std::map<std::uint32_t, std::uint32_t>* seen) {
+    cluster::ProgramImage image;
+    image.image_mb = machine.costs().tool_daemon_image_mb;
+    image.factory = [seen](const std::vector<std::string>&) {
+      return std::make_unique<ThresholdProbeBe>(seen);
+    };
+    machine.install_program("threshold_probe_be", std::move(image));
+  }
+
+ private:
+  std::map<std::uint32_t, std::uint32_t>* seen_;
+  std::unique_ptr<core::BackEnd> be_;
+};
+
+TEST(AutoTune, EveryDaemonFollowsTheEnginesThreshold) {
+  // The calibration file moves the profile threshold off the machine's own
+  // (1 MiB), so a daemon that resolved its threshold from anything but the
+  // engine's decision would show up here, whichever strategy launched it.
+  const std::string calib =
+      ::testing::TempDir() + "autotune_rndv_threshold.conf";
+  {
+    std::ofstream out(calib);
+    out << "iccl_rndv_threshold_bytes = 4096\n";
+  }
+  ASSERT_NE(cluster::CostModel{}.iccl_rndv_threshold_bytes, 4096u);
+  for (const auto strategy : {comm::LaunchStrategyKind::RmBulk,
+                              comm::LaunchStrategyKind::TreeRsh,
+                              comm::LaunchStrategyKind::SerialRsh}) {
+    TestCluster tc(4);
+    std::map<std::uint32_t, std::uint32_t> seen;
+    ThresholdProbeBe::install(tc.machine, &seen);
+    SessionResult r;
+    std::shared_ptr<core::FrontEnd> fe;
+    core::FrontEnd::SpawnConfig cfg;
+    cfg.launch_strategy = strategy;
+    cfg.rndv = {core::RndvSetting::Mode::PlatformDefault, 0};
+    cfg.calibration_file = calib;
+    cfg.daemon_exe = "threshold_probe_be";
+    run_session(tc, cfg, 4, 1, &r, &fe);
+    ASSERT_TRUE(tc.run_until([&] { return r.done; }));
+    ASSERT_TRUE(r.status.is_ok()) << r.status.to_string();
+    ASSERT_TRUE(r.have_tuned);
+    EXPECT_EQ(r.tuned.rndv_threshold, 4096u);
+    ASSERT_EQ(seen.size(), 4u) << comm::to_string(strategy);
+    for (const auto& [rank, threshold] : seen) {
+      EXPECT_EQ(threshold, r.tuned.rndv_threshold)
+          << comm::to_string(strategy) << " rank " << rank;
+    }
+  }
+  std::remove(calib.c_str());
 }
 
 TEST(AutoTune, PlatformProfileSteersTheTunerAndIsRecorded) {

@@ -2,7 +2,11 @@
 // handles, separate allocations, RPDTAB distribution to TBON daemons.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <map>
 #include <memory>
+#include <string>
 
 #include "core/fe_api.hpp"
 #include "core/mw_api.hpp"
@@ -17,6 +21,7 @@ struct MwState {
   std::map<std::uint32_t, std::string> personalities;  // rank -> host
   std::map<std::uint32_t, std::size_t> proctable_sizes;
   std::map<std::uint32_t, Bytes> usrdata;
+  std::map<std::uint32_t, std::uint32_t> rndv_thresholds;
   int ready = 0;
 };
 
@@ -34,6 +39,7 @@ class ProbeMwDaemon : public cluster::Program {
       state_->personalities[mw_->rank()] = self.node().hostname();
       state_->proctable_sizes[mw_->rank()] = table.size();
       state_->usrdata[mw_->rank()] = usrdata;
+      state_->rndv_thresholds[mw_->rank()] = mw_->iccl().rndv_threshold();
       done(Status::ok());
     };
     cbs.on_ready = [this](Status st) {
@@ -136,6 +142,57 @@ TEST(MiddleWare, DaemonsGetPersonalitiesAndJobRpdtab) {
   // its data (the MW master can dial in before the engine reports it).
   EXPECT_EQ(provider_calls, 1);
   EXPECT_EQ(provider_saw_mw, 4u);
+}
+
+TEST(MiddleWare, DaemonsFollowTheEnginesThreshold) {
+  // The session's threshold comes from the engine's tuner: a calibration
+  // file moves it off the machine's own (1 MiB), and the MW daemons, which
+  // the engine launches through a separate RM path, must use it too.
+  const std::string calib = ::testing::TempDir() + "mw_rndv_threshold.conf";
+  {
+    std::ofstream out(calib);
+    out << "iccl_rndv_threshold_bytes = 4096\n";
+  }
+  ASSERT_NE(cluster::CostModel{}.iccl_rndv_threshold_bytes, 4096u);
+  TestCluster tc(4, /*middleware=*/4);
+  MwState state;
+  ProbeMwDaemon::install(tc.machine, &state);
+
+  std::shared_ptr<core::FrontEnd> fe;
+  int sid = -1;
+  bool mw_done = false;
+  Status mw_status;
+  tc.spawn_fe([&](cluster::Process& self) {
+    fe = std::make_shared<core::FrontEnd>(self);
+    ASSERT_TRUE(fe->init().is_ok());
+    sid = fe->create_session().value;
+    core::FrontEnd::SpawnConfig cfg;
+    cfg.daemon_exe = "hello_be";
+    cfg.rndv = {core::RndvSetting::Mode::PlatformDefault, 0};
+    cfg.calibration_file = calib;
+    rm::JobSpec job{4, 2, "mpi_app", {}};
+    fe->launch_and_spawn(sid, job, cfg, [&](Status st) {
+      ASSERT_TRUE(st.is_ok()) << st.to_string();
+      core::FrontEnd::SpawnConfig mw_cfg;
+      mw_cfg.daemon_exe = "probe_mw";
+      fe->launch_mw_daemons(sid, 4, mw_cfg, [&](Status mst) {
+        mw_status = mst;
+        mw_done = true;
+      });
+    });
+  });
+
+  ASSERT_TRUE(tc.run_until([&] { return mw_done; }));
+  ASSERT_TRUE(mw_status.is_ok()) << mw_status.to_string();
+  ASSERT_TRUE(tc.run_until([&] { return state.ready == 4; }));
+  const core::TunedConfig* tuned = fe->tuned_config(sid);
+  ASSERT_NE(tuned, nullptr);
+  EXPECT_EQ(tuned->rndv_threshold, 4096u);
+  ASSERT_EQ(state.rndv_thresholds.size(), 4u);
+  for (const auto& [rank, threshold] : state.rndv_thresholds) {
+    EXPECT_EQ(threshold, tuned->rndv_threshold) << "MW rank " << rank;
+  }
+  std::remove(calib.c_str());
 }
 
 TEST(MiddleWare, FailsWhenMiddlewarePartitionTooSmall) {

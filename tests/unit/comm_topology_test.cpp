@@ -368,19 +368,27 @@ TEST(Bootstrap, RankDerivedFromHostPosition) {
   EXPECT_FALSE(parse_bootstrap(args).has_value());
 }
 
-TEST(Bootstrap, LegacyFanoutSpellingStillParses) {
+TEST(Bootstrap, KAryTopoSpellingParses) {
   const std::vector<std::string> args{
-      "--lmon-rank=1", "--lmon-size=2", "--lmon-fanout=4", "--lmon-port=9000",
-      "--lmon-hosts=x,y"};
+      "--lmon-rank=1", "--lmon-size=2", "--lmon-topo=kary:4",
+      "--lmon-port=9000", "--lmon-hosts=x,y"};
   const auto p = parse_bootstrap(args);
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->topology.kind, TopologyKind::KAry);
   EXPECT_EQ(p->topology.arity, 4u);
 }
 
+TEST(Bootstrap, RejectsArgvWithoutTopo) {
+  // The tree shape is required like size, port and hosts: there is no
+  // implied default fan-out.
+  EXPECT_FALSE(parse_bootstrap({"--lmon-rank=1", "--lmon-size=2",
+                                "--lmon-port=9000", "--lmon-hosts=x,y"})
+                   .has_value());
+}
+
 TEST(Bootstrap, ParsesHandWrittenDaemonArgv) {
   const std::vector<std::string> args{
-      "--lmon-rank=3",    "--lmon-size=8",          "--lmon-fanout=2",
+      "--lmon-rank=3",    "--lmon-size=8",          "--lmon-topo=kary:2",
       "--lmon-port=7100", "--lmon-session=s1p1000",
       "--lmon-hosts=a,b,c,d,e,f,g,h"};
   const auto p = parse_bootstrap(args);
@@ -397,11 +405,13 @@ TEST(Bootstrap, ParsesHandWrittenDaemonArgv) {
 TEST(Bootstrap, RejectsInconsistentArgv) {
   // rank >= size
   EXPECT_FALSE(parse_bootstrap({"--lmon-rank=8", "--lmon-size=8",
-                                "--lmon-port=1", "--lmon-hosts=a"})
+                                "--lmon-topo=kary:2", "--lmon-port=1",
+                                "--lmon-hosts=a,b,c,d,e,f,g,h"})
                    .has_value());
   // host list length mismatch
   EXPECT_FALSE(parse_bootstrap({"--lmon-rank=0", "--lmon-size=2",
-                                "--lmon-port=1", "--lmon-hosts=a"})
+                                "--lmon-topo=kary:2", "--lmon-port=1",
+                                "--lmon-hosts=a"})
                    .has_value());
   // bad topology spelling
   EXPECT_FALSE(parse_bootstrap({"--lmon-rank=0", "--lmon-size=1",

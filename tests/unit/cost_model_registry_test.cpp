@@ -1,5 +1,5 @@
 // Tests for cluster::CostModelRegistry - the named per-platform calibration
-// profiles behind --lmon-platform= and the engine auto-tuner - and for the
+// profiles behind the engine's --platform= and its auto-tuner - and for the
 // knob-precedence contract of core::auto_tune (explicit > profile > model).
 #include <gtest/gtest.h>
 
@@ -187,7 +187,6 @@ TEST(AutoTunePrecedence, TunedConfigEncodeDecodeRoundTrips) {
   cfg.rndv_from_model = true;
   cfg.predicted_total_s = 1.25;
   cfg.bcast_crossover = 101254;
-  cfg.gather_crossover = 0;
   cfg.platform = "thunder";
   const auto decoded = core::TunedConfig::decode(cfg.encode());
   ASSERT_TRUE(decoded.has_value());
@@ -199,7 +198,6 @@ TEST(AutoTunePrecedence, TunedConfigEncodeDecodeRoundTrips) {
   EXPECT_EQ(decoded->rndv_from_model, cfg.rndv_from_model);
   EXPECT_DOUBLE_EQ(decoded->predicted_total_s, cfg.predicted_total_s);
   EXPECT_EQ(decoded->bcast_crossover, cfg.bcast_crossover);
-  EXPECT_EQ(decoded->gather_crossover, cfg.gather_crossover);
   EXPECT_EQ(decoded->platform, cfg.platform);
   // Garbage does not decode.
   EXPECT_FALSE(core::TunedConfig::decode(Bytes{1, 2, 3}).has_value());

@@ -363,7 +363,8 @@ TEST(GatherReplayOracle, CrossoverIdenticalToSortedReplay) {
   const cluster::CostModel costs;
   const PerfModel model(costs,
                         static_cast<std::uint32_t>(costs.rm_launch_fanout));
-  // auto_tune's probe cap: 64 chunk segments at the default chunk size.
+  // auto_tune's broadcast probe cap: 64 chunk segments at the default chunk
+  // size.
   constexpr std::size_t kMax = 4u << 20;
   for (const auto& spec : oracle_topologies()) {
     for (int n : kOracleSizes) {
@@ -386,45 +387,45 @@ TEST(GatherReplayOracle, TunedConfigBytesUnchanged) {
   };
   const Pin pins[] = {
       {"default", 16,
-       "000004000000205b01000101019431ba93ba2ad23f205b0100e63c03000700000064656661756c7400"},
+       "000004000000205b01000101019431ba93ba2ad23f205b01000700000064656661756c7400"},
       {"default", 128,
-       "000008000000758e0000010101ed8ba7c5b048e23f758e000060b600000700000064656661756c7400"},
+       "000008000000758e0000010101ed8ba7c5b048e23f758e00000700000064656661756c7400"},
       {"default", 256,
-       "0000080000001f7c00000101018dce5b3ba331ee3f1f7c0000dab500000700000064656661756c7400"},
+       "0000080000001f7c00000101018dce5b3ba331ee3f1f7c00000700000064656661756c7400"},
       {"default", 512,
-       "00000800000065660000010101400c17336ed4fd3f65660000dab500000700000064656661756c7400"},
+       "00000800000065660000010101400c17336ed4fd3f656600000700000064656661756c7400"},
       {"atlas", 16,
-       "000004000000205b01000101019431ba93ba2ad23f205b0100e63c03000500000061746c617300"},
+       "000004000000205b01000101019431ba93ba2ad23f205b01000500000061746c617300"},
       {"atlas", 128,
-       "000008000000758e0000010101ed8ba7c5b048e23f758e000060b600000500000061746c617300"},
+       "000008000000758e0000010101ed8ba7c5b048e23f758e00000500000061746c617300"},
       {"atlas", 256,
-       "0000080000001f7c00000101018dce5b3ba331ee3f1f7c0000dab500000500000061746c617300"},
+       "0000080000001f7c00000101018dce5b3ba331ee3f1f7c00000500000061746c617300"},
       {"atlas", 512,
-       "00000800000065660000010101400c17336ed4fd3f65660000dab500000500000061746c617300"},
+       "00000800000065660000010101400c17336ed4fd3f656600000500000061746c617300"},
       {"bluegene", 16,
-       "000004000000205b0100010101b7d2a2758bf7eb3f205b0100e63c030008000000626c756567656e6500"},
+       "000004000000205b0100010101b7d2a2758bf7eb3f205b010008000000626c756567656e6500"},
       {"bluegene", 128,
-       "000008000000758e000001010129bcddf716c5fe3f758e000060b6000008000000626c756567656e6500"},
+       "000008000000758e000001010129bcddf716c5fe3f758e000008000000626c756567656e6500"},
       {"bluegene", 256,
-       "0000080000001f7c000001010101b44df4705309401f7c0000dab5000008000000626c756567656e6500"},
+       "0000080000001f7c000001010101b44df4705309401f7c000008000000626c756567656e6500"},
       {"bluegene", 512,
-       "0000080000006566000001010184e8727a484f174065660000dab5000008000000626c756567656e6500"},
+       "0000080000006566000001010184e8727a484f17406566000008000000626c756567656e6500"},
       {"thunder", 16,
-       "000004000000ad0d0100010101cdc3e9ba3cd8d33fad0d0100d87a0200070000007468756e64657200"},
+       "000004000000ad0d0100010101cdc3e9ba3cd8d33fad0d0100070000007468756e64657200"},
       {"thunder", 128,
-       "00000800000014710000010101d61e41650502e63f147100009a8a0000070000007468756e64657200"},
+       "00000800000014710000010101d61e41650502e63f14710000070000007468756e64657200"},
       {"thunder", 256,
-       "0000080000005c620000010101505bc8543499f23f5c620000018a0000070000007468756e64657200"},
+       "0000080000005c620000010101505bc8543499f23f5c620000070000007468756e64657200"},
       {"thunder", 512,
-       "000008000000335100000101014b701e8a5751024033510000018a0000070000007468756e64657200"},
+       "000008000000335100000101014b701e8a5751024033510000070000007468756e64657200"},
       {"zeus", 16,
-       "0000040000006c0c0100010101bb6524ceccc4d13f6c0c01006b4e0200040000007a65757300"},
+       "0000040000006c0c0100010101bb6524ceccc4d13f6c0c0100040000007a65757300"},
       {"zeus", 128,
-       "000008000000b17600000101017efd405442a9e03fb176000022800000040000007a65757300"},
+       "000008000000b17600000101017efd405442a9e03fb1760000040000007a65757300"},
       {"zeus", 256,
-       "00000800000020660000010101e5155e37deefea3f206600009c7f0000040000007a65757300"},
+       "00000800000020660000010101e5155e37deefea3f20660000040000007a65757300"},
       {"zeus", 512,
-       "000008000000af5400000101014355515e5991fa3faf5400009c7f0000040000007a65757300"},
+       "000008000000af5400000101014355515e5991fa3faf540000040000007a65757300"},
   };
   std::vector<std::string> profiles{"default"};
   for (const auto& name : cluster::CostModelRegistry::builtin().names()) {
@@ -462,7 +463,15 @@ TEST(GatherReplayOracle, DefaultCostsAt512TuneAsRecorded) {
   EXPECT_EQ(cfg.strategy, comm::LaunchStrategyKind::RmBulk);
   EXPECT_EQ(cfg.topology, (comm::TopologySpec{comm::TopologyKind::KAry, 8}));
   EXPECT_EQ(cfg.rndv_threshold, 26213u);
-  EXPECT_EQ(cfg.gather_crossover, 46554u);
+  // The tuner no longer solves the gather crossover, but the band between
+  // the broadcast threshold above and the gather crossover on the same
+  // fabric stays pinned: gathers of 26,213..46,553 B per rank take the
+  // protocol the model calls slower.
+  const PerfModel model(cluster::CostModel{},
+                        static_cast<std::uint32_t>(
+                            cluster::CostModel{}.rm_launch_fanout));
+  EXPECT_EQ(model.collective_gather_crossover(cfg.topology, 512, 4u << 20),
+            46554u);
 }
 
 }  // namespace

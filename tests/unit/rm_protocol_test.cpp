@@ -48,9 +48,17 @@ TEST(RmProtocol, TreeLaunchReqRoundTrip) {
   req.tasks_per_node = 8;
   req.nodes = {{"atlas3", 2}, {"atlas4", 3}};
   req.all_hosts = {"atlas1", "atlas2", "atlas3", "atlas4"};
-  req.fabric = FabricSpec{7100,   32,     4,    "atlas-fe",
-                          7050,   "s0p1", comm::TopologyKind::Binomial,
-                          524288, "thunder"};
+  req.fabric.port = 7100;
+  req.fabric.fanout = 32;
+  req.fabric.total = 4;
+  req.fabric.fe_host = "atlas-fe";
+  req.fabric.fe_port = 7050;
+  req.fabric.session = "s0p1";
+  req.fabric.topo_kind = comm::TopologyKind::Binomial;
+  req.fabric.rndv_threshold = 524288;
+  req.fabric.heal = true;
+  req.fabric.heal_grace_ms = 250;
+  req.fabric.max_sessions = 6;
 
   auto back = TreeLaunchReq::decode(req.encode());
   ASSERT_TRUE(back.has_value());
@@ -71,7 +79,9 @@ TEST(RmProtocol, TreeLaunchReqRoundTrip) {
   EXPECT_EQ(back->fabric.session, "s0p1");
   EXPECT_EQ(back->fabric.topo_kind, comm::TopologyKind::Binomial);
   EXPECT_EQ(back->fabric.rndv_threshold, 524288u);
-  EXPECT_EQ(back->fabric.platform, "thunder");
+  EXPECT_TRUE(back->fabric.heal);
+  EXPECT_EQ(back->fabric.heal_grace_ms, 250u);
+  EXPECT_EQ(back->fabric.max_sessions, 6u);
 }
 
 TEST(RmProtocol, TreeLaunchAckRoundTrip) {
