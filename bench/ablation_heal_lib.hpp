@@ -114,9 +114,9 @@ class SweepDaemon : public cluster::Program {
     rank_ = iccl_->rank();
     const std::uint32_t rank = rank_;
     core::Iccl::SessionHandlers handlers;
-    handlers.on_bcast = [this, rank](std::uint32_t tag, const Bytes& data) {
+    handlers.on_bcast = [this, rank](std::uint32_t tag, const ByteSlice& data) {
       sh_->bcast_count[rank][tag] += 1;
-      sh_->bcast_by_tag[rank][tag] = data;
+      sh_->bcast_by_tag[rank][tag] = data.to_bytes();
     };
     handlers.on_gather =
         [this](std::uint32_t tag,

@@ -28,14 +28,15 @@
 #                  whole unit suite plus the launch, STAT, ICCL rendezvous,
 #                  self-heal, mux-session, trace-session, multi-session,
 #                  failure, collectives, TBON-network, middleware, both
-#                  jobsnap, auto-tune, calibration and platform integration
-#                  suites under it; any sanitizer report
-#                  fails the run. The protocol decoders (RPDTAB, LMONP, TBON
-#                  packets, tool filter inputs) read raw byte spans, ICCL
-#                  payload buffers are shared views that outlive the process
-#                  that sent them, and the raw-ICCL fault and mux harnesses
-#                  tear daemons down mid-round, which is what this gate
-#                  watches.
+#                  jobsnap, auto-tune, calibration, platform, usrdata and
+#                  launch-strategy integration suites under it; any
+#                  sanitizer report fails the run. The protocol decoders
+#                  (RPDTAB, LMONP, TBON packets, tool filter inputs) read raw
+#                  byte spans, ICCL payload buffers are shared views that
+#                  outlive the process that sent them (every daemon's RPDTAB
+#                  views the handshake broadcast), and the raw-ICCL fault and
+#                  mux harnesses tear daemons down mid-round, which is what
+#                  this gate watches.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -82,7 +83,7 @@ if [[ "${1:-}" == "--sanitize" ]]; then
           mux_session_test trace_session_test multi_session_test
           failure_test collectives_test tbon_net_test mw_test
           jobsnap_tbon_test jobsnap_test autotune_test calibration_test
-          platform_test)
+          platform_test usrdata_test launch_strategy_test)
   cmake --preset sanitize
   cmake --build --preset sanitize -j "$JOBS" --target "${tests[@]}"
   export ASAN_OPTIONS=${ASAN_OPTIONS:-abort_on_error=1:detect_leaks=1}

@@ -53,6 +53,13 @@ class ByteSlice {
                                                            : nullptr;
   }
 
+  /// The shared buffer this slice views (nullptr for an empty default
+  /// slice): its identity, for callers that remember which buffers they
+  /// have already seen.
+  [[nodiscard]] const std::shared_ptr<const Bytes>& buffer() const noexcept {
+    return buf_;
+  }
+
   /// An owned copy of the viewed bytes.
   [[nodiscard]] Bytes to_bytes() const { return Bytes(begin(), end()); }
   [[nodiscard]] const std::uint8_t* begin() const noexcept { return data(); }

@@ -10,6 +10,21 @@
 
 namespace lmon::core {
 
+namespace {
+
+/// Hands a delivered view to a public callback that takes Bytes: its buffer
+/// by reference when the view is all of it, else one copy.
+template <typename Fn>
+void call_with_bytes(const Fn& fn, const ByteSlice& data) {
+  if (const Bytes* whole = data.whole()) {
+    fn(*whole);
+  } else {
+    fn(data.to_bytes());
+  }
+}
+
+}  // namespace
+
 DaemonRuntime::DaemonRuntime(cluster::Process& self, MsgClass cls)
     : self_(self), cls_(cls) {
   assert(cls == MsgClass::FeBe || cls == MsgClass::FeMw);
@@ -32,7 +47,7 @@ Status DaemonRuntime::init(Callbacks callbacks) {
 
   iccl_ = std::make_unique<Iccl>(self_, std::move(*params));
   Iccl::SessionHandlers handlers;
-  handlers.on_bcast = [this](std::uint32_t tag, const Bytes& data) {
+  handlers.on_bcast = [this](std::uint32_t tag, const ByteSlice& data) {
     dispatch_bcast(tag, data);
   };
   handlers.on_gather =
@@ -40,7 +55,7 @@ Status DaemonRuntime::init(Callbacks callbacks) {
              std::vector<std::pair<std::uint32_t, Bytes>> entries) {
         on_internal_gather(tag, std::move(entries));
       };
-  handlers.on_scatter = [this](std::uint32_t tag, const Bytes& data) {
+  handlers.on_scatter = [this](std::uint32_t tag, const ByteSlice& data) {
     dispatch_vs_scatter(0, tag, data);
   };
   iccl_->bind_session(0, std::move(handlers));
@@ -180,21 +195,24 @@ void DaemonRuntime::maybe_run_handshake() {
   iccl_->broadcast(kTagHandshake, std::move(w).take());
 }
 
-void DaemonRuntime::on_handshake_bcast(const Bytes& data) {
-  ByteReader r(data);
-  auto table = r.blob();
-  auto usr = r.blob();
+void DaemonRuntime::on_handshake_bcast(const ByteSlice& data) {
+  ByteReader r(data.span());
+  auto table = r.blob_view();
+  auto usr = r.blob_view();
   if (!table || !usr) {
     fail(Status(Rc::Esubcom, "malformed handshake broadcast"));
     return;
   }
-  auto rpdtab = Rpdtab::unpack(std::move(*table));
+  // The table stays in the broadcast buffer that every daemon of the launch
+  // shares; unpack() validates that view once for all of them.
+  auto rpdtab = Rpdtab::unpack(data.sub(
+      static_cast<std::size_t>(table->data() - data.data()), table->size()));
   if (!rpdtab) {
     fail(Status(Rc::Esubcom, "bad RPDTAB in handshake"));
     return;
   }
   proctable_ = std::move(*rpdtab);
-  usrdata_ = std::move(*usr);
+  usrdata_.assign(usr->begin(), usr->end());
 
   auto ack = [this](Status st) {
     ByteWriter w;
@@ -263,7 +281,7 @@ void DaemonRuntime::on_internal_gather(
   on_vs_gather(0, tag, std::move(entries));
 }
 
-void DaemonRuntime::dispatch_bcast(std::uint32_t tag, const Bytes& data) {
+void DaemonRuntime::dispatch_bcast(std::uint32_t tag, const ByteSlice& data) {
   if (tag == kTagHandshake) {
     on_handshake_bcast(data);
     return;
@@ -277,7 +295,7 @@ void DaemonRuntime::dispatch_bcast(std::uint32_t tag, const Bytes& data) {
     return;
   }
   if (tag == kTagVAttach || tag == kTagVDetach) {
-    ByteReader r(data);
+    ByteReader r(data.span());
     const std::uint32_t vsid = r.u32().value_or(0);
     if (vsid == 0) return;
     if (tag == kTagVAttach) {
@@ -288,7 +306,7 @@ void DaemonRuntime::dispatch_bcast(std::uint32_t tag, const Bytes& data) {
     return;
   }
   if (tag >= kTagCommandBase && tag < kUserBarrier) {
-    if (cbs_.on_command) cbs_.on_command(data);
+    if (cbs_.on_command) call_with_bytes(cbs_.on_command, data);
     return;
   }
   dispatch_vs_bcast(0, tag, data);
@@ -388,7 +406,8 @@ void DaemonRuntime::vsession_open(std::uint32_t vsid) {
   if (sessions_.count(vsid) != 0) return;
   sessions_[vsid];
   Iccl::SessionHandlers handlers;
-  handlers.on_bcast = [this, vsid](std::uint32_t tag, const Bytes& data) {
+  handlers.on_bcast = [this, vsid](std::uint32_t tag,
+                                   const ByteSlice& data) {
     dispatch_vs_bcast(vsid, tag, data);
   };
   handlers.on_gather =
@@ -396,7 +415,8 @@ void DaemonRuntime::vsession_open(std::uint32_t vsid) {
                    std::vector<std::pair<std::uint32_t, Bytes>> entries) {
         on_vs_gather(vsid, tag, std::move(entries));
       };
-  handlers.on_scatter = [this, vsid](std::uint32_t tag, const Bytes& data) {
+  handlers.on_scatter = [this, vsid](std::uint32_t tag,
+                                     const ByteSlice& data) {
     dispatch_vs_scatter(vsid, tag, data);
   };
   iccl_->bind_session(vsid, std::move(handlers));
@@ -481,7 +501,7 @@ Status DaemonRuntime::vbroadcast(std::uint32_t vsid, Bytes data,
   // buffers).
   auto it = vs->pending_bcasts.find(tag);
   if (it != vs->pending_bcasts.end()) {
-    Bytes buffered = std::move(it->second);
+    ByteSlice buffered = std::move(it->second);
     vs->pending_bcasts.erase(it);
     dispatch_vs_bcast(vsid, tag, buffered);
   }
@@ -501,7 +521,7 @@ Status DaemonRuntime::vscatter(std::uint32_t vsid, std::vector<Bytes> parts,
   }
   auto it = vs->pending_scatters.find(tag);
   if (it != vs->pending_scatters.end()) {
-    Bytes buffered = std::move(it->second);
+    ByteSlice buffered = std::move(it->second);
     vs->pending_scatters.erase(it);
     dispatch_vs_scatter(vsid, tag, buffered);
   }
@@ -509,7 +529,7 @@ Status DaemonRuntime::vscatter(std::uint32_t vsid, std::vector<Bytes> parts,
 }
 
 void DaemonRuntime::dispatch_vs_bcast(std::uint32_t vsid, std::uint32_t tag,
-                                      const Bytes& data) {
+                                      const ByteSlice& data) {
   VSession* vs = vsession(vsid);
   if (vs == nullptr) return;
   auto it = vs->bcast_waiters.find(tag);
@@ -524,11 +544,11 @@ void DaemonRuntime::dispatch_vs_bcast(std::uint32_t vsid, std::uint32_t tag,
   }
   auto fn = std::move(it->second);
   vs->bcast_waiters.erase(it);
-  if (fn) fn(data);
+  if (fn) call_with_bytes(fn, data);
 }
 
 void DaemonRuntime::dispatch_vs_scatter(std::uint32_t vsid, std::uint32_t tag,
-                                        const Bytes& data) {
+                                        const ByteSlice& data) {
   VSession* vs = vsession(vsid);
   if (vs == nullptr) return;
   auto it = vs->scatter_waiters.find(tag);
@@ -543,7 +563,7 @@ void DaemonRuntime::dispatch_vs_scatter(std::uint32_t vsid, std::uint32_t tag,
   }
   auto fn = std::move(it->second);
   vs->scatter_waiters.erase(it);
-  if (fn) fn(data);
+  if (fn) call_with_bytes(fn, data);
 }
 
 void DaemonRuntime::on_vs_gather(

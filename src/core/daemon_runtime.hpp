@@ -152,8 +152,8 @@ class DaemonRuntime {
         gather_waiters;
     std::map<std::uint32_t, std::function<void(const Bytes&)>>
         scatter_waiters;
-    std::map<std::uint32_t, Bytes> pending_bcasts;
-    std::map<std::uint32_t, Bytes> pending_scatters;
+    std::map<std::uint32_t, ByteSlice> pending_bcasts;
+    std::map<std::uint32_t, ByteSlice> pending_scatters;
     std::uint32_t barrier_count = 0;
     std::uint32_t gather_count = 0;
     std::uint32_t bcast_count = 0;
@@ -164,11 +164,11 @@ class DaemonRuntime {
   void connect_fe();
   void on_fe_message(const cluster::ChannelPtr& ch, cluster::Message m);
   void maybe_run_handshake();
-  void on_handshake_bcast(const Bytes& data);
+  void on_handshake_bcast(const ByteSlice& data);
   void on_internal_gather(
       std::uint32_t tag,
       std::vector<std::pair<std::uint32_t, Bytes>> entries);
-  void dispatch_bcast(std::uint32_t tag, const Bytes& data);
+  void dispatch_bcast(std::uint32_t tag, const ByteSlice& data);
   // --- virtual-session plumbing -------------------------------------------
   /// Master: FE asked for a virtual attach; runs admission control and, on
   /// accept, announces the session tree-wide.
@@ -179,9 +179,9 @@ class DaemonRuntime {
   void send_virtual_ready(std::uint32_t vsid, bool ok, std::string error,
                           std::uint32_t ndaemons);
   void dispatch_vs_bcast(std::uint32_t vsid, std::uint32_t tag,
-                         const Bytes& data);
+                         const ByteSlice& data);
   void dispatch_vs_scatter(std::uint32_t vsid, std::uint32_t tag,
-                           const Bytes& data);
+                           const ByteSlice& data);
   void on_vs_gather(std::uint32_t vsid, std::uint32_t tag,
                     std::vector<std::pair<std::uint32_t, Bytes>> entries);
   [[nodiscard]] VSession* vsession(std::uint32_t vsid);

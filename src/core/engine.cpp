@@ -247,7 +247,7 @@ void EngineProgram::fetch_and_ship_proctable(cluster::Process& self) {
       tracer->end_span(rpdtab_span_,
                        "bytes=" + std::to_string(blob.size()));
     }
-    auto table = Rpdtab::from_proctable_blob(blob);
+    auto table = Rpdtab::unpack(std::move(blob));
     if (!table) {
       send_error(self, "rpdtab-fetch", "malformed proctable");
       return;
@@ -412,7 +412,7 @@ void EngineProgram::on_daemons_launched(cluster::Process& self,
   payload::DaemonsSpawned spawned;
   spawned.ok = res.status.is_ok();
   spawned.error = res.status.message();
-  spawned.daemon_table = Rpdtab(std::move(res.daemons)).pack();
+  spawned.daemon_table = rm::apai::encode_proctable(res.daemons);
   if (tuned_valid_) spawned.tuned = tuned_.encode();
   send_fe(self, LmonpMessage::fe_engine(FeEngineMsg::DaemonsSpawned,
                                         spawned.encode()));
@@ -500,7 +500,7 @@ void EngineProgram::handle_launch_mw(cluster::Process& self,
     payload::DaemonsSpawned spawned;
     spawned.ok = done.ok;
     spawned.error = done.error;
-    spawned.daemon_table = Rpdtab(done.daemons).pack();
+    spawned.daemon_table = rm::apai::encode_proctable(done.daemons);
     send_fe(self, LmonpMessage::fe_engine(FeEngineMsg::MwSpawned,
                                           spawned.encode()));
   });

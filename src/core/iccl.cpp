@@ -1709,11 +1709,7 @@ void Iccl::deliver_bcast(StreamKey tag, const ByteSlice& data) {
     self_.machine().count("iccl.mux.unbound_drops");
     return;
   }
-  if (const Bytes* whole = data.whole()) {
-    it->second.on_bcast(tag.tag, *whole);
-  } else {
-    it->second.on_bcast(tag.tag, data.to_bytes());
-  }
+  it->second.on_bcast(tag.tag, data);
 }
 
 void Iccl::deliver_gather(
@@ -1732,11 +1728,7 @@ void Iccl::deliver_scatter(StreamKey tag, const ByteSlice& data) {
     self_.machine().count("iccl.mux.unbound_drops");
     return;
   }
-  if (const Bytes* whole = data.whole()) {
-    it->second.on_scatter(tag.tag, *whole);
-  } else {
-    it->second.on_scatter(tag.tag, data.to_bytes());
-  }
+  it->second.on_scatter(tag.tag, data);
 }
 
 void Iccl::count_mux(StreamKey tag, const char* name, double v) {

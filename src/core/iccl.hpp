@@ -71,11 +71,18 @@ class Iccl {
 
   /// Handlers receive the *within-session* tag; the session id is implied
   /// by which bind_session() handler set fired.
-  using BcastHandler = std::function<void(std::uint32_t tag, const Bytes&)>;
+  ///
+  /// Broadcast and scatter handlers receive a view of the payload as it
+  /// arrived, usually of a buffer that every rank shares (the root's). A
+  /// handler that keeps bytes past the call keeps the slice (or a sub() of
+  /// it), which holds the buffer alive; it never needs to copy them.
+  using BcastHandler =
+      std::function<void(std::uint32_t tag, const ByteSlice&)>;
   /// Root-side gather completion: contributions sorted by rank.
   using GatherHandler = std::function<void(
       std::uint32_t tag, std::vector<std::pair<std::uint32_t, Bytes>>)>;
-  using ScatterHandler = std::function<void(std::uint32_t tag, const Bytes&)>;
+  using ScatterHandler =
+      std::function<void(std::uint32_t tag, const ByteSlice&)>;
 
   /// Handler set for one session multiplexed over this fabric (session 0 is
   /// the infrastructure session; nonzero ids are virtual sessions).
@@ -314,9 +321,8 @@ class Iccl {
 
   // --- multiplexed delivery / fairness ------------------------------------
   /// Route a completed round to the owning session's handler set. Rounds
-  /// for an unbound session are dropped.
-  /// Payloads that are a whole buffer are handed out by reference; a
-  /// partial view is copied once.
+  /// for an unbound session are dropped. Broadcast and scatter payloads
+  /// are handed over as the view they arrived in.
   void deliver_bcast(StreamKey tag, const ByteSlice& data);
   void deliver_gather(StreamKey tag,
                       std::vector<std::pair<std::uint32_t, Bytes>> entries);

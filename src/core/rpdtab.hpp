@@ -6,14 +6,18 @@
 // during the handshake. Its linear size in job tasks is the paper's Region B
 // term, so pack() produces real bytes.
 //
-// The table's state is its validated packed form (the MPIR proctable blob
-// layout). Every daemon of a launch holds one, and most only ever ask for
-// their own host's entries, so the full TaskDesc vector is decoded only when
-// entries() is first called and then cached.
+// The table's state is an immutable view (ByteSlice) of its validated packed
+// form (the MPIR proctable blob layout). A launch has one such buffer: every
+// daemon's table views the handshake broadcast in place, and unpack()
+// validates a given buffer once however many daemons unpack it (see
+// unpack()). Most daemons only ever ask for their own host's entries, so the
+// full TaskDesc vector is decoded only when entries() is first called and
+// then cached.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -41,28 +45,34 @@ class Rpdtab {
   [[nodiscard]] std::vector<rm::TaskDesc> entries_for_host(
       const std::string& host) const;
 
-  [[nodiscard]] Bytes pack() const& { return packed_; }
-  [[nodiscard]] Bytes pack() && { return std::move(packed_); }
+  /// The packed bytes, in place in the buffer this table views.
+  [[nodiscard]] std::span<const std::uint8_t> bytes() const noexcept {
+    return packed_.span();
+  }
+  /// An owned copy of the packed bytes.
+  [[nodiscard]] Bytes pack() const { return packed_.to_bytes(); }
 
-  /// Validates the whole blob without decoding it and keeps it as the
-  /// table's state; nullopt for a truncated or inconsistent blob. Bytes past
-  /// the last entry are dropped.
+  /// Validates the viewed blob without decoding it and keeps a view of it
+  /// (no copy) as the table's state; nullopt for a truncated or
+  /// inconsistent blob. Bytes past the last entry fall outside the view.
+  ///
+  /// The last accepted view is remembered by its buffer's identity, start
+  /// and length, so unpacking that same view again - as every daemon of a
+  /// launch does with the one handshake broadcast - costs O(1). This is
+  /// sound because a shared ByteSlice buffer is never written, and no fault
+  /// mode alters payload bytes in flight; drop the memo if one ever does.
+  static std::optional<Rpdtab> unpack(ByteSlice data);
+  /// unpack() of an owned blob.
   static std::optional<Rpdtab> unpack(Bytes data);
 
-  /// The proctable blob format used in the launcher's address space is the
-  /// same; these adapt to/from the APAI layer.
-  static std::optional<Rpdtab> from_proctable_blob(Bytes blob);
-
   /// The encoding is deterministic, so equal bytes mean equal entries.
-  friend bool operator==(const Rpdtab& a, const Rpdtab& b) {
-    return a.packed_ == b.packed_;
-  }
+  friend bool operator==(const Rpdtab& a, const Rpdtab& b);
 
  private:
-  Rpdtab(Bytes packed, std::uint32_t count)
+  Rpdtab(ByteSlice packed, std::uint32_t count)
       : packed_(std::move(packed)), count_(count) {}
 
-  Bytes packed_;
+  ByteSlice packed_;
   std::uint32_t count_ = 0;
   mutable std::optional<std::vector<rm::TaskDesc>> entries_;  // decode cache
 };

@@ -37,7 +37,7 @@ void DpclInstrumentor::acquire(cluster::Process& fe,
                   cb(std::move(result));
                   return;
                 }
-                auto table = core::Rpdtab::from_proctable_blob(blob);
+                auto table = core::Rpdtab::unpack(std::move(blob));
                 if (!table) {
                   result.status = Status(Rc::Esubcom, "bad proctable");
                 } else {

@@ -64,14 +64,14 @@ class RawIcclDaemon : public cluster::Program {
       sh_->frames.push_back(FrameEvent{rank, kind, key.tag, src, bytes});
     });
     Iccl::SessionHandlers handlers;
-    handlers.on_bcast = [this, rank](std::uint32_t tag, const Bytes& data) {
-      sh_->bcast_delivered[rank] = data;
-      sh_->bcast_by_tag[rank][tag] = data;
+    handlers.on_bcast = [this, rank](std::uint32_t tag, const ByteSlice& data) {
+      sh_->bcast_delivered[rank] = data.to_bytes();
+      sh_->bcast_by_tag[rank][tag] = data.to_bytes();
       sh_->bcast_addr[rank][tag] = data.data();
     };
     if (sh_->bind_scatter) {
-      handlers.on_scatter = [this, rank](std::uint32_t, const Bytes& data) {
-        sh_->scatter_delivered[rank] = data;
+      handlers.on_scatter = [this, rank](std::uint32_t, const ByteSlice& data) {
+        sh_->scatter_delivered[rank] = data.to_bytes();
       };
     }
     handlers.on_gather =

@@ -1,7 +1,12 @@
 // End-to-end integration tests for launchAndSpawn / attachAndSpawn.
 #include <gtest/gtest.h>
 
+#include "comm/bootstrap.hpp"
+#include "core/be_api.hpp"
 #include "core/fe_api.hpp"
+#include "core/lmonp.hpp"
+#include "core/payloads.hpp"
+#include "rm/apai.hpp"
 #include "rm/resource_manager.hpp"
 #include "tests/test_util.hpp"
 
@@ -22,8 +27,9 @@ struct LaunchResult {
 /// Drives a full launchAndSpawn and reports into `out` (owned by the test).
 apps::ScriptedFrontEnd::Script make_launch_script(
     LaunchResult* out, int nnodes, int tpn,
-    std::shared_ptr<core::FrontEnd>* fe_keep) {
-  return [out, nnodes, tpn, fe_keep](cluster::Process& self) {
+    std::shared_ptr<core::FrontEnd>* fe_keep,
+    std::string daemon_exe = "hello_be") {
+  return [out, nnodes, tpn, fe_keep, daemon_exe](cluster::Process& self) {
     auto fe = std::make_shared<core::FrontEnd>(self);
     *fe_keep = fe;
     ASSERT_TRUE(fe->init().is_ok());
@@ -36,7 +42,7 @@ apps::ScriptedFrontEnd::Script make_launch_script(
     job.executable = "mpi_app";
 
     core::FrontEnd::SpawnConfig cfg;
-    cfg.daemon_exe = "hello_be";
+    cfg.daemon_exe = daemon_exe;
 
     out->started = self.sim().now();
     fe->launch_and_spawn(sid.value, job, cfg,
@@ -53,6 +59,47 @@ apps::ScriptedFrontEnd::Script make_launch_script(
                          });
   };
 }
+
+/// What RecordingDaemons report: each BE runtime once its on_init ran, and
+/// each daemon's on_ready status.
+struct DaemonLog {
+  std::map<std::uint32_t, core::BackEnd*> initialized;
+  std::map<std::uint32_t, Status> ready;
+};
+
+/// BE daemon that exposes its runtime to the test through a DaemonLog.
+class RecordingDaemon : public cluster::Program {
+ public:
+  explicit RecordingDaemon(DaemonLog* log) : log_(log) {}
+  [[nodiscard]] std::string_view name() const override {
+    return "recording_be";
+  }
+
+  void on_start(cluster::Process& self) override {
+    be_ = std::make_unique<core::BackEnd>(self);
+    core::BackEnd::Callbacks cbs;
+    cbs.on_init = [this](const core::Rpdtab&, const Bytes&,
+                         std::function<void(Status)> done) {
+      log_->initialized[be_->rank()] = be_.get();
+      done(Status::ok());
+    };
+    cbs.on_ready = [this](Status st) { log_->ready[be_->rank()] = st; };
+    ASSERT_TRUE(be_->init(std::move(cbs)).is_ok());
+  }
+
+  static void install(cluster::Machine& machine, DaemonLog* log) {
+    cluster::ProgramImage image;
+    image.image_mb = 2.0;
+    image.factory = [log](const std::vector<std::string>&) {
+      return std::make_unique<RecordingDaemon>(log);
+    };
+    machine.install_program("recording_be", std::move(image));
+  }
+
+ private:
+  DaemonLog* log_;
+  std::unique_ptr<core::BackEnd> be_;
+};
 
 TEST(LaunchSpawn, FourNodeJobLaunchesDaemonsAndTasks) {
   TestCluster tc(4);
@@ -180,6 +227,139 @@ TEST(LaunchSpawn, SessionReusedIsRejected) {
   ASSERT_TRUE(tc.run_until([&] { return result.done && second_done; }));
   EXPECT_TRUE(result.status.is_ok()) << result.status.to_string();
   EXPECT_EQ(second_status.rc(), Rc::Ebusy);
+}
+
+TEST(LaunchSpawn, EveryDaemonViewsTheOneRpdtabBuffer) {
+  // The handshake broadcast reaches every daemon as a view of the master's
+  // buffer, and each daemon's table views it in place: one RPDTAB buffer
+  // per launch, not one copy per daemon.
+  TestCluster tc(16);
+  DaemonLog log;
+  RecordingDaemon::install(tc.machine, &log);
+  LaunchResult result;
+  std::shared_ptr<core::FrontEnd> fe;
+  tc.spawn_fe(make_launch_script(&result, 16, 8, &fe, "recording_be"));
+  ASSERT_TRUE(tc.run_until([&] { return result.done; }));
+  ASSERT_TRUE(result.status.is_ok()) << result.status.to_string();
+
+  ASSERT_EQ(log.initialized.size(), 16u);
+  const std::uint8_t* shared =
+      log.initialized.at(0)->proctable().bytes().data();
+  for (const auto& [rank, be] : log.initialized) {
+    EXPECT_EQ(be->proctable(), result.proctable) << "rank " << rank;
+    EXPECT_EQ(be->proctable().size(), 128u) << "rank " << rank;
+    EXPECT_EQ(be->proctable().bytes().data(), shared) << "rank " << rank;
+  }
+}
+
+/// A front end reduced to the LMONP handshake: it answers the master
+/// daemon's Hello with a HandshakeInit carrying `rpdtab`, and ends the
+/// launch on the master's Ready the way core::FrontEnd does.
+class HandshakeOnlyFe : public cluster::Program {
+ public:
+  static constexpr cluster::Port kPort = 7000;
+
+  HandshakeOnlyFe(Bytes rpdtab, std::optional<Status>* outcome)
+      : rpdtab_(std::move(rpdtab)), outcome_(outcome) {}
+  [[nodiscard]] std::string_view name() const override {
+    return "handshake_fe";
+  }
+
+  void on_start(cluster::Process& self) override {
+    ASSERT_TRUE(self.listen(kPort, [this, &self](cluster::ChannelPtr ch) {
+                      self.set_channel_handler(
+                          ch, [this, &self](const cluster::ChannelPtr& c,
+                                            cluster::Message m) {
+                            on_daemon_message(self, c, m);
+                          });
+                    }).is_ok());
+  }
+
+ private:
+  void on_daemon_message(cluster::Process& self, const cluster::ChannelPtr& c,
+                         const cluster::Message& m) {
+    auto msg = core::LmonpMessage::decode(m);
+    if (!msg || msg->msg_class != core::MsgClass::FeBe) return;
+    switch (static_cast<core::FeDaemonMsg>(msg->type)) {
+      case core::FeDaemonMsg::Hello: {
+        core::payload::HandshakeInit init;
+        init.rpdtab = rpdtab_;
+        self.send(c, core::LmonpMessage::fe_daemon(
+                         core::MsgClass::FeBe,
+                         core::FeDaemonMsg::HandshakeInit, init.encode())
+                         .encode());
+        break;
+      }
+      case core::FeDaemonMsg::Ready: {
+        auto ready = core::payload::Ready::decode(msg->lmon_payload);
+        ASSERT_TRUE(ready.has_value());
+        *outcome_ = ready->ok ? Status::ok()
+                              : Status(Rc::Esubcom,
+                                       "daemons failed: " + ready->error);
+        break;
+      }
+      default:
+        break;
+    }
+  }
+
+  Bytes rpdtab_;
+  std::optional<Status>* outcome_;
+};
+
+TEST(LaunchSpawn, BadRpdtabInHandshakeFailsEveryDaemonWithAStatus) {
+  // An over-counted table reaches the daemons through the handshake
+  // broadcast (no layer above lets one through, so a minimal FE sends it).
+  // Every daemon must reject it, and the master must end the launch with a
+  // failed Ready instead of waiting for acks that never come.
+  const int n = 4;
+  TestCluster tc(n);
+  DaemonLog log;
+  std::optional<Status> outcome;
+
+  Bytes table = rm::apai::encode_proctable(
+      {{"atlas0", "mpi_app", 1001, 0}, {"atlas1", "mpi_app", 1002, 1}});
+  table[0] += 1;  // the u32 entry count now claims one entry too many
+  ASSERT_FALSE(core::Rpdtab::unpack(table).has_value());
+  cluster::SpawnOptions fe_opts;
+  fe_opts.executable = "handshake_fe";
+  ASSERT_TRUE(tc.machine.front_end()
+                  .spawn(std::make_unique<HandshakeOnlyFe>(table, &outcome),
+                         std::move(fe_opts))
+                  .is_ok());
+
+  comm::BootstrapSpec spec;
+  spec.size = n;
+  spec.topology = {comm::TopologyKind::KAry, 2};
+  spec.port = cluster::kToolFabricBasePort;
+  spec.session = "bad-rpdtab";
+  spec.fe_host = tc.machine.front_end().hostname();
+  spec.fe_port = HandshakeOnlyFe::kPort;
+  for (int i = 0; i < n; ++i) {
+    spec.hosts.push_back(tc.machine.compute_node(i).hostname());
+  }
+  for (std::uint32_t r = 0; r < spec.size; ++r) {
+    cluster::SpawnOptions opts;
+    opts.executable = "recording_be";
+    opts.args = comm::bootstrap_args(spec, r);
+    ASSERT_TRUE(tc.machine.compute_node(static_cast<int>(r))
+                    .spawn(std::make_unique<RecordingDaemon>(&log),
+                           std::move(opts))
+                    .is_ok());
+  }
+
+  ASSERT_TRUE(tc.run_until([&] {
+    return outcome.has_value() && static_cast<int>(log.ready.size()) == n;
+  }));
+  EXPECT_EQ(outcome->rc(), Rc::Esubcom);
+  EXPECT_NE(outcome->message().find("bad RPDTAB in handshake"),
+            std::string::npos)
+      << outcome->to_string();
+  for (const auto& [rank, st] : log.ready) {
+    EXPECT_EQ(st.rc(), Rc::Esubcom) << "rank " << rank;
+    EXPECT_EQ(st.message(), "bad RPDTAB in handshake") << "rank " << rank;
+  }
+  EXPECT_TRUE(log.initialized.empty());
 }
 
 }  // namespace

@@ -57,9 +57,9 @@ class RawHealDaemon : public cluster::Program {
     rank_ = iccl_->rank();
     const std::uint32_t rank = rank_;
     Iccl::SessionHandlers handlers;
-    handlers.on_bcast = [this, rank](std::uint32_t tag, const Bytes& data) {
+    handlers.on_bcast = [this, rank](std::uint32_t tag, const ByteSlice& data) {
       sh_->bcast_count[rank][tag] += 1;
-      sh_->bcast_by_tag[rank][tag] = data;
+      sh_->bcast_by_tag[rank][tag] = data.to_bytes();
     };
     handlers.on_gather =
         [this](std::uint32_t tag,
@@ -435,9 +435,9 @@ TEST(SelfHeal, MidRoundKillWithTwoActiveSessionsReplaysPerSessionOnce) {
     for (const std::uint32_t vsid : {1u, 2u}) {
       Iccl::SessionHandlers h;
       const std::uint32_t r = rank;
-      h.on_bcast = [&vs, vsid, r](std::uint32_t tag, const Bytes& d) {
+      h.on_bcast = [&vs, vsid, r](std::uint32_t tag, const ByteSlice& d) {
         vs[vsid].bcast_count[r][tag] += 1;
-        vs[vsid].bcast_by_tag[r][tag] = d;
+        vs[vsid].bcast_by_tag[r][tag] = d.to_bytes();
       };
       h.on_gather = [&vs, vsid](
                         std::uint32_t tag,

@@ -146,6 +146,62 @@ TEST(RpdtabPacked, EqualityAcrossConstructionPaths) {
   EXPECT_FALSE(Rpdtab(other) == *from_blob);
 }
 
+// --- views of one buffer, validated once -------------------------------------
+
+std::shared_ptr<const Bytes> shared_blob(Bytes b) {
+  return std::make_shared<const Bytes>(std::move(b));
+}
+
+TEST(RpdtabView, UnpackViewsTheBufferInPlace) {
+  const auto buf = shared_blob(rm::apai::encode_proctable(sample_entries()));
+  const ByteSlice whole(buf);
+  auto first = Rpdtab::unpack(whole);
+  auto again = Rpdtab::unpack(whole);
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(first->bytes().data(), buf->data());
+  EXPECT_EQ(again->bytes().data(), buf->data());
+  EXPECT_EQ(again->size(), 5u);
+  EXPECT_EQ(again->entries(), sample_entries());
+}
+
+TEST(RpdtabView, ShorterViewOfAnAcceptedBufferIsStillRejected) {
+  const auto buf = shared_blob(rm::apai::encode_proctable(sample_entries()));
+  const ByteSlice whole(buf);
+  for (std::size_t len = 0; len < buf->size(); ++len) {
+    // The full view is the remembered one; a prefix of it cuts some entry.
+    ASSERT_TRUE(Rpdtab::unpack(whole).has_value());
+    EXPECT_FALSE(Rpdtab::unpack(whole.sub(0, len)).has_value())
+        << "len " << len;
+  }
+  ASSERT_TRUE(Rpdtab::unpack(whole).has_value());
+}
+
+TEST(RpdtabView, DistinctBufferWithTruncatedLastEntryIsRejected) {
+  const Bytes good = rm::apai::encode_proctable(sample_entries());
+  const auto accepted = shared_blob(good);
+  ASSERT_TRUE(Rpdtab::unpack(ByteSlice(accepted)).has_value());
+  const auto truncated =
+      shared_blob(Bytes(good.begin(), good.end() - 1));  // last rank cut
+  EXPECT_FALSE(Rpdtab::unpack(ByteSlice(truncated)).has_value());
+  EXPECT_TRUE(Rpdtab::unpack(ByteSlice(accepted)).has_value());
+}
+
+TEST(RpdtabView, BufferRemadeWithDifferentBytesIsRevalidated) {
+  const Bytes good = rm::apai::encode_proctable(sample_entries());
+  Bytes over = good;
+  over[0] = 6;  // same length, one entry over-counted
+  for (int round = 0; round < 4; ++round) {
+    {
+      const auto buf = shared_blob(good);
+      ASSERT_TRUE(Rpdtab::unpack(ByteSlice(buf)).has_value());
+    }  // table and buffer freed; the next one may reuse their storage
+    const auto remade = shared_blob(over);
+    EXPECT_FALSE(Rpdtab::unpack(ByteSlice(remade)).has_value())
+        << "round " << round;
+  }
+}
+
 TEST(Rpdtab, PackedSizeLinearInEntries) {
   std::vector<rm::TaskDesc> entries;
   for (int i = 0; i < 100; ++i) {
