@@ -24,19 +24,16 @@
 #                  the session-table knob/reuse tests, and the mux ablation
 #                  bench at smoke scale - the fast "did a refactor break
 #                  session multiplexing" gate.
-#   --sanitize     build the ASan+UBSan preset (build-sanitize/) and run the
-#                  whole unit suite plus the launch, STAT, ICCL rendezvous,
-#                  self-heal, mux-session, trace-session, multi-session,
-#                  failure, collectives, TBON-network, middleware, both
-#                  jobsnap, auto-tune, calibration, platform, usrdata and
-#                  launch-strategy integration suites under it; any
+#   --sanitize     build the ASan+UBSan preset (build-sanitize/) and run
+#                  every unit and integration suite under it; any
 #                  sanitizer report fails the run. The protocol decoders
 #                  (RPDTAB, LMONP, TBON packets, tool filter inputs) read raw
 #                  byte spans, ICCL payload buffers are shared views that
 #                  outlive the process that sent them (every daemon's RPDTAB
 #                  views the handshake broadcast), and the raw-ICCL fault and
-#                  mux harnesses tear daemons down mid-round, which is what
-#                  this gate watches.
+#                  mux harnesses tear daemons down mid-round, and every
+#                  scheduled event lives in sim::Task's placement-new inline
+#                  storage, which is what this gate watches.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -78,12 +75,9 @@ fi
 
 if [[ "${1:-}" == "--sanitize" ]]; then
   tests=()
-  for src in tests/unit/*.cpp; do tests+=("$(basename "$src" .cpp)"); done
-  tests+=(launch_spawn_test stat_test iccl_rendezvous_test self_heal_test
-          mux_session_test trace_session_test multi_session_test
-          failure_test collectives_test tbon_net_test mw_test
-          jobsnap_tbon_test jobsnap_test autotune_test calibration_test
-          platform_test usrdata_test launch_strategy_test)
+  for src in tests/unit/*.cpp tests/integration/*.cpp; do
+    tests+=("$(basename "$src" .cpp)")
+  done
   cmake --preset sanitize
   cmake --build --preset sanitize -j "$JOBS" --target "${tests[@]}"
   export ASAN_OPTIONS=${ASAN_OPTIONS:-abort_on_error=1:detect_leaks=1}

@@ -22,24 +22,37 @@ void MpiApp::on_start(cluster::Process& self) {
   tick(self);
 }
 
+namespace {
+
+// The five call stacks a task can be in; every tick points at one of them.
+const std::vector<std::string> kCheckpointStack{
+    "_start", "main", "solver_loop", "write_checkpoint", "io_write"};
+const std::vector<std::string> kHaloStack{
+    "_start", "main", "solver_loop", "exchange_halo", "MPI_Waitall"};
+const std::vector<std::string> kReduceStack{
+    "_start", "main", "solver_loop", "global_reduce", "MPI_Allreduce"};
+const std::vector<std::string> kStencilStack{
+    "_start", "main", "solver_loop", "compute_kernel", "stencil_sweep"};
+const std::vector<std::string> kBoundaryStack{
+    "_start", "main", "solver_loop", "compute_kernel", "apply_bc"};
+
+}  // namespace
+
+const std::vector<std::string> MpiApp::kNotStarted{};
+
 void MpiApp::rebuild_stack() {
   // A synthetic SPMD application profile: most ranks compute, a few are in
   // MPI communication, rank 0 may sit in I/O. This yields the equivalence-
   // class structure STAT's prefix tree is designed to expose.
-  stack_ = {"_start", "main", "solver_loop"};
   const std::uint64_t mode = rng_.next_below(100);
   if (rank_ == 0 && mode < 30) {
-    stack_.push_back("write_checkpoint");
-    stack_.push_back("io_write");
+    stack_ = &kCheckpointStack;
   } else if (mode < 20) {
-    stack_.push_back("exchange_halo");
-    stack_.push_back("MPI_Waitall");
+    stack_ = &kHaloStack;
   } else if (mode < 28) {
-    stack_.push_back("global_reduce");
-    stack_.push_back("MPI_Allreduce");
+    stack_ = &kReduceStack;
   } else {
-    stack_.push_back("compute_kernel");
-    stack_.push_back(mode % 2 == 0 ? "stencil_sweep" : "apply_bc");
+    stack_ = mode % 2 == 0 ? &kStencilStack : &kBoundaryStack;
   }
 }
 

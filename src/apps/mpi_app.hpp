@@ -24,7 +24,7 @@ class MpiApp : public cluster::Program {
   /// STAT back-end daemons read this through node-local access, the way the
   /// real tool uses a stackwalker on a stopped process.
   [[nodiscard]] const std::vector<std::string>& call_stack() const {
-    return stack_;
+    return *stack_;
   }
   [[nodiscard]] int rank() const { return rank_; }
 
@@ -39,7 +39,8 @@ class MpiApp : public cluster::Program {
   int size_ = 0;
   std::uint64_t ticks_ = 0;
   sim::Rng rng_{0};
-  std::vector<std::string> stack_;
+  static const std::vector<std::string> kNotStarted;
+  const std::vector<std::string>* stack_ = &kNotStarted;
 };
 
 }  // namespace lmon::apps

@@ -68,17 +68,19 @@ void Channel::send(Pid self, Message msg) {
                         std::to_string(msg.size()));
   }
 
-  auto self_ptr = shared_from_this();
-  const Pid dst_pid = dst.pid;
-  simulator.schedule_at(
-      arrival, [self_ptr, dst_pid, m = std::move(msg)]() mutable {
-        if (!self_ptr->open_) return;
-        Process* peer = self_ptr->machine_.find_process(dst_pid);
-        if (peer == nullptr || peer->state() == ProcState::Exited) return;
-        peer->deliver([self_ptr, peer, m = std::move(m)]() mutable {
-          peer->dispatch_message(self_ptr, std::move(m));
-        });
-      });
+  // Both closures below are sized to fit sim::Task's inline storage, so a
+  // message in flight allocates nothing beyond its own bytes.
+  auto deliver_at_peer = [ch = shared_from_this(), dst_pid = dst.pid,
+                          m = std::move(msg)]() mutable {
+    if (!ch->open_) return;
+    Process* peer = ch->machine_.find_process(dst_pid);
+    if (peer == nullptr) return;
+    peer->deliver([ch = std::move(ch), peer, m = std::move(m)]() mutable {
+      peer->dispatch_message(ch, std::move(m));
+    });
+  };
+  static_assert(sim::Task::stores_inline<decltype(deliver_at_peer)>);
+  simulator.schedule_at(arrival, std::move(deliver_at_peer));
 }
 
 void Channel::close(Pid closer) {
@@ -92,12 +94,13 @@ void Channel::close(Pid closer) {
 
   machine_.sim().schedule(
       machine_.network().transfer_time(src.node, dst.node, 0),
-      [self_ptr, dst_pid] {
+      [self_ptr, dst_pid]() mutable {
         Process* peer = self_ptr->machine_.find_process(dst_pid);
         if (peer == nullptr || peer->state() == ProcState::Exited) return;
         peer->forget_channel(self_ptr->id());
-        peer->deliver(
-            [self_ptr, peer] { peer->dispatch_closed(self_ptr); });
+        peer->deliver([ch = std::move(self_ptr), peer] {
+          peer->dispatch_closed(ch);
+        });
       });
 
   Process* me = machine_.find_process(closer);

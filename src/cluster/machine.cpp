@@ -28,17 +28,18 @@ void Machine::set_tracer(obs::Tracer* t) {
   for (const auto& node : nodes_) {
     tracer_->name_track(static_cast<int>(node->id()), node->hostname());
   }
-  for (const auto& [pid, proc] : pid_index_) {
-    if (proc == nullptr) continue;
-    tracer_->name_lane(static_cast<int>(proc->node().id()), pid,
-                       std::string(proc->program().name()) + "/" +
+  for (std::size_t i = 0; i < procs_.size(); ++i) {
+    const Pid pid = kFirstPid + static_cast<Pid>(i);
+    tracer_->name_lane(static_cast<int>(procs_[i]->node().id()), pid,
+                       std::string(procs_[i]->program().name()) + "/" +
                            std::to_string(pid));
   }
 }
 
 void Machine::index_process(Pid pid, Process* p) {
-  pid_index_[pid] = p;
-  if (tracer_ != nullptr && p != nullptr) {
+  assert(p != nullptr && pid == kFirstPid + static_cast<Pid>(procs_.size()));
+  procs_.push_back(p);
+  if (tracer_ != nullptr) {
     tracer_->name_lane(static_cast<int>(p->node().id()), pid,
                        std::string(p->program().name()) + "/" +
                            std::to_string(pid));
@@ -48,11 +49,6 @@ void Machine::index_process(Pid pid, Process* p) {
 Node* Machine::find_host(std::string_view hostname) {
   auto it = host_index_.find(std::string(hostname));
   return it == host_index_.end() ? nullptr : it->second;
-}
-
-Process* Machine::find_process(Pid pid) {
-  auto it = pid_index_.find(pid);
-  return it == pid_index_.end() ? nullptr : it->second;
 }
 
 sim::Time Machine::jittered(sim::Time base) {

@@ -80,7 +80,12 @@ class Machine {
   }
 
   [[nodiscard]] Node* find_host(std::string_view hostname);
-  [[nodiscard]] Process* find_process(Pid pid);
+  /// Pids are handed out densely from kFirstPid and never reused, and a
+  /// process object lives as long as its Machine, so this is an array index.
+  [[nodiscard]] Process* find_process(Pid pid) noexcept {
+    const auto i = static_cast<std::uint64_t>(pid - kFirstPid);
+    return i < procs_.size() ? procs_[i] : nullptr;
+  }
 
   /// Charged fork/exec jitter draws and per-subsystem rng streams.
   [[nodiscard]] sim::Rng fork_rng() { return sim_.rng().fork(); }
@@ -88,6 +93,7 @@ class Machine {
   /// Applies multiplicative jitter from the cost model's proc_jitter.
   [[nodiscard]] sim::Time jittered(sim::Time base);
 
+  static constexpr Pid kFirstPid = 1000;
   Pid alloc_pid() noexcept { return next_pid_++; }
   Channel::Id alloc_channel_id() noexcept { return next_channel_++; }
 
@@ -147,10 +153,10 @@ class Machine {
     }
   }
 
-  // Bookkeeping used by Process/Node internals (defined in machine.cpp so
-  // the tracer can label each new pid's export lane).
+  // Bookkeeping used by Node::spawn (defined in machine.cpp so the tracer
+  // can label each new pid's export lane). Pids are indexed in allocation
+  // order.
   void index_process(Pid pid, Process* p);
-  void deindex_process(Pid pid) { pid_index_.erase(pid); }
 
  private:
   sim::Simulator& sim_;
@@ -159,12 +165,12 @@ class Machine {
   sim::Rng jitter_rng_{0};
   std::vector<std::unique_ptr<Node>> nodes_;
   std::unordered_map<std::string, Node*> host_index_;
-  std::unordered_map<Pid, Process*> pid_index_;
+  std::vector<Process*> procs_;  ///< by pid - kFirstPid
   std::unordered_map<std::string, ProgramImage> programs_;
   obs::Tracer* tracer_ = nullptr;
   obs::Metrics* metrics_ = nullptr;
   obs::FlightRecorderHub* flight_ = nullptr;
-  Pid next_pid_ = 1000;
+  Pid next_pid_ = kFirstPid;
   Channel::Id next_channel_ = 1;
 };
 

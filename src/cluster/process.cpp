@@ -26,17 +26,6 @@ Process::~Process() = default;
 
 sim::Simulator& Process::sim() noexcept { return machine_.sim(); }
 
-void Process::post(sim::Time delay, std::function<void()> fn) {
-  if (state_ == ProcState::Exited) return;
-  Machine& m = machine_;
-  const Pid pid = pid_;
-  m.sim().schedule(delay, [&m, pid, fn = std::move(fn)]() mutable {
-    Process* p = m.find_process(pid);
-    if (p == nullptr || p->state() == ProcState::Exited) return;
-    p->deliver(std::move(fn));
-  });
-}
-
 sim::Time Process::reserve_busy(sim::Time cost) {
   const sim::Time now = sim().now();
   if (busy_until_ < now) busy_until_ = now;
@@ -44,27 +33,17 @@ sim::Time Process::reserve_busy(sim::Time cost) {
   return busy_until_ - now;
 }
 
-void Process::deliver(std::function<void()> fn) {
-  switch (state_) {
-    case ProcState::Exited:
-      return;  // dropped: the process is gone
-    case ProcState::Stopped:
-    case ProcState::Spawning:
-      deferred_.push_back(std::move(fn));
-      return;
-    case ProcState::Running:
-      fn();
-      return;
-  }
-}
-
 void Process::flush_deferred() {
   // Deliveries queued while stopped run in arrival order on resume. New work
-  // may be appended while flushing; the loop handles that naturally.
-  while (!deferred_.empty() && state_ == ProcState::Running) {
-    std::function<void()> fn = std::move(deferred_.front());
-    deferred_.erase(deferred_.begin());
+  // may be appended while flushing (a delivery can stop the process again);
+  // the cursor picks it up, and exit() empties the queue.
+  while (deferred_head_ < deferred_.size() && state_ == ProcState::Running) {
+    sim::Task fn = std::move(deferred_[deferred_head_++]);
     fn();
+  }
+  if (deferred_head_ == deferred_.size()) {
+    deferred_.clear();
+    deferred_head_ = 0;
   }
 }
 
@@ -166,6 +145,7 @@ void Process::exit(int code) {
   state_ = ProcState::Exited;
   stats_.state = 'Z';
   deferred_.clear();
+  deferred_head_ = 0;
   pending_resume_ = nullptr;
   handlers_.clear();
 

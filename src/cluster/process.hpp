@@ -149,8 +149,15 @@ class Process {
   /// Schedules `fn` after `delay`. If the process is stopped by a tracer at
   /// fire time the continuation is deferred until resume; if it has exited
   /// the continuation is dropped. This gives tracer stop/continue faithful
-  /// "the whole process freezes" semantics.
-  void post(sim::Time delay, std::function<void()> fn);
+  /// "the whole process freezes" semantics. Processes live as long as
+  /// their Machine, so the event holds `this` rather than a pid to look up.
+  template <typename F>
+  void post(sim::Time delay, F&& fn) {
+    if (state_ == ProcState::Exited) return;
+    sim().schedule(delay, [self = this, fn = std::forward<F>(fn)]() mutable {
+      self->deliver(std::move(fn));
+    });
+  }
 
   /// Reserves `cost` of serialized CPU time on this process and returns the
   /// delay until that work completes. Consecutive reservations queue behind
@@ -232,7 +239,22 @@ class Process {
 
   void set_state(ProcState s) noexcept { state_ = s; }
   void reap_pdeath_children();
-  void deliver(std::function<void()> fn);  // respects Stopped/Exited
+  /// Runs `fn` now if Running, queues it for resume if Stopped or still
+  /// Spawning, and drops it if Exited.
+  template <typename F>
+  void deliver(F&& fn) {
+    switch (state_) {
+      case ProcState::Exited:
+        return;
+      case ProcState::Stopped:
+      case ProcState::Spawning:
+        deferred_.emplace_back(std::forward<F>(fn));
+        return;
+      case ProcState::Running:
+        fn();
+        return;
+    }
+  }
   void flush_deferred();
   void attach_tracer(TraceSession* session);
   void detach_tracer();
@@ -253,7 +275,10 @@ class Process {
   std::map<Channel::Id, ChannelPtr> channels_;
   std::map<Channel::Id, std::pair<MessageHandler, ClosedHandler>> handlers_;
   std::vector<Port> listening_;
-  std::vector<std::function<void()>> deferred_;
+  /// Deliveries held while not Running, in arrival order; flush_deferred()
+  /// runs them from deferred_head_ on.
+  std::vector<sim::Task> deferred_;
+  std::size_t deferred_head_ = 0;
   std::vector<std::unique_ptr<TraceSession>> trace_sessions_;
   TraceSession* tracer_ = nullptr;  ///< session tracing *this* process
   std::function<void()> pending_resume_;

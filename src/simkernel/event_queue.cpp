@@ -1,47 +1,35 @@
 #include "simkernel/event_queue.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <functional>
+#include <utility>
 
 namespace lmon::sim {
 
-EventId EventQueue::push(Time when, std::function<void()> fn) {
-  const std::uint64_t seq = next_seq_++;
-  heap_.push(Entry{when, seq});
-  pending_.emplace(seq, std::move(fn));
-  return EventId{seq};
-}
-
-void EventQueue::cancel(EventId id) { pending_.erase(id.seq); }
-
-void EventQueue::skip_cancelled() const {
-  while (!heap_.empty() && pending_.find(heap_.top().seq) == pending_.end()) {
-    heap_.pop();
+void EventQueue::push(Time when, Task fn) {
+  auto slot = static_cast<std::uint32_t>(slab_.size());
+  if (free_.empty()) {
+    slab_.push_back(std::move(fn));
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+    slab_[slot] = std::move(fn);
   }
+  heap_.push_back(Entry{when, next_seq_++, slot});
+  std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
 }
 
-bool EventQueue::empty() const {
-  skip_cancelled();
-  return heap_.empty();
-}
-
-std::size_t EventQueue::size() const { return pending_.size(); }
-
-Time EventQueue::next_time() const {
-  skip_cancelled();
+Task EventQueue::pop() {
   assert(!heap_.empty());
-  return heap_.top().when;
-}
-
-std::pair<Time, std::function<void()>> EventQueue::pop() {
-  skip_cancelled();
-  assert(!heap_.empty());
-  const Entry e = heap_.top();
-  heap_.pop();
-  auto it = pending_.find(e.seq);
-  assert(it != pending_.end());
-  std::function<void()> fn = std::move(it->second);
-  pending_.erase(it);
-  return {e.when, std::move(fn)};
+  std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  const std::uint32_t slot = heap_.back().slot;
+  heap_.pop_back();
+  // Move the task out before it runs: it may push events that reuse the
+  // slot or grow the slab.
+  Task fn = std::move(slab_[slot]);
+  free_.push_back(slot);
+  return fn;
 }
 
 }  // namespace lmon::sim

@@ -2,58 +2,48 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <queue>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
+#include "simkernel/task.hpp"
 #include "simkernel/time.hpp"
 
 namespace lmon::sim {
 
-/// Opaque handle to a scheduled event; used to cancel timers.
-struct EventId {
-  std::uint64_t seq = 0;
-  friend bool operator==(EventId a, EventId b) { return a.seq == b.seq; }
-};
-
-/// Min-heap of timestamped callbacks with stable FIFO ordering for equal
-/// timestamps. Cancellation is lazy: cancelled ids are skipped at pop time,
-/// which keeps cancel O(1) and is safe because event ids are never reused.
+/// Min-heap of timestamped tasks with stable FIFO ordering for equal
+/// timestamps. The heap orders small trivially copyable records by
+/// (when, seq); each record names a slot in a slab of tasks, and popped
+/// slots go on a free list for the next push. Once the slab has grown to
+/// the peak number of pending events, push and pop allocate nothing. Events
+/// cannot be cancelled: a stale timer checks its own state when it fires.
 class EventQueue {
  public:
-  EventId push(Time when, std::function<void()> fn);
+  void push(Time when, Task fn);
 
-  /// Marks an event so it will be skipped when popped. Cancelling an already
-  /// fired or unknown event is a no-op.
-  void cancel(EventId id);
+  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
+  [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
 
-  [[nodiscard]] bool empty() const;
-  [[nodiscard]] std::size_t size() const;
+  /// Timestamp of the next event; only valid when !empty().
+  [[nodiscard]] Time next_time() const { return heap_.front().when; }
 
-  /// Timestamp of the next live event; only valid when !empty().
-  [[nodiscard]] Time next_time() const;
-
-  /// Removes and returns the next live event's callback, advancing past any
-  /// cancelled entries. Precondition: !empty().
-  std::pair<Time, std::function<void()>> pop();
+  /// Removes and returns the next event's task; its timestamp is the
+  /// next_time() read before the call. Precondition: !empty().
+  Task pop();
 
  private:
   struct Entry {
     Time when;
-    std::uint64_t seq;
-    // Heap entries hold an index into pending_ rather than the callback so
-    // that cancel() can drop the closure immediately.
-    bool operator>(const Entry& o) const {
+    std::uint64_t seq;   ///< push order: the FIFO tie-break
+    std::uint32_t slot;  ///< index into slab_
+    // std heap algorithms keep the greatest on top; with std::greater<>
+    // that is the earliest (when, seq).
+    bool operator>(const Entry& o) const noexcept {
       return when != o.when ? when > o.when : seq > o.seq;
     }
   };
 
-  void skip_cancelled() const;
-
-  mutable std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
-  mutable std::unordered_map<std::uint64_t, std::function<void()>> pending_;
+  std::vector<Entry> heap_;
+  std::vector<Task> slab_;
+  std::vector<std::uint32_t> free_;
   std::uint64_t next_seq_ = 1;
 };
 

@@ -13,12 +13,12 @@
 //     lines land on the same simulated-time axis as spans and metrics.
 #pragma once
 
-#include <functional>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
 
+#include "simkernel/task.hpp"
 #include "simkernel/time.hpp"
 
 namespace lmon::sim {
@@ -30,8 +30,8 @@ enum class LogLevel { Off = 0, Warn = 1, Info = 2, Debug = 3 };
 class Log {
  public:
   using Sink =
-      std::function<void(LogLevel, Time, std::string_view /*component*/,
-                         std::string_view /*message*/)>;
+      InlineFunction<void(LogLevel, Time, std::string_view /*component*/,
+                          std::string_view /*message*/)>;
 
   static LogLevel level();
   static void set_level(LogLevel lv);

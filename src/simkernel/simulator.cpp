@@ -7,21 +7,22 @@ namespace lmon::sim {
 
 Simulator::Simulator(std::uint64_t seed) : rng_(seed) {}
 
-EventId Simulator::schedule(Time delay, std::function<void()> fn) {
+void Simulator::schedule(Time delay, Task fn) {
   if (delay < 0) delay = 0;
-  return queue_.push(now_ + delay, std::move(fn));
+  queue_.push(now_ + delay, std::move(fn));
 }
 
-EventId Simulator::schedule_at(Time when, std::function<void()> fn) {
+void Simulator::schedule_at(Time when, Task fn) {
   if (when < now_) when = now_;
-  return queue_.push(when, std::move(fn));
+  queue_.push(when, std::move(fn));
 }
 
 std::size_t Simulator::run(Time until) {
   std::size_t count = 0;
   while (!queue_.empty() && queue_.next_time() <= until) {
-    auto [when, fn] = queue_.pop();
+    const Time when = queue_.next_time();
     assert(when >= now_ && "time must be monotonic");
+    Task fn = queue_.pop();
     now_ = when;
     fn();
     ++count;
@@ -36,8 +37,8 @@ std::size_t Simulator::run(Time until) {
 
 bool Simulator::step() {
   if (queue_.empty()) return false;
-  auto [when, fn] = queue_.pop();
-  now_ = when;
+  now_ = queue_.next_time();
+  Task fn = queue_.pop();
   fn();
   ++executed_;
   return true;

@@ -7,12 +7,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
-#include <string>
 
 #include "simkernel/event_queue.hpp"
 #include "simkernel/rng.hpp"
+#include "simkernel/task.hpp"
 #include "simkernel/time.hpp"
 
 namespace lmon::sim {
@@ -29,13 +28,12 @@ class Simulator {
   [[nodiscard]] Time now() const noexcept { return now_; }
 
   /// Schedules `fn` to run at now()+delay. Negative delays are clamped to 0
-  /// (events never run in the past).
-  EventId schedule(Time delay, std::function<void()> fn);
+  /// (events never run in the past). There is no cancel: a timer that may
+  /// go stale checks its owner's state when it fires.
+  void schedule(Time delay, Task fn);
 
   /// Schedules at an absolute timestamp (>= now()).
-  EventId schedule_at(Time when, std::function<void()> fn);
-
-  void cancel(EventId id) { queue_.cancel(id); }
+  void schedule_at(Time when, Task fn);
 
   /// Runs events until the queue drains or `until` is passed. Returns the
   /// number of events executed.

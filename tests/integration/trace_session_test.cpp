@@ -397,7 +397,8 @@ TEST(TraceSession, PerfettoExportMatchesGoldenSchema) {
       << live_shape << "\nif intentional, update the golden file.";
 
   // And the file-writing path round-trips the same bytes.
-  const std::string out_path = "trace_session_test.trace.json";
+  const std::string out_path =
+      ::testing::TempDir() + "trace_session_test.trace.json";
   ASSERT_TRUE(obs::write_chrome_trace(*run.tracer, out_path).is_ok());
   std::ifstream back(out_path);
   std::ostringstream written;

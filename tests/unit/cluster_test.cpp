@@ -483,6 +483,61 @@ TEST(Tracing, AttachStopsRunningProcessAndDetachResumes) {
   EXPECT_GT(ticks, frozen);
 }
 
+TEST(Tracing, MessagesHeldWhileStoppedArriveInOrderOnResume) {
+  Fixture f;
+  constexpr int kBacklog = 2000;
+  std::vector<int> received;
+
+  auto receiver = std::make_unique<Hooks>();
+  receiver->start = [](Process& self) { ASSERT_TRUE(self.listen(9000).is_ok()); };
+  receiver->message = [&](Process&, const ChannelPtr&, Message m) {
+    ByteReader r(m.bytes);
+    received.push_back(static_cast<int>(*r.u32()));
+  };
+  const Pid receiver_pid =
+      f.spawn_hooks(f.machine.compute_node(0), std::move(receiver));
+
+  ChannelPtr channel;
+  auto sender = std::make_unique<Hooks>();
+  sender->start = [&](Process& self) {
+    self.connect("test1", 9000, [&](Status st, ChannelPtr ch) {
+      ASSERT_TRUE(st.is_ok());
+      channel = std::move(ch);
+    });
+  };
+  const Pid sender_pid =
+      f.spawn_hooks(f.machine.compute_node(1), std::move(sender));
+
+  TraceSession* session = nullptr;
+  auto tracer = std::make_unique<Hooks>();
+  tracer->start = [&](Process& self) {
+    auto res = self.trace_attach(receiver_pid, [](const DebugEvent&) {});
+    ASSERT_TRUE(res.is_ok());
+    session = res.value;
+  };
+  f.spawn_hooks(f.machine.front_end(), std::move(tracer));
+  f.sim.run();
+  ASSERT_NE(channel, nullptr);
+  ASSERT_NE(session, nullptr);
+  ASSERT_EQ(f.machine.find_process(receiver_pid)->state(), ProcState::Stopped);
+
+  Process* sp = f.machine.find_process(sender_pid);
+  for (int i = 0; i < kBacklog; ++i) {
+    ByteWriter w;
+    w.u32(static_cast<std::uint32_t>(i));
+    sp->send(channel, Message(std::move(w).take()));
+  }
+  f.sim.run();
+  EXPECT_TRUE(received.empty());  // all held by the stopped receiver
+
+  session->detach();
+  f.sim.run();
+  ASSERT_EQ(received.size(), static_cast<std::size_t>(kBacklog));
+  for (int i = 0; i < kBacklog; ++i) {
+    ASSERT_EQ(received[static_cast<std::size_t>(i)], i);
+  }
+}
+
 TEST(Tracing, AttachToDeadProcessFails) {
   Fixture f;
   Status result;

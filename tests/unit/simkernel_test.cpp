@@ -1,7 +1,13 @@
 // Unit tests for the discrete-event simulation kernel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <functional>
+#include <map>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.hpp"
@@ -19,7 +25,7 @@ TEST(EventQueue, OrdersByTime) {
   q.push(30, [&] { fired.push_back(3); });
   q.push(10, [&] { fired.push_back(1); });
   q.push(20, [&] { fired.push_back(2); });
-  while (!q.empty()) q.pop().second();
+  while (!q.empty()) q.pop()();
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
 
@@ -29,26 +35,146 @@ TEST(EventQueue, FifoForEqualTimestamps) {
   for (int i = 0; i < 10; ++i) {
     q.push(5, [&fired, i] { fired.push_back(i); });
   }
-  while (!q.empty()) q.pop().second();
+  while (!q.empty()) q.pop()();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(fired[static_cast<size_t>(i)], i);
 }
 
-TEST(EventQueue, CancelSkipsEvent) {
-  EventQueue q;
-  std::vector<int> fired;
-  q.push(1, [&] { fired.push_back(1); });
-  EventId id = q.push(2, [&] { fired.push_back(2); });
-  q.push(3, [&] { fired.push_back(3); });
-  q.cancel(id);
-  while (!q.empty()) q.pop().second();
-  EXPECT_EQ(fired, (std::vector<int>{1, 3}));
+// Seeded interleavings of pushes (mostly at a handful of equal timestamps),
+// pops, and pushes made from inside callbacks into just-freed slots. Every
+// pop must match a reference ordered by (when, push index).
+TEST(EventQueue, MatchesReferenceOrderUnderSlotReuse) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    EventQueue q;
+    std::multimap<std::pair<Time, int>, int> reference;
+    int pushes = 0;
+    int last_fired = -1;
+    std::size_t peak = 0;
+
+    std::function<void(Time)> push = [&](Time when) {
+      const int index = pushes++;
+      reference.emplace(std::make_pair(when, index), index);
+      const bool nested = rng.next_below(3) == 0;
+      q.push(when, [&, index, when, nested] {
+        last_fired = index;
+        // The popped slot is free again: refill it from inside the callback.
+        if (nested) push(when + static_cast<Time>(rng.next_below(3)));
+      });
+      peak = std::max(peak, q.size());
+    };
+
+    for (int step = 0; step < 400; ++step) {
+      if (q.empty() || rng.next_below(5) < 3) {
+        push(static_cast<Time>(rng.next_below(8)));
+        continue;
+      }
+      ASSERT_EQ(q.size(), reference.size());
+      const auto expected = reference.begin();
+      EXPECT_EQ(q.next_time(), expected->first.first) << "seed " << seed;
+      const int want = expected->second;
+      reference.erase(expected);
+      q.pop()();
+      ASSERT_EQ(last_fired, want) << "seed " << seed << " step " << step;
+    }
+    while (!q.empty()) {
+      const auto expected = reference.begin();
+      EXPECT_EQ(q.next_time(), expected->first.first);
+      const int want = expected->second;
+      reference.erase(expected);
+      q.pop()();
+      ASSERT_EQ(last_fired, want) << "seed " << seed << " (drain)";
+    }
+    EXPECT_TRUE(reference.empty());
+    // The slab never holds more than `peak` tasks, so most pushes went into
+    // recycled slots.
+    EXPECT_GT(pushes, 2 * static_cast<int>(peak)) << "seed " << seed;
+  }
 }
 
-TEST(EventQueue, CancelUnknownIsNoop) {
-  EventQueue q;
-  q.push(1, [] {});
-  q.cancel(EventId{9999});
-  EXPECT_FALSE(q.empty());
+/// Counts how many times the one logical capture it stands for is
+/// destroyed; moved-from husks do not count.
+struct DestroyProbe {
+  int* destroyed;
+  bool owner = true;
+  explicit DestroyProbe(int* d) : destroyed(d) {}
+  DestroyProbe(DestroyProbe&& o) noexcept
+      : destroyed(o.destroyed), owner(std::exchange(o.owner, false)) {}
+  DestroyProbe(const DestroyProbe&) = delete;
+  DestroyProbe& operator=(const DestroyProbe&) = delete;
+  DestroyProbe& operator=(DestroyProbe&&) = delete;
+  ~DestroyProbe() {
+    if (owner) ++*destroyed;
+  }
+};
+
+TEST(Task, InlineCaptureIsDestroyedExactlyOnce) {
+  int destroyed = 0;
+  int calls = 0;
+  {
+    auto fn = [p = DestroyProbe(&destroyed), &calls] { ++calls; };
+    static_assert(Task::stores_inline<decltype(fn)>);
+    Task a(std::move(fn));
+    Task b(std::move(a));
+    EXPECT_FALSE(a);
+    Task c;
+    c = std::move(b);
+    c();
+    c();
+    EXPECT_EQ(destroyed, 0);
+  }
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(destroyed, 1);
+}
+
+TEST(Task, HeapFallbackCaptureIsDestroyedExactlyOnce) {
+  int destroyed = 0;
+  int calls = 0;
+  {
+    std::array<char, 2 * Task::kInlineBytes> big{};
+    auto fn = [p = DestroyProbe(&destroyed), big, &calls] {
+      calls += big[0] + 1;
+    };
+    static_assert(!Task::stores_inline<decltype(fn)>);
+    Task a(std::move(fn));
+    Task b(std::move(a));
+    Task c([] {});
+    c = std::move(b);  // drops the inline target it held
+    c();
+    EXPECT_EQ(destroyed, 0);
+    c = nullptr;
+    EXPECT_EQ(destroyed, 1);
+    EXPECT_FALSE(c);
+  }
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(destroyed, 1);
+}
+
+TEST(Task, AcceptsMoveOnlyCapture) {
+  int seen = 0;
+  Task t([p = std::make_unique<int>(42), &seen] { seen = *p; });
+  Task moved(std::move(t));
+  moved();
+  EXPECT_EQ(seen, 42);
+}
+
+TEST(Task, UnfiredTasksAreDestroyedWithTheSimulator) {
+  int destroyed = 0;
+  int fired = 0;
+  {
+    Simulator sim;
+    std::array<char, 2 * Task::kInlineBytes> big{};
+    sim.schedule(ms(1), [p = DestroyProbe(&destroyed), &fired] { ++fired; });
+    sim.schedule(ms(5), [p = DestroyProbe(&destroyed), &fired] { ++fired; });
+    sim.schedule(ms(6), [p = DestroyProbe(&destroyed), big, &fired] {
+      fired += big[0] + 1;
+    });
+    sim.run(ms(2));
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(destroyed, 1);  // the fired task, once it returned
+    EXPECT_EQ(sim.pending_events(), 2u);
+  }
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(destroyed, 3);
 }
 
 TEST(Simulator, TimeAdvancesMonotonically) {
