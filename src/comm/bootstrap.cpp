@@ -1,11 +1,42 @@
 #include "comm/bootstrap.hpp"
 
+#include <stdexcept>
+
 #include "common/argparse.hpp"
 
 namespace lmon::comm {
 
+HostTable::HostTable(std::string csv) : csv_(std::move(csv)) {
+  std::size_t start = 0;
+  while (start < csv_.size()) {
+    std::size_t comma = csv_.find(',', start);
+    if (comma == std::string::npos) comma = csv_.size();
+    if (comma > start) entries_.push_back(Entry{start, comma - start});
+    start = comma + 1;
+  }
+}
+
+std::string_view HostTable::at(std::size_t rank) const {
+  if (rank >= entries_.size()) throw std::out_of_range("HostTable::at");
+  return std::string_view(csv_).substr(entries_[rank].offset,
+                                       entries_[rank].length);
+}
+
+std::optional<std::uint32_t> HostTable::rank_of(std::string_view host) const {
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    if (at(i) == host) return static_cast<std::uint32_t>(i);
+  }
+  return std::nullopt;
+}
+
 std::vector<std::string> bootstrap_args(const BootstrapSpec& spec,
                                         std::optional<std::uint32_t> rank) {
+  return bootstrap_args(spec, rank, join_csv(spec.hosts));
+}
+
+std::vector<std::string> bootstrap_args(const BootstrapSpec& spec,
+                                        std::optional<std::uint32_t> rank,
+                                        std::string_view hosts_csv) {
   std::vector<std::string> args;
   if (rank) args.push_back("--lmon-rank=" + std::to_string(*rank));
   args.push_back("--lmon-size=" + std::to_string(spec.size));
@@ -31,7 +62,9 @@ std::vector<std::string> bootstrap_args(const BootstrapSpec& spec,
     args.push_back("--lmon-fe-host=" + spec.fe_host);
     args.push_back("--lmon-fe-port=" + std::to_string(spec.fe_port));
   }
-  args.push_back("--lmon-hosts=" + join_csv(spec.hosts));
+  std::string hosts_arg = "--lmon-hosts=";
+  hosts_arg += hosts_csv;
+  args.push_back(std::move(hosts_arg));
   return args;
 }
 
@@ -40,12 +73,12 @@ std::optional<BootstrapParams> parse_bootstrap(
   BootstrapParams p;
   const auto size = arg_int(args, "--lmon-size=");
   const auto port = arg_int(args, "--lmon-port=");
-  const auto hosts = arg_value(args, "--lmon-hosts=");
+  auto hosts = arg_value(args, "--lmon-hosts=");
   const auto topo = arg_value(args, "--lmon-topo=");
   if (!size || !port || !hosts || !topo) return std::nullopt;
   p.size = static_cast<std::uint32_t>(*size);
   p.port = static_cast<cluster::Port>(*port);
-  p.hosts = split_csv(*hosts);
+  p.hosts = HostTable(std::move(*hosts));
   p.session = arg_value(args, "--lmon-session=").value_or("s0");
   p.fe_host = arg_value(args, "--lmon-fe-host=").value_or("");
   p.fe_port = static_cast<cluster::Port>(
@@ -69,15 +102,9 @@ std::optional<BootstrapParams> parse_bootstrap(
     // Broadcast-style launch: every daemon got the same argv; recover the
     // rank from this host's position in the rank-ordered host list.
     if (self_host.empty()) return std::nullopt;
-    std::size_t index = p.hosts.size();
-    for (std::size_t i = 0; i < p.hosts.size(); ++i) {
-      if (p.hosts[i] == self_host) {
-        index = i;
-        break;
-      }
-    }
-    if (index == p.hosts.size()) return std::nullopt;
-    p.rank = static_cast<std::uint32_t>(index);
+    const auto index = p.hosts.rank_of(self_host);
+    if (!index) return std::nullopt;
+    p.rank = *index;
   }
 
   if (p.size == 0 || p.rank >= p.size) return std::nullopt;

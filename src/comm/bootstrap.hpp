@@ -52,6 +52,30 @@ struct BootstrapSpec {
   std::uint32_t max_sessions = 0;
 };
 
+/// The rank-ordered host list a daemon recovers from "--lmon-hosts=": the
+/// comma-separated argument kept as one string, plus where each entry lies
+/// in it. Empty segments ("a,,b") are dropped, as split_csv drops them.
+class HostTable {
+ public:
+  HostTable() = default;
+  explicit HostTable(std::string csv);
+
+  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+  /// The host of `rank`; throws std::out_of_range when rank >= size().
+  [[nodiscard]] std::string_view at(std::size_t rank) const;
+  /// The first rank whose host is `host`, or nullopt.
+  [[nodiscard]] std::optional<std::uint32_t> rank_of(
+      std::string_view host) const;
+
+ private:
+  struct Entry {
+    std::size_t offset = 0;
+    std::size_t length = 0;
+  };
+  std::string csv_;
+  std::vector<Entry> entries_;
+};
+
 /// What a daemon recovers from its argv.
 struct BootstrapParams {
   std::uint32_t rank = 0;
@@ -61,7 +85,7 @@ struct BootstrapParams {
   std::string session;
   std::string fe_host;
   cluster::Port fe_port = 0;
-  std::vector<std::string> hosts;
+  HostTable hosts;                   ///< daemon hosts in rank order
   std::uint32_t rndv_threshold = 0;  ///< 0 = this machine's costs
   bool heal = false;                 ///< self-healing tree recovery enabled
   std::uint32_t heal_grace_ms = 0;   ///< orphan-reattach grace; 0 = default
@@ -73,6 +97,13 @@ struct BootstrapParams {
 /// side then resolves the rank from the host list.
 [[nodiscard]] std::vector<std::string> bootstrap_args(
     const BootstrapSpec& spec, std::optional<std::uint32_t> rank);
+
+/// The same argv with the host list given as its comma-separated
+/// "--lmon-hosts=" value (spec.hosts is not read): for launchers that hold
+/// the list in another form, or spawn many daemons from one list.
+[[nodiscard]] std::vector<std::string> bootstrap_args(
+    const BootstrapSpec& spec, std::optional<std::uint32_t> rank,
+    std::string_view hosts_csv);
 
 /// Parses a daemon argv. `self_host` backs the rank-from-host fallback when
 /// --lmon-rank is absent; pass the daemon's own hostname (or empty to

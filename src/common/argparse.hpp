@@ -63,13 +63,16 @@ inline bool arg_flag(const std::vector<std::string>& args,
   return false;
 }
 
+/// Appends one entry to the comma-separated list `out`.
+inline void append_csv(std::string& out, std::string_view part) {
+  if (!out.empty()) out += ',';
+  out += part;
+}
+
 /// Joins strings into a comma-separated list (inverse of split_csv).
 inline std::string join_csv(const std::vector<std::string>& parts) {
   std::string out;
-  for (const auto& s : parts) {
-    if (!out.empty()) out += ',';
-    out += s;
-  }
+  for (const auto& s : parts) append_csv(out, s);
   return out;
 }
 

@@ -189,7 +189,7 @@ void Iccl::start(std::function<void(Status)> subtree_ready) {
 void Iccl::connect_parent(int attempts_left) {
   const auto parent_rank = topo_.parent_of(params_.rank);
   assert(parent_rank.has_value());
-  const std::string& host = params_.hosts.at(*parent_rank);
+  const std::string host(params_.hosts.at(*parent_rank));
   self_.connect(host, params_.port, [this, attempts_left,
                                      parent_rank = *parent_rank](
                                         Status st, cluster::ChannelPtr ch) {
@@ -1332,7 +1332,7 @@ void Iccl::begin_reparent() {
 void Iccl::try_reattach(std::uint32_t target, int attempts_left) {
   if (left_) return;
   self_.connect(
-      params_.hosts.at(target), params_.port,
+      std::string(params_.hosts.at(target)), params_.port,
       [this, target, attempts_left](Status st, cluster::ChannelPtr ch) {
         if (left_) return;
         if (st.is_ok()) {

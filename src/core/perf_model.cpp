@@ -445,10 +445,11 @@ double PerfModel::collective_bcast(CollectiveProtocol proto,
   const sim::Time cts_wire = wire(kFrameBytes);
 
   // H[r]: time rank r's RTS is processed (root: issue time 0).
-  // P[r][j]: time chunk j is processed (ready to deliver/forward) at r.
+  // P[r * m + j]: time chunk j is processed (ready to deliver/forward) at r;
+  // the root holds every chunk at issue time. One n x m buffer per replay:
+  // the crossover scan calls this for every probe payload.
   std::vector<sim::Time> H(static_cast<std::size_t>(n), 0);
-  std::vector<std::vector<sim::Time>> P(static_cast<std::size_t>(n));
-  P[0].assign(m, 0);  // the root holds every chunk at issue time
+  std::vector<sim::Time> P(static_cast<std::size_t>(n) * m, 0);
   std::vector<std::uint32_t> children;
   std::vector<sim::Time> last_arrival;
   sim::Time worst = 0;
@@ -467,14 +468,14 @@ double PerfModel::collective_bcast(CollectiveProtocol proto,
       if (m == 0) worst = std::max(worst, H[children[i]]);
     }
     if (m == 0) continue;
-    for (auto c : children) P[c].assign(m, 0);
+    const sim::Time* own = &P[std::size_t{r} * m];
     // Serialized chunk cursor, round-robin across the children.
     sim::Time cursor = 0;
     for (std::uint32_t j = 0; j < m; ++j) {
       const double chunk_bytes =
           j + 1 == m ? S - static_cast<double>(j) * C
                      : static_cast<double>(C);
-      const sim::Time ready = std::max(P[r][j], cts_done);
+      const sim::Time ready = std::max(own[j], cts_done);
       const sim::Time chunk_wire =
           wire(kFrameBytes + kEntryBytes + chunk_bytes);
       for (std::size_t i = 0; i < children.size(); ++i) {
@@ -482,11 +483,13 @@ double PerfModel::collective_bcast(CollectiveProtocol proto,
         sim::Time arr = depart + chunk_wire;
         if (arr <= last_arrival[i]) arr = last_arrival[i] + 1;  // FIFO
         last_arrival[i] = arr;
-        P[children[i]][j] = arr + c_h;
+        P[std::size_t{children[i]} * m + j] = arr + c_h;
         cursor = depart + c_h;
       }
     }
-    for (auto c : children) worst = std::max(worst, P[c][m - 1]);
+    for (auto c : children) {
+      worst = std::max(worst, P[std::size_t{c} * m + m - 1]);
+    }
   }
   return seconds(worst);
 }

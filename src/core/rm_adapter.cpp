@@ -94,10 +94,10 @@ void SlurmAdapter::kill_tasks(cluster::Process& engine, rm::JobId jobid,
         rm::AllocatedNode{hosts[i], static_cast<std::uint32_t>(i)});
   }
   engine.connect(hosts.front(), cluster::kRmNodeDaemonPort,
-                 [&engine, req = std::move(req)](Status st,
-                                                 cluster::ChannelPtr ch) {
+                 [&engine, frame = req.encode()](
+                     Status st, cluster::ChannelPtr ch) mutable {
                    if (!st.is_ok()) return;  // node gone: nothing to kill
-                   engine.send(ch, req.encode());
+                   engine.send(ch, std::move(frame));
                    // Ack is informational; the channel closes with the
                    // engine's exit.
                  });

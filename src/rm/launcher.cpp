@@ -243,8 +243,7 @@ void Launcher::send_tree_launch(cluster::Process& self) {
   req.extra_args = extra_args_;
   req.tasks_per_node = tpn_;
   req.nodes = allocation_;
-  req.all_hosts.reserve(allocation_.size());
-  for (const auto& n : allocation_) req.all_hosts.push_back(n.host);
+  req.hosts = HostList::pack(allocation_);
   req.fabric = fabric_;
   if (req.fabric.fanout == 0) req.fabric.fanout = launch_fanout_;
   if (mode_ == Mode::Job) req.fabric.fanout = launch_fanout_;
@@ -257,8 +256,8 @@ void Launcher::send_tree_launch(cluster::Process& self) {
         "rmtree:" + req.fabric.session + ":" + allocation_.front().host, span_);
   }
   self.connect(allocation_.front().host, cluster::kRmNodeDaemonPort,
-               [this, &self, req = std::move(req)](Status st,
-                                                   cluster::ChannelPtr ch) {
+               [this, &self, frame = req.encode()](
+                   Status st, cluster::ChannelPtr ch) mutable {
                  if (!st.is_ok()) {
                    if (mode_ == Mode::Job) {
                      self.exit(1);
@@ -268,7 +267,7 @@ void Launcher::send_tree_launch(cluster::Process& self) {
                    return;
                  }
                  tree_channel_ = ch;
-                 self.send(ch, req.encode());
+                 self.send(ch, std::move(frame));
                });
 }
 
@@ -352,14 +351,14 @@ void Launcher::kill_daemons(cluster::Process& self) {
   req.session = fabric_.session;
   req.nodes = allocation_;
   self.connect(allocation_.front().host, cluster::kRmNodeDaemonPort,
-               [this, &self, req = std::move(req)](Status st,
-                                                   cluster::ChannelPtr ch) {
+               [this, &self, frame = req.encode()](
+                   Status st, cluster::ChannelPtr ch) mutable {
                  if (!st.is_ok()) {
                    self.exit(1);
                    return;
                  }
                  tree_channel_ = ch;
-                 self.send(ch, req.encode());
+                 self.send(ch, std::move(frame));
                });
 }
 

@@ -5,6 +5,7 @@
 
 #include "cluster/machine.hpp"
 #include "comm/bootstrap.hpp"
+#include "common/argparse.hpp"
 #include "simkernel/log.hpp"
 
 namespace lmon::rm {
@@ -97,16 +98,14 @@ void NodeDaemon::on_channel_closed(cluster::Process& self,
   child_failed(self, key, "subtree node daemon connection lost");
 }
 
-std::vector<std::vector<AllocatedNode>> NodeDaemon::split_subtrees(
+std::vector<std::span<const AllocatedNode>> NodeDaemon::split_subtrees(
     const std::vector<AllocatedNode>& nodes, std::uint32_t fanout) {
-  std::vector<std::vector<AllocatedNode>> chunks;
+  std::vector<std::span<const AllocatedNode>> chunks;
   if (nodes.size() <= 1) return chunks;
   const auto splits = comm::split_contiguous(nodes.size() - 1, fanout);
   chunks.reserve(splits.size());
   for (const auto& [off, len] : splits) {
-    const std::size_t pos = 1 + off;
-    chunks.emplace_back(nodes.begin() + static_cast<std::ptrdiff_t>(pos),
-                        nodes.begin() + static_cast<std::ptrdiff_t>(pos + len));
+    chunks.push_back(std::span(nodes).subspan(1 + off, len));
   }
   return chunks;
 }
@@ -157,6 +156,26 @@ void NodeDaemon::handle_launch(cluster::Process& self,
   p.awaiting_local = nlocal;
   const std::string group = spawn_group(req.jobid, req.mode, req.fabric.session);
 
+  // A daemon's bootstrap, with its host argument built once per request
+  // from the shared host list.
+  comm::BootstrapSpec boot;
+  std::string hosts_csv;
+  if (req.mode == LaunchMode::Daemons) {
+    boot.size = req.fabric.total;
+    boot.topology = req.fabric.topology();
+    boot.port = req.fabric.port;
+    boot.session = req.fabric.session;
+    boot.fe_host = req.fabric.fe_host;
+    boot.fe_port = req.fabric.fe_port;
+    boot.rndv_threshold = req.fabric.rndv_threshold;
+    boot.heal = req.fabric.heal;
+    boot.heal_grace_ms = req.fabric.heal_grace_ms;
+    boot.max_sessions = req.fabric.max_sessions;
+    hosts_csv.reserve(req.hosts.wire().size());
+    req.hosts.for_each(
+        [&hosts_csv](std::string_view host) { append_csv(hosts_csv, host); });
+  }
+
   for (int i = 0; i < nlocal; ++i) {
     const std::int32_t rank =
         req.mode == LaunchMode::Tasks
@@ -167,25 +186,13 @@ void NodeDaemon::handle_launch(cluster::Process& self,
     opts.executable = req.executable;
     opts.image_mb = image->image_mb;
     if (req.mode == LaunchMode::Daemons) {
-      comm::BootstrapSpec boot;
-      boot.size = req.fabric.total;
-      boot.topology = req.fabric.topology();
-      boot.port = req.fabric.port;
-      boot.session = req.fabric.session;
-      boot.fe_host = req.fabric.fe_host;
-      boot.fe_port = req.fabric.fe_port;
-      boot.hosts = req.all_hosts;
-      boot.rndv_threshold = req.fabric.rndv_threshold;
-      boot.heal = req.fabric.heal;
-      boot.heal_grace_ms = req.fabric.heal_grace_ms;
-      boot.max_sessions = req.fabric.max_sessions;
-      opts.args = comm::bootstrap_args(boot,
-                                       static_cast<std::uint32_t>(rank));
+      opts.args = comm::bootstrap_args(
+          boot, static_cast<std::uint32_t>(rank), hosts_csv);
     } else {
       opts.args.push_back("--rank=" + std::to_string(rank));
-      opts.args.push_back(
-          "--size=" +
-          std::to_string(req.all_hosts.size() * req.tasks_per_node));
+      const std::uint64_t size =
+          std::uint64_t{req.hosts.size()} * req.tasks_per_node;
+      opts.args.push_back("--size=" + std::to_string(size));
     }
     opts.args.insert(opts.args.end(), req.extra_args.begin(),
                      req.extra_args.end());
@@ -239,28 +246,27 @@ void NodeDaemon::forward_subtrees(cluster::Process& self, Key key,
   assert(it != pending_.end());
   it->second.awaiting_children = static_cast<int>(chunks.size());
 
-  for (auto& chunk : chunks) {
-    TreeLaunchReq sub = req;
-    sub.nodes = std::move(chunk);
-    sub.seq = next_seq_++;
-    child_seq_to_key_[sub.seq] = key;
-    const std::string target = sub.nodes.front().host;
+  for (const auto chunk : chunks) {
+    const std::uint32_t seq = next_seq_++;
+    child_seq_to_key_[seq] = key;
+    const std::string& target = chunk.front().host;
     self.machine().count("rm.subtrees_forwarded");
     if (obs::Tracer* tracer = self.machine().tracer(); tracer != nullptr) {
       tracer->set_anchor("rmtree:" + req.fabric.session + ":" + target,
                          it->second.span);
     }
     self.connect(target, cluster::kRmNodeDaemonPort,
-                 [this, &self, key, sub = std::move(sub)](
-                     Status st, cluster::ChannelPtr child_ch) {
+                 [this, &self, key, seq,
+                  frame = req.encode_subtree(chunk, seq)](
+                     Status st, cluster::ChannelPtr child_ch) mutable {
                    if (!st.is_ok() || child_ch == nullptr) {
-                     child_seq_to_key_.erase(sub.seq);
+                     child_seq_to_key_.erase(seq);
                      child_failed(self, key,
                                   "connect to subtree failed: " + st.message());
                      return;
                    }
                    channel_to_key_[child_ch->id()] = key;
-                   self.send(child_ch, sub.encode());
+                   self.send(child_ch, std::move(frame));
                  });
   }
 }
@@ -300,22 +306,20 @@ void NodeDaemon::forward_kill_subtrees(cluster::Process& self, Key key,
   assert(it != pending_.end());
   it->second.awaiting_children = static_cast<int>(chunks.size());
 
-  for (auto& chunk : chunks) {
-    TreeKillReq sub = req;
-    sub.nodes = std::move(chunk);
-    sub.seq = next_seq_++;
-    child_seq_to_key_[sub.seq] = key;
-    const std::string target = sub.nodes.front().host;
-    self.connect(target, cluster::kRmNodeDaemonPort,
-                 [this, &self, key, sub = std::move(sub)](
-                     Status st, cluster::ChannelPtr child_ch) {
+  for (const auto chunk : chunks) {
+    const std::uint32_t seq = next_seq_++;
+    child_seq_to_key_[seq] = key;
+    self.connect(chunk.front().host, cluster::kRmNodeDaemonPort,
+                 [this, &self, key, seq,
+                  frame = req.encode_subtree(chunk, seq)](
+                     Status st, cluster::ChannelPtr child_ch) mutable {
                    if (!st.is_ok() || child_ch == nullptr) {
-                     child_seq_to_key_.erase(sub.seq);
+                     child_seq_to_key_.erase(seq);
                      child_failed(self, key, "kill forward failed");
                      return;
                    }
                    channel_to_key_[child_ch->id()] = key;
-                   self.send(child_ch, sub.encode());
+                   self.send(child_ch, std::move(frame));
                  });
   }
 }

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -63,8 +64,9 @@ class NodeDaemon : public cluster::Program {
   void maybe_complete(cluster::Process& self, Key key);
   void arm_timeout(cluster::Process& self, Key key);
 
-  /// Splits nodes[1..] into up to `fanout` contiguous chunks.
-  static std::vector<std::vector<AllocatedNode>> split_subtrees(
+  /// Splits nodes[1..] into up to `fanout` contiguous chunks (views of
+  /// `nodes`).
+  static std::vector<std::span<const AllocatedNode>> split_subtrees(
       const std::vector<AllocatedNode>& nodes, std::uint32_t fanout);
 
   std::map<Key, Pending> pending_;

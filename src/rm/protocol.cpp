@@ -176,21 +176,52 @@ std::optional<JobFreeReq> JobFreeReq::decode(const cluster::Message& m) {
   return JobFreeReq{*job};
 }
 
+// --- HostList ------------------------------------------------------------------------
+
+HostList::HostList() {
+  static const auto empty = std::make_shared<const Bytes>(4, std::uint8_t{0});
+  wire_ = ByteSlice(empty);
+}
+
+HostList HostList::pack(const std::vector<AllocatedNode>& nodes) {
+  std::size_t size = 4;
+  for (const auto& n : nodes) size += 4 + n.host.size();
+  ByteWriter w(size);
+  w.u32(static_cast<std::uint32_t>(nodes.size()));
+  for (const auto& n : nodes) w.str(n.host);
+  return HostList(ByteSlice(std::make_shared<const Bytes>(std::move(w).take())),
+                  static_cast<std::uint32_t>(nodes.size()));
+}
+
+std::optional<HostList> HostList::parse(ByteSlice wire) {
+  ByteReader r(wire.span());
+  const auto count = r.u32();
+  if (!count) return std::nullopt;
+  for (std::uint32_t i = 0; i < *count; ++i) {
+    if (!r.str_view()) return std::nullopt;
+  }
+  if (!r.exhausted()) return std::nullopt;
+  return HostList(std::move(wire), *count);
+}
+
 // --- TreeLaunchReq / Ack ------------------------------------------------------------
 
 cluster::Message TreeLaunchReq::encode() const {
+  return encode_subtree(nodes, seq);
+}
+
+cluster::Message TreeLaunchReq::encode_subtree(
+    std::span<const AllocatedNode> subtree, std::uint32_t sub_seq) const {
   ByteWriter w = begin(MsgType::TreeLaunchReq);
   w.u64(jobid);
-  w.u32(seq);
+  w.u32(sub_seq);
   w.u8(static_cast<std::uint8_t>(mode));
   w.str(executable);
   w.u32(static_cast<std::uint32_t>(extra_args.size()));
   for (const auto& a : extra_args) w.str(a);
   w.u32(tasks_per_node);
-  w.u32(static_cast<std::uint32_t>(nodes.size()));
-  for (const auto& n : nodes) write_alloc_node(w, n);
-  w.u32(static_cast<std::uint32_t>(all_hosts.size()));
-  for (const auto& h : all_hosts) w.str(h);
+  w.u32(static_cast<std::uint32_t>(subtree.size()));
+  for (const auto& n : subtree) write_alloc_node(w, n);
   w.u16(fabric.port);
   w.u32(fabric.fanout);
   w.u32(fabric.total);
@@ -202,7 +233,7 @@ cluster::Message TreeLaunchReq::encode() const {
   w.boolean(fabric.heal);
   w.u32(fabric.heal_grace_ms);
   w.u32(fabric.max_sessions);
-  return finish(std::move(w));
+  return cluster::Message(std::move(w).take(), hosts.wire());
 }
 
 std::optional<TreeLaunchReq> TreeLaunchReq::decode(const cluster::Message& m) {
@@ -234,13 +265,6 @@ std::optional<TreeLaunchReq> TreeLaunchReq::decode(const cluster::Message& m) {
     if (!n) return std::nullopt;
     out.nodes.push_back(std::move(*n));
   }
-  auto nhosts = r->u32();
-  if (!nhosts) return std::nullopt;
-  for (std::uint32_t i = 0; i < *nhosts; ++i) {
-    auto h = r->str();
-    if (!h) return std::nullopt;
-    out.all_hosts.push_back(std::move(*h));
-  }
   auto fport = r->u16();
   auto ffan = r->u32();
   auto ftotal = r->u32();
@@ -253,11 +277,15 @@ std::optional<TreeLaunchReq> TreeLaunchReq::decode(const cluster::Message& m) {
   auto fheal_grace = r->u32();
   auto fmax_sessions = r->u32();
   if (!fport || !ffan || !ftotal || !fhost || !ffeport || !fsess || !ftopo ||
-      !frndv || !fheal || !fheal_grace || !fmax_sessions) {
+      !frndv || !fheal || !fheal_grace || !fmax_sessions || !r->exhausted()) {
     return std::nullopt;
   }
   const auto kind = comm::topology_kind_from_u8(*ftopo);
   if (!kind) return std::nullopt;
+  // Every hop validates the host list it forwards and spawns from.
+  auto hosts = HostList::parse(m.view);
+  if (!hosts) return std::nullopt;
+  out.hosts = std::move(*hosts);
   out.fabric.port = *fport;
   out.fabric.fanout = *ffan;
   out.fabric.total = *ftotal;
@@ -306,13 +334,18 @@ std::optional<TreeLaunchAck> TreeLaunchAck::decode(const cluster::Message& m) {
 // --- TreeKillReq / Ack ---------------------------------------------------------------
 
 cluster::Message TreeKillReq::encode() const {
+  return encode_subtree(nodes, seq);
+}
+
+cluster::Message TreeKillReq::encode_subtree(
+    std::span<const AllocatedNode> subtree, std::uint32_t sub_seq) const {
   ByteWriter w = begin(MsgType::TreeKillReq);
   w.u64(jobid);
-  w.u32(seq);
+  w.u32(sub_seq);
   w.u8(static_cast<std::uint8_t>(mode));
   w.str(session);
-  w.u32(static_cast<std::uint32_t>(nodes.size()));
-  for (const auto& n : nodes) write_alloc_node(w, n);
+  w.u32(static_cast<std::uint32_t>(subtree.size()));
+  for (const auto& n : subtree) write_alloc_node(w, n);
   return finish(std::move(w));
 }
 

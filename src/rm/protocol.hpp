@@ -8,7 +8,9 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/message.hpp"
@@ -107,6 +109,40 @@ struct FabricSpec {
   }
 };
 
+/// The allocation's hosts in index order, in their wire form: a u32 count,
+/// then one length-prefixed string per host. The launcher packs it once per
+/// launch and every hop's request shares that one immutable buffer; a frame
+/// carries it as its Message::view, at the tail of the wire image, so the
+/// frame costs exactly what it would with the list copied in.
+class HostList {
+ public:
+  /// The empty list (wire form: a zero count).
+  HostList();
+  /// Packs the hosts of `nodes`, in order.
+  static HostList pack(const std::vector<AllocatedNode>& nodes);
+  /// Accepts a received wire form only when the count, every length prefix
+  /// and the end of the last host all agree with the bytes.
+  static std::optional<HostList> parse(ByteSlice wire);
+
+  [[nodiscard]] std::uint32_t size() const noexcept { return count_; }
+  [[nodiscard]] const ByteSlice& wire() const noexcept { return wire_; }
+
+  /// Calls f(std::string_view host) for every host, in order.
+  template <typename F>
+  void for_each(F&& f) const {
+    ByteReader r(wire_.span());
+    r.skip(4);
+    for (std::uint32_t i = 0; i < count_; ++i) f(*r.str_view());
+  }
+
+ private:
+  HostList(ByteSlice wire, std::uint32_t count)
+      : wire_(std::move(wire)), count_(count) {}
+
+  ByteSlice wire_;
+  std::uint32_t count_ = 0;
+};
+
 struct TreeLaunchReq {
   JobId jobid = kInvalidJob;
   std::uint32_t seq = 0;
@@ -117,12 +153,16 @@ struct TreeLaunchReq {
   /// Subtree of allocated nodes this request covers; entry 0 is handled
   /// locally by the receiving node daemon, the rest are fanned out.
   std::vector<AllocatedNode> nodes;
-  /// Full allocation host list in index order (daemon mode only; daemons
-  /// need it to locate their fabric parent).
-  std::vector<std::string> all_hosts;
+  /// Full allocation host list in index order: daemons locate their fabric
+  /// parent in it, and tasks take its size as the job's node count.
+  HostList hosts;
   FabricSpec fabric;  ///< daemon mode only
 
   [[nodiscard]] cluster::Message encode() const;
+  /// The frame of this request narrowed to `subtree` under `sub_seq`, as a
+  /// node daemon forwards it to a child; it shares this request's hosts.
+  [[nodiscard]] cluster::Message encode_subtree(
+      std::span<const AllocatedNode> subtree, std::uint32_t sub_seq) const;
   static std::optional<TreeLaunchReq> decode(const cluster::Message& m);
 };
 
@@ -142,6 +182,9 @@ struct TreeKillReq {
   std::string session;  ///< daemon-mode: kill only this session's daemons
   std::vector<AllocatedNode> nodes;
   [[nodiscard]] cluster::Message encode() const;
+  /// The frame of this request narrowed to `subtree` under `sub_seq`.
+  [[nodiscard]] cluster::Message encode_subtree(
+      std::span<const AllocatedNode> subtree, std::uint32_t sub_seq) const;
   static std::optional<TreeKillReq> decode(const cluster::Message& m);
 };
 

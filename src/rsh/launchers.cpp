@@ -486,9 +486,10 @@ void SerialRshStrategy::launch(cluster::Process& self, comm::LaunchRequest req,
                                Callback cb) {
   std::vector<LaunchTarget> targets;
   targets.reserve(req.bootstrap.hosts.size());
+  const std::string hosts_csv = join_csv(req.bootstrap.hosts);
   for (std::size_t r = 0; r < req.bootstrap.hosts.size(); ++r) {
-    auto args = comm::bootstrap_args(req.bootstrap,
-                                     static_cast<std::uint32_t>(r));
+    auto args = comm::bootstrap_args(
+        req.bootstrap, static_cast<std::uint32_t>(r), hosts_csv);
     args.insert(args.end(), req.daemon_args.begin(), req.daemon_args.end());
     targets.push_back(LaunchTarget{req.bootstrap.hosts[r], req.daemon_exe,
                                    std::move(args)});

@@ -60,25 +60,32 @@ class Log {
 /// warn instead of silently disabling logging.
 std::optional<LogLevel> parse_log_level(std::string_view text);
 
-/// Streaming helper: LMON_SIM_LOG_AT(Debug, now, "rm") << "launching " << n;
+/// Streaming helper, used as a temporary:
+///   LogLine(LogLevel::Debug, now, "rm") << "launching " << n;
+/// When neither the level gate nor the tap wants the line, it builds
+/// nothing. `component` must outlive the line.
 class LogLine {
  public:
   LogLine(LogLevel lv, Time now, std::string_view component)
-      : lv_(lv), now_(now), component_(component) {}
+      : lv_(lv), now_(now), component_(component) {
+    if (Log::enabled(lv_)) oss_.emplace();
+  }
+  LogLine(const LogLine&) = delete;
+  LogLine& operator=(const LogLine&) = delete;
   ~LogLine() {
-    if (Log::enabled(lv_)) Log::write(lv_, now_, component_, oss_.str());
+    if (oss_) Log::write(lv_, now_, component_, oss_->str());
   }
   template <typename T>
   LogLine& operator<<(const T& v) {
-    if (Log::enabled(lv_)) oss_ << v;
+    if (oss_) *oss_ << v;
     return *this;
   }
 
  private:
   LogLevel lv_;
   Time now_;
-  std::string component_;
-  std::ostringstream oss_;
+  std::string_view component_;
+  std::optional<std::ostringstream> oss_;
 };
 
 }  // namespace lmon::sim

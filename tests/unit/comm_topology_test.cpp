@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "comm/bootstrap.hpp"
@@ -346,7 +347,10 @@ TEST(Bootstrap, ArgsRoundTripWithExplicitRank) {
   EXPECT_EQ(p->session, "s3p77");
   EXPECT_EQ(p->fe_host, "atlas-fe");
   EXPECT_EQ(p->fe_port, 7050);
-  EXPECT_EQ(p->hosts, spec.hosts);
+  ASSERT_EQ(p->hosts.size(), spec.hosts.size());
+  for (std::size_t r = 0; r < spec.hosts.size(); ++r) {
+    EXPECT_EQ(p->hosts.at(r), spec.hosts[r]);
+  }
 }
 
 TEST(Bootstrap, RankDerivedFromHostPosition) {
@@ -376,6 +380,25 @@ TEST(Bootstrap, KAryTopoSpellingParses) {
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->topology.kind, TopologyKind::KAry);
   EXPECT_EQ(p->topology.arity, 4u);
+}
+
+TEST(Bootstrap, HostListDropsEmptySegments) {
+  // As split_csv does: "a,,b" is two hosts, and ranks follow positions.
+  const std::vector<std::string> args{"--lmon-size=2", "--lmon-topo=kary:2",
+                                      "--lmon-port=9000",
+                                      "--lmon-hosts=a,,b"};
+  const auto p = parse_bootstrap(args, "b");
+  ASSERT_TRUE(p.has_value());
+  ASSERT_EQ(p->hosts.size(), 2u);
+  EXPECT_EQ(p->hosts.at(0), "a");
+  EXPECT_EQ(p->hosts.at(1), "b");
+  EXPECT_EQ(p->rank, 1u);
+  EXPECT_THROW((void)p->hosts.at(2), std::out_of_range);
+  // The size must still match the entries that remain.
+  EXPECT_FALSE(parse_bootstrap({"--lmon-rank=0", "--lmon-size=3",
+                                "--lmon-topo=kary:2", "--lmon-port=1",
+                                "--lmon-hosts=a,,b"})
+                   .has_value());
 }
 
 TEST(Bootstrap, RejectsArgvWithoutTopo) {

@@ -264,6 +264,28 @@ TEST(CollectiveModel, CrossoverSeparatesTheRegimes) {
   }
 }
 
+TEST(CollectiveModel, RendezvousReplayIsPinnedToTheRecordedValues) {
+  // Exact doubles: the auto-tuner's crossover scan runs this replay on
+  // every launch, so a reordered replay must fail here, not drift.
+  const cluster::CostModel costs = cluster::CostModel{}.deterministic();
+  PerfModel m(costs, 32);
+  EXPECT_EQ(m.collective_crossover(kary(8), 512, 4u << 20), 26213u);
+  EXPECT_EQ(m.collective_bcast(kRndv, kary(8), 512, 4u << 20),
+            0.044799699999999998);
+  EXPECT_EQ(m.collective_bcast(kRndv, kary(8), 512, 100000),
+            0.015013807000000001);
+  EXPECT_EQ(m.collective_bcast(kRndv, kary(2), 32, 300001),
+            0.0063016549999999998);
+  EXPECT_EQ(m.collective_bcast(
+                kRndv, comm::TopologySpec{comm::TopologyKind::Binomial, 0},
+                512, 1u << 20),
+            0.029584429999999998);
+  EXPECT_EQ(m.collective_bcast(
+                kRndv, comm::TopologySpec{comm::TopologyKind::Flat, 0}, 64,
+                1u << 20),
+            0.099069660000000004);
+}
+
 TEST(CollectiveModel, DeepTreesCrossOverBeforeFlatFanOut) {
   // Rendezvous' chunk pipeline pays off per level, so the deep binary tree
   // switches at a smaller payload than the serialization-bound flat tree.
