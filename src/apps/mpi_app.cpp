@@ -57,8 +57,11 @@ void MpiApp::rebuild_stack() {
 }
 
 void MpiApp::tick(cluster::Process& self) {
-  // Advance /proc state every ~50ms of simulated time.
-  self.post(sim::ms(50), [this, &self] {
+  // Advance /proc state every ~50ms of simulated time. Every task repeats
+  // this one delay, so the ticks ride the kernel's FIFO lane for it. They
+  // stay real events: the sample times of a tool that stops the job follow
+  // the last event the simulator ran.
+  self.post_fixed(sim::ms(50), [this, &self] {
     ticks_ += 1;
     auto& st = self.stats();
     st.program_counter = 0x400000 + rng_.next_below(0x10000);

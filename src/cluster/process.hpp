@@ -154,9 +154,16 @@ class Process {
   template <typename F>
   void post(sim::Time delay, F&& fn) {
     if (state_ == ProcState::Exited) return;
-    sim().schedule(delay, [self = this, fn = std::forward<F>(fn)]() mutable {
-      self->deliver(std::move(fn));
-    });
+    sim().schedule(delay, delivery(std::forward<F>(fn)));
+  }
+
+  /// post() on the simulator's FIFO lane for `delay`, with the same
+  /// delivery rules and the same firing time (Simulator::schedule_fixed).
+  /// For a delay the process repeats from every firing, like a tick.
+  template <typename F>
+  void post_fixed(sim::Time delay, F&& fn) {
+    if (state_ == ProcState::Exited) return;
+    sim().schedule_fixed(delay, delivery(std::forward<F>(fn)));
   }
 
   /// Reserves `cost` of serialized CPU time on this process and returns the
@@ -239,6 +246,13 @@ class Process {
 
   void set_state(ProcState s) noexcept { state_ = s; }
   void reap_pdeath_children();
+  /// The scheduled event of a post: deliver(fn) when it fires.
+  template <typename F>
+  auto delivery(F&& fn) {
+    return [self = this, fn = std::forward<F>(fn)]() mutable {
+      self->deliver(std::move(fn));
+    };
+  }
   /// Runs `fn` now if Running, queues it for resume if Stopped or still
   /// Spawning, and drops it if Exited.
   template <typename F>

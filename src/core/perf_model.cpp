@@ -398,100 +398,160 @@ std::optional<std::size_t> crossover_from_gap(
   return static_cast<std::size_t>(std::llround(s));
 }
 
+/// Wire time of one frame: link latency plus serialization, truncated to
+/// whole nanoseconds.
+sim::Time wire_time(const cluster::CostModel& costs, double bytes) {
+  return costs.net_latency +
+         static_cast<sim::Time>(bytes / costs.bandwidth_bytes_per_sec * 1e9);
+}
+
+/// Exact replay of the Iccl broadcast schedule on one fabric. The children
+/// (one CSR array, in for_each_child order) and the rendezvous RTS/CTS wave
+/// do not depend on the payload, so they are computed once.
+///
+/// Rendezvous chunks 0..m-2 are full-size, and chunk j's times at every
+/// rank depend only on chunks <= j. So the state before the last chunk -
+/// each rank's send cursor and each edge's FIFO-clamp last arrival - is the
+/// same for every payload of m chunks. The replay keeps that full-chunk
+/// prefix and extends it as payloads grow: a crossover scan over ascending
+/// probes builds it once, and each payload then costs one O(n) pass for its
+/// last chunk. Walking the chunks outermost changes no value: each time is
+/// the same integer max and sum of the same terms as when every rank
+/// streams all its chunks in turn, so the doubles are bit-identical
+/// (perf_model_strategy_test pins them).
+class BcastReplay {
+ public:
+  BcastReplay(const cluster::CostModel& costs, const comm::Topology& topo)
+      : costs_(costs), n_(topo.size()) {
+    first_.resize(std::size_t{n_} + 1);
+    for (std::uint32_t r = 0; r < n_; ++r) {
+      first_[r] = static_cast<std::uint32_t>(child_.size());
+      topo.for_each_child(r, [&](std::uint32_t c) { child_.push_back(c); });
+    }
+    first_[n_] = static_cast<std::uint32_t>(child_.size());
+    // RTS wave down (eager-style stagger, tiny frames), CTS back: H[r] is
+    // when rank r's RTS is processed (root: issue time 0), cts_done[r] when
+    // r has every child's CTS. The RTS is each edge's first arrival.
+    const sim::Time h = costs_.iccl_msg_handle;
+    const sim::Time rts_wire =
+        wire_time(costs_, kFrameBytes + kEntryBytes + 4.0);
+    const sim::Time cts_wire = wire_time(costs_, kFrameBytes);
+    H_.assign(n_, 0);
+    cts_done_.assign(n_, 0);
+    rts_arr_.resize(child_.size());
+    for (std::uint32_t r = 0; r < n_; ++r) {
+      for (std::uint32_t e = first_[r]; e < first_[r + 1]; ++e) {
+        rts_arr_[e] =
+            H_[r] + static_cast<sim::Time>(e - first_[r]) * h + rts_wire;
+        H_[child_[e]] = rts_arr_[e] + h;
+        cts_done_[r] = std::max(cts_done_[r], H_[child_[e]] + cts_wire + h);
+      }
+    }
+    t_.assign(n_, 0);
+    restart_prefix();
+  }
+
+  /// Time of the last delivery of a `payload_bytes` broadcast.
+  sim::Time run(CollectiveProtocol proto, std::size_t payload_bytes) {
+    if (n_ <= 1) return 0;
+    return proto == CollectiveProtocol::Eager ? eager(payload_bytes)
+                                              : rendezvous(payload_bytes);
+  }
+
+ private:
+  /// Store-and-forward: a node starts its own fan-out only once the full
+  /// payload arrived and the receive copy-out is paid. A send quantum and
+  /// the receive copy-out cost the same.
+  sim::Time eager(std::size_t payload_bytes) {
+    const double S = static_cast<double>(payload_bytes);
+    const sim::Time q = costs_.iccl_msg_handle +
+                        scaled_per_kb(costs_.iccl_eager_copy_per_kb, S);
+    const sim::Time frame_wire =
+        wire_time(costs_, kFrameBytes + kEntryBytes + S);
+    sim::Time worst = 0;
+    for (std::uint32_t r = 0; r < n_; ++r) {
+      for (std::uint32_t e = first_[r]; e < first_[r + 1]; ++e) {
+        const sim::Time send =
+            t_[r] + static_cast<sim::Time>(e - first_[r]) * q;
+        t_[child_[e]] = send + frame_wire + q;
+        worst = std::max(worst, t_[child_[e]]);
+      }
+    }
+    return worst;
+  }
+
+  /// Chunks stream round-robin through each parent's serialized cursor
+  /// while relays forward cut-through, once every child's CTS is in.
+  sim::Time rendezvous(std::size_t payload_bytes) {
+    const std::uint32_t C = costs_.iccl_rndv_chunk_bytes;
+    const auto m = static_cast<std::uint32_t>((payload_bytes + C - 1) / C);
+    if (m == 0) return *std::max_element(H_.begin() + 1, H_.end());
+    if (m - 1 < full_) restart_prefix();
+    const sim::Time full_wire = wire_time(
+        costs_, kFrameBytes + kEntryBytes + static_cast<double>(C));
+    for (; full_ < m - 1; ++full_) chunk_pass(full_wire, true);
+    const double tail_bytes = static_cast<double>(payload_bytes) -
+                              static_cast<double>(m - 1) * C;
+    const sim::Time tail_wire =
+        wire_time(costs_, kFrameBytes + kEntryBytes + tail_bytes);
+    return chunk_pass(tail_wire, false);
+  }
+
+  /// Empties the full-chunk prefix: no cursor has sent, and each edge's
+  /// last arrival is its RTS.
+  void restart_prefix() {
+    full_ = 0;
+    cursor_.assign(n_, 0);
+    last_arrival_ = rts_arr_;
+  }
+
+  /// Streams one chunk through every rank, parents first, and returns the
+  /// latest time a non-root rank processed it. `commit` appends it to the
+  /// full-chunk prefix; otherwise the cursors and FIFO clamps are only read
+  /// (a payload's last chunk).
+  sim::Time chunk_pass(sim::Time chunk_wire, bool commit) {
+    const sim::Time c_h = costs_.iccl_chunk_handle;
+    sim::Time worst = 0;
+    // t_[r]: time the chunk is processed (ready to deliver/forward) at r;
+    // the root holds every chunk at issue time.
+    t_[0] = 0;
+    for (std::uint32_t r = 0; r < n_; ++r) {
+      if (first_[r] == first_[r + 1]) continue;
+      const sim::Time ready = std::max(t_[r], cts_done_[r]);
+      sim::Time cursor = cursor_[r];
+      for (std::uint32_t e = first_[r]; e < first_[r + 1]; ++e) {
+        const sim::Time depart = std::max(cursor, ready);
+        sim::Time arr = depart + chunk_wire;
+        if (arr <= last_arrival_[e]) arr = last_arrival_[e] + 1;  // FIFO
+        if (commit) last_arrival_[e] = arr;
+        t_[child_[e]] = arr + c_h;
+        worst = std::max(worst, t_[child_[e]]);
+        cursor = depart + c_h;
+      }
+      if (commit) cursor_[r] = cursor;
+    }
+    return worst;
+  }
+
+  const cluster::CostModel& costs_;
+  std::uint32_t n_;
+  // Children of r: child_[first_[r] .. first_[r + 1]); e indexes an edge.
+  std::vector<std::uint32_t> first_, child_;
+  std::vector<sim::Time> H_, cts_done_, rts_arr_;
+  // Per-rank times of the pass in progress (eager or one chunk).
+  std::vector<sim::Time> t_;
+  // The full-chunk prefix: the state before chunk full_.
+  std::uint32_t full_ = 0;
+  std::vector<sim::Time> cursor_, last_arrival_;
+};
+
 }  // namespace
 
 double PerfModel::collective_bcast(CollectiveProtocol proto,
                                    const comm::TopologySpec& spec, int n,
                                    std::size_t payload_bytes) const {
-  if (n <= 1) return 0.0;
   const comm::Topology topo = resolved_topology(spec, n);
-  const sim::Time L = costs_.net_latency;
-  const sim::Time h = costs_.iccl_msg_handle;
-  const double bw = costs_.bandwidth_bytes_per_sec;
-  auto wire = [&](double bytes) {
-    return L + static_cast<sim::Time>(bytes / bw * 1e9);
-  };
-  const double S = static_cast<double>(payload_bytes);
-
-  if (proto == CollectiveProtocol::Eager) {
-    // Store-and-forward: a node starts its own fan-out only once the full
-    // payload arrived and the receive copy-out is paid.
-    const sim::Time q = h + scaled_per_kb(costs_.iccl_eager_copy_per_kb, S);
-    const sim::Time recv =
-        h + scaled_per_kb(costs_.iccl_eager_copy_per_kb, S);
-    const sim::Time frame_wire = wire(kFrameBytes + kEntryBytes + S);
-    std::vector<sim::Time> start(static_cast<std::size_t>(n), 0);
-    std::vector<std::uint32_t> children;
-    sim::Time worst = 0;
-    for (std::uint32_t r = 0; r < static_cast<std::uint32_t>(n); ++r) {
-      children_into(topo, r, children);
-      for (std::size_t i = 0; i < children.size(); ++i) {
-        const sim::Time send = start[r] + static_cast<sim::Time>(i) * q;
-        start[children[i]] = send + frame_wire + recv;
-        worst = std::max(worst, start[children[i]]);
-      }
-    }
-    return seconds(worst);
-  }
-
-  // Rendezvous: RTS wave down (eager-style stagger, tiny frames), CTS back,
-  // then chunks stream round-robin through each parent's serialized cursor
-  // while relays forward cut-through.
-  const std::uint32_t C = costs_.iccl_rndv_chunk_bytes;
-  const std::uint32_t m = static_cast<std::uint32_t>(
-      (payload_bytes + C - 1) / C);
-  const sim::Time c_h = costs_.iccl_chunk_handle;
-  const sim::Time rts_wire = wire(kFrameBytes + kEntryBytes + 4.0);
-  const sim::Time cts_wire = wire(kFrameBytes);
-
-  // H[r]: time rank r's RTS is processed (root: issue time 0).
-  // P[r * m + j]: time chunk j is processed (ready to deliver/forward) at r;
-  // the root holds every chunk at issue time. One n x m buffer per replay:
-  // the crossover scan calls this for every probe payload.
-  std::vector<sim::Time> H(static_cast<std::size_t>(n), 0);
-  std::vector<sim::Time> P(static_cast<std::size_t>(n) * m, 0);
-  std::vector<std::uint32_t> children;
-  std::vector<sim::Time> last_arrival;
-  sim::Time worst = 0;
-  for (std::uint32_t r = 0; r < static_cast<std::uint32_t>(n); ++r) {
-    children_into(topo, r, children);
-    if (children.empty()) continue;
-    // RTS fan-out and the CTS collection gate.
-    last_arrival.assign(children.size(), 0);
-    sim::Time cts_done = 0;
-    for (std::size_t i = 0; i < children.size(); ++i) {
-      const sim::Time rts_arr =
-          H[r] + static_cast<sim::Time>(i) * h + rts_wire;
-      last_arrival[i] = rts_arr;
-      H[children[i]] = rts_arr + h;
-      cts_done = std::max(cts_done, H[children[i]] + cts_wire + h);
-      if (m == 0) worst = std::max(worst, H[children[i]]);
-    }
-    if (m == 0) continue;
-    const sim::Time* own = &P[std::size_t{r} * m];
-    // Serialized chunk cursor, round-robin across the children.
-    sim::Time cursor = 0;
-    for (std::uint32_t j = 0; j < m; ++j) {
-      const double chunk_bytes =
-          j + 1 == m ? S - static_cast<double>(j) * C
-                     : static_cast<double>(C);
-      const sim::Time ready = std::max(own[j], cts_done);
-      const sim::Time chunk_wire =
-          wire(kFrameBytes + kEntryBytes + chunk_bytes);
-      for (std::size_t i = 0; i < children.size(); ++i) {
-        const sim::Time depart = std::max(cursor, ready);
-        sim::Time arr = depart + chunk_wire;
-        if (arr <= last_arrival[i]) arr = last_arrival[i] + 1;  // FIFO
-        last_arrival[i] = arr;
-        P[std::size_t{children[i]} * m + j] = arr + c_h;
-        cursor = depart + c_h;
-      }
-    }
-    for (auto c : children) {
-      worst = std::max(worst, P[std::size_t{c} * m + m - 1]);
-    }
-  }
-  return seconds(worst);
+  return seconds(BcastReplay(costs_, topo).run(proto, payload_bytes));
 }
 
 std::optional<std::size_t> PerfModel::collective_crossover(
@@ -499,11 +559,14 @@ std::optional<std::size_t> PerfModel::collective_crossover(
   // Definition: the smallest payload above which rendezvous never loses
   // again in [1 KiB, max_payload]; see crossover_from_gap for the segment
   // probe geometry. bench_ablation_iccl measures the same definition on
-  // the same probe geometry.
+  // the same probe geometry. The probes ascend, so one replay extends its
+  // full-chunk prefix once across the whole scan.
+  const comm::Topology topo = resolved_topology(spec, n);
+  BcastReplay replay(costs_, topo);
   return crossover_from_gap(
       costs_.iccl_rndv_chunk_bytes, max_payload, [&](std::size_t s) {
-        return collective_bcast(CollectiveProtocol::Eager, spec, n, s) -
-               collective_bcast(CollectiveProtocol::Rendezvous, spec, n, s);
+        return seconds(replay.run(CollectiveProtocol::Eager, s)) -
+               seconds(replay.run(CollectiveProtocol::Rendezvous, s));
       });
 }
 
@@ -525,7 +588,8 @@ class GatherReplay {
     // moment its release frame is processed. A[0] = 0: the root issues the
     // release and contributes in the same event.
     A_.assign(nn, 0);
-    const sim::Time frame_wire = wire(kFrameBytes + kEntryBytes);
+    const sim::Time frame_wire =
+        wire_time(costs_, kFrameBytes + kEntryBytes);
     for (std::uint32_t r = 0; r < nn; ++r) {
       sim::Time stagger = 0;
       topo_.for_each_child(r, [&](std::uint32_t c) {
@@ -547,7 +611,8 @@ class GatherReplay {
     for (std::uint32_t r = nn; r-- > 0;) {
       sim::Time t = A_[r];
       topo_.for_each_child(r, [&](std::uint32_t c) {
-        rts_arr_[c] = R_[c] + wire(kFrameBytes + 12.0 * sz_[c]);
+        rts_arr_[c] =
+            R_[c] + wire_time(costs_, kFrameBytes + 12.0 * sz_[c]);
         t = std::max(t, rts_arr_[c] + h);
       });
       R_[r] = t;
@@ -557,7 +622,7 @@ class GatherReplay {
     // node clears its children (ascending rank, staggered handle quanta)
     // only after its own clearance arrives - the flow-control chain.
     G_.assign(nn, 0);
-    const sim::Time cts_wire = wire(kFrameBytes);
+    const sim::Time cts_wire = wire_time(costs_, kFrameBytes);
     for (std::uint32_t r = 0; r < nn; ++r) {
       sim::Time stagger = 0;
       topo_.for_each_child(r, [&](std::uint32_t c) {
@@ -587,11 +652,6 @@ class GatherReplay {
     sim::Time wire;
   };
 
-  [[nodiscard]] sim::Time wire(double bytes) const {
-    return costs_.net_latency +
-           static_cast<sim::Time>(bytes / costs_.bandwidth_bytes_per_sec * 1e9);
-  }
-
   /// Store-and-forward: each node waits for every child's whole-subtree
   /// GatherUp, then forwards one combined frame; the receiver pays the
   /// handle plus the bounce-buffer copy-out of the full frame payload.
@@ -605,7 +665,7 @@ class GatherReplay {
         const double entry_bytes =
             static_cast<double>(sz_[c]) * (kEntryBytes + S);
         const sim::Time processed =
-            U_[c] + wire(kFrameBytes + entry_bytes) + h +
+            U_[c] + wire_time(costs_, kFrameBytes + entry_bytes) + h +
             scaled_per_kb(costs_.iccl_eager_copy_per_kb,
                           static_cast<double>(sz_[c]) * S);
         t = std::max(t, processed);
@@ -628,9 +688,10 @@ class GatherReplay {
     const double S = static_cast<double>(payload_bytes);
     const auto m = static_cast<std::uint32_t>((payload_bytes + C - 1) / C);
     const sim::Time full_wire =
-        wire(kFrameBytes + kEntryBytes + static_cast<double>(C));
-    const sim::Time tail_wire =
-        wire(kFrameBytes + kEntryBytes + (S - static_cast<double>(m - 1) * C));
+        wire_time(costs_, kFrameBytes + kEntryBytes + static_cast<double>(C));
+    const sim::Time tail_wire = wire_time(
+        costs_,
+        kFrameBytes + kEntryBytes + (S - static_cast<double>(m - 1) * C));
     // sched[r]: rank r's upstream chunk departures, built children-first.
     for (std::uint32_t r = nn; r-- > 1;) {
       own_.assign(m - 1, Chunk{G_[r], full_wire});
@@ -755,12 +816,7 @@ double PerfModel::collective_scatter(CollectiveProtocol proto,
                                      std::size_t payload_bytes) const {
   if (n <= 1) return 0.0;
   const comm::Topology topo = resolved_topology(spec, n);
-  const sim::Time L = costs_.net_latency;
   const sim::Time h = costs_.iccl_msg_handle;
-  const double bw = costs_.bandwidth_bytes_per_sec;
-  auto wire = [&](double bytes) {
-    return L + static_cast<sim::Time>(bytes / bw * 1e9);
-  };
   const double S = static_cast<double>(payload_bytes);
   const auto nn = static_cast<std::uint32_t>(n);
 
@@ -785,7 +841,7 @@ double PerfModel::collective_scatter(CollectiveProtocol proto,
         const double part_data = static_cast<double>(sz[c]) * S;
         const double frame_bytes =
             kFrameBytes + static_cast<double>(sz[c]) * (kEntryBytes + S);
-        start[c] = start[r] + offset + wire(frame_bytes) + h +
+        start[c] = start[r] + offset + wire_time(costs_, frame_bytes) + h +
                    scaled_per_kb(costs_.iccl_eager_copy_per_kb, part_data);
         worst = std::max(worst, start[c]);
         offset += h + scaled_per_kb(costs_.iccl_eager_copy_per_kb, part_data);
@@ -801,8 +857,8 @@ double PerfModel::collective_scatter(CollectiveProtocol proto,
   // covering its byte range retires; the root holds everything at t=0.
   const std::uint32_t C = costs_.iccl_rndv_chunk_bytes;
   const sim::Time c_h = costs_.iccl_chunk_handle;
-  const sim::Time rts_wire = wire(kFrameBytes + kEntryBytes + 4.0);
-  const sim::Time cts_wire = wire(kFrameBytes);
+  const sim::Time rts_wire = wire_time(costs_, kFrameBytes + kEntryBytes + 4.0);
+  const sim::Time cts_wire = wire_time(costs_, kFrameBytes);
   const double entry = kEntryBytes + S;
   auto stream_bytes = [&](std::uint32_t r) {
     return static_cast<double>(sz[r]) * entry;
@@ -870,7 +926,7 @@ double PerfModel::collective_scatter(CollectiveProtocol proto,
         }
         const sim::Time ready = std::max(avail, cts_done);
         const sim::Time chunk_wire =
-            wire(kFrameBytes + kEntryBytes + chunk_bytes);
+            wire_time(costs_, kFrameBytes + kEntryBytes + chunk_bytes);
         const sim::Time depart = std::max(cursor, ready);
         sim::Time arr = depart + chunk_wire;
         if (arr <= last_arrival[i]) arr = last_arrival[i] + 1;  // FIFO

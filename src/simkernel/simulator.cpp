@@ -17,16 +17,24 @@ void Simulator::schedule_at(Time when, Task fn) {
   queue_.push(when, std::move(fn));
 }
 
+void Simulator::schedule_fixed(Time delay, Task fn) {
+  if (delay < 0) delay = 0;
+  queue_.push_fixed(delay, now_ + delay, std::move(fn));
+}
+
+void Simulator::run_next() {
+  EventQueue::Event ev = queue_.pop();
+  assert(ev.when >= now_ && "time must be monotonic");
+  now_ = ev.when;
+  ev.fn();
+  ++executed_;
+}
+
 std::size_t Simulator::run(Time until) {
   std::size_t count = 0;
   while (!queue_.empty() && queue_.next_time() <= until) {
-    const Time when = queue_.next_time();
-    assert(when >= now_ && "time must be monotonic");
-    Task fn = queue_.pop();
-    now_ = when;
-    fn();
+    run_next();
     ++count;
-    ++executed_;
     if (event_limit_ != 0 && count > event_limit_) {
       throw std::runtime_error(
           "Simulator event limit exceeded: likely a protocol livelock");
@@ -37,10 +45,7 @@ std::size_t Simulator::run(Time until) {
 
 bool Simulator::step() {
   if (queue_.empty()) return false;
-  now_ = queue_.next_time();
-  Task fn = queue_.pop();
-  fn();
-  ++executed_;
+  run_next();
   return true;
 }
 

@@ -35,6 +35,13 @@ class Simulator {
   /// Schedules at an absolute timestamp (>= now()).
   void schedule_at(Time when, Task fn);
 
+  /// Schedules `fn` at now()+delay on the queue's FIFO lane for `delay`
+  /// (see EventQueue). It runs exactly when schedule(delay, fn) would; the
+  /// lane only saves the heap work. Meant for a delay that many events
+  /// repeat, such as a periodic tick: each distinct delay adds a lane that
+  /// every pop() compares, so the call site, not the kernel, picks lanes.
+  void schedule_fixed(Time delay, Task fn);
+
   /// Runs events until the queue drains or `until` is passed. Returns the
   /// number of events executed.
   std::size_t run(Time until = std::numeric_limits<Time>::max());
@@ -53,6 +60,10 @@ class Simulator {
   void set_event_limit(std::size_t limit) { event_limit_ = limit; }
 
  private:
+  /// Pops and runs the next event: the one place time advances.
+  /// Precondition: !idle().
+  void run_next();
+
   Time now_ = 0;
   EventQueue queue_;
   Rng rng_;

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "cluster/machine.hpp"
 #include "cluster/tracing.hpp"
@@ -536,6 +538,54 @@ TEST(Tracing, MessagesHeldWhileStoppedArriveInOrderOnResume) {
   for (int i = 0; i < kBacklog; ++i) {
     ASSERT_EQ(received[static_cast<std::size_t>(i)], i);
   }
+}
+
+TEST(Tracing, FixedDelayPostIsDeferredWhileStoppedAndDroppedAfterExit) {
+  // post_fixed() only changes which queue holds the event: it follows
+  // post()'s delivery rules, side by side with post().
+  Fixture f;
+  std::vector<std::string> ran;
+  const Pid target_pid = f.spawn_hooks(f.machine.compute_node(0),
+                                       std::make_unique<Hooks>());
+  TraceSession* session = nullptr;
+  auto tracer = std::make_unique<Hooks>();
+  tracer->start = [&](Process& self) {
+    auto res = self.trace_attach(target_pid, [](const DebugEvent&) {});
+    ASSERT_TRUE(res.is_ok());
+    session = res.value;
+  };
+  f.spawn_hooks(f.machine.front_end(), std::move(tracer));
+  f.sim.run();
+  Process* target = f.machine.find_process(target_pid);
+  ASSERT_NE(session, nullptr);
+  ASSERT_EQ(target->state(), ProcState::Stopped);
+
+  // Stopped: both fire, both are held, and both run on resume in firing
+  // order.
+  target->post_fixed(sim::ms(5), [&] { ran.emplace_back("fixed"); });
+  target->post(sim::ms(5), [&] { ran.emplace_back("post"); });
+  f.sim.run();
+  EXPECT_TRUE(ran.empty());
+  session->detach();
+  f.sim.run();
+  ASSERT_EQ(target->state(), ProcState::Running);
+  EXPECT_EQ(ran, (std::vector<std::string>{"fixed", "post"}));
+
+  // In flight at exit: both are dropped when they fire.
+  ran.clear();
+  target->post_fixed(sim::ms(5), [&] { ran.emplace_back("fixed"); });
+  target->post(sim::ms(5), [&] { ran.emplace_back("post"); });
+  EXPECT_EQ(f.sim.pending_events(), 2u);
+  target->exit(0);
+  f.sim.run();
+  EXPECT_TRUE(ran.empty());
+
+  // Posted after exit: neither schedules anything.
+  target->post_fixed(sim::ms(5), [&] { ran.emplace_back("fixed"); });
+  target->post(sim::ms(5), [&] { ran.emplace_back("post"); });
+  EXPECT_EQ(f.sim.pending_events(), 0u);
+  f.sim.run();
+  EXPECT_TRUE(ran.empty());
 }
 
 TEST(Tracing, AttachToDeadProcessFails) {

@@ -5,6 +5,8 @@
 // tracks the simulated implementation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <memory>
 
 #include "bench/ablation_iccl_lib.hpp"
@@ -284,6 +286,64 @@ TEST(CollectiveModel, RendezvousReplayIsPinnedToTheRecordedValues) {
                 kRndv, comm::TopologySpec{comm::TopologyKind::Flat, 0}, 64,
                 1u << 20),
             0.099069660000000004);
+  // A zero-byte payload is the RTS/CTS wave alone.
+  EXPECT_EQ(m.collective_bcast(kRndv, kary(8), 512, 0), 0.013335059999999999);
+}
+
+TEST(CollectiveModel, CrossoverGridIsPinnedToTheRecordedValues) {
+  // Crossovers recorded from a replay that streamed every chunk through
+  // every rank, over auto_tune's probe range (256 chunk segments, at most
+  // 4 MiB). Each row's chunk handle is a quarter of the chunk's wire time,
+  // so a short last chunk can catch up with the full one before it and the
+  // per-channel FIFO clamp decides its arrival. 0 stands for nullopt (eager
+  // wins at the max); flat 512 at 100 B crosses over from the 1 KiB floor.
+  const std::array<comm::TopologySpec, 5> fabrics = {
+      kary(2), kary(8), kary(32),
+      comm::TopologySpec{comm::TopologyKind::Binomial, 0},
+      comm::TopologySpec{comm::TopologyKind::Flat, 0}};
+  constexpr std::array<int, 5> kNodes = {2, 3, 33, 128, 512};
+  struct Row {
+    std::uint32_t chunk;
+    sim::Time chunk_handle;
+    std::array<std::array<std::size_t, 5>, 5> cross;  // [fabric][node count]
+  };
+  const std::array<Row, 3> rows = {{
+      {64u << 10, 13653,
+       {{{288831, 172255, 39578, 25987, 19345},
+         {288831, 172255, 35813, 24912, 17906},
+         {288831, 172255, 18031, 16760, 12428},
+         {288831, 172255, 21566, 11790, 7442},
+         {288831, 172255, 18031, 9772, 7682}}}},
+      {4u << 10, 853,
+       {{{268964, 160405, 37400, 24748, 18492},
+         {268964, 160405, 32294, 22252, 15842},
+         {268964, 160405, 12624, 11379, 8438},
+         {268964, 160405, 20853, 11498, 7286},
+         {268964, 160405, 12624, 3219, 1128}}}},
+      {100, 20,
+       {{{0, 0, 0, 24615, 18396},
+         {0, 0, 0, 22038, 15733},
+         {0, 0, 12129, 11191, 8114},
+         {0, 0, 20747, 11441, 7250},
+         {0, 0, 12129, 3090, 1024}}}},
+  }};
+  for (const Row& row : rows) {
+    cluster::CostModel costs = cluster::CostModel{}.deterministic();
+    costs.iccl_rndv_chunk_bytes = row.chunk;
+    costs.iccl_chunk_handle = row.chunk_handle;
+    PerfModel m(costs, 32);
+    const std::size_t max_payload =
+        std::min<std::size_t>(4u << 20, std::size_t{row.chunk} * 256);
+    for (std::size_t f = 0; f < fabrics.size(); ++f) {
+      for (std::size_t i = 0; i < kNodes.size(); ++i) {
+        EXPECT_EQ(m.collective_crossover(fabrics[f], kNodes[i], max_payload)
+                      .value_or(0),
+                  row.cross[f][i])
+            << fabrics[f].to_string() << " n=" << kNodes[i]
+            << " chunk=" << row.chunk;
+      }
+    }
+  }
 }
 
 TEST(CollectiveModel, DeepTreesCrossOverBeforeFlatFanOut) {

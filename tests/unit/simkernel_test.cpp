@@ -25,7 +25,7 @@ TEST(EventQueue, OrdersByTime) {
   q.push(30, [&] { fired.push_back(3); });
   q.push(10, [&] { fired.push_back(1); });
   q.push(20, [&] { fired.push_back(2); });
-  while (!q.empty()) q.pop()();
+  while (!q.empty()) q.pop().fn();
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
 
@@ -35,60 +35,114 @@ TEST(EventQueue, FifoForEqualTimestamps) {
   for (int i = 0; i < 10; ++i) {
     q.push(5, [&fired, i] { fired.push_back(i); });
   }
-  while (!q.empty()) q.pop()();
+  while (!q.empty()) q.pop().fn();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(fired[static_cast<size_t>(i)], i);
 }
 
 // Seeded interleavings of pushes (mostly at a handful of equal timestamps),
-// pops, and pushes made from inside callbacks into just-freed slots. Every
-// pop must match a reference ordered by (when, push index).
+// pops, and pushes made from inside callbacks into just-freed slots. Half of
+// the pushes go into two fixed-delay lanes at now + delay, where `now` is the
+// timestamp of the last pop (the clock a Simulator would hold), so lane and
+// heap records often share a timestamp. At every step size() and
+// next_time() must match a reference holding every record in one multimap
+// ordered by (when, push index), and every pop must take its first record.
 TEST(EventQueue, MatchesReferenceOrderUnderSlotReuse) {
+  constexpr std::array<Time, 2> kLaneDelays{2, 5};
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     Rng rng(seed);
     EventQueue q;
-    std::multimap<std::pair<Time, int>, int> reference;
+    // (when, push index) -> pushed into a lane
+    std::multimap<std::pair<Time, int>, bool> reference;
+    Time now = 0;
     int pushes = 0;
+    int lane_pushes = 0;
     int last_fired = -1;
+    int cross_ties = 0;  // pops tied on time with a record of the other kind
     std::size_t peak = 0;
 
-    std::function<void(Time)> push = [&](Time when) {
+    std::function<void()> push = [&] {
       const int index = pushes++;
-      reference.emplace(std::make_pair(when, index), index);
+      const std::uint64_t kind = rng.next_below(4);
+      const bool lane = kind < kLaneDelays.size();
+      const Time when =
+          lane ? now + kLaneDelays[kind]
+               : now + static_cast<Time>(rng.next_below(8));
+      reference.emplace(std::make_pair(when, index), lane);
       const bool nested = rng.next_below(3) == 0;
-      q.push(when, [&, index, when, nested] {
+      // The popped slot is free again: refill it from inside the callback.
+      Task fn = [&, index, nested] {
         last_fired = index;
-        // The popped slot is free again: refill it from inside the callback.
-        if (nested) push(when + static_cast<Time>(rng.next_below(3)));
-      });
+        if (nested) push();
+      };
+      if (lane) {
+        q.push_fixed(kLaneDelays[kind], when, std::move(fn));
+        ++lane_pushes;
+      } else {
+        q.push(when, std::move(fn));
+      }
       peak = std::max(peak, q.size());
+    };
+    auto pop_one = [&](int step) {
+      const auto expected = reference.begin();
+      const Time want_when = expected->first.first;
+      const int want = expected->first.second;
+      const auto next = std::next(expected);
+      if (next != reference.end() &&
+          next->first.first == expected->first.first &&
+          next->second != expected->second) {
+        ++cross_ties;
+      }
+      reference.erase(expected);
+      EventQueue::Event ev = q.pop();
+      ASSERT_EQ(ev.when, want_when) << "seed " << seed << " step " << step;
+      now = ev.when;
+      ev.fn();
+      ASSERT_EQ(last_fired, want) << "seed " << seed << " step " << step;
     };
 
     for (int step = 0; step < 400; ++step) {
-      if (q.empty() || rng.next_below(5) < 3) {
-        push(static_cast<Time>(rng.next_below(8)));
-        continue;
+      ASSERT_EQ(q.size(), reference.size()) << "seed " << seed;
+      if (!q.empty()) {
+        ASSERT_EQ(q.next_time(), reference.begin()->first.first)
+            << "seed " << seed << " step " << step;
       }
-      ASSERT_EQ(q.size(), reference.size());
-      const auto expected = reference.begin();
-      EXPECT_EQ(q.next_time(), expected->first.first) << "seed " << seed;
-      const int want = expected->second;
-      reference.erase(expected);
-      q.pop()();
-      ASSERT_EQ(last_fired, want) << "seed " << seed << " step " << step;
+      if (q.empty() || rng.next_below(5) < 3) {
+        push();
+      } else {
+        pop_one(step);
+      }
     }
     while (!q.empty()) {
-      const auto expected = reference.begin();
-      EXPECT_EQ(q.next_time(), expected->first.first);
-      const int want = expected->second;
-      reference.erase(expected);
-      q.pop()();
-      ASSERT_EQ(last_fired, want) << "seed " << seed << " (drain)";
+      ASSERT_EQ(q.size(), reference.size()) << "seed " << seed;
+      ASSERT_EQ(q.next_time(), reference.begin()->first.first);
+      pop_one(-1);
     }
     EXPECT_TRUE(reference.empty());
     // The slab never holds more than `peak` tasks, so most pushes went into
     // recycled slots.
     EXPECT_GT(pushes, 2 * static_cast<int>(peak)) << "seed " << seed;
+    // Both sources were exercised, and they tied on timestamps.
+    EXPECT_GT(lane_pushes, pushes / 4) << "seed " << seed;
+    EXPECT_GT(pushes - lane_pushes, pushes / 4) << "seed " << seed;
+    EXPECT_GT(cross_ties, 0) << "seed " << seed;
   }
+}
+
+// A lane's ring grows while its head is mid-buffer and later wraps; the
+// records must still come out in push order.
+TEST(EventQueue, FixedDelayLaneKeepsPushOrderAcrossGrowth) {
+  EventQueue q;
+  std::vector<int> fired;
+  int next = 0;
+  auto push = [&](Time when) {
+    q.push_fixed(7, when, [&fired, i = next++] { fired.push_back(i); });
+  };
+  for (int i = 0; i < 10; ++i) push(i);
+  for (int i = 0; i < 8; ++i) q.pop().fn();
+  for (int i = 10; i < 60; ++i) push(i);
+  while (!q.empty()) q.pop().fn();
+  ASSERT_EQ(fired.size(), 60u);
+  for (int i = 0; i < 60; ++i) EXPECT_EQ(fired[static_cast<size_t>(i)], i);
 }
 
 /// Counts how many times the one logical capture it stands for is
@@ -210,6 +264,42 @@ TEST(Simulator, NegativeDelayClampsToNow) {
     sim.schedule(-ms(10), [&] { EXPECT_EQ(sim.now(), ms(3)); });
   });
   sim.run();
+}
+
+TEST(Simulator, FixedDelayEventsRunWhenScheduleWouldRunThem) {
+  // Two runs of one schedule: ticks via schedule_fixed, then via schedule.
+  // Other events tie with the ticks on time; the firing order and times
+  // must be the same either way, and pending_events() counts the lane.
+  auto trace = [](bool lanes) {
+    Simulator sim;
+    std::vector<std::pair<Time, int>> fired;
+    std::size_t max_pending = 0;
+    std::function<void(int)> tick = [&](int n) {
+      fired.emplace_back(sim.now(), 100 + n);
+      max_pending = std::max(max_pending, sim.pending_events());
+      if (n == 5) return;
+      auto again = [&tick, n] { tick(n + 1); };
+      if (lanes) {
+        sim.schedule_fixed(ms(10), again);
+      } else {
+        sim.schedule(ms(10), again);
+      }
+    };
+    sim.schedule(0, [&] { tick(0); });
+    for (int i = 0; i < 6; ++i) {
+      sim.schedule(ms(10) * i, [&, i] { fired.emplace_back(sim.now(), i); });
+      sim.schedule(ms(10) * i + ms(10),
+                   [&, i] { fired.emplace_back(sim.now(), 10 + i); });
+    }
+    while (sim.step()) {
+    }
+    return std::make_pair(fired, max_pending);
+  };
+  const auto with_lanes = trace(true);
+  const auto on_heap = trace(false);
+  EXPECT_EQ(with_lanes.first, on_heap.first);
+  EXPECT_EQ(with_lanes.second, on_heap.second);
+  EXPECT_EQ(with_lanes.first.size(), 18u);
 }
 
 TEST(Simulator, EventLimitThrowsOnLivelock) {
