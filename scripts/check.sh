@@ -16,9 +16,10 @@
 #                  same way the bench --json goldens catch report drift.
 #   --fault-smoke  build the Release preset and run only the fault-injection
 #                  surface: the self-heal suite, the subtree-reparent math
-#                  units, the TBON overlay heal test, and the availability
-#                  bench at smoke scale - the fast "did a refactor break
-#                  failure recovery" gate.
+#                  units, the tree-link core (dial, ready latch, heal climb),
+#                  the TBON overlay heal test, and the availability bench at
+#                  smoke scale - the fast "did a refactor break failure
+#                  recovery" gate.
 #   --mux-smoke    build the Release preset and run only the multiplexed-
 #                  service surface: the virtual-session integration suite,
 #                  the session-table knob/reuse tests, and the mux ablation
@@ -51,10 +52,11 @@ fi
 if [[ "${1:-}" == "--fault-smoke" ]]; then
   cmake --preset release
   cmake --build --preset release -j "$JOBS" \
-    --target self_heal_test comm_topology_test tbon_net_test \
-    bench_ablation_heal
+    --target self_heal_test comm_topology_test tree_node_test \
+    tbon_net_test bench_ablation_heal
   build-release/self_heal_test
   build-release/comm_topology_test --gtest_filter='HealMath.*'
+  build-release/tree_node_test --gtest_filter='TreeNode.*'
   build-release/tbon_net_test --gtest_filter='TbonNet.HealedOverlay*'
   LMON_BENCH_SMOKE=1 build-release/bench_ablation_heal
   echo "fault-smoke OK"

@@ -1,8 +1,5 @@
 #include "comm/heal.hpp"
 
-#include <algorithm>
-#include <cassert>
-
 namespace lmon::comm {
 
 std::vector<std::uint32_t> ancestor_chain(const Topology& topo,
@@ -36,45 +33,6 @@ std::vector<Adoption> reparent_plan(const Topology& topo,
     if (adopter) plan.push_back({r, *adopter});
   }
   return plan;
-}
-
-namespace {
-
-std::vector<Adoption> blocks_to_adoptions(
-    const std::vector<std::pair<std::size_t, std::size_t>>& blocks,
-    const std::vector<std::uint32_t>& orphans,
-    const std::vector<std::uint32_t>& adopters) {
-  std::vector<Adoption> plan;
-  plan.reserve(orphans.size());
-  for (std::size_t i = 0; i < blocks.size() && i < adopters.size(); ++i) {
-    const auto [begin, len] = blocks[i];
-    for (std::size_t j = 0; j < len; ++j) {
-      plan.push_back({orphans[begin + j], adopters[i]});
-    }
-  }
-  return plan;
-}
-
-}  // namespace
-
-std::vector<Adoption> assign_orphan_blocks(
-    const std::vector<std::uint32_t>& orphans,
-    const std::vector<std::uint32_t>& adopters) {
-  if (orphans.empty() || adopters.empty()) return {};
-  return blocks_to_adoptions(
-      split_contiguous(orphans.size(),
-                       static_cast<std::uint32_t>(adopters.size())),
-      orphans, adopters);
-}
-
-std::vector<Adoption> assign_orphan_blocks_weighted(
-    const std::vector<std::uint32_t>& orphans,
-    const std::vector<std::uint32_t>& adopters,
-    const std::vector<double>& weights) {
-  if (orphans.empty() || adopters.empty()) return {};
-  assert(weights.size() == adopters.size());
-  return blocks_to_adoptions(split_weighted(orphans.size(), weights), orphans,
-                             adopters);
 }
 
 }  // namespace lmon::comm

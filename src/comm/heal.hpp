@@ -2,20 +2,18 @@
 //
 // When a comm daemon dies, the ranks whose parent chain ran through it must
 // be re-homed onto survivors. Everything here is a pure function of
-// (Topology, dead-set): the live recovery protocol (ICCL Reattach, TBON
-// re-Hello) and the planners for elastic grow/shrink share these answers,
-// which is what keeps "who adopts whom" testable without booting a fabric.
+// (Topology, dead-set), which keeps "who adopts whom" testable without
+// booting a fabric.
 //
-// Two families:
-//   - nearest_live_ancestor / reparent_plan: what the live protocol does.
-//     Each orphan climbs its own ancestor chain and attaches to the first
-//     survivor, so an adoption never changes which subtree a rank's payload
-//     transits (the adopter was already on the orphan's root path). This is
-//     the invariant the collective-replay rules rely on.
-//   - assign_orphan_blocks[_weighted]: block planners for future elastic
-//     grow/rebalance, partitioning an orphan list across candidate adopters
-//     in contiguous (optionally capacity-weighted) runs, mirroring the
-//     split_contiguous/split_weighted placement used at bootstrap.
+//   - ancestor_chain: the path the live climb walks. comm::TreeNode asks
+//     its layer for the chain above the lost parent; the ICCL answers with
+//     this function, the TBON with its TopoNode::parent links.
+//   - nearest_live_ancestor / reparent_plan: the reference answer for that
+//     climb. Each orphan attaches to its first surviving ancestor, so an
+//     adoption never changes which subtree a rank's payload transits (the
+//     adopter was already on the orphan's root path) - the invariant the
+//     collective-replay rules rely on. The self-heal suite checks every
+//     healed tree against it.
 #pragma once
 
 #include <cstdint>
@@ -56,20 +54,5 @@ struct Adoption {
 /// unrecoverable without a new root.
 [[nodiscard]] std::vector<Adoption> reparent_plan(
     const Topology& topo, const std::set<std::uint32_t>& dead);
-
-/// Partitions `orphans` (in the given order) into contiguous blocks, one per
-/// adopter, near-equal length, earlier adopters taking the remainder -
-/// split_contiguous applied to a recovery plan. Empty when either side is.
-[[nodiscard]] std::vector<Adoption> assign_orphan_blocks(
-    const std::vector<std::uint32_t>& orphans,
-    const std::vector<std::uint32_t>& adopters);
-
-/// Capacity-weighted variant: block lengths proportional to each adopter's
-/// weight (largest-remainder, deterministic; all-zero weights fall back to
-/// near-equal). weights.size() must equal adopters.size().
-[[nodiscard]] std::vector<Adoption> assign_orphan_blocks_weighted(
-    const std::vector<std::uint32_t>& orphans,
-    const std::vector<std::uint32_t>& adopters,
-    const std::vector<double>& weights);
 
 }  // namespace lmon::comm

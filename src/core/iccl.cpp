@@ -6,6 +6,7 @@
 #include <string>
 
 #include "cluster/machine.hpp"
+#include "comm/heal.hpp"
 #include "simkernel/log.hpp"
 
 namespace lmon::core {
@@ -126,10 +127,14 @@ obs::SpanId Iccl::trace_parent(obs::Tracer& tracer) const {
 Iccl::Iccl(cluster::Process& self, Params params)
     : self_(self),
       params_(std::move(params)),
-      topo_(params_.topology, params_.size) {
-  expected_children_ = topo_.children_of(params_.rank);
+      topo_(params_.topology, params_.size),
+      node_(self_, *this, "iccl", "fabric", kDial, params_.rank,
+            topo_.parent_of(params_.rank)) {
   // Every node (including leaves) reports SetupUp; we expect one per child.
-  setups_pending_ = static_cast<int>(expected_children_.size());
+  for (const std::uint32_t child : topo_.children_of(params_.rank)) {
+    node_.expect_child(child, /*needs_up=*/true);
+  }
+  node_.set_heal(params_.heal);
   // The engine's tuner resolves the threshold for every launch path and
   // hands it down in the bootstrap; 0 only reaches here from harnesses that
   // start daemons without an engine, which take this machine's costs.
@@ -137,112 +142,33 @@ Iccl::Iccl(cluster::Process& self, Params params)
                         ? params_.rndv_threshold
                         : self_.machine().costs().iccl_rndv_threshold_bytes;
   if (rndv_threshold_ == 0) rndv_threshold_ = 1;
-  heal_ = params_.heal;
   heal_grace_ = params_.heal_grace_ms != 0 ? sim::ms(params_.heal_grace_ms)
                                            : kHealGraceDefault;
-  parent_rank_ = topo_.parent_of(params_.rank).value_or(params_.rank);
 }
 
 void Iccl::start(std::function<void(Status)> subtree_ready) {
   subtree_ready_ = std::move(subtree_ready);
-
   // Endpoint initialization cost (socket setup, registration with the
   // RM-provided bootstrap info).
-  const sim::Time init_cost = self_.machine().costs().fabric_endpoint_init;
-  self_.post(init_cost, [this] {
-    if (!expected_children_.empty()) {
-      const Status st =
-          self_.listen(params_.port, [this](cluster::ChannelPtr ch) {
-            // Child link; claim routing, wait for its Register.
-            self_.set_channel_handler(
-                ch,
-                [this](const cluster::ChannelPtr& c, cluster::Message m) {
-                  on_fabric_message(c, std::move(m));
-                },
-                [this](const cluster::ChannelPtr& c) {
-                  // A lost child link during launch is fatal for the
-                  // session; surface once via the ready callback. After
-                  // ready, drop the child from the fan-out so in-flight
-                  // rendezvous rounds do not wait on its CTS forever.
-                  if (!ready_fired_ && subtree_ready_) {
-                    ready_fired_ = true;
-                    subtree_ready_(Status(Rc::Esubcom, "fabric child lost"));
-                  }
-                  on_child_lost(c);
-                });
-          });
-      if (!st.is_ok() && subtree_ready_) {
-        ready_fired_ = true;
-        subtree_ready_(st);
-        return;
-      }
-    }
-    if (is_root()) {
-      parent_linked_ = true;
-      maybe_subtree_ready();
-    } else {
-      connect_parent(kConnectRetries);
-    }
-  });
+  self_.post(self_.machine().costs().fabric_endpoint_init,
+             [this] { node_.start(params_.port); });
 }
 
-void Iccl::connect_parent(int attempts_left) {
-  const auto parent_rank = topo_.parent_of(params_.rank);
-  assert(parent_rank.has_value());
-  const std::string host(params_.hosts.at(*parent_rank));
-  self_.connect(host, params_.port, [this, attempts_left,
-                                     parent_rank = *parent_rank](
-                                        Status st, cluster::ChannelPtr ch) {
-    if (!st.is_ok()) {
-      if (attempts_left > 0) {
-        self_.machine().count("iccl.connect_retries");
-        if (obs::Tracer* tracer = self_.machine().tracer();
-            tracer != nullptr) {
-          tracer->instant("iccl.connect_retry", "iccl",
-                          static_cast<int>(self_.node().id()), self_.pid(),
-                          obs::kNoSpan,
-                          "rank=" + std::to_string(params_.rank) +
-                              " left=" + std::to_string(attempts_left - 1));
-        }
-        // Exponential backoff up to a cap: the RM's bulk launch brings all
-        // daemons up near-simultaneously, but the ad hoc rsh strategies
-        // stagger daemon start times across *seconds* at scale, so a
-        // fixed-short window would wrongly declare the parent dead while
-        // its subtree is still being rsh-launched. The capped budget
-        // (~15 s total) still bounds genuinely-dead-parent detection.
-        const int used = kConnectRetries - attempts_left;
-        sim::Time delay = kRetryDelay << std::min(used, 8);
-        if (delay > kRetryDelayCap) delay = kRetryDelayCap;
-        self_.post(delay, [this, attempts_left] {
-          connect_parent(attempts_left - 1);
-        });
-      } else if (subtree_ready_ && !ready_fired_) {
-        ready_fired_ = true;
-        subtree_ready_(Status(Rc::Esubcom, "cannot reach fabric parent"));
-      }
-      return;
-    }
-    parent_ = ch;
-    parent_rank_ = parent_rank;
-    self_.set_channel_handler(
-        ch,
-        [this](const cluster::ChannelPtr& c, cluster::Message m) {
-          on_fabric_message(c, std::move(m));
-        },
-        [this](const cluster::ChannelPtr&) {
-          // Session teardown: parent went away. In heal mode a post-ready
-          // parent loss is a comm-daemon death to recover from instead.
-          parent_ = nullptr;
-          if (heal_ && ready_fired_ && !left_) begin_reparent();
-        });
-    self_.send(ch, encode_frame(Kind::Register, 0, params_.rank));
-    parent_linked_ = true;
-    maybe_subtree_ready();
-  });
+comm::TreeNode::Address Iccl::address_of(std::uint32_t rank) const {
+  return {std::string(params_.hosts.at(rank)), params_.port};
 }
 
-void Iccl::on_fabric_message(const cluster::ChannelPtr& ch,
-                             cluster::Message m) {
+std::vector<std::uint32_t> Iccl::ancestors_of(std::uint32_t rank) const {
+  return comm::ancestor_chain(topo_, rank);
+}
+
+void Iccl::on_ready(Status st) {
+  if (st.is_ok()) send_up(encode_frame(Kind::SetupUp, 0, params_.rank));
+  if (subtree_ready_) subtree_ready_(std::move(st));
+}
+
+void Iccl::on_link_message(const cluster::ChannelPtr& ch,
+                           cluster::Message m) {
   auto frame = decode_frame(std::move(m));
   if (!frame) return;
   if (frame_tap_) {
@@ -270,10 +196,10 @@ void Iccl::on_fabric_message(const cluster::ChannelPtr& ch,
   self_.post(handle_cost, [this, ch, frame = std::move(*frame)]() mutable {
     switch (frame.kind) {
       case Kind::Register:
-        handle_register(ch, frame.src);
+        node_.add_child(frame.src, ch);
         break;
       case Kind::SetupUp:
-        handle_setup_up();
+        node_.report_up(frame.src);
         break;
       case Kind::Bcast:
         handle_bcast(frame.tag, std::move(frame.entries.front().second));
@@ -329,29 +255,6 @@ void Iccl::on_fabric_message(const cluster::ChannelPtr& ch,
   });
 }
 
-void Iccl::handle_register(const cluster::ChannelPtr& ch,
-                           std::uint32_t rank) {
-  children_[rank] = ch;
-  maybe_subtree_ready();
-}
-
-void Iccl::handle_setup_up() {
-  setups_pending_ -= 1;
-  maybe_subtree_ready();
-}
-
-void Iccl::maybe_subtree_ready() {
-  if (ready_fired_) return;
-  if (!parent_linked_) return;
-  if (children_.size() != expected_children_.size()) return;
-  if (setups_pending_ > 0) return;
-  ready_fired_ = true;
-  if (!is_root() && parent_ != nullptr) {
-    send_up(encode_frame(Kind::SetupUp, 0, params_.rank));
-  }
-  if (subtree_ready_) subtree_ready_(Status::ok());
-}
-
 bool Iccl::use_rendezvous(std::size_t payload_bytes) const {
   return payload_bytes >= rndv_threshold_ && payload_bytes > 0;
 }
@@ -371,17 +274,18 @@ void Iccl::eager_fanout(StreamKey tag, const ByteSlice& payload) {
   // bench_ablation_iccl; rendezvous exists to beat it).
   const sim::Time quantum = self_.machine().costs().iccl_msg_handle +
                             eager_copy_cost(payload.size());
-  count_mux(tag, "eager_frames", static_cast<double>(children_.size()));
+  const auto& children = node_.children();
+  count_mux(tag, "eager_frames", static_cast<double>(children.size()));
   if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
     tracer->instant("iccl.eager_fanout", "iccl",
                     static_cast<int>(self_.node().id()), self_.pid(),
                     trace_parent(*tracer),
                     "tag=" + tag.str() +
-                        " children=" + std::to_string(children_.size()) +
+                        " children=" + std::to_string(children.size()) +
                         " bytes=" + std::to_string(payload.size()));
   }
   int k = 0;
-  for (auto& [rank, ch] : children_) {
+  for (auto& [rank, ch] : children) {
     cluster::ChannelPtr child = ch;
     self_.post(static_cast<sim::Time>(k++) * quantum, [this, child, tag,
                                                        payload] {
@@ -395,10 +299,10 @@ void Iccl::handle_bcast(StreamKey tag, ByteSlice payload) {
   // Heal replay duplicate: this round was already delivered here (and fanned
   // out); drop it entirely so neither the handler nor the subtree sees it
   // twice. Tags are unique per round, so the ring is an exact guard.
-  if (heal_ && bcast_history_.count(tag) != 0) return;
+  if (node_.heal() && bcast_history_.count(tag) != 0) return;
   // This node holds the complete payload (root issue, or an eager frame
   // arrived). Every frame sent below views that one buffer.
-  if (!children_.empty()) {
+  if (!node_.children().empty()) {
     if (use_rendezvous(payload.size())) {
       const std::uint32_t chunk =
           self_.machine().costs().iccl_rndv_chunk_bytes;
@@ -419,7 +323,7 @@ void Iccl::handle_bcast(StreamKey tag, ByteSlice payload) {
       eager_fanout(tag, payload);
     }
   }
-  if (heal_) heal_record_bcast(tag, payload);
+  if (node_.heal()) heal_record_bcast(tag, payload);
   deliver_bcast(tag, payload);
 }
 
@@ -446,7 +350,7 @@ Iccl::RndvSend& Iccl::rndv_open_send(StreamKey tag, std::uint32_t nchunks,
   // messages), but they are tiny: no payload-copy term.
   const sim::Time quantum = self_.machine().costs().iccl_msg_handle;
   int k = 0;
-  for (auto& [rank, ch] : children_) {
+  for (auto& [rank, ch] : node_.children()) {
     st.cts_pending.insert(rank);
     cluster::ChannelPtr child = ch;
     count_mux(tag, "rts_sent");
@@ -466,10 +370,10 @@ void Iccl::handle_rndv_rts(StreamKey tag, std::uint32_t nchunks,
                            std::uint32_t total) {
   // Heal replay of a round this node already delivered: ignore it rather
   // than re-opening receive/relay state the subtree already consumed.
-  if (heal_ && bcast_history_.count(tag) != 0) return;
+  if (node_.heal() && bcast_history_.count(tag) != 0) return;
   if (nchunks == 0) {
     // Degenerate empty rendezvous: deliver immediately.
-    if (heal_) heal_record_bcast(tag, ByteSlice());
+    if (node_.heal()) heal_record_bcast(tag, ByteSlice());
     deliver_bcast(tag, ByteSlice());
     return;
   }
@@ -483,7 +387,7 @@ void Iccl::handle_rndv_rts(StreamKey tag, std::uint32_t nchunks,
   }
   // Cut-through: open the downstream round now so grandchild CTS exchanges
   // overlap the payload still streaming toward this node.
-  if (!children_.empty()) rndv_open_send(tag, nchunks, total);
+  if (!node_.children().empty()) rndv_open_send(tag, nchunks, total);
   // Clear the parent to stream.
   count_mux(tag, "cts_sent");
   send_up(encode_frame(Kind::RndvCts, tag, params_.rank));
@@ -518,7 +422,7 @@ void Iccl::rndv_flush(StreamKey tag, RndvSend& st) {
   while (st.next_seq < st.ready.size()) {
     const std::uint32_t seq = st.next_seq++;
     const ByteSlice& chunk = st.ready[seq];
-    for (auto& [rank, ch] : children_) {
+    for (auto& [rank, ch] : node_.children()) {
       cluster::ChannelPtr child = ch;
       sim::Time depart = std::max(st.cursor, now);
       self_.post(depart - now, [this, child, tag, seq, chunk] {
@@ -565,30 +469,21 @@ void Iccl::handle_rndv_chunk(StreamKey tag, std::uint32_t seq,
       tracer->end_span(rc.span, "bytes=" + std::to_string(payload.size()));
     }
     rndv_recvs_.erase(it);
-    if (heal_) heal_record_bcast(tag, payload);
+    if (node_.heal()) heal_record_bcast(tag, payload);
     deliver_bcast(tag, payload);
   }
 }
 
-void Iccl::on_child_lost(const cluster::ChannelPtr& ch) {
-  std::optional<std::uint32_t> lost;
-  for (const auto& [rank, link] : children_) {
-    if (link == ch) {
-      lost = rank;
-      break;
-    }
-  }
-  if (!lost) return;
-  children_.erase(*lost);
+void Iccl::on_child_lost(std::uint32_t lost, bool /*was_ready*/) {
   self_.machine().count("iccl.children_lost");
   self_.machine().flight_record(self_.pid(), "iccl",
-                                "child rank " + std::to_string(*lost) +
+                                "child rank " + std::to_string(lost) +
                                     " lost");
   // Any rendezvous round still waiting on the dead child's CTS must not
   // stall the surviving children.
   for (auto it = rndv_sends_.begin(); it != rndv_sends_.end();) {
     RndvSend& st = it->second;
-    st.cts_pending.erase(*lost);
+    st.cts_pending.erase(lost);
     if (!st.streaming && st.cts_pending.empty()) {
       st.streaming = true;
       const StreamKey tag = it->first;
@@ -601,9 +496,10 @@ void Iccl::on_child_lost(const cluster::ChannelPtr& ch) {
   }
   // Heal mode: do not drop the dead child's subtree yet. Open a heal slot
   // and give its orphans a grace window to reattach; only what stays
-  // unclaimed when the slot resolves is retracted.
-  if (heal_ && ready_fired_) {
-    heal_child_lost(*lost);
+  // unclaimed when the slot resolves is retracted. A loss before ready has
+  // already failed the latch, so this holds for it too.
+  if (node_.heal() && node_.ready_fired()) {
+    heal_child_lost(lost);
     return;
   }
   // Gather rounds: forgive the child's announce, and drop any of its
@@ -612,7 +508,7 @@ void Iccl::on_child_lost(const cluster::ChannelPtr& ch) {
   for (auto it = gathers_.begin(); it != gathers_.end();) {
     const StreamKey tag = it->first;
     GatherState& st = it->second;
-    if (gather_forget_child(tag, st, *lost)) {
+    if (gather_forget_child(tag, st, lost)) {
       // May announce, forward an eager frame, deliver at the root, or
       // retire a relay - all of which can erase the state.
       flush_gather(tag);
@@ -630,7 +526,9 @@ Iccl::GatherState& Iccl::gather_state(StreamKey tag) {
     GatherState st;
     // Seed from the *live* children: a child that already died must not be
     // waited for (its whole subtree's contributions are gone with it).
-    for (const auto& [rank, ch] : children_) st.children_pending.insert(rank);
+    for (const auto& [rank, ch] : node_.children()) {
+      st.children_pending.insert(rank);
+    }
     // Open heal slots gate new rounds too: the dead child's orphans may
     // reattach and contribute to this round before the slot resolves.
     for (const auto& [dead, slot] : heal_slots_) st.healing.insert(dead);
@@ -652,7 +550,7 @@ void Iccl::contribute(StreamKey tag, Bytes data) {
   // and heal copies are views of it.
   st.acc.emplace_back(
       params_.rank, ByteSlice(std::make_shared<const Bytes>(std::move(data))));
-  if (heal_) st.retained[params_.rank].append(st.acc.back().second);
+  if (node_.heal()) st.retained[params_.rank].append(st.acc.back().second);
   flush_gather(tag);
 }
 
@@ -660,7 +558,7 @@ void Iccl::handle_gather_up(StreamKey tag, std::uint32_t src,
                             Entries entries) {
   GatherState& st = gather_state(tag);
   st.children_pending.erase(src);
-  if (heal_) {
+  if (node_.heal()) {
     // Re-sent eager accumulation from a reattached orphan: keep only the
     // origins this node has not seen yet (a prior partial path may have
     // delivered some already via a different route).
@@ -715,7 +613,7 @@ void Iccl::flush_gather(StreamKey tag) {
   std::sort(st.acc.begin(), st.acc.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   send_up(encode_frame(Kind::GatherUp, tag, params_.rank, st.acc));
-  if (heal_) {
+  if (node_.heal()) {
     heal_retire_gather(tag, st, /*eager=*/true);
   } else {
     gathers_.erase(it);
@@ -766,7 +664,7 @@ void Iccl::handle_gather_rts(StreamKey tag, std::uint32_t src,
   // receive progress of origins whose bytes partially arrived via the old
   // route; collect resume offsets for them instead.
   bool reannounce = false;
-  if (heal_) {
+  if (node_.heal()) {
     for (const auto& [origin, blob] : entries) {
       if (st.origin_bytes.count(origin) != 0) {
         reannounce = true;
@@ -779,7 +677,7 @@ void Iccl::handle_gather_rts(StreamKey tag, std::uint32_t src,
     ByteReader r(blob.span());
     const std::uint32_t sz = r.u32().value_or(0);
     std::uint32_t got = 0;
-    if (heal_ && st.origin_bytes.count(origin) != 0) {
+    if (node_.heal() && st.origin_bytes.count(origin) != 0) {
       owned.insert(origin);
       if (is_root()) {
         auto a = st.assembling.find(origin);
@@ -803,7 +701,7 @@ void Iccl::handle_gather_rts(StreamKey tag, std::uint32_t src,
       resume.emplace_back(origin, std::move(w).take());
     }
   }
-  if (heal_ && ready_fired_ && heal_slots_.count(src) != 0) {
+  if (node_.heal() && node_.ready_fired() && heal_slots_.count(src) != 0) {
     // The announce raced this child's own death (frames already in the
     // per-direction FIFO when the link dropped). The heal slot owns the
     // cleanup; just make this round wait for the slot's resolution.
@@ -811,7 +709,7 @@ void Iccl::handle_gather_rts(StreamKey tag, std::uint32_t src,
     flush_gather(tag);
     return;
   }
-  if (children_.count(src) == 0) {
+  if (node_.children().count(src) == 0) {
     // The announce was still in flight when the child's link died: the
     // on_child_lost sweep found nothing to drop, and a CTS would go into a
     // void. Drop the announced-but-unstreamed origins right now instead of
@@ -914,11 +812,11 @@ void Iccl::gather_flush(StreamKey tag, GatherState& st) {
   // schedule time: a chunk scheduled before an adoption must die with the
   // old link, not leak onto the new parent at a stale offset (the resume
   // handshake re-sends it at the right position instead).
-  cluster::ChannelPtr up = heal_ ? parent_ : nullptr;
+  cluster::ChannelPtr up = node_.heal() ? node_.parent() : nullptr;
   while (st.next_out < st.outq.size()) {
     auto& [origin, chunk] = st.outq[st.next_out++];
     const sim::Time depart = std::max(st.cursor, now);
-    if (heal_) {
+    if (node_.heal()) {
       self_.post(depart - now,
                  [this, up, tag, origin = origin, chunk = std::move(chunk)] {
                    if (up != nullptr) {
@@ -974,7 +872,7 @@ void Iccl::handle_gather_chunk(StreamKey tag, std::uint32_t origin,
     rem->second -= std::min(rem->second,
                             static_cast<std::uint32_t>(data.size()));
   }
-  if (heal_) {
+  if (node_.heal()) {
     // Retain relayed bytes so a future reparent can re-stream them from
     // this node's own view (the resume handshake asks for a byte offset).
     st.retained[origin].append(data);
@@ -1022,10 +920,10 @@ void Iccl::gather_check_complete(StreamKey tag) {
     st.span = obs::kNoSpan;
   }
   mux_release(tag);
-  if (heal_) {
+  if (node_.heal()) {
     // Tell the tree the round is over so retired replay copies can be freed
     // and a late-reattaching orphan does not re-announce a delivered round.
-    for (auto& [rank, ch] : children_) {
+    for (auto& [rank, ch] : node_.children()) {
       self_.send(ch, encode_frame(Kind::GatherDone, tag, params_.rank));
     }
     heal_retire_gather(tag, st, /*eager=*/false);
@@ -1051,7 +949,7 @@ void Iccl::gather_relay_maybe_done(StreamKey tag) {
     tracer->end_span(st.span);
     st.span = obs::kNoSpan;
   }
-  if (heal_) {
+  if (node_.heal()) {
     heal_retire_gather(tag, st, /*eager=*/false);
   } else {
     gathers_.erase(it);
@@ -1145,7 +1043,7 @@ void Iccl::handle_scatter(StreamKey tag, Entries entries) {
   // child's part (no per-level payload copies); the serialized quantum
   // still charges the copy into that child's send buffer.
   sim::Time offset = 0;
-  for (auto& [child, link] : children_) {
+  for (auto& [child, link] : node_.children()) {
     auto sub = topo_.subtree_of(child);
     Entries part;
     std::size_t part_bytes = 0;
@@ -1206,20 +1104,6 @@ void Iccl::heal_child_lost(std::uint32_t lost) {
       self_.pid(), "iccl",
       "heal: child rank " + std::to_string(lost) +
           " died; holding its subtree's stake for orphan reattach");
-  // Rendezvous broadcast rounds must not wait on the dead child's CTS;
-  // same forgiveness as the non-heal path.
-  for (auto it = rndv_sends_.begin(); it != rndv_sends_.end();) {
-    RndvSend& st = it->second;
-    st.cts_pending.erase(lost);
-    if (!st.streaming && st.cts_pending.empty()) {
-      st.streaming = true;
-      const StreamKey tag = it->first;
-      rndv_flush(tag, st);
-      it = rndv_sends_.upper_bound(tag);
-    } else {
-      ++it;
-    }
-  }
   // Open (or join) the adoption slot, and suspend the dead child's stake in
   // every open gather round until the slot resolves.
   const bool fresh = heal_slots_.count(lost) == 0;
@@ -1292,111 +1176,25 @@ void Iccl::heal_resolve_slot(std::uint32_t dead, bool expired) {
   }
 }
 
-void Iccl::begin_reparent() {
-  if (reparenting_ || left_) return;
-  reparenting_ = true;
-  heal_via_.clear();
-  self_.machine().count("iccl.heal.orphaned");
-  self_.machine().flight_record(self_.pid(), "iccl",
-                                "heal: parent rank " +
-                                    std::to_string(parent_rank_) +
-                                    " lost; climbing ancestor chain");
-  if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
-    heal_span_ = tracer->begin_span(
-        "iccl.heal", "iccl", static_cast<int>(self_.node().id()), self_.pid(),
-        trace_parent(*tracer),
-        "rank=" + std::to_string(params_.rank) +
-            " lost_parent=" + std::to_string(parent_rank_));
-  }
+void Iccl::on_orphaned() {
   // Freeze upstream gather streaming: chunks must not race ahead of the
   // per-origin resume offsets the adopter will dictate.
   for (auto& [tag, st] : gathers_) {
     if (!st.retired && st.announced && st.streaming) st.heal_hold = true;
   }
-  heal_via_.push_back(parent_rank_);
-  const auto target = topo_.parent_of(parent_rank_);
-  if (!target) {
-    // The dead parent was the root: nothing above to heal onto.
-    self_.machine().count("iccl.heal.give_ups");
-    if (obs::Tracer* tracer = self_.machine().tracer();
-        tracer != nullptr && heal_span_ != obs::kNoSpan) {
-      tracer->end_span(heal_span_, "give_up=root_dead");
-      heal_span_ = obs::kNoSpan;
-    }
-    reparenting_ = false;
+}
+
+void Iccl::on_linked(const cluster::ChannelPtr& parent, bool adopted) {
+  if (!adopted) {
+    self_.send(parent, encode_frame(Kind::Register, 0, params_.rank));
     return;
   }
-  try_reattach(*target, kHealConnectRetries);
-}
-
-void Iccl::try_reattach(std::uint32_t target, int attempts_left) {
-  if (left_) return;
-  self_.connect(
-      std::string(params_.hosts.at(target)), params_.port,
-      [this, target, attempts_left](Status st, cluster::ChannelPtr ch) {
-        if (left_) return;
-        if (st.is_ok()) {
-          adopt_parent(target, std::move(ch));
-          return;
-        }
-        if (attempts_left > 0) {
-          self_.machine().count("iccl.heal.reattach_retries");
-          self_.post(kRetryDelay, [this, target, attempts_left] {
-            try_reattach(target, attempts_left - 1);
-          });
-          return;
-        }
-        // This ancestor is dead too: record it for the adopter's coverage
-        // bookkeeping and keep climbing.
-        heal_via_.push_back(target);
-        const auto next = topo_.parent_of(target);
-        if (!next) {
-          // Even the root is unreachable - session teardown, not a failure
-          // to heal. Give up quietly so a dissolving tree does not spin.
-          self_.machine().count("iccl.heal.give_ups");
-          self_.machine().flight_record(
-              self_.pid(), "iccl",
-              "heal: no live ancestor reachable; giving up");
-          if (obs::Tracer* tracer = self_.machine().tracer();
-              tracer != nullptr && heal_span_ != obs::kNoSpan) {
-            tracer->end_span(heal_span_, "give_up=no_live_ancestor");
-            heal_span_ = obs::kNoSpan;
-          }
-          reparenting_ = false;
-          return;
-        }
-        try_reattach(*next, kHealConnectRetries);
-      });
-}
-
-void Iccl::adopt_parent(std::uint32_t target, cluster::ChannelPtr ch) {
-  parent_ = ch;
-  parent_rank_ = target;
-  reparenting_ = false;
-  self_.machine().count("iccl.heal.reattaches");
-  self_.machine().flight_record(self_.pid(), "iccl",
-                                "heal: reattached under rank " +
-                                    std::to_string(target));
-  if (obs::Tracer* tracer = self_.machine().tracer();
-      tracer != nullptr && heal_span_ != obs::kNoSpan) {
-    tracer->end_span(heal_span_, "adopted_by=" + std::to_string(target));
-    heal_span_ = obs::kNoSpan;
-  }
-  self_.set_channel_handler(
-      ch,
-      [this](const cluster::ChannelPtr& c, cluster::Message m) {
-        on_fabric_message(c, std::move(m));
-      },
-      [this](const cluster::ChannelPtr&) {
-        parent_ = nullptr;
-        if (heal_ && ready_fired_ && !left_) begin_reparent();
-      });
   // One Reattach frame carries everything the adopter needs: the dead
   // ancestors seen on the climb, the delivered-broadcast ring (duplicate
   // suppression baseline) and per-round receive offsets for catch-up.
   ByteWriter w;
-  w.u32(static_cast<std::uint32_t>(heal_via_.size()));
-  for (std::uint32_t r : heal_via_) w.u32(r);
+  w.u32(static_cast<std::uint32_t>(node_.climb_via().size()));
+  for (std::uint32_t r : node_.climb_via()) w.u32(r);
   w.u32(static_cast<std::uint32_t>(bcast_history_order_.size()));
   for (const StreamKey& t : bcast_history_order_) {
     w.u32(t.session);
@@ -1409,8 +1207,8 @@ void Iccl::adopt_parent(std::uint32_t target, cluster::ChannelPtr ch) {
     w.u32(rc.received);
     w.u32(rc.nchunks);
   }
-  self_.send(ch, encode_frame(Kind::Reattach, 0, params_.rank,
-                              {{0, std::move(w).take()}}));
+  self_.send(parent, encode_frame(Kind::Reattach, 0, params_.rank,
+                                  {{0, std::move(w).take()}}));
   heal_send_reannounces();
 }
 
@@ -1480,7 +1278,7 @@ void Iccl::handle_reattach(const cluster::ChannelPtr& ch, std::uint32_t src,
     const std::uint32_t nchunks = r.u32().value_or(0);
     open[StreamKey{session, t}] = {received, nchunks};
   }
-  children_[src] = ch;
+  node_.add_child(src, ch);
   self_.machine().count("iccl.heal.adoptions");
   self_.machine().flight_record(
       self_.pid(), "iccl",
@@ -1544,7 +1342,7 @@ void Iccl::heal_replay_bcasts(
   const std::uint32_t chunk = self_.machine().costs().iccl_rndv_chunk_bytes;
   // Live rendezvous rounds first: the orphan catches up to this node's
   // scheduled sequence from its own receive offset and rides the ongoing
-  // stream from there (it is in children_ now, so chunks scheduled after
+  // stream from there (it is a child now, so chunks scheduled after
   // this event reach it natively and in order).
   for (const auto& [tag, snd] : rndv_sends_) {
     if (delivered.count(tag) != 0) continue;
@@ -1658,7 +1456,7 @@ void Iccl::handle_gather_resume(StreamKey tag, const Entries& entries) {
 
 void Iccl::handle_gather_done(StreamKey tag) {
   // Propagate: every descendant can free its replay copy of the round.
-  for (auto& [rank, ch] : children_) {
+  for (auto& [rank, ch] : node_.children()) {
     self_.send(ch, encode_frame(Kind::GatherDone, tag, params_.rank));
   }
   auto it = gathers_.find(tag);
@@ -1675,15 +1473,13 @@ void Iccl::handle_gather_done(StreamKey tag) {
 }
 
 void Iccl::leave() {
-  if (left_) return;
-  left_ = true;
+  if (node_.detached()) return;
+  node_.detach();
   self_.machine().count("iccl.heal.leaves");
   self_.machine().flight_record(self_.pid(), "iccl",
                                 "heal: rank " + std::to_string(params_.rank) +
                                     " leaving the session");
-  if (!is_root() && parent_ != nullptr) {
-    send_up(encode_frame(Kind::Leave, 0, params_.rank));
-  }
+  send_up(encode_frame(Kind::Leave, 0, params_.rank));
   // Give the frame a head start, then exit. Children notice the closed
   // links and heal onto an ancestor through the normal reparent path.
   self_.post(sim::ms(2), [this] { self_.exit(0); });
@@ -1694,11 +1490,9 @@ void Iccl::handle_leave(std::uint32_t src) {
   self_.machine().flight_record(self_.pid(), "iccl",
                                 "heal: child rank " + std::to_string(src) +
                                     " left gracefully");
-  auto it = children_.find(src);
-  if (it == children_.end()) return;
   // Run the lost-child bookkeeping now; the close callback that follows
   // finds the rank already erased and no-ops.
-  on_child_lost(it->second);
+  node_.lose_child(src);
 }
 
 // --- multiplexed delivery / fairness --------------------------------------
@@ -1786,12 +1580,12 @@ void Iccl::mux_release(StreamKey tag) {
 }
 
 void Iccl::send_up(cluster::Message m) {
-  if (parent_ != nullptr) self_.send(parent_, std::move(m));
+  if (node_.parent() != nullptr) self_.send(node_.parent(), std::move(m));
 }
 
 void Iccl::send_to_child(std::uint32_t child_rank, cluster::Message m) {
-  auto it = children_.find(child_rank);
-  if (it != children_.end()) self_.send(it->second, std::move(m));
+  auto it = node_.children().find(child_rank);
+  if (it != node_.children().end()) self_.send(it->second, std::move(m));
 }
 
 }  // namespace lmon::core

@@ -24,6 +24,7 @@
 #include "cluster/process.hpp"
 #include "comm/bootstrap.hpp"
 #include "comm/topology.hpp"
+#include "comm/tree_node.hpp"
 #include "common/bytes.hpp"
 #include "common/status.hpp"
 #include "core/stream_key.hpp"
@@ -31,7 +32,7 @@
 
 namespace lmon::core {
 
-class Iccl {
+class Iccl : private comm::TreeNode::Hooks {
  public:
   /// The fabric bootstrap parameters are exactly what every launch strategy
   /// passes on the daemon argv; comm/bootstrap.hpp owns the wire form.
@@ -91,6 +92,14 @@ class Iccl {
     GatherHandler on_gather;
     ScatterHandler on_scatter;
   };
+
+  /// How a daemon dials its fabric parent: exponential backoff up to a
+  /// cap. The RM's bulk launch brings all daemons up near-simultaneously,
+  /// but the ad hoc rsh strategies stagger daemon start times across
+  /// *seconds* at scale, so a fixed short window would wrongly declare the
+  /// parent dead while its subtree is still being rsh-launched. The capped
+  /// budget (~15 s total) still bounds genuinely-dead-parent detection.
+  static constexpr comm::DialPolicy kDial{80, sim::ms(3), sim::ms(200)};
 
   Iccl(cluster::Process& self, Params params);
 
@@ -165,24 +174,24 @@ class Iccl {
   }
 
   /// Self-healing enabled for this session (--lmon-heal=1).
-  [[nodiscard]] bool heal_enabled() const noexcept { return heal_; }
+  [[nodiscard]] bool heal_enabled() const noexcept { return node_.heal(); }
   /// Rank this node is currently linked up to (the topology parent until a
   /// reparent moves it; meaningless at the root). Tests assert reparented
   /// topology invariants through this.
   [[nodiscard]] std::uint32_t parent_rank() const noexcept {
-    return parent_rank_;
+    return node_.parent_index();
   }
   /// Ranks with live child links (topology children plus adopted orphans).
   [[nodiscard]] std::vector<std::uint32_t> live_children() const {
     std::vector<std::uint32_t> out;
-    out.reserve(children_.size());
-    for (const auto& [rank, ch] : children_) out.push_back(rank);
+    out.reserve(node_.children().size());
+    for (const auto& [rank, ch] : node_.children()) out.push_back(rank);
     return out;
   }
   /// True when no recovery is in progress here (no open adoption slots, not
   /// mid-climb).
   [[nodiscard]] bool heal_idle() const noexcept {
-    return heal_slots_.empty() && !reparenting_;
+    return heal_slots_.empty() && !node_.climbing();
   }
 
  private:
@@ -276,14 +285,29 @@ class Iccl {
     obs::SpanId span = obs::kNoSpan;  ///< RTS in .. payload assembled
   };
 
-  void connect_parent(int attempts_left);
-  void on_fabric_message(const cluster::ChannelPtr& ch, cluster::Message m);
-  void handle_register(const cluster::ChannelPtr& ch, std::uint32_t rank);
-  void handle_setup_up();
+  // --- tree links (comm::TreeNode hooks) -----------------------------------
+  [[nodiscard]] comm::TreeNode::Address address_of(
+      std::uint32_t rank) const override;
+  [[nodiscard]] std::vector<std::uint32_t> ancestors_of(
+      std::uint32_t rank) const override;
+  void on_link_message(const cluster::ChannelPtr& ch,
+                       cluster::Message m) override;
+  /// Register on the first link; Reattach plus re-announces on an adoption.
+  void on_linked(const cluster::ChannelPtr& parent, bool adopted) override;
+  void on_ready(Status st) override;
+  /// A child link died: drop it from the fan-out, unblock any rendezvous
+  /// round still waiting on its CTS, then heal or forgive its gather stake.
+  void on_child_lost(std::uint32_t lost, bool was_ready) override;
+  /// Freezes upstream gather streaming until the adopter's resume offsets.
+  void on_orphaned() override;
+  /// This daemon's bootstrap span (the "daemon:<session>:<rank>" anchor),
+  /// so collective and heal spans nest under the right parent in exports.
+  [[nodiscard]] obs::SpanId trace_parent(
+      obs::Tracer& tracer) const override;
+
   void handle_bcast(StreamKey tag, ByteSlice payload);
   void handle_gather_up(StreamKey tag, std::uint32_t src, Entries entries);
   void handle_scatter(StreamKey tag, Entries entries);
-  void maybe_subtree_ready();
   void flush_gather(StreamKey tag);
   // --- rendezvous gather (upstream data plane) ----------------------------
   /// Sum of all payload bytes this node's subtree contributes this round.
@@ -341,19 +365,15 @@ class Iccl {
   void mux_release(StreamKey tag);
 
   // --- self-healing (heal mode only) --------------------------------------
-  /// Parent link died post-ready: climb the ancestor chain for a survivor.
-  void begin_reparent();
-  void try_reattach(std::uint32_t target, int attempts_left);
-  void adopt_parent(std::uint32_t target, cluster::ChannelPtr ch);
   /// Re-announce in-flight gather rounds to the new parent (sent right
   /// after Reattach on the same FIFO channel, so the adopter processes the
   /// claim before any re-announce).
   void heal_send_reannounces();
   /// Adopter side: claim bookkeeping, origin-ownership transfer, broadcast
   /// replay for a freshly reattached orphan. Takes the channel because the
-  /// orphan joins children_ here (not via Register): the link must carry no
-  /// live-stream traffic before the replay runs, or catch-up chunks would
-  /// arrive out of order.
+  /// orphan joins the child table here (not via Register): the link must
+  /// carry no live-stream traffic before the replay runs, or catch-up chunks
+  /// would arrive out of order.
   void handle_reattach(const cluster::ChannelPtr& ch, std::uint32_t src,
                        const ByteSlice& blob);
   void handle_gather_resume(StreamKey tag, const Entries& entries);
@@ -379,10 +399,6 @@ class Iccl {
   /// until the root's GatherDone); bounded by the retired-round ring.
   void heal_retire_gather(StreamKey tag, GatherState& st, bool eager);
 
-  /// This daemon's bootstrap span (the "daemon:<session>:<rank>" anchor),
-  /// so collective spans nest under the right parent in exports.
-  [[nodiscard]] obs::SpanId trace_parent(obs::Tracer& tracer) const;
-
   // --- eager/rendezvous protocol switch ----------------------------------
   [[nodiscard]] bool use_rendezvous(std::size_t payload_bytes) const;
   /// Serialized per-KB copy charge (iccl_eager_copy_per_kb scaled to size).
@@ -400,20 +416,13 @@ class Iccl {
   void handle_rndv_chunk(StreamKey tag, std::uint32_t seq, ByteSlice data);
   /// Streams every ready-but-unsent chunk through the serialized cursor.
   void rndv_flush(StreamKey tag, RndvSend& st);
-  /// A child link died: drop it from the fan-out and unblock any rendezvous
-  /// round still waiting on its CTS.
-  void on_child_lost(const cluster::ChannelPtr& ch);
 
   cluster::Process& self_;
   Params params_;
   comm::Topology topo_;
   std::uint32_t rndv_threshold_ = 0;  ///< resolved (bytes); never 0
-  cluster::ChannelPtr parent_;
-  std::map<std::uint32_t, cluster::ChannelPtr> children_;  ///< rank -> link
-  std::vector<std::uint32_t> expected_children_;
-  int setups_pending_ = 0;  ///< SetupUp messages still expected
-  bool parent_linked_ = false;
-  bool ready_fired_ = false;
+  /// Parent dial, child table, ready latch and heal climb.
+  comm::TreeNode node_;
   std::function<void(Status)> subtree_ready_;
   std::map<std::uint32_t, SessionHandlers> session_handlers_;
   FrameTap frame_tap_;
@@ -422,13 +431,7 @@ class Iccl {
   std::map<StreamKey, RndvRecv> rndv_recvs_;  ///< by stream key
 
   // --- self-heal state -----------------------------------------------------
-  bool heal_ = false;
   sim::Time heal_grace_ = 0;    ///< orphan-reattach wait before retraction
-  std::uint32_t parent_rank_ = 0;  ///< current upstream rank (see accessor)
-  bool reparenting_ = false;    ///< climb in progress
-  bool left_ = false;           ///< leave() called; suppress healing
-  std::vector<std::uint32_t> heal_via_;  ///< dead ancestors on this climb
-  obs::SpanId heal_span_ = obs::kNoSpan;
   /// Delivered-broadcast ring: tag -> payload, insertion-ordered, capped at
   /// kHealHistory. Doubles as the duplicate-delivery guard (a replayed
   /// round whose tag is here is ignored entirely) and as the replay source
@@ -454,13 +457,6 @@ class Iccl {
   /// Last session granted clearance from the waiter scan (round-robin seed).
   std::uint32_t mux_rr_last_ = 0;
 
-  static constexpr int kConnectRetries = 80;
-  static constexpr sim::Time kRetryDelay = sim::ms(3);
-  static constexpr sim::Time kRetryDelayCap = sim::ms(200);
-  /// Reattach targets have been up for the whole session; a refused
-  /// connection after a few quick retries means the ancestor is dead too
-  /// and the climb continues.
-  static constexpr int kHealConnectRetries = 3;
   static constexpr std::size_t kHealHistory = 64;
   static constexpr sim::Time kHealGraceDefault = sim::ms(400);
 };

@@ -47,7 +47,9 @@
 // Self-heal instruments (iccl.heal.*). Occurrence counters:
 // "iccl.heal.orphaned" (a daemon lost its post-ready parent and started a
 // climb), "iccl.heal.reattaches"/"iccl.heal.reattach_retries"/
-// "iccl.heal.give_ups" (orphan side of the climb outcome),
+// "iccl.heal.give_ups" (orphan side of the climb outcome). These four and
+// "iccl.connect_retries" are counted by comm::TreeNode, which both trees
+// share, so the TBON has the same five under "tbon.".
 // "iccl.heal.adoptions" (adopter side; equals reattaches fleet-wide),
 // "iccl.heal.slots_opened"/"iccl.heal.slots_resolved"/
 // "iccl.heal.grace_expired" (dead-child adoption slots),

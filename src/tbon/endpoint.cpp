@@ -35,26 +35,33 @@ TbonEndpoint::TbonEndpoint(cluster::Process& self, Topology topology,
     : self_(self),
       topo_(std::move(topology)),
       my_index_(my_index),
-      cbs_(std::move(callbacks)) {
+      cbs_(std::move(callbacks)),
+      node_(self_, *this, "tbon", "TBON", kDial,
+            static_cast<std::uint32_t>(my_index_),
+            node_at(my_index_).parent < 0
+                ? std::nullopt
+                : std::optional<std::uint32_t>(node_at(my_index_).parent)) {
+  // Leaves of the wave: BE children report implicitly via Hello; comm
+  // children must additionally confirm their subtree.
   for (int c : topo_.children_of(my_index_)) {
     if (subtree_has_backend(topo_, c)) {
-      expected_children_.push_back(c);
+      node_.expect_child(static_cast<std::uint32_t>(c),
+                         /*needs_up=*/!node_at(c).is_backend);
       expected_live_.insert(c);
-      subtree_up_pending_.insert(c);
     }
   }
-  parent_index_ =
-      topo_.nodes()[static_cast<std::size_t>(my_index_)].parent;
 }
 
 std::set<int> TbonEndpoint::live_children() const {
   std::set<int> out;
-  for (const auto& [idx, ch] : children_) out.insert(idx);
+  for (const auto& [idx, ch] : node_.children()) {
+    out.insert(static_cast<int>(idx));
+  }
   return out;
 }
 
 void TbonEndpoint::start() {
-  const TopoNode& me = topo_.nodes()[static_cast<std::size_t>(my_index_)];
+  const TopoNode& me = node_at(my_index_);
   if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
     // Parent chain is best-effort: a child dialing a still-booting parent
     // may begin before the parent's anchor exists.
@@ -68,82 +75,68 @@ void TbonEndpoint::start() {
             (me.is_backend ? " backend" : "") + (is_root() ? " root" : ""));
     tracer->set_anchor("tbon:node:" + std::to_string(my_index_), span_);
   }
-  if (!expected_children_.empty()) {
-    assert(me.port != 0 && "internal TBON nodes need a listening port");
-    const Status st = self_.listen(me.port, [this](cluster::ChannelPtr ch) {
-      self_.set_channel_handler(
-          ch,
-          [this](const cluster::ChannelPtr& c, cluster::Message m) {
-            on_packet(c, std::move(m));
-          },
-          [this](const cluster::ChannelPtr& c) {
-            if (!ready_fired_) {
-              fail(Status(Rc::Esubcom, "TBON child lost"));
-            } else if (heal_) {
-              on_child_lost(c);
-            }
-          });
-    });
-    if (!st.is_ok()) {
-      fail(st);
-      return;
+  assert((node_.expected_children().empty() || me.port != 0) &&
+         "internal TBON nodes need a listening port");
+  node_.start(me.port);
+}
+
+comm::TreeNode::Address TbonEndpoint::address_of(std::uint32_t index) const {
+  const TopoNode& node = node_at(static_cast<int>(index));
+  return {node.host, node.port};
+}
+
+std::vector<std::uint32_t> TbonEndpoint::ancestors_of(
+    std::uint32_t index) const {
+  std::vector<std::uint32_t> chain;
+  for (int up = node_at(static_cast<int>(index)).parent; up >= 0;
+       up = node_at(up).parent) {
+    chain.push_back(static_cast<std::uint32_t>(up));
+  }
+  return chain;
+}
+
+void TbonEndpoint::on_linked(const cluster::ChannelPtr& parent,
+                             bool /*adopted*/) {
+  Packet hello;
+  hello.kind = PacketKind::Hello;
+  hello.node_index = my_index_;
+  self_.send(parent, hello.encode());
+}
+
+void TbonEndpoint::on_ready(Status st) {
+  obs::Tracer* tracer = self_.machine().tracer();
+  if (!st.is_ok()) {
+    self_.machine().count("tbon.failures");
+    self_.machine().flight_record(self_.pid(), "tbon",
+                                  "node " + std::to_string(my_index_) +
+                                      " failed: " + st.message());
+    if (tracer != nullptr && span_ != obs::kNoSpan) {
+      tracer->end_span(span_, "failed: " + st.message());
+    }
+    sim::LogLine(sim::LogLevel::Warn, self_.sim().now(), "tbon")
+        << "node " << my_index_ << ": " << st.to_string();
+  } else {
+    if (tracer != nullptr && span_ != obs::kNoSpan) {
+      tracer->end_span(span_, "ready children=" +
+                                  std::to_string(node_.children().size()));
+    }
+    if (node_.parent() != nullptr) {
+      Packet up;
+      up.kind = PacketKind::SubtreeUp;
+      up.node_index = my_index_;
+      self_.send(node_.parent(), up.encode());
     }
   }
-  if (is_root()) {
-    parent_linked_ = true;
-    maybe_tree_ready();
-  } else {
-    connect_parent(kConnectRetries);
-  }
+  if (cbs_.on_tree_ready) cbs_.on_tree_ready(std::move(st));
 }
 
-void TbonEndpoint::connect_parent(int attempts_left) {
-  const TopoNode& me = topo_.nodes()[static_cast<std::size_t>(my_index_)];
-  const TopoNode& parent =
-      topo_.nodes()[static_cast<std::size_t>(me.parent)];
-  self_.connect(
-      parent.host, parent.port,
-      [this, attempts_left](Status st, cluster::ChannelPtr ch) {
-        if (!st.is_ok()) {
-          if (attempts_left > 0) {
-            self_.post(kRetryDelay, [this, attempts_left] {
-              connect_parent(attempts_left - 1);
-            });
-          } else {
-            fail(Status(Rc::Esubcom, "cannot reach TBON parent"));
-          }
-          return;
-        }
-        parent_ = ch;
-        self_.set_channel_handler(
-            ch,
-            [this](const cluster::ChannelPtr& c, cluster::Message m) {
-              on_packet(c, std::move(m));
-            },
-            [this](const cluster::ChannelPtr&) {
-              parent_ = nullptr;  // overlay teardown
-              if (heal_ && ready_fired_) begin_reparent();
-            });
-        Packet hello;
-        hello.kind = PacketKind::Hello;
-        hello.node_index = my_index_;
-        self_.send(ch, hello.encode());
-        parent_linked_ = true;
-        maybe_tree_ready();
-      });
-}
-
-void TbonEndpoint::on_packet(const cluster::ChannelPtr& ch,
-                             cluster::Message m) {
+void TbonEndpoint::on_link_message(const cluster::ChannelPtr& ch,
+                                   cluster::Message m) {
   auto packet = Packet::decode(m);
   if (!packet) return;
   self_.machine().count("tbon.packets");
   self_.machine().count(std::string("tbon.packets.") +
                         packet_kind_name(packet->kind));
-  if (packet->session != 0) {
-    self_.machine().count("tbon.s" + std::to_string(packet->session) +
-                          ".packets");
-  }
   if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
     tracer->instant("tbon.packet", "tbon",
                     static_cast<int>(self_.node().id()), self_.pid(), span_,
@@ -166,7 +159,7 @@ void TbonEndpoint::on_packet(const cluster::ChannelPtr& ch,
                    handle_hello(ch, p.node_index);
                    break;
                  case PacketKind::SubtreeUp:
-                   handle_subtree_up(p.node_index);
+                   node_.report_up(static_cast<std::uint32_t>(p.node_index));
                    break;
                  case PacketKind::NewStream:
                  case PacketKind::Down:
@@ -195,42 +188,31 @@ void TbonEndpoint::handle_hello(const cluster::ChannelPtr& ch,
   self_.machine().count("tbon.children_registered");
   self_.machine().observe("tbon.register_delay_ms", sim::to_ms(delay));
   self_.post(delay, [this, ch, child_index] {
-    const bool adoption = heal_ && ready_fired_;
-    children_[child_index] = ch;
-    if (adoption) {
-      // An orphan (possibly from a deeper level) re-Helloed us after its
-      // parent died. Fold it into the live membership and catch it up on
-      // every stream announced while it was detached, so its upstream
-      // contributions land with the right filter.
-      self_.machine().count("tbon.heal.adoptions");
-      if (subtree_has_backend(topo_, child_index)) {
-        expected_live_.insert(child_index);
-      }
-      for (const auto& [stream, filter] : stream_filters_) {
-        Packet ann;
-        ann.kind = PacketKind::NewStream;
-        ann.session = session_of(stream);
-        ann.stream = stream;
-        ann.filter = filter;
-        self_.send(ch, ann.encode());
-        self_.machine().count("tbon.heal.streams_replayed");
-      }
-      return;
+    const bool adoption = node_.heal() && node_.ready_fired();
+    node_.add_child(static_cast<std::uint32_t>(child_index), ch);
+    if (!adoption) return;
+    // An orphan (possibly from a deeper level) re-Helloed us after its
+    // parent died. Fold it into the live membership and catch it up on
+    // every stream announced while it was detached, so its upstream
+    // contributions land with the right filter.
+    self_.machine().count("tbon.heal.adoptions");
+    if (subtree_has_backend(topo_, child_index)) {
+      expected_live_.insert(child_index);
     }
-    maybe_tree_ready();
+    for (const auto& [stream, filter] : stream_filters_) {
+      Packet ann;
+      ann.kind = PacketKind::NewStream;
+      ann.stream = stream;
+      ann.filter = filter;
+      self_.send(ch, ann.encode());
+      self_.machine().count("tbon.heal.streams_replayed");
+    }
   });
 }
 
-void TbonEndpoint::on_child_lost(const cluster::ChannelPtr& ch) {
-  int lost = -1;
-  for (const auto& [idx, link] : children_) {
-    if (link == ch) {
-      lost = idx;
-      break;
-    }
-  }
-  if (lost < 0) return;
-  children_.erase(lost);
+void TbonEndpoint::on_child_lost(std::uint32_t child, bool was_ready) {
+  if (!node_.heal() || !was_ready) return;
+  const int lost = static_cast<int>(child);
   expected_live_.erase(lost);
   self_.machine().count("tbon.heal.children_lost");
   self_.machine().flight_record(
@@ -249,124 +231,16 @@ void TbonEndpoint::on_child_lost(const cluster::ChannelPtr& ch) {
   for (const std::uint64_t key : keys) maybe_complete_round(key);
 }
 
-void TbonEndpoint::begin_reparent() {
-  if (parent_index_ < 0) return;
-  const int grandparent =
-      topo_.nodes()[static_cast<std::size_t>(parent_index_)].parent;
-  if (grandparent < 0) {
-    // Our parent was the root (the FE). Nothing above to climb to - the
-    // session is over, and the pre-heal teardown semantics apply.
-    self_.machine().count("tbon.heal.give_ups");
-    return;
-  }
-  self_.machine().count("tbon.heal.orphaned");
-  self_.machine().flight_record(
-      self_.pid(), "tbon",
-      "node " + std::to_string(my_index_) + " orphaned (parent " +
-          std::to_string(parent_index_) + " died), climbing");
-  try_reattach(grandparent, kHealConnectRetries);
-}
-
-void TbonEndpoint::try_reattach(int target, int attempts_left) {
-  const TopoNode& node = topo_.nodes()[static_cast<std::size_t>(target)];
-  self_.connect(
-      node.host, node.port,
-      [this, target, attempts_left](Status st, cluster::ChannelPtr ch) {
-        if (!st.is_ok()) {
-          if (attempts_left > 0) {
-            self_.post(kRetryDelay, [this, target, attempts_left] {
-              try_reattach(target, attempts_left - 1);
-            });
-            return;
-          }
-          // This ancestor is dead too (correlated failure): climb past it.
-          const int next =
-              topo_.nodes()[static_cast<std::size_t>(target)].parent;
-          if (next < 0) {
-            self_.machine().count("tbon.heal.give_ups");
-            return;
-          }
-          try_reattach(next, kHealConnectRetries);
-          return;
-        }
-        parent_ = ch;
-        parent_index_ = target;
-        self_.machine().count("tbon.heal.reattaches");
-        self_.set_channel_handler(
-            ch,
-            [this](const cluster::ChannelPtr& c, cluster::Message m) {
-              on_packet(c, std::move(m));
-            },
-            [this](const cluster::ChannelPtr&) {
-              parent_ = nullptr;
-              if (heal_ && ready_fired_) begin_reparent();
-            });
-        Packet hello;
-        hello.kind = PacketKind::Hello;
-        hello.node_index = my_index_;
-        self_.send(ch, hello.encode());
-      });
-}
-
-void TbonEndpoint::handle_subtree_up(int child_index) {
-  subtree_up_pending_.erase(child_index);
-  maybe_tree_ready();
-}
-
-void TbonEndpoint::maybe_tree_ready() {
-  if (ready_fired_ || !parent_linked_) return;
-  if (children_.size() != expected_children_.size()) return;
-  // Leaves of the wave: BE children report implicitly via Hello; comm
-  // children must additionally confirm their subtree.
-  for (int c : expected_children_) {
-    const bool child_is_backend =
-        topo_.nodes()[static_cast<std::size_t>(c)].is_backend;
-    if (!child_is_backend && subtree_up_pending_.count(c) != 0) return;
-  }
-  ready_fired_ = true;
-  if (obs::Tracer* tracer = self_.machine().tracer();
-      tracer != nullptr && span_ != obs::kNoSpan) {
-    tracer->end_span(span_,
-                     "ready children=" + std::to_string(children_.size()));
-  }
-  if (!is_root() && parent_ != nullptr) {
-    Packet up;
-    up.kind = PacketKind::SubtreeUp;
-    up.node_index = my_index_;
-    self_.send(parent_, up.encode());
-  }
-  if (cbs_.on_tree_ready) cbs_.on_tree_ready(Status::ok());
-}
-
-std::uint32_t TbonEndpoint::new_stream(std::uint32_t filter_id,
-                                       std::uint32_t session) {
+std::uint32_t TbonEndpoint::new_stream(std::uint32_t filter_id) {
   assert(is_root());
   const std::uint32_t stream = next_stream_++;
   stream_filters_[stream] = filter_id;
-  stream_sessions_[stream] = session;
-  if (session != 0) count_stream(stream, "session_streams");
   Packet p;
   p.kind = PacketKind::NewStream;
-  p.session = session;
   p.stream = stream;
   p.filter = filter_id;
   handle_down(p);
   return stream;
-}
-
-std::uint32_t TbonEndpoint::session_of(std::uint32_t stream) const {
-  auto it = stream_sessions_.find(stream);
-  return it == stream_sessions_.end() ? 0 : it->second;
-}
-
-void TbonEndpoint::count_stream(std::uint32_t stream, const char* name,
-                                double v) {
-  self_.machine().count(std::string("tbon.") + name, v);
-  const std::uint32_t session = session_of(stream);
-  if (session != 0) {
-    self_.machine().count(
-        "tbon.s" + std::to_string(session) + "." + name, v);
-  }
 }
 
 std::uint32_t TbonEndpoint::filter_of(std::uint32_t stream) const {
@@ -377,10 +251,9 @@ std::uint32_t TbonEndpoint::filter_of(std::uint32_t stream) const {
 void TbonEndpoint::send_down(std::uint32_t stream, std::uint32_t tag,
                              Bytes data) {
   assert(is_root());
-  count_stream(stream, "downs");
+  self_.machine().count("tbon.downs");
   Packet p;
   p.kind = PacketKind::Down;
-  p.session = session_of(stream);
   p.stream = stream;
   p.tag = tag;
   p.data = std::move(data);
@@ -388,18 +261,16 @@ void TbonEndpoint::send_down(std::uint32_t stream, std::uint32_t tag,
 }
 
 void TbonEndpoint::handle_down(const Packet& p) {
-  if (p.kind == PacketKind::NewStream) {
-    stream_filters_[p.stream] = p.filter;
-    stream_sessions_[p.stream] = p.session;
-  }
-  if (!children_.empty()) {
+  if (p.kind == PacketKind::NewStream) stream_filters_[p.stream] = p.filter;
+  const auto& children = node_.children();
+  if (!children.empty()) {
     self_.machine().count("tbon.down_forwards",
-                          static_cast<double>(children_.size()));
+                          static_cast<double>(children.size()));
   }
-  for (auto& [idx, ch] : children_) {
+  for (auto& [idx, ch] : children) {
     self_.send(ch, p.encode());
   }
-  const bool is_leaf = expected_children_.empty();
+  const bool is_leaf = node_.expected_children().empty();
   if (p.kind == PacketKind::Down && (is_leaf || !is_root()) && cbs_.on_down) {
     cbs_.on_down(p.stream, p.tag, p.data);
   }
@@ -407,11 +278,10 @@ void TbonEndpoint::handle_down(const Packet& p) {
 
 void TbonEndpoint::send_up(std::uint32_t stream, std::uint32_t tag,
                            Bytes data) {
-  const TopoNode& me = topo_.nodes()[static_cast<std::size_t>(my_index_)];
-  count_stream(stream, "ups");
+  const TopoNode& me = node_at(my_index_);
+  self_.machine().count("tbon.ups");
   Packet p;
   p.kind = PacketKind::Up;
-  p.session = session_of(stream);
   p.stream = stream;
   p.tag = tag;
   p.node_index = my_index_;
@@ -425,8 +295,8 @@ void TbonEndpoint::send_up(std::uint32_t stream, std::uint32_t tag,
   } else {
     p.data = std::move(data);
   }
-  if (parent_ != nullptr) {
-    self_.send(parent_, p.encode());
+  if (node_.parent() != nullptr) {
+    self_.send(node_.parent(), p.encode());
   } else if (is_root() && cbs_.on_up) {
     // Degenerate rootless-parent delivery: fold any locally buffered parts
     // (send_up_part on a single-node overlay) before handing to the FE.
@@ -446,10 +316,9 @@ void TbonEndpoint::send_up(std::uint32_t stream, std::uint32_t tag,
 
 void TbonEndpoint::send_up_part(std::uint32_t stream, std::uint32_t tag,
                                 Bytes data) {
-  const TopoNode& me = topo_.nodes()[static_cast<std::size_t>(my_index_)];
+  const TopoNode& me = node_at(my_index_);
   Packet p;
   p.kind = PacketKind::UpPart;
-  p.session = session_of(stream);
   p.stream = stream;
   p.tag = tag;
   p.node_index = my_index_;
@@ -458,8 +327,8 @@ void TbonEndpoint::send_up_part(std::uint32_t stream, std::uint32_t tag,
                    FilterRegistry::instance().framed(filter_of(stream))
                ? wrap_leaf_payload(data)
                : std::move(data);
-  if (parent_ != nullptr) {
-    self_.send(parent_, p.encode());
+  if (node_.parent() != nullptr) {
+    self_.send(node_.parent(), p.encode());
   } else if (is_root()) {
     const std::uint64_t key =
         (static_cast<std::uint64_t>(stream) << 32) | tag;
@@ -471,13 +340,15 @@ TbonEndpoint::Round& TbonEndpoint::round_for(std::uint64_t key) {
   auto it = rounds_.find(key);
   if (it == rounds_.end()) {
     Round round;
-    if (heal_) {
+    if (node_.heal()) {
       // Live membership: losses shrink it, adoptions (including orphans
       // from deeper levels) grow it, so a round opened after a failure
       // waits for exactly the surviving tree.
       round.pending_children = expected_live_;
     } else {
-      for (int c : expected_children_) round.pending_children.insert(c);
+      for (const std::uint32_t c : node_.expected_children()) {
+        round.pending_children.insert(static_cast<int>(c));
+      }
     }
     it = rounds_.emplace(key, std::move(round)).first;
   }
@@ -496,13 +367,14 @@ void TbonEndpoint::maybe_flush_part(Round& round, std::uint32_t stream,
                                     std::uint32_t tag) {
   // Root has nowhere to stream to; everyone else relays the reduction
   // upward once it reaches a chunk so per-level memory stays O(chunk).
-  if (is_root() || parent_ == nullptr || round.reduction == nullptr) return;
+  if (is_root() || node_.parent() == nullptr || round.reduction == nullptr) {
+    return;
+  }
   const std::size_t chunk = self_.machine().costs().iccl_rndv_chunk_bytes;
   if (round.reduction->packed_size() < chunk) return;
-  count_stream(stream, "part_flushes");
+  self_.machine().count("tbon.part_flushes");
   Packet part;
   part.kind = PacketKind::UpPart;
-  part.session = session_of(stream);
   part.stream = stream;
   part.tag = tag;
   part.node_index = my_index_;
@@ -510,7 +382,7 @@ void TbonEndpoint::maybe_flush_part(Round& round, std::uint32_t stream,
   // Back to "nothing since the last flush": a round that then completes
   // without another arrival (a heal-mode loss) relays an empty residue.
   round.reduction.reset();
-  self_.send(parent_, part.encode());
+  self_.send(node_.parent(), part.encode());
 }
 
 void TbonEndpoint::handle_up_part(int child_index, Packet p) {
@@ -518,9 +390,9 @@ void TbonEndpoint::handle_up_part(int child_index, Packet p) {
       (static_cast<std::uint64_t>(p.stream) << 32) | p.tag;
   Round& round = round_for(key);
   (void)child_index;  // sender stays pending until its final Up
-  count_stream(p.stream, "up_parts");
-  count_stream(p.stream, "up_part_bytes",
-               static_cast<double>(p.data.size()));
+  self_.machine().count("tbon.up_parts");
+  self_.machine().count("tbon.up_part_bytes",
+                        static_cast<double>(p.data.size()));
   fold_into_round(round, p.stream, p.data);
   maybe_flush_part(round, p.stream, p.tag);
 }
@@ -547,7 +419,7 @@ void TbonEndpoint::maybe_complete_round(std::uint64_t key) {
 
   // All (surviving) child subtrees contributed: what the reduction holds
   // is the round's result.
-  count_stream(stream, "rounds_reduced");
+  self_.machine().count("tbon.rounds_reduced");
   Bytes reduced = it->second.reduction != nullptr
                       ? it->second.reduction->take()
                       : Bytes{};
@@ -566,23 +438,7 @@ void TbonEndpoint::maybe_complete_round(std::uint64_t key) {
   up.node_index = my_index_;
   up.ranks = std::move(ranks);
   up.data = std::move(reduced);
-  if (parent_ != nullptr) self_.send(parent_, up.encode());
-}
-
-void TbonEndpoint::fail(Status st) {
-  if (ready_fired_) return;
-  ready_fired_ = true;
-  self_.machine().count("tbon.failures");
-  self_.machine().flight_record(self_.pid(), "tbon",
-                                "node " + std::to_string(my_index_) +
-                                    " failed: " + st.message());
-  if (obs::Tracer* tracer = self_.machine().tracer();
-      tracer != nullptr && span_ != obs::kNoSpan) {
-    tracer->end_span(span_, "failed: " + st.message());
-  }
-  sim::LogLine(sim::LogLevel::Warn, self_.sim().now(), "tbon")
-      << "node " << my_index_ << ": " << st.to_string();
-  if (cbs_.on_tree_ready) cbs_.on_tree_ready(st);
+  if (node_.parent() != nullptr) self_.send(node_.parent(), up.encode());
 }
 
 }  // namespace lmon::tbon

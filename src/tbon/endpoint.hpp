@@ -15,6 +15,7 @@
 #include <set>
 
 #include "cluster/process.hpp"
+#include "comm/tree_node.hpp"
 #include "common/status.hpp"
 #include "obs/trace.hpp"
 #include "tbon/filter.hpp"
@@ -23,7 +24,7 @@
 
 namespace lmon::tbon {
 
-class TbonEndpoint {
+class TbonEndpoint : private comm::TreeNode::Hooks {
  public:
   struct Callbacks {
     /// Fires when this node's subtree is fully connected. At the root this
@@ -39,6 +40,12 @@ class TbonEndpoint {
                        const Bytes& data)>
         on_down;
   };
+
+  /// How a node dials its overlay parent: a fixed 4 ms retry, 60 times
+  /// (a 240 ms budget). The fabric backs off instead (Iccl::kDial); the
+  /// overlay's start-up times, Fig. 6's among them, are measured under
+  /// this schedule.
+  static constexpr comm::DialPolicy kDial{60, sim::ms(4), sim::ms(4)};
 
   TbonEndpoint(cluster::Process& self, Topology topology, int my_index,
                Callbacks callbacks);
@@ -58,10 +65,12 @@ class TbonEndpoint {
   /// design: rounds in flight *across* the failure lose the dead subtree's
   /// contribution (their pending entry is dropped so the round still
   /// completes); only rounds opened after adoption include the orphan.
-  void set_heal(bool on) { heal_ = on; }
-  [[nodiscard]] bool heal() const { return heal_; }
+  void set_heal(bool on) { node_.set_heal(on); }
+  [[nodiscard]] bool heal() const { return node_.heal(); }
   /// Current parent topology index (-1 at the root); moves on reparent.
-  [[nodiscard]] int parent_index() const { return parent_index_; }
+  [[nodiscard]] int parent_index() const {
+    return is_root() ? -1 : static_cast<int>(node_.parent_index());
+  }
   /// Child topology indices with a live link (adoption view, for tests).
   [[nodiscard]] std::set<int> live_children() const;
 
@@ -71,13 +80,7 @@ class TbonEndpoint {
 
   // --- root API -------------------------------------------------------------
   /// Creates a stream bound to an upstream filter; announced down-tree.
-  /// `session` namespaces the stream on a multiplexed overlay (0 = the
-  /// infrastructure session): every node attributes the stream's traffic
-  /// to `tbon.s<session>.*` counters alongside the aggregate `tbon.*`.
-  std::uint32_t new_stream(std::uint32_t filter_id,
-                           std::uint32_t session = 0);
-  /// Session a stream was announced under (0 if unknown/infrastructure).
-  [[nodiscard]] std::uint32_t session_of(std::uint32_t stream) const;
+  std::uint32_t new_stream(std::uint32_t filter_id);
   /// Broadcasts (stream, tag, data) to every back end.
   void send_down(std::uint32_t stream, std::uint32_t tag, Bytes data);
 
@@ -104,21 +107,28 @@ class TbonEndpoint {
     std::vector<std::uint32_t> ranks;
   };
 
-  void connect_parent(int attempts_left);
-  // --- self-heal (heal_ only) ----------------------------------------------
-  /// Post-ready parent loss: start the climb at the dead parent's parent.
-  void begin_reparent();
-  /// Dial topology index `target`; exhausted retries climb one more level.
-  void try_reattach(int target, int attempts_left);
-  /// Post-ready child link loss: drop the child from the live set and from
-  /// every open round's pending set, completing rounds it was the last
-  /// straggler of.
-  void on_child_lost(const cluster::ChannelPtr& ch);
+  // --- tree links (comm::TreeNode hooks) -----------------------------------
+  [[nodiscard]] comm::TreeNode::Address address_of(
+      std::uint32_t index) const override;
+  /// The chain of TopoNode::parent links above `index`.
+  [[nodiscard]] std::vector<std::uint32_t> ancestors_of(
+      std::uint32_t index) const override;
+  void on_link_message(const cluster::ChannelPtr& ch,
+                       cluster::Message m) override;
+  /// Hello, on the first link and on an adoption alike.
+  void on_linked(const cluster::ChannelPtr& parent, bool adopted) override;
+  void on_ready(Status st) override;
+  /// Post-ready child link loss with healing on: drop the child from the
+  /// live set and from every open round's pending set, completing rounds
+  /// it was the last straggler of.
+  void on_child_lost(std::uint32_t lost, bool was_ready) override;
+  [[nodiscard]] obs::SpanId trace_parent(obs::Tracer&) const override {
+    return span_;
+  }
+
   /// Finishes (delivers or relays) the round if nothing is pending.
   void maybe_complete_round(std::uint64_t key);
-  void on_packet(const cluster::ChannelPtr& ch, cluster::Message m);
   void handle_hello(const cluster::ChannelPtr& ch, int child_index);
-  void handle_subtree_up(int child_index);
   void handle_down(const Packet& p);
   void handle_up(int child_index, Packet p);
   void handle_up_part(int child_index, Packet p);
@@ -130,43 +140,28 @@ class TbonEndpoint {
   /// memory O(chunk) while reduction overlaps transport.
   void maybe_flush_part(Round& round, std::uint32_t stream,
                         std::uint32_t tag);
-  void maybe_tree_ready();
-  void fail(Status st);
   [[nodiscard]] std::uint32_t filter_of(std::uint32_t stream) const;
-  /// Counts `tbon.<name>` plus `tbon.s<session>.<name>` when the stream
-  /// belongs to a nonzero (virtual) session.
-  void count_stream(std::uint32_t stream, const char* name, double v = 1.0);
+  [[nodiscard]] const TopoNode& node_at(int index) const {
+    return topo_.nodes()[static_cast<std::size_t>(index)];
+  }
 
   cluster::Process& self_;
   Topology topo_;
   int my_index_;
   Callbacks cbs_;
-  cluster::ChannelPtr parent_;
-  std::map<int, cluster::ChannelPtr> children_;   ///< topo index -> link
-  std::vector<int> expected_children_;            ///< children with backends
-  /// Children whose subtree still has a live backend path. Mirrors
-  /// expected_children_ until heal-mode losses/adoptions diverge it; new
+  /// Parent dial, child table (children with back ends), ready latch and
+  /// heal climb.
+  comm::TreeNode node_;
+  /// Children whose subtree still has a live backend path. Mirrors the
+  /// expected children until heal-mode losses/adoptions diverge it; new
   /// rounds seed their pending set from here so a post-failure reduction
   /// waits for exactly the surviving (possibly adopted) membership.
   std::set<int> expected_live_;
-  bool heal_ = false;
-  int parent_index_ = -1;  ///< current parent topo index (moves on reparent)
-  std::set<int> subtree_up_pending_;
-  bool parent_linked_ = false;
-  bool ready_fired_ = false;
   std::map<std::uint32_t, std::uint32_t> stream_filters_;
-  /// Session each stream was announced under (multiplexed overlays).
-  std::map<std::uint32_t, std::uint32_t> stream_sessions_;
   std::uint32_t next_stream_ = 1;
   std::map<std::uint64_t, Round> rounds_;  ///< (stream<<32|tag) -> round
   sim::Time register_busy_until_ = 0;      ///< serialized child registration
   obs::SpanId span_ = obs::kNoSpan;        ///< bootstrap span (start..ready)
-
-  static constexpr int kConnectRetries = 60;
-  static constexpr sim::Time kRetryDelay = sim::ms(4);
-  /// Per-ancestor dial budget during a heal climb: short, because a dead
-  /// ancestor should cost a few retries before the orphan climbs past it.
-  static constexpr int kHealConnectRetries = 3;
 };
 
 /// True when the subtree rooted at `index` contains a back end.

@@ -5,7 +5,7 @@ namespace lmon::tbon {
 cluster::Message Packet::encode() const {
   ByteWriter w;
   w.u8(static_cast<std::uint8_t>(kind));
-  w.u32(session);
+  w.u32(0);  // reserved
   w.u32(stream);
   w.u32(tag);
   w.u32(filter);
@@ -20,18 +20,17 @@ std::optional<Packet> Packet::decode(const cluster::Message& m) {
   ByteReader r(m.bytes);
   Packet p;
   auto kind = r.u8();
-  auto session = r.u32();
+  auto reserved = r.u32();
   auto stream = r.u32();
   auto tag = r.u32();
   auto filter = r.u32();
   auto node_index = r.i32();
   auto nranks = r.u32();
-  if (!kind || !session || !stream || !tag || !filter || !node_index ||
+  if (!kind || !reserved || !stream || !tag || !filter || !node_index ||
       !nranks) {
     return std::nullopt;
   }
   p.kind = static_cast<PacketKind>(*kind);
-  p.session = *session;
   p.stream = *stream;
   p.tag = *tag;
   p.filter = *filter;

@@ -21,13 +21,10 @@ enum class PacketKind : std::uint8_t {
 };
 
 /// One TBON frame. Upstream packets carry the set of contributing back-end
-/// ranks so filters can track coverage. `session` namespaces the stream:
-/// on a shared (multiplexed) overlay each virtual session's streams are
-/// announced with its id, so per-session accounting survives aggregation
-/// (0 = the infrastructure session).
+/// ranks so filters can track coverage. The wire form keeps a reserved u32,
+/// always 0, after the kind: every simulated TBON timing includes its bytes.
 struct Packet {
   PacketKind kind = PacketKind::Down;
-  std::uint32_t session = 0;
   std::uint32_t stream = 0;
   std::uint32_t tag = 0;
   std::uint32_t filter = 0;     ///< NewStream only

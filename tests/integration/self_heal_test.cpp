@@ -8,10 +8,12 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <vector>
 
 #include "comm/bootstrap.hpp"
+#include "comm/heal.hpp"
 #include "comm/topology.hpp"
 #include "core/iccl.hpp"
 #include "obs/metrics.hpp"
@@ -165,17 +167,28 @@ bool settled(const TestCluster& tc, const Shared& sh, const FaultPlan& plan,
          tree_healed(sh, alive);
 }
 
-/// Tree invariants after healing: every survivor's upstream link targets a
-/// live rank, the parent agrees it owns the child, and walking parents from
-/// any survivor reaches the root without cycles.
+/// Tree invariants after healing: every survivor's upstream link targets its
+/// nearest live ancestor (the pure plan's answer), the parent agrees it owns
+/// the child, and walking parents from any survivor reaches the root without
+/// cycles.
 void check_reparented_tree(const Shared& sh,
                            const std::set<std::uint32_t>& alive) {
+  ASSERT_FALSE(alive.empty());
+  ASSERT_TRUE(sh.iccls.count(*alive.begin()) != 0);
+  const comm::Topology& topo = sh.iccls.at(*alive.begin())->topology();
+  std::set<std::uint32_t> dead;
+  for (std::uint32_t r = 0; r < topo.size(); ++r) {
+    if (alive.count(r) == 0) dead.insert(r);
+  }
   for (const std::uint32_t r : alive) {
     if (r == 0) continue;
     ASSERT_TRUE(sh.iccls.count(r) != 0) << "rank " << r << " not alive";
     const std::uint32_t parent = sh.iccls.at(r)->parent_rank();
     ASSERT_TRUE(alive.count(parent) != 0)
         << "rank " << r << " parented on dead rank " << parent;
+    EXPECT_EQ(std::optional<std::uint32_t>(parent),
+              comm::nearest_live_ancestor(topo, r, dead))
+        << "rank " << r << " is not under its nearest live ancestor";
     const auto kids = sh.iccls.at(parent)->live_children();
     EXPECT_TRUE(std::find(kids.begin(), kids.end(), r) != kids.end())
         << "rank " << parent << " does not own child " << r;

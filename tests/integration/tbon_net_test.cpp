@@ -312,6 +312,23 @@ struct HealShared {
   std::map<int, std::map<std::uint32_t, int>> down_count;
 };
 
+/// Every surviving non-root endpoint is linked to its nearest live ancestor
+/// along the topology's parent chain: the answer comm::nearest_live_ancestor
+/// gives for the fabric.
+void expect_parents_are_nearest_live(const HealShared& hs,
+                                     const std::set<int>& dead) {
+  const Topology& topo = hs.endpoints.at(0)->topology();
+  const auto parent_of = [&](int index) {
+    return topo.nodes()[static_cast<std::size_t>(index)].parent;
+  };
+  for (const auto& [index, ep] : hs.endpoints) {
+    if (index == 0 || dead.count(index) != 0) continue;
+    int want = parent_of(index);
+    while (dead.count(want) != 0) want = parent_of(want);
+    EXPECT_EQ(ep->parent_index(), want) << "node " << index;
+  }
+}
+
 /// Leaf with heal enabled: echoes its be_rank per Down, counts deliveries.
 class HealLeaf : public cluster::Program {
  public:
@@ -464,6 +481,7 @@ TEST(TbonNet, HealedOverlaySurvivesCommDeathsWithoutDuplicates) {
       [&] { return metrics.counter("tbon.heal.adoptions") >= 2.0; }))
       << "orphaned leaves were never adopted";
   EXPECT_EQ(hs.endpoints[0]->live_children(), std::set<int>{1});
+  expect_parents_are_nearest_live(hs, {3});
 
   hs.endpoints[0]->send_down(stream, 8, {});
   ASSERT_TRUE(tc.run_until([&] { return hs.up_count[8] != 0; }))
@@ -481,6 +499,7 @@ TEST(TbonNet, HealedOverlaySurvivesCommDeathsWithoutDuplicates) {
   EXPECT_EQ(hs.endpoints[0]->live_children(), (std::set<int>{2, 6, 7}));
   EXPECT_EQ(hs.endpoints[6]->parent_index(), 0);
   EXPECT_EQ(hs.endpoints[7]->parent_index(), 0);
+  expect_parents_are_nearest_live(hs, {3, 1});
 
   hs.endpoints[0]->send_down(stream, 9, {});
   ASSERT_TRUE(tc.run_until([&] { return hs.up_count[9] != 0; }))

@@ -537,46 +537,5 @@ TEST(HealMath, ReparentPlanAdopterIsOnOrphansOldRootPath) {
   }
 }
 
-TEST(HealMath, OrphanBlocksAreContiguousAndExhaustive) {
-  const std::vector<std::uint32_t> orphans{10, 11, 12, 13, 14, 15, 16};
-  const std::vector<std::uint32_t> adopters{1, 2, 3};
-  const auto plan = assign_orphan_blocks(orphans, adopters);
-  ASSERT_EQ(plan.size(), orphans.size());
-  // Blocks are contiguous runs in orphan order: 3/2/2 with the remainder
-  // taken by earlier adopters.
-  std::vector<std::uint32_t> parents;
-  for (const Adoption& a : plan) parents.push_back(a.new_parent);
-  EXPECT_EQ(parents,
-            (std::vector<std::uint32_t>{1, 1, 1, 2, 2, 3, 3}));
-  for (std::size_t i = 0; i < plan.size(); ++i) {
-    EXPECT_EQ(plan[i].orphan, orphans[i]);
-  }
-  EXPECT_TRUE(assign_orphan_blocks({}, adopters).empty());
-  EXPECT_TRUE(assign_orphan_blocks(orphans, {}).empty());
-}
-
-TEST(HealMath, WeightedBlocksFollowCapacity) {
-  const std::vector<std::uint32_t> orphans{20, 21, 22, 23, 24, 25};
-  const std::vector<std::uint32_t> adopters{7, 8};
-  // 2:1 capacity -> 4/2 split.
-  const auto plan =
-      assign_orphan_blocks_weighted(orphans, adopters, {2.0, 1.0});
-  ASSERT_EQ(plan.size(), 6u);
-  int first = 0;
-  for (const Adoption& a : plan) {
-    if (a.new_parent == 7) ++first;
-  }
-  EXPECT_EQ(first, 4);
-  // All-zero weights fall back to the near-equal split.
-  const auto fallback =
-      assign_orphan_blocks_weighted(orphans, adopters, {0.0, 0.0});
-  ASSERT_EQ(fallback.size(), 6u);
-  int fb_first = 0;
-  for (const Adoption& a : fallback) {
-    if (a.new_parent == 7) ++fb_first;
-  }
-  EXPECT_EQ(fb_first, 3);
-}
-
 }  // namespace
 }  // namespace lmon::comm
