@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "comm/bootstrap.hpp"
@@ -44,8 +46,19 @@ struct Shared {
   std::map<std::uint32_t, std::vector<std::pair<std::uint32_t, Bytes>>>
       gather_by_tag;
   std::map<std::uint32_t, Iccl*> iccls;             // rank -> live instance
+  /// Simulated delivery times: rank -> tag -> when the bcast handler fired,
+  /// rank -> when the scatter handler fired, tag -> root gather completion.
+  std::map<std::uint32_t, std::map<std::uint32_t, sim::Time>> bcast_at;
+  std::map<std::uint32_t, sim::Time> scatter_at;
+  std::map<std::uint32_t, sim::Time> gather_at;
+  /// Gathers of the extra sessions 1..extra_sessions, by full key, and how
+  /// often each one fired at the root.
+  std::map<StreamKey, std::vector<std::pair<std::uint32_t, Bytes>>>
+      gather_by_key;
+  std::map<StreamKey, int> gather_fired;
   int ready = 0;
   bool bind_scatter = true;  ///< false leaves session 0's scatter unbound
+  std::uint32_t extra_sessions = 0;  ///< sessions bound besides session 0
 };
 
 class RawIcclDaemon : public cluster::Program {
@@ -64,22 +77,37 @@ class RawIcclDaemon : public cluster::Program {
       sh_->frames.push_back(FrameEvent{rank, kind, key.tag, src, bytes});
     });
     Iccl::SessionHandlers handlers;
-    handlers.on_bcast = [this, rank](std::uint32_t tag, const ByteSlice& data) {
+    handlers.on_bcast = [this, rank, &self](std::uint32_t tag,
+                                            const ByteSlice& data) {
       sh_->bcast_delivered[rank] = data.to_bytes();
       sh_->bcast_by_tag[rank][tag] = data.to_bytes();
       sh_->bcast_addr[rank][tag] = data.data();
+      sh_->bcast_at[rank][tag] = self.sim().now();
     };
     if (sh_->bind_scatter) {
-      handlers.on_scatter = [this, rank](std::uint32_t, const ByteSlice& data) {
+      handlers.on_scatter = [this, rank, &self](std::uint32_t,
+                                                const ByteSlice& data) {
         sh_->scatter_delivered[rank] = data.to_bytes();
+        sh_->scatter_at[rank] = self.sim().now();
       };
     }
     handlers.on_gather =
-        [this](std::uint32_t tag,
-               std::vector<std::pair<std::uint32_t, Bytes>> entries) {
+        [this, &self](std::uint32_t tag,
+                      std::vector<std::pair<std::uint32_t, Bytes>> entries) {
           sh_->gather_by_tag[tag] = std::move(entries);
+          sh_->gather_at[tag] = self.sim().now();
         };
     iccl_->bind_session(0, std::move(handlers));
+    for (std::uint32_t s = 1; s <= sh_->extra_sessions; ++s) {
+      Iccl::SessionHandlers extra;
+      extra.on_gather =
+          [this, s](std::uint32_t tag,
+                    std::vector<std::pair<std::uint32_t, Bytes>> entries) {
+            sh_->gather_fired[StreamKey{s, tag}] += 1;
+            sh_->gather_by_key[StreamKey{s, tag}] = std::move(entries);
+          };
+      iccl_->bind_session(s, std::move(extra));
+    }
     sh_->iccls[rank] = iccl_.get();
     iccl_->start([this](Status st) {
       if (st.is_ok()) sh_->ready += 1;
@@ -423,6 +451,55 @@ TEST(IcclProtocol, LargeGatherRunsRtsCtsChunkSequenceUpward) {
   EXPECT_EQ(count_frames(sh, 0, Iccl::Kind::GatherChunk), (n - 1) * 2);
 }
 
+TEST(IcclProtocol, ContendingSessionsTakeTurnsOnTheRootClearance) {
+  // Two sessions' rendezvous gathers contend on one tree. The root clears
+  // one session's rounds at a time: the other session's announces wait for
+  // their CTS, and the clearance passes over round-robin once the holder's
+  // last round is delivered. Every round still arrives exactly once.
+  const int n = 7;
+  TestCluster tc(n);
+  testing::FlightRecorderOnFailure flight(tc.machine);
+  obs::Metrics metrics;
+  tc.machine.set_metrics(&metrics);
+  Shared sh;
+  sh.extra_sessions = 2;
+  wire_fabric(tc, sh, {comm::TopologyKind::KAry, 2}, identity_placement(n),
+              kRndvAlways);
+  ASSERT_TRUE(tc.run_until([&] { return sh.ready == n; }));
+
+  auto payload = [](std::uint32_t session, std::uint32_t tag,
+                    std::uint32_t rank) {
+    return Bytes(kChunk + 100 * rank + tag,
+                 static_cast<std::uint8_t>(session * 64 + tag * 8 + rank));
+  };
+  std::vector<StreamKey> keys;
+  for (std::uint32_t tag : {50u, 51u, 52u}) {
+    for (std::uint32_t session : {1u, 2u}) {
+      keys.emplace_back(session, tag);
+      for (std::uint32_t r = 0; r < static_cast<std::uint32_t>(n); ++r) {
+        sh.iccls[r]->contribute(keys.back(), payload(session, tag, r));
+      }
+    }
+  }
+  ASSERT_TRUE(tc.run_until([&] { return sh.gather_fired.size() == 6; }));
+  tc.run_until([] { return false; }, sim::ms(50));
+
+  for (const StreamKey& key : keys) {
+    EXPECT_EQ(sh.gather_fired[key], 1) << key.str();
+    const auto& entries = sh.gather_by_key[key];
+    ASSERT_EQ(entries.size(), static_cast<std::size_t>(n)) << key.str();
+    for (std::uint32_t r = 0; r < static_cast<std::uint32_t>(n); ++r) {
+      EXPECT_EQ(entries[r].first, r);
+      EXPECT_EQ(entries[r].second, payload(key.session, key.tag, r))
+          << key.str() << " origin " << r;
+    }
+  }
+  EXPECT_GT(metrics.counter("iccl.mux.cts_deferred"), 0.0);
+  EXPECT_GT(metrics.counter("iccl.mux.rr_grants"), 0.0);
+  EXPECT_EQ(metrics.counter("iccl.mux.unbound_drops"), 0.0);
+  tc.machine.set_metrics(nullptr);
+}
+
 /// One kill scenario per fabric: `kill` dies mid-gather and `dead` is its
 /// whole subtree (every origin whose path to the root crosses it).
 struct GatherFaultCase {
@@ -643,58 +720,162 @@ TEST(IcclProtocol, OverlappingLargeCommandsDeliverIntactUnderRendezvous) {
 
 // --- zero-copy data plane: wire image, frame checks, receiver join --------
 
-TEST(IcclWire, FixedCollectiveMixPutsTheRecordedBytesOnTheWire) {
+/// What one fixed collective mix does on one fabric, recorded when every
+/// payload frame still copied its payload in behind the header and every
+/// broadcast protocol still had its own sender.
+struct WireMix {
+  comm::TopologySpec topo;
+  /// Frames received and their payload bytes, by kind, over the two
+  /// broadcasts and two gathers.
+  std::map<Iccl::Kind, std::pair<int, std::size_t>> frames;
+  double net_bytes;  ///< net.bytes_total over the same four rounds
+  /// Per rank: simulated ns from the root's issue to the rank's delivery.
+  std::vector<sim::Time> eager_bcast, rndv_bcast, empty_bcast, scatter;
+  /// Simulated ns from the contributions to the root's gather handler.
+  sim::Time eager_gather, rndv_gather;
+};
+
+void PrintTo(const WireMix& mix, std::ostream* os) {
+  *os << mix.topo.to_string();
+}
+
+class IcclWireMix : public ::testing::TestWithParam<WireMix> {};
+
+TEST_P(IcclWireMix, FixedCollectiveMixPutsTheRecordedBytesOnTheWire) {
   // Payload frames carry a view of the sender's buffer instead of a copy,
-  // but their wire image is unchanged: the totals below were recorded when
-  // every frame still copied its payload in behind the header.
+  // but their wire image and their timing are unchanged: the bytes and the
+  // delivery times below are pinned to the ns.
+  const WireMix& want = GetParam();
   const int n = 7;
   TestCluster tc(n);
   Shared sh;
-  wire_fabric(tc, sh, {comm::TopologyKind::KAry, 2}, identity_placement(n),
-              64 * 1024);
+  wire_fabric(tc, sh, want.topo, identity_placement(n), 64 * 1024);
   ASSERT_TRUE(tc.run_until([&] { return sh.ready == n; }));
   obs::Metrics metrics;
   tc.machine.set_metrics(&metrics);
   sh.frames.clear();
 
-  sh.iccls[0]->broadcast(1, Bytes(4096, 0x11));  // eager
-  ASSERT_TRUE(tc.run_until([&] {
-    return static_cast<int>(sh.bcast_by_tag.size()) == n &&
-           std::all_of(sh.bcast_by_tag.begin(), sh.bcast_by_tag.end(),
-                       [](const auto& r) { return r.second.count(1) != 0; });
-  }));
-  sh.iccls[0]->broadcast(2, Bytes(3 * kChunk + 1000, 0x22));  // rendezvous
-  ASSERT_TRUE(tc.run_until([&] {
-    return std::all_of(sh.bcast_by_tag.begin(), sh.bcast_by_tag.end(),
-                       [](const auto& r) { return r.second.count(2) != 0; });
-  }));
-  for (std::uint32_t r = 0; r < static_cast<std::uint32_t>(n); ++r) {
-    sh.iccls[r]->contribute(3, origin_payload(r, 512));  // eager
-  }
-  ASSERT_TRUE(tc.run_until([&] { return sh.gather_by_tag.count(3) != 0; }));
-  for (std::uint32_t r = 0; r < static_cast<std::uint32_t>(n); ++r) {
-    sh.iccls[r]->contribute(4, origin_payload(r, kChunk + 100));  // rendezvous
-  }
-  ASSERT_TRUE(tc.run_until([&] { return sh.gather_by_tag.count(4) != 0; }));
-  ASSERT_EQ(sh.gather_by_tag[3].size(), static_cast<std::size_t>(n));
-  ASSERT_EQ(sh.gather_by_tag[4].size(), static_cast<std::size_t>(n));
+  auto bcast_round = [&](std::uint32_t tag, Bytes payload) {
+    const sim::Time t0 = tc.simulator.now();
+    sh.iccls[0]->broadcast(tag, std::move(payload));
+    EXPECT_TRUE(tc.run_until([&] {
+      return static_cast<int>(sh.bcast_at.size()) == n &&
+             std::all_of(sh.bcast_at.begin(), sh.bcast_at.end(),
+                         [&](const auto& r) { return r.second.count(tag); });
+    }));
+    std::vector<sim::Time> at;
+    for (const auto& [rank, by_tag] : sh.bcast_at) {
+      at.push_back(by_tag.at(tag) - t0);
+    }
+    return at;
+  };
+  auto gather_round = [&](std::uint32_t tag, std::size_t bytes) {
+    const sim::Time t0 = tc.simulator.now();
+    for (std::uint32_t r = 0; r < static_cast<std::uint32_t>(n); ++r) {
+      sh.iccls[r]->contribute(tag, origin_payload(r, bytes));
+    }
+    EXPECT_TRUE(tc.run_until([&] { return sh.gather_at.count(tag) != 0; }));
+    EXPECT_EQ(sh.gather_by_tag[tag].size(), static_cast<std::size_t>(n));
+    return sh.gather_at[tag] - t0;
+  };
+
+  const auto eager_bcast = bcast_round(1, Bytes(4096, 0x11));
+  const auto rndv_bcast = bcast_round(2, Bytes(3 * kChunk + 1000, 0x22));
+  const sim::Time eager_gather = gather_round(3, 512);
+  const sim::Time rndv_gather = gather_round(4, kChunk + 100);
 
   std::map<Iccl::Kind, std::pair<int, std::size_t>> by_kind;
   for (const auto& f : sh.frames) {
     by_kind[f.kind].first += 1;
     by_kind[f.kind].second += f.bytes;
   }
-  using K = Iccl::Kind;
-  const std::map<Iccl::Kind, std::pair<int, std::size_t>> recorded = {
-      {K::Bcast, {6, 24576}},        {K::GatherUp, {6, 3072}},
-      {K::RndvRts, {6, 24}},         {K::RndvCts, {6, 0}},
-      {K::RndvChunk, {24, 1185648}}, {K::GatherRts, {6, 24}},
-      {K::GatherCts, {6, 0}},        {K::GatherChunk, {20, 656360}},
-  };
-  EXPECT_EQ(by_kind, recorded);
-  EXPECT_EQ(metrics.counter("net.bytes_total"), 1873736.0);
+  EXPECT_EQ(by_kind, want.frames);
+  EXPECT_EQ(metrics.counter("net.bytes_total"), want.net_bytes);
+
+  const auto empty_bcast = bcast_round(5, Bytes{});
+  std::vector<Bytes> parts;
+  for (std::uint32_t r = 0; r < static_cast<std::uint32_t>(n); ++r) {
+    parts.push_back(origin_payload(r, 100 + 37 * r));
+  }
+  const sim::Time t0 = tc.simulator.now();
+  sh.iccls[0]->scatter(6, std::move(parts));
+  ASSERT_TRUE(tc.run_until(
+      [&] { return static_cast<int>(sh.scatter_at.size()) == n; }));
+  std::vector<sim::Time> scatter;
+  for (const auto& [rank, at] : sh.scatter_at) {
+    EXPECT_EQ(sh.scatter_delivered[rank], origin_payload(rank, 100 + 37 * rank));
+    scatter.push_back(at - t0);
+  }
+
+  EXPECT_EQ(eager_bcast, want.eager_bcast);
+  EXPECT_EQ(rndv_bcast, want.rndv_bcast);
+  EXPECT_EQ(empty_bcast, want.empty_bcast);
+  EXPECT_EQ(scatter, want.scatter);
+  EXPECT_EQ(eager_gather, want.eager_gather);
+  EXPECT_EQ(rndv_gather, want.rndv_gather);
   tc.machine.set_metrics(nullptr);
 }
+
+using K = Iccl::Kind;
+
+INSTANTIATE_TEST_SUITE_P(
+    Fabrics, IcclWireMix,
+    ::testing::Values(
+        WireMix{{comm::TopologyKind::KAry, 2},
+                {{K::Bcast, {6, 24576}},
+                 {K::GatherUp, {6, 3072}},
+                 {K::RndvRts, {6, 24}},
+                 {K::RndvCts, {6, 0}},
+                 {K::RndvChunk, {24, 1185648}},
+                 {K::GatherRts, {6, 24}},
+                 {K::GatherCts, {6, 0}},
+                 {K::GatherChunk, {20, 656360}}},
+                1873736.0,
+                {0, 656460, 1260446, 1313250, 1925293, 1919872, 2532291},
+                {0, 2366881, 2423791, 3000859, 3063634, 3602084, 3662021},
+                {0, 650184, 1242255, 1292445, 1887265, 1882547, 2483264},
+                {0, 642569, 1245110, 1287366, 1884747, 1890866, 2489638},
+                1295303,
+                3516208},
+        WireMix{{comm::TopologyKind::Binomial, 0},
+                {{K::Bcast, {6, 24576}},
+                 {K::GatherUp, {6, 3072}},
+                 {K::RndvRts, {6, 24}},
+                 {K::RndvCts, {6, 0}},
+                 {K::RndvChunk, {24, 1185648}},
+                 {K::GatherRts, {6, 24}},
+                 {K::GatherCts, {6, 0}},
+                 {K::GatherChunk, {18, 590724}}},
+                1807518.0,
+                {0, 656460, 1260446, 1919872, 1872790, 2533623, 3144635},
+                {0, 3122800, 3194322, 3302348, 3250380, 4200802, 4260739},
+                {0, 644963, 1237619, 1879874, 1850184, 2492445, 3090476},
+                {0, 637442, 1242326, 1884705, 1844289, 2489291, 3086811},
+                1295303,
+                3507631},
+        WireMix{{comm::TopologyKind::Flat, 0},
+                {{K::Bcast, {6, 24576}},
+                 {K::GatherUp, {6, 3072}},
+                 {K::RndvRts, {6, 24}},
+                 {K::RndvCts, {6, 0}},
+                 {K::RndvChunk, {24, 1185648}},
+                 {K::GatherRts, {6, 24}},
+                 {K::GatherCts, {6, 0}},
+                 {K::GatherChunk, {12, 393816}}},
+                1608864.0,
+                {0, 656460, 1260446, 1872790, 2483426, 3092833, 3703845},
+                {0, 5476906, 5543124, 5602160, 5658628, 5717235, 5777172},
+                {0, 649642, 1242565, 1842787, 2447601, 3045338, 3649484},
+                {0, 645345, 1238346, 1851398, 2443951, 3044543, 3643218},
+                652393,
+                1467789}),
+    [](const ::testing::TestParamInfo<WireMix>& pinfo) {
+      std::string name = pinfo.param.topo.to_string();
+      for (char& c : name) {
+        if (c == ':' || c == '-') c = '_';
+      }
+      return name;
+    });
 
 TEST(IcclWire, EveryRankDeliversTheRootsBroadcastBuffer) {
   // Eager frames and rendezvous chunks view the root's payload, relays
@@ -852,7 +1033,6 @@ TEST(IcclWire, PayloadFrameWithWrongLengthOrEntryCountIsRejected) {
   ASSERT_TRUE(f.tc.run_until([&] { return f.sh.ready == 1; }));
   auto buf = std::make_shared<const Bytes>(patterned(300));
   const ByteSlice view(buf);
-  using K = Iccl::Kind;
 
   // Header length disagrees with the view behind it, either way.
   f.send(cluster::Message(entry_header(K::Bcast, 1, 0, 299), view));

@@ -10,6 +10,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "comm/bootstrap.hpp"
@@ -309,6 +310,8 @@ TEST(SelfHeal, MidBcastEagerKillReplaysToOrphans) {
   Shared sh;
   TestCluster tc(n);
   lmon::testing::FlightRecorderOnFailure flight(tc.machine);
+  obs::Metrics metrics;
+  tc.machine.set_metrics(&metrics);
   const auto pids = wire_heal_fabric(tc, sh, {comm::TopologyKind::KAry, 2},
                                      n, kEagerOnly);
   ASSERT_TRUE(tc.run_until([&] { return sh.ready == n; }));
@@ -335,6 +338,10 @@ TEST(SelfHeal, MidBcastEagerKillReplaysToOrphans) {
     EXPECT_EQ(sh.bcast_by_tag[r][60], payload) << "rank " << r;
     EXPECT_EQ(sh.bcast_count[r][60], 1) << "duplicate delivery at " << r;
   }
+  // The root's send is long done, so both orphans get the round from its
+  // history ring: one eager Bcast frame each, no RTS.
+  EXPECT_EQ(metrics.counter("iccl.heal.bcast_replays"), 2.0);
+  EXPECT_EQ(metrics.counter("iccl.heal.bcast_replay_bytes"), 2.0 * 4096);
   check_collectives_whole(tc, sh, alive, 61, patterned(2048, 0x22));
 }
 
@@ -343,6 +350,8 @@ TEST(SelfHeal, MidBcastRendezvousKillResumesChunkStream) {
   Shared sh;
   TestCluster tc(n);
   lmon::testing::FlightRecorderOnFailure flight(tc.machine);
+  obs::Metrics metrics;
+  tc.machine.set_metrics(&metrics);
   const auto pids = wire_heal_fabric(tc, sh, {comm::TopologyKind::KAry, 2},
                                      n, kRndvAlways);
   ASSERT_TRUE(tc.run_until([&] { return sh.ready == n; }));
@@ -367,8 +376,81 @@ TEST(SelfHeal, MidBcastRendezvousKillResumesChunkStream) {
     EXPECT_EQ(sh.bcast_by_tag[r][70], payload) << "rank " << r;
     EXPECT_EQ(sh.bcast_count[r][70], 1) << "duplicate delivery at " << r;
   }
+  // Both orphans were mid-receive, but the root's send had retired by the
+  // time they reattached: each resumes from its own offset out of the
+  // root's history ring.
+  EXPECT_EQ(metrics.counter("iccl.heal.bcast_replays"), 2.0);
+  EXPECT_EQ(metrics.counter("iccl.heal.bcast_replay_bytes"), 656914.0);
   check_collectives_whole(tc, sh, alive, 71, patterned(kChunk, 0x44));
 }
+
+/// A rendezvous broadcast on a binary tree whose relay `kill` dies
+/// `kill_after` into the round, with the counters its replay to the
+/// orphans must show.
+struct BcastReplayCase {
+  const char* name;
+  int n;
+  std::uint32_t kill;
+  std::size_t payload;
+  sim::Time kill_after;
+  double replays;
+  double replay_bytes;
+};
+
+class SelfHealBcastReplay : public ::testing::TestWithParam<BcastReplayCase> {
+};
+
+TEST_P(SelfHealBcastReplay, OrphansGetTheRoundExactlyOnce) {
+  const BcastReplayCase c = GetParam();
+  Shared sh;
+  TestCluster tc(c.n);
+  lmon::testing::FlightRecorderOnFailure flight(tc.machine);
+  obs::Metrics metrics;
+  tc.machine.set_metrics(&metrics);
+  const auto pids = wire_heal_fabric(tc, sh, {comm::TopologyKind::KAry, 2},
+                                     c.n, kRndvAlways);
+  ASSERT_TRUE(tc.run_until([&] { return sh.ready == c.n; }));
+
+  const Bytes payload = patterned(c.payload, 0x3C);
+  sh.iccls[0]->broadcast(75, payload);
+  const FaultPlan plan =
+      FaultPlan::single(tc.simulator.now() + c.kill_after, c.kill);
+  plan.arm(tc.machine, pids);
+  const auto alive = survivors_of(c.n, plan);
+
+  ASSERT_TRUE(tc.run_until([&] {
+    if (!settled(tc, sh, plan, alive)) return false;
+    for (const std::uint32_t r : alive) {
+      if (sh.bcast_by_tag[r].count(75) == 0) return false;
+    }
+    return true;
+  })) << "rendezvous broadcast never recovered across the kill";
+  check_reparented_tree(sh, alive);
+  for (const std::uint32_t r : alive) {
+    EXPECT_EQ(sh.bcast_by_tag[r][75], payload) << "rank " << r;
+    EXPECT_EQ(sh.bcast_count[r][75], 1) << "duplicate delivery at " << r;
+  }
+  EXPECT_EQ(metrics.counter("iccl.heal.bcast_replays"), c.replays);
+  EXPECT_EQ(metrics.counter("iccl.heal.bcast_replay_bytes"), c.replay_bytes);
+  check_collectives_whole(tc, sh, alive, 76, patterned(kChunk, 0x4D));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Branches, SelfHealBcastReplay,
+    ::testing::Values(
+        // Rank 1 dies before it relays the RTS, and the orphans reattach
+        // while the root still waits for its CTS: each orphan gets the RTS
+        // alone and joins the stream when it starts.
+        BcastReplayCase{"LiveStreamAwaitingClearance", 7, 1, 2 * kChunk + 5,
+                        sim::us(300), 2.0, 0.0},
+        // Rank 3 dies mid-relay of a long payload, and rank 1 is still
+        // receiving and relaying it when the orphans reattach: each resumes
+        // from its own offset up to rank 1's, then rides the live stream.
+        BcastReplayCase{"LiveStreamResume", 15, 3, 64 * kChunk, sim::ms(3),
+                        2.0, 2162688.0}),
+    [](const ::testing::TestParamInfo<BcastReplayCase>& pinfo) {
+      return std::string(pinfo.param.name);
+    });
 
 TEST(SelfHeal, MidGatherKillRecoversSurvivorPayloads) {
   const int n = 7;
