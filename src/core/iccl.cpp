@@ -77,7 +77,8 @@ struct Frame {
 /// Decodes without copying a payload byte: a payload frame's entry is the
 /// message's view, and a flat frame's entries view the message's own bytes.
 /// Rejects a payload frame whose entry count is not 1, or whose length field
-/// disagrees with the view behind its header.
+/// disagrees with the view behind its header, and an RTS that is not one
+/// entry announcing at least one chunk (an empty payload always goes eager).
 std::optional<Frame> decode_frame(cluster::Message m) {
   ByteReader r(m.bytes);
   auto kind = r.u8();
@@ -89,7 +90,8 @@ std::optional<Frame> decode_frame(cluster::Message m) {
   Frame f{static_cast<Kind>(*kind), StreamKey{*session, *tag}, *src, {}};
   // Payload frames carry exactly one entry, and only they may carry a view.
   const bool payload = is_payload_kind(f.kind);
-  if ((payload && *count != 1) || (!payload && !m.view.empty())) {
+  const bool rts = f.kind == Kind::RndvRts;
+  if (((payload || rts) && *count != 1) || (!payload && !m.view.empty())) {
     return std::nullopt;
   }
   if (!m.view.empty()) {
@@ -114,6 +116,7 @@ std::optional<Frame> decode_frame(cluster::Message m) {
     const auto offset = static_cast<std::size_t>(data->data() - buf->data());
     f.entries.emplace_back(*rank, ByteSlice(buf, offset, data->size()));
   }
+  if (rts && f.entries.front().first == 0) return std::nullopt;
   return f;
 }
 
@@ -210,13 +213,12 @@ void Iccl::on_link_message(const cluster::ChannelPtr& ch,
       case Kind::Scatter:
         handle_scatter(frame.tag, std::move(frame.entries));
         break;
-      case Kind::RndvRts:
-        if (!frame.entries.empty()) {
-          ByteReader r(frame.entries.front().second.span());
-          handle_rndv_rts(frame.tag, frame.entries.front().first,
-                          r.u32().value_or(0));
-        }
+      case Kind::RndvRts: {
+        ByteReader r(frame.entries.front().second.span());
+        handle_rndv_rts(frame.tag, frame.entries.front().first,
+                        r.u32().value_or(0));
         break;
+      }
       case Kind::RndvCts:
         handle_rndv_cts(frame.tag, frame.src);
         break;
@@ -265,34 +267,23 @@ sim::Time Iccl::eager_copy_cost(std::size_t bytes) const {
                                 static_cast<double>(bytes) / 1024.0);
 }
 
-void Iccl::eager_fanout(StreamKey tag, const ByteSlice& payload) {
-  // Fan-out sends serialize on this daemon's CPU: the k-th child's copy
-  // leaves after k quanta, and each quantum stretches with the payload
-  // (the simulated per-child copy into the send buffer; on the host every
-  // frame views the one payload buffer). This is the per-level cost that
-  // makes eager T(collective) grow with fan-out and payload size (swept in
-  // bench_ablation_iccl; rendezvous exists to beat it).
-  const sim::Time quantum = self_.machine().costs().iccl_msg_handle +
-                            eager_copy_cost(payload.size());
-  const auto& children = node_.children();
-  count_mux(tag, "eager_frames", static_cast<double>(children.size()));
-  if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
-    tracer->instant("iccl.eager_fanout", "iccl",
-                    static_cast<int>(self_.node().id()), self_.pid(),
-                    trace_parent(*tracer),
-                    "tag=" + tag.str() +
-                        " children=" + std::to_string(children.size()) +
-                        " bytes=" + std::to_string(payload.size()));
+sim::Time Iccl::send_delay(sim::Time& cursor, sim::Time occupancy) const {
+  const sim::Time now = self_.sim().now();
+  const sim::Time depart = std::max(cursor, now);
+  cursor = depart + occupancy;
+  return depart - now;
+}
+
+std::vector<ByteSlice> Iccl::chunk_views(const ByteSlice& payload,
+                                         std::size_t from) const {
+  const std::size_t chunk = self_.machine().costs().iccl_rndv_chunk_bytes;
+  std::vector<ByteSlice> out;
+  if (from >= payload.size()) return out;
+  out.reserve((payload.size() - from + chunk - 1) / chunk);
+  for (std::size_t begin = from; begin < payload.size(); begin += chunk) {
+    out.push_back(payload.sub(begin, std::min(chunk, payload.size() - begin)));
   }
-  int k = 0;
-  for (auto& [rank, ch] : children) {
-    cluster::ChannelPtr child = ch;
-    self_.post(static_cast<sim::Time>(k++) * quantum, [this, child, tag,
-                                                       payload] {
-      self_.send(child,
-                 payload_frame(Kind::Bcast, tag, params_.rank, 0, payload));
-    });
-  }
+  return out;
 }
 
 void Iccl::handle_bcast(StreamKey tag, ByteSlice payload) {
@@ -304,23 +295,34 @@ void Iccl::handle_bcast(StreamKey tag, ByteSlice payload) {
   // arrived). Every frame sent below views that one buffer.
   if (!node_.children().empty()) {
     if (use_rendezvous(payload.size())) {
-      const std::uint32_t chunk =
-          self_.machine().costs().iccl_rndv_chunk_bytes;
-      const auto total = static_cast<std::uint32_t>(payload.size());
-      const std::uint32_t nchunks = (total + chunk - 1) / chunk;
-      RndvSend& st = rndv_open_send(tag, nchunks, total);
-      // The root has every chunk ready up front; they stream (round-robin
-      // across the children) as soon as the last CTS arrives.
-      st.ready.reserve(nchunks);
-      for (std::uint32_t seq = 0; seq < nchunks; ++seq) {
-        const std::size_t begin = static_cast<std::size_t>(seq) * chunk;
-        const std::size_t len = std::min<std::size_t>(chunk,
-                                                      total - begin);
-        st.ready.push_back(payload.sub(begin, len));
-      }
-      rndv_flush(tag, st);
+      // The root has every chunk up front; they stream as soon as the last
+      // CTS arrives.
+      DownStream& st = streams_[tag] = DownStream{};
+      st.chunks = chunk_views(payload);
+      st.nchunks = static_cast<std::uint32_t>(st.chunks.size());
+      st.total = static_cast<std::uint32_t>(payload.size());
+      stream_announce(tag, st);
     } else {
-      eager_fanout(tag, payload);
+      // Eager: one chunk, cleared implicitly. Its quantum stretches with
+      // the payload, which is the per-level cost that makes eager
+      // T(collective) grow with fan-out and payload size (swept in
+      // bench_ablation_iccl; rendezvous exists to beat it).
+      DownStream st;
+      st.eager = true;
+      st.streaming = true;
+      st.nchunks = 1;
+      st.chunks.push_back(payload);
+      const std::size_t children = node_.children().size();
+      count_mux(tag, "eager_frames", static_cast<double>(children));
+      if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
+        tracer->instant("iccl.eager_fanout", "iccl",
+                        static_cast<int>(self_.node().id()), self_.pid(),
+                        trace_parent(*tracer),
+                        "tag=" + tag.str() +
+                            " children=" + std::to_string(children) +
+                            " bytes=" + std::to_string(payload.size()));
+      }
+      stream_flush(tag, st);
     }
   }
   if (node_.heal()) heal_record_bcast(tag, payload);
@@ -334,28 +336,25 @@ void Iccl::broadcast(StreamKey tag, Bytes data) {
 
 // --- rendezvous (RTS/CTS + pipelined chunks) -----------------------------
 
-Iccl::RndvSend& Iccl::rndv_open_send(StreamKey tag, std::uint32_t nchunks,
-                                     std::uint32_t total) {
-  RndvSend& st = rndv_sends_[tag] = RndvSend{};
-  st.nchunks = nchunks;
-  st.total = total;
+void Iccl::stream_announce(StreamKey tag, DownStream& st) {
+  st.sending = true;
   if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
-    st.span = tracer->begin_span(
+    st.send_span = tracer->begin_span(
         "iccl.rndv_send", "iccl", static_cast<int>(self_.node().id()),
         self_.pid(), trace_parent(*tracer),
-        "tag=" + tag.str() + " chunks=" + std::to_string(nchunks) +
-            " bytes=" + std::to_string(total));
+        "tag=" + tag.str() + " chunks=" + std::to_string(st.nchunks) +
+            " bytes=" + std::to_string(st.total));
   }
   // RTS frames fan out serialized like eager sends (they are ordinary
   // messages), but they are tiny: no payload-copy term.
   const sim::Time quantum = self_.machine().costs().iccl_msg_handle;
-  int k = 0;
+  sim::Time cursor = 0;
   for (auto& [rank, ch] : node_.children()) {
     st.cts_pending.insert(rank);
     cluster::ChannelPtr child = ch;
     count_mux(tag, "rts_sent");
-    self_.post(static_cast<sim::Time>(k++) * quantum,
-               [this, child, tag, nchunks, total] {
+    self_.post(send_delay(cursor, quantum),
+               [this, child, tag, nchunks = st.nchunks, total = st.total] {
                  ByteWriter w;
                  w.u32(total);
                  self_.send(child,
@@ -363,7 +362,6 @@ Iccl::RndvSend& Iccl::rndv_open_send(StreamKey tag, std::uint32_t nchunks,
                                          {{nchunks, std::move(w).take()}}));
                });
   }
-  return st;
 }
 
 void Iccl::handle_rndv_rts(StreamKey tag, std::uint32_t nchunks,
@@ -371,107 +369,111 @@ void Iccl::handle_rndv_rts(StreamKey tag, std::uint32_t nchunks,
   // Heal replay of a round this node already delivered: ignore it rather
   // than re-opening receive/relay state the subtree already consumed.
   if (node_.heal() && bcast_history_.count(tag) != 0) return;
-  if (nchunks == 0) {
-    // Degenerate empty rendezvous: deliver immediately.
-    if (node_.heal()) heal_record_bcast(tag, ByteSlice());
-    deliver_bcast(tag, ByteSlice());
-    return;
-  }
-  RndvRecv& rc = rndv_recvs_[tag];
-  rc.nchunks = nchunks;
+  DownStream& st = streams_[tag] = DownStream{};
+  st.nchunks = nchunks;
+  st.total = total;
+  st.receiving = true;
   if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
-    rc.span = tracer->begin_span(
+    st.recv_span = tracer->begin_span(
         "iccl.rndv_recv", "iccl", static_cast<int>(self_.node().id()),
         self_.pid(), trace_parent(*tracer),
         "tag=" + tag.str() + " chunks=" + std::to_string(nchunks));
   }
   // Cut-through: open the downstream round now so grandchild CTS exchanges
   // overlap the payload still streaming toward this node.
-  if (!node_.children().empty()) rndv_open_send(tag, nchunks, total);
+  if (!node_.children().empty()) stream_announce(tag, st);
   // Clear the parent to stream.
   count_mux(tag, "cts_sent");
   send_up(encode_frame(Kind::RndvCts, tag, params_.rank));
 }
 
 void Iccl::handle_rndv_cts(StreamKey tag, std::uint32_t src) {
-  auto it = rndv_sends_.find(tag);
-  if (it == rndv_sends_.end()) return;
-  it->second.cts_pending.erase(src);
+  auto it = streams_.find(tag);
+  if (it == streams_.end() || !it->second.sending) return;
+  DownStream& st = it->second;
   if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
+    const std::size_t pending =
+        st.cts_pending.size() - st.cts_pending.count(src);
     tracer->instant("iccl.cts_received", "iccl",
                     static_cast<int>(self_.node().id()), self_.pid(),
-                    it->second.span,
-                    "tag=" + tag.str() +
-                        " from=" + std::to_string(src) + " pending=" +
-                        std::to_string(it->second.cts_pending.size()));
+                    st.send_span,
+                    "tag=" + tag.str() + " from=" + std::to_string(src) +
+                        " pending=" + std::to_string(pending));
   }
-  if (it->second.cts_pending.empty()) {
-    it->second.streaming = true;
-    rndv_flush(tag, it->second);
-  }
+  stream_clear(tag, st, src);
 }
 
-void Iccl::rndv_flush(StreamKey tag, RndvSend& st) {
+void Iccl::stream_clear(StreamKey tag, DownStream& st, std::uint32_t child) {
+  st.cts_pending.erase(child);
+  if (st.streaming || !st.cts_pending.empty()) return;
+  st.streaming = true;
+  stream_flush(tag, st);
+  if (!st.sending && !st.receiving) streams_.erase(tag);
+}
+
+void Iccl::stream_flush(StreamKey tag, DownStream& st) {
   if (!st.streaming) return;
-  // Serialized chunk posts: each (chunk, child) send occupies the CPU for
-  // one chunk-handle quantum, but unlike eager there is no per-byte copy -
-  // chunks go out of the one registered payload buffer. Levels overlap
-  // because a relay forwards chunk j while its parent still streams j+1.
-  const sim::Time occ = self_.machine().costs().iccl_chunk_handle;
-  const sim::Time now = self_.sim().now();
-  while (st.next_seq < st.ready.size()) {
+  // Serialized posts: each (chunk, child) send occupies the CPU for one
+  // quantum. An eager frame's quantum stretches with the payload (the
+  // simulated per-child copy into the send buffer); a rendezvous chunk
+  // goes out of the one registered payload buffer for a flat chunk-handle
+  // quantum. Levels overlap because a relay forwards chunk j while its
+  // parent still streams j+1.
+  const auto& costs = self_.machine().costs();
+  const Kind kind = st.eager ? Kind::Bcast : Kind::RndvChunk;
+  while (st.next_seq < st.chunks.size()) {
     const std::uint32_t seq = st.next_seq++;
-    const ByteSlice& chunk = st.ready[seq];
+    const ByteSlice& chunk = st.chunks[seq];
+    const sim::Time occ =
+        st.eager ? costs.iccl_msg_handle + eager_copy_cost(chunk.size())
+                 : costs.iccl_chunk_handle;
     for (auto& [rank, ch] : node_.children()) {
       cluster::ChannelPtr child = ch;
-      sim::Time depart = std::max(st.cursor, now);
-      self_.post(depart - now, [this, child, tag, seq, chunk] {
-        self_.send(child, payload_frame(Kind::RndvChunk, tag, params_.rank,
-                                        seq, chunk));
-      });
-      st.cursor = depart + occ;
+      self_.post(send_delay(st.cursor, occ),
+                 [this, child, kind, tag, seq, chunk] {
+                   self_.send(child, payload_frame(kind, tag, params_.rank,
+                                                   seq, chunk));
+                 });
     }
   }
-  if (st.next_seq == st.nchunks) {
+  if (st.sending && st.next_seq == st.nchunks) {
     if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
-      tracer->end_span(st.span);
+      tracer->end_span(st.send_span);
     }
-    rndv_sends_.erase(tag);
+    st.sending = false;
   }
 }
 
 void Iccl::handle_rndv_chunk(StreamKey tag, std::uint32_t seq,
                              ByteSlice data) {
-  auto it = rndv_recvs_.find(tag);
-  if (it == rndv_recvs_.end()) return;
-  RndvRecv& rc = it->second;
-  if (seq != rc.received) return;  // FIFO channels make this unreachable
-  rc.received += 1;
-  rc.payload.append(data);
+  auto it = streams_.find(tag);
+  if (it == streams_.end() || !it->second.receiving) return;
+  DownStream& st = it->second;
+  if (seq != st.chunks.size()) return;  // FIFO channels make this unreachable
+  st.chunks.push_back(std::move(data));
   count_mux(tag, "chunks_received");
   // Relay toward this node's own children (cut-through forwarding).
-  auto sit = rndv_sends_.find(tag);
-  if (sit != rndv_sends_.end()) {
+  if (st.sending) {
     count_mux(tag, "chunks_relayed");
     if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
       tracer->instant("iccl.chunk_relay", "iccl",
                       static_cast<int>(self_.node().id()), self_.pid(),
-                      sit->second.span,
-                      "tag=" + tag.str() +
-                          " seq=" + std::to_string(seq));
+                      st.send_span,
+                      "tag=" + tag.str() + " seq=" + std::to_string(seq));
     }
-    sit->second.ready.push_back(std::move(data));
-    rndv_flush(tag, sit->second);
+    stream_flush(tag, st);
   }
-  if (rc.received == rc.nchunks) {
-    const ByteSlice payload = rc.payload.join();
-    if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
-      tracer->end_span(rc.span, "bytes=" + std::to_string(payload.size()));
-    }
-    rndv_recvs_.erase(it);
-    if (node_.heal()) heal_record_bcast(tag, payload);
-    deliver_bcast(tag, payload);
+  if (st.chunks.size() < st.nchunks) return;
+  SliceJoin join;
+  for (const ByteSlice& chunk : st.chunks) join.append(chunk);
+  const ByteSlice payload = join.join();
+  if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
+    tracer->end_span(st.recv_span, "bytes=" + std::to_string(payload.size()));
   }
+  st.receiving = false;
+  if (!st.sending) streams_.erase(it);
+  if (node_.heal()) heal_record_bcast(tag, payload);
+  deliver_bcast(tag, payload);
 }
 
 void Iccl::on_child_lost(std::uint32_t lost, bool /*was_ready*/) {
@@ -481,18 +483,10 @@ void Iccl::on_child_lost(std::uint32_t lost, bool /*was_ready*/) {
                                     " lost");
   // Any rendezvous round still waiting on the dead child's CTS must not
   // stall the surviving children.
-  for (auto it = rndv_sends_.begin(); it != rndv_sends_.end();) {
-    RndvSend& st = it->second;
-    st.cts_pending.erase(lost);
-    if (!st.streaming && st.cts_pending.empty()) {
-      st.streaming = true;
-      const StreamKey tag = it->first;
-      rndv_flush(tag, st);
-      // rndv_flush may erase the state; restart iteration defensively.
-      it = rndv_sends_.upper_bound(tag);
-    } else {
-      ++it;
-    }
+  for (auto it = streams_.begin(); it != streams_.end();) {
+    const StreamKey tag = it->first;
+    if (it->second.sending) stream_clear(tag, it->second, lost);
+    it = streams_.upper_bound(tag);  // the clearance may erase the entry
   }
   // Heal mode: do not drop the dead child's subtree yet. Open a heal slot
   // and give its orphans a grace window to reattach; only what stays
@@ -780,22 +774,19 @@ void Iccl::gather_begin_streaming(StreamKey tag, GatherState& st) {
   // staggered sends). All children announced before this node did, so the
   // set is final.
   const sim::Time quantum = self_.machine().costs().iccl_msg_handle;
-  int k = 0;
+  sim::Time cursor = 0;
   for (std::uint32_t child : st.rndv_children) {
     count_mux(tag, "gather_cts_sent");
-    self_.post(static_cast<sim::Time>(k++) * quantum, [this, child, tag] {
+    self_.post(send_delay(cursor, quantum), [this, child, tag] {
       send_to_child(child,
                     encode_frame(Kind::GatherCts, tag, params_.rank));
     });
   }
   // Queue the locally-held entries as chunks (rank order); relayed chunks
   // join the queue behind them as they trickle in.
-  const std::uint32_t chunk = self_.machine().costs().iccl_rndv_chunk_bytes;
   for (auto& [rank, data] : st.acc) {
-    const auto total = static_cast<std::uint32_t>(data.size());
-    for (std::uint32_t begin = 0; begin < total; begin += chunk) {
-      const std::uint32_t len = std::min(chunk, total - begin);
-      st.outq.emplace_back(rank, data.sub(begin, len));
+    for (ByteSlice& chunk : chunk_views(data)) {
+      st.outq.emplace_back(rank, std::move(chunk));
     }
   }
   st.acc.clear();
@@ -807,7 +798,6 @@ void Iccl::gather_flush(StreamKey tag, GatherState& st) {
   // rendezvous: each send occupies the CPU for one chunk-handle quantum and
   // goes out of a registered buffer (no per-byte copy).
   const sim::Time occ = self_.machine().costs().iccl_chunk_handle;
-  const sim::Time now = self_.sim().now();
   // Heal mode pins each posted send to the parent link that existed at
   // schedule time: a chunk scheduled before an adoption must die with the
   // old link, not leak onto the new parent at a stale offset (the resume
@@ -815,9 +805,9 @@ void Iccl::gather_flush(StreamKey tag, GatherState& st) {
   cluster::ChannelPtr up = node_.heal() ? node_.parent() : nullptr;
   while (st.next_out < st.outq.size()) {
     auto& [origin, chunk] = st.outq[st.next_out++];
-    const sim::Time depart = std::max(st.cursor, now);
+    const sim::Time delay = send_delay(st.cursor, occ);
     if (node_.heal()) {
-      self_.post(depart - now,
+      self_.post(delay,
                  [this, up, tag, origin = origin, chunk = std::move(chunk)] {
                    if (up != nullptr) {
                      self_.send(up, payload_frame(Kind::GatherChunk, tag,
@@ -826,13 +816,12 @@ void Iccl::gather_flush(StreamKey tag, GatherState& st) {
                    }
                  });
     } else {
-      self_.post(depart - now,
+      self_.post(delay,
                  [this, tag, origin = origin, chunk = std::move(chunk)] {
                    send_up(payload_frame(Kind::GatherChunk, tag,
                                          params_.rank, origin, chunk));
                  });
     }
-    st.cursor = depart + occ;
   }
 }
 
@@ -1042,7 +1031,8 @@ void Iccl::handle_scatter(StreamKey tag, Entries entries) {
   // subtrees partition the ranks, so each entry is *moved* into exactly one
   // child's part (no per-level payload copies); the serialized quantum
   // still charges the copy into that child's send buffer.
-  sim::Time offset = 0;
+  const sim::Time quantum = self_.machine().costs().iccl_msg_handle;
+  sim::Time cursor = 0;
   for (auto& [child, link] : node_.children()) {
     auto sub = topo_.subtree_of(child);
     Entries part;
@@ -1055,11 +1045,10 @@ void Iccl::handle_scatter(StreamKey tag, Entries entries) {
     }
     if (!part.empty()) {
       cluster::Message m = encode_frame(Kind::Scatter, tag, params_.rank, part);
-      self_.post(offset, [this, child, m = std::move(m)]() mutable {
-        send_to_child(child, std::move(m));
-      });
-      offset += self_.machine().costs().iccl_msg_handle +
-                eager_copy_cost(part_bytes);
+      self_.post(send_delay(cursor, quantum + eager_copy_cost(part_bytes)),
+                 [this, child, m = std::move(m)]() mutable {
+                   send_to_child(child, std::move(m));
+                 });
     }
   }
   for (auto& [rank, data] : entries) {
@@ -1200,12 +1189,15 @@ void Iccl::on_linked(const cluster::ChannelPtr& parent, bool adopted) {
     w.u32(t.session);
     w.u32(t.tag);
   }
-  w.u32(static_cast<std::uint32_t>(rndv_recvs_.size()));
-  for (const auto& [tag, rc] : rndv_recvs_) {
+  w.u32(static_cast<std::uint32_t>(
+      std::count_if(streams_.begin(), streams_.end(),
+                    [](const auto& e) { return e.second.receiving; })));
+  for (const auto& [tag, st] : streams_) {
+    if (!st.receiving) continue;
     w.u32(tag.session);
     w.u32(tag.tag);
-    w.u32(rc.received);
-    w.u32(rc.nchunks);
+    w.u32(static_cast<std::uint32_t>(st.chunks.size()));
+    w.u32(st.nchunks);
   }
   self_.send(parent, encode_frame(Kind::Reattach, 0, params_.rank,
                                   {{0, std::move(w).take()}}));
@@ -1269,14 +1261,13 @@ void Iccl::handle_reattach(const cluster::ChannelPtr& ch, std::uint32_t src,
     const std::uint32_t t = r.u32().value_or(0);
     delivered.insert(StreamKey{session, t});
   }
-  std::map<StreamKey, std::pair<std::uint32_t, std::uint32_t>> open;
+  std::map<StreamKey, std::uint32_t> open;  ///< key -> chunks received
   const std::uint32_t nrecv = r.u32().value_or(0);
   for (std::uint32_t i = 0; i < nrecv; ++i) {
     const std::uint32_t session = r.u32().value_or(0);
     const std::uint32_t t = r.u32().value_or(0);
-    const std::uint32_t received = r.u32().value_or(0);
-    const std::uint32_t nchunks = r.u32().value_or(0);
-    open[StreamKey{session, t}] = {received, nchunks};
+    open[StreamKey{session, t}] = r.u32().value_or(0);
+    (void)r.u32();  // nchunks: the replay takes it from its own copy
   }
   node_.add_child(src, ch);
   self_.machine().count("iccl.heal.adoptions");
@@ -1335,79 +1326,65 @@ void Iccl::handle_reattach(const cluster::ChannelPtr& ch, std::uint32_t src,
 }
 
 void Iccl::heal_replay_bcasts(
-    std::uint32_t orphan,
-    const std::map<StreamKey,
-                   std::pair<std::uint32_t, std::uint32_t>>& open_recvs,
+    std::uint32_t orphan, const std::map<StreamKey, std::uint32_t>& open_recvs,
     const std::set<StreamKey>& delivered) {
-  const std::uint32_t chunk = self_.machine().costs().iccl_rndv_chunk_bytes;
-  // Live rendezvous rounds first: the orphan catches up to this node's
-  // scheduled sequence from its own receive offset and rides the ongoing
-  // stream from there (it is a child now, so chunks scheduled after
-  // this event reach it natively and in order).
-  for (const auto& [tag, snd] : rndv_sends_) {
-    if (delivered.count(tag) != 0) continue;
-    auto open = open_recvs.find(tag);
-    const std::uint32_t from =
-        open != open_recvs.end() ? open->second.first : 0;
-    if (open == open_recvs.end()) {
-      ByteWriter w;
-      w.u32(snd.total);
-      send_to_child(orphan,
-                    encode_frame(Kind::RndvRts, tag, params_.rank,
-                                 {{snd.nchunks, std::move(w).take()}}));
-    }
-    self_.machine().count("iccl.heal.bcast_replays");
-    for (std::uint32_t seq = from; seq < snd.next_seq; ++seq) {
-      send_to_child(orphan, payload_frame(Kind::RndvChunk, tag, params_.rank,
-                                          seq, snd.ready[seq]));
-      self_.machine().count("iccl.heal.bcast_replay_bytes",
-                            static_cast<double>(snd.ready[seq].size()));
-    }
+  auto live = [this](StreamKey tag) {
+    auto it = streams_.find(tag);
+    return it != streams_.end() && it->second.sending;
+  };
+  // What this node can resend, in order. Live streams come first, with the
+  // chunks sent so far: the orphan is a child now, so chunks sent after
+  // this event reach it natively and in order. Then delivered rounds it
+  // missed entirely, or was mid-receive on when the live state here had
+  // already retired. A missed eager round is the one-chunk case. The
+  // orphan's own history guard makes a replay of a delivered round inert.
+  std::vector<std::pair<StreamKey, DownStream>> rounds;
+  for (const auto& [tag, st] : streams_) {
+    if (!st.sending || delivered.count(tag) != 0) continue;
+    DownStream round;
+    round.nchunks = st.nchunks;
+    round.total = st.total;
+    round.chunks.assign(st.chunks.begin(), st.chunks.begin() + st.next_seq);
+    rounds.emplace_back(tag, std::move(round));
   }
-  // Delivered history: rounds the orphan missed entirely, or was mid-
-  // receive on when the live send state already retired here. The orphan's
-  // own history guard makes a replay of an already-delivered round inert.
   for (StreamKey tag : bcast_history_order_) {
-    if (delivered.count(tag) != 0) continue;
-    if (rndv_sends_.count(tag) != 0) continue;  // caught up above
+    if (delivered.count(tag) != 0 || live(tag)) continue;
     const ByteSlice& payload = bcast_history_.at(tag);
-    const auto total = static_cast<std::uint32_t>(payload.size());
+    DownStream round;
+    round.eager = open_recvs.count(tag) == 0 && !use_rendezvous(payload.size());
+    round.chunks = round.eager ? std::vector<ByteSlice>{payload}
+                               : chunk_views(payload);
+    round.nchunks = static_cast<std::uint32_t>(round.chunks.size());
+    round.total = static_cast<std::uint32_t>(payload.size());
+    rounds.emplace_back(tag, std::move(round));
+  }
+  // Each round restarts at the orphan's receive offset: an RTS first if it
+  // has no open receive, then chunks [from, n). Unserialized: the orphan
+  // must catch up before the live stream's next chunk.
+  for (const auto& [tag, round] : rounds) {
     auto open = open_recvs.find(tag);
     self_.machine().count("iccl.heal.bcast_replays");
-    if (open == open_recvs.end() && !use_rendezvous(total)) {
-      send_to_child(orphan,
-                    payload_frame(Kind::Bcast, tag, params_.rank, 0, payload));
-      self_.machine().count("iccl.heal.bcast_replay_bytes",
-                            static_cast<double>(total));
-      continue;
-    }
-    // Rendezvous: the whole round for a missed tag, or the rest of the
-    // chunk stream the orphan already assembled a prefix of. Every chunk
-    // views the delivered payload.
-    const std::uint32_t nchunks = (total + chunk - 1) / chunk;
-    std::uint32_t from = 0;
-    if (open != open_recvs.end()) {
-      from = open->second.first;
-    } else {
+    if (open == open_recvs.end() && !round.eager) {
       ByteWriter w;
-      w.u32(total);
+      w.u32(round.total);
       send_to_child(orphan,
                     encode_frame(Kind::RndvRts, tag, params_.rank,
-                                 {{nchunks, std::move(w).take()}}));
+                                 {{round.nchunks, std::move(w).take()}}));
     }
-    for (std::uint32_t seq = from; seq < nchunks; ++seq) {
-      const std::size_t begin = static_cast<std::size_t>(seq) * chunk;
-      const std::size_t len = std::min<std::size_t>(chunk, total - begin);
-      send_to_child(orphan, payload_frame(Kind::RndvChunk, tag, params_.rank,
-                                          seq, payload.sub(begin, len)));
+    const Kind kind = round.eager ? Kind::Bcast : Kind::RndvChunk;
+    for (std::uint32_t seq = open != open_recvs.end() ? open->second : 0;
+         seq < round.chunks.size(); ++seq) {
+      const ByteSlice& chunk = round.chunks[seq];
+      send_to_child(orphan,
+                    payload_frame(kind, tag, params_.rank, seq, chunk));
       self_.machine().count("iccl.heal.bcast_replay_bytes",
-                            static_cast<double>(len));
+                            static_cast<double>(chunk.size()));
     }
   }
   // Anything the orphan was mid-receive on that this node can no longer
   // source (evicted from the ring) stays incomplete there; surface it.
-  for (const auto& [tag, prog] : open_recvs) {
-    if (delivered.count(tag) != 0 || rndv_sends_.count(tag) != 0 ||
+  for (const auto& [tag, received] : open_recvs) {
+    if (delivered.count(tag) != 0 || live(tag) ||
         bcast_history_.count(tag) != 0) {
       continue;
     }
@@ -1427,7 +1404,6 @@ void Iccl::handle_gather_resume(StreamKey tag, const Entries& entries) {
   st.retired = false;  // a retired relay may need to re-send; re-retires below
   if (!st.streaming) gather_begin_streaming(tag, st);
   self_.machine().count("iccl.heal.gather_resumes");
-  const std::uint32_t chunk = self_.machine().costs().iccl_rndv_chunk_bytes;
   for (const auto& [origin, blob] : entries) {
     ByteReader r(blob.span());
     const std::uint32_t from = r.u32().value_or(0);
@@ -1441,13 +1417,10 @@ void Iccl::handle_gather_resume(StreamKey tag, const Entries& entries) {
         st.outq.end());
     auto ret = st.retained.find(origin);
     if (ret == st.retained.end()) continue;
-    const ByteSlice kept = ret->second.join();
-    const auto total = static_cast<std::uint32_t>(kept.size());
-    for (std::uint32_t begin = from; begin < total; begin += chunk) {
-      const std::uint32_t len = std::min(chunk, total - begin);
-      st.outq.emplace_back(origin, kept.sub(begin, len));
+    for (ByteSlice& chunk : chunk_views(ret->second.join(), from)) {
       self_.machine().count("iccl.heal.gather_requeued_bytes",
-                            static_cast<double>(len));
+                            static_cast<double>(chunk.size()));
+      st.outq.emplace_back(origin, std::move(chunk));
     }
   }
   gather_flush(tag, st);

@@ -40,13 +40,18 @@ class Iccl : private comm::TreeNode::Hooks {
 
   /// Fabric frame kinds (public so protocol tests can assert on the wire
   /// sequence through set_keyed_frame_tap()).
+  ///
+  /// A broadcast is one chunk stream per StreamKey. An eager round is the
+  /// one-chunk case with implicit clearance: one Bcast frame per child. A
+  /// rendezvous round announces itself (RndvRts), waits for every child's
+  /// RndvCts and then streams RndvChunk frames.
   enum class Kind : std::uint8_t {
     Register = 1,  ///< child -> parent: {rank}
     SetupUp,       ///< child -> parent: subtree fully wired
-    Bcast,         ///< parent -> child: {tag, data} (eager: full payload)
+    Bcast,         ///< parent -> child: {tag, seq 0, data} (whole payload)
     GatherUp,      ///< child -> parent: {tag, [(rank, data)...]}
     Scatter,       ///< parent -> child: {tag, [(rank, data)...]}
-    RndvRts,       ///< parent -> child: {tag, nchunks, total bytes}
+    RndvRts,       ///< parent -> child: {tag, nchunks > 0, total bytes}
     RndvCts,       ///< child -> parent: {tag} (clear to stream)
     RndvChunk,     ///< parent -> child: {tag, seq, chunk bytes}
     // Upstream (gather) rendezvous: the mirror of RndvRts/Cts/Chunk, but
@@ -259,30 +264,30 @@ class Iccl : private comm::TreeNode::Hooks {
     std::vector<std::uint32_t> grant_waiters;
   };
 
-  /// Sender side of one rendezvous broadcast round: RTS is out, chunks
-  /// stream round-robin across the children once every CTS arrived. Relay
-  /// nodes grow `ready` chunk-by-chunk as the payload trickles down; the
-  /// root has every chunk ready up front.
-  struct RndvSend {
+  /// One broadcast round as a chunk stream toward this node's children.
+  /// Chunks leave round-robin across the children through the serialized
+  /// cursor once the stream is cleared. A rendezvous round is cleared when
+  /// every child that got its RTS has answered with a CTS. An eager round
+  /// is the one-chunk case with implicit clearance: it is opened, flushed
+  /// and finished in one event and never enters `streams_`. A relay keeps
+  /// one entry, which is both its receive (chunks join in sequence order,
+  /// per-channel FIFO guarantees it) and its cut-through send.
+  struct DownStream {
+    bool eager = false;  ///< Bcast frames, occupancy stretched by the copy
     std::uint32_t nchunks = 0;
-    std::uint32_t total = 0;
-    std::set<std::uint32_t> cts_pending;  ///< child ranks yet to CTS
-    bool streaming = false;               ///< all CTS in, chunks may flow
-    std::uint32_t next_seq = 0;           ///< next chunk to schedule
-    std::vector<ByteSlice> ready;  ///< chunk views of the payload, by seq
+    std::uint32_t total = 0;  ///< payload bytes, announced in the RTS
+    /// Chunk views by seq: every chunk at the root, the arrived prefix at a
+    /// relay or leaf. Relays forward the root's views unchanged, so the
+    /// join is normally the root's payload buffer and nothing is copied.
+    std::vector<ByteSlice> chunks;
+    bool receiving = false;  ///< RTS in, chunks still missing
+    bool sending = false;    ///< RTS out to the children, chunks unsent
+    std::set<std::uint32_t> cts_pending;  ///< children yet to clear it
+    bool streaming = false;               ///< cleared: chunks may flow
+    std::uint32_t next_seq = 0;           ///< next chunk to send
     sim::Time cursor = 0;  ///< serialized send occupancy (absolute time)
-    obs::SpanId span = obs::kNoSpan;  ///< RTS fan-out .. last chunk out
-  };
-
-  /// Receiver side: joins chunks in sequence order (per-channel FIFO
-  /// guarantees ordering) and delivers once complete. Every relay forwards
-  /// the root's chunk views unchanged, so the join is normally the root's
-  /// payload buffer itself and nothing is copied.
-  struct RndvRecv {
-    std::uint32_t nchunks = 0;
-    std::uint32_t received = 0;
-    SliceJoin payload;
-    obs::SpanId span = obs::kNoSpan;  ///< RTS in .. payload assembled
+    obs::SpanId send_span = obs::kNoSpan;  ///< RTS fan-out .. last chunk out
+    obs::SpanId recv_span = obs::kNoSpan;  ///< RTS in .. payload assembled
   };
 
   // --- tree links (comm::TreeNode hooks) -----------------------------------
@@ -387,35 +392,45 @@ class Iccl : private comm::TreeNode::Hooks {
   void heal_check_slot(std::uint32_t dead);
   void heal_resolve_slot(std::uint32_t dead, bool expired);
   void heal_record_bcast(StreamKey tag, const ByteSlice& payload);
-  /// Replays broadcast state a reattached orphan missed: catch-up chunks
-  /// for rounds it was mid-assembly on, full replays for rounds it never
-  /// saw (it re-fans-out to its own subtree natively).
-  void heal_replay_bcasts(
-      std::uint32_t orphan,
-      const std::map<StreamKey,
-                     std::pair<std::uint32_t, std::uint32_t>>& open_recvs,
-      const std::set<StreamKey>& delivered);
+  /// Replays broadcast state a reattached orphan missed: each live stream
+  /// and each delivered round it lacks restarts at the chunk offset its
+  /// open receive reached (`open_recvs`: key -> chunks received), or from
+  /// an RTS and chunk 0 if it never saw the round. It re-fans-out to its
+  /// own subtree natively.
+  void heal_replay_bcasts(std::uint32_t orphan,
+                          const std::map<StreamKey, std::uint32_t>& open_recvs,
+                          const std::set<StreamKey>& delivered);
   /// Retires a finished round instead of erasing it (replay may need it
   /// until the root's GatherDone); bounded by the retired-round ring.
   void heal_retire_gather(StreamKey tag, GatherState& st, bool eager);
 
-  // --- eager/rendezvous protocol switch ----------------------------------
+  // --- the downstream chunk stream ---------------------------------------
   [[nodiscard]] bool use_rendezvous(std::size_t payload_bytes) const;
   /// Serialized per-KB copy charge (iccl_eager_copy_per_kb scaled to size).
   [[nodiscard]] sim::Time eager_copy_cost(std::size_t bytes) const;
-  /// Eager fan-out: one full-payload frame per child, serialized by
-  /// (msg-handle + payload-copy) quanta in rank order. Every frame views
-  /// the same payload buffer.
-  void eager_fanout(StreamKey tag, const ByteSlice& payload);
-  /// Opens a rendezvous round toward this node's children (RTS fan-out).
-  RndvSend& rndv_open_send(StreamKey tag, std::uint32_t nchunks,
-                           std::uint32_t total);
+  /// Serialized sends: a send departs once this daemon's CPU is free at
+  /// `cursor` (absolute time) and holds it for `occupancy`, which pushes
+  /// the next send's departure back. Advances the cursor and returns this
+  /// send's delay from now. A fan-out of k sends from a fresh cursor leaves
+  /// at 0, 1, ..., k-1 occupancies.
+  [[nodiscard]] sim::Time send_delay(sim::Time& cursor,
+                                     sim::Time occupancy) const;
+  /// `payload` from byte `from` on, cut into iccl_rndv_chunk_bytes views
+  /// (the last one shorter); none when nothing is left.
+  [[nodiscard]] std::vector<ByteSlice> chunk_views(const ByteSlice& payload,
+                                                   std::size_t from = 0) const;
+  /// Opens the send side of a rendezvous round: RTS fan-out to every child.
+  void stream_announce(StreamKey tag, DownStream& st);
   void handle_rndv_rts(StreamKey tag, std::uint32_t nchunks,
                        std::uint32_t total);
   void handle_rndv_cts(StreamKey tag, std::uint32_t src);
+  /// Takes `child` off the round's CTS set; the stream starts once the set
+  /// is empty. A CTS and a lost child both land here.
+  void stream_clear(StreamKey tag, DownStream& st, std::uint32_t child);
   void handle_rndv_chunk(StreamKey tag, std::uint32_t seq, ByteSlice data);
-  /// Streams every ready-but-unsent chunk through the serialized cursor.
-  void rndv_flush(StreamKey tag, RndvSend& st);
+  /// Sends every chunk not yet sent to every child, if the stream is
+  /// cleared, and closes the send side once the last one is out.
+  void stream_flush(StreamKey tag, DownStream& st);
 
   cluster::Process& self_;
   Params params_;
@@ -427,8 +442,9 @@ class Iccl : private comm::TreeNode::Hooks {
   std::map<std::uint32_t, SessionHandlers> session_handlers_;
   FrameTap frame_tap_;
   std::map<StreamKey, GatherState> gathers_;
-  std::map<StreamKey, RndvSend> rndv_sends_;  ///< by stream key
-  std::map<StreamKey, RndvRecv> rndv_recvs_;  ///< by stream key
+  /// Open rendezvous broadcast rounds, by stream key; an entry goes once
+  /// both its sides are closed.
+  std::map<StreamKey, DownStream> streams_;
 
   // --- self-heal state -----------------------------------------------------
   sim::Time heal_grace_ = 0;    ///< orphan-reattach wait before retraction

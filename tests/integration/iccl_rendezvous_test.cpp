@@ -1055,6 +1055,15 @@ TEST(IcclWire, PayloadFrameWithWrongLengthOrEntryCountIsRejected) {
   f.send(cluster::Message(frame_header(K::Bcast, 8, 0)));
   // A view behind a frame kind that carries no payload view.
   f.send(cluster::Message(frame_header(K::GatherCts, 9, 0), view));
+  // A rendezvous announce of zero chunks: no sender produces one, since an
+  // empty payload always goes eager.
+  ByteWriter rts;
+  rts.raw(frame_header(K::RndvRts, 12, 1));
+  rts.u32(0);  // nchunks
+  ByteWriter total;
+  total.u32(0);
+  rts.blob(total.bytes());
+  f.send(cluster::Message(std::move(rts).take()));
   // Then one good frame of each form: both are decoded and delivered.
   f.send(cluster::Message(entry_header(K::Bcast, 10, 0, 300), view));
   f.send(flat_frame(K::Bcast, 11, 0, view.span()));
