@@ -15,11 +15,13 @@
 #                  trace_event.schema.txt) - catches exporter bit-rot the
 #                  same way the bench --json goldens catch report drift.
 #   --fault-smoke  build the Release preset and run only the fault-injection
-#                  surface: the self-heal suite, the subtree-reparent math
-#                  units, the tree-link core (dial, ready latch, heal climb),
-#                  the TBON overlay heal test, and the availability bench at
-#                  smoke scale - the fast "did a refactor break failure
-#                  recovery" gate.
+#                  surface: the self-heal suite (which pins the broadcast
+#                  replay counters), the ICCL protocol fault cases (a child
+#                  dying mid-rendezvous, downstream and upstream), the
+#                  subtree-reparent math units, the tree-link core (dial,
+#                  ready latch, heal climb), the TBON overlay heal test, and
+#                  the availability bench at smoke scale - the fast "did a
+#                  refactor break failure recovery" gate.
 #   --mux-smoke    build the Release preset and run only the multiplexed-
 #                  service surface: the virtual-session integration suite,
 #                  the session-table knob/reuse tests, and the mux ablation
@@ -52,9 +54,11 @@ fi
 if [[ "${1:-}" == "--fault-smoke" ]]; then
   cmake --preset release
   cmake --build --preset release -j "$JOBS" \
-    --target self_heal_test comm_topology_test tree_node_test \
-    tbon_net_test bench_ablation_heal
+    --target self_heal_test iccl_rendezvous_test comm_topology_test \
+    tree_node_test tbon_net_test bench_ablation_heal
   build-release/self_heal_test
+  build-release/iccl_rendezvous_test \
+    --gtest_filter='*IcclGatherFault.*:IcclProtocol.MidRendezvous*'
   build-release/comm_topology_test --gtest_filter='HealMath.*'
   build-release/tree_node_test --gtest_filter='TreeNode.*'
   build-release/tbon_net_test --gtest_filter='TbonNet.HealedOverlay*'

@@ -1359,8 +1359,8 @@ void Iccl::heal_replay_bcasts(
     rounds.emplace_back(tag, std::move(round));
   }
   // Each round restarts at the orphan's receive offset: an RTS first if it
-  // has no open receive, then chunks [from, n). Unserialized: the orphan
-  // must catch up before the live stream's next chunk.
+  // has no open receive, then chunks [from, n). They go out at once, not
+  // through the send cursor, so they precede every live chunk sent later.
   for (const auto& [tag, round] : rounds) {
     auto open = open_recvs.find(tag);
     self_.machine().count("iccl.heal.bcast_replays");

@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -397,6 +398,8 @@ struct BcastReplayCase {
   double replay_bytes;
 };
 
+void PrintTo(const BcastReplayCase& c, std::ostream* os) { *os << c.name; }
+
 class SelfHealBcastReplay : public ::testing::TestWithParam<BcastReplayCase> {
 };
 
@@ -446,8 +449,13 @@ INSTANTIATE_TEST_SUITE_P(
         // Rank 3 dies mid-relay of a long payload, and rank 1 is still
         // receiving and relaying it when the orphans reattach: each resumes
         // from its own offset up to rank 1's, then rides the live stream.
-        BcastReplayCase{"LiveStreamResume", 15, 3, 64 * kChunk, sim::ms(3),
-                        2.0, 2162688.0}),
+        BcastReplayCase{"LiveStreamResume", 15, 3, 64 * kChunk, sim::ms(5),
+                        2.0, 2555904.0},
+        // Rank 1 dies after relaying four of six chunks, and the root's
+        // send has retired: each orphan gets chunks 4 and 5 from the
+        // root's history ring.
+        BcastReplayCase{"HistoryResume", 7, 1, 5 * kChunk + 777, sim::us(3100),
+                        2.0, 132626.0}),
     [](const ::testing::TestParamInfo<BcastReplayCase>& pinfo) {
       return std::string(pinfo.param.name);
     });
