@@ -733,6 +733,11 @@ struct WireMix {
   std::vector<sim::Time> eager_bcast, rndv_bcast, empty_bcast, scatter;
   /// Simulated ns from the contributions to the root's gather handler.
   sim::Time eager_gather, rndv_gather;
+  /// A gather whose root holds an eager child's whole entries beside a
+  /// rendezvous child's announced origins: the frames it received by kind,
+  /// and its simulated ns from the contributions to the root's handler.
+  std::map<Iccl::Kind, int> mixed_frames;
+  sim::Time mixed_gather;
 };
 
 void PrintTo(const WireMix& mix, std::ostream* os) {
@@ -813,6 +818,31 @@ TEST_P(IcclWireMix, FixedCollectiveMixPutsTheRecordedBytesOnTheWire) {
   EXPECT_EQ(scatter, want.scatter);
   EXPECT_EQ(eager_gather, want.eager_gather);
   EXPECT_EQ(rndv_gather, want.rndv_gather);
+
+  // Mixed protocols in one round. On k-ary:2 rank 1's subtree {1,3,4} stays
+  // under the threshold and goes eager while rank 2's {2,5,6} announces;
+  // binomial splits the same way ({1} and {4,5,6} eager, {2,3} rendezvous).
+  // Ranks 3 and 5 contribute nothing, one on each side.
+  const std::vector<std::size_t> mixed_bytes{300,  1000, kChunk + 100, 0,
+                                             2000, 0,    700};
+  const std::size_t mark = sh.frames.size();
+  const sim::Time m0 = tc.simulator.now();
+  for (std::uint32_t r = 0; r < static_cast<std::uint32_t>(n); ++r) {
+    sh.iccls[r]->contribute(7, origin_payload(r, mixed_bytes[r]));
+  }
+  ASSERT_TRUE(tc.run_until([&] { return sh.gather_at.count(7) != 0; }));
+  const auto& mixed = sh.gather_by_tag[7];
+  ASSERT_EQ(mixed.size(), static_cast<std::size_t>(n));
+  for (std::uint32_t r = 0; r < static_cast<std::uint32_t>(n); ++r) {
+    EXPECT_EQ(mixed[r].first, r);
+    EXPECT_EQ(mixed[r].second, origin_payload(r, mixed_bytes[r]));
+  }
+  std::map<Iccl::Kind, int> mixed_frames;
+  for (std::size_t i = mark; i < sh.frames.size(); ++i) {
+    mixed_frames[sh.frames[i].kind] += 1;
+  }
+  EXPECT_EQ(mixed_frames, want.mixed_frames);
+  EXPECT_EQ(sh.gather_at[7] - m0, want.mixed_gather);
   tc.machine.set_metrics(nullptr);
 }
 
@@ -836,7 +866,10 @@ INSTANTIATE_TEST_SUITE_P(
                 {0, 650184, 1242255, 1292445, 1887265, 1882547, 2483264},
                 {0, 642569, 1245110, 1287366, 1884747, 1890866, 2489638},
                 1295303,
-                3516208},
+                3516208,
+                {{K::GatherUp, 5}, {K::GatherRts, 1}, {K::GatherCts, 1},
+                 {K::GatherChunk, 3}},
+                2159948},
         WireMix{{comm::TopologyKind::Binomial, 0},
                 {{K::Bcast, {6, 24576}},
                  {K::GatherUp, {6, 3072}},
@@ -852,7 +885,10 @@ INSTANTIATE_TEST_SUITE_P(
                 {0, 644963, 1237619, 1879874, 1850184, 2492445, 3090476},
                 {0, 637442, 1242326, 1884705, 1844289, 2489291, 3086811},
                 1295303,
-                3507631},
+                3507631,
+                {{K::GatherUp, 5}, {K::GatherRts, 1}, {K::GatherCts, 1},
+                 {K::GatherChunk, 2}},
+                2092767},
         WireMix{{comm::TopologyKind::Flat, 0},
                 {{K::Bcast, {6, 24576}},
                  {K::GatherUp, {6, 3072}},
@@ -868,7 +904,10 @@ INSTANTIATE_TEST_SUITE_P(
                 {0, 649642, 1242565, 1842787, 2447601, 3045338, 3649484},
                 {0, 645345, 1238346, 1851398, 2443951, 3044543, 3643218},
                 652393,
-                1467789}),
+                1467789,
+                {{K::GatherUp, 5}, {K::GatherRts, 1}, {K::GatherCts, 1},
+                 {K::GatherChunk, 2}},
+                1456739}),
     [](const ::testing::TestParamInfo<WireMix>& pinfo) {
       std::string name = pinfo.param.topo.to_string();
       for (char& c : name) {

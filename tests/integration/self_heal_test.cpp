@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -460,11 +461,154 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(pinfo.param.name);
     });
 
+/// One gather on a 7-rank binary heal fabric, rank r contributing
+/// `size(r)` bytes, with relay 1 killed `kill_after` after the
+/// contributions. Checks that the round fires once and that every
+/// survivor's payload is present once and byte-identical; returns the
+/// delivered origins.
+std::set<std::uint32_t> gather_across_kill(
+    std::uint32_t rndv_threshold,
+    const std::function<std::size_t(std::uint32_t)>& size,
+    sim::Time kill_after, obs::Metrics& metrics) {
+  const int n = 7;
+  const std::uint32_t tag = 85;
+  Shared sh;
+  TestCluster tc(n);
+  lmon::testing::FlightRecorderOnFailure flight(tc.machine);
+  tc.machine.set_metrics(&metrics);
+  const auto pids = wire_heal_fabric(tc, sh, {comm::TopologyKind::KAry, 2},
+                                     n, rndv_threshold);
+  std::set<std::uint32_t> origins;
+  if (!tc.run_until([&] { return sh.ready == n; })) {
+    ADD_FAILURE() << "fabric never came up";
+    return origins;
+  }
+  std::map<std::uint32_t, Bytes> contrib;
+  for (std::uint32_t r = 0; r < static_cast<std::uint32_t>(n); ++r) {
+    contrib[r] = patterned(size(r), static_cast<std::uint8_t>(0x90 + r));
+    sh.iccls[r]->contribute(tag, contrib[r]);
+  }
+  const FaultPlan plan =
+      FaultPlan::single(tc.simulator.now() + kill_after, 1);
+  plan.arm(tc.machine, pids);
+  const auto alive = survivors_of(n, plan);
+  if (!tc.run_until([&] {
+        return sh.gather_fired[tag] != 0 && settled(tc, sh, plan, alive);
+      })) {
+    ADD_FAILURE() << "gather never completed across the kill";
+    return origins;
+  }
+  // A late duplicate delivery would fire the handler again.
+  tc.run_until([] { return false; }, sim::ms(20));
+  EXPECT_EQ(sh.gather_fired[tag], 1);
+  for (const auto& [origin, data] : sh.gather_by_tag[tag]) {
+    EXPECT_TRUE(origins.insert(origin).second) << "dup origin " << origin;
+    EXPECT_EQ(data, contrib.at(origin)) << "origin " << origin;
+  }
+  for (const std::uint32_t r : alive) {
+    EXPECT_TRUE(origins.count(r) != 0) << "lost survivor payload " << r;
+  }
+  tc.machine.set_metrics(nullptr);
+  return origins;
+}
+
+/// Upstream heal counters of one run, in a fixed order: re-announces,
+/// resumes handled, resumes sent, re-queued bytes, origin drops.
+std::vector<double> gather_heal_counters(const obs::Metrics& metrics) {
+  return {metrics.counter("iccl.heal.gather_reannounces"),
+          metrics.counter("iccl.heal.gather_resumes"),
+          metrics.counter("iccl.heal.gather_resumes_sent"),
+          metrics.counter("iccl.heal.gather_requeued_bytes"),
+          metrics.counter("iccl.gather_drops")};
+}
+
+/// Both gather protocols and both payload shapes, each killed at every
+/// 200 us step from 100 to 5900 us after the contributions.
+struct GatherSweepCase {
+  const char* name;
+  std::uint32_t rndv_threshold;
+  std::size_t base;  ///< rank r contributes base + 100 r bytes
+};
+
+void PrintTo(const GatherSweepCase& c, std::ostream* os) { *os << c.name; }
+
+class SelfHealGatherSweep : public ::testing::TestWithParam<GatherSweepCase> {
+};
+
+TEST_P(SelfHealGatherSweep, EveryKillTimeDeliversEachSurvivorOnce) {
+  const GatherSweepCase c = GetParam();
+  for (sim::Time kill = sim::us(100); kill <= sim::us(5900);
+       kill += sim::us(200)) {
+    SCOPED_TRACE("kill at " + std::to_string(kill / sim::us(1)) + " us");
+    obs::Metrics metrics;
+    gather_across_kill(
+        c.rndv_threshold,
+        [&](std::uint32_t r) { return c.base + 100 * r; }, kill, metrics);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KillTimes, SelfHealGatherSweep,
+    ::testing::Values(
+        GatherSweepCase{"RendezvousSmall", kRndvAlways, 512},
+        GatherSweepCase{"RendezvousChunked", kRndvAlways, kChunk + 100},
+        GatherSweepCase{"EagerSmall", kEagerOnly, 512},
+        GatherSweepCase{"EagerChunked", kEagerOnly, kChunk + 100}),
+    [](const ::testing::TestParamInfo<GatherSweepCase>& pinfo) {
+      return std::string(pinfo.param.name);
+    });
+
+/// An eager gather of 4 KiB per rank with relay 1 killed mid-round, and
+/// the origins and upstream heal counters its recovery must show.
+struct EagerGatherKillCase {
+  const char* name;
+  sim::Time kill_after;
+  std::set<std::uint32_t> origins;
+  std::vector<double> counters;  ///< as gather_heal_counters() orders them
+};
+
+void PrintTo(const EagerGatherKillCase& c, std::ostream* os) { *os << c.name; }
+
+class SelfHealEagerGather
+    : public ::testing::TestWithParam<EagerGatherKillCase> {};
+
+TEST_P(SelfHealEagerGather, OrphansResendTheirSubtreeOnce) {
+  const EagerGatherKillCase c = GetParam();
+  obs::Metrics metrics;
+  const auto origins = gather_across_kill(
+      kEagerOnly, [](std::uint32_t) { return std::size_t{4096}; },
+      c.kill_after, metrics);
+  EXPECT_EQ(origins, c.origins);
+  EXPECT_EQ(gather_heal_counters(metrics), c.counters);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Branches, SelfHealEagerGather,
+    ::testing::Values(
+        // Rank 1 dies before its own GatherUp leaves, after the orphans'
+        // frames reached it: each orphan has already forwarded its eager
+        // frame, so it re-sends it (the eager_sent branch). Rank 1's own
+        // payload dies with it.
+        EagerGatherKillCase{"ResendAfterForward", sim::us(300),
+                            {0, 2, 3, 4, 5, 6},
+                            {2, 0, 0, 0, 0}},
+        // Rank 1's combined frame reached the root before it died: the
+        // orphans' re-sent frames carry only origins the root already
+        // holds, and its duplicate filter drops them.
+        EagerGatherKillCase{"RootFiltersDuplicates", sim::us(1300),
+                            {0, 1, 2, 3, 4, 5, 6},
+                            {2, 0, 0, 0, 0}}),
+    [](const ::testing::TestParamInfo<EagerGatherKillCase>& pinfo) {
+      return std::string(pinfo.param.name);
+    });
+
 TEST(SelfHeal, MidGatherKillRecoversSurvivorPayloads) {
   const int n = 7;
   Shared sh;
   TestCluster tc(n);
   lmon::testing::FlightRecorderOnFailure flight(tc.machine);
+  obs::Metrics metrics;
+  tc.machine.set_metrics(&metrics);
   const auto pids = wire_heal_fabric(tc, sh, {comm::TopologyKind::KAry, 2},
                                      n, kRndvAlways);
   ASSERT_TRUE(tc.run_until([&] { return sh.ready == n; }));
@@ -503,6 +647,10 @@ TEST(SelfHeal, MidGatherKillRecoversSurvivorPayloads) {
   if (got.count(1) != 0) {
     EXPECT_EQ(got.at(1), contrib.at(1));
   }
+  // Both orphans re-announce and resume; rank 1's own partial origin is
+  // dropped.
+  EXPECT_EQ(gather_heal_counters(metrics),
+            (std::vector<double>{2, 2, 2, 65936, 1}));
 
   check_collectives_whole(tc, sh, alive, 81, patterned(512, 0x66));
 }
@@ -620,6 +768,10 @@ TEST(SelfHeal, MidRoundKillWithTwoActiveSessionsReplaysPerSessionOnce) {
   // dropped for want of a handler: the namespaces stayed watertight.
   EXPECT_EQ(stray_session_frames, 0);
   EXPECT_EQ(metrics.counter("iccl.mux.unbound_drops"), 0.0);
+  // Each orphan re-announces and resumes both sessions' rounds; each
+  // session drops rank 1's own partial origin.
+  EXPECT_EQ(gather_heal_counters(metrics),
+            (std::vector<double>{4, 4, 4, 99008, 2}));
 
   // The infrastructure session is untouched by the multiplexed traffic.
   check_collectives_whole(tc, sh, alive, 130, patterned(1024, 0xCC));
