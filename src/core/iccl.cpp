@@ -400,13 +400,27 @@ void Iccl::handle_rndv_cts(StreamKey tag, std::uint32_t src) {
                     "tag=" + tag.str() + " from=" + std::to_string(src) +
                         " pending=" + std::to_string(pending));
   }
+  if (st.parked.count(src) != 0) {
+    // A reattached orphan cleared its own join: the chunks sent before it
+    // did reach it now, ahead of every chunk the stream sends later.
+    for (std::uint32_t seq = 0; seq < st.next_seq; ++seq) {
+      send_to_child(src, payload_frame(Kind::RndvChunk, tag, params_.rank,
+                                       seq, st.chunks[seq]));
+      self_.machine().count("iccl.heal.bcast_replay_bytes",
+                            static_cast<double>(st.chunks[seq].size()));
+    }
+  }
   stream_clear(tag, st, src);
 }
 
 void Iccl::stream_clear(StreamKey tag, DownStream& st, std::uint32_t child) {
   st.cts_pending.erase(child);
-  if (st.streaming || !st.cts_pending.empty()) return;
-  st.streaming = true;
+  const bool unparked = st.parked.erase(child) != 0;
+  if (!st.streaming && st.cts_pending.empty()) {
+    st.streaming = true;
+  } else if (!unparked) {
+    return;
+  }
   stream_flush(tag, st);
   if (!st.sending && !st.receiving) streams_.erase(tag);
 }
@@ -428,6 +442,7 @@ void Iccl::stream_flush(StreamKey tag, DownStream& st) {
         st.eager ? costs.iccl_msg_handle + eager_copy_cost(chunk.size())
                  : costs.iccl_chunk_handle;
     for (auto& [rank, ch] : node_.children()) {
+      if (st.parked.count(rank) != 0) continue;
       cluster::ChannelPtr child = ch;
       self_.post(send_delay(st.cursor, occ),
                  [this, child, kind, tag, seq, chunk] {
@@ -436,7 +451,7 @@ void Iccl::stream_flush(StreamKey tag, DownStream& st) {
                  });
     }
   }
-  if (st.sending && st.next_seq == st.nchunks) {
+  if (st.sending && st.next_seq == st.nchunks && st.parked.empty()) {
     if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
       tracer->end_span(st.send_span);
     }
@@ -1332,20 +1347,41 @@ void Iccl::heal_replay_bcasts(
     auto it = streams_.find(tag);
     return it != streams_.end() && it->second.sending;
   };
-  // What this node can resend, in order. Live streams come first, with the
-  // chunks sent so far: the orphan is a child now, so chunks sent after
+  // Each round restarts at the orphan's receive offset: chunks [from,
+  // next_seq) go out at once, not through the send cursor, so they precede
+  // every live chunk sent later. A rendezvous round the orphan never saw
+  // gets its RTS alone, and the orphan is parked on the stream until its
+  // own CTS, so that no chunk can overtake the RTS. A missed eager round is
+  // the one-chunk case: a single Bcast frame. The orphan's own history
+  // guard makes a replay of a delivered round inert.
+  auto replay = [&](StreamKey tag, DownStream& st) {
+    self_.machine().count("iccl.heal.bcast_replays");
+    auto open = open_recvs.find(tag);
+    if (open == open_recvs.end() && !st.eager) {
+      ByteWriter w;
+      w.u32(st.total);
+      send_to_child(orphan, encode_frame(Kind::RndvRts, tag, params_.rank,
+                                         {{st.nchunks, std::move(w).take()}}));
+      st.parked.insert(orphan);
+      return;
+    }
+    const Kind kind = st.eager ? Kind::Bcast : Kind::RndvChunk;
+    for (std::uint32_t seq = open != open_recvs.end() ? open->second : 0;
+         seq < st.next_seq; ++seq) {
+      send_to_child(orphan,
+                    payload_frame(kind, tag, params_.rank, seq, st.chunks[seq]));
+      self_.machine().count("iccl.heal.bcast_replay_bytes",
+                            static_cast<double>(st.chunks[seq].size()));
+    }
+  };
+  // Live streams first: the orphan is a child now, so chunks sent after
   // this event reach it natively and in order. Then delivered rounds it
   // missed entirely, or was mid-receive on when the live state here had
-  // already retired. A missed eager round is the one-chunk case. The
-  // orphan's own history guard makes a replay of a delivered round inert.
-  std::vector<std::pair<StreamKey, DownStream>> rounds;
-  for (const auto& [tag, st] : streams_) {
-    if (!st.sending || delivered.count(tag) != 0) continue;
-    DownStream round;
-    round.nchunks = st.nchunks;
-    round.total = st.total;
-    round.chunks.assign(st.chunks.begin(), st.chunks.begin() + st.next_seq);
-    rounds.emplace_back(tag, std::move(round));
+  // already retired. Such a round replays from a send-only entry with
+  // every chunk sent, kept in `streams_` only while an orphan is parked on
+  // it.
+  for (auto& [tag, st] : streams_) {
+    if (st.sending && delivered.count(tag) == 0) replay(tag, st);
   }
   for (StreamKey tag : bcast_history_order_) {
     if (delivered.count(tag) != 0 || live(tag)) continue;
@@ -1356,30 +1392,11 @@ void Iccl::heal_replay_bcasts(
                                : chunk_views(payload);
     round.nchunks = static_cast<std::uint32_t>(round.chunks.size());
     round.total = static_cast<std::uint32_t>(payload.size());
-    rounds.emplace_back(tag, std::move(round));
-  }
-  // Each round restarts at the orphan's receive offset: an RTS first if it
-  // has no open receive, then chunks [from, n). They go out at once, not
-  // through the send cursor, so they precede every live chunk sent later.
-  for (const auto& [tag, round] : rounds) {
-    auto open = open_recvs.find(tag);
-    self_.machine().count("iccl.heal.bcast_replays");
-    if (open == open_recvs.end() && !round.eager) {
-      ByteWriter w;
-      w.u32(round.total);
-      send_to_child(orphan,
-                    encode_frame(Kind::RndvRts, tag, params_.rank,
-                                 {{round.nchunks, std::move(w).take()}}));
-    }
-    const Kind kind = round.eager ? Kind::Bcast : Kind::RndvChunk;
-    for (std::uint32_t seq = open != open_recvs.end() ? open->second : 0;
-         seq < round.chunks.size(); ++seq) {
-      const ByteSlice& chunk = round.chunks[seq];
-      send_to_child(orphan,
-                    payload_frame(kind, tag, params_.rank, seq, chunk));
-      self_.machine().count("iccl.heal.bcast_replay_bytes",
-                            static_cast<double>(chunk.size()));
-    }
+    round.next_seq = round.nchunks;
+    round.sending = true;
+    round.streaming = true;
+    replay(tag, round);
+    if (!round.parked.empty()) streams_.emplace(tag, std::move(round));
   }
   // Anything the orphan was mid-receive on that this node can no longer
   // source (evicted from the ring) stays incomplete there; surface it.

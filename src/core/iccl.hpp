@@ -283,6 +283,9 @@ class Iccl : private comm::TreeNode::Hooks {
     bool receiving = false;  ///< RTS in, chunks still missing
     bool sending = false;    ///< RTS out to the children, chunks unsent
     std::set<std::uint32_t> cts_pending;  ///< children yet to clear it
+    /// Reattached orphans sent the RTS alone: the stream skips them until
+    /// their own CTS releases every chunk sent so far.
+    std::set<std::uint32_t> parked;
     bool streaming = false;               ///< cleared: chunks may flow
     std::uint32_t next_seq = 0;           ///< next chunk to send
     sim::Time cursor = 0;  ///< serialized send occupancy (absolute time)
@@ -394,9 +397,10 @@ class Iccl : private comm::TreeNode::Hooks {
   void heal_record_bcast(StreamKey tag, const ByteSlice& payload);
   /// Replays broadcast state a reattached orphan missed: each live stream
   /// and each delivered round it lacks restarts at the chunk offset its
-  /// open receive reached (`open_recvs`: key -> chunks received), or from
-  /// an RTS and chunk 0 if it never saw the round. It re-fans-out to its
-  /// own subtree natively.
+  /// open receive reached (`open_recvs`: key -> chunks received). A
+  /// rendezvous round it never saw gets the RTS alone and parks the orphan
+  /// on the stream until its CTS. It re-fans-out to its own subtree
+  /// natively.
   void heal_replay_bcasts(std::uint32_t orphan,
                           const std::map<StreamKey, std::uint32_t>& open_recvs,
                           const std::set<StreamKey>& delivered);
@@ -424,8 +428,8 @@ class Iccl : private comm::TreeNode::Hooks {
   void handle_rndv_rts(StreamKey tag, std::uint32_t nchunks,
                        std::uint32_t total);
   void handle_rndv_cts(StreamKey tag, std::uint32_t src);
-  /// Takes `child` off the round's CTS set; the stream starts once the set
-  /// is empty. A CTS and a lost child both land here.
+  /// Takes `child` off the round's CTS set and unparks it; the stream starts
+  /// once the set is empty. A CTS and a lost child both land here.
   void stream_clear(StreamKey tag, DownStream& st, std::uint32_t child);
   void handle_rndv_chunk(StreamKey tag, std::uint32_t seq, ByteSlice data);
   /// Sends every chunk not yet sent to every child, if the stream is

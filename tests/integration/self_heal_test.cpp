@@ -444,9 +444,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         // Rank 1 dies before it relays the RTS, and the orphans reattach
         // while the root still waits for its CTS: each orphan gets the RTS
-        // alone and joins the stream when it starts.
+        // alone and is parked on the stream. The stream starts before
+        // their CTS arrive, so each one's CTS releases both chunks.
         BcastReplayCase{"LiveStreamAwaitingClearance", 7, 1, 2 * kChunk + 5,
-                        sim::us(300), 2.0, 0.0},
+                        sim::us(300), 2.0, 262154.0},
         // Rank 3 dies mid-relay of a long payload, and rank 1 is still
         // receiving and relaying it when the orphans reattach: each resumes
         // from its own offset up to rank 1's, then rides the live stream.
@@ -460,6 +461,50 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<BcastReplayCase>& pinfo) {
       return std::string(pinfo.param.name);
     });
+
+/// A rendezvous broadcast of `chunks` chunks on a 7-rank binary heal
+/// fabric, with relay 1 killed at every 200 us step from 100 to 3900 us
+/// after the issue: orphans 3 and 4 reattach to the root at every stage of
+/// the round (before its RTS, mid-stream, after the root's send is done),
+/// and each must still deliver the round once, byte-identical.
+class SelfHealBcastSweep : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(SelfHealBcastSweep, EveryKillTimeDeliversToEachSurvivorOnce) {
+  const int n = 7;
+  const std::uint32_t tag = 78;
+  const Bytes payload = patterned(GetParam() * kChunk, 0x5D);
+  for (sim::Time kill = sim::us(100); kill <= sim::us(3900);
+       kill += sim::us(200)) {
+    SCOPED_TRACE("kill at " + std::to_string(kill / sim::us(1)) + " us");
+    Shared sh;
+    TestCluster tc(n);
+    lmon::testing::FlightRecorderOnFailure flight(tc.machine);
+    const auto pids = wire_heal_fabric(tc, sh, {comm::TopologyKind::KAry, 2},
+                                       n, kRndvAlways);
+    ASSERT_TRUE(tc.run_until([&] { return sh.ready == n; }));
+    sh.iccls[0]->broadcast(tag, payload);
+    const FaultPlan plan = FaultPlan::single(tc.simulator.now() + kill, 1);
+    plan.arm(tc.machine, pids);
+    const auto alive = survivors_of(n, plan);
+    tc.run_until([&] {
+      if (!settled(tc, sh, plan, alive)) return false;
+      for (const std::uint32_t r : alive) {
+        if (sh.bcast_by_tag[r].count(tag) == 0) return false;
+      }
+      return true;
+    });
+    // A late duplicate delivery would show up here.
+    tc.run_until([] { return false; }, sim::ms(20));
+    for (const std::uint32_t r : alive) {
+      EXPECT_EQ(sh.bcast_count[r][tag], 1) << "rank " << r;
+      EXPECT_EQ(sh.bcast_by_tag[r][tag], payload) << "rank " << r;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Chunks, SelfHealBcastSweep,
+                         ::testing::Values(std::size_t{2}, std::size_t{4},
+                                           std::size_t{16}));
 
 /// One gather on a 7-rank binary heal fabric, rank r contributing
 /// `size(r)` bytes, with relay 1 killed `kill_after` after the
