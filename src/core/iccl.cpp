@@ -511,22 +511,7 @@ void Iccl::on_child_lost(std::uint32_t lost, bool /*was_ready*/) {
     heal_child_lost(lost);
     return;
   }
-  // Gather rounds: forgive the child's announce, and drop any of its
-  // announced origins whose payload did not finish arriving - surviving
-  // contributions must still be delivered.
-  for (auto it = gathers_.begin(); it != gathers_.end();) {
-    const StreamKey tag = it->first;
-    GatherState& st = it->second;
-    if (gather_forget_child(tag, st, lost)) {
-      // May announce, forward an eager frame, deliver at the root, or
-      // retire a relay - all of which can erase the state.
-      flush_gather(tag);
-      gather_relay_maybe_done(tag);
-      it = gathers_.upper_bound(tag);
-    } else {
-      ++it;
-    }
-  }
+  gather_forget(lost);
 }
 
 Iccl::GatherState& Iccl::gather_state(StreamKey tag) {
@@ -557,75 +542,132 @@ void Iccl::contribute(StreamKey tag, Bytes data) {
             static_cast<double>(data.size()));
   // From here on the contribution is one shared buffer: rendezvous chunks
   // and heal copies are views of it.
-  st.acc.emplace_back(
-      params_.rank, ByteSlice(std::make_shared<const Bytes>(std::move(data))));
-  if (node_.heal()) st.retained[params_.rank].append(st.acc.back().second);
-  flush_gather(tag);
+  gather_keep(st, params_.rank,
+              ByteSlice(std::make_shared<const Bytes>(std::move(data))));
+  gather_advance(tag);
 }
 
 void Iccl::handle_gather_up(StreamKey tag, std::uint32_t src,
                             Entries entries) {
   GatherState& st = gather_state(tag);
   st.children_pending.erase(src);
-  if (node_.heal()) {
-    // Re-sent eager accumulation from a reattached orphan: keep only the
+  for (const auto& [origin, data] : entries) {
+    // A reattached orphan re-sends its eager accumulation: keep only the
     // origins this node has not seen yet (a prior partial path may have
     // delivered some already via a different route).
-    entries.erase(
-        std::remove_if(entries.begin(), entries.end(),
-                       [&](const auto& e) {
-                         return st.retained.count(e.first) != 0 ||
-                                st.origin_bytes.count(e.first) != 0 ||
-                                st.assembling.count(e.first) != 0 ||
-                                st.dropped.count(e.first) != 0;
-                       }),
-        entries.end());
-    if (st.retired && entries.empty()) return;
-    for (auto& e : entries) {
-      st.retained[e.first].append(e.second);
-      st.acc.push_back(std::move(e));
-    }
-  } else {
-    for (auto& e : entries) st.acc.push_back(std::move(e));
+    if (node_.heal() && st.origins.count(origin) != 0) continue;
+    gather_keep(st, origin, data);
   }
-  flush_gather(tag);
+  gather_advance(tag);
+}
+
+void Iccl::gather_keep(GatherState& st, std::uint32_t origin,
+                       const ByteSlice& data) {
+  Origin& o = st.origins[origin];
+  o.owner = params_.rank;
+  o.total = static_cast<std::uint32_t>(data.size());
+  gather_take(o, data, /*keep=*/true);
+}
+
+void Iccl::gather_take(Origin& o, const ByteSlice& data, bool keep) {
+  o.got += static_cast<std::uint32_t>(data.size());
+  if (is_root()) {
+    if (o.copy.empty()) o.copy.reserve(o.total);
+    o.copy.insert(o.copy.end(), data.begin(), data.end());
+  } else if (keep) {
+    o.kept.append(data);
+  }
 }
 
 std::size_t Iccl::gather_subtree_bytes(const GatherState& st) const {
   std::size_t total = 0;
-  for (const auto& [rank, data] : st.acc) total += data.size();
-  for (const auto& [origin, sz] : st.origin_bytes) total += sz;
+  for (const auto& [origin, o] : st.origins) {
+    if (!o.dropped) total += o.total;
+  }
   return total;
 }
 
-void Iccl::flush_gather(StreamKey tag) {
+void Iccl::gather_advance(StreamKey tag) {
   auto it = gathers_.find(tag);
   if (it == gathers_.end()) return;
   GatherState& st = it->second;
-  if (!st.own_done || !st.children_pending.empty() || !st.healing.empty()) {
+  if (st.retired || !st.own_done || !st.children_pending.empty() ||
+      !st.healing.empty()) {
     return;
   }
-  if (is_root()) {
-    gather_check_complete(tag);
+  if (!is_root() && !st.announced) {
+    // Protocol decision on the *subtree total*: any rendezvous child implies
+    // the subtree already crossed the threshold (totals are monotone up the
+    // tree), so the eager branch only ever carries whole entries.
+    if (!st.rndv_children.empty() ||
+        use_rendezvous(gather_subtree_bytes(st))) {
+      gather_announce(tag, st);
+    } else {
+      send_up(gather_origins_frame(Kind::GatherUp, tag, st,
+                                   /*with_dropped=*/false));
+      gather_finish(tag, st);
+    }
     return;
   }
-  if (st.announced) return;  // rendezvous round already in flight
-  if (st.retired) return;    // kept only for heal replay
-  // Protocol decision on the *subtree total*: any rendezvous child implies
-  // the subtree already crossed the threshold (totals are monotone up the
-  // tree), so the eager branch only ever carries whole-entry accumulations.
-  if (!st.rndv_children.empty() ||
-      use_rendezvous(gather_subtree_bytes(st))) {
-    gather_announce(tag, st);
+  // An announced relay still has bytes to move while it waits for its CTS
+  // or its resume offsets. Then, like the root, it is done once no child
+  // owes bytes: every origin a child announced is complete here.
+  if (st.announced && (!st.streaming || st.heal_hold)) return;
+  for (const auto& [origin, o] : st.origins) {
+    if (o.owner != params_.rank && o.got != o.total) return;
+  }
+  if (!is_root()) {
+    // Every chunk this subtree announced is scheduled (posted sends keep
+    // their own views).
+    gather_finish(tag, st);
     return;
   }
-  std::sort(st.acc.begin(), st.acc.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  send_up(encode_frame(Kind::GatherUp, tag, params_.rank, st.acc));
+  // The root's one copy of each origin is the buffer it hands out. Zero-byte
+  // origins stream nothing; they still contributed.
+  std::vector<std::pair<std::uint32_t, Bytes>> out;
+  out.reserve(st.origins.size());
+  for (auto& [origin, o] : st.origins) {
+    if (!o.dropped) out.emplace_back(origin, std::move(o.copy));
+  }
+  if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
+    tracer->end_span(st.span, "entries=" + std::to_string(out.size()));
+  }
+  mux_release(tag);
   if (node_.heal()) {
-    heal_retire_gather(tag, st, /*eager=*/true);
-  } else {
-    gathers_.erase(it);
+    // Tell the tree the round is over so retired replay copies can be freed
+    // and a late-reattaching orphan does not re-announce a delivered round.
+    for (auto& [rank, ch] : node_.children()) {
+      self_.send(ch, encode_frame(Kind::GatherDone, tag, params_.rank));
+    }
+  }
+  gather_finish(tag, st);
+  deliver_gather(tag, std::move(out));
+}
+
+void Iccl::gather_finish(StreamKey tag, GatherState& st) {
+  if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
+    tracer->end_span(st.span);
+  }
+  st.span = obs::kNoSpan;
+  if (!node_.heal()) {
+    gathers_.erase(tag);  // allow reuse of the tag
+    return;
+  }
+  // Heal mode retires the round instead: a reparent may still re-announce
+  // or resume it until the root's GatherDone. Bounded by the ring.
+  st.retired = true;
+  st.heal_hold = false;
+  st.outq.clear();
+  st.next_out = 0;
+  if (std::find(retired_gather_order_.begin(), retired_gather_order_.end(),
+                tag) == retired_gather_order_.end()) {
+    retired_gather_order_.push_back(tag);
+  }
+  while (retired_gather_order_.size() > kHealHistory) {
+    const StreamKey old = retired_gather_order_.front();
+    retired_gather_order_.erase(retired_gather_order_.begin());
+    auto it = gathers_.find(old);
+    if (it != gathers_.end() && it->second.retired) gathers_.erase(it);
   }
 }
 
@@ -633,34 +675,45 @@ void Iccl::flush_gather(StreamKey tag) {
 
 void Iccl::gather_announce(StreamKey tag, GatherState& st) {
   st.announced = true;
-  std::sort(st.acc.begin(), st.acc.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  // RTS carries (origin, total bytes) for every origin in this subtree:
-  // the locally-held entries plus everything rendezvous children announced.
-  std::vector<std::pair<std::uint32_t, Bytes>> origins;
-  origins.reserve(st.acc.size() + st.origin_bytes.size());
-  for (const auto& [rank, data] : st.acc) {
-    ByteWriter w;
-    w.u32(static_cast<std::uint32_t>(data.size()));
-    origins.emplace_back(rank, std::move(w).take());
-  }
-  for (const auto& [origin, sz] : st.origin_bytes) {
-    ByteWriter w;
-    w.u32(sz);
-    origins.emplace_back(origin, std::move(w).take());
-  }
-  std::sort(origins.begin(), origins.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   count_mux(tag, "gather_rts_sent");
   if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
+    const auto live =
+        std::count_if(st.origins.begin(), st.origins.end(),
+                      [](const auto& e) { return !e.second.dropped; });
     st.span = tracer->begin_span(
         "iccl.gather_stream", "iccl", static_cast<int>(self_.node().id()),
         self_.pid(), trace_parent(*tracer),
-        "tag=" + tag.str() +
-            " origins=" + std::to_string(origins.size()) + " bytes=" +
-            std::to_string(gather_subtree_bytes(st)));
+        "tag=" + tag.str() + " origins=" + std::to_string(live) +
+            " bytes=" + std::to_string(gather_subtree_bytes(st)));
   }
-  send_up(encode_frame(Kind::GatherRts, tag, params_.rank, origins));
+  send_up(gather_origins_frame(Kind::GatherRts, tag, st,
+                               /*with_dropped=*/false));
+}
+
+cluster::Message Iccl::gather_origins_frame(Kind kind, StreamKey tag,
+                                            GatherState& st,
+                                            bool with_dropped) {
+  const bool whole = kind == Kind::GatherUp;
+  std::size_t count = 0;
+  std::size_t size = kFrameHeaderBytes;
+  for (const auto& [origin, o] : st.origins) {
+    if (o.dropped && !with_dropped) continue;
+    ++count;
+    size += kEntryHeaderBytes + (whole ? o.kept.size() : sizeof(o.total));
+  }
+  ByteWriter w(size);
+  write_frame_header(w, kind, tag, params_.rank, count);
+  for (auto& [origin, o] : st.origins) {
+    if (o.dropped && !with_dropped) continue;
+    w.u32(origin);
+    if (whole) {
+      w.blob(o.kept.join().span());
+    } else {
+      w.u32(sizeof(o.total));
+      w.u32(o.total);
+    }
+  }
+  return cluster::Message(std::move(w).take());
 }
 
 void Iccl::handle_gather_rts(StreamKey tag, std::uint32_t src,
@@ -668,46 +721,17 @@ void Iccl::handle_gather_rts(StreamKey tag, std::uint32_t src,
   GatherState& st = gather_state(tag);
   st.children_pending.erase(src);
   st.rndv_children.insert(src);
-  std::set<std::uint32_t>& owned = st.child_origins[src];
-  // A re-announce (reattached orphan repeating its RTS) must not reset the
-  // receive progress of origins whose bytes partially arrived via the old
-  // route; collect resume offsets for them instead.
+  // The child owes every origin it lists. A heal re-announce (a reattached
+  // orphan repeating its RTS) names origins this node already knows: their
+  // progress here survives it, and the orphan resumes each from there.
   bool reannounce = false;
-  if (node_.heal()) {
-    for (const auto& [origin, blob] : entries) {
-      if (st.origin_bytes.count(origin) != 0) {
-        reannounce = true;
-        break;
-      }
-    }
-  }
-  std::vector<std::pair<std::uint32_t, Bytes>> resume;
   for (const auto& [origin, blob] : entries) {
-    ByteReader r(blob.span());
-    const std::uint32_t sz = r.u32().value_or(0);
-    std::uint32_t got = 0;
-    if (node_.heal() && st.origin_bytes.count(origin) != 0) {
-      owned.insert(origin);
-      if (is_root()) {
-        auto a = st.assembling.find(origin);
-        got = a == st.assembling.end()
-                  ? 0
-                  : static_cast<std::uint32_t>(a->second.size());
-      } else {
-        auto rem = st.origin_remaining.find(origin);
-        const std::uint32_t left =
-            rem == st.origin_remaining.end() ? sz : rem->second;
-        got = sz - std::min(sz, left);
-      }
+    auto [o, fresh] = st.origins.try_emplace(origin);
+    o->second.owner = src;
+    if (fresh) {
+      o->second.total = ByteReader(blob.span()).u32().value_or(0);
     } else {
-      st.origin_bytes[origin] = sz;
-      st.origin_remaining[origin] = sz;
-      owned.insert(origin);
-    }
-    if (reannounce) {
-      ByteWriter w;
-      w.u32(got);
-      resume.emplace_back(origin, std::move(w).take());
+      reannounce = true;
     }
   }
   if (node_.heal() && node_.ready_fired() && heal_slots_.count(src) != 0) {
@@ -715,31 +739,29 @@ void Iccl::handle_gather_rts(StreamKey tag, std::uint32_t src,
     // per-direction FIFO when the link dropped). The heal slot owns the
     // cleanup; just make this round wait for the slot's resolution.
     st.healing.insert(src);
-    flush_gather(tag);
+    gather_advance(tag);
     return;
   }
   if (node_.children().count(src) == 0) {
     // The announce was still in flight when the child's link died: the
-    // on_child_lost sweep found nothing to drop, and a CTS would go into a
+    // lost-child sweep found nothing to drop, and a CTS would go into a
     // void. Drop the announced-but-unstreamed origins right now instead of
     // waiting for chunks that can never arrive.
-    gather_forget_child(tag, st, src);
-    flush_gather(tag);
-    gather_relay_maybe_done(tag);
+    gather_forget(src);
     return;
   }
   if (reannounce && (is_root() || st.streaming)) {
-    // Resume subsumes CTS: the reattached orphan must continue each origin
-    // from the byte offset this node already has, never restart - so it gets
-    // a GatherResume (with per-origin offsets) instead of a normal CTS. A
-    // fully-retired round answers with offset == size: nothing to re-send.
-    for (auto& [origin, blob] : resume) {
-      if (st.retired) {
-        ByteWriter w;
-        w.u32(st.origin_bytes.count(origin) != 0 ? st.origin_bytes[origin]
-                                                 : 0);
-        blob = std::move(w).take();
-      }
+    // Resume subsumes CTS: the orphan continues each origin from the byte
+    // offset this node already has, never restarts - so it gets a
+    // GatherResume instead of a normal CTS. A retired round answers with
+    // offset == size: nothing to re-send.
+    std::vector<std::pair<std::uint32_t, Bytes>> resume;
+    resume.reserve(entries.size());
+    for (const auto& [origin, blob] : entries) {
+      const Origin& o = st.origins.at(origin);
+      ByteWriter w;
+      w.u32(st.retired ? o.total : o.got);
+      resume.emplace_back(origin, std::move(w).take());
     }
     self_.machine().count("iccl.heal.gather_resumes_sent");
     send_to_child(src,
@@ -770,7 +792,7 @@ void Iccl::handle_gather_rts(StreamKey tag, std::uint32_t src,
       count_mux(tag, "mux.cts_deferred");
     }
   }
-  flush_gather(tag);
+  gather_advance(tag);
 }
 
 void Iccl::handle_gather_cts(StreamKey tag) {
@@ -780,7 +802,7 @@ void Iccl::handle_gather_cts(StreamKey tag) {
   if (!st.announced || st.streaming) return;
   gather_begin_streaming(tag, st);
   gather_flush(tag, st);
-  gather_relay_maybe_done(tag);
+  gather_advance(tag);
 }
 
 void Iccl::gather_begin_streaming(StreamKey tag, GatherState& st) {
@@ -797,14 +819,16 @@ void Iccl::gather_begin_streaming(StreamKey tag, GatherState& st) {
                     encode_frame(Kind::GatherCts, tag, params_.rank));
     });
   }
-  // Queue the locally-held entries as chunks (rank order); relayed chunks
-  // join the queue behind them as they trickle in.
-  for (auto& [rank, data] : st.acc) {
-    for (ByteSlice& chunk : chunk_views(data)) {
-      st.outq.emplace_back(rank, std::move(chunk));
+  // Queue the entries held whole here as chunks (rank order); relayed chunks
+  // join the queue behind them as they trickle in. Outside heal mode the
+  // queue's views are the only ones this node keeps.
+  for (auto& [origin, o] : st.origins) {
+    if (o.owner != params_.rank) continue;
+    for (ByteSlice& chunk : chunk_views(o.kept.join())) {
+      st.outq.emplace_back(origin, std::move(chunk));
     }
+    if (!node_.heal()) o.kept = SliceJoin{};
   }
-  st.acc.clear();
 }
 
 void Iccl::gather_flush(StreamKey tag, GatherState& st) {
@@ -845,187 +869,98 @@ void Iccl::handle_gather_chunk(StreamKey tag, std::uint32_t origin,
   auto it = gathers_.find(tag);
   if (it == gathers_.end()) return;  // round retired (late chunk after drop)
   GatherState& st = it->second;
-  if (st.dropped.count(origin) != 0) return;
+  // An origin nobody announced here (an eager frame from a child that died
+  // after this node's announce) is held here: no child owes it, so the
+  // round does not wait for it, but its bytes still go up.
+  auto [entry, unannounced] = st.origins.try_emplace(origin);
+  Origin& o = entry->second;
+  if (unannounced) o.owner = params_.rank;
+  if (o.dropped) return;
   count_mux(tag, "gather_chunks_received");
   if (is_root()) {
-    // The root's one copy of this origin: into the buffer deliver_gather
-    // hands out, sized once from the announce.
-    Bytes& buf = st.assembling[origin];
-    if (buf.empty()) {
-      auto announced = st.origin_bytes.find(origin);
-      if (announced != st.origin_bytes.end()) buf.reserve(announced->second);
-    }
-    buf.insert(buf.end(), data.begin(), data.end());
-    gather_check_complete(tag);
-    return;
-  }
-  // Cut-through relay: forward the chunk as-is instead of assembling the
-  // child's contribution. These bytes were already counted as contributed
-  // at their origin; here they count only as relay traffic.
-  count_mux(tag, "gather_chunks_relayed");
-  count_mux(tag, "gather_bytes_relayed", static_cast<double>(data.size()));
-  if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
-    tracer->instant("iccl.gather_chunk_relay", "iccl",
-                    static_cast<int>(self_.node().id()), self_.pid(), st.span,
-                    "tag=" + tag.str() +
-                        " origin=" + std::to_string(origin) +
-                        " bytes=" + std::to_string(data.size()));
-  }
-  auto rem = st.origin_remaining.find(origin);
-  if (rem != st.origin_remaining.end()) {
-    rem->second -= std::min(rem->second,
-                            static_cast<std::uint32_t>(data.size()));
-  }
-  if (node_.heal()) {
-    // Retain relayed bytes so a future reparent can re-stream them from
-    // this node's own view (the resume handshake asks for a byte offset).
-    st.retained[origin].append(data);
-  }
-  st.outq.emplace_back(origin, std::move(data));
-  gather_flush(tag, st);
-  gather_relay_maybe_done(tag);
-}
-
-void Iccl::gather_check_complete(StreamKey tag) {
-  auto it = gathers_.find(tag);
-  if (it == gathers_.end() || !is_root()) return;
-  GatherState& st = it->second;
-  if (st.retired) return;  // already delivered; kept only for heal replay
-  if (!st.own_done || !st.children_pending.empty() || !st.healing.empty()) {
-    return;
-  }
-  for (const auto& [origin, sz] : st.origin_bytes) {
-    if (st.dropped.count(origin) != 0) continue;
-    auto a = st.assembling.find(origin);
-    const std::size_t got = a == st.assembling.end() ? 0 : a->second.size();
-    if (got != sz) return;
-  }
-  // The root copies each origin exactly once: held entries here, streamed
-  // ones chunk by chunk into `assembling`.
-  std::vector<std::pair<std::uint32_t, Bytes>> out;
-  out.reserve(st.acc.size() + st.origin_bytes.size());
-  for (const auto& [rank, data] : st.acc) {
-    out.emplace_back(rank, data.to_bytes());
-  }
-  st.acc.clear();
-  for (auto& [origin, bytes] : st.assembling) {
-    if (st.dropped.count(origin) == 0) out.emplace_back(origin,
-                                                        std::move(bytes));
-  }
-  for (const auto& [origin, sz] : st.origin_bytes) {
-    // Zero-byte origins stream nothing; they still contributed.
-    if (sz == 0 && st.dropped.count(origin) == 0) out.emplace_back(origin,
-                                                                   Bytes{});
-  }
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
-    tracer->end_span(st.span, "entries=" + std::to_string(out.size()));
-    st.span = obs::kNoSpan;
-  }
-  mux_release(tag);
-  if (node_.heal()) {
-    // Tell the tree the round is over so retired replay copies can be freed
-    // and a late-reattaching orphan does not re-announce a delivered round.
-    for (auto& [rank, ch] : node_.children()) {
-      self_.send(ch, encode_frame(Kind::GatherDone, tag, params_.rank));
-    }
-    heal_retire_gather(tag, st, /*eager=*/false);
+    // The root's one copy of this origin: into the buffer it hands out,
+    // reserved once from the announce.
+    gather_take(o, data, /*keep=*/false);
   } else {
-    gathers_.erase(it);  // round complete; allow reuse of the tag
+    // Cut-through relay: forward the chunk as-is instead of assembling the
+    // child's contribution. These bytes were already counted as contributed
+    // at their origin; here they count only as relay traffic.
+    count_mux(tag, "gather_chunks_relayed");
+    count_mux(tag, "gather_bytes_relayed", static_cast<double>(data.size()));
+    if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
+      tracer->instant("iccl.gather_chunk_relay", "iccl",
+                      static_cast<int>(self_.node().id()), self_.pid(),
+                      st.span,
+                      "tag=" + tag.str() +
+                          " origin=" + std::to_string(origin) +
+                          " bytes=" + std::to_string(data.size()));
+    }
+    // Heal mode keeps relayed bytes so a future reparent can re-stream them
+    // from this node's own view (the resume handshake asks for an offset).
+    gather_take(o, data, /*keep=*/node_.heal());
+    st.outq.emplace_back(origin, std::move(data));
+    gather_flush(tag, st);
   }
-  deliver_gather(tag, std::move(out));
+  gather_advance(tag);
 }
 
-void Iccl::gather_relay_maybe_done(StreamKey tag) {
-  auto it = gathers_.find(tag);
-  if (it == gathers_.end() || is_root()) return;
-  GatherState& st = it->second;
-  if (st.retired) return;
-  if (!st.announced || !st.streaming || st.heal_hold) return;
-  if (!st.healing.empty()) return;
-  for (const auto& [origin, remaining] : st.origin_remaining) {
-    if (remaining > 0 && st.dropped.count(origin) == 0) return;
-  }
-  // Everything this subtree announced is scheduled (posted sends keep their
-  // own chunk refs); the round state can retire.
-  if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
-    tracer->end_span(st.span);
-    st.span = obs::kNoSpan;
-  }
-  if (node_.heal()) {
-    heal_retire_gather(tag, st, /*eager=*/false);
-  } else {
-    gathers_.erase(it);
-  }
-}
-
-bool Iccl::gather_forget_child(StreamKey tag, GatherState& st,
-                               std::uint32_t child) {
-  bool touched = st.children_pending.erase(child) > 0;
-  if (st.rndv_children.erase(child) > 0) {
-    touched = true;
-    auto co = st.child_origins.find(child);
-    if (co != st.child_origins.end()) {
-      for (std::uint32_t origin : co->second) {
-        bool complete = false;
-        if (is_root()) {
-          auto a = st.assembling.find(origin);
-          const std::size_t got =
-              a == st.assembling.end() ? 0 : a->second.size();
-          complete = got == st.origin_bytes[origin];
-        } else {
-          auto rem = st.origin_remaining.find(origin);
-          complete = rem == st.origin_remaining.end() || rem->second == 0;
+void Iccl::gather_forget(std::uint32_t child) {
+  for (auto it = gathers_.begin(); it != gathers_.end();) {
+    const StreamKey tag = it->first;
+    GatherState& st = it->second;
+    bool touched = st.healing.erase(child) != 0;
+    touched = st.children_pending.erase(child) != 0 || touched;
+    if (st.rndv_children.erase(child) != 0) {
+      touched = true;
+      for (auto& [origin, o] : st.origins) {
+        if (o.owner == child && o.got != o.total) {
+          gather_drop_origin(tag, st, origin);
         }
-        if (!complete) gather_drop_origin(tag, st, origin);
       }
-      st.child_origins.erase(co);
     }
+    if (!touched) {
+      ++it;
+      continue;
+    }
+    // May announce, forward an eager frame, deliver at the root, or retire
+    // a relay - all of which can erase the state.
+    gather_advance(tag);
+    it = gathers_.upper_bound(tag);
   }
-  return touched;
 }
 
 void Iccl::gather_drop_origin(StreamKey tag, GatherState& st,
                               std::uint32_t origin) {
-  if (!st.dropped.insert(origin).second) return;
+  // A dropped origin counts as complete: nothing more is waited for,
+  // delivered or re-sent. A drop for an origin this node never heard of
+  // still goes up: the announce that named it may be the one that raced.
+  Origin& o = st.origins[origin];
+  if (o.dropped) return;
+  o.dropped = true;
+  o.got = o.total;
+  o.copy = Bytes{};
   count_mux(tag, "gather_drops");
   self_.machine().flight_record(self_.pid(), "iccl",
                                 "gather tag " + tag.str() +
                                     " dropped origin " +
                                     std::to_string(origin));
-  if (is_root()) {
-    st.assembling.erase(origin);
-    return;
-  }
+  // The parent knows about an announced origin; retract it. The drop frame
+  // may overtake chunks still queued behind the cursor - receivers ignore
+  // chunks for dropped origins, so the race is benign. Before the announce
+  // the parent never hears of it at all.
   if (st.announced) {
-    // Parent knows about this origin; retract it. The drop frame may
-    // overtake chunks still queued behind the cursor - receivers ignore
-    // chunks for dropped origins, so the race is benign.
-    auto rem = st.origin_remaining.find(origin);
-    if (rem != st.origin_remaining.end()) rem->second = 0;
     send_up(encode_frame(Kind::GatherDrop, tag, params_.rank,
                          {{origin, Bytes{}}}));
-  } else {
-    // Not yet announced: the parent never heard of the origin; just forget
-    // it so the eventual RTS excludes it.
-    st.origin_bytes.erase(origin);
-    st.origin_remaining.erase(origin);
   }
 }
 
 void Iccl::handle_gather_drop(StreamKey tag, const Entries& entries) {
   auto it = gathers_.find(tag);
   if (it == gathers_.end()) return;
-  GatherState& st = it->second;
   for (const auto& [origin, unused] : entries) {
-    gather_drop_origin(tag, st, origin);
+    gather_drop_origin(tag, it->second, origin);
   }
-  if (is_root()) {
-    gather_check_complete(tag);
-  } else {
-    gather_relay_maybe_done(tag);
-  }
+  gather_advance(tag);
 }
 
 void Iccl::scatter(StreamKey tag, std::vector<Bytes> parts) {
@@ -1079,27 +1014,6 @@ void Iccl::heal_record_bcast(StreamKey tag, const ByteSlice& payload) {
   while (bcast_history_order_.size() > kHealHistory) {
     bcast_history_.erase(bcast_history_order_.front());
     bcast_history_order_.erase(bcast_history_order_.begin());
-  }
-}
-
-void Iccl::heal_retire_gather(StreamKey tag, GatherState& st,
-                              bool eager) {
-  if (st.retired) return;
-  st.retired = true;
-  st.eager_sent = eager;
-  st.heal_hold = false;
-  st.acc.clear();
-  st.outq.clear();
-  st.next_out = 0;
-  if (std::find(retired_gather_order_.begin(), retired_gather_order_.end(),
-                tag) == retired_gather_order_.end()) {
-    retired_gather_order_.push_back(tag);
-  }
-  while (retired_gather_order_.size() > kHealHistory) {
-    const StreamKey old = retired_gather_order_.front();
-    retired_gather_order_.erase(retired_gather_order_.begin());
-    auto it = gathers_.find(old);
-    if (it != gathers_.end() && it->second.retired) gathers_.erase(it);
   }
 }
 
@@ -1164,20 +1078,7 @@ void Iccl::heal_resolve_slot(std::uint32_t dead, bool expired) {
           (expired ? " resolved by grace expiry" : " resolved by coverage"));
   // Whatever stake of the dead child's subtree was not claimed by a
   // reattached orphan is now retracted, exactly like the non-heal path.
-  for (auto it = gathers_.begin(); it != gathers_.end();) {
-    const StreamKey tag = it->first;
-    GatherState& st = it->second;
-    const bool touched =
-        st.healing.erase(dead) != 0 || st.rndv_children.count(dead) != 0;
-    if (!touched) {
-      ++it;
-      continue;
-    }
-    gather_forget_child(tag, st, dead);
-    flush_gather(tag);
-    gather_relay_maybe_done(tag);
-    it = gathers_.upper_bound(tag);
-  }
+  gather_forget(dead);
 }
 
 void Iccl::on_orphaned() {
@@ -1221,43 +1122,22 @@ void Iccl::on_linked(const cluster::ChannelPtr& parent, bool adopted) {
 
 void Iccl::heal_send_reannounces() {
   for (auto& [tag, st] : gathers_) {
-    if (st.retired && st.eager_sent) {
-      // The eager combined frame may have died with the old parent's inbox;
-      // re-send it from the retained views (the receiver keeps only the
-      // origins it has not seen).
-      Entries entries;
-      entries.reserve(st.retained.size());
-      for (auto& [origin, data] : st.retained) {
-        entries.emplace_back(origin, data.join());
-      }
-      self_.machine().count("iccl.heal.gather_reannounces");
-      send_up(encode_frame(Kind::GatherUp, tag, params_.rank, entries));
-      continue;
-    }
-    if (!st.announced) continue;
-    // Rendezvous round (mid-stream or relay-retired): repeat the RTS with
-    // every origin this subtree owns. Dropped origins stay listed - their
-    // retraction follows immediately so the adopter's bookkeeping matches.
-    std::map<std::uint32_t, std::uint32_t> sizes;
-    for (const auto& [origin, data] : st.retained) {
-      sizes[origin] = static_cast<std::uint32_t>(data.size());
-    }
-    for (const auto& [origin, sz] : st.origin_bytes) sizes[origin] = sz;
-    std::vector<std::pair<std::uint32_t, Bytes>> origins;
-    origins.reserve(sizes.size());
-    for (const auto& [origin, sz] : sizes) {
-      ByteWriter w;
-      w.u32(sz);
-      origins.emplace_back(origin, std::move(w).take());
-    }
+    // An eager round that already went up re-sends its combined frame (it
+    // may have died in the old parent's inbox; the receiver keeps only the
+    // origins it has not seen). A rendezvous round, mid-stream or retired,
+    // repeats its RTS with every origin this subtree owns. Dropped origins
+    // stay listed - their retraction follows at once so the adopter's table
+    // matches.
+    const bool eager = st.retired && !st.announced;
+    if (!eager && !st.announced) continue;
     self_.machine().count("iccl.heal.gather_reannounces");
-    send_up(encode_frame(Kind::GatherRts, tag, params_.rank, origins));
-    if (!st.dropped.empty()) {
-      std::vector<std::pair<std::uint32_t, Bytes>> drops;
-      drops.reserve(st.dropped.size());
-      for (std::uint32_t origin : st.dropped) {
-        drops.emplace_back(origin, Bytes{});
-      }
+    send_up(gather_origins_frame(eager ? Kind::GatherUp : Kind::GatherRts,
+                                 tag, st, /*with_dropped=*/!eager));
+    std::vector<std::pair<std::uint32_t, Bytes>> drops;
+    for (const auto& [origin, o] : st.origins) {
+      if (o.dropped) drops.emplace_back(origin, Bytes{});
+    }
+    if (!drops.empty()) {
       send_up(encode_frame(Kind::GatherDrop, tag, params_.rank, drops));
     }
   }
@@ -1320,20 +1200,13 @@ void Iccl::handle_reattach(const cluster::ChannelPtr& ch, std::uint32_t src,
   const auto osub = topo_.subtree_of(src);
   for (auto& [tag, st] : gathers_) {
     if (st.healing.count(dead_child) != 0) st.children_pending.insert(src);
-    auto co = st.child_origins.find(dead_child);
-    if (co == st.child_origins.end()) continue;
-    std::vector<std::uint32_t> moved;
-    for (auto oit = co->second.begin(); oit != co->second.end();) {
-      if (std::binary_search(osub.begin(), osub.end(), *oit)) {
-        moved.push_back(*oit);
-        oit = co->second.erase(oit);
-      } else {
-        ++oit;
+    if (st.rndv_children.count(dead_child) == 0) continue;
+    for (auto& [origin, o] : st.origins) {
+      if (o.owner == dead_child &&
+          std::binary_search(osub.begin(), osub.end(), origin)) {
+        o.owner = src;
+        st.rndv_children.insert(src);
       }
-    }
-    if (!moved.empty()) {
-      st.child_origins[src].insert(moved.begin(), moved.end());
-      st.rndv_children.insert(src);
     }
   }
   heal_replay_bcasts(src, open, delivered);
@@ -1422,26 +1295,25 @@ void Iccl::handle_gather_resume(StreamKey tag, const Entries& entries) {
   if (!st.streaming) gather_begin_streaming(tag, st);
   self_.machine().count("iccl.heal.gather_resumes");
   for (const auto& [origin, blob] : entries) {
-    ByteReader r(blob.span());
-    const std::uint32_t from = r.u32().value_or(0);
-    // Unscheduled queue entries for this origin are superseded: the
-    // retained view re-queued below covers them from the adopter's offset.
+    const std::uint32_t from = ByteReader(blob.span()).u32().value_or(0);
+    // Unscheduled queue entries for this origin are superseded: the kept
+    // view re-queued below covers them from the adopter's offset.
     st.outq.erase(
         std::remove_if(
             st.outq.begin() + static_cast<std::ptrdiff_t>(st.next_out),
             st.outq.end(),
             [origin = origin](const auto& e) { return e.first == origin; }),
         st.outq.end());
-    auto ret = st.retained.find(origin);
-    if (ret == st.retained.end()) continue;
-    for (ByteSlice& chunk : chunk_views(ret->second.join(), from)) {
+    auto o = st.origins.find(origin);
+    if (o == st.origins.end()) continue;
+    for (ByteSlice& chunk : chunk_views(o->second.kept.join(), from)) {
       self_.machine().count("iccl.heal.gather_requeued_bytes",
                             static_cast<double>(chunk.size()));
       st.outq.emplace_back(origin, std::move(chunk));
     }
   }
   gather_flush(tag, st);
-  gather_relay_maybe_done(tag);
+  gather_advance(tag);
 }
 
 void Iccl::handle_gather_done(StreamKey tag) {

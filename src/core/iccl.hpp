@@ -203,8 +203,28 @@ class Iccl : private comm::TreeNode::Hooks {
   /// (rank, payload) frame entries; every payload is a view, not a copy.
   using Entries = std::vector<std::pair<std::uint32_t, ByteSlice>>;
 
+  /// One origin of a gather round as this node sees it, whichever protocol
+  /// brought it: an entry held whole (own contribution, an eager child's
+  /// GatherUp) arrives complete; an origin a rendezvous child announced
+  /// completes as its chunks arrive. "Complete" is got == total on every
+  /// node, a drop counts as complete, and a heal resume restarts the origin
+  /// at `got`.
+  struct Origin {
+    /// Who still owes the bytes: the child whose GatherRts announced the
+    /// origin, or this rank for an entry held whole (and for chunks nobody
+    /// announced here), which no round waits for.
+    std::uint32_t owner = 0;
+    std::uint32_t total = 0;  ///< announced size (a whole entry: its size)
+    std::uint32_t got = 0;    ///< bytes arrived here
+    bool dropped = false;     ///< lost mid-round: complete, never delivered
+    /// Views this node keeps: a whole entry until it goes up, and in heal
+    /// mode every byte that entered here, for re-announce and resume.
+    SliceJoin kept;
+    Bytes copy;  ///< root only: the delivered bytes, reserved from the total
+  };
+
   /// One gather round (keyed by tag). Small rounds run eager: each node
-  /// waits for every child's whole-subtree GatherUp frame, appends its own
+  /// waits for every child's whole-subtree GatherUp frame, adds its own
   /// contribution and forwards one combined frame. Rounds whose *subtree
   /// total* reaches the rendezvous threshold announce per-origin sizes
   /// upward (GatherRts), wait for clearance (GatherCts - the upstream flow
@@ -212,41 +232,29 @@ class Iccl : private comm::TreeNode::Hooks {
   /// quiet instead of burying it in buffered payload), then stream 64 KiB
   /// GatherChunk frames. Interior nodes cut-through relay each chunk as it
   /// arrives - they never assemble a child's contribution, so per-level
-  /// memory stays O(chunk), not O(payload).
+  /// memory stays O(chunk), not O(payload). Both protocols, their heal
+  /// re-announce and their resume read and write the one `origins` table.
   struct GatherState {
     bool own_done = false;
     /// Children whose announce (eager GatherUp or GatherRts) is still
     /// outstanding. A set (not a count) so a dying child can be forgiven.
     std::set<std::uint32_t> children_pending;
-    /// Entries held whole on this node: own contribution + eager children.
-    Entries acc;
+    std::map<std::uint32_t, Origin> origins;
     // --- rendezvous upstream state ---------------------------------------
     bool announced = false;  ///< GatherRts sent up (non-root only)
     bool streaming = false;  ///< own GatherCts processed; chunks may flow
     std::set<std::uint32_t> rndv_children;  ///< children that sent RTS
-    /// Announced origin -> total bytes (origins owned by rndv children).
-    std::map<std::uint32_t, std::uint32_t> origin_bytes;
-    /// Rendezvous child -> the origins its RTS announced (for drops).
-    std::map<std::uint32_t, std::set<std::uint32_t>> child_origins;
-    std::map<std::uint32_t, Bytes> assembling;  ///< root only: per origin
-    /// Relay only: bytes of each announced origin not yet relayed.
-    std::map<std::uint32_t, std::uint32_t> origin_remaining;
-    std::set<std::uint32_t> dropped;  ///< origins lost mid-stream
-    /// Chunk send queue through the serialized cursor: views of the origin's
-    /// contribution. Entries release their buffer once scheduled (the posted
-    /// send keeps its own ref).
+    /// Chunk send queue through the serialized cursor. Entries release their
+    /// view once scheduled (the posted send keeps its own ref).
     Entries outq;
     std::size_t next_out = 0;
     sim::Time cursor = 0;  ///< serialized send occupancy (absolute time)
     obs::SpanId span = obs::kNoSpan;
     // --- self-heal replay state (heal mode only) -------------------------
-    /// Per-origin views of everything that entered this round here (own
-    /// contribution, eager child entries, relayed chunks). Heal trades
-    /// O(payload) memory per retained round for the ability to re-announce
-    /// and resume after a reparent; bounded by the retired-round ring.
-    std::map<std::uint32_t, SliceJoin> retained;
-    bool retired = false;     ///< forwarded/delivered; kept for heal replay
-    bool eager_sent = false;  ///< retired via an eager GatherUp forward
+    /// Forwarded (eager, or every announced byte relayed) or delivered; kept
+    /// for heal replay until the root's GatherDone, bounded by the
+    /// retired-round ring.
+    bool retired = false;
     /// Orphaned mid-stream: chunks must not race ahead of the resume
     /// offsets the new parent will dictate; gather_flush holds until the
     /// GatherResume arrives.
@@ -316,13 +324,34 @@ class Iccl : private comm::TreeNode::Hooks {
   void handle_bcast(StreamKey tag, ByteSlice payload);
   void handle_gather_up(StreamKey tag, std::uint32_t src, Entries entries);
   void handle_scatter(StreamKey tag, Entries entries);
-  void flush_gather(StreamKey tag);
-  // --- rendezvous gather (upstream data plane) ----------------------------
+  // --- the upstream data plane --------------------------------------------
+  /// An entry arrived whole (own contribution or an eager child's): an
+  /// origin this node owns, complete on arrival.
+  void gather_keep(GatherState& st, std::uint32_t origin,
+                   const ByteSlice& data);
+  /// Bytes of `o` arrived here. The root copies them into the buffer it
+  /// delivers; another node keeps their view only when `keep`.
+  void gather_take(Origin& o, const ByteSlice& data, bool keep);
   /// Sum of all payload bytes this node's subtree contributes this round.
   [[nodiscard]] std::size_t gather_subtree_bytes(const GatherState& st) const;
+  /// Moves the round on as far as it can go now: a relay whose subtree is in
+  /// forwards it eager or announces it, and once every origin is complete
+  /// the root delivers and a streaming relay retires. No-op while
+  /// contributions are outstanding.
+  void gather_advance(StreamKey tag);
+  /// The one finish step of the eager forward, the relay retire and the root
+  /// delivery: ends the round's span, then retires it under heal or erases
+  /// it.
+  void gather_finish(StreamKey tag, GatherState& st);
   /// Announce per-origin sizes upward (GatherRts); the round then waits for
   /// the parent's GatherCts before any payload moves.
   void gather_announce(StreamKey tag, GatherState& st);
+  /// The subtree's origin list from the round's table: whole payloads in an
+  /// eager GatherUp, sizes in a GatherRts. The first announce and an eager
+  /// re-send list the live origins; a rendezvous re-announce lists dropped
+  /// ones too, and its GatherDrop follows.
+  cluster::Message gather_origins_frame(Kind kind, StreamKey tag,
+                                        GatherState& st, bool with_dropped);
   void handle_gather_rts(StreamKey tag, std::uint32_t src,
                          const Entries& entries);
   void handle_gather_cts(StreamKey tag);
@@ -334,19 +363,13 @@ class Iccl : private comm::TreeNode::Hooks {
   void handle_gather_drop(StreamKey tag, const Entries& entries);
   /// Streams every queued-but-unsent gather chunk through the cursor.
   void gather_flush(StreamKey tag, GatherState& st);
-  /// Root: delivers the round once every announced origin is complete or
-  /// dropped. No-op elsewhere or while contributions are outstanding.
-  void gather_check_complete(StreamKey tag);
-  /// Relay: retires the round once all announced bytes were forwarded.
-  void gather_relay_maybe_done(StreamKey tag);
   /// Marks an origin as lost mid-round (propagates GatherDrop upward).
   void gather_drop_origin(StreamKey tag, GatherState& st,
                           std::uint32_t origin);
-  /// Forgets a dead child's stake in one gather round: stops waiting for its
-  /// announce and drops every announced origin whose payload never finished.
-  /// Returns true if the round referenced the child at all.
-  bool gather_forget_child(StreamKey tag, GatherState& st,
-                           std::uint32_t child);
+  /// The lost-stake sweep: forgets a dead child in every open gather round
+  /// (stops waiting for its announce or its heal slot, drops each origin it
+  /// owes that never finished) and advances every round it touched.
+  void gather_forget(std::uint32_t child);
   void send_up(cluster::Message m);
   void send_to_child(std::uint32_t child_rank, cluster::Message m);
   GatherState& gather_state(StreamKey tag);
@@ -404,9 +427,6 @@ class Iccl : private comm::TreeNode::Hooks {
   void heal_replay_bcasts(std::uint32_t orphan,
                           const std::map<StreamKey, std::uint32_t>& open_recvs,
                           const std::set<StreamKey>& delivered);
-  /// Retires a finished round instead of erasing it (replay may need it
-  /// until the root's GatherDone); bounded by the retired-round ring.
-  void heal_retire_gather(StreamKey tag, GatherState& st, bool eager);
 
   // --- the downstream chunk stream ---------------------------------------
   [[nodiscard]] bool use_rendezvous(std::size_t payload_bytes) const;
