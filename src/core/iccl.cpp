@@ -49,6 +49,11 @@ cluster::Message encode_frame(
   return cluster::Message(std::move(w).take());
 }
 
+/// Chunks of `chunk` bytes that carry `bytes` (the last one shorter).
+std::size_t chunks_for(std::size_t bytes, std::size_t chunk) {
+  return (bytes + chunk - 1) / chunk;
+}
+
 /// Bcast, RndvChunk and GatherChunk carry exactly one entry: its payload.
 bool is_payload_kind(Kind kind) {
   return kind == Kind::Bcast || kind == Kind::RndvChunk ||
@@ -78,8 +83,11 @@ struct Frame {
 /// message's view, and a flat frame's entries view the message's own bytes.
 /// Rejects a payload frame whose entry count is not 1, or whose length field
 /// disagrees with the view behind its header, and an RTS that is not one
-/// entry announcing at least one chunk (an empty payload always goes eager).
-std::optional<Frame> decode_frame(cluster::Message m) {
+/// entry announcing the `chunk_bytes` chunks its total needs. The receiver
+/// sizes its chunk table from that count, so a count the total does not
+/// need never reaches it; nor does an empty payload, which always goes
+/// eager.
+std::optional<Frame> decode_frame(cluster::Message m, std::size_t chunk_bytes) {
   ByteReader r(m.bytes);
   auto kind = r.u8();
   auto session = r.u32();
@@ -116,7 +124,13 @@ std::optional<Frame> decode_frame(cluster::Message m) {
     const auto offset = static_cast<std::size_t>(data->data() - buf->data());
     f.entries.emplace_back(*rank, ByteSlice(buf, offset, data->size()));
   }
-  if (rts && f.entries.front().first == 0) return std::nullopt;
+  if (rts) {
+    const auto& [nchunks, blob] = f.entries.front();
+    const auto total = ByteReader(blob.span()).u32();
+    if (!total || nchunks == 0 || nchunks != chunks_for(*total, chunk_bytes)) {
+      return std::nullopt;
+    }
+  }
   return f;
 }
 
@@ -172,7 +186,8 @@ void Iccl::on_ready(Status st) {
 
 void Iccl::on_link_message(const cluster::ChannelPtr& ch,
                            cluster::Message m) {
-  auto frame = decode_frame(std::move(m));
+  auto frame = decode_frame(std::move(m),
+                            self_.machine().costs().iccl_rndv_chunk_bytes);
   if (!frame) return;
   if (frame_tap_) {
     frame_tap_(frame->kind, frame->tag, frame->src,
@@ -274,16 +289,22 @@ sim::Time Iccl::send_delay(sim::Time& cursor, sim::Time occupancy) const {
   return depart - now;
 }
 
-std::vector<ByteSlice> Iccl::chunk_views(const ByteSlice& payload,
-                                         std::size_t from) const {
+template <typename Take>
+void Iccl::each_chunk(const ByteSlice& payload, std::size_t from,
+                      Take&& take) const {
   const std::size_t chunk = self_.machine().costs().iccl_rndv_chunk_bytes;
-  std::vector<ByteSlice> out;
-  if (from >= payload.size()) return out;
-  out.reserve((payload.size() - from + chunk - 1) / chunk);
   for (std::size_t begin = from; begin < payload.size(); begin += chunk) {
-    out.push_back(payload.sub(begin, std::min(chunk, payload.size() - begin)));
+    take(payload.sub(begin, std::min(chunk, payload.size() - begin)));
   }
-  return out;
+}
+
+void Iccl::stream_load(DownStream& st, const ByteSlice& payload) const {
+  st.total = static_cast<std::uint32_t>(payload.size());
+  st.chunks.reserve(chunks_for(
+      payload.size(), self_.machine().costs().iccl_rndv_chunk_bytes));
+  each_chunk(payload, 0,
+             [&st](ByteSlice c) { st.chunks.push_back(std::move(c)); });
+  st.nchunks = static_cast<std::uint32_t>(st.chunks.size());
 }
 
 void Iccl::handle_bcast(StreamKey tag, ByteSlice payload) {
@@ -298,20 +319,16 @@ void Iccl::handle_bcast(StreamKey tag, ByteSlice payload) {
       // The root has every chunk up front; they stream as soon as the last
       // CTS arrives.
       DownStream& st = streams_[tag] = DownStream{};
-      st.chunks = chunk_views(payload);
-      st.nchunks = static_cast<std::uint32_t>(st.chunks.size());
-      st.total = static_cast<std::uint32_t>(payload.size());
+      stream_load(st, payload);
       stream_announce(tag, st);
     } else {
-      // Eager: one chunk, cleared implicitly. Its quantum stretches with
-      // the payload, which is the per-level cost that makes eager
-      // T(collective) grow with fan-out and payload size (swept in
-      // bench_ablation_iccl; rendezvous exists to beat it).
+      // Eager: one chunk, cleared implicitly, sent straight from the
+      // payload. Its quantum stretches with the payload, which is the
+      // per-level cost that makes eager T(collective) grow with fan-out and
+      // payload size (swept in bench_ablation_iccl; rendezvous exists to
+      // beat it).
       DownStream st;
       st.eager = true;
-      st.streaming = true;
-      st.nchunks = 1;
-      st.chunks.push_back(payload);
       const std::size_t children = node_.children().size();
       count_mux(tag, "eager_frames", static_cast<double>(children));
       if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
@@ -322,7 +339,7 @@ void Iccl::handle_bcast(StreamKey tag, ByteSlice payload) {
                             " children=" + std::to_string(children) +
                             " bytes=" + std::to_string(payload.size()));
       }
-      stream_flush(tag, st);
+      stream_send(tag, st, 0, payload);
     }
   }
   if (node_.heal()) heal_record_bcast(tag, payload);
@@ -372,6 +389,7 @@ void Iccl::handle_rndv_rts(StreamKey tag, std::uint32_t nchunks,
   DownStream& st = streams_[tag] = DownStream{};
   st.nchunks = nchunks;
   st.total = total;
+  st.chunks.reserve(nchunks);  // decode_frame checked it against the total
   st.receiving = true;
   if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
     st.recv_span = tracer->begin_span(
@@ -427,6 +445,20 @@ void Iccl::stream_clear(StreamKey tag, DownStream& st, std::uint32_t child) {
 
 void Iccl::stream_flush(StreamKey tag, DownStream& st) {
   if (!st.streaming) return;
+  while (st.next_seq < st.chunks.size()) {
+    const std::uint32_t seq = st.next_seq++;
+    stream_send(tag, st, seq, st.chunks[seq]);
+  }
+  if (st.sending && st.next_seq == st.nchunks && st.parked.empty()) {
+    if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
+      tracer->end_span(st.send_span);
+    }
+    st.sending = false;
+  }
+}
+
+void Iccl::stream_send(StreamKey tag, DownStream& st, std::uint32_t seq,
+                       const ByteSlice& chunk) {
   // Serialized posts: each (chunk, child) send occupies the CPU for one
   // quantum. An eager frame's quantum stretches with the payload (the
   // simulated per-child copy into the send buffer); a rendezvous chunk
@@ -435,27 +467,17 @@ void Iccl::stream_flush(StreamKey tag, DownStream& st) {
   // parent still streams j+1.
   const auto& costs = self_.machine().costs();
   const Kind kind = st.eager ? Kind::Bcast : Kind::RndvChunk;
-  while (st.next_seq < st.chunks.size()) {
-    const std::uint32_t seq = st.next_seq++;
-    const ByteSlice& chunk = st.chunks[seq];
-    const sim::Time occ =
-        st.eager ? costs.iccl_msg_handle + eager_copy_cost(chunk.size())
-                 : costs.iccl_chunk_handle;
-    for (auto& [rank, ch] : node_.children()) {
-      if (st.parked.count(rank) != 0) continue;
-      cluster::ChannelPtr child = ch;
-      self_.post(send_delay(st.cursor, occ),
-                 [this, child, kind, tag, seq, chunk] {
-                   self_.send(child, payload_frame(kind, tag, params_.rank,
-                                                   seq, chunk));
-                 });
-    }
-  }
-  if (st.sending && st.next_seq == st.nchunks && st.parked.empty()) {
-    if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
-      tracer->end_span(st.send_span);
-    }
-    st.sending = false;
+  const sim::Time occ =
+      st.eager ? costs.iccl_msg_handle + eager_copy_cost(chunk.size())
+               : costs.iccl_chunk_handle;
+  for (auto& [rank, ch] : node_.children()) {
+    if (st.parked.count(rank) != 0) continue;
+    cluster::ChannelPtr child = ch;
+    self_.post(send_delay(st.cursor, occ),
+               [this, child, kind, tag, seq, chunk] {
+                 self_.send(child, payload_frame(kind, tag, params_.rank, seq,
+                                                 chunk));
+               });
   }
 }
 
@@ -824,9 +846,9 @@ void Iccl::gather_begin_streaming(StreamKey tag, GatherState& st) {
   // queue's views are the only ones this node keeps.
   for (auto& [origin, o] : st.origins) {
     if (o.owner != params_.rank) continue;
-    for (ByteSlice& chunk : chunk_views(o.kept.join())) {
-      st.outq.emplace_back(origin, std::move(chunk));
-    }
+    each_chunk(o.kept.join(), 0, [&st, origin = origin](ByteSlice c) {
+      st.outq.emplace_back(origin, std::move(c));
+    });
     if (!node_.heal()) o.kept = SliceJoin{};
   }
 }
@@ -1261,10 +1283,12 @@ void Iccl::heal_replay_bcasts(
     const ByteSlice& payload = bcast_history_.at(tag);
     DownStream round;
     round.eager = open_recvs.count(tag) == 0 && !use_rendezvous(payload.size());
-    round.chunks = round.eager ? std::vector<ByteSlice>{payload}
-                               : chunk_views(payload);
-    round.nchunks = static_cast<std::uint32_t>(round.chunks.size());
-    round.total = static_cast<std::uint32_t>(payload.size());
+    if (round.eager) {
+      round.chunks.push_back(payload);
+      round.nchunks = 1;
+    } else {
+      stream_load(round, payload);
+    }
     round.next_seq = round.nchunks;
     round.sending = true;
     round.streaming = true;
@@ -1306,11 +1330,12 @@ void Iccl::handle_gather_resume(StreamKey tag, const Entries& entries) {
         st.outq.end());
     auto o = st.origins.find(origin);
     if (o == st.origins.end()) continue;
-    for (ByteSlice& chunk : chunk_views(o->second.kept.join(), from)) {
-      self_.machine().count("iccl.heal.gather_requeued_bytes",
-                            static_cast<double>(chunk.size()));
-      st.outq.emplace_back(origin, std::move(chunk));
-    }
+    each_chunk(o->second.kept.join(), from,
+               [this, &st, origin = origin](ByteSlice c) {
+                 self_.machine().count("iccl.heal.gather_requeued_bytes",
+                                       static_cast<double>(c.size()));
+                 st.outq.emplace_back(origin, std::move(c));
+               });
   }
   gather_flush(tag, st);
   gather_advance(tag);

@@ -276,10 +276,10 @@ class Iccl : private comm::TreeNode::Hooks {
   /// Chunks leave round-robin across the children through the serialized
   /// cursor once the stream is cleared. A rendezvous round is cleared when
   /// every child that got its RTS has answered with a CTS. An eager round
-  /// is the one-chunk case with implicit clearance: it is opened, flushed
-  /// and finished in one event and never enters `streams_`. A relay keeps
-  /// one entry, which is both its receive (chunks join in sequence order,
-  /// per-channel FIFO guarantees it) and its cut-through send.
+  /// is the one-chunk case with implicit clearance: its payload is sent in
+  /// one event, with no chunk table, and never enters `streams_`. A relay
+  /// keeps one entry, which is both its receive (chunks join in sequence
+  /// order, per-channel FIFO guarantees it) and its cut-through send.
   struct DownStream {
     bool eager = false;  ///< Bcast frames, occupancy stretched by the copy
     std::uint32_t nchunks = 0;
@@ -439,10 +439,14 @@ class Iccl : private comm::TreeNode::Hooks {
   /// at 0, 1, ..., k-1 occupancies.
   [[nodiscard]] sim::Time send_delay(sim::Time& cursor,
                                      sim::Time occupancy) const;
-  /// `payload` from byte `from` on, cut into iccl_rndv_chunk_bytes views
-  /// (the last one shorter); none when nothing is left.
-  [[nodiscard]] std::vector<ByteSlice> chunk_views(const ByteSlice& payload,
-                                                   std::size_t from = 0) const;
+  /// Hands `take` the views that cut `payload`, from byte `from` on, into
+  /// iccl_rndv_chunk_bytes chunks (the last one shorter); none when nothing
+  /// is left. Every chunked payload is cut here.
+  template <typename Take>
+  void each_chunk(const ByteSlice& payload, std::size_t from,
+                  Take&& take) const;
+  /// Fills a rendezvous round with `payload`'s chunk views and its RTS sizes.
+  void stream_load(DownStream& st, const ByteSlice& payload) const;
   /// Opens the send side of a rendezvous round: RTS fan-out to every child.
   void stream_announce(StreamKey tag, DownStream& st);
   void handle_rndv_rts(StreamKey tag, std::uint32_t nchunks,
@@ -455,6 +459,10 @@ class Iccl : private comm::TreeNode::Hooks {
   /// Sends every chunk not yet sent to every child, if the stream is
   /// cleared, and closes the send side once the last one is out.
   void stream_flush(StreamKey tag, DownStream& st);
+  /// Posts chunk `seq` to every child not parked on the round, through the
+  /// serialized cursor. An eager round sends its one chunk straight here.
+  void stream_send(StreamKey tag, DownStream& st, std::uint32_t seq,
+                   const ByteSlice& chunk);
 
   cluster::Process& self_;
   Params params_;

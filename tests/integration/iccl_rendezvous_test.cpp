@@ -1095,14 +1095,23 @@ TEST(IcclWire, PayloadFrameWithWrongLengthOrEntryCountIsRejected) {
   // A view behind a frame kind that carries no payload view.
   f.send(cluster::Message(frame_header(K::GatherCts, 9, 0), view));
   // A rendezvous announce of zero chunks: no sender produces one, since an
-  // empty payload always goes eager.
-  ByteWriter rts;
-  rts.raw(frame_header(K::RndvRts, 12, 1));
-  rts.u32(0);  // nchunks
-  ByteWriter total;
-  total.u32(0);
-  rts.blob(total.bytes());
-  f.send(cluster::Message(std::move(rts).take()));
+  // empty payload always goes eager. Then announces whose chunk count is
+  // not the one their total needs: the receiver sizes its chunk table from
+  // the count, so a frame from the wire must not choose it.
+  auto send_rts = [&f](std::uint32_t tag, std::uint32_t nchunks,
+                       std::uint32_t total) {
+    ByteWriter rts;
+    rts.raw(frame_header(K::RndvRts, tag, 1));
+    rts.u32(nchunks);
+    ByteWriter size;
+    size.u32(total);
+    rts.blob(size.bytes());
+    f.send(cluster::Message(std::move(rts).take()));
+  };
+  send_rts(12, 0, 0);
+  send_rts(13, 2, 300);
+  send_rts(14, 0xffffffffu, 300);
+  send_rts(15, 1, 3 * kChunk);
   // Then one good frame of each form: both are decoded and delivered.
   f.send(cluster::Message(entry_header(K::Bcast, 10, 0, 300), view));
   f.send(flat_frame(K::Bcast, 11, 0, view.span()));
