@@ -418,17 +418,21 @@ void Iccl::handle_rndv_cts(StreamKey tag, std::uint32_t src) {
                     "tag=" + tag.str() + " from=" + std::to_string(src) +
                         " pending=" + std::to_string(pending));
   }
-  if (st.parked.count(src) != 0) {
-    // A reattached orphan cleared its own join: the chunks sent before it
-    // did reach it now, ahead of every chunk the stream sends later.
-    for (std::uint32_t seq = 0; seq < st.next_seq; ++seq) {
-      send_to_child(src, payload_frame(Kind::RndvChunk, tag, params_.rank,
-                                       seq, st.chunks[seq]));
-      self_.machine().count("iccl.heal.bcast_replay_bytes",
-                            static_cast<double>(st.chunks[seq].size()));
-    }
-  }
+  // A reattached orphan cleared its own join: the chunks sent before it did
+  // reach it now.
+  if (st.parked.count(src) != 0) stream_catch_up(tag, st, src, 0);
   stream_clear(tag, st, src);
+}
+
+void Iccl::stream_catch_up(StreamKey tag, const DownStream& st,
+                           std::uint32_t child, std::uint32_t from) {
+  const Kind kind = st.eager ? Kind::Bcast : Kind::RndvChunk;
+  for (std::uint32_t seq = from; seq < st.next_seq; ++seq) {
+    send_to_child(child,
+                  payload_frame(kind, tag, params_.rank, seq, st.chunks[seq]));
+    self_.machine().count("iccl.heal.bcast_replay_bytes",
+                          static_cast<double>(st.chunks[seq].size()));
+  }
 }
 
 void Iccl::stream_clear(StreamKey tag, DownStream& st, std::uint32_t child) {
@@ -1242,13 +1246,11 @@ void Iccl::heal_replay_bcasts(
     auto it = streams_.find(tag);
     return it != streams_.end() && it->second.sending;
   };
-  // Each round restarts at the orphan's receive offset: chunks [from,
-  // next_seq) go out at once, not through the send cursor, so they precede
-  // every live chunk sent later. A rendezvous round the orphan never saw
-  // gets its RTS alone, and the orphan is parked on the stream until its
-  // own CTS, so that no chunk can overtake the RTS. A missed eager round is
-  // the one-chunk case: a single Bcast frame. The orphan's own history
-  // guard makes a replay of a delivered round inert.
+  // Each round restarts at the orphan's receive offset. A rendezvous round
+  // the orphan never saw gets its RTS alone, and the orphan is parked on
+  // the stream until its own CTS, so that no chunk can overtake the RTS. A
+  // missed eager round is the one-chunk case: a single Bcast frame. The
+  // orphan's own history guard makes a replay of a delivered round inert.
   auto replay = [&](StreamKey tag, DownStream& st) {
     self_.machine().count("iccl.heal.bcast_replays");
     auto open = open_recvs.find(tag);
@@ -1260,14 +1262,8 @@ void Iccl::heal_replay_bcasts(
       st.parked.insert(orphan);
       return;
     }
-    const Kind kind = st.eager ? Kind::Bcast : Kind::RndvChunk;
-    for (std::uint32_t seq = open != open_recvs.end() ? open->second : 0;
-         seq < st.next_seq; ++seq) {
-      send_to_child(orphan,
-                    payload_frame(kind, tag, params_.rank, seq, st.chunks[seq]));
-      self_.machine().count("iccl.heal.bcast_replay_bytes",
-                            static_cast<double>(st.chunks[seq].size()));
-    }
+    stream_catch_up(tag, st, orphan,
+                    open != open_recvs.end() ? open->second : 0);
   };
   // Live streams first: the orphan is a child now, so chunks sent after
   // this event reach it natively and in order. Then delivered rounds it

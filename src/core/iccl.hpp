@@ -44,7 +44,10 @@ class Iccl : private comm::TreeNode::Hooks {
   /// A broadcast is one chunk stream per StreamKey. An eager round is the
   /// one-chunk case with implicit clearance: one Bcast frame per child. A
   /// rendezvous round announces itself (RndvRts), waits for every child's
-  /// RndvCts and then streams RndvChunk frames.
+  /// RndvCts and then streams RndvChunk frames. A gather is the same split
+  /// upward over one per-origin table: GatherUp and GatherRts are the two
+  /// encodings of a subtree's origin list (whole payloads, or sizes that
+  /// the parent clears with GatherCts before GatherChunk frames flow).
   enum class Kind : std::uint8_t {
     Register = 1,  ///< child -> parent: {rank}
     SetupUp,       ///< child -> parent: subtree fully wired
@@ -67,8 +70,9 @@ class Iccl : private comm::TreeNode::Hooks {
     // ancestor chain, Registers with the first survivor and follows up with
     // Reattach (climb path, delivered-broadcast ring, open receive offsets)
     // plus re-announces of its in-flight gather rounds; the adopter replays
-    // missed broadcast bytes and answers gather re-announces with per-origin
-    // resume offsets.
+    // missed broadcast bytes (an RndvRts alone for a round the orphan never
+    // saw: its own RndvCts releases the chunks) and answers gather
+    // re-announces with per-origin resume offsets.
     Reattach,      ///< orphan -> adopter: {via-dead, delivered tags, recvs}
     GatherResume,  ///< adopter -> orphan: {tag, [(origin, u32 offset)...]}
     GatherDone,    ///< root -> down: {tag} delivered; drop replay state
@@ -211,8 +215,8 @@ class Iccl : private comm::TreeNode::Hooks {
   /// at `got`.
   struct Origin {
     /// Who still owes the bytes: the child whose GatherRts announced the
-    /// origin, or this rank for an entry held whole (and for chunks nobody
-    /// announced here), which no round waits for.
+    /// origin, or this rank for an entry held whole here (and for chunks of
+    /// an origin nobody announced here, which the round does not wait for).
     std::uint32_t owner = 0;
     std::uint32_t total = 0;  ///< announced size (a whole entry: its size)
     std::uint32_t got = 0;    ///< bytes arrived here
@@ -335,9 +339,9 @@ class Iccl : private comm::TreeNode::Hooks {
   /// Sum of all payload bytes this node's subtree contributes this round.
   [[nodiscard]] std::size_t gather_subtree_bytes(const GatherState& st) const;
   /// Moves the round on as far as it can go now: a relay whose subtree is in
-  /// forwards it eager or announces it, and once every origin is complete
-  /// the root delivers and a streaming relay retires. No-op while
-  /// contributions are outstanding.
+  /// forwards it eager or announces it, and once no child owes bytes the
+  /// root delivers and a streaming relay retires. No-op while contributions
+  /// are outstanding.
   void gather_advance(StreamKey tag);
   /// The one finish step of the eager forward, the relay retire and the root
   /// delivery: ends the round's span, then retires it under heal or erases
@@ -452,6 +456,11 @@ class Iccl : private comm::TreeNode::Hooks {
   void handle_rndv_rts(StreamKey tag, std::uint32_t nchunks,
                        std::uint32_t total);
   void handle_rndv_cts(StreamKey tag, std::uint32_t src);
+  /// Sends one child chunks [from, next_seq) at once, outside the send
+  /// cursor, so they precede every chunk the stream sends it later. Heal
+  /// replay and a parked orphan's CTS catch a joining child up this way.
+  void stream_catch_up(StreamKey tag, const DownStream& st,
+                       std::uint32_t child, std::uint32_t from);
   /// Takes `child` off the round's CTS set and unparks it; the stream starts
   /// once the set is empty. A CTS and a lost child both land here.
   void stream_clear(StreamKey tag, DownStream& st, std::uint32_t child);
