@@ -15,18 +15,20 @@
 #                  trace_event.schema.txt) - catches exporter bit-rot the
 #                  same way the bench --json goldens catch report drift.
 #   --fault-smoke  build the Release preset and run only the fault-injection
-#                  surface: the self-heal suite (which pins the broadcast
-#                  replay counters), the ICCL protocol fault cases (a child
-#                  dying mid-rendezvous, downstream and upstream), the
+#                  surface: the self-heal suite (which pins the broadcast and
+#                  gather replay counters), the ICCL protocol fault cases (a
+#                  child dying mid-rendezvous, downstream and upstream), the
 #                  subtree-reparent math units, the tree-link core (dial,
 #                  ready latch, heal climb), the TBON overlay heal test, and
 #                  the availability bench at smoke scale - the fast "did a
 #                  refactor break failure recovery" gate.
 #   --mux-smoke    build the Release preset and run only the multiplexed-
 #                  service surface: the virtual-session integration suite,
-#                  the session-table knob/reuse tests, and the mux ablation
-#                  bench at smoke scale - the fast "did a refactor break
-#                  session multiplexing" gate.
+#                  the session-table knob/reuse tests, the ICCL case that
+#                  sees the root's gather clearance defer and grant across
+#                  contending sessions, and the mux ablation bench at smoke
+#                  scale - the fast "did a refactor break session
+#                  multiplexing" gate.
 #   --sanitize     build the ASan+UBSan preset (build-sanitize/) and run
 #                  every unit and integration suite under it; any
 #                  sanitizer report fails the run. The protocol decoders
@@ -70,10 +72,13 @@ fi
 if [[ "${1:-}" == "--mux-smoke" ]]; then
   cmake --preset release
   cmake --build --preset release -j "$JOBS" \
-    --target mux_session_test multi_session_test bench_ablation_mux
+    --target mux_session_test multi_session_test iccl_rendezvous_test \
+    bench_ablation_mux
   build-release/mux_session_test
   build-release/multi_session_test \
     --gtest_filter='MultiSession.SessionBound*:MultiSession.Destroyed*'
+  build-release/iccl_rendezvous_test \
+    --gtest_filter='IcclProtocol.ContendingSessionsTakeTurnsOnTheRootClearance'
   LMON_BENCH_SMOKE=1 build-release/bench_ablation_mux
   echo "mux-smoke OK"
   exit 0
