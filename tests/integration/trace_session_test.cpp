@@ -16,6 +16,8 @@
 // (tests/golden/trace_event.schema.txt), same regime as the bench reports.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -310,6 +312,45 @@ TEST(TraceSession, MetricsAndFlightRecorderCaptureTheRun) {
   const std::string dump = run.flight.dump();
   EXPECT_NE(dump.find("daemon"), std::string::npos);
   EXPECT_NE(dump.find("init rank="), std::string::npos);
+}
+
+TEST(TraceSession, LibraryExportsNoTraceOfItsOwn) {
+  // Whoever owns the Machine attaches a tracer and exports it; the library
+  // never does, so an exported LMON_TRACE_OUT leaves an untraced session
+  // untraced and writes nothing.
+  const std::string path = ::testing::TempDir() + "lmon_fe_trace_out.json";
+  std::filesystem::remove(path);
+  const char* prev = std::getenv("LMON_TRACE_OUT");
+  const std::string saved = prev != nullptr ? prev : "";
+  ::setenv("LMON_TRACE_OUT", path.c_str(), 1);
+
+  TestCluster tc(4);
+  bool done = false;
+  Status status;
+  std::shared_ptr<core::FrontEnd> fe;
+  tc.spawn_fe([&](cluster::Process& self) {
+    fe = std::make_shared<core::FrontEnd>(self);
+    (void)fe->init();
+    auto sid = fe->create_session();
+    core::FrontEnd::SpawnConfig cfg;
+    cfg.daemon_exe = "hello_be";
+    fe->launch_and_spawn(sid.value, rm::JobSpec{4, 2, "mpi_app", {}}, cfg,
+                         [&](Status st) {
+                           status = st;
+                           done = true;
+                         });
+  });
+  tc.run_until([&] { return done; }, sim::seconds(600));
+  if (prev != nullptr) {
+    ::setenv("LMON_TRACE_OUT", saved.c_str(), 1);
+  } else {
+    ::unsetenv("LMON_TRACE_OUT");
+  }
+
+  ASSERT_TRUE(done && status.is_ok()) << status.to_string();
+  EXPECT_EQ(tc.machine.tracer(), nullptr);
+  EXPECT_FALSE(std::filesystem::exists(path));
+  std::filesystem::remove(path);
 }
 
 TEST(TraceSession, ConcurrentVirtualSessionsCarryPerSessionLabels) {
