@@ -244,8 +244,10 @@ void Iccl::on_link_message(const cluster::ChannelPtr& ch,
       case Kind::GatherRts:
         handle_gather_rts(frame.tag, frame.src, frame.entries);
         break;
+      // Clearance and resume come only from the live parent: a frame the
+      // dead parent sent before dying can be handled after the reattach.
       case Kind::GatherCts:
-        handle_gather_cts(frame.tag);
+        if (ch == node_.parent()) handle_gather_cts(frame.tag);
         break;
       case Kind::GatherChunk:
         handle_gather_chunk(frame.tag, frame.entries.front().first,
@@ -260,7 +262,9 @@ void Iccl::on_link_message(const cluster::ChannelPtr& ch,
         }
         break;
       case Kind::GatherResume:
-        handle_gather_resume(frame.tag, frame.entries);
+        if (ch == node_.parent()) {
+          handle_gather_resume(frame.tag, frame.entries);
+        }
         break;
       case Kind::GatherDone:
         handle_gather_done(frame.tag);

@@ -506,7 +506,7 @@ INSTANTIATE_TEST_SUITE_P(Chunks, SelfHealBcastSweep,
                          ::testing::Values(std::size_t{2}, std::size_t{4},
                                            std::size_t{16}));
 
-/// One gather on a 7-rank binary heal fabric, rank r contributing
+/// One gather on an `n`-rank binary heal fabric, rank r contributing
 /// `size(r)` bytes, with relay 1 killed `kill_after` after the
 /// contributions. Checks that the round fires once and that every
 /// survivor's payload is present once and byte-identical; returns the
@@ -514,8 +514,7 @@ INSTANTIATE_TEST_SUITE_P(Chunks, SelfHealBcastSweep,
 std::set<std::uint32_t> gather_across_kill(
     std::uint32_t rndv_threshold,
     const std::function<std::size_t(std::uint32_t)>& size,
-    sim::Time kill_after, obs::Metrics& metrics) {
-  const int n = 7;
+    sim::Time kill_after, obs::Metrics& metrics, int n = 7) {
   const std::uint32_t tag = 85;
   Shared sh;
   TestCluster tc(n);
@@ -647,6 +646,19 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(pinfo.param.name);
     });
 
+TEST(SelfHeal, StaleGatherCtsFromTheDeadParentIsIgnored) {
+  // Relay 1 dies 3.1 ms after the contributions, with a GatherCts it sent
+  // its child 3 still waiting out its handling cost. Acting on it after the
+  // reattach streamed rank 3's subtree to the adopter ahead of the
+  // GatherResume, which re-sent it: origins 7 and 8 arrived twice and the
+  // round never fired. Rank 1's own payload was already upstream.
+  obs::Metrics metrics;
+  const auto origins = gather_across_kill(
+      kRndvAlways, [](std::uint32_t r) { return std::size_t{512} + 100 * r; },
+      sim::us(3100), metrics, /*n=*/15);
+  EXPECT_EQ(origins.size(), 15u);
+}
+
 TEST(SelfHeal, MidGatherKillRecoversSurvivorPayloads) {
   const int n = 7;
   Shared sh;
@@ -693,9 +705,11 @@ TEST(SelfHeal, MidGatherKillRecoversSurvivorPayloads) {
     EXPECT_EQ(got.at(1), contrib.at(1));
   }
   // Both orphans re-announce and resume; rank 1's own partial origin is
-  // dropped.
+  // dropped. Both resumes re-queue the orphan's whole payload: rank 3 also
+  // holds a GatherCts from rank 1, which it ignores as it arrived on the
+  // dead link.
   EXPECT_EQ(gather_heal_counters(metrics),
-            (std::vector<double>{2, 2, 2, 65936, 1}));
+            (std::vector<double>{2, 2, 2, 131772, 1}));
 
   check_collectives_whole(tc, sh, alive, 81, patterned(512, 0x66));
 }
@@ -814,9 +828,11 @@ TEST(SelfHeal, MidRoundKillWithTwoActiveSessionsReplaysPerSessionOnce) {
   EXPECT_EQ(stray_session_frames, 0);
   EXPECT_EQ(metrics.counter("iccl.mux.unbound_drops"), 0.0);
   // Each orphan re-announces and resumes both sessions' rounds; each
-  // session drops rank 1's own partial origin.
+  // session drops rank 1's own partial origin. Rank 3's session-1 round
+  // waits for its resume too: the GatherCts rank 1 sent it arrived on the
+  // dead link and is ignored.
   EXPECT_EQ(gather_heal_counters(metrics),
-            (std::vector<double>{4, 4, 4, 99008, 2}));
+            (std::vector<double>{4, 4, 4, 131968, 2}));
 
   // The infrastructure session is untouched by the multiplexed traffic.
   check_collectives_whole(tc, sh, alive, 130, patterned(1024, 0xCC));
