@@ -1,12 +1,10 @@
 #include "core/fe_api.hpp"
 
 #include <cassert>
-#include <cstdlib>
 
 #include "cluster/machine.hpp"
 #include "core/engine.hpp"
 #include "core/payloads.hpp"
-#include "obs/perfetto.hpp"
 #include "simkernel/log.hpp"
 
 namespace lmon::core {
@@ -21,13 +19,6 @@ constexpr int kPortsPerSession = 8;
 FrontEnd::FrontEnd(cluster::Process& self, int max_sessions)
     : self_(self), max_sessions_(max_sessions > 0 ? max_sessions : 1) {
   for (int i = 0; i < kPortSlots; ++i) free_port_slots_.insert(i);
-}
-
-FrontEnd::~FrontEnd() {
-  if (owned_tracer_ != nullptr &&
-      self_.machine().tracer() == owned_tracer_.get()) {
-    self_.machine().set_tracer(nullptr);
-  }
 }
 
 Status FrontEnd::init() {
@@ -84,7 +75,6 @@ Status FrontEnd::destroy_session(int sid) {
       if (s->infra->port_slot >= 0) {
         free_port_slots_.insert(s->infra->port_slot);
       }
-      infra_.erase(sid);
     }
   }
   sessions_.erase(sid);
@@ -155,21 +145,6 @@ void FrontEnd::start_operation(int sid, bool attach, const rm::JobSpec* job,
     start_virtual_attach(*s, std::move(done));
     return;
   }
-  // Trace wiring before e0 so the mark lands inside the capture. The FE
-  // only owns a tracer when asked to export and none is attached already
-  // (benches/tests attach their own through the machine hooks).
-  std::string trace_out = cfg.trace_out;
-  if (trace_out.empty()) {
-    if (const char* env = std::getenv("LMON_TRACE_OUT")) trace_out = env;
-  }
-  if (!trace_out.empty() && self_.machine().tracer() == nullptr &&
-      owned_tracer_ == nullptr) {
-    owned_tracer_ = std::make_unique<obs::Tracer>(self_.sim());
-    log_bridge_ = std::make_unique<obs::LogBridge>(*owned_tracer_);
-    self_.machine().set_tracer(owned_tracer_.get());
-    trace_out_path_ = trace_out;
-  }
-
   // Bind the session's infrastructure record: the tree bootstrap below is
   // what makes it real. Each FE instance owns a disjoint block of fabric/
   // report ports derived from its own LMONP port, so several tool front
@@ -194,7 +169,6 @@ void FrontEnd::start_operation(int sid, bool attach, const rm::JobSpec* job,
   infra->cookie = s->cookie;
   s->infra = infra;
   s->vsid = 0;
-  infra_[sid] = infra;
 
   self_.machine().mark("e0_fe_call");
   s->state = SessionState::EngineStarting;
@@ -602,13 +576,6 @@ void FrontEnd::finish(Session& s, Status st) {
     tracer->end_span(s.span, st.is_ok()
                                  ? label + " ok"
                                  : label + " failed: " + st.to_string());
-  }
-  if (owned_tracer_ != nullptr && !trace_out_path_.empty()) {
-    Status wr = obs::write_chrome_trace(*owned_tracer_, trace_out_path_);
-    if (!wr.is_ok()) {
-      sim::LogLine(sim::LogLevel::Warn, self_.sim().now(), "lmon_fe")
-          << "trace export failed: " << wr.to_string();
-    }
   }
   if (s.done) {
     auto cb = std::move(s.done);

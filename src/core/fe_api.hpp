@@ -28,6 +28,9 @@
 // All operations are asynchronous (completion callbacks) because the tool
 // front end is an event-driven simulated process; the real library's
 // blocking calls map 1:1 onto these.
+//
+// Sessions record their spans and the e0..e11 marks into whatever Tracer is
+// attached to the Machine; the Machine's owner attaches and exports it.
 #pragma once
 
 #include <cstdint>
@@ -116,11 +119,6 @@ class FrontEnd {
     /// piggybacked tool data; overrides fe_to_be_data. STAT uses this to
     /// pack a TBON topology built over the proctable's hosts.
     std::function<Bytes()> fe_data_provider;
-    /// When set (or LMON_TRACE_OUT is in the environment), the FE attaches
-    /// an obs::Tracer to the machine for this session and writes a
-    /// Chrome/Perfetto trace-event JSON file here when the operation
-    /// completes. Purely observational: simulated timings are unchanged.
-    std::string trace_out;
   };
 
   using Done = std::function<void(Status)>;
@@ -145,7 +143,6 @@ class FrontEnd {
   /// bound above 64 is usable when the surplus multiplexes existing trees.
   explicit FrontEnd(cluster::Process& self,
                     int max_sessions = kDefaultMaxSessions);
-  ~FrontEnd();
 
   FrontEnd(const FrontEnd&) = delete;
   FrontEnd& operator=(const FrontEnd&) = delete;
@@ -302,13 +299,6 @@ class FrontEnd {
   std::set<int> free_ids_;  ///< ids released by destroy_session
   int max_sessions_ = kDefaultMaxSessions;
   std::set<int> free_port_slots_;  ///< unassigned per-FE port-block slots
-  /// Registry of persistent trees by owner session id (InfraHandle lookup).
-  std::map<int, InfraPtr> infra_;
-  /// Tracer owned by this FE when SpawnConfig::trace_out / LMON_TRACE_OUT
-  /// asked for an export and no external tracer was already attached.
-  std::unique_ptr<obs::Tracer> owned_tracer_;
-  std::unique_ptr<obs::LogBridge> log_bridge_;
-  std::string trace_out_path_;
   /// Fixed per-FE port-block geometry: 64 slots regardless of the session
   /// bound, so several FEs' blocks never overlap (see create_session).
   static constexpr int kPortSlots = 64;
