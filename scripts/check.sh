@@ -19,8 +19,9 @@
 #                  gather replay counters), the ICCL protocol fault cases (a
 #                  child dying mid-rendezvous, downstream and upstream), the
 #                  subtree-reparent math units, the tree-link core (dial,
-#                  ready latch, heal climb), the TBON overlay heal test, and
-#                  the availability bench at smoke scale - the fast "did a
+#                  ready latch, heal climb), the TBON overlay heal test, the
+#                  trace-tail dump those suites print on failure, and the
+#                  availability bench at smoke scale - the fast "did a
 #                  refactor break failure recovery" gate.
 #   --mux-smoke    build the Release preset and run only the multiplexed-
 #                  service surface: the virtual-session integration suite,
@@ -57,13 +58,14 @@ if [[ "${1:-}" == "--fault-smoke" ]]; then
   cmake --preset release
   cmake --build --preset release -j "$JOBS" \
     --target self_heal_test iccl_rendezvous_test comm_topology_test \
-    tree_node_test tbon_net_test bench_ablation_heal
+    tree_node_test tbon_net_test obs_test bench_ablation_heal
   build-release/self_heal_test
   build-release/iccl_rendezvous_test \
     --gtest_filter='*IcclGatherFault.*:IcclProtocol.MidRendezvous*'
   build-release/comm_topology_test --gtest_filter='HealMath.*'
   build-release/tree_node_test --gtest_filter='TreeNode.*'
   build-release/tbon_net_test --gtest_filter='TbonNet.HealedOverlay*'
+  build-release/obs_test --gtest_filter='TraceTail.*'
   LMON_BENCH_SMOKE=1 build-release/bench_ablation_heal
   echo "fault-smoke OK"
   exit 0

@@ -17,7 +17,6 @@
 #include "cluster/cost_model.hpp"
 #include "cluster/network.hpp"
 #include "cluster/node.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "simkernel/simulator.hpp"
@@ -112,10 +111,13 @@ class Machine {
   }
 
   // --- observability hooks (obs/) ------------------------------------------
-  // Purely observational: components record spans, marks and counters
-  // through these when attached, never schedule events or charge costs, and
-  // skip all work when the hooks are null - so traced and untraced runs of
-  // the same seed produce identical simulated timings.
+  // Two sinks: the attached Tracer (spans, instants, critical-path marks and
+  // charges) and Metrics (counters, histograms, gauges). Whoever owns the
+  // Machine attaches them and exports the trace; the library never does.
+  // Purely observational: components record through these when attached,
+  // never schedule events or charge costs, and skip all work - building
+  // trace strings included - when the hooks are null, so traced and
+  // untraced runs of the same seed produce identical simulated timings.
 
   /// Critical-path events (e0..e11 of the paper's §4 model) and component
   /// cost charges; this models the "instrumented version of LaunchMON" the
@@ -133,10 +135,6 @@ class Machine {
   void set_tracer(obs::Tracer* t);
   [[nodiscard]] obs::Metrics* metrics() noexcept { return metrics_; }
   void set_metrics(obs::Metrics* m) noexcept { metrics_ = m; }
-  [[nodiscard]] obs::FlightRecorderHub* flight() noexcept { return flight_; }
-  void set_flight_recorder(obs::FlightRecorderHub* f) noexcept {
-    flight_ = f;
-  }
   void count(const std::string& name, double delta = 1) {
     if (metrics_ != nullptr) metrics_->add(name, delta);
   }
@@ -145,12 +143,6 @@ class Machine {
   }
   void gauge(const std::string& name, double value) {
     if (metrics_ != nullptr) metrics_->set_gauge(name, value);
-  }
-  void flight_record(Pid pid, std::string component, std::string message) {
-    if (flight_ != nullptr) {
-      flight_->record(pid, sim_.now(), std::move(component),
-                      std::move(message));
-    }
   }
 
   // Bookkeeping used by Node::spawn (defined in machine.cpp so the tracer
@@ -169,7 +161,6 @@ class Machine {
   std::unordered_map<std::string, ProgramImage> programs_;
   obs::Tracer* tracer_ = nullptr;
   obs::Metrics* metrics_ = nullptr;
-  obs::FlightRecorderHub* flight_ = nullptr;
   Pid next_pid_ = kFirstPid;
   Channel::Id next_channel_ = 1;
 };

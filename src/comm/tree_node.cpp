@@ -143,10 +143,6 @@ void TreeNode::climb() {
   climbing_ = true;
   via_.assign(1, parent_);
   count("heal.orphaned");
-  self_.machine().flight_record(self_.pid(), layer_,
-                                "heal: parent rank " +
-                                    std::to_string(parent_) +
-                                    " lost; climbing ancestor chain");
   if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
     heal_span_ = tracer->begin_span(
         layer_ + ".heal", layer_, static_cast<int>(self_.node().id()),
@@ -196,9 +192,6 @@ void TreeNode::reattach(std::size_t hop, int attempts_left) {
 void TreeNode::adopt(std::uint32_t target, cluster::ChannelPtr ch) {
   climbing_ = false;
   count("heal.reattaches");
-  self_.machine().flight_record(
-      self_.pid(), layer_,
-      "heal: reattached under rank " + std::to_string(target));
   if (obs::Tracer* tracer = self_.machine().tracer();
       tracer != nullptr && heal_span_ != obs::kNoSpan) {
     tracer->end_span(heal_span_, "adopted_by=" + std::to_string(target));
@@ -210,8 +203,6 @@ void TreeNode::adopt(std::uint32_t target, cluster::ChannelPtr ch) {
 void TreeNode::give_up(const char* reason) {
   climbing_ = false;
   count("heal.give_ups");
-  self_.machine().flight_record(self_.pid(), layer_,
-                                std::string("heal: giving up, ") + reason);
   if (obs::Tracer* tracer = self_.machine().tracer();
       tracer != nullptr && heal_span_ != obs::kNoSpan) {
     tracer->end_span(heal_span_, std::string("give_up=") + reason);

@@ -84,7 +84,7 @@ class TreeNode {
         obs::Tracer& tracer) const = 0;
   };
 
-  /// `layer` prefixes every counter, span and flight record ("iccl",
+  /// `layer` prefixes every counter, span and instant ("iccl",
   /// "tbon"); `noun` names the tree in error messages ("fabric", "TBON").
   TreeNode(cluster::Process& self, Hooks& hooks, const char* layer,
            const char* noun, DialPolicy dial, std::uint32_t index,

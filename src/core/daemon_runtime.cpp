@@ -70,9 +70,6 @@ Status DaemonRuntime::init(Callbacks callbacks) {
     tracer->set_anchor(
         "daemon:" + session + ":" + std::to_string(iccl_->rank()), span_);
   }
-  self_.machine().flight_record(
-      self_.pid(), "daemon",
-      "init rank=" + std::to_string(iccl_->rank()));
 
   // The master's handshake with the FE begins immediately (paper e7) while
   // the fabric wires underneath (e8..e9).
@@ -126,7 +123,6 @@ void DaemonRuntime::on_fabric_ready(Status st) {
     return;
   }
   fabric_ready_ = true;
-  self_.machine().flight_record(self_.pid(), "daemon", "fabric ready");
   if (iccl_->is_root()) {
     self_.machine().mark(mark_prefix() + "e9_setup_done");
     maybe_run_handshake();
@@ -186,8 +182,6 @@ void DaemonRuntime::maybe_run_handshake() {
         static_cast<int>(self_.node().id()), self_.pid(), span_,
         "size=" + std::to_string(iccl_->size()));
   }
-  self_.machine().flight_record(self_.pid(), "daemon",
-                                "handshake collective begin");
   // Distribute the RPDTAB + piggybacked tool data down the fabric.
   ByteWriter w;
   w.blob(buffered_rpdtab_);
@@ -223,7 +217,6 @@ void DaemonRuntime::on_handshake_bcast(const ByteSlice& data) {
       if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
         tracer->end_span(span_, st.is_ok() ? "ready" : "failed");
       }
-      self_.machine().flight_record(self_.pid(), "daemon", "ready ack sent");
     }
     if (cbs_.on_ready && !iccl_->is_root()) cbs_.on_ready(st);
   };
@@ -254,9 +247,6 @@ void DaemonRuntime::on_internal_gather(
       tracer->end_span(collective_span_,
                        "acks=" + std::to_string(entries.size()));
     }
-    self_.machine().flight_record(
-        self_.pid(), "daemon",
-        "handshake collective end acks=" + std::to_string(entries.size()));
 
     payload::Ready ready;
     ready.ok = all_ok;
@@ -391,9 +381,13 @@ void DaemonRuntime::handle_virtual_attach(std::uint32_t vsid) {
   // the FE surfaces it as a Status, never a hang.
   if (sessions_.size() - 1 >= max_virtual_sessions()) {
     self_.machine().count("daemon.vattach_rejected");
-    self_.machine().flight_record(
-        self_.pid(), "daemon",
-        "vattach " + std::to_string(vsid) + " rejected: session table full");
+    if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
+      tracer->instant("daemon.vattach_rejected", "daemon",
+                      static_cast<int>(self_.node().id()), self_.pid(),
+                      obs::kNoSpan,
+                      "vattach " + std::to_string(vsid) +
+                          " rejected: session table full");
+    }
     send_virtual_ready(vsid, false, "virtual session table full", 0);
     return;
   }
@@ -421,9 +415,6 @@ void DaemonRuntime::vsession_open(std::uint32_t vsid) {
   };
   iccl_->bind_session(vsid, std::move(handlers));
   self_.machine().count("daemon.vsessions_opened");
-  self_.machine().flight_record(self_.pid(), "daemon",
-                                "vsession " + std::to_string(vsid) +
-                                    " attached");
   if (cbs_.on_vsession_attach) cbs_.on_vsession_attach(vsid);
   // Attach ack rides the new session's own namespace; the master answers
   // the FE once every daemon's ack arrived.
@@ -436,9 +427,6 @@ void DaemonRuntime::vsession_close(std::uint32_t vsid) {
   iccl_->unbind_session(vsid);
   sessions_.erase(it);
   self_.machine().count("daemon.vsessions_closed");
-  self_.machine().flight_record(self_.pid(), "daemon",
-                                "vsession " + std::to_string(vsid) +
-                                    " detached");
   if (cbs_.on_vsession_detach) cbs_.on_vsession_detach(vsid);
 }
 
@@ -591,8 +579,6 @@ void DaemonRuntime::fail(Status st) {
       << "rank " << (iccl_ ? iccl_->rank() : 0)
       << " session failure: " << st.to_string();
   self_.machine().count("daemon.failures");
-  self_.machine().flight_record(self_.pid(), "daemon",
-                                "session failure: " + st.to_string());
   if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
     tracer->end_span(span_, "failed: " + st.to_string());
   }

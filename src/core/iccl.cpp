@@ -523,9 +523,12 @@ void Iccl::handle_rndv_chunk(StreamKey tag, std::uint32_t seq,
 
 void Iccl::on_child_lost(std::uint32_t lost, bool /*was_ready*/) {
   self_.machine().count("iccl.children_lost");
-  self_.machine().flight_record(self_.pid(), "iccl",
-                                "child rank " + std::to_string(lost) +
-                                    " lost");
+  if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
+    tracer->instant("iccl.child_lost", "iccl",
+                    static_cast<int>(self_.node().id()), self_.pid(),
+                    obs::kNoSpan,
+                    "child rank " + std::to_string(lost) + " lost");
+  }
   // Any rendezvous round still waiting on the dead child's CTS must not
   // stall the surviving children.
   for (auto it = streams_.begin(); it != streams_.end();) {
@@ -970,10 +973,13 @@ void Iccl::gather_drop_origin(StreamKey tag, GatherState& st,
   o.got = o.total;
   o.copy = Bytes{};
   count_mux(tag, "gather_drops");
-  self_.machine().flight_record(self_.pid(), "iccl",
-                                "gather tag " + tag.str() +
-                                    " dropped origin " +
-                                    std::to_string(origin));
+  if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
+    tracer->instant("iccl.gather_drop", "iccl",
+                    static_cast<int>(self_.node().id()), self_.pid(),
+                    obs::kNoSpan,
+                    "gather tag " + tag.str() + " dropped origin " +
+                        std::to_string(origin));
+  }
   // The parent knows about an announced origin; retract it. The drop frame
   // may overtake chunks still queued behind the cursor - receivers ignore
   // chunks for dropped origins, so the race is benign. Before the announce
@@ -1048,10 +1054,14 @@ void Iccl::heal_record_bcast(StreamKey tag, const ByteSlice& payload) {
 }
 
 void Iccl::heal_child_lost(std::uint32_t lost) {
-  self_.machine().flight_record(
-      self_.pid(), "iccl",
-      "heal: child rank " + std::to_string(lost) +
-          " died; holding its subtree's stake for orphan reattach");
+  if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
+    tracer->instant("iccl.heal.slot_opened", "iccl",
+                    static_cast<int>(self_.node().id()), self_.pid(),
+                    obs::kNoSpan,
+                    "heal: child rank " + std::to_string(lost) +
+                        " died; holding its subtree's stake for orphan "
+                        "reattach");
+  }
   // Open (or join) the adoption slot, and suspend the dead child's stake in
   // every open gather round until the slot resolves.
   const bool fresh = heal_slots_.count(lost) == 0;
@@ -1102,10 +1112,14 @@ void Iccl::heal_check_slot(std::uint32_t dead) {
 void Iccl::heal_resolve_slot(std::uint32_t dead, bool expired) {
   heal_slots_.erase(dead);
   self_.machine().count("iccl.heal.slots_resolved");
-  self_.machine().flight_record(
-      self_.pid(), "iccl",
-      "heal: slot for dead child " + std::to_string(dead) +
-          (expired ? " resolved by grace expiry" : " resolved by coverage"));
+  if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
+    tracer->instant("iccl.heal.slot_resolved", "iccl",
+                    static_cast<int>(self_.node().id()), self_.pid(),
+                    obs::kNoSpan,
+                    "heal: slot for dead child " + std::to_string(dead) +
+                        (expired ? " resolved by grace expiry"
+                                 : " resolved by coverage"));
+  }
   // Whatever stake of the dead child's subtree was not claimed by a
   // reattached orphan is now retracted, exactly like the non-heal path.
   gather_forget(dead);
@@ -1196,10 +1210,14 @@ void Iccl::handle_reattach(const cluster::ChannelPtr& ch, std::uint32_t src,
   }
   node_.add_child(src, ch);
   self_.machine().count("iccl.heal.adoptions");
-  self_.machine().flight_record(
-      self_.pid(), "iccl",
-      "heal: adopted orphan rank " + std::to_string(src) + " (climbed past " +
-          std::to_string(via.size()) + " dead)");
+  if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
+    tracer->instant("iccl.heal.adoption", "iccl",
+                    static_cast<int>(self_.node().id()), self_.pid(),
+                    obs::kNoSpan,
+                    "heal: adopted orphan rank " + std::to_string(src) +
+                        " (climbed past " + std::to_string(via.size()) +
+                        " dead)");
+  }
   // Which of this node's dead children does the orphan descend from? Walk
   // the orphan's topology ancestor chain until it meets this rank.
   std::uint32_t dead_child = src;
@@ -1302,10 +1320,14 @@ void Iccl::heal_replay_bcasts(
         bcast_history_.count(tag) != 0) {
       continue;
     }
-    self_.machine().flight_record(
-        self_.pid(), "iccl",
-        "heal: cannot replay bcast tag " + tag.str() +
-            " for orphan " + std::to_string(orphan) + " (history evicted)");
+    if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
+      tracer->instant("iccl.heal.replay_evicted", "iccl",
+                      static_cast<int>(self_.node().id()), self_.pid(),
+                      obs::kNoSpan,
+                      "heal: cannot replay bcast tag " + tag.str() +
+                          " for orphan " + std::to_string(orphan) +
+                          " (history evicted)");
+    }
   }
 }
 
@@ -1363,9 +1385,13 @@ void Iccl::leave() {
   if (node_.detached()) return;
   node_.detach();
   self_.machine().count("iccl.heal.leaves");
-  self_.machine().flight_record(self_.pid(), "iccl",
-                                "heal: rank " + std::to_string(params_.rank) +
-                                    " leaving the session");
+  if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
+    tracer->instant("iccl.heal.leave", "iccl",
+                    static_cast<int>(self_.node().id()), self_.pid(),
+                    obs::kNoSpan,
+                    "heal: rank " + std::to_string(params_.rank) +
+                        " leaving the session");
+  }
   send_up(encode_frame(Kind::Leave, 0, params_.rank));
   // Give the frame a head start, then exit. Children notice the closed
   // links and heal onto an ancestor through the normal reparent path.
@@ -1374,9 +1400,13 @@ void Iccl::leave() {
 
 void Iccl::handle_leave(std::uint32_t src) {
   self_.machine().count("iccl.heal.leaves_observed");
-  self_.machine().flight_record(self_.pid(), "iccl",
-                                "heal: child rank " + std::to_string(src) +
-                                    " left gracefully");
+  if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
+    tracer->instant("iccl.heal.left", "iccl",
+                    static_cast<int>(self_.node().id()), self_.pid(),
+                    obs::kNoSpan,
+                    "heal: child rank " + std::to_string(src) +
+                        " left gracefully");
+  }
   // Run the lost-child bookkeeping now; the close callback that follows
   // finds the rank already erased and no-ops.
   node_.lose_child(src);

@@ -333,8 +333,11 @@ void NodeDaemon::child_failed(cluster::Process& self, Key key,
   if (p.error.empty()) p.error = why;
   p.awaiting_children -= 1;
   self.machine().count("rm.subtree_failures");
-  self.machine().flight_record(self.pid(), "slurmd",
-                               "subtree child failed: " + why);
+  if (obs::Tracer* tracer = self.machine().tracer(); tracer != nullptr) {
+    tracer->instant("slurmd.subtree_child_failed", "slurmd",
+                    static_cast<int>(self.node().id()), self.pid(),
+                    obs::kNoSpan, "subtree child failed: " + why);
+  }
   maybe_complete(self, key);
 }
 
@@ -344,8 +347,11 @@ void NodeDaemon::arm_timeout(cluster::Process& self, Key key) {
     if (it == pending_.end() || it->second.done) return;
     it->second.failed = true;
     self.machine().count("rm.subtree_timeouts");
-    self.machine().flight_record(self.pid(), "slurmd",
-                                 "subtree launch timeout");
+    if (obs::Tracer* tracer = self.machine().tracer(); tracer != nullptr) {
+      tracer->instant("slurmd.subtree_timeout", "slurmd",
+                      static_cast<int>(self.node().id()), self.pid(),
+                      obs::kNoSpan, "subtree launch timeout");
+    }
     if (it->second.error.empty()) it->second.error = "subtree launch timeout";
     it->second.awaiting_local = 0;
     it->second.awaiting_children = 0;

@@ -394,8 +394,11 @@ void TreeAgent::on_child_session_lost(cluster::Process& self,
   if (ack_.error.empty()) ack_.error = "lost tree agent on " + host;
   awaiting_children_ -= 1;
   self.machine().count("rsh.subtree_losses");
-  self.machine().flight_record(self.pid(), "rsh_tree_agent",
-                               "lost tree agent on " + host);
+  if (obs::Tracer* tracer = self.machine().tracer(); tracer != nullptr) {
+    tracer->instant("rsh_tree_agent.subtree_lost", "rsh_tree_agent",
+                    static_cast<int>(self.node().id()), self.pid(),
+                    obs::kNoSpan, "lost tree agent on " + host);
+  }
   maybe_report(self);
 }
 

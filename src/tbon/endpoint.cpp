@@ -107,9 +107,6 @@ void TbonEndpoint::on_ready(Status st) {
   obs::Tracer* tracer = self_.machine().tracer();
   if (!st.is_ok()) {
     self_.machine().count("tbon.failures");
-    self_.machine().flight_record(self_.pid(), "tbon",
-                                  "node " + std::to_string(my_index_) +
-                                      " failed: " + st.message());
     if (tracer != nullptr && span_ != obs::kNoSpan) {
       tracer->end_span(span_, "failed: " + st.message());
     }
@@ -215,10 +212,13 @@ void TbonEndpoint::on_child_lost(std::uint32_t child, bool was_ready) {
   const int lost = static_cast<int>(child);
   expected_live_.erase(lost);
   self_.machine().count("tbon.heal.children_lost");
-  self_.machine().flight_record(
-      self_.pid(), "tbon",
-      "node " + std::to_string(my_index_) + " lost child " +
-          std::to_string(lost) + " post-ready (healing)");
+  if (obs::Tracer* tracer = self_.machine().tracer(); tracer != nullptr) {
+    tracer->instant("tbon.heal.child_lost", "tbon",
+                    static_cast<int>(self_.node().id()), self_.pid(),
+                    obs::kNoSpan,
+                    "node " + std::to_string(my_index_) + " lost child " +
+                        std::to_string(lost) + " post-ready (healing)");
+  }
   // Rounds in flight across the failure would wait forever on the dead
   // subtree: drop its pending entry and let stragglers complete. Its
   // contribution to those rounds is lost by design (the orphan re-sends

@@ -41,7 +41,7 @@ void launch(TestCluster& tc, Driver& d, const std::string& daemon_exe,
 
 TEST(Failure, MissingDaemonExecutableReportsCleanly) {
   TestCluster tc(4);
-  testing::FlightRecorderOnFailure flight(tc.machine);
+  testing::TraceTailOnFailure tail(tc.machine);
   Driver d;
   launch(tc, d, "no_such_daemon", 4);
   ASSERT_TRUE(tc.run_until([&] { return d.done; }));
@@ -51,7 +51,7 @@ TEST(Failure, MissingDaemonExecutableReportsCleanly) {
 
 TEST(Failure, MissingAppExecutableReportsCleanly) {
   TestCluster tc(4);
-  testing::FlightRecorderOnFailure flight(tc.machine);
+  testing::TraceTailOnFailure tail(tc.machine);
   Driver d;
   tc.spawn_fe([&](cluster::Process& self) {
     d.fe = std::make_shared<core::FrontEnd>(self);
@@ -72,7 +72,7 @@ TEST(Failure, MissingAppExecutableReportsCleanly) {
 
 TEST(Failure, AttachToNonexistentLauncherFails) {
   TestCluster tc(2);
-  testing::FlightRecorderOnFailure flight(tc.machine);
+  testing::TraceTailOnFailure tail(tc.machine);
   Driver d;
   tc.spawn_fe([&](cluster::Process& self) {
     d.fe = std::make_shared<core::FrontEnd>(self);
@@ -92,7 +92,7 @@ TEST(Failure, AttachToNonexistentLauncherFails) {
 
 TEST(Failure, KillTearsDownJobAndDaemons) {
   TestCluster tc(4);
-  testing::FlightRecorderOnFailure flight(tc.machine);
+  testing::TraceTailOnFailure tail(tc.machine);
   Driver d;
   launch(tc, d, "hello_be", 4);
   ASSERT_TRUE(tc.run_until([&] { return d.done; }));
@@ -126,7 +126,7 @@ TEST(Failure, KillTearsDownJobAndDaemons) {
 
 TEST(Failure, FeDeathCleansUpEntireSession) {
   TestCluster tc(4);
-  testing::FlightRecorderOnFailure flight(tc.machine);
+  testing::TraceTailOnFailure tail(tc.machine);
   Driver d;
   cluster::Pid fe_pid = cluster::kInvalidPid;
   tc.spawn_fe([&](cluster::Process& self) {
@@ -165,7 +165,7 @@ TEST(Failure, FeDeathCleansUpEntireSession) {
 
 TEST(Failure, AllocationExhaustionAcrossSessions) {
   TestCluster tc(4);
-  testing::FlightRecorderOnFailure flight(tc.machine);
+  testing::TraceTailOnFailure tail(tc.machine);
   // First job takes all nodes.
   auto first = rm::run_job(tc.machine, rm::JobSpec{4, 1, "mpi_app", {}});
   ASSERT_TRUE(first.is_ok());
@@ -179,7 +179,7 @@ TEST(Failure, AllocationExhaustionAcrossSessions) {
 
 TEST(Failure, DeadNodeDaemonFailsSubtreeNotWholeRm) {
   TestCluster tc(8);
-  testing::FlightRecorderOnFailure flight(tc.machine);
+  testing::TraceTailOnFailure tail(tc.machine);
   // Kill the slurmd on one node before launching.
   for (cluster::Process* p : tc.machine.compute_node(5).live_processes()) {
     if (p->options().executable == "slurmd") p->exit(1);
@@ -196,7 +196,7 @@ TEST(Failure, DeadNodeDaemonFailsSubtreeNotWholeRm) {
 
 TEST(Failure, DetachAfterFailureIsSafe) {
   TestCluster tc(2);
-  testing::FlightRecorderOnFailure flight(tc.machine);
+  testing::TraceTailOnFailure tail(tc.machine);
   Driver d;
   launch(tc, d, "no_such_daemon", 2);
   ASSERT_TRUE(tc.run_until([&] { return d.done; }));

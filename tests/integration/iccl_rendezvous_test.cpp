@@ -423,7 +423,7 @@ Bytes origin_payload(std::uint32_t rank, std::size_t size) {
 TEST(IcclProtocol, LargeGatherRunsRtsCtsChunkSequenceUpward) {
   const int n = 7;
   TestCluster tc(n);
-  testing::FlightRecorderOnFailure flight(tc.machine);
+  testing::TraceTailOnFailure tail(tc.machine);
   Shared sh;
   wire_fabric(tc, sh, {comm::TopologyKind::KAry, 2}, identity_placement(n),
               kRndvAlways);
@@ -458,7 +458,7 @@ TEST(IcclProtocol, ContendingSessionsTakeTurnsOnTheRootClearance) {
   // last round is delivered. Every round still arrives exactly once.
   const int n = 7;
   TestCluster tc(n);
-  testing::FlightRecorderOnFailure flight(tc.machine);
+  testing::TraceTailOnFailure tail(tc.machine);
   obs::Metrics metrics;
   tc.machine.set_metrics(&metrics);
   Shared sh;
@@ -546,7 +546,7 @@ class IcclGatherFault : public ::testing::TestWithParam<GatherFaultCase> {
 TEST_P(IcclGatherFault, ChildDeathDuringRtsCtsDropsItsSubtreeOnly) {
   const GatherFaultCase c = GetParam();
   TestCluster tc(c.n);
-  testing::FlightRecorderOnFailure flight(tc.machine);
+  testing::TraceTailOnFailure tail(tc.machine);
   Shared sh;
   const auto pids = wire_fabric(tc, sh, c.topo, identity_placement(c.n),
                                 kRndvAlways);
@@ -578,7 +578,7 @@ TEST_P(IcclGatherFault, ChildDeathDuringRtsCtsDropsItsSubtreeOnly) {
 TEST_P(IcclGatherFault, ChildDeathMidChunkStreamDeliversSurvivors) {
   const GatherFaultCase c = GetParam();
   TestCluster tc(c.n);
-  testing::FlightRecorderOnFailure flight(tc.machine);
+  testing::TraceTailOnFailure tail(tc.machine);
   Shared sh;
   const auto pids = wire_fabric(tc, sh, c.topo, identity_placement(c.n),
                                 kRndvAlways);

@@ -28,7 +28,7 @@ class LaunchStrategyTest : public ::testing::TestWithParam<Param> {};
 TEST_P(LaunchStrategyTest, SessionComesUpAndTearsDown) {
   const auto [strategy, topology, nodes] = GetParam();
   TestCluster tc(nodes);
-  testing::FlightRecorderOnFailure flight(tc.machine);
+  testing::TraceTailOnFailure tail(tc.machine);
 
   bool done = false;
   Status status;
@@ -192,7 +192,7 @@ class TreeRshFaultTest : public ::testing::TestWithParam<comm::TopologySpec> {
 
 TEST_P(TreeRshFaultTest, MidTreeAgentDeathAfterReadyReapsSubtree) {
   TestCluster tc(kFaultNodes);
-  testing::FlightRecorderOnFailure flight(tc.machine);
+  testing::TraceTailOnFailure tail(tc.machine);
   std::shared_ptr<core::FrontEnd> fe;
   int sid = -1;
   bool done = false;
@@ -224,7 +224,7 @@ TEST_P(TreeRshFaultTest, MidTreeAgentDeathAfterReadyReapsSubtree) {
 
 TEST_P(TreeRshFaultTest, MidTreeAgentDeathDuringBootstrapFailsAndReaps) {
   TestCluster tc(kFaultNodes);
-  testing::FlightRecorderOnFailure flight(tc.machine);
+  testing::TraceTailOnFailure tail(tc.machine);
   std::shared_ptr<core::FrontEnd> fe;
   int sid = -1;
   bool done = false;
@@ -303,7 +303,7 @@ TEST(TreeRshLauncherFault, RootDeathDuringSiblingLaunchKeepsSurvivorsReapable) {
   // unreapable. The collector instead stops expecting the dead subtree and
   // still hands back every surviving keepalive.
   TestCluster tc(kFaultNodes);
-  testing::FlightRecorderOnFailure flight(tc.machine);
+  testing::TraceTailOnFailure tail(tc.machine);
   bool done = false;
   rsh::LaunchOutcome outcome;
   cluster::Process* fe_proc = nullptr;
@@ -368,7 +368,7 @@ TEST(TreeRshLauncherFault, RootDeathDuringSiblingLaunchKeepsSurvivorsReapable) {
 
 TEST(TreeRshLauncherFault, LostUnackedChildSessionFailsLaunch) {
   TestCluster tc(kFaultNodes);
-  testing::FlightRecorderOnFailure flight(tc.machine);
+  testing::TraceTailOnFailure tail(tc.machine);
   bool done = false;
   rsh::LaunchOutcome outcome;
   std::vector<std::string> hosts;

@@ -258,7 +258,7 @@ TEST_P(SelfHealFabric, IdleKillReparentsAndCollectivesRecover) {
   const HealCase c = GetParam();
   Shared sh;
   TestCluster tc(c.n);
-  lmon::testing::FlightRecorderOnFailure flight(tc.machine);
+  lmon::testing::TraceTailOnFailure tail(tc.machine);
   obs::Metrics metrics;
   tc.machine.set_metrics(&metrics);
   const auto pids = wire_heal_fabric(tc, sh, c.topo, c.n, kRndvAlways);
@@ -311,7 +311,7 @@ TEST(SelfHeal, MidBcastEagerKillReplaysToOrphans) {
   const int n = 7;
   Shared sh;
   TestCluster tc(n);
-  lmon::testing::FlightRecorderOnFailure flight(tc.machine);
+  lmon::testing::TraceTailOnFailure tail(tc.machine);
   obs::Metrics metrics;
   tc.machine.set_metrics(&metrics);
   const auto pids = wire_heal_fabric(tc, sh, {comm::TopologyKind::KAry, 2},
@@ -351,7 +351,7 @@ TEST(SelfHeal, MidBcastRendezvousKillResumesChunkStream) {
   const int n = 7;
   Shared sh;
   TestCluster tc(n);
-  lmon::testing::FlightRecorderOnFailure flight(tc.machine);
+  lmon::testing::TraceTailOnFailure tail(tc.machine);
   obs::Metrics metrics;
   tc.machine.set_metrics(&metrics);
   const auto pids = wire_heal_fabric(tc, sh, {comm::TopologyKind::KAry, 2},
@@ -408,7 +408,7 @@ TEST_P(SelfHealBcastReplay, OrphansGetTheRoundExactlyOnce) {
   const BcastReplayCase c = GetParam();
   Shared sh;
   TestCluster tc(c.n);
-  lmon::testing::FlightRecorderOnFailure flight(tc.machine);
+  lmon::testing::TraceTailOnFailure tail(tc.machine);
   obs::Metrics metrics;
   tc.machine.set_metrics(&metrics);
   const auto pids = wire_heal_fabric(tc, sh, {comm::TopologyKind::KAry, 2},
@@ -478,7 +478,7 @@ TEST_P(SelfHealBcastSweep, EveryKillTimeDeliversToEachSurvivorOnce) {
     SCOPED_TRACE("kill at " + std::to_string(kill / sim::us(1)) + " us");
     Shared sh;
     TestCluster tc(n);
-    lmon::testing::FlightRecorderOnFailure flight(tc.machine);
+    lmon::testing::TraceTailOnFailure tail(tc.machine);
     const auto pids = wire_heal_fabric(tc, sh, {comm::TopologyKind::KAry, 2},
                                        n, kRndvAlways);
     ASSERT_TRUE(tc.run_until([&] { return sh.ready == n; }));
@@ -518,7 +518,7 @@ std::set<std::uint32_t> gather_across_kill(
   const std::uint32_t tag = 85;
   Shared sh;
   TestCluster tc(n);
-  lmon::testing::FlightRecorderOnFailure flight(tc.machine);
+  lmon::testing::TraceTailOnFailure tail(tc.machine);
   tc.machine.set_metrics(&metrics);
   const auto pids = wire_heal_fabric(tc, sh, {comm::TopologyKind::KAry, 2},
                                      n, rndv_threshold);
@@ -663,7 +663,7 @@ TEST(SelfHeal, MidGatherKillRecoversSurvivorPayloads) {
   const int n = 7;
   Shared sh;
   TestCluster tc(n);
-  lmon::testing::FlightRecorderOnFailure flight(tc.machine);
+  lmon::testing::TraceTailOnFailure tail(tc.machine);
   obs::Metrics metrics;
   tc.machine.set_metrics(&metrics);
   const auto pids = wire_heal_fabric(tc, sh, {comm::TopologyKind::KAry, 2},
@@ -724,7 +724,7 @@ TEST(SelfHeal, MidRoundKillWithTwoActiveSessionsReplaysPerSessionOnce) {
   const int n = 7;
   Shared sh;
   TestCluster tc(n);
-  lmon::testing::FlightRecorderOnFailure flight(tc.machine);
+  lmon::testing::TraceTailOnFailure tail(tc.machine);
   obs::Metrics metrics;
   tc.machine.set_metrics(&metrics);
   const auto pids = wire_heal_fabric(tc, sh, {comm::TopologyKind::KAry, 2},
@@ -845,7 +845,7 @@ TEST(SelfHeal, CorrelatedSubtreeLossResolvesByGraceTimer) {
   const int n = 7;
   Shared sh;
   TestCluster tc(n);
-  lmon::testing::FlightRecorderOnFailure flight(tc.machine);
+  lmon::testing::TraceTailOnFailure tail(tc.machine);
   obs::Metrics metrics;
   tc.machine.set_metrics(&metrics);
   const auto pids = wire_heal_fabric(tc, sh, {comm::TopologyKind::KAry, 2},
@@ -885,7 +885,7 @@ TEST(SelfHeal, CascadingKillsRehealAlreadyHealedRanks) {
   const int n = 15;  // kary:2 depth 3: 3's children {7,8}, 1's {3,4}
   Shared sh;
   TestCluster tc(n);
-  lmon::testing::FlightRecorderOnFailure flight(tc.machine);
+  lmon::testing::TraceTailOnFailure tail(tc.machine);
   const auto pids = wire_heal_fabric(tc, sh, {comm::TopologyKind::KAry, 2},
                                      n, kRndvAlways);
   ASSERT_TRUE(tc.run_until([&] { return sh.ready == n; }));
@@ -912,7 +912,7 @@ TEST(SelfHeal, CorrelatedAncestorChainLossClimbsPastDeadRanks) {
   const int n = 15;
   Shared sh;
   TestCluster tc(n);
-  lmon::testing::FlightRecorderOnFailure flight(tc.machine);
+  lmon::testing::TraceTailOnFailure tail(tc.machine);
   const auto pids = wire_heal_fabric(tc, sh, {comm::TopologyKind::KAry, 2},
                                      n, kRndvAlways);
   ASSERT_TRUE(tc.run_until([&] { return sh.ready == n; }));
@@ -941,7 +941,7 @@ TEST(SelfHeal, GracefulLeaveShrinksWithoutPayloadLoss) {
   const int n = 7;
   Shared sh;
   TestCluster tc(n);
-  lmon::testing::FlightRecorderOnFailure flight(tc.machine);
+  lmon::testing::TraceTailOnFailure tail(tc.machine);
   obs::Metrics metrics;
   tc.machine.set_metrics(&metrics);
   wire_heal_fabric(tc, sh, {comm::TopologyKind::KAry, 2}, n, kRndvAlways);

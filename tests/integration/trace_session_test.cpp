@@ -16,10 +16,12 @@
 // (tests/golden/trace_event.schema.txt), same regime as the bench reports.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string_view>
 #include <vector>
@@ -27,7 +29,6 @@
 #include "bench/ablation_rsh_lib.hpp"  // bench::json_shape
 #include "core/fe_api.hpp"
 #include "obs/critical_path.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perfetto.hpp"
 #include "obs/trace.hpp"
@@ -47,14 +48,13 @@ struct SessionRun {
   sim::Time done_at = 0;              ///< FE completion (simulated)
   std::size_t executed_events = 0;    ///< simulator events up to completion
   obs::Metrics metrics;
-  obs::FlightRecorderHub flight;
   /// Inspect-only after run_session returns (the simulator it references is
   /// gone, but spans/instants/marks are plain data).
   std::unique_ptr<obs::Tracer> tracer;
 };
 
 /// Runs one hello_be launch-and-spawn session at `ndaemons` scale. The
-/// tracer/metrics/flight hub are attached only when `traced`.
+/// tracer and metrics are attached only when `traced`.
 SessionRun run_session(int ndaemons, bool traced,
                        comm::LaunchStrategyKind strategy =
                            comm::LaunchStrategyKind::RmBulk) {
@@ -66,7 +66,6 @@ SessionRun run_session(int ndaemons, bool traced,
     bridge = std::make_unique<obs::LogBridge>(*run.tracer);
     tc.machine.set_tracer(run.tracer.get());
     tc.machine.set_metrics(&run.metrics);
-    tc.machine.set_flight_recorder(&run.flight);
   }
 
   bool done = false;
@@ -94,7 +93,6 @@ SessionRun run_session(int ndaemons, bool traced,
   // inspected from here on.
   tc.machine.set_tracer(nullptr);
   tc.machine.set_metrics(nullptr);
-  tc.machine.set_flight_recorder(nullptr);
   return run;
 }
 
@@ -296,7 +294,7 @@ TEST(TraceSession, TracingAddsZeroObservableCost) {
   EXPECT_GT(plain.executed_events, 0u);
 }
 
-TEST(TraceSession, MetricsAndFlightRecorderCaptureTheRun) {
+TEST(TraceSession, MetricsAndDaemonSpansCaptureTheRun) {
   SessionRun run = run_session(8, /*traced=*/true);
   ASSERT_TRUE(run.ok);
 
@@ -307,11 +305,21 @@ TEST(TraceSession, MetricsAndFlightRecorderCaptureTheRun) {
   ASSERT_NE(bytes, nullptr);
   EXPECT_GT(bytes->count, 0u);
 
-  // Every daemon left at least its init entry in the flight recorder, and
-  // the dump is a readable report.
-  const std::string dump = run.flight.dump();
-  EXPECT_NE(dump.find("daemon"), std::string::npos);
-  EXPECT_NE(dump.find("init rank="), std::string::npos);
+  // Every daemon process has its closed `daemon` span on its own lane: the
+  // post-mortem tail of any daemon starts from it.
+  std::set<std::uint64_t> daemon_pids;
+  for (const auto& [lane, name] : run.tracer->lane_names()) {
+    if (name.rfind("hello_be/", 0) == 0) daemon_pids.insert(lane.second);
+  }
+  EXPECT_EQ(daemon_pids.size(), 8u);
+  const auto spans = spans_named(*run.tracer, "daemon");
+  for (const std::uint64_t pid : daemon_pids) {
+    EXPECT_TRUE(std::any_of(spans.begin(), spans.end(),
+                            [pid](const obs::SpanRecord* s) {
+                              return s->pid == pid && !s->open();
+                            }))
+        << "no daemon span for pid " << pid;
+  }
 }
 
 TEST(TraceSession, LibraryExportsNoTraceOfItsOwn) {

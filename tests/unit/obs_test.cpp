@@ -1,19 +1,20 @@
 // Unit tests for the observability plane primitives: the span tracer and
 // its anchor table, the metrics registry (counters/gauges/histograms and
-// their JSON embedding), the critical-path walk, the bounded flight
-// recorder, and the Chrome-trace exporter's well-formedness.
+// their JSON embedding), the critical-path walk, the per-process trace tail
+// the fault-injection tests print on failure, and the Chrome-trace
+// exporter's well-formedness.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "obs/critical_path.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perfetto.hpp"
 #include "obs/trace.hpp"
 #include "simkernel/log.hpp"
 #include "simkernel/simulator.hpp"
+#include "tests/flight_check.hpp"
 
 namespace lmon {
 namespace {
@@ -195,32 +196,43 @@ TEST(Metrics, ToJsonIsSortedAndEmbeddable) {
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
 }
 
-TEST(FlightRecorder, RingOverwritesOldestAndCountsDrops) {
-  obs::FlightRecorder ring(3);
+TEST(TraceTail, GroupsByPidOldestFirstAndBoundsEachPid) {
+  sim::Simulator sim;
+  obs::Tracer tracer(sim);
+  tracer.name_lane(0, 20, "raw_heal/20");
+  // pid 20: a span around one instant and one per-message send; pid 10:
+  // more steps than the bound; one mark, which is not process-bound.
+  const obs::SpanId heal =
+      tracer.begin_span("iccl.heal", "iccl", 0, 20, obs::kNoSpan, "parent=1");
+  advance_to(sim, sim::ms(1));
+  tracer.instant("iccl.heal.adoption", "iccl", 0, 20, obs::kNoSpan,
+                 "heal: adopted orphan rank 3");
+  tracer.instant("net.send", "net", 0, 20, obs::kNoSpan, "to=1 bytes=8");
   for (int i = 0; i < 5; ++i) {
-    ring.record(sim::ms(i), "comp", "step " + std::to_string(i));
+    advance_to(sim, sim::ms(2 + i));
+    tracer.instant("step", "t", 1, 10, obs::kNoSpan, "n=" + std::to_string(i));
   }
-  EXPECT_EQ(ring.size(), 3u);
-  EXPECT_EQ(ring.dropped(), 2u);
-  const auto entries = ring.entries();
-  ASSERT_EQ(entries.size(), 3u);
-  // Oldest first, and the two oldest entries were overwritten.
-  EXPECT_EQ(entries[0].message, "step 2");
-  EXPECT_EQ(entries[2].message, "step 4");
-  EXPECT_EQ(entries[0].at, sim::ms(2));
-}
+  tracer.mark("e0_fe_call");
+  advance_to(sim, sim::ms(7));
+  tracer.begin_span("daemon", "daemon", 1, 10, obs::kNoSpan, "rank=2");
+  // Recorded after the end but at the same instant: shown inside the span.
+  advance_to(sim, sim::ms(8));
+  tracer.end_span(heal, "adopted_by=0");
+  tracer.instant("iccl.heal.slot_resolved", "iccl", 0, 20, obs::kNoSpan,
+                 "heal: slot for dead child 1 resolved by coverage");
 
-TEST(FlightRecorder, HubDumpGroupsByPid) {
-  obs::FlightRecorderHub hub(4);
-  hub.record(10, sim::ms(1), "daemon", "init rank=0");
-  hub.record(11, sim::ms(2), "daemon", "init rank=1");
-  hub.record(10, sim::ms(3), "iccl", "connect retry");
-  EXPECT_FALSE(hub.empty());
-  ASSERT_EQ(hub.rings().size(), 2u);
-  const std::string dump = hub.dump();
-  EXPECT_NE(dump.find("init rank=0"), std::string::npos);
-  EXPECT_NE(dump.find("init rank=1"), std::string::npos);
-  EXPECT_NE(dump.find("connect retry"), std::string::npos);
+  EXPECT_EQ(testing::tail_dump(tracer, 4),
+            "=== pid 10 (2 older steps dropped) ===\n"
+            "[    0.004000s] step n=2\n"
+            "[    0.005000s] step n=3\n"
+            "[    0.006000s] step n=4\n"
+            "[    0.007000s] begin daemon rank=2\n"
+            "=== raw_heal/20 ===\n"
+            "[    0.000000s] begin iccl.heal\n"
+            "[    0.001000s] iccl.heal.adoption heal: adopted orphan rank 3\n"
+            "[    0.008000s] iccl.heal.slot_resolved heal: slot for dead child "
+            "1 resolved by coverage\n"
+            "[    0.008000s] end iccl.heal adopted_by=0\n");
 }
 
 TEST(Perfetto, ExportIsBalancedAndClampsOpenSpans) {
