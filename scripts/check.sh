@@ -30,6 +30,17 @@
 #                  contending sessions, and the mux ablation bench at smoke
 #                  scale - the fast "did a refactor break session
 #                  multiplexing" gate.
+#   --work         run the repo benchmark at smoke size, traced, for seed 1
+#                  (benchmark/run.sh --smoke --traced --seed=1) and compare its
+#                  deterministic work counters - simkernel.events, host.allocs,
+#                  host.alloc_mb, cluster.messages and cluster.bytes of each
+#                  workload - with tests/golden/work_counts.txt. Fails when any
+#                  counter rose more than 0.5% above the golden. These counts
+#                  are exact for a seed, so they show a change in work without
+#                  the alternated wall-clock pairs benchmark/compare.py needs.
+#                  A change that means to move them writes the live counts
+#                  (build-bench/work/work_counts.txt) over the golden and says
+#                  why in CHANGES.md.
 #   --sanitize     build the ASan+UBSan preset (build-sanitize/) and run
 #                  every unit and integration suite under it; any
 #                  sanitizer report fails the run. The protocol decoders
@@ -83,6 +94,58 @@ if [[ "${1:-}" == "--mux-smoke" ]]; then
     --gtest_filter='IcclProtocol.ContendingSessionsTakeTurnsOnTheRootClearance'
   LMON_BENCH_SMOKE=1 build-release/bench_ablation_mux
   echo "mux-smoke OK"
+  exit 0
+fi
+
+if [[ "${1:-}" == "--work" ]]; then
+  out=build-bench/work
+  rm -rf "$out"
+  benchmark/run.sh --smoke --traced --seed=1 "--out=$out" >/dev/null
+  python3 - "$out" tests/golden/work_counts.txt <<'PY'
+import json, sys
+
+out, golden_path = sys.argv[1], sys.argv[2]
+counters = ["simkernel.events", "host.allocs", "host.alloc_mb",
+            "cluster.messages", "cluster.bytes"]
+workloads = ["launch_spawn", "collective_rounds", "attach_churn", "stat_attach"]
+
+def fmt(v):
+    return str(int(v)) if float(v).is_integer() else f"{v:.4f}"
+
+golden, header = {}, []
+for line in open(golden_path):
+    line = line.strip()
+    if line.startswith("#"):
+        header.append(line)
+    elif line:
+        w, name, value = line.split()
+        golden[(w, name)] = float(value)
+
+live_lines, bad = header[:], 0
+for w in workloads:
+    metrics = json.load(open(f"{out}/{w}.layers.json"))["metrics"]
+    for name in counters:
+        value = metrics[name]["value"]
+        live_lines.append(f"{w} {name} {fmt(value)}")
+        want = golden.get((w, name))
+        if want is None:
+            print(f"work: {w} {name}: no golden value", file=sys.stderr)
+            bad = 1
+            continue
+        change = (value - want) / want * 100 if want else 0.0
+        verdict = "ok"
+        if value > want * 1.005:
+            verdict, bad = "ROSE", 1
+        print(f"{w:18} {name:17} {fmt(want):>12} -> {fmt(value):>12} "
+              f"({change:+.2f}%) {verdict}")
+
+with open(f"{out}/work_counts.txt", "w") as f:
+    f.write("".join(l + "\n" for l in live_lines))
+if bad:
+    sys.exit(f"work: a counter rose above {golden_path} by more than 0.5%; "
+             f"live counts in {out}/work_counts.txt")
+print("work OK")
+PY
   exit 0
 fi
 
