@@ -75,6 +75,31 @@ class ByteSlice {
   std::size_t length_ = 0;
 };
 
+/// Which view a slice is: its buffer, start and length. A decoder that has
+/// validated a view keeps its identity, so that validating the same view
+/// again costs O(1); this is sound because a shared buffer is never
+/// written. The buffer is held weakly: the identity keeps no buffer alive,
+/// and while it holds the buffer's control block no new buffer can share
+/// that identity, even at a reused address. A default identity matches no
+/// slice.
+class SliceIdentity {
+ public:
+  SliceIdentity() = default;
+  explicit SliceIdentity(const ByteSlice& s)
+      : buffer_(s.buffer()), start_(s.data()), length_(s.size()) {}
+
+  [[nodiscard]] bool matches(const ByteSlice& s) const noexcept {
+    return s.buffer() != nullptr && !buffer_.owner_before(s.buffer()) &&
+           !s.buffer().owner_before(buffer_) && start_ == s.data() &&
+           length_ == s.size();
+  }
+
+ private:
+  std::weak_ptr<const Bytes> buffer_;
+  const std::uint8_t* start_ = nullptr;
+  std::size_t length_ = 0;
+};
+
 /// Joins slices appended in order. While each slice continues the previous
 /// one in the same buffer the join is just a wider view of that buffer;
 /// once one does not, join() copies every byte once into a new buffer.

@@ -45,22 +45,12 @@ ByteSlice own(Bytes packed) {
   return ByteSlice(std::make_shared<const Bytes>(std::move(packed)));
 }
 
-/// The last view unpack() accepted and what validating it found. The
-/// buffer is held weakly: the memo keeps no buffer alive, and while it
-/// holds the buffer's control block no new buffer can share its identity,
-/// even at a reused address.
+/// The last view unpack() accepted and what validating it found (see the
+/// header).
 struct Accepted {
-  std::weak_ptr<const Bytes> buffer;
-  const std::uint8_t* start = nullptr;
-  std::size_t length = 0;
+  SliceIdentity view;
   std::uint32_t count = 0;
   std::size_t used = 0;  ///< bytes through the last entry
-
-  [[nodiscard]] bool matches(const ByteSlice& s) const {
-    return s.buffer() != nullptr && !buffer.owner_before(s.buffer()) &&
-           !s.buffer().owner_before(buffer) && start == s.data() &&
-           length == s.size();
-  }
 };
 
 }  // namespace
@@ -104,15 +94,14 @@ std::vector<rm::TaskDesc> Rpdtab::entries_for_host(
 
 std::optional<Rpdtab> Rpdtab::unpack(ByteSlice data) {
   thread_local Accepted last;  // successes only; see the header
-  if (!last.matches(data)) {
+  if (!last.view.matches(data)) {
     ByteReader r(data.span());
     const auto count = r.u32();
     if (!count) return std::nullopt;
     for (std::uint32_t i = 0; i < *count; ++i) {
       if (!read_entry(r)) return std::nullopt;
     }
-    last = {data.buffer(), data.data(), data.size(), *count,
-            data.size() - r.remaining()};
+    last = {SliceIdentity(data), *count, data.size() - r.remaining()};
   }
   return Rpdtab(data.sub(0, last.used), last.count);
 }

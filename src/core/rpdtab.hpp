@@ -56,9 +56,9 @@ class Rpdtab {
   /// (no copy) as the table's state; nullopt for a truncated or
   /// inconsistent blob. Bytes past the last entry fall outside the view.
   ///
-  /// The last accepted view is remembered by its buffer's identity, start
-  /// and length, so unpacking that same view again - as every daemon of a
-  /// launch does with the one handshake broadcast - costs O(1). This is
+  /// The last accepted view is remembered by its SliceIdentity (buffer,
+  /// start and length), so unpacking that same view again - as every daemon
+  /// of a launch does with the one handshake broadcast - costs O(1). This is
   /// sound because a shared ByteSlice buffer is never written, and no fault
   /// mode alters payload bytes in flight; drop the memo if one ever does.
   static std::optional<Rpdtab> unpack(ByteSlice data);

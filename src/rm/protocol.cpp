@@ -194,14 +194,22 @@ HostList HostList::pack(const std::vector<AllocatedNode>& nodes) {
 }
 
 std::optional<HostList> HostList::parse(ByteSlice wire) {
-  ByteReader r(wire.span());
-  const auto count = r.u32();
-  if (!count) return std::nullopt;
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    if (!r.str_view()) return std::nullopt;
+  // The last accepted view and its count; successes only (see the header).
+  thread_local struct {
+    SliceIdentity view;
+    std::uint32_t count = 0;
+  } last;
+  if (!last.view.matches(wire)) {
+    ByteReader r(wire.span());
+    const auto count = r.u32();
+    if (!count) return std::nullopt;
+    for (std::uint32_t i = 0; i < *count; ++i) {
+      if (!r.str_view()) return std::nullopt;
+    }
+    if (!r.exhausted()) return std::nullopt;
+    last = {SliceIdentity(wire), *count};
   }
-  if (!r.exhausted()) return std::nullopt;
-  return HostList(std::move(wire), *count);
+  return HostList(std::move(wire), last.count);
 }
 
 // --- TreeLaunchReq / Ack ------------------------------------------------------------

@@ -122,6 +122,14 @@ class HostList {
   static HostList pack(const std::vector<AllocatedNode>& nodes);
   /// Accepts a received wire form only when the count, every length prefix
   /// and the end of the last host all agree with the bytes.
+  ///
+  /// The last accepted view is remembered by its SliceIdentity, so parsing
+  /// that same view again - as every hop of a launch does with the one
+  /// host buffer the launcher packed - costs O(1). Only successes are
+  /// remembered, and a shorter view or another buffer with equal bytes is
+  /// validated on its own. This is sound because a shared ByteSlice buffer
+  /// is never written and no fault mode alters payload bytes in flight;
+  /// drop the memo if one ever does.
   static std::optional<HostList> parse(ByteSlice wire);
 
   [[nodiscard]] std::uint32_t size() const noexcept { return count_; }

@@ -145,6 +145,58 @@ TEST(RmProtocol, TreeLaunchReqRejectsMalformedHostLists) {
   EXPECT_FALSE(decodes_with({}));
 }
 
+Bytes host_wire(std::uint32_t count, const std::vector<std::string>& hosts) {
+  ByteWriter w;
+  w.u32(count);
+  for (const auto& h : hosts) w.str(h);
+  return std::move(w).take();
+}
+
+ByteSlice shared(Bytes b) {
+  return ByteSlice(std::make_shared<const Bytes>(std::move(b)));
+}
+
+TEST(HostListParse, RepeatParseOfAnAcceptedViewIsAccepted) {
+  const ByteSlice wire = shared(host_wire(3, {"a", "bb", "ccc"}));
+  for (int i = 0; i < 3; ++i) {
+    const auto list = HostList::parse(wire);
+    ASSERT_TRUE(list.has_value());
+    EXPECT_EQ(list->size(), 3u);
+    EXPECT_EQ(hosts_of(*list), (std::vector<std::string>{"a", "bb", "ccc"}));
+    EXPECT_EQ(list->wire().buffer(), wire.buffer());
+  }
+}
+
+TEST(HostListParse, ShorterViewsOfAnAcceptedBufferAreStillRejected) {
+  const ByteSlice wire = shared(host_wire(2, {"a", "bcd"}));
+  ASSERT_TRUE(HostList::parse(wire).has_value());
+  // Truncated: the last host's length runs past the end of the view.
+  EXPECT_FALSE(HostList::parse(wire.sub(0, wire.size() - 1)).has_value());
+  // The count alone: it promises hosts the view does not hold.
+  EXPECT_FALSE(HostList::parse(wire.sub(0, 4)).has_value());
+  // The same length at another start.
+  EXPECT_FALSE(HostList::parse(wire.sub(1, wire.size() - 1)).has_value());
+  EXPECT_TRUE(HostList::parse(wire).has_value());
+}
+
+TEST(HostListParse, EqualContentSecondBufferIsValidatedOnItsOwn) {
+  const Bytes good = host_wire(2, {"a", "b"});
+  const ByteSlice first = shared(good);
+  ASSERT_TRUE(HostList::parse(first).has_value());
+  ByteSlice twin = shared(good);
+  auto again = HostList::parse(twin);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->wire().buffer(), twin.buffer());
+  // A buffer of the same length with a bad count is rejected, also once
+  // the last accepted buffer, which it could be mistaken for, is gone.
+  Bytes bad = good;
+  bad[0] = 9;
+  EXPECT_FALSE(HostList::parse(shared(bad)).has_value());
+  twin = ByteSlice();
+  again.reset();
+  EXPECT_FALSE(HostList::parse(shared(bad)).has_value());
+}
+
 TEST(RmProtocol, ForwardedSubRequestSharesTheHostBuffer) {
   const auto frame = sample_launch_req().encode();
   const auto hop = TreeLaunchReq::decode(frame);
