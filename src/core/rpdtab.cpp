@@ -4,6 +4,8 @@
 #include <memory>
 #include <string_view>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "rm/apai.hpp"
 
@@ -51,9 +53,19 @@ struct Accepted {
   SliceIdentity view;
   std::uint32_t count = 0;
   std::size_t used = 0;  ///< bytes through the last entry
+  std::shared_ptr<Rpdtab::HostIndex> index;
 };
 
 }  // namespace
+
+/// Every entry's host and byte offset in the packed bytes, sorted by host
+/// and, within a host, by offset (rank order); built on first use. The
+/// hosts view the packed bytes, which every table sharing the index keeps
+/// alive.
+struct Rpdtab::HostIndex {
+  bool built = false;
+  std::vector<std::pair<std::string_view, std::uint32_t>> entries;
+};
 
 Rpdtab::Rpdtab() : packed_(own(rm::apai::encode_proctable({}))) {}
 
@@ -85,10 +97,28 @@ std::vector<std::string> Rpdtab::hosts() const {
 
 std::vector<rm::TaskDesc> Rpdtab::entries_for_host(
     const std::string& host) const {
+  if (!index_) index_ = std::make_shared<HostIndex>();
+  auto& index = index_->entries;
+  if (!index_->built) {
+    index.reserve(count_);
+    ByteReader r(packed_.span());
+    r.skip(4);
+    for (std::uint32_t i = 0; i < count_; ++i) {
+      const auto offset =
+          static_cast<std::uint32_t>(packed_.size() - r.remaining());
+      index.emplace_back(read_entry(r)->host, offset);
+    }
+    std::ranges::sort(index);
+    index_->built = true;
+  }
+  const auto [first, last] = std::ranges::equal_range(
+      index, std::string_view(host), {}, [](const auto& e) { return e.first; });
   std::vector<rm::TaskDesc> out;
-  for_each_entry(packed_, [&](const EntryView& e) {
-    if (e.host == host) out.push_back(e.to_task());
-  });
+  out.reserve(static_cast<std::size_t>(last - first));
+  for (auto it = first; it != last; ++it) {
+    ByteReader r(packed_.span().subspan(it->second));
+    out.push_back(read_entry(r)->to_task());
+  }
   return out;
 }
 
@@ -101,9 +131,10 @@ std::optional<Rpdtab> Rpdtab::unpack(ByteSlice data) {
     for (std::uint32_t i = 0; i < *count; ++i) {
       if (!read_entry(r)) return std::nullopt;
     }
-    last = {SliceIdentity(data), *count, data.size() - r.remaining()};
+    last = {SliceIdentity(data), *count, data.size() - r.remaining(),
+            std::make_shared<HostIndex>()};
   }
-  return Rpdtab(data.sub(0, last.used), last.count);
+  return Rpdtab(data.sub(0, last.used), last.count, last.index);
 }
 
 std::optional<Rpdtab> Rpdtab::unpack(Bytes data) {

@@ -10,12 +10,14 @@
 // form (the MPIR proctable blob layout). A launch has one such buffer: every
 // daemon's table views the handshake broadcast in place, and unpack()
 // validates a given buffer once however many daemons unpack it (see
-// unpack()). Most daemons only ever ask for their own host's entries, so the
-// full TaskDesc vector is decoded only when entries() is first called and
-// then cached.
+// unpack()). Most daemons only ever ask for their own host's entries: a
+// host index of entry offsets, built once per buffer and shared by every
+// table that views it, lets each decode only those. The full TaskDesc
+// vector is decoded only when entries() is first called and then cached.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -40,8 +42,9 @@ class Rpdtab {
   /// needs daemons on.
   [[nodiscard]] std::vector<std::string> hosts() const;
 
-  /// Entries co-located on `host` - what a back-end daemon should attach to.
-  /// Decodes only the matching entries.
+  /// Entries co-located on `host`, in rank order - what a back-end daemon
+  /// should attach to. Decodes only the matching entries; the first call on
+  /// a buffer indexes it by host for every table that views it.
   [[nodiscard]] std::vector<rm::TaskDesc> entries_for_host(
       const std::string& host) const;
 
@@ -58,9 +61,10 @@ class Rpdtab {
   ///
   /// The last accepted view is remembered by its SliceIdentity (buffer,
   /// start and length), so unpacking that same view again - as every daemon
-  /// of a launch does with the one handshake broadcast - costs O(1). This is
-  /// sound because a shared ByteSlice buffer is never written, and no fault
-  /// mode alters payload bytes in flight; drop the memo if one ever does.
+  /// of a launch does with the one handshake broadcast - costs O(1), and
+  /// the tables it returns share one host index. This is sound because a
+  /// shared ByteSlice buffer is never written, and no fault mode alters
+  /// payload bytes in flight; drop the memo if one ever does.
   static std::optional<Rpdtab> unpack(ByteSlice data);
   /// unpack() of an owned blob.
   static std::optional<Rpdtab> unpack(Bytes data);
@@ -68,13 +72,19 @@ class Rpdtab {
   /// The encoding is deterministic, so equal bytes mean equal entries.
   friend bool operator==(const Rpdtab& a, const Rpdtab& b);
 
+  struct HostIndex;
+
  private:
-  Rpdtab(ByteSlice packed, std::uint32_t count)
-      : packed_(std::move(packed)), count_(count) {}
+  Rpdtab(ByteSlice packed, std::uint32_t count,
+         std::shared_ptr<HostIndex> index)
+      : packed_(std::move(packed)), count_(count), index_(std::move(index)) {}
 
   ByteSlice packed_;
   std::uint32_t count_ = 0;
   mutable std::optional<std::vector<rm::TaskDesc>> entries_;  // decode cache
+  /// entries_for_host() lookups; shared by the tables unpack() returns for
+  /// one buffer, made on first use by any other table.
+  mutable std::shared_ptr<HostIndex> index_;
 };
 
 }  // namespace lmon::core

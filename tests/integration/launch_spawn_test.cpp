@@ -1,6 +1,8 @@
 // End-to-end integration tests for launchAndSpawn / attachAndSpawn.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "comm/bootstrap.hpp"
 #include "core/be_api.hpp"
 #include "core/fe_api.hpp"
@@ -64,6 +66,7 @@ apps::ScriptedFrontEnd::Script make_launch_script(
 /// each daemon's on_ready status.
 struct DaemonLog {
   std::map<std::uint32_t, core::BackEnd*> initialized;
+  std::map<std::uint32_t, std::string> hosts;  ///< each daemon's node
   std::map<std::uint32_t, Status> ready;
 };
 
@@ -78,9 +81,10 @@ class RecordingDaemon : public cluster::Program {
   void on_start(cluster::Process& self) override {
     be_ = std::make_unique<core::BackEnd>(self);
     core::BackEnd::Callbacks cbs;
-    cbs.on_init = [this](const core::Rpdtab&, const Bytes&,
-                         std::function<void(Status)> done) {
+    cbs.on_init = [this, &self](const core::Rpdtab&, const Bytes&,
+                                std::function<void(Status)> done) {
       log_->initialized[be_->rank()] = be_.get();
+      log_->hosts[be_->rank()] = self.node().hostname();
       done(Status::ok());
     };
     cbs.on_ready = [this](Status st) { log_->ready[be_->rank()] = st; };
@@ -249,6 +253,35 @@ TEST(LaunchSpawn, EveryDaemonViewsTheOneRpdtabBuffer) {
     EXPECT_EQ(be->proctable(), result.proctable) << "rank " << rank;
     EXPECT_EQ(be->proctable().size(), 128u) << "rank " << rank;
     EXPECT_EQ(be->proctable().bytes().data(), shared) << "rank " << rank;
+  }
+}
+
+TEST(LaunchSpawn, EveryDaemonsOwnEntriesMatchAFullScanInRankOrder) {
+  // my_entries() decodes only this host's entries through the table's
+  // shared host index; it must equal filtering every entry by host.
+  TestCluster tc(16);
+  DaemonLog log;
+  RecordingDaemon::install(tc.machine, &log);
+  LaunchResult result;
+  std::shared_ptr<core::FrontEnd> fe;
+  tc.spawn_fe(make_launch_script(&result, 16, 8, &fe, "recording_be"));
+  ASSERT_TRUE(tc.run_until([&] { return result.done; }));
+  ASSERT_TRUE(result.status.is_ok()) << result.status.to_string();
+
+  ASSERT_EQ(log.initialized.size(), 16u);
+  for (const auto& [rank, be] : log.initialized) {
+    const std::string& host = log.hosts.at(rank);
+    std::vector<rm::TaskDesc> scan;
+    for (const rm::TaskDesc& e : be->proctable().entries()) {
+      if (e.host == host) scan.push_back(e);
+    }
+    EXPECT_EQ(scan.size(), 8u) << "rank " << rank;
+    EXPECT_EQ(be->my_entries(), scan) << "rank " << rank;
+    EXPECT_TRUE(std::is_sorted(scan.begin(), scan.end(),
+                               [](const auto& a, const auto& b) {
+                                 return a.rank < b.rank;
+                               }))
+        << "rank " << rank;
   }
 }
 
