@@ -112,8 +112,10 @@ std::string to_chrome_trace_json(const Tracer& tracer) {
            ", \"dur\": " + num(to_us(end - s.begin)) +
            ", \"pid\": " + std::to_string(track_of(s.node)) +
            ", \"tid\": " + std::to_string(s.pid) + ", ";
+    // A closed span shows its end label when it has one.
     args_block(out, s.id, s.parent,
-               s.open() ? s.detail + " [open]" : s.detail);
+               s.open() ? s.detail + " [open]"
+                        : s.end_detail.value_or(s.detail));
     out += "},\n";
   }
 

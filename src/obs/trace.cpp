@@ -27,7 +27,7 @@ void Tracer::end_span(SpanId id) {
 
 void Tracer::end_span(SpanId id, std::string detail) {
   if (id == kNoSpan || id > spans_.size()) return;
-  spans_[id - 1].detail = std::move(detail);
+  spans_[id - 1].end_detail = std::move(detail);
   end_span(id);
 }
 

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,7 +44,9 @@ struct SpanRecord {
   SpanId parent = kNoSpan;
   std::string name;
   std::string category;
-  std::string detail;  ///< free-form annotation, e.g. "hosts=8"
+  std::string detail;  ///< free-form begin annotation, e.g. "rank=3"
+  /// The label end_span(id, detail) closed the span with, if any.
+  std::optional<std::string> end_detail;
   int node = -1;
   std::uint64_t pid = 0;
   sim::Time begin = 0;
@@ -80,6 +83,8 @@ class Tracer {
   /// Closes the span at the current simulated time. Unknown/closed ids are
   /// ignored (a span may outlive the component that opened it).
   void end_span(SpanId id);
+  /// end_span(id) with an end label ("ready", "failed: ..."), kept in
+  /// SpanRecord::end_detail beside the begin detail.
   void end_span(SpanId id, std::string detail);
 
   void instant(std::string name, std::string category, int node,

@@ -46,13 +46,10 @@ inline std::string tail_dump(const obs::Tracer& tracer,
   };
   for (const obs::SpanRecord& s : tracer.spans()) {
     if (s.node < 0) continue;
-    // A span's detail is its begin label until end_span replaces it.
-    if (s.open()) {
-      steps[s.pid].push_back({s.begin, 0, "begin " + label(s.name, s.detail)});
-      continue;
-    }
-    steps[s.pid].push_back({s.begin, 0, "begin " + s.name});
-    steps[s.pid].push_back({s.end, 2, "end " + label(s.name, s.detail)});
+    steps[s.pid].push_back({s.begin, 0, "begin " + label(s.name, s.detail)});
+    if (s.open()) continue;
+    steps[s.pid].push_back(
+        {s.end, 2, "end " + label(s.name, s.end_detail.value_or(s.detail))});
   }
   for (const obs::InstantRecord& i : tracer.instants()) {
     if (i.node < 0 || i.name == "net.send") continue;

@@ -49,7 +49,8 @@ TEST(Tracer, SpansRecordTimesAndParents) {
   EXPECT_EQ(c->duration(), sim::ms(4));
   EXPECT_EQ(c->detail, "k=v");
   EXPECT_EQ(r->end, sim::ms(12));
-  EXPECT_EQ(r->detail, "done");
+  EXPECT_EQ(r->detail, "");  // the begin label; the end label sits beside it
+  EXPECT_EQ(r->end_detail, "done");
   EXPECT_FALSE(r->open());
 
   // span() resolves ids; kNoSpan and unknown ids are null.
@@ -228,11 +229,31 @@ TEST(TraceTail, GroupsByPidOldestFirstAndBoundsEachPid) {
             "[    0.006000s] step n=4\n"
             "[    0.007000s] begin daemon rank=2\n"
             "=== raw_heal/20 ===\n"
-            "[    0.000000s] begin iccl.heal\n"
+            "[    0.000000s] begin iccl.heal parent=1\n"
             "[    0.001000s] iccl.heal.adoption heal: adopted orphan rank 3\n"
             "[    0.008000s] iccl.heal.slot_resolved heal: slot for dead child "
             "1 resolved by coverage\n"
             "[    0.008000s] end iccl.heal adopted_by=0\n");
+}
+
+TEST(TraceTail, ClosedSpanKeepsItsBeginLabelBesideItsEndLabel) {
+  sim::Simulator sim;
+  obs::Tracer tracer(sim);
+  const obs::SpanId daemon =
+      tracer.begin_span("daemon", "daemon", 1, 10, obs::kNoSpan, "rank=3");
+  advance_to(sim, sim::ms(4));
+  tracer.end_span(daemon, "ready");
+  ASSERT_EQ(tracer.spans().size(), 1u);
+  EXPECT_EQ(tracer.spans()[0].detail, "rank=3");
+  EXPECT_EQ(tracer.spans()[0].end_detail, "ready");
+  EXPECT_EQ(testing::tail_dump(tracer),
+            "=== pid 10 ===\n"
+            "[    0.000000s] begin daemon rank=3\n"
+            "[    0.004000s] end daemon ready\n");
+  // The exported span carries the end label, as it always has.
+  const std::string json = obs::to_chrome_trace_json(tracer);
+  EXPECT_NE(json.find("\"detail\": \"ready\""), std::string::npos);
+  EXPECT_EQ(json.find("rank=3"), std::string::npos);
 }
 
 TEST(Perfetto, ExportIsBalancedAndClampsOpenSpans) {
