@@ -8,6 +8,7 @@
 namespace lmon::apps {
 
 void MpiApp::on_start(cluster::Process& self) {
+  self_ = &self;
   rank_ = static_cast<int>(arg_int(self.args(), "--rank=").value_or(0));
   size_ = static_cast<int>(arg_int(self.args(), "--size=").value_or(1));
   rng_ = sim::Rng(static_cast<std::uint64_t>(rank_) * 7919 + 13);
@@ -19,7 +20,7 @@ void MpiApp::on_start(cluster::Process& self) {
   st.vm_rss_kb = st.vm_hwm_kb - rng_.next_below(20'000);
   st.vm_lck_kb = rng_.next_below(4096);
   rebuild_stack();
-  tick(self);
+  self.start_ticks(sim::ms(50));
 }
 
 namespace {
@@ -56,25 +57,22 @@ void MpiApp::rebuild_stack() {
   }
 }
 
-void MpiApp::tick(cluster::Process& self) {
-  // Advance /proc state every ~50ms of simulated time. Every task repeats
-  // this one delay, so the ticks ride the kernel's FIFO lane for it. They
-  // stay real events: the sample times of a tool that stops the job follow
-  // the last event the simulator ran.
-  self.post_fixed(sim::ms(50), [this, &self] {
-    ticks_ += 1;
-    auto& st = self.stats();
-    st.program_counter = 0x400000 + rng_.next_below(0x10000);
-    st.utime_ms += 45 + rng_.next_below(5);
-    st.stime_ms += rng_.next_below(5);
-    if (rng_.next_below(10) == 0) st.maj_faults += 1;
-    if (rng_.next_below(20) == 0) {
-      st.vm_hwm_kb += rng_.next_below(1024);
-      st.vm_rss_kb = st.vm_hwm_kb - rng_.next_below(20'000);
-    }
-    rebuild_stack();
-    tick(self);
-  });
+const std::vector<std::string>& MpiApp::call_stack() {
+  if (self_ != nullptr) self_->catch_up_ticks();
+  return *stack_;
+}
+
+void MpiApp::on_tick(cluster::ProcStats& st) {
+  // Advance /proc state by one ~50 ms period.
+  st.program_counter = 0x400000 + rng_.next_below(0x10000);
+  st.utime_ms += 45 + rng_.next_below(5);
+  st.stime_ms += rng_.next_below(5);
+  if (rng_.next_below(10) == 0) st.maj_faults += 1;
+  if (rng_.next_below(20) == 0) {
+    st.vm_hwm_kb += rng_.next_below(1024);
+    st.vm_rss_kb = st.vm_hwm_kb - rng_.next_below(20'000);
+  }
+  rebuild_stack();
 }
 
 void MpiApp::install(cluster::Machine& machine) {

@@ -1,5 +1,6 @@
 #include "cluster/process.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -33,10 +34,62 @@ sim::Time Process::reserve_busy(sim::Time cost) {
   return busy_until_ - now;
 }
 
+void Process::set_state(ProcState s) {
+  if (tick_period_ != 0 && s != state_) {
+    if (state_ == ProcState::Running && s == ProcState::Stopped &&
+        tick_held_ == sim::kNever) {
+      // Ticks due by now have run (or will on the next read); the pending
+      // one comes due while Stopped and waits for the resume.
+      tick_until_ = sim().now();
+      tick_held_ = sim().park_timer(tick_timer_);
+    } else if (state_ == ProcState::Stopped && s == ProcState::Running &&
+               tick_held_ > sim().now()) {
+      // Resumed before the held tick came due: it runs on time after all.
+      sim().unpark_timer(tick_timer_);
+      tick_until_ = sim::kNever;
+      tick_held_ = sim::kNever;
+    }
+  }
+  state_ = s;
+}
+
+void Process::start_ticks(sim::Time period) {
+  assert(tick_period_ == 0 && state_ == ProcState::Running);
+  tick_period_ = period;
+  tick_timer_ = sim().start_timer(period);
+  tick_next_ = sim().now() + period;
+}
+
+void Process::catch_up_ticks() {
+  if (tick_period_ == 0) return;
+  const sim::Time upto = std::min(sim().now(), tick_until_);
+  while (tick_next_ <= upto) {
+    tick_next_ += tick_period_;
+    program_->on_tick(stats_);
+  }
+}
+
+void Process::queue_held_tick() {
+  if (tick_held_queued_ || tick_held_ > sim().now()) return;
+  tick_held_queued_ = true;
+  deferred_.emplace_back([this] { run_held_tick(); });
+}
+
+void Process::run_held_tick() {
+  catch_up_ticks();  // the ticks that came due before the stop
+  tick_held_ = sim::kNever;
+  tick_held_queued_ = false;
+  tick_until_ = sim::kNever;
+  sim().reset_timer(tick_timer_);
+  tick_next_ = sim().now() + tick_period_;
+  program_->on_tick(stats_);
+}
+
 void Process::flush_deferred() {
   // Deliveries queued while stopped run in arrival order on resume. New work
   // may be appended while flushing (a delivery can stop the process again);
   // the cursor picks it up, and exit() empties the queue.
+  queue_held_tick();
   while (deferred_head_ < deferred_.size() && state_ == ProcState::Running) {
     sim::Task fn = std::move(deferred_[deferred_head_++]);
     fn();
@@ -144,6 +197,11 @@ void Process::exit(int code) {
       << "pid " << pid_ << " exit(" << code << ")";
   state_ = ProcState::Exited;
   stats_.state = 'Z';
+  if (tick_period_ != 0) {
+    // The pending tick still comes due, and does nothing.
+    tick_until_ = std::min(tick_until_, sim().now());
+    sim().drop_timer(tick_timer_);
+  }
   deferred_.clear();
   deferred_head_ = 0;
   pending_resume_ = nullptr;
@@ -193,7 +251,7 @@ void Process::breakpoint(const std::string& symbol,
   }
   sim::LogLine(sim::LogLevel::Debug, sim().now(), program_->name())
       << "pid " << pid_ << " stopped at " << symbol;
-  state_ = ProcState::Stopped;
+  set_state(ProcState::Stopped);
   stats_.state = 'T';
   pending_resume_ = std::move(resume);
   tracer_->emit(DebugEvent{DebugEventType::Stopped, pid_, symbol, 0});
@@ -247,7 +305,7 @@ void Process::attach_tracer(TraceSession* session) { tracer_ = session; }
 void Process::detach_tracer() {
   tracer_ = nullptr;
   if (state_ == ProcState::Stopped) {
-    state_ = ProcState::Running;
+    set_state(ProcState::Running);
     stats_.state = 'R';
     std::function<void()> resume = std::move(pending_resume_);
     pending_resume_ = nullptr;

@@ -95,6 +95,11 @@ class Program {
     (void)child;
     (void)exit_code;
   }
+
+  /// One period of Process::start_ticks() has passed. A tick runs when the
+  /// state it advances is read rather than at its due time, so it may touch
+  /// only this program's own state and `stats`, and schedules nothing.
+  virtual void on_tick(ProcStats& stats) { (void)stats; }
 };
 
 /// Parameters for spawning a process.
@@ -138,8 +143,11 @@ class Process {
     return options_.args;
   }
   [[nodiscard]] Program& program() noexcept { return *program_; }
-  [[nodiscard]] ProcStats& stats() noexcept { return stats_; }
-  [[nodiscard]] const ProcStats& stats() const noexcept { return stats_; }
+  /// The /proc view, with every tick due by now() applied first.
+  [[nodiscard]] ProcStats& stats() {
+    catch_up_ticks();
+    return stats_;
+  }
   [[nodiscard]] SymbolSpace& symbols() noexcept { return symbols_; }
   [[nodiscard]] const SymbolSpace& symbols() const noexcept {
     return symbols_;
@@ -157,14 +165,21 @@ class Process {
     sim().schedule(delay, delivery(std::forward<F>(fn)));
   }
 
-  /// post() on the simulator's FIFO lane for `delay`, with the same
-  /// delivery rules and the same firing time (Simulator::schedule_fixed).
-  /// For a delay the process repeats from every firing, like a tick.
-  template <typename F>
-  void post_fixed(sim::Time delay, F&& fn) {
-    if (state_ == ProcState::Exited) return;
-    sim().schedule_fixed(delay, delivery(std::forward<F>(fn)));
-  }
+  /// Starts periodic ticks: Program::on_tick once every `period` from
+  /// now(), with the delivery rules of a post() that re-posts itself from
+  /// every tick. A tick that comes due while the process is Stopped runs on
+  /// resume, in arrival order among the held deliveries, and the next one
+  /// is due a period after the resume; ticks end at exit.
+  ///
+  /// The ticks are state, not events: a lazy simulator timer
+  /// (sim::Simulator::start_timer) keeps the clock where the tick events
+  /// would have left it, and each tick runs only when something reads what
+  /// it advances, through catch_up_ticks(). stats() does that. A tick due at
+  /// the very time of a read runs before the read, as a tick event does
+  /// before any event scheduled less than a period ahead of it.
+  void start_ticks(sim::Time period);
+  /// Runs every tick that is due by now() and has not run yet.
+  void catch_up_ticks();
 
   /// Reserves `cost` of serialized CPU time on this process and returns the
   /// delay until that work completes. Consecutive reservations queue behind
@@ -244,7 +259,8 @@ class Process {
   friend class Channel;
   friend class TraceSession;
 
-  void set_state(ProcState s) noexcept { state_ = s; }
+  /// Changes state; a stop holds the pending tick until the resume.
+  void set_state(ProcState s);
   void reap_pdeath_children();
   /// The scheduled event of a post: deliver(fn) when it fires.
   template <typename F>
@@ -262,6 +278,7 @@ class Process {
         return;
       case ProcState::Stopped:
       case ProcState::Spawning:
+        queue_held_tick();
         deferred_.emplace_back(std::forward<F>(fn));
         return;
       case ProcState::Running:
@@ -270,6 +287,11 @@ class Process {
     }
   }
   void flush_deferred();
+  /// Appends the held tick to the deferred deliveries once it has come
+  /// due, so it keeps its arrival order among them.
+  void queue_held_tick();
+  /// The held tick, run on resume: it restarts the tick phase.
+  void run_held_tick();
   void attach_tracer(TraceSession* session);
   void detach_tracer();
   void register_channel(const ChannelPtr& ch);
@@ -297,6 +319,17 @@ class Process {
   TraceSession* tracer_ = nullptr;  ///< session tracing *this* process
   std::function<void()> pending_resume_;
   sim::Time busy_until_ = 0;
+  // Ticks (start_ticks); tick_period_ == 0 means none.
+  sim::Time tick_period_ = 0;
+  sim::Simulator::TimerId tick_timer_ = 0;
+  sim::Time tick_next_ = 0;  ///< due time of the first tick not yet run
+  /// Ticks due after this wait: until the resume while Stopped, for ever
+  /// after exit.
+  sim::Time tick_until_ = sim::kNever;
+  /// While Stopped: the due time of the tick that was pending at the stop;
+  /// it runs on resume. kNever when no tick is held.
+  sim::Time tick_held_ = sim::kNever;
+  bool tick_held_queued_ = false;  ///< the held tick sits in deferred_
 };
 
 }  // namespace lmon::cluster

@@ -55,15 +55,15 @@ struct TestCluster {
   }
 
   /// Runs the simulation until `pred` holds or `timeout` elapses. Returns
-  /// true when the predicate fired.
+  /// true when the predicate fired. A wait that times out leaves now() just
+  /// past the deadline, at the first event or timer firing after it.
   template <typename Pred>
   bool run_until(Pred pred, sim::Time timeout = sim::seconds(300)) {
     const sim::Time deadline = simulator.now() + timeout;
-    while (simulator.now() <= deadline) {
-      if (pred()) return true;
-      if (!simulator.step()) return pred();
+    while (!pred()) {
+      if (!simulator.step_within(deadline)) return pred();
     }
-    return pred();
+    return true;
   }
 
   sim::Simulator simulator;

@@ -20,6 +20,7 @@ class Hooks : public Program {
   std::function<void(Process&, const ChannelPtr&, Message)> message;
   std::function<void(Process&, const ChannelPtr&)> closed;
   std::function<void(Process&, Pid, int)> child_exit;
+  std::function<void(ProcStats&)> tick;
 
   [[nodiscard]] std::string_view name() const override { return "hooks"; }
   void on_start(Process& self) override {
@@ -36,6 +37,9 @@ class Hooks : public Program {
   }
   void on_child_exit(Process& self, Pid child, int code) override {
     if (child_exit) child_exit(self, child, code);
+  }
+  void on_tick(ProcStats& stats) override {
+    if (tick) tick(stats);
   }
 };
 
@@ -540,52 +544,82 @@ TEST(Tracing, MessagesHeldWhileStoppedArriveInOrderOnResume) {
   }
 }
 
-TEST(Tracing, FixedDelayPostIsDeferredWhileStoppedAndDroppedAfterExit) {
-  // post_fixed() only changes which queue holds the event: it follows
-  // post()'s delivery rules, side by side with post().
+TEST(Tracing, TickHeldWhileStoppedRunsInArrivalOrderAndTicksEndAtExit) {
+  // Ticks follow post()'s delivery rules: the tick that comes due while
+  // the process is Stopped runs on resume among the held deliveries, in
+  // arrival order, and restarts the phase; at exit the pending tick still
+  // comes due (the clock counts it) but runs nothing.
+  constexpr sim::Time kPeriod = sim::ms(7);
   Fixture f;
   std::vector<std::string> ran;
-  const Pid target_pid = f.spawn_hooks(f.machine.compute_node(0),
-                                       std::make_unique<Hooks>());
+  sim::Time origin = -1;
+  auto program = std::make_unique<Hooks>();
+  program->start = [&](Process& self) {
+    origin = self.sim().now();
+    self.start_ticks(kPeriod);
+  };
+  program->tick = [&](ProcStats& st) {
+    ++st.utime_ms;
+    ran.emplace_back("tick");
+  };
+  const Pid target_pid =
+      f.spawn_hooks(f.machine.compute_node(0), std::move(program));
   TraceSession* session = nullptr;
+  sim::Time stopped_at = -1;
   auto tracer = std::make_unique<Hooks>();
   tracer->start = [&](Process& self) {
     auto res = self.trace_attach(target_pid, [](const DebugEvent&) {});
     ASSERT_TRUE(res.is_ok());
     session = res.value;
+    stopped_at = self.sim().now() + f.machine.costs().trace_attach_cost;
   };
   f.spawn_hooks(f.machine.front_end(), std::move(tracer));
-  f.sim.run();
+  f.sim.run(sim::ms(3));
+  ASSERT_GT(stopped_at, 0);
+  f.sim.run(stopped_at);
   Process* target = f.machine.find_process(target_pid);
   ASSERT_NE(session, nullptr);
   ASSERT_EQ(target->state(), ProcState::Stopped);
+  const auto before_stop =
+      static_cast<std::size_t>((stopped_at - origin) / kPeriod);
+  EXPECT_EQ(target->stats().utime_ms, before_stop);
+  ASSERT_EQ(ran.size(), before_stop);
 
-  // Stopped: both fire, both are held, and both run on resume in firing
-  // order.
-  target->post_fixed(sim::ms(5), [&] { ran.emplace_back("fixed"); });
-  target->post(sim::ms(5), [&] { ran.emplace_back("post"); });
-  f.sim.run();
-  EXPECT_TRUE(ran.empty());
-  session->detach();
-  f.sim.run();
+  // Held: one delivery arrives before the held tick comes due, one after.
+  const sim::Time held =
+      origin + (static_cast<sim::Time>(before_stop) + 1) * kPeriod;
+  const sim::Time now = f.sim.now();
+  ASSERT_LT(now, held - 1);
+  target->post(held - 1 - now, [&] { ran.emplace_back("before"); });
+  target->post(held + sim::ms(1) - now, [&] { ran.emplace_back("after"); });
+  f.sim.run(held + sim::ms(2));
+  target->catch_up_ticks();
+  EXPECT_EQ(ran.size(), before_stop);
+
+  const sim::Time resumed_at = held + sim::ms(3);
+  f.sim.schedule_at(resumed_at, [&] { session->detach(); });
+  f.sim.run(resumed_at);
   ASSERT_EQ(target->state(), ProcState::Running);
-  EXPECT_EQ(ran, (std::vector<std::string>{"fixed", "post"}));
+  ASSERT_EQ(ran.size(), before_stop + 3);
+  EXPECT_EQ(std::vector<std::string>(ran.end() - 3, ran.end()),
+            (std::vector<std::string>{"before", "tick", "after"}));
 
-  // In flight at exit: both are dropped when they fire.
-  ran.clear();
-  target->post_fixed(sim::ms(5), [&] { ran.emplace_back("fixed"); });
-  target->post(sim::ms(5), [&] { ran.emplace_back("post"); });
-  EXPECT_EQ(f.sim.pending_events(), 2u);
-  target->exit(0);
-  f.sim.run();
-  EXPECT_TRUE(ran.empty());
+  // The phase restarted at the resume.
+  f.sim.run(resumed_at + 2 * kPeriod - 1);
+  EXPECT_EQ(f.sim.now(), resumed_at + kPeriod);
+  EXPECT_EQ(target->stats().utime_ms, before_stop + 2);
+  f.sim.run(resumed_at + 2 * kPeriod);
+  EXPECT_EQ(target->stats().utime_ms, before_stop + 3);
 
-  // Posted after exit: neither schedules anything.
-  target->post_fixed(sim::ms(5), [&] { ran.emplace_back("fixed"); });
-  target->post(sim::ms(5), [&] { ran.emplace_back("post"); });
-  EXPECT_EQ(f.sim.pending_events(), 0u);
+  // Exit between firings: the next firing is the clock's last.
+  const sim::Time exit_at = resumed_at + 2 * kPeriod + sim::ms(1);
+  f.sim.schedule_at(exit_at, [&] { target->exit(0); });
   f.sim.run();
-  EXPECT_TRUE(ran.empty());
+  EXPECT_EQ(f.sim.now(), resumed_at + 3 * kPeriod);
+  EXPECT_EQ(target->stats().utime_ms, before_stop + 3);
+  f.sim.run(exit_at + 10 * kPeriod);
+  EXPECT_EQ(f.sim.now(), resumed_at + 3 * kPeriod);
+  EXPECT_EQ(ran.size(), before_stop + 5);
 }
 
 TEST(Tracing, AttachToDeadProcessFails) {

@@ -4,7 +4,7 @@
 #include <algorithm>
 #include <array>
 #include <functional>
-#include <map>
+#include <set>
 #include <memory>
 #include <string>
 #include <utility>
@@ -40,58 +40,38 @@ TEST(EventQueue, FifoForEqualTimestamps) {
 }
 
 // Seeded interleavings of pushes (mostly at a handful of equal timestamps),
-// pops, and pushes made from inside callbacks into just-freed slots. Half of
-// the pushes go into two fixed-delay lanes at now + delay, where `now` is the
-// timestamp of the last pop (the clock a Simulator would hold), so lane and
-// heap records often share a timestamp. At every step size() and
-// next_time() must match a reference holding every record in one multimap
-// ordered by (when, push index), and every pop must take its first record.
+// pops, and pushes made from inside callbacks into just-freed slots. At
+// every step size() and next_time() must match a reference holding every
+// record in one set ordered by (when, push index), and every pop must take
+// its first record.
 TEST(EventQueue, MatchesReferenceOrderUnderSlotReuse) {
-  constexpr std::array<Time, 2> kLaneDelays{2, 5};
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     Rng rng(seed);
     EventQueue q;
-    // (when, push index) -> pushed into a lane
-    std::multimap<std::pair<Time, int>, bool> reference;
+    std::set<std::pair<Time, int>> reference;  // (when, push index)
     Time now = 0;
     int pushes = 0;
-    int lane_pushes = 0;
     int last_fired = -1;
-    int cross_ties = 0;  // pops tied on time with a record of the other kind
+    int ties = 0;  // pops tied on time with the next record
     std::size_t peak = 0;
 
     std::function<void()> push = [&] {
       const int index = pushes++;
-      const std::uint64_t kind = rng.next_below(4);
-      const bool lane = kind < kLaneDelays.size();
-      const Time when =
-          lane ? now + kLaneDelays[kind]
-               : now + static_cast<Time>(rng.next_below(8));
-      reference.emplace(std::make_pair(when, index), lane);
+      const Time when = now + static_cast<Time>(rng.next_below(8));
+      reference.emplace(when, index);
       const bool nested = rng.next_below(3) == 0;
       // The popped slot is free again: refill it from inside the callback.
-      Task fn = [&, index, nested] {
+      q.push(when, [&, index, nested] {
         last_fired = index;
         if (nested) push();
-      };
-      if (lane) {
-        q.push_fixed(kLaneDelays[kind], when, std::move(fn));
-        ++lane_pushes;
-      } else {
-        q.push(when, std::move(fn));
-      }
+      });
       peak = std::max(peak, q.size());
     };
     auto pop_one = [&](int step) {
       const auto expected = reference.begin();
-      const Time want_when = expected->first.first;
-      const int want = expected->first.second;
+      const auto [want_when, want] = *expected;
       const auto next = std::next(expected);
-      if (next != reference.end() &&
-          next->first.first == expected->first.first &&
-          next->second != expected->second) {
-        ++cross_ties;
-      }
+      if (next != reference.end() && next->first == want_when) ++ties;
       reference.erase(expected);
       EventQueue::Event ev = q.pop();
       ASSERT_EQ(ev.when, want_when) << "seed " << seed << " step " << step;
@@ -103,7 +83,7 @@ TEST(EventQueue, MatchesReferenceOrderUnderSlotReuse) {
     for (int step = 0; step < 400; ++step) {
       ASSERT_EQ(q.size(), reference.size()) << "seed " << seed;
       if (!q.empty()) {
-        ASSERT_EQ(q.next_time(), reference.begin()->first.first)
+        ASSERT_EQ(q.next_time(), reference.begin()->first)
             << "seed " << seed << " step " << step;
       }
       if (q.empty() || rng.next_below(5) < 3) {
@@ -114,35 +94,15 @@ TEST(EventQueue, MatchesReferenceOrderUnderSlotReuse) {
     }
     while (!q.empty()) {
       ASSERT_EQ(q.size(), reference.size()) << "seed " << seed;
-      ASSERT_EQ(q.next_time(), reference.begin()->first.first);
+      ASSERT_EQ(q.next_time(), reference.begin()->first);
       pop_one(-1);
     }
     EXPECT_TRUE(reference.empty());
     // The slab never holds more than `peak` tasks, so most pushes went into
-    // recycled slots.
+    // recycled slots, and records tied on timestamps.
     EXPECT_GT(pushes, 2 * static_cast<int>(peak)) << "seed " << seed;
-    // Both sources were exercised, and they tied on timestamps.
-    EXPECT_GT(lane_pushes, pushes / 4) << "seed " << seed;
-    EXPECT_GT(pushes - lane_pushes, pushes / 4) << "seed " << seed;
-    EXPECT_GT(cross_ties, 0) << "seed " << seed;
+    EXPECT_GT(ties, 0) << "seed " << seed;
   }
-}
-
-// A lane's ring grows while its head is mid-buffer and later wraps; the
-// records must still come out in push order.
-TEST(EventQueue, FixedDelayLaneKeepsPushOrderAcrossGrowth) {
-  EventQueue q;
-  std::vector<int> fired;
-  int next = 0;
-  auto push = [&](Time when) {
-    q.push_fixed(7, when, [&fired, i = next++] { fired.push_back(i); });
-  };
-  for (int i = 0; i < 10; ++i) push(i);
-  for (int i = 0; i < 8; ++i) q.pop().fn();
-  for (int i = 10; i < 60; ++i) push(i);
-  while (!q.empty()) q.pop().fn();
-  ASSERT_EQ(fired.size(), 60u);
-  for (int i = 0; i < 60; ++i) EXPECT_EQ(fired[static_cast<size_t>(i)], i);
 }
 
 /// Counts how many times the one logical capture it stands for is
@@ -266,40 +226,127 @@ TEST(Simulator, NegativeDelayClampsToNow) {
   sim.run();
 }
 
-TEST(Simulator, FixedDelayEventsRunWhenScheduleWouldRunThem) {
-  // Two runs of one schedule: ticks via schedule_fixed, then via schedule.
-  // Other events tie with the ticks on time; the firing order and times
-  // must be the same either way, and pending_events() counts the lane.
-  auto trace = [](bool lanes) {
-    Simulator sim;
-    std::vector<std::pair<Time, int>> fired;
-    std::size_t max_pending = 0;
-    std::function<void(int)> tick = [&](int n) {
-      fired.emplace_back(sim.now(), 100 + n);
-      max_pending = std::max(max_pending, sim.pending_events());
-      if (n == 5) return;
-      auto again = [&tick, n] { tick(n + 1); };
-      if (lanes) {
-        sim.schedule_fixed(ms(10), again);
-      } else {
-        sim.schedule(ms(10), again);
-      }
-    };
-    sim.schedule(0, [&] { tick(0); });
-    for (int i = 0; i < 6; ++i) {
-      sim.schedule(ms(10) * i, [&, i] { fired.emplace_back(sim.now(), i); });
-      sim.schedule(ms(10) * i + ms(10),
-                   [&, i] { fired.emplace_back(sim.now(), 10 + i); });
+// --- lazy periodic timers ----------------------------------------------------
+
+/// One simulator driven by a fixed script, with a 10 ms periodic tick that
+/// is either a lazy timer or, as the reference, the events the timer stands
+/// for: a chain that re-schedules itself every period until a park or drop
+/// lets the pending firing be its last. Script: the tick starts at 3 ms, is
+/// parked at 47 ms (firing 53 would be its last) and unparked at 50 ms,
+/// parked at 61 ms (last firing 63), restarted at 80 ms and dropped at
+/// 125 ms (last firing 130). Beside it runs a chain of other events, each
+/// scheduled less than a period ahead; three land exactly on a firing.
+struct TickScript {
+  static constexpr Time kPeriod = ms(10);
+  static constexpr std::array<int, 19> kOthersMs{
+      1, 8, 15, 23, 30, 37, 44, 51, 58, 63, 70, 77, 84, 91, 98, 105, 110, 117,
+      124};
+
+  explicit TickScript(bool lazy) : lazy(lazy) {
+    sim.schedule_at(ms(3), [this] { start(); });
+    sim.schedule_at(ms(47), [this] { park(); });
+    sim.schedule_at(ms(50), [this] { unpark(); });
+    sim.schedule_at(ms(61), [this] { park(); });
+    sim.schedule_at(ms(80), [this] { reset(); });
+    sim.schedule_at(ms(125), [this] { drop(); });
+    sim.schedule_at(ms(kOthersMs[0]), [this] { other(); });
+  }
+
+  void start() {
+    if (lazy) {
+      timer = sim.start_timer(kPeriod);
+    } else {
+      arm();
     }
-    while (sim.step()) {
+  }
+  void park() {
+    if (lazy) {
+      sim.park_timer(timer);
+    } else {
+      ending = true;
     }
-    return std::make_pair(fired, max_pending);
-  };
-  const auto with_lanes = trace(true);
-  const auto on_heap = trace(false);
-  EXPECT_EQ(with_lanes.first, on_heap.first);
-  EXPECT_EQ(with_lanes.second, on_heap.second);
-  EXPECT_EQ(with_lanes.first.size(), 18u);
+  }
+  void unpark() {
+    if (lazy) {
+      sim.unpark_timer(timer);
+    } else {
+      ending = false;
+    }
+  }
+  void reset() {
+    if (lazy) {
+      sim.reset_timer(timer);
+    } else {
+      ending = false;
+      arm();
+    }
+  }
+  void drop() {
+    if (lazy) {
+      sim.drop_timer(timer);
+    } else {
+      ending = true;
+    }
+  }
+  void arm() {
+    sim.schedule(kPeriod, [this] {
+      if (!ending) arm();
+    });
+  }
+  void other() {
+    if (++others == kOthersMs.size()) return;
+    sim.schedule_at(ms(kOthersMs[others]), [this] { other(); });
+  }
+
+  bool lazy;
+  Simulator sim;
+  Simulator::TimerId timer = 0;
+  bool ending = false;
+  std::size_t others = 0;
+};
+
+TEST(Simulator, TimerLeavesTheClockWhereItsEventsWould) {
+  TickScript lazy(true);
+  TickScript eager(false);
+  for (Time until = 0; until <= ms(200); until += ms(1) / 2) {
+    lazy.sim.run(until);
+    eager.sim.run(until);
+    ASSERT_EQ(lazy.sim.now(), eager.sim.now()) << "until " << until;
+    ASSERT_EQ(lazy.others, eager.others) << "until " << until;
+  }
+  EXPECT_EQ(lazy.sim.now(), ms(130));  // the dropped timer's last firing
+  EXPECT_TRUE(lazy.sim.idle());
+  // The timer queued nothing: every event the reference ran beyond the
+  // script's is a firing.
+  EXPECT_EQ(eager.sim.executed_events() - lazy.sim.executed_events(), 11u);
+}
+
+TEST(Simulator, BoundedWaitStopsWhereAStepLoopStops) {
+  // The loop a bounded wait ran before timers were lazy, against
+  // step_within(): both must end at the same time with the same events run,
+  // whether the first thing past the deadline is a firing, an event or a
+  // tie of both.
+  for (Time deadline = ms(2); deadline <= ms(190); deadline += ms(1) / 4) {
+    TickScript lazy(true);
+    TickScript eager(false);
+    while (eager.sim.now() <= deadline && eager.sim.step()) {
+    }
+    while (lazy.sim.step_within(deadline)) {
+    }
+    ASSERT_EQ(lazy.sim.now(), eager.sim.now()) << "deadline " << deadline;
+    ASSERT_EQ(lazy.others, eager.others) << "deadline " << deadline;
+  }
+}
+
+TEST(Simulator, DroppedTimerSlotsAreReused) {
+  Simulator sim;
+  const Simulator::TimerId a = sim.start_timer(ms(10));
+  sim.drop_timer(a);  // its last firing is at 10 ms
+  EXPECT_EQ(sim.start_timer(ms(10)), a + 1);
+  sim.run(ms(10));
+  EXPECT_EQ(sim.now(), ms(10));
+  sim.run(ms(11));  // the dropped timer has ended: its slot is free
+  EXPECT_EQ(sim.start_timer(ms(5)), a);
 }
 
 TEST(Simulator, EventLimitThrowsOnLivelock) {
