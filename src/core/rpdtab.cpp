@@ -59,11 +59,10 @@ struct Accepted {
 }  // namespace
 
 /// Every entry's host and byte offset in the packed bytes, sorted by host
-/// and, within a host, by offset (rank order); built on first use. The
-/// hosts view the packed bytes, which every table sharing the index keeps
-/// alive.
+/// and, within a host, by offset (rank order); built on first use (empty
+/// until then). The hosts view the packed bytes, which every table sharing
+/// the index keeps alive.
 struct Rpdtab::HostIndex {
-  bool built = false;
   std::vector<std::pair<std::string_view, std::uint32_t>> entries;
 };
 
@@ -99,7 +98,7 @@ std::vector<rm::TaskDesc> Rpdtab::entries_for_host(
     const std::string& host) const {
   if (!index_) index_ = std::make_shared<HostIndex>();
   auto& index = index_->entries;
-  if (!index_->built) {
+  if (index.empty()) {
     index.reserve(count_);
     ByteReader r(packed_.span());
     r.skip(4);
@@ -109,7 +108,6 @@ std::vector<rm::TaskDesc> Rpdtab::entries_for_host(
       index.emplace_back(read_entry(r)->host, offset);
     }
     std::ranges::sort(index);
-    index_->built = true;
   }
   const auto [first, last] = std::ranges::equal_range(
       index, std::string_view(host), {}, [](const auto& e) { return e.first; });

@@ -280,6 +280,25 @@ TEST(LazyTicks, ReadsMatchTickEventsMidPeriodAndOnADueTick) {
             p.lazy.sim().executed_events() + 4 * 30);
 }
 
+TEST(LazyTicks, TickDueAtTheReadTimeRunsBeforeTheRead) {
+  // The tie rule, pinned: a read in an event at exactly a tick's due time,
+  // scheduled less than a period before (as every tool's read is), sees
+  // that tick, as it did when the tick was an event scheduled a full
+  // period ahead.
+  Pair p;
+  p.run_to(sim::ms(300), sim::ms(50));
+  const sim::Time due = p.origin(0) + 10 * kPeriod;
+  p.both([&](World& w) {
+    w.read_at(due - 1);
+    w.read_at(due);
+  });
+  p.run_to(due + sim::ms(1), sim::ms(10));
+  p.expect_same_logs();
+  ASSERT_EQ(p.lazy.log.size(), 2u * kTasks);
+  EXPECT_EQ(p.lazy.log[kTasks].at, due);
+  EXPECT_GT(p.lazy.log[kTasks].stats.utime_ms, p.lazy.log[0].stats.utime_ms);
+}
+
 TEST(LazyTicks, OutsideReadsAfterRunUntilADueTickMatch) {
   // run(until) on a firing leaves the clock there, and a read after it
   // sees that tick applied.
