@@ -208,11 +208,12 @@ inline HealAblationPoint measure_heal_point(const comm::TopologySpec& topo,
   for (int i = 0; i < nodes; ++i) {
     spec.hosts.push_back(tc.machine.compute_node(i).hostname());
   }
+  const Arg hosts = comm::hosts_arg(join_csv(spec.hosts));
   std::vector<cluster::Pid> pids;
   for (std::uint32_t r = 0; r < spec.size; ++r) {
     cluster::SpawnOptions opts;
     opts.executable = "heal_be";
-    opts.args = comm::bootstrap_args(spec, r);
+    opts.args = comm::bootstrap_args(spec, r, hosts);
     auto res = tc.machine.compute_node(static_cast<int>(r))
                    .spawn(std::make_unique<heal_sweep::SweepDaemon>(&sh),
                           std::move(opts));

@@ -47,7 +47,7 @@ void Machine::index_process(Pid pid, Process* p) {
 }
 
 Node* Machine::find_host(std::string_view hostname) {
-  auto it = host_index_.find(std::string(hostname));
+  auto it = host_index_.find(hostname);
   return it == host_index_.end() ? nullptr : it->second;
 }
 

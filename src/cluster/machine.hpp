@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -26,7 +27,9 @@ namespace lmon::cluster {
 /// An installed binary: how to instantiate its behaviour and how big its
 /// image is (exec cost, DPCL parse cost). The registry stands in for the
 /// cluster's shared filesystem - the RM's node daemons and rshd exec
-/// programs by name.
+/// programs by name. The factory is handed an empty list: a program reads
+/// its argv from Process::args() once it starts, where a launch's shared
+/// entries stay views of one buffer.
 struct ProgramImage {
   std::function<std::unique_ptr<Program>(const std::vector<std::string>&)>
       factory;
@@ -156,7 +159,16 @@ class Machine {
   NetworkModel network_;
   sim::Rng jitter_rng_{0};
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::unordered_map<std::string, Node*> host_index_;
+  /// Transparent hash, so find_host looks a string_view up without
+  /// building a std::string.
+  struct HostHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const noexcept {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  std::unordered_map<std::string, Node*, HostHash, std::equal_to<>>
+      host_index_;
   std::vector<Process*> procs_;  ///< by pid - kFirstPid
   std::unordered_map<std::string, ProgramImage> programs_;
   obs::Tracer* tracer_ = nullptr;

@@ -17,6 +17,7 @@
 
 #include "cluster/channel.hpp"
 #include "cluster/types.hpp"
+#include "common/argparse.hpp"
 #include "common/bytes.hpp"
 #include "common/status.hpp"
 #include "simkernel/simulator.hpp"
@@ -105,7 +106,7 @@ class Program {
 /// Parameters for spawning a process.
 struct SpawnOptions {
   std::string executable = "a.out";       ///< image name (RPDTAB field)
-  std::vector<std::string> args;          ///< argv-style parameters
+  Argv args;                              ///< argv-style parameters
   double image_mb = 4.0;                  ///< drives exec + DPCL-parse costs
   bool start_traced = false;              ///< spawn under the caller's trace
   /// PR_SET_PDEATHSIG-style: the child is killed (exit 9) when its parent
@@ -139,7 +140,7 @@ class Process {
   [[nodiscard]] const SpawnOptions& options() const noexcept {
     return options_;
   }
-  [[nodiscard]] const std::vector<std::string>& args() const noexcept {
+  [[nodiscard]] const Argv& args() const noexcept {
     return options_.args;
   }
   [[nodiscard]] Program& program() noexcept { return *program_; }

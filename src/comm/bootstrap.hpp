@@ -8,6 +8,15 @@
 // daemon's argv. This header is the one place that writes and parses that
 // argv, so strategies cannot drift apart.
 //
+// The host list is the one part that grows with the launch, and every
+// daemon gets it alike, so a launch builds it once: hosts_arg() packs the
+// "--lmon-hosts=" entry into one immutable buffer, every daemon's argv holds
+// that entry by reference (lmon::Arg), and each daemon's HostTable views
+// the host names inside it. The offsets and the by-host order are indexed
+// once per buffer and shared too. Nothing writes the buffer once it is
+// built, so sharing it is sound; the last daemon, agent or launcher that
+// holds the entry frees it.
+//
 // Rank is optional on the wire: bulk launchers that spawn each daemon
 // individually pass --lmon-rank explicitly, while broadcast-style launchers
 // (the tree-rsh agent hands every daemon an identical command line) omit it
@@ -15,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -22,6 +32,8 @@
 
 #include "cluster/types.hpp"
 #include "comm/topology.hpp"
+#include "common/argparse.hpp"
+#include "common/bytes.hpp"
 
 namespace lmon::comm {
 
@@ -52,28 +64,46 @@ struct BootstrapSpec {
   std::uint32_t max_sessions = 0;
 };
 
-/// The rank-ordered host list a daemon recovers from "--lmon-hosts=": the
-/// comma-separated argument kept as one string, plus where each entry lies
-/// in it. Empty segments ("a,,b") are dropped, as split_csv drops them.
+/// The rank-ordered host list a daemon recovers from "--lmon-hosts=": a
+/// view of the comma-separated value inside the launch's one shared buffer,
+/// plus that buffer's index. Empty segments ("a,,b") are dropped, as
+/// split_csv drops them.
 class HostTable {
  public:
   HostTable() = default;
-  explicit HostTable(std::string csv);
+  /// Views `csv` in place. The index is built once per view: a table made
+  /// from the view the previous table was made from (every daemon of a
+  /// launch parses the same one) shares that table's index. The memo keys
+  /// on the view's SliceIdentity, which is sound because a shared buffer is
+  /// never written.
+  explicit HostTable(ByteSlice csv);
 
-  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept {
+    return index_ == nullptr ? 0 : index_->entries.size();
+  }
   /// The host of `rank`; throws std::out_of_range when rank >= size().
   [[nodiscard]] std::string_view at(std::size_t rank) const;
-  /// The first rank whose host is `host`, or nullopt.
+  /// The first rank whose host is `host`, or nullopt: a binary search of
+  /// the by-host order.
   [[nodiscard]] std::optional<std::uint32_t> rank_of(
       std::string_view host) const;
 
  private:
   struct Entry {
-    std::size_t offset = 0;
-    std::size_t length = 0;
+    std::uint32_t offset = 0;
+    std::uint32_t length = 0;
   };
-  std::string csv_;
-  std::vector<Entry> entries_;
+  struct Index {
+    std::vector<Entry> entries;          ///< by rank
+    std::vector<std::uint32_t> by_host;  ///< ranks ordered by (host, rank)
+  };
+  static std::shared_ptr<const Index> index_of(const ByteSlice& csv);
+  [[nodiscard]] std::string_view name_of(const Entry& e) const noexcept {
+    return {reinterpret_cast<const char*>(csv_.data()) + e.offset, e.length};
+  }
+
+  ByteSlice csv_;
+  std::shared_ptr<const Index> index_;
 };
 
 /// What a daemon recovers from its argv.
@@ -92,25 +122,29 @@ struct BootstrapParams {
   std::uint32_t max_sessions = 0;    ///< virtual-session cap; 0 = default
 };
 
-/// Emits the "--lmon-*" argv for one daemon. Pass nullopt as `rank` for
-/// launchers that cannot vary the command line per daemon; the receiving
-/// side then resolves the rank from the host list.
-[[nodiscard]] std::vector<std::string> bootstrap_args(
-    const BootstrapSpec& spec, std::optional<std::uint32_t> rank);
+/// The "--lmon-hosts=" entry for the comma-separated host list `csv`, in
+/// one new immutable buffer. Build it once per launch: every argv holding a
+/// copy of the entry, and every HostTable parsed from one, shares it.
+[[nodiscard]] Arg hosts_arg(std::string_view csv);
 
-/// The same argv with the host list given as its comma-separated
-/// "--lmon-hosts=" value (spec.hosts is not read): for launchers that hold
-/// the list in another form, or spawn many daemons from one list.
-[[nodiscard]] std::vector<std::string> bootstrap_args(
-    const BootstrapSpec& spec, std::optional<std::uint32_t> rank,
-    std::string_view hosts_csv);
+/// Emits the "--lmon-*" argv for one daemon, followed by the tool's own
+/// `extra` entries; `hosts` (from hosts_arg) is held, not copied, and
+/// spec.hosts is not read. Pass nullopt as `rank` for launchers that cannot
+/// vary the command line per daemon; the receiving side then resolves the
+/// rank from the host list.
+[[nodiscard]] Argv bootstrap_args(const BootstrapSpec& spec,
+                                  std::optional<std::uint32_t> rank,
+                                  const Arg& hosts,
+                                  const std::vector<std::string>& extra = {});
 
 /// Parses a daemon argv. `self_host` backs the rank-from-host fallback when
 /// --lmon-rank is absent; pass the daemon's own hostname (or empty to
 /// require an explicit rank). Returns nullopt when required parameters are
 /// missing or inconsistent - which is what a daemon started outside
-/// LaunchMON sees.
+/// LaunchMON sees. The host table views the shared "--lmon-hosts=" entry
+/// in place; a hand-written argv that owns its entry has it copied into one
+/// new buffer.
 [[nodiscard]] std::optional<BootstrapParams> parse_bootstrap(
-    const std::vector<std::string>& args, std::string_view self_host = {});
+    const Argv& args, std::string_view self_host = {});
 
 }  // namespace lmon::comm

@@ -237,6 +237,13 @@ class ByteReader {
 
   /// Raw bytes of exactly `n`, no prefix.
   std::optional<Bytes> raw(std::size_t n);
+  /// Like raw(), but views the bytes in place instead of copying them.
+  std::optional<std::span<const std::uint8_t>> raw_view(std::size_t n) {
+    if (remaining() < n) return std::nullopt;
+    std::span<const std::uint8_t> b = data_.subspan(pos_, n);
+    pos_ += n;
+    return b;
+  }
   /// Advances past `n` bytes; false (and no move) when fewer remain.
   bool skip(std::size_t n) {
     if (remaining() < n) return false;

@@ -23,7 +23,7 @@ cluster::Result<cluster::Pid> SlurmAdapter::launch_job(
   opts.executable = rm::Launcher::kImageName;
   opts.image_mb = image->image_mb;
   opts.args = rm::job_args(spec);
-  auto res = engine.spawn_traced(image->factory(opts.args), std::move(opts),
+  auto res = engine.spawn_traced(image->factory({}), std::move(opts),
                                  std::move(handler));
   if (!res.is_ok()) return {res.status, cluster::kInvalidPid};
   session_ = res.value.second;

@@ -448,7 +448,7 @@ void RmBulkStrategy::launch(cluster::Process& self, comm::LaunchRequest req,
   for (const auto& a : req.daemon_args) {
     opts.args.push_back("--daemon-arg=" + a);
   }
-  auto res = self.spawn_child(image->factory(opts.args), std::move(opts));
+  auto res = self.spawn_child(image->factory({}), std::move(opts));
   if (!res.is_ok() && cb) {
     cb(comm::LaunchResult{res.status, {}, rm::kInvalidJob});
   }

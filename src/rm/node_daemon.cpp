@@ -98,6 +98,26 @@ void NodeDaemon::on_channel_closed(cluster::Process& self,
   child_failed(self, key, "subtree node daemon connection lost");
 }
 
+Arg NodeDaemon::hosts_arg(const HostList& hosts) {
+  // Every request of one launch, on every node, carries the one host buffer
+  // the launcher packed, so the entry built for that view is remembered by
+  // its SliceIdentity and every daemon of the launch shares it. The entry's
+  // buffer is held weakly: the memo keeps no launch's list alive.
+  thread_local struct {
+    SliceIdentity view;
+    std::weak_ptr<const Bytes> buffer;
+  } last;
+  if (last.view.matches(hosts.wire())) {
+    if (auto buffer = last.buffer.lock()) return Arg(ByteSlice(buffer));
+  }
+  std::string csv;
+  csv.reserve(hosts.wire().size());
+  hosts.for_each([&csv](std::string_view host) { append_csv(csv, host); });
+  Arg arg = comm::hosts_arg(csv);
+  last = {SliceIdentity(hosts.wire()), arg.slice()->buffer()};
+  return arg;
+}
+
 std::vector<std::span<const AllocatedNode>> NodeDaemon::split_subtrees(
     const std::vector<AllocatedNode>& nodes, std::uint32_t fanout) {
   std::vector<std::span<const AllocatedNode>> chunks;
@@ -156,10 +176,9 @@ void NodeDaemon::handle_launch(cluster::Process& self,
   p.awaiting_local = nlocal;
   const std::string group = spawn_group(req.jobid, req.mode, req.fabric.session);
 
-  // A daemon's bootstrap, with its host argument built once per request
-  // from the shared host list.
+  // A daemon's bootstrap, holding the launch's one host entry.
   comm::BootstrapSpec boot;
-  std::string hosts_csv;
+  Arg hosts;
   if (req.mode == LaunchMode::Daemons) {
     boot.size = req.fabric.total;
     boot.topology = req.fabric.topology();
@@ -171,9 +190,7 @@ void NodeDaemon::handle_launch(cluster::Process& self,
     boot.heal = req.fabric.heal;
     boot.heal_grace_ms = req.fabric.heal_grace_ms;
     boot.max_sessions = req.fabric.max_sessions;
-    hosts_csv.reserve(req.hosts.wire().size());
-    req.hosts.for_each(
-        [&hosts_csv](std::string_view host) { append_csv(hosts_csv, host); });
+    hosts = hosts_arg(req.hosts);
   }
 
   for (int i = 0; i < nlocal; ++i) {
@@ -187,15 +204,16 @@ void NodeDaemon::handle_launch(cluster::Process& self,
     opts.image_mb = image->image_mb;
     if (req.mode == LaunchMode::Daemons) {
       opts.args = comm::bootstrap_args(
-          boot, static_cast<std::uint32_t>(rank), hosts_csv);
+          boot, static_cast<std::uint32_t>(rank), hosts, req.extra_args);
     } else {
+      opts.args.reserve(2 + req.extra_args.size());
       opts.args.push_back("--rank=" + std::to_string(rank));
       const std::uint64_t size =
           std::uint64_t{req.hosts.size()} * req.tasks_per_node;
       opts.args.push_back("--size=" + std::to_string(size));
+      opts.args.insert(opts.args.end(), req.extra_args.begin(),
+                       req.extra_args.end());
     }
-    opts.args.insert(opts.args.end(), req.extra_args.begin(),
-                     req.extra_args.end());
     opts.started_callback = [this, &self, key](cluster::Pid) {
       auto it = pending_.find(key);
       if (it == pending_.end()) return;
@@ -211,7 +229,7 @@ void NodeDaemon::handle_launch(cluster::Process& self,
     self.post(static_cast<sim::Time>(i) * costs.rm_task_setup,
               [this, &self, key, exe, host, rank, group, factory,
                opts = std::move(opts)]() mutable {
-                auto prog = factory(opts.args);
+                auto prog = factory({});
                 auto res = self.spawn_child(std::move(prog), std::move(opts));
                 auto it = pending_.find(key);
                 if (it == pending_.end()) return;

@@ -79,6 +79,8 @@ class NodeDaemon : public cluster::Program {
 
   static std::string spawn_group(JobId jobid, LaunchMode mode,
                                  const std::string& session);
+  /// The daemons' "--lmon-hosts=" entry for `hosts`, built once per launch.
+  static Arg hosts_arg(const HostList& hosts);
 };
 
 }  // namespace lmon::rm

@@ -46,8 +46,8 @@ Status install(cluster::Machine& machine) {
   return Status::ok();
 }
 
-std::vector<std::string> job_args(const JobSpec& spec) {
-  std::vector<std::string> args;
+Argv job_args(const JobSpec& spec) {
+  Argv args;
   args.push_back("--mode=job");
   args.push_back("--nnodes=" + std::to_string(spec.nnodes));
   args.push_back("--tpn=" + std::to_string(spec.tasks_per_node));
@@ -68,7 +68,7 @@ cluster::Result<cluster::Pid> run_job(cluster::Machine& machine,
   opts.executable = Launcher::kImageName;
   opts.image_mb = image->image_mb;
   opts.args = job_args(spec);
-  return machine.front_end().spawn(image->factory(opts.args),
+  return machine.front_end().spawn(image->factory({}),
                                    std::move(opts));
 }
 

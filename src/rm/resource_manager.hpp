@@ -26,6 +26,6 @@ cluster::Result<cluster::Pid> run_job(cluster::Machine& machine,
                                       const JobSpec& spec);
 
 /// Builds the argv for a job-mode launcher from a JobSpec.
-std::vector<std::string> job_args(const JobSpec& spec);
+Argv job_args(const JobSpec& spec);
 
 }  // namespace lmon::rm

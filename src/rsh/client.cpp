@@ -9,7 +9,7 @@ namespace lmon::rsh {
 
 void RshSession::run(cluster::Process& self, const std::string& host,
                      const std::string& executable,
-                     std::vector<std::string> args, Callback cb) {
+                     Argv args, Callback cb) {
   // fork()+exec of the local rsh helper. This is the step that hits the
   // per-user process limit at scale.
   cluster::SpawnOptions helper_opts;

@@ -48,7 +48,7 @@ class RshSession {
   /// handler to talk to the remote process).
   static void run(cluster::Process& self, const std::string& host,
                   const std::string& executable,
-                  std::vector<std::string> args, Callback cb);
+                  Argv args, Callback cb);
 
  private:
   static void reap_helper(cluster::Process& self, cluster::Pid helper);

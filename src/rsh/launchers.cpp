@@ -78,17 +78,21 @@ std::vector<std::vector<std::string>> chunk_hosts(
   return chunks;
 }
 
+constexpr std::string_view kDaemonArgKey = "--daemon-arg=";
+
 /// Launches agents for each chunk sequentially via rsh and wires their acks
 /// into completion bookkeeping shared by the FE facade and TreeAgent.
 struct SubtreeLauncher {
-  /// `on_session_lost(host)` fires when a child agent's rsh session drops
-  /// while the launch owner is still running (the channel-close side; a
-  /// local teardown close never triggers it). The owner decides whether
-  /// the loss matters by checking whether that agent already acked.
+  /// `forwarded` holds the daemon's argv as "--daemon-arg=" entries, the
+  /// same for every agent. `on_session_lost(host)` fires when a child
+  /// agent's rsh session drops while the launch owner is still running (the
+  /// channel-close side; a local teardown close never triggers it). The
+  /// owner decides whether the loss matters by checking whether that agent
+  /// already acked.
   static void launch_chunks(
       cluster::Process& self,
       std::vector<std::vector<std::string>> chunks, const std::string& exe,
-      const std::vector<std::string>& daemon_args, int fanout,
+      const Argv& forwarded, int fanout,
       const std::string& report_host, cluster::Port report_port,
       obs::SpanId parent_span,
       std::vector<cluster::ChannelPtr>* sessions,
@@ -101,15 +105,14 @@ struct SubtreeLauncher {
       return;
     }
     for (auto& chunk : chunks) {
-      std::vector<std::string> agent_args;
+      Argv agent_args;
+      agent_args.reserve(5 + forwarded.size());
       agent_args.push_back("--exe=" + exe);
       agent_args.push_back("--fanout=" + std::to_string(fanout));
       agent_args.push_back("--report-host=" + report_host);
       agent_args.push_back("--report-port=" + std::to_string(report_port));
       agent_args.push_back("--hosts=" + join_csv(chunk));
-      for (const auto& a : daemon_args) {
-        agent_args.push_back("--daemon-arg=" + a);
-      }
+      agent_args.insert(agent_args.end(), forwarded.begin(), forwarded.end());
       // Note: the callback captures the host by copy *before* the call -
       // moving it into the capture would race the host argument (argument
       // evaluation order is unspecified).
@@ -228,9 +231,8 @@ void TreeCollector::finish() {
 
 void TreeRshLauncher::launch(cluster::Process& self,
                              std::vector<std::string> hosts,
-                             std::string daemon_exe,
-                             std::vector<std::string> daemon_args, int fanout,
-                             Callback cb) {
+                             std::string daemon_exe, const Argv& daemon_args,
+                             int fanout, Callback cb) {
   if (hosts.empty()) {
     cb(LaunchOutcome{});
     return;
@@ -259,8 +261,14 @@ void TreeRshLauncher::launch(cluster::Process& self,
             " fanout=" + std::to_string(fanout));
   }
 
+  // Keyed once here; every agent forwards these entries as it got them.
+  Argv forwarded;
+  forwarded.reserve(daemon_args.size());
+  for (const Arg& a : daemon_args) {
+    forwarded.push_back(with_key(kDaemonArgKey, a));
+  }
   SubtreeLauncher::launch_chunks(
-      self, std::move(chunks), daemon_exe, daemon_args, fanout,
+      self, std::move(chunks), daemon_exe, forwarded, fanout,
       self.node().hostname(), kTreeReportPort, collector->span,
       &collector->outcome.sessions,
       [collector](const std::string& host) {
@@ -298,7 +306,15 @@ void TreeAgent::on_start(cluster::Process& self) {
   report_port_ = static_cast<cluster::Port>(
       arg_int(args, "--report-port=").value_or(kTreeReportPort));
   auto hosts = split_csv(arg_value(args, "--hosts=").value_or(""));
-  std::vector<std::string> daemon_args = arg_list(args, "--daemon-arg=");
+  // The daemon's argv, and its entries as received for the subtree; a
+  // shared entry stays a view of the launch's one buffer either way.
+  Argv daemon_args;
+  Argv forwarded;
+  for (const Arg& a : args) {
+    if (!a.view().starts_with(kDaemonArgKey)) continue;
+    forwarded.push_back(a);
+    daemon_args.push_back(a.suffix(kDaemonArgKey.size()));
+  }
   ack_.ok = true;
 
   if (obs::Tracer* tracer = self.machine().tracer(); tracer != nullptr) {
@@ -326,12 +342,12 @@ void TreeAgent::on_start(cluster::Process& self) {
   cluster::SpawnOptions opts;
   opts.executable = exe;
   opts.image_mb = image->image_mb;
-  opts.args = daemon_args;
+  opts.args = std::move(daemon_args);
   // The daemon must not outlive this agent: tree teardown reaps agents
   // (cleanly via ack-channel loss or hard via rshd session loss), and
   // either way the daemon has to go with it.
   opts.die_with_parent = true;
-  auto prog = image->factory(opts.args);
+  auto prog = image->factory({});
   auto res = self.spawn_child(std::move(prog), std::move(opts));
   if (!res.is_ok()) {
     ack_.ok = false;
@@ -348,7 +364,7 @@ void TreeAgent::on_start(cluster::Process& self) {
   if (awaiting_children_ > 0) {
     (void)self.listen(kTreeAgentPort);
     SubtreeLauncher::launch_chunks(
-        self, std::move(chunks), exe, daemon_args, fanout,
+        self, std::move(chunks), exe, forwarded, fanout,
         self.node().hostname(), kTreeAgentPort, span_, &child_sessions_,
         [this, &self](const std::string& host) {
           on_child_session_lost(self, host);
@@ -489,11 +505,11 @@ void SerialRshStrategy::launch(cluster::Process& self, comm::LaunchRequest req,
                                Callback cb) {
   std::vector<LaunchTarget> targets;
   targets.reserve(req.bootstrap.hosts.size());
-  const std::string hosts_csv = join_csv(req.bootstrap.hosts);
+  // One host entry for the launch; every target's argv holds it.
+  const Arg hosts = comm::hosts_arg(join_csv(req.bootstrap.hosts));
   for (std::size_t r = 0; r < req.bootstrap.hosts.size(); ++r) {
     auto args = comm::bootstrap_args(
-        req.bootstrap, static_cast<std::uint32_t>(r), hosts_csv);
-    args.insert(args.end(), req.daemon_args.begin(), req.daemon_args.end());
+        req.bootstrap, static_cast<std::uint32_t>(r), hosts, req.daemon_args);
     targets.push_back(LaunchTarget{req.bootstrap.hosts[r], req.daemon_exe,
                                    std::move(args)});
   }
@@ -535,9 +551,9 @@ void TreeRshStrategy::launch(cluster::Process& self, comm::LaunchRequest req,
                              Callback cb) {
   // One argv for everyone: bootstrap args without an explicit rank, daemons
   // resolve their rank from the host list.
-  auto daemon_args = comm::bootstrap_args(req.bootstrap, std::nullopt);
-  daemon_args.insert(daemon_args.end(), req.daemon_args.begin(),
-                     req.daemon_args.end());
+  auto daemon_args = comm::bootstrap_args(
+      req.bootstrap, std::nullopt,
+      comm::hosts_arg(join_csv(req.bootstrap.hosts)), req.daemon_args);
   const int fanout =
       req.launch_fanout == 0 ? 2 : static_cast<int>(req.launch_fanout);
   // Copy out of `req` before the call: the callback captures req by move,
@@ -545,8 +561,7 @@ void TreeRshStrategy::launch(cluster::Process& self, comm::LaunchRequest req,
   auto hosts = req.bootstrap.hosts;
   auto daemon_exe = req.daemon_exe;
   TreeRshLauncher::launch(
-      self, std::move(hosts), std::move(daemon_exe), std::move(daemon_args),
-      fanout,
+      self, std::move(hosts), std::move(daemon_exe), daemon_args, fanout,
       [this, req = std::move(req), cb = std::move(cb)](LaunchOutcome out) {
         sessions_ = std::move(out.sessions);
         ack_channels_ = std::move(out.ack_channels);

@@ -25,7 +25,7 @@ inline constexpr cluster::Port kTreeReportPort = 517;
 struct LaunchTarget {
   std::string host;
   std::string executable;
-  std::vector<std::string> args;
+  Argv args;
 };
 
 struct LaunchOutcome {
@@ -65,11 +65,11 @@ class TreeRshLauncher {
   /// `self` must be able to listen on kTreeReportPort, and its Program must
   /// forward unrecognized messages to handle_report() (agents connect back
   /// to the front end and deliver one TreeAck each). All daemons get the
-  /// same executable/args.
+  /// same executable/args; a shared entry among `daemon_args` reaches every
+  /// daemon as a view of one buffer.
   static void launch(cluster::Process& self, std::vector<std::string> hosts,
-                     std::string daemon_exe,
-                     std::vector<std::string> daemon_args, int fanout,
-                     Callback cb);
+                     std::string daemon_exe, const Argv& daemon_args,
+                     int fanout, Callback cb);
 
   /// Returns true if the message was a TreeAck consumed by a launch in
   /// progress on `self`. `ch` is the channel the ack arrived on; it is

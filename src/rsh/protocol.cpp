@@ -34,8 +34,16 @@ cluster::Message ExecReq::encode() const {
   ByteWriter w = begin(MsgType::ExecReq);
   w.str(executable);
   w.u32(static_cast<std::uint32_t>(args.size()));
-  for (const auto& a : args) w.str(a);
-  return cluster::Message(std::move(w).take());
+  ByteSlice view;
+  for (const auto& a : args) {
+    if (a.slice() != nullptr && view.empty() && !a.slice()->empty()) {
+      view = *a.slice();
+      w.u32(static_cast<std::uint32_t>(view.size()) | kSharedArgBit);
+    } else {
+      w.str(a.view());
+    }
+  }
+  return cluster::Message(std::move(w).take(), std::move(view));
 }
 
 std::optional<ExecReq> ExecReq::decode(const cluster::Message& m) {
@@ -46,11 +54,23 @@ std::optional<ExecReq> ExecReq::decode(const cluster::Message& m) {
   auto n = r->u32();
   if (!exe || !n) return std::nullopt;
   out.executable = std::move(*exe);
+  bool view_taken = false;
   for (std::uint32_t i = 0; i < *n; ++i) {
-    auto a = r->str();
-    if (!a) return std::nullopt;
-    out.args.push_back(std::move(*a));
+    auto len = r->u32();
+    if (!len) return std::nullopt;
+    if ((*len & kSharedArgBit) != 0) {
+      if (view_taken || (*len & ~kSharedArgBit) != m.view.size()) {
+        return std::nullopt;
+      }
+      view_taken = true;
+      out.args.emplace_back(m.view);
+      continue;
+    }
+    auto bytes = r->raw_view(*len);
+    if (!bytes) return std::nullopt;
+    out.args.emplace_back(std::string(bytes->begin(), bytes->end()));
   }
+  if (view_taken == m.view.empty()) return std::nullopt;
   return out;
 }
 

@@ -8,6 +8,7 @@
 
 #include "cluster/message.hpp"
 #include "cluster/types.hpp"
+#include "common/argparse.hpp"
 #include "common/bytes.hpp"
 
 namespace lmon::rsh {
@@ -21,9 +22,18 @@ enum class MsgType : std::uint32_t {
 std::optional<MsgType> peek_type(const cluster::Message& msg);
 
 /// "rsh <host> <exe> <args...>": asks the remote rshd to spawn a command.
+///
+/// Wire form: the executable, a u32 entry count, then each entry as a u32
+/// length and its bytes. The first entry that views a shared buffer (a
+/// launch's host list) travels as the frame's Message::view instead: its
+/// length has kSharedArgBit set and its bytes follow the header, so the
+/// frame is exactly as long as with the bytes copied in, and the receiver's
+/// entry views the sender's buffer.
 struct ExecReq {
+  static constexpr std::uint32_t kSharedArgBit = 1u << 31;
+
   std::string executable;
-  std::vector<std::string> args;
+  Argv args;
   [[nodiscard]] cluster::Message encode() const;
   static std::optional<ExecReq> decode(const cluster::Message& m);
 };

@@ -32,7 +32,7 @@ void Rshd::on_message(cluster::Process& self, const cluster::ChannelPtr& ch,
               opts.executable = req.executable;
               opts.image_mb = image->image_mb;
               opts.args = req.args;
-              auto prog = image->factory(opts.args);
+              auto prog = image->factory({});
               auto res = self.spawn_child(std::move(prog), std::move(opts));
               ExecResp resp;
               if (!res.is_ok()) {

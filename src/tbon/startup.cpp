@@ -2,8 +2,8 @@
 
 namespace lmon::tbon {
 
-std::vector<std::string> adhoc_args(const Topology& topo, int index) {
-  std::vector<std::string> args;
+Argv adhoc_args(const Topology& topo, int index) {
+  Argv args;
   args.push_back("--tbon-topology=" + to_hex(topo.pack()));
   args.push_back("--tbon-index=" + std::to_string(index));
   return args;

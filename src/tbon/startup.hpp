@@ -29,6 +29,6 @@ void adhoc_launch(cluster::Process& fe, const Topology& topo,
                   std::function<void(rsh::LaunchOutcome)> cb);
 
 /// Builds the argv a daemon at `index` receives in the ad hoc path.
-std::vector<std::string> adhoc_args(const Topology& topo, int index);
+Argv adhoc_args(const Topology& topo, int index);
 
 }  // namespace lmon::tbon

@@ -135,11 +135,12 @@ std::vector<cluster::Pid> wire_fabric(TestCluster& tc, Shared& sh,
   for (int node : placement) {
     spec.hosts.push_back(tc.machine.compute_node(node).hostname());
   }
+  const Arg hosts = comm::hosts_arg(join_csv(spec.hosts));
   std::vector<cluster::Pid> pids;
   for (std::uint32_t r = 0; r < spec.size; ++r) {
     cluster::SpawnOptions opts;
     opts.executable = "raw_iccl";
-    opts.args = comm::bootstrap_args(spec, r);
+    opts.args = comm::bootstrap_args(spec, r, hosts);
     auto res = tc.machine.compute_node(placement[r])
                    .spawn(std::make_unique<RawIcclDaemon>(&sh),
                           std::move(opts));
@@ -1032,7 +1033,8 @@ struct FakeRootFabric {
                     .is_ok());
     cluster::SpawnOptions leaf_opts;
     leaf_opts.executable = "raw_iccl";
-    leaf_opts.args = comm::bootstrap_args(spec, 1);
+    leaf_opts.args = comm::bootstrap_args(
+        spec, 1, comm::hosts_arg(join_csv(spec.hosts)));
     EXPECT_TRUE(tc.machine.compute_node(1)
                     .spawn(std::make_unique<RawIcclDaemon>(&sh),
                            std::move(leaf_opts))

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 
 #include "comm/bootstrap.hpp"
 #include "core/be_api.hpp"
@@ -30,8 +31,10 @@ struct LaunchResult {
 apps::ScriptedFrontEnd::Script make_launch_script(
     LaunchResult* out, int nnodes, int tpn,
     std::shared_ptr<core::FrontEnd>* fe_keep,
-    std::string daemon_exe = "hello_be") {
-  return [out, nnodes, tpn, fe_keep, daemon_exe](cluster::Process& self) {
+    std::string daemon_exe = "hello_be",
+    std::optional<comm::LaunchStrategyKind> strategy = std::nullopt) {
+  return [out, nnodes, tpn, fe_keep, daemon_exe,
+          strategy](cluster::Process& self) {
     auto fe = std::make_shared<core::FrontEnd>(self);
     *fe_keep = fe;
     ASSERT_TRUE(fe->init().is_ok());
@@ -45,6 +48,7 @@ apps::ScriptedFrontEnd::Script make_launch_script(
 
     core::FrontEnd::SpawnConfig cfg;
     cfg.daemon_exe = daemon_exe;
+    cfg.launch_strategy = strategy;
 
     out->started = self.sim().now();
     fe->launch_and_spawn(sid.value, job, cfg,
@@ -256,6 +260,44 @@ TEST(LaunchSpawn, EveryDaemonViewsTheOneRpdtabBuffer) {
   }
 }
 
+/// Launches 16 recording daemons with `strategy` and checks that every
+/// daemon's host table views the same bytes: one host buffer per launch,
+/// not one copy per daemon.
+void expect_one_host_buffer(comm::LaunchStrategyKind strategy) {
+  TestCluster tc(16);
+  DaemonLog log;
+  RecordingDaemon::install(tc.machine, &log);
+  LaunchResult result;
+  std::shared_ptr<core::FrontEnd> fe;
+  tc.spawn_fe(
+      make_launch_script(&result, 16, 2, &fe, "recording_be", strategy));
+  ASSERT_TRUE(tc.run_until([&] { return result.done; }, sim::seconds(600)));
+  ASSERT_TRUE(result.status.is_ok()) << result.status.to_string();
+
+  ASSERT_EQ(log.initialized.size(), 16u);
+  const comm::HostTable& first =
+      log.initialized.at(0)->iccl().params().hosts;
+  ASSERT_EQ(first.size(), 16u);
+  const char* shared = first.at(0).data();
+  for (const auto& [rank, be] : log.initialized) {
+    const comm::HostTable& hosts = be->iccl().params().hosts;
+    ASSERT_EQ(hosts.size(), 16u) << "rank " << rank;
+    EXPECT_EQ(hosts.at(0).data(), shared) << "rank " << rank;
+    EXPECT_EQ(hosts.at(rank), log.hosts.at(rank)) << "rank " << rank;
+    EXPECT_EQ(hosts.rank_of(log.hosts.at(rank)), rank) << "rank " << rank;
+  }
+}
+
+TEST(LaunchSpawn, RmBulkDaemonsShareOneHostBuffer) {
+  expect_one_host_buffer(comm::LaunchStrategyKind::RmBulk);
+}
+
+TEST(LaunchSpawn, TreeRshDaemonsShareOneHostBuffer) {
+  // Every agent forwards the daemon argv it got; the host entry rides each
+  // rsh request as the frame's view, so the buffer crosses every hop whole.
+  expect_one_host_buffer(comm::LaunchStrategyKind::TreeRsh);
+}
+
 TEST(LaunchSpawn, EveryDaemonsOwnEntriesMatchAFullScanInRankOrder) {
   // my_entries() decodes only this host's entries through the table's
   // shared host index; it must equal filtering every entry by host.
@@ -371,10 +413,11 @@ TEST(LaunchSpawn, BadRpdtabInHandshakeFailsEveryDaemonWithAStatus) {
   for (int i = 0; i < n; ++i) {
     spec.hosts.push_back(tc.machine.compute_node(i).hostname());
   }
+  const Arg hosts = comm::hosts_arg(join_csv(spec.hosts));
   for (std::uint32_t r = 0; r < spec.size; ++r) {
     cluster::SpawnOptions opts;
     opts.executable = "recording_be";
-    opts.args = comm::bootstrap_args(spec, r);
+    opts.args = comm::bootstrap_args(spec, r, hosts);
     ASSERT_TRUE(tc.machine.compute_node(static_cast<int>(r))
                     .spawn(std::make_unique<RecordingDaemon>(&log),
                            std::move(opts))

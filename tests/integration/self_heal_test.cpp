@@ -103,11 +103,12 @@ std::vector<cluster::Pid> wire_heal_fabric(TestCluster& tc, Shared& sh,
   for (int i = 0; i < n; ++i) {
     spec.hosts.push_back(tc.machine.compute_node(i).hostname());
   }
+  const Arg hosts = comm::hosts_arg(join_csv(spec.hosts));
   std::vector<cluster::Pid> pids;
   for (std::uint32_t r = 0; r < spec.size; ++r) {
     cluster::SpawnOptions opts;
     opts.executable = "raw_heal";
-    opts.args = comm::bootstrap_args(spec, r);
+    opts.args = comm::bootstrap_args(spec, r, hosts);
     auto res = tc.machine.compute_node(static_cast<int>(r))
                    .spawn(std::make_unique<RawHealDaemon>(&sh),
                           std::move(opts));
@@ -980,11 +981,12 @@ TEST(SelfHeal, DisabledHealKeepsLegacyDropSemantics) {
   for (int i = 0; i < n; ++i) {
     spec.hosts.push_back(tc.machine.compute_node(i).hostname());
   }
+  const Arg hosts = comm::hosts_arg(join_csv(spec.hosts));
   std::vector<cluster::Pid> pids;
   for (std::uint32_t r = 0; r < spec.size; ++r) {
     cluster::SpawnOptions opts;
     opts.executable = "raw_heal";
-    opts.args = comm::bootstrap_args(spec, r);
+    opts.args = comm::bootstrap_args(spec, r, hosts);
     auto res = tc.machine.compute_node(static_cast<int>(r))
                    .spawn(std::make_unique<RawHealDaemon>(&sh),
                           std::move(opts));

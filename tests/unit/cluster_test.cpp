@@ -80,6 +80,11 @@ TEST(Cluster, HostnameLayout) {
   EXPECT_EQ(f.machine.compute_node(3).hostname(), "test4");
   EXPECT_NE(f.machine.find_host("test2"), nullptr);
   EXPECT_EQ(f.machine.find_host("nonesuch"), nullptr);
+  // A view into a longer list (a host table entry) finds its node.
+  const std::string_view list = "test3,test4";
+  EXPECT_EQ(f.machine.find_host(list.substr(0, 5)), &f.machine.compute_node(2));
+  EXPECT_EQ(f.machine.find_host(list.substr(6)), &f.machine.compute_node(3));
+  EXPECT_EQ(f.machine.find_host(list.substr(0, 4)), nullptr);
 }
 
 TEST(Cluster, ConnectAndExchangeMessages) {

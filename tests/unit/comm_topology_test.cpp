@@ -337,7 +337,7 @@ TEST(Bootstrap, ArgsRoundTripWithExplicitRank) {
   spec.fe_port = 7050;
   spec.hosts = {"a0", "a1", "a2", "a3"};
 
-  const auto args = bootstrap_args(spec, 2u);
+  const auto args = bootstrap_args(spec, 2u, hosts_arg(join_csv(spec.hosts)));
   const auto p = parse_bootstrap(args);
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->rank, 2u);
@@ -360,7 +360,8 @@ TEST(Bootstrap, RankDerivedFromHostPosition) {
   spec.session = "s0";
   spec.hosts = {"n0", "n1", "n2"};
 
-  const auto args = bootstrap_args(spec, std::nullopt);
+  const auto args =
+      bootstrap_args(spec, std::nullopt, hosts_arg(join_csv(spec.hosts)));
   // Each daemon resolves its own rank from its hostname.
   for (std::uint32_t r = 0; r < 3; ++r) {
     const auto p = parse_bootstrap(args, spec.hosts[r]);
@@ -373,7 +374,7 @@ TEST(Bootstrap, RankDerivedFromHostPosition) {
 }
 
 TEST(Bootstrap, KAryTopoSpellingParses) {
-  const std::vector<std::string> args{
+  const Argv args{
       "--lmon-rank=1", "--lmon-size=2", "--lmon-topo=kary:4",
       "--lmon-port=9000", "--lmon-hosts=x,y"};
   const auto p = parse_bootstrap(args);
@@ -384,9 +385,8 @@ TEST(Bootstrap, KAryTopoSpellingParses) {
 
 TEST(Bootstrap, HostListDropsEmptySegments) {
   // As split_csv does: "a,,b" is two hosts, and ranks follow positions.
-  const std::vector<std::string> args{"--lmon-size=2", "--lmon-topo=kary:2",
-                                      "--lmon-port=9000",
-                                      "--lmon-hosts=a,,b"};
+  const Argv args{"--lmon-size=2", "--lmon-topo=kary:2", "--lmon-port=9000",
+                  "--lmon-hosts=a,,b"};
   const auto p = parse_bootstrap(args, "b");
   ASSERT_TRUE(p.has_value());
   ASSERT_EQ(p->hosts.size(), 2u);
@@ -410,7 +410,7 @@ TEST(Bootstrap, RejectsArgvWithoutTopo) {
 }
 
 TEST(Bootstrap, ParsesHandWrittenDaemonArgv) {
-  const std::vector<std::string> args{
+  const Argv args{
       "--lmon-rank=3",    "--lmon-size=8",          "--lmon-topo=kary:2",
       "--lmon-port=7100", "--lmon-session=s1p1000",
       "--lmon-hosts=a,b,c,d,e,f,g,h"};
@@ -443,6 +443,43 @@ TEST(Bootstrap, RejectsInconsistentArgv) {
                    .has_value());
   // missing everything (a daemon started outside LaunchMON)
   EXPECT_FALSE(parse_bootstrap({"--verbose"}).has_value());
+}
+
+TEST(Bootstrap, DuplicateHostResolvesToItsFirstRank) {
+  // Two daemons on one host: the rank-from-host fallback answers the first
+  // rank, as a scan from rank 0 would.
+  const HostTable hosts(hosts_arg("c,a,b,a,c,a").slice()->sub(13, 11));
+  ASSERT_EQ(hosts.size(), 6u);
+  EXPECT_EQ(hosts.rank_of("a"), 1u);
+  EXPECT_EQ(hosts.rank_of("b"), 2u);
+  EXPECT_EQ(hosts.rank_of("c"), 0u);
+  EXPECT_FALSE(hosts.rank_of("").has_value());
+  EXPECT_FALSE(hosts.rank_of("aa").has_value());
+  EXPECT_FALSE(hosts.rank_of("d").has_value());
+  EXPECT_FALSE(HostTable().rank_of("a").has_value());
+}
+
+TEST(Bootstrap, EveryArgvOfOneHostEntryViewsItsBytes) {
+  // Argvs holding one hosts_arg entry parse to tables that view that
+  // entry's bytes in place; a hand-written argv gets its own copy.
+  BootstrapSpec spec;
+  spec.size = 4;
+  spec.port = 9100;
+  spec.hosts = {"n0", "n1", "n2", "n3"};
+  const Arg hosts = hosts_arg(join_csv(spec.hosts));
+  const auto* csv = reinterpret_cast<const char*>(hosts.slice()->data()) + 13;
+  for (std::uint32_t r = 0; r < 4; ++r) {
+    const auto p = parse_bootstrap(bootstrap_args(spec, r, hosts));
+    ASSERT_TRUE(p.has_value());
+    EXPECT_EQ(p->hosts.at(0).data(), csv) << r;
+    EXPECT_EQ(p->hosts.at(r), spec.hosts[r]);
+  }
+  const auto own = parse_bootstrap(
+      {"--lmon-rank=0", "--lmon-size=4", "--lmon-topo=kary:2",
+       "--lmon-port=1", "--lmon-hosts=n0,n1,n2,n3"});
+  ASSERT_TRUE(own.has_value());
+  EXPECT_NE(own->hosts.at(0).data(), csv);
+  EXPECT_EQ(own->hosts.rank_of("n3"), 3u);
 }
 
 

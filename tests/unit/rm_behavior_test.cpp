@@ -154,7 +154,7 @@ TEST(RmLauncher, TracedLauncherStopsAtMpirBreakpoint) {
     opts.executable = "srun";
     opts.image_mb = image->image_mb;
     opts.args = job_args(rm::JobSpec{2, 2, "mpi_app", {}});
-    auto res = self.spawn_traced(image->factory(opts.args), std::move(opts),
+    auto res = self.spawn_traced(image->factory({}), std::move(opts),
                                  [&](const cluster::DebugEvent& ev) {
                                    if (ev.type ==
                                            cluster::DebugEventType::Stopped &&

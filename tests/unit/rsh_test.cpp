@@ -3,6 +3,7 @@
 
 #include <memory>
 
+#include "comm/bootstrap.hpp"
 #include "rsh/client.hpp"
 #include "rsh/launchers.hpp"
 #include "tests/test_util.hpp"
@@ -11,6 +12,80 @@ namespace lmon::rsh {
 namespace {
 
 using lmon::testing::TestCluster;
+
+/// The flat layout: type, executable, entry count, then every entry as a
+/// u32 length and its bytes.
+std::size_t flat_exec_req_size(const ExecReq& req) {
+  std::size_t size = 4 + 4 + req.executable.size() + 4;
+  for (const Arg& a : req.args) size += 4 + a.size();
+  return size;
+}
+
+TEST(RshProtocol, BootstrapExecReqKeepsTheFlatLengthAndSharesTheHostEntry) {
+  comm::BootstrapSpec spec;
+  spec.size = 512;
+  spec.port = 9100;
+  spec.session = "s1p1000";
+  spec.fe_host = "atlas-fe";
+  spec.fe_port = 7050;
+  for (int i = 1; i <= 512; ++i) {
+    spec.hosts.push_back("atlas" + std::to_string(i));
+  }
+  const Arg hosts = comm::hosts_arg(join_csv(spec.hosts));
+
+  ExecReq req;
+  req.executable = "hello_be";
+  req.args = comm::bootstrap_args(spec, 7u, hosts);
+  req.args.push_back("--tool-flag");
+  const cluster::Message m = req.encode();
+  EXPECT_EQ(m.size(), flat_exec_req_size(req));
+  // 20 B of header, 169 B of short entries, 4 + 13 + 4,499 B of host list.
+  EXPECT_EQ(m.size(), 4705u);
+  EXPECT_EQ(m.view.data(), hosts.slice()->data());
+
+  const auto back = ExecReq::decode(m);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->executable, "hello_be");
+  ASSERT_EQ(back->args.size(), req.args.size());
+  for (std::size_t i = 0; i < req.args.size(); ++i) {
+    EXPECT_EQ(back->args[i], req.args[i].view()) << i;
+  }
+  ASSERT_NE(back->args[7].slice(), nullptr);
+  EXPECT_EQ(back->args[7].slice()->data(), hosts.slice()->data());
+}
+
+TEST(RshProtocol, TreeAgentExecReqKeepsTheFlatLength) {
+  // An agent's argv: owned entries around the keyed host entry, which is
+  // the one the frame's view carries.
+  const Arg hosts = comm::hosts_arg("n0,n1,n2");
+  ExecReq req;
+  req.executable = "rsh_tree_agent";
+  req.args = {"--exe=hello_be", "--hosts=n1,n2",
+              with_key("--daemon-arg=", "--lmon-size=3"),
+              with_key("--daemon-arg=", hosts)};
+  const cluster::Message m = req.encode();
+  EXPECT_EQ(m.size(), flat_exec_req_size(req));
+  EXPECT_EQ(m.view.size(),
+            std::string_view("--daemon-arg=--lmon-hosts=n0,n1,n2").size());
+  const auto back = ExecReq::decode(m);
+  ASSERT_TRUE(back.has_value());
+  ASSERT_EQ(back->args.size(), 4u);
+  EXPECT_EQ(back->args[1], "--hosts=n1,n2");
+  EXPECT_EQ(back->args[3], "--daemon-arg=--lmon-hosts=n0,n1,n2");
+  EXPECT_EQ(back->args[3].suffix(13).slice()->data(), m.view.data() + 13);
+
+  // With no shared entry the whole frame is header, byte for byte flat.
+  ExecReq owned;
+  owned.executable = "sleeperd";
+  owned.args = {"--a=1", "--lmon-hosts=n0,n1,n2"};
+  const cluster::Message flat = owned.encode();
+  EXPECT_TRUE(flat.view.empty());
+  EXPECT_EQ(flat.size(), flat_exec_req_size(owned));
+  const auto owned_back = ExecReq::decode(flat);
+  ASSERT_TRUE(owned_back.has_value());
+  EXPECT_EQ(owned_back->args[1], "--lmon-hosts=n0,n1,n2");
+  EXPECT_EQ(owned_back->args[1].slice(), nullptr);
+}
 
 TEST(Rsh, RemoteExecSpawnsCommandOnTarget) {
   TestCluster tc(2);
