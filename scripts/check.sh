@@ -35,10 +35,12 @@
 #                  deterministic work counters - simkernel.events, host.allocs,
 #                  host.alloc_mb, cluster.messages and cluster.bytes of each
 #                  workload - with tests/golden/work_counts.txt. Fails when any
-#                  counter rose more than 0.5% above the golden. These counts
-#                  are exact for a seed, so they show a change in work without
-#                  the alternated wall-clock pairs benchmark/compare.py needs.
-#                  A change that means to move them writes the live counts
+#                  counter moved more than 0.5% from the golden either way: a
+#                  rise is more work, and a fall left in place is slack that a
+#                  later rise could hide in. These counts are exact for a
+#                  seed, so they show a change in work without the alternated
+#                  wall-clock pairs benchmark/compare.py needs. A change that
+#                  moves them writes the live counts
 #                  (build-bench/work/work_counts.txt) over the golden and says
 #                  why in CHANGES.md.
 #   --sanitize     build the ASan+UBSan preset (build-sanitize/) and run
@@ -136,13 +138,15 @@ for w in workloads:
         verdict = "ok"
         if value > want * 1.005:
             verdict, bad = "ROSE", 1
+        elif value < want * 0.995:
+            verdict, bad = "FELL", 1
         print(f"{w:18} {name:17} {fmt(want):>12} -> {fmt(value):>12} "
               f"({change:+.2f}%) {verdict}")
 
 with open(f"{out}/work_counts.txt", "w") as f:
     f.write("".join(l + "\n" for l in live_lines))
 if bad:
-    sys.exit(f"work: a counter rose above {golden_path} by more than 0.5%; "
+    sys.exit(f"work: a counter moved from {golden_path} by more than 0.5%; "
              f"live counts in {out}/work_counts.txt")
 print("work OK")
 PY
