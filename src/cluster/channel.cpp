@@ -37,12 +37,12 @@ void Channel::send(Pid self, Message msg) {
   End& dst = other_end(self);
 
   sim::Simulator& simulator = machine_.sim();
-  sim::Time arrival =
-      simulator.now() +
-      machine_.network().transfer_time(src.node, dst.node, msg.size());
   // Per-direction FIFO: a later send never overtakes an earlier one even if
   // its jittered latency came out smaller.
-  if (arrival <= dst.last_arrival) arrival = dst.last_arrival + 1;
+  const sim::Time arrival = fifo_arrival(
+      simulator.now() +
+          machine_.network().transfer_time(src.node, dst.node, msg.size()),
+      dst.last_arrival);
   dst.last_arrival = arrival;
 
   // Every message in the simulation crosses this choke point, so this is

@@ -13,6 +13,7 @@
 //   * DPCL APAI access:    ~34 s constant; LaunchMON APAI ~0.6 s constant
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "simkernel/time.hpp"
@@ -160,6 +161,20 @@ struct CostModel {
   double launcher_image_mb = 110.0;
   double app_image_mb = 24.0;
 
+  // --- cost terms: the simulation charges them, core::PerfModel replays them
+  /// One-way wire time of a `bytes` message before jitter: link latency
+  /// (loopback within one node) plus serialization, truncated to whole ns.
+  [[nodiscard]] Time wire_time(double bytes, bool same_node = false) const {
+    return (same_node ? local_latency : net_latency) +
+           static_cast<Time>(bytes / bandwidth_bytes_per_sec * 1e9);
+  }
+  /// The eager copy of `bytes` through a bounce buffer (one side):
+  /// iccl_eager_copy_per_kb scaled to size, truncated to whole ns.
+  [[nodiscard]] Time eager_copy_cost(double bytes) const {
+    return static_cast<Time>(static_cast<double>(iccl_eager_copy_per_kb) *
+                             bytes / 1024.0);
+  }
+
   /// Returns a model with all jitter removed (exact analytic expectations);
   /// used by the model-validation tests.
   [[nodiscard]] CostModel deterministic() const {
@@ -189,5 +204,25 @@ struct CostModel {
     return m;
   }
 };
+
+/// Per-direction FIFO on one link (TCP order): a message never lands before,
+/// or in the same ns as, the one sent ahead of it, so an `arrival` at or
+/// before the link's `last` arrival lands 1 ns after it instead.
+[[nodiscard]] constexpr sim::Time fifo_arrival(sim::Time arrival,
+                                               sim::Time last) {
+  return arrival <= last ? last + 1 : arrival;
+}
+
+/// One serialized sender (a daemon's send CPU): a send departs once it is
+/// `ready` and the sender is free at `cursor`, and holds the sender for
+/// `occupancy`, which pushes the next send back. Returns the departure and
+/// advances `cursor` past it. Sends ready together at a fresh cursor leave
+/// 0, 1, ..., k-1 occupancies after `ready`.
+constexpr sim::Time send_departure(sim::Time& cursor, sim::Time ready,
+                                   sim::Time occupancy) {
+  const sim::Time depart = std::max(cursor, ready);
+  cursor = depart + occupancy;
+  return depart;
+}
 
 }  // namespace lmon::cluster

@@ -17,9 +17,7 @@ sim::Time NetworkModel::jitter(sim::Time base) {
 }
 
 sim::Time NetworkModel::transfer_time(NodeId a, NodeId b, std::size_t bytes) {
-  const double wire_ns = static_cast<double>(bytes) /
-                         costs_.bandwidth_bytes_per_sec * 1e9;
-  return jitter(base_latency(a, b) + static_cast<sim::Time>(wire_ns));
+  return jitter(costs_.wire_time(static_cast<double>(bytes), a == b));
 }
 
 sim::Time NetworkModel::connect_time(NodeId a, NodeId b) {

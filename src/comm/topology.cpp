@@ -1,6 +1,7 @@
 #include "comm/topology.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace lmon::comm {
 
@@ -118,11 +119,29 @@ std::uint32_t Topology::depth_of(std::uint32_t rank) const {
 }
 
 std::uint32_t Topology::depth() const {
-  std::uint32_t max_depth = 0;
-  for (std::uint32_t r = 1; r < size_; ++r) {
-    max_depth = std::max(max_depth, depth_of(r));
+  if (size_ <= 1) return 0;
+  switch (spec_.kind) {
+    case TopologyKind::KAry: {
+      if (spec_.arity == 1) return size_ - 1;  // a chain
+      // Heap layout: a depth-d tree holds 1 + k + ... + k^d ranks.
+      std::uint32_t d = 0;
+      std::uint64_t capacity = 1;
+      std::uint64_t level = 1;
+      while (capacity < size_) {
+        level *= spec_.arity;
+        capacity += level;
+        d += 1;
+      }
+      return d;
+    }
+    case TopologyKind::Binomial:
+      // depth_of(r) is popcount(r), and the most bits set in a rank below
+      // size_ is floor(log2(size_)): 2^b - 1 <= size_ - 1.
+      return static_cast<std::uint32_t>(std::bit_width(size_)) - 1;
+    case TopologyKind::Flat:
+      return 1;
   }
-  return max_depth;
+  return 0;
 }
 
 std::uint64_t Topology::edge_count() const {

@@ -114,7 +114,8 @@ class Topology {
   /// Hops from `rank` up to the root; root is 0.
   [[nodiscard]] std::uint32_t depth_of(std::uint32_t rank) const;
 
-  /// Depth of the deepest rank (a singleton tree has depth 0).
+  /// Depth of the deepest rank (a singleton tree has depth 0), in closed
+  /// form: O(log n), so the model's crossover scans can ask it per size.
   [[nodiscard]] std::uint32_t depth() const;
 
   /// Total parent->child edges; always size-1 for a connected tree.

@@ -15,10 +15,11 @@ namespace {
 
 using Kind = Iccl::Kind;
 
-/// Frame header: kind (u8), session, tag, src and entry count (u32 each).
-constexpr std::size_t kFrameHeaderBytes = 17;
-/// Entry header: rank and payload length (u32 each).
-constexpr std::size_t kEntryHeaderBytes = 8;
+static_assert(Iccl::kFrameHeaderBytes ==
+                  sizeof(std::uint8_t) + 4 * sizeof(std::uint32_t),
+              "write_frame_header: kind u8; session, tag, src, count u32");
+static_assert(Iccl::kEntryHeaderBytes == 2 * sizeof(std::uint32_t),
+              "an entry header is its rank and its length, u32 each");
 
 void write_frame_header(ByteWriter& w, Kind kind, StreamKey tag,
                         std::uint32_t src, std::size_t count) {
@@ -36,9 +37,9 @@ template <typename Blob = Bytes>
 cluster::Message encode_frame(
     Kind kind, StreamKey tag, std::uint32_t src,
     const std::vector<std::pair<std::uint32_t, Blob>>& entries = {}) {
-  std::size_t size = kFrameHeaderBytes;
+  std::size_t size = Iccl::kFrameHeaderBytes;
   for (const auto& [rank, data] : entries) {
-    size += kEntryHeaderBytes + data.size();
+    size += Iccl::kEntryHeaderBytes + data.size();
   }
   ByteWriter w(size);
   write_frame_header(w, kind, tag, src, entries.size());
@@ -65,7 +66,7 @@ bool is_payload_kind(Kind kind) {
 /// size) is that of the flat frame without copying a payload byte.
 cluster::Message payload_frame(Kind kind, StreamKey tag, std::uint32_t src,
                                std::uint32_t rank, ByteSlice data) {
-  ByteWriter w(kFrameHeaderBytes + kEntryHeaderBytes);
+  ByteWriter w(Iccl::kFrameHeaderBytes + Iccl::kEntryHeaderBytes);
   write_frame_header(w, kind, tag, src, 1);
   w.u32(rank);
   w.u32(static_cast<std::uint32_t>(data.size()));
@@ -114,9 +115,10 @@ std::optional<Frame> decode_frame(cluster::Message m, std::size_t chunk_bytes) {
   if (*count == 0) return f;
   auto buf = std::make_shared<const Bytes>(std::move(m.bytes));
   ByteReader body(std::span<const std::uint8_t>(*buf).subspan(
-      kFrameHeaderBytes));
+      Iccl::kFrameHeaderBytes));
   f.entries.reserve(
-      std::min<std::size_t>(*count, body.remaining() / kEntryHeaderBytes));
+      std::min<std::size_t>(*count,
+                            body.remaining() / Iccl::kEntryHeaderBytes));
   for (std::uint32_t i = 0; i < *count; ++i) {
     auto rank = body.u32();
     auto data = body.blob_view();
@@ -209,7 +211,7 @@ void Iccl::on_link_message(const cluster::ChannelPtr& ch,
     for (const auto& [rank, data] : frame->entries) {
       payload_bytes += data.size();
     }
-    handle_cost += eager_copy_cost(payload_bytes);
+    handle_cost += costs.eager_copy_cost(static_cast<double>(payload_bytes));
   }
   self_.post(handle_cost, [this, ch, frame = std::move(*frame)]() mutable {
     switch (frame.kind) {
@@ -278,19 +280,6 @@ void Iccl::on_link_message(const cluster::ChannelPtr& ch,
 
 bool Iccl::use_rendezvous(std::size_t payload_bytes) const {
   return payload_bytes >= rndv_threshold_ && payload_bytes > 0;
-}
-
-sim::Time Iccl::eager_copy_cost(std::size_t bytes) const {
-  const sim::Time per_kb = self_.machine().costs().iccl_eager_copy_per_kb;
-  return static_cast<sim::Time>(static_cast<double>(per_kb) *
-                                static_cast<double>(bytes) / 1024.0);
-}
-
-sim::Time Iccl::send_delay(sim::Time& cursor, sim::Time occupancy) const {
-  const sim::Time now = self_.sim().now();
-  const sim::Time depart = std::max(cursor, now);
-  cursor = depart + occupancy;
-  return depart - now;
 }
 
 template <typename Take>
@@ -369,12 +358,13 @@ void Iccl::stream_announce(StreamKey tag, DownStream& st) {
   // RTS frames fan out serialized like eager sends (they are ordinary
   // messages), but they are tiny: no payload-copy term.
   const sim::Time quantum = self_.machine().costs().iccl_msg_handle;
+  const sim::Time now = self_.sim().now();
   sim::Time cursor = 0;
   for (auto& [rank, ch] : node_.children()) {
     st.cts_pending.insert(rank);
     cluster::ChannelPtr child = ch;
     count_mux(tag, "rts_sent");
-    self_.post(send_delay(cursor, quantum),
+    self_.post(cluster::send_departure(cursor, now, quantum) - now,
                [this, child, tag, nchunks = st.nchunks, total = st.total] {
                  ByteWriter w;
                  w.u32(total);
@@ -476,12 +466,14 @@ void Iccl::stream_send(StreamKey tag, DownStream& st, std::uint32_t seq,
   const auto& costs = self_.machine().costs();
   const Kind kind = st.eager ? Kind::Bcast : Kind::RndvChunk;
   const sim::Time occ =
-      st.eager ? costs.iccl_msg_handle + eager_copy_cost(chunk.size())
+      st.eager ? costs.iccl_msg_handle +
+                     costs.eager_copy_cost(static_cast<double>(chunk.size()))
                : costs.iccl_chunk_handle;
+  const sim::Time now = self_.sim().now();
   for (auto& [rank, ch] : node_.children()) {
     if (st.parked.count(rank) != 0) continue;
     cluster::ChannelPtr child = ch;
-    self_.post(send_delay(st.cursor, occ),
+    self_.post(cluster::send_departure(st.cursor, now, occ) - now,
                [this, child, kind, tag, seq, chunk] {
                  self_.send(child, payload_frame(kind, tag, params_.rank, seq,
                                                  chunk));
@@ -732,7 +724,7 @@ cluster::Message Iccl::gather_origins_frame(Kind kind, StreamKey tag,
   for (const auto& [origin, o] : st.origins) {
     if (o.dropped && !with_dropped) continue;
     ++count;
-    size += kEntryHeaderBytes + (whole ? o.kept.size() : sizeof(o.total));
+    size += whole ? kEntryHeaderBytes + o.kept.size() : kTotalEntryBytes;
   }
   ByteWriter w(size);
   write_frame_header(w, kind, tag, params_.rank, count);
@@ -844,13 +836,15 @@ void Iccl::gather_begin_streaming(StreamKey tag, GatherState& st) {
   // staggered sends). All children announced before this node did, so the
   // set is final.
   const sim::Time quantum = self_.machine().costs().iccl_msg_handle;
+  const sim::Time now = self_.sim().now();
   sim::Time cursor = 0;
   for (std::uint32_t child : st.rndv_children) {
     count_mux(tag, "gather_cts_sent");
-    self_.post(send_delay(cursor, quantum), [this, child, tag] {
-      send_to_child(child,
-                    encode_frame(Kind::GatherCts, tag, params_.rank));
-    });
+    self_.post(cluster::send_departure(cursor, now, quantum) - now,
+               [this, child, tag] {
+                 send_to_child(child,
+                               encode_frame(Kind::GatherCts, tag, params_.rank));
+               });
   }
   // Queue the entries held whole here as chunks (rank order); relayed chunks
   // join the queue behind them as they trickle in. Outside heal mode the
@@ -875,9 +869,10 @@ void Iccl::gather_flush(StreamKey tag, GatherState& st) {
   // old link, not leak onto the new parent at a stale offset (the resume
   // handshake re-sends it at the right position instead).
   cluster::ChannelPtr up = node_.heal() ? node_.parent() : nullptr;
+  const sim::Time now = self_.sim().now();
   while (st.next_out < st.outq.size()) {
     auto& [origin, chunk] = st.outq[st.next_out++];
-    const sim::Time delay = send_delay(st.cursor, occ);
+    const sim::Time delay = cluster::send_departure(st.cursor, now, occ) - now;
     if (node_.heal()) {
       self_.post(delay,
                  [this, up, tag, origin = origin, chunk = std::move(chunk)] {
@@ -1017,7 +1012,8 @@ void Iccl::handle_scatter(StreamKey tag, Entries entries) {
   // subtrees partition the ranks, so each entry is *moved* into exactly one
   // child's part (no per-level payload copies); the serialized quantum
   // still charges the copy into that child's send buffer.
-  const sim::Time quantum = self_.machine().costs().iccl_msg_handle;
+  const auto& costs = self_.machine().costs();
+  const sim::Time now = self_.sim().now();
   sim::Time cursor = 0;
   for (auto& [child, link] : node_.children()) {
     auto sub = topo_.subtree_of(child);
@@ -1031,7 +1027,10 @@ void Iccl::handle_scatter(StreamKey tag, Entries entries) {
     }
     if (!part.empty()) {
       cluster::Message m = encode_frame(Kind::Scatter, tag, params_.rank, part);
-      self_.post(send_delay(cursor, quantum + eager_copy_cost(part_bytes)),
+      const sim::Time occ =
+          costs.iccl_msg_handle +
+          costs.eager_copy_cost(static_cast<double>(part_bytes));
+      self_.post(cluster::send_departure(cursor, now, occ) - now,
                  [this, child, m = std::move(m)]() mutable {
                    send_to_child(child, std::move(m));
                  });

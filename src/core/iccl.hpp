@@ -14,6 +14,7 @@
 // stack MRNet on top, which src/tbon does).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -78,6 +79,16 @@ class Iccl : private comm::TreeNode::Hooks {
     GatherDone,    ///< root -> down: {tag} delivered; drop replay state
     Leave,         ///< child -> parent: graceful departure (elastic shrink)
   };
+
+  /// Wire sizes of the frame codec, which PerfModel prices frames by. A
+  /// frame header is the kind (u8) and the session, tag, src and entry
+  /// count (u32 each); each entry adds its rank and payload length (u32
+  /// each) ahead of the payload. An entry whose payload is one u32 total is
+  /// an RndvRts's announce and a GatherRts origin record.
+  static constexpr std::size_t kFrameHeaderBytes = 17;
+  static constexpr std::size_t kEntryHeaderBytes = 8;
+  static constexpr std::size_t kTotalEntryBytes =
+      kEntryHeaderBytes + sizeof(std::uint32_t);
 
   /// Handlers receive the *within-session* tag; the session id is implied
   /// by which bind_session() handler set fired.
@@ -434,15 +445,6 @@ class Iccl : private comm::TreeNode::Hooks {
 
   // --- the downstream chunk stream ---------------------------------------
   [[nodiscard]] bool use_rendezvous(std::size_t payload_bytes) const;
-  /// Serialized per-KB copy charge (iccl_eager_copy_per_kb scaled to size).
-  [[nodiscard]] sim::Time eager_copy_cost(std::size_t bytes) const;
-  /// Serialized sends: a send departs once this daemon's CPU is free at
-  /// `cursor` (absolute time) and holds it for `occupancy`, which pushes
-  /// the next send's departure back. Advances the cursor and returns this
-  /// send's delay from now. A fan-out of k sends from a fresh cursor leaves
-  /// at 0, 1, ..., k-1 occupancies.
-  [[nodiscard]] sim::Time send_delay(sim::Time& cursor,
-                                     sim::Time occupancy) const;
   /// Hands `take` the views that cut `payload`, from byte `from` on, into
   /// iccl_rndv_chunk_bytes chunks (the last one shorter); none when nothing
   /// is left. Every chunked payload is cut here.

@@ -6,80 +6,37 @@
 #include <map>
 #include <vector>
 
+#include "core/iccl.hpp"
+
 namespace lmon::core {
 
 std::string_view to_string(CollectiveProtocol proto) {
   return proto == CollectiveProtocol::Eager ? "eager" : "rendezvous";
 }
 
-int PerfModel::fabric_depth(const comm::TopologySpec& spec, int n) {
-  if (n <= 1) return 0;
-  switch (spec.kind) {
-    case comm::TopologyKind::KAry: {
-      const double k = static_cast<double>(spec.arity == 0 ? 1 : spec.arity);
-      if (k <= 1.0) return n - 1;  // degenerate chain
-      // Heap layout: a depth-d tree holds (k^(d+1)-1)/(k-1) ranks.
-      int d = 0;
-      double capacity = 1.0;
-      double level = 1.0;
-      while (capacity < static_cast<double>(n)) {
-        level *= k;
-        capacity += level;
-        d += 1;
-      }
-      return d;
-    }
-    case comm::TopologyKind::Binomial: {
-      // depth_of(r) = popcount(r); the deepest rank below n has
-      // floor(log2(n)) set bits (2^b - 1 <= n - 1).
-      int b = 0;
-      while ((1ll << (b + 1)) - 1 <= static_cast<long long>(n) - 1) b += 1;
-      return b;
-    }
-    case comm::TopologyKind::Flat:
-      return 1;
+namespace {
+
+/// Serialized message quanta on the critical path of an eager fan-out down
+/// `topo`. A parent's sends serialize in child order, one quantum each, but
+/// levels pipeline: a child forwards the moment its own copy arrives, while
+/// its parent still serves later siblings. So a rank's copy lands after the
+/// sum of the sibling positions along its root path, and the worst rank
+/// sets the pace - not depth x degree.
+double pipeline_quanta(const comm::Topology& topo) {
+  std::vector<double> arrival(topo.size(), 0.0);
+  double worst = 0.0;
+  for (std::uint32_t r = 0; r < topo.size(); ++r) {
+    double position = 0.0;
+    topo.for_each_child(r, [&](std::uint32_t c) {
+      position += 1.0;
+      arrival[c] = arrival[r] + position;
+      worst = std::max(worst, arrival[c]);
+    });
   }
-  return 1;
+  return worst;
 }
 
-double PerfModel::fabric_pipeline_quanta(const comm::TopologySpec& spec,
-                                         int n) {
-  if (n <= 1) return 0.0;
-  switch (spec.kind) {
-    case comm::TopologyKind::Flat:
-      return static_cast<double>(n - 1);
-    case comm::TopologyKind::KAry: {
-      const std::uint32_t k = spec.arity == 0 ? 1 : spec.arity;
-      std::vector<double> arrival(static_cast<std::size_t>(n), 0.0);
-      double worst = 0.0;
-      for (int r = 1; r < n; ++r) {
-        const int parent = (r - 1) / static_cast<int>(k);
-        const double pos =
-            static_cast<double>((r - 1) % static_cast<int>(k) + 1);
-        arrival[static_cast<std::size_t>(r)] =
-            arrival[static_cast<std::size_t>(parent)] + pos;
-        worst = std::max(worst, arrival[static_cast<std::size_t>(r)]);
-      }
-      return worst;
-    }
-    case comm::TopologyKind::Binomial: {
-      std::vector<double> arrival(static_cast<std::size_t>(n), 0.0);
-      double worst = 0.0;
-      for (int r = 1; r < n; ++r) {
-        const int parent = r & (r - 1);  // clear the lowest set bit
-        const int bit = r - parent;
-        int pos = 1;
-        while ((1 << (pos - 1)) < bit) pos += 1;  // children ascend by bit
-        arrival[static_cast<std::size_t>(r)] =
-            arrival[static_cast<std::size_t>(parent)] +
-            static_cast<double>(pos);
-        worst = std::max(worst, arrival[static_cast<std::size_t>(r)]);
-      }
-      return worst;
-    }
-  }
-  return 0.0;
-}
+}  // namespace
 
 PerfModel::PerfModel(const cluster::CostModel& costs, std::uint32_t fanout)
     : costs_(costs), fanout_(fanout == 0 ? 2 : fanout) {}
@@ -226,17 +183,13 @@ LaunchSpawnPrediction PerfModel::predict(
   const double n = static_cast<double>(n_nodes);
   const double ntasks = n * static_cast<double>(procs_per_node);
 
-  // Resolve the fabric shape the way the FE API does: a k-ary arity of 0
-  // means "the platform's RM fan-out". The launch protocol's degree (rsh
-  // agents, RM node-daemon forwarding) follows the resolved arity.
-  comm::TopologySpec resolved = fabric;
-  if (resolved.kind == comm::TopologyKind::KAry && resolved.arity == 0) {
-    resolved.arity = static_cast<std::uint32_t>(costs_.rm_launch_fanout);
-  }
+  // Resolve the fabric shape the way the FE API does: an arity of 0 means
+  // "the platform's RM fan-out", for the k-ary fabric and for the launch
+  // protocol's degree (rsh agents, RM node-daemon forwarding) alike.
+  const comm::Topology topo = resolved_topology(fabric, n_nodes);
   const std::uint32_t launch_fanout =
-      resolved.arity != 0
-          ? resolved.arity
-          : static_cast<std::uint32_t>(costs_.rm_launch_fanout);
+      fabric.arity != 0 ? fabric.arity
+                        : static_cast<std::uint32_t>(costs_.rm_launch_fanout);
 
   // --- T(job): allocate + tree-launch the application tasks; always the
   // RM's native path (at its own fan-out), whatever bootstraps the daemons.
@@ -267,14 +220,14 @@ LaunchSpawnPrediction PerfModel::predict(
   }
 
   // --- T(setup): daemon fabric wiring (register wave down, SetupUp wave up)
-  const double df = static_cast<double>(fabric_depth(resolved, n_nodes));
+  const double df = static_cast<double>(topo.depth());
   p.t_setup = seconds(costs_.fabric_endpoint_init) +
               df * (connect_cost() + seconds(costs_.iccl_msg_handle)) +
               df * (transfer_cost(24.0) + seconds(costs_.iccl_msg_handle));
 
   // --- T(collective): RPDTAB broadcast down + ready-ack gather up -----------
   // The downward fan-out serializes per sibling but pipelines across
-  // levels (see fabric_pipeline_quanta); the upward gather overlaps the
+  // levels (see pipeline_quanta); the upward gather overlaps the
   // tail of the broadcast, so one pipelined pass dominates, plus the
   // payload transfers and per-hop receive handling along the deepest path.
   // Which protocol the broadcast rides follows the session threshold: below
@@ -288,15 +241,14 @@ LaunchSpawnPrediction PerfModel::predict(
                                 seconds(costs_.iccl_msg_handle));
   if (rpdtab_bytes >= static_cast<double>(eff_threshold)) {
     p.t_collective =
-        collective_bcast(CollectiveProtocol::Rendezvous, resolved, n_nodes,
+        collective_bcast(CollectiveProtocol::Rendezvous, fabric, n_nodes,
                          static_cast<std::size_t>(rpdtab_bytes)) +
         ack_path;
   } else {
     const double eager_copy =
         rpdtab_bytes / 1024.0 * seconds(costs_.iccl_eager_copy_per_kb);
     const double pipeline_cost =
-        fabric_pipeline_quanta(resolved, n_nodes) *
-        (seconds(costs_.iccl_msg_handle) + eager_copy);
+        pipeline_quanta(topo) * (seconds(costs_.iccl_msg_handle) + eager_copy);
     p.t_collective = pipeline_cost +
                      df * (transfer_cost(rpdtab_bytes) + eager_copy) +
                      ack_path;
@@ -334,30 +286,22 @@ bool PerfModel::predicts_failure(comm::LaunchStrategyKind strategy,
 
 // --- collective protocol family (eager vs rendezvous) ------------------------
 //
-// Both forms replay the Iccl event schedule rank by rank in integral
-// nanoseconds - same casts, same frame overheads, same per-channel FIFO
-// clamp - so the bench's model-vs-measured residuals compare expectation
-// against expectation, exactly like the launch models above.
+// Every replay walks the Iccl event schedule rank by rank in integral
+// nanoseconds, on the cost terms the simulation itself charges: frames
+// priced in the codec's sizes (Iccl::kFrameHeaderBytes and friends),
+// CostModel::wire_time and eager_copy_cost, cluster::send_departure for
+// every serialized sender and cluster::fifo_arrival for every link. So the
+// bench's model-vs-measured residuals compare expectation against
+// expectation, exactly like the launch models above.
 
 namespace {
 
-/// Encoded frame overhead: kind(1) + tag(4) + src(4) + count(4) per frame,
-/// plus rank(4) + length(4) per entry (see iccl.cpp encode_frame).
+// Frame sizes in the codec's terms (core/iccl.hpp). The frame header is
+// still the 13 B it was before StreamKey::session joined it; the codec's
+// 17 B replaces it in a change of its own, which moves the model's pins.
 constexpr double kFrameBytes = 13.0;
-constexpr double kEntryBytes = 8.0;
-
-sim::Time scaled_per_kb(sim::Time per_kb, double bytes) {
-  return static_cast<sim::Time>(static_cast<double>(per_kb) * bytes /
-                                1024.0);
-}
-
-/// Refills `out` with the children of `rank`, reusing its storage across
-/// the ranks of a replay.
-void children_into(const comm::Topology& topo, std::uint32_t rank,
-                   std::vector<std::uint32_t>& out) {
-  out.clear();
-  topo.for_each_child(rank, [&](std::uint32_t c) { out.push_back(c); });
-}
+constexpr auto kEntryBytes = static_cast<double>(Iccl::kEntryHeaderBytes);
+constexpr auto kTotalEntryBytes = static_cast<double>(Iccl::kTotalEntryBytes);
 
 /// Shared probe geometry for the protocol-crossover solvers: both latency
 /// curves are affine within a chunk segment, so probing both endpoints of
@@ -398,16 +342,60 @@ std::optional<std::size_t> crossover_from_gap(
   return static_cast<std::size_t>(std::llround(s));
 }
 
-/// Wire time of one frame: link latency plus serialization, truncated to
-/// whole nanoseconds.
-sim::Time wire_time(const cluster::CostModel& costs, double bytes) {
-  return costs.net_latency +
-         static_cast<sim::Time>(bytes / costs.bandwidth_bytes_per_sec * 1e9);
-}
+/// A fabric as the replays walk it, built once per replay: the children of
+/// every rank in for_each_child order as one CSR array (the children of r
+/// are child[first[r] .. first[r + 1]), and e indexes an edge), and the
+/// size of every rank's subtree.
+struct Fabric {
+  explicit Fabric(const comm::Topology& topo) : n(topo.size()) {
+    first.resize(std::size_t{n} + 1);
+    for (std::uint32_t r = 0; r < n; ++r) {
+      first[r] = static_cast<std::uint32_t>(child.size());
+      topo.for_each_child(r, [&](std::uint32_t c) { child.push_back(c); });
+    }
+    first[n] = static_cast<std::uint32_t>(child.size());
+    // Children outrank their parent in every fabric family.
+    subtree.assign(n, 1);
+    for (std::uint32_t r = n; r-- > 0;) {
+      for (std::uint32_t e = first[r]; e < first[r + 1]; ++e) {
+        subtree[r] += subtree[child[e]];
+      }
+    }
+  }
+
+  std::uint32_t n;
+  std::vector<std::uint32_t> first, child, subtree;
+};
+
+/// The rendezvous handshake down a fabric, which a broadcast and a scatter
+/// run alike before their first chunk: the RTS wave (each rank's serialized
+/// fan-out of tiny frames) and the CTS back. rts_done[r] is when rank r's
+/// RTS is processed (root: issue time 0), cts_done[r] when r holds every
+/// child's CTS, and rts_arrival[e] edge e's RTS arrival, its first.
+struct DownHandshake {
+  DownHandshake(const cluster::CostModel& costs, const Fabric& f)
+      : rts_done(f.n, 0), cts_done(f.n, 0), rts_arrival(f.child.size()) {
+    const sim::Time h = costs.iccl_msg_handle;
+    const sim::Time rts_wire = costs.wire_time(kFrameBytes + kTotalEntryBytes);
+    const sim::Time cts_wire = costs.wire_time(kFrameBytes);
+    for (std::uint32_t r = 0; r < f.n; ++r) {
+      sim::Time cursor = 0;
+      for (std::uint32_t e = f.first[r]; e < f.first[r + 1]; ++e) {
+        rts_arrival[e] =
+            cluster::send_departure(cursor, rts_done[r], h) + rts_wire;
+        rts_done[f.child[e]] = rts_arrival[e] + h;
+        cts_done[r] =
+            std::max(cts_done[r], rts_done[f.child[e]] + cts_wire + h);
+      }
+    }
+  }
+
+  std::vector<sim::Time> rts_done, cts_done, rts_arrival;
+};
 
 /// Exact replay of the Iccl broadcast schedule on one fabric. The children
-/// (one CSR array, in for_each_child order) and the rendezvous RTS/CTS wave
-/// do not depend on the payload, so they are computed once.
+/// and the rendezvous handshake do not depend on the payload, so they are
+/// computed once.
 ///
 /// Rendezvous chunks 0..m-2 are full-size, and chunk j's times at every
 /// rank depend only on chunks <= j. So the state before the last chunk -
@@ -422,38 +410,13 @@ sim::Time wire_time(const cluster::CostModel& costs, double bytes) {
 class BcastReplay {
  public:
   BcastReplay(const cluster::CostModel& costs, const comm::Topology& topo)
-      : costs_(costs), n_(topo.size()) {
-    first_.resize(std::size_t{n_} + 1);
-    for (std::uint32_t r = 0; r < n_; ++r) {
-      first_[r] = static_cast<std::uint32_t>(child_.size());
-      topo.for_each_child(r, [&](std::uint32_t c) { child_.push_back(c); });
-    }
-    first_[n_] = static_cast<std::uint32_t>(child_.size());
-    // RTS wave down (eager-style stagger, tiny frames), CTS back: H[r] is
-    // when rank r's RTS is processed (root: issue time 0), cts_done[r] when
-    // r has every child's CTS. The RTS is each edge's first arrival.
-    const sim::Time h = costs_.iccl_msg_handle;
-    const sim::Time rts_wire =
-        wire_time(costs_, kFrameBytes + kEntryBytes + 4.0);
-    const sim::Time cts_wire = wire_time(costs_, kFrameBytes);
-    H_.assign(n_, 0);
-    cts_done_.assign(n_, 0);
-    rts_arr_.resize(child_.size());
-    for (std::uint32_t r = 0; r < n_; ++r) {
-      for (std::uint32_t e = first_[r]; e < first_[r + 1]; ++e) {
-        rts_arr_[e] =
-            H_[r] + static_cast<sim::Time>(e - first_[r]) * h + rts_wire;
-        H_[child_[e]] = rts_arr_[e] + h;
-        cts_done_[r] = std::max(cts_done_[r], H_[child_[e]] + cts_wire + h);
-      }
-    }
-    t_.assign(n_, 0);
+      : costs_(costs), f_(topo), hs_(costs, f_), t_(f_.n, 0) {
     restart_prefix();
   }
 
   /// Time of the last delivery of a `payload_bytes` broadcast.
   sim::Time run(CollectiveProtocol proto, std::size_t payload_bytes) {
-    if (n_ <= 1) return 0;
+    if (f_.n <= 1) return 0;
     return proto == CollectiveProtocol::Eager ? eager(payload_bytes)
                                               : rendezvous(payload_bytes);
   }
@@ -464,17 +427,16 @@ class BcastReplay {
   /// the receive copy-out cost the same.
   sim::Time eager(std::size_t payload_bytes) {
     const double S = static_cast<double>(payload_bytes);
-    const sim::Time q = costs_.iccl_msg_handle +
-                        scaled_per_kb(costs_.iccl_eager_copy_per_kb, S);
+    const sim::Time q = costs_.iccl_msg_handle + costs_.eager_copy_cost(S);
     const sim::Time frame_wire =
-        wire_time(costs_, kFrameBytes + kEntryBytes + S);
+        costs_.wire_time(kFrameBytes + kEntryBytes + S);
     sim::Time worst = 0;
-    for (std::uint32_t r = 0; r < n_; ++r) {
-      for (std::uint32_t e = first_[r]; e < first_[r + 1]; ++e) {
-        const sim::Time send =
-            t_[r] + static_cast<sim::Time>(e - first_[r]) * q;
-        t_[child_[e]] = send + frame_wire + q;
-        worst = std::max(worst, t_[child_[e]]);
+    for (std::uint32_t r = 0; r < f_.n; ++r) {
+      sim::Time cursor = 0;
+      for (std::uint32_t e = f_.first[r]; e < f_.first[r + 1]; ++e) {
+        const sim::Time c = f_.child[e];
+        t_[c] = cluster::send_departure(cursor, t_[r], q) + frame_wire + q;
+        worst = std::max(worst, t_[c]);
       }
     }
     return worst;
@@ -485,15 +447,17 @@ class BcastReplay {
   sim::Time rendezvous(std::size_t payload_bytes) {
     const std::uint32_t C = costs_.iccl_rndv_chunk_bytes;
     const auto m = static_cast<std::uint32_t>((payload_bytes + C - 1) / C);
-    if (m == 0) return *std::max_element(H_.begin() + 1, H_.end());
+    if (m == 0) {
+      return *std::max_element(hs_.rts_done.begin() + 1, hs_.rts_done.end());
+    }
     if (m - 1 < full_) restart_prefix();
-    const sim::Time full_wire = wire_time(
-        costs_, kFrameBytes + kEntryBytes + static_cast<double>(C));
+    const sim::Time full_wire = costs_.wire_time(
+        kFrameBytes + kEntryBytes + static_cast<double>(C));
     for (; full_ < m - 1; ++full_) chunk_pass(full_wire, true);
     const double tail_bytes = static_cast<double>(payload_bytes) -
                               static_cast<double>(m - 1) * C;
     const sim::Time tail_wire =
-        wire_time(costs_, kFrameBytes + kEntryBytes + tail_bytes);
+        costs_.wire_time(kFrameBytes + kEntryBytes + tail_bytes);
     return chunk_pass(tail_wire, false);
   }
 
@@ -501,8 +465,8 @@ class BcastReplay {
   /// last arrival is its RTS.
   void restart_prefix() {
     full_ = 0;
-    cursor_.assign(n_, 0);
-    last_arrival_ = rts_arr_;
+    cursor_.assign(f_.n, 0);
+    last_arrival_ = hs_.rts_arrival;
   }
 
   /// Streams one chunk through every rank, parents first, and returns the
@@ -515,18 +479,17 @@ class BcastReplay {
     // t_[r]: time the chunk is processed (ready to deliver/forward) at r;
     // the root holds every chunk at issue time.
     t_[0] = 0;
-    for (std::uint32_t r = 0; r < n_; ++r) {
-      if (first_[r] == first_[r + 1]) continue;
-      const sim::Time ready = std::max(t_[r], cts_done_[r]);
+    for (std::uint32_t r = 0; r < f_.n; ++r) {
+      if (f_.first[r] == f_.first[r + 1]) continue;
+      const sim::Time ready = std::max(t_[r], hs_.cts_done[r]);
       sim::Time cursor = cursor_[r];
-      for (std::uint32_t e = first_[r]; e < first_[r + 1]; ++e) {
-        const sim::Time depart = std::max(cursor, ready);
-        sim::Time arr = depart + chunk_wire;
-        if (arr <= last_arrival_[e]) arr = last_arrival_[e] + 1;  // FIFO
+      for (std::uint32_t e = f_.first[r]; e < f_.first[r + 1]; ++e) {
+        const sim::Time arr = cluster::fifo_arrival(
+            cluster::send_departure(cursor, ready, c_h) + chunk_wire,
+            last_arrival_[e]);
         if (commit) last_arrival_[e] = arr;
-        t_[child_[e]] = arr + c_h;
-        worst = std::max(worst, t_[child_[e]]);
-        cursor = depart + c_h;
+        t_[f_.child[e]] = arr + c_h;
+        worst = std::max(worst, t_[f_.child[e]]);
       }
       if (commit) cursor_[r] = cursor;
     }
@@ -534,10 +497,8 @@ class BcastReplay {
   }
 
   const cluster::CostModel& costs_;
-  std::uint32_t n_;
-  // Children of r: child_[first_[r] .. first_[r + 1]); e indexes an edge.
-  std::vector<std::uint32_t> first_, child_;
-  std::vector<sim::Time> H_, cts_done_, rts_arr_;
+  const Fabric f_;
+  const DownHandshake hs_;
   // Per-rank times of the pass in progress (eager or one chunk).
   std::vector<sim::Time> t_;
   // The full-chunk prefix: the state before chunk full_.
@@ -545,7 +506,332 @@ class BcastReplay {
   std::vector<sim::Time> cursor_, last_arrival_;
 };
 
+/// Exact replay of the Iccl upstream schedule on one fabric. The release
+/// wave, announce wave and clearance chain do not depend on the payload, so
+/// they are computed once; chunk buffers are pooled, so a crossover scan
+/// replays every probe payload without rebuilding either.
+class GatherReplay {
+ public:
+  GatherReplay(const cluster::CostModel& costs, const comm::Topology& topo)
+      : costs_(costs), f_(topo) {
+    const std::uint32_t nn = f_.n;
+    if (nn <= 1) return;
+    const sim::Time h = costs_.iccl_msg_handle;
+    // Release wave: the root broadcasts an empty go frame (eager: a header
+    // and one empty entry, handle-only quanta); rank r's contribution is
+    // issued the moment its release frame is processed. A[0] = 0: the root
+    // issues the release and contributes in the same event.
+    A_.assign(nn, 0);
+    const sim::Time frame_wire = costs_.wire_time(kFrameBytes + kEntryBytes);
+    for (std::uint32_t r = 0; r < nn; ++r) {
+      sim::Time cursor = 0;
+      for (std::uint32_t e = f_.first[r]; e < f_.first[r + 1]; ++e) {
+        A_[f_.child[e]] =
+            cluster::send_departure(cursor, A_[r], h) + frame_wire + h;
+      }
+    }
+    // Rendezvous announce wave up (GatherRts, one origin record per subtree
+    // rank). R[r]: rank r's announce time (at the root: last announce
+    // processed, >= own contribute); rts_arr[c]: c's RTS arrival at its
+    // parent.
+    R_.assign(nn, 0);
+    rts_arr_.assign(nn, 0);
+    for (std::uint32_t r = nn; r-- > 0;) {
+      sim::Time t = A_[r];
+      for (std::uint32_t e = f_.first[r]; e < f_.first[r + 1]; ++e) {
+        const std::uint32_t c = f_.child[e];
+        rts_arr_[c] = R_[c] + costs_.wire_time(kFrameBytes + kTotalEntryBytes *
+                                                                 f_.subtree[c]);
+        t = std::max(t, rts_arr_[c] + h);
+      }
+      R_[r] = t;
+    }
+    // G[c]: time child c's clearance (GatherCts) is processed at c. The
+    // root clears each child the moment its RTS is processed; an interior
+    // node clears its children (ascending rank, serialized handle quanta)
+    // only after its own clearance arrives - the flow-control chain.
+    G_.assign(nn, 0);
+    const sim::Time cts_wire = costs_.wire_time(kFrameBytes);
+    for (std::uint32_t r = 0; r < nn; ++r) {
+      sim::Time cursor = 0;
+      for (std::uint32_t e = f_.first[r]; e < f_.first[r + 1]; ++e) {
+        const std::uint32_t c = f_.child[e];
+        const sim::Time depart = r == 0
+                                     ? rts_arr_[c] + h
+                                     : cluster::send_departure(cursor, G_[r], h);
+        G_[c] = depart + cts_wire + h;
+      }
+    }
+    sched_.resize(nn);
+  }
+
+  /// Root delivery time of a gather of `payload_bytes` per rank.
+  sim::Time run(CollectiveProtocol proto, std::size_t payload_bytes) {
+    if (f_.n <= 1) return 0;
+    if (proto == CollectiveProtocol::Eager || payload_bytes == 0) {
+      return eager(static_cast<double>(payload_bytes));
+    }
+    return rendezvous(payload_bytes);
+  }
+
+ private:
+  /// One chunk on a link: its ready (or departure) time and the wire time
+  /// of its frame. Every chunk is full-sized except each contribution's
+  /// tail, so only two wire times exist per replay.
+  struct Chunk {
+    sim::Time t;
+    sim::Time wire;
+  };
+
+  /// Store-and-forward: each node waits for every child's whole-subtree
+  /// GatherUp, then forwards one combined frame; the receiver pays the
+  /// handle plus the bounce-buffer copy-out of the full frame payload.
+  sim::Time eager(double S) {
+    const std::uint32_t nn = f_.n;
+    const sim::Time h = costs_.iccl_msg_handle;
+    U_.assign(nn, 0);
+    for (std::uint32_t r = nn; r-- > 0;) {
+      sim::Time t = A_[r];
+      for (std::uint32_t e = f_.first[r]; e < f_.first[r + 1]; ++e) {
+        const std::uint32_t c = f_.child[e];
+        const auto ranks = static_cast<double>(f_.subtree[c]);
+        const sim::Time processed =
+            U_[c] + costs_.wire_time(kFrameBytes + ranks * (kEntryBytes + S)) +
+            h + costs_.eager_copy_cost(ranks * S);
+        t = std::max(t, processed);
+      }
+      U_[r] = t;
+    }
+    return U_[0];
+  }
+
+  /// Chunks stream through each node's serialized cursor with cut-through
+  /// relay. A relay's own chunks are all enqueued at G[r] and each child's
+  /// arrival stream strictly increases (per-channel FIFO), so the cursor's
+  /// time order is a stable merge of those sorted streams: own chunks
+  /// first, then each child's stream in ascending child order, the earlier
+  /// stream winning ties.
+  sim::Time rendezvous(std::size_t payload_bytes) {
+    const std::uint32_t nn = f_.n;
+    const std::uint32_t C = costs_.iccl_rndv_chunk_bytes;
+    const sim::Time c_h = costs_.iccl_chunk_handle;
+    const double S = static_cast<double>(payload_bytes);
+    const auto m = static_cast<std::uint32_t>((payload_bytes + C - 1) / C);
+    const sim::Time full_wire = costs_.wire_time(
+        kFrameBytes + kEntryBytes + static_cast<double>(C));
+    const sim::Time tail_wire = costs_.wire_time(
+        kFrameBytes + kEntryBytes + (S - static_cast<double>(m - 1) * C));
+    // sched[r]: rank r's upstream chunk departures, built children-first.
+    for (std::uint32_t r = nn; r-- > 1;) {
+      own_.assign(m - 1, Chunk{G_[r], full_wire});
+      own_.push_back(Chunk{G_[r], tail_wire});
+      heads_.clear();
+      heads_.push_back({G_[r], own_.data(), own_.data() + m});
+      std::size_t total = m;
+      for (std::uint32_t e = f_.first[r]; e < f_.first[r + 1]; ++e) {
+        const std::uint32_t c = f_.child[e];
+        arrive(c, c_h);
+        const std::vector<Chunk>& in = sched_[c];
+        if (in.empty()) continue;
+        heads_.push_back({in.front().t, in.data(), in.data() + in.size()});
+        total += in.size();
+      }
+      std::vector<Chunk> out = take_buffer();
+      out.resize(total);
+      Chunk* o = out.data();
+      sim::Time cursor = 0;
+      while (!heads_.empty()) {
+        std::size_t best = 0;  // strict < keeps the earliest stream on ties
+        for (std::size_t i = 1; i < heads_.size(); ++i) {
+          if (heads_[i].t < heads_[best].t) best = i;
+        }
+        Head& hd = heads_[best];
+        *o++ = Chunk{cluster::send_departure(cursor, hd.t, c_h),
+                     hd.next->wire};
+        if (++hd.next == hd.end) {
+          heads_.erase(heads_.begin() + static_cast<std::ptrdiff_t>(best));
+        } else {
+          hd.t = hd.next->t;
+        }
+      }
+      for (std::uint32_t e = f_.first[r]; e < f_.first[r + 1]; ++e) {
+        release(sched_[f_.child[e]]);
+      }
+      sched_[r] = std::move(out);
+    }
+    // Root delivery: own contribution and every announce processed (R[0]),
+    // plus the last chunk of every child stream processed.
+    sim::Time done = R_[0];
+    for (std::uint32_t e = f_.first[0]; e < f_.first[1]; ++e) {
+      const std::uint32_t c = f_.child[e];
+      arrive(c, c_h);
+      if (!sched_[c].empty()) done = std::max(done, sched_[c].back().t);
+      release(sched_[c]);
+    }
+    return done;
+  }
+
+  /// Rewrites child c's departures into processed times at its parent:
+  /// arrival (clamped behind c's RTS and its previous chunk, per-channel
+  /// FIFO) plus the chunk handle.
+  void arrive(std::uint32_t c, sim::Time c_h) {
+    sim::Time last_arrival = rts_arr_[c];
+    for (Chunk& ch : sched_[c]) {
+      last_arrival = cluster::fifo_arrival(ch.t + ch.wire, last_arrival);
+      ch.t = last_arrival + c_h;
+    }
+  }
+
+  std::vector<Chunk> take_buffer() {
+    if (pool_.empty()) return {};
+    std::vector<Chunk> buf = std::move(pool_.back());
+    pool_.pop_back();
+    buf.clear();
+    return buf;
+  }
+
+  void release(std::vector<Chunk>& buf) {
+    if (buf.capacity() != 0) pool_.push_back(std::move(buf));
+    buf = {};
+  }
+
+  const cluster::CostModel& costs_;
+  const Fabric f_;
+  std::vector<sim::Time> A_, R_, rts_arr_, G_, U_;
+  std::vector<std::vector<Chunk>> sched_;
+  std::vector<std::vector<Chunk>> pool_;  // freed schedules, for reuse
+  // Merge state of the rank being replayed: its own chunks and the next
+  // unconsumed chunk of every stream.
+  struct Head {
+    sim::Time t;  // ready time of *next
+    const Chunk* next;
+    const Chunk* end;
+  };
+  std::vector<Chunk> own_;
+  std::vector<Head> heads_;
+};
+
+/// Replay of a scatter of `payload_bytes` per rank on one fabric: the time
+/// the last rank's own part reaches its handler (see collective_scatter).
+sim::Time scatter_replay(const cluster::CostModel& costs,
+                         const comm::Topology& topo, CollectiveProtocol proto,
+                         std::size_t payload_bytes) {
+  const Fabric f(topo);
+  const sim::Time h = costs.iccl_msg_handle;
+  const double S = static_cast<double>(payload_bytes);
+  sim::Time worst = 0;
+
+  if (proto == CollectiveProtocol::Eager) {
+    // Exact replay of handle_scatter: start[r] is when rank r's handler
+    // runs (its whole subtree frame processed); its own part is delivered
+    // in that same event. Each child's frame departs through r's cursor,
+    // whose quantum is the handle plus the copy of that child's part.
+    std::vector<sim::Time> start(f.n, 0);
+    for (std::uint32_t r = 0; r < f.n; ++r) {
+      sim::Time cursor = 0;
+      for (std::uint32_t e = f.first[r]; e < f.first[r + 1]; ++e) {
+        const std::uint32_t c = f.child[e];
+        const auto ranks = static_cast<double>(f.subtree[c]);
+        const sim::Time q = h + costs.eager_copy_cost(ranks * S);
+        start[c] = cluster::send_departure(cursor, start[r], q) +
+                   costs.wire_time(kFrameBytes + ranks * (kEntryBytes + S)) +
+                   q;
+        worst = std::max(worst, start[c]);
+      }
+    }
+    return worst;
+  }
+
+  // Hypothetical rendezvous scatter. Each link carries the child's whole
+  // subtree stream, laid out subtree-major: the child's own entry first,
+  // then each grandchild segment in children order (recursively). A relay
+  // cut-through-forwards an outbound chunk the moment the inbound chunk
+  // covering its byte range retires; the root holds everything at t=0.
+  const DownHandshake hs(costs, f);
+  const std::uint32_t C = costs.iccl_rndv_chunk_bytes;
+  const sim::Time c_h = costs.iccl_chunk_handle;
+  const double entry = kEntryBytes + S;
+  auto stream_bytes = [&](std::uint32_t r) {
+    return static_cast<double>(f.subtree[r]) * entry;
+  };
+  auto chunks_of = [&](double bytes) {
+    return static_cast<std::uint32_t>(
+        (static_cast<std::size_t>(bytes) + C - 1) / C);
+  };
+  // P[r][k]: inbound chunk k retired at r; last_arrival[e]: edge e's FIFO
+  // clamp, from its RTS on. r's own entry (stream bytes [0, entry), the
+  // head of its inbound stream) reaches its handler with the chunk that
+  // covers it.
+  std::vector<std::vector<sim::Time>> P(f.n);
+  std::vector<sim::Time> last_arrival = hs.rts_arrival;
+  std::vector<std::uint32_t> m_of;
+  std::vector<double> off_of;
+  const auto head = static_cast<std::size_t>((entry - 1.0) /
+                                             static_cast<double>(C));
+  for (std::uint32_t r = 0; r < f.n; ++r) {
+    const std::uint32_t e0 = f.first[r];
+    const std::uint32_t e1 = f.first[r + 1];
+    if (e0 == e1) continue;
+    // Offset of each child's segment within r's own inbound stream (own
+    // entry first, then prior siblings' segments). The root reads from the
+    // caller's buffer: every byte is available at t=0.
+    m_of.clear();
+    off_of.clear();
+    double seg_off = entry;
+    std::uint32_t m_max = 0;
+    for (std::uint32_t e = e0; e < e1; ++e) {
+      off_of.push_back(seg_off);
+      m_of.push_back(chunks_of(stream_bytes(f.child[e])));
+      m_max = std::max(m_max, m_of.back());
+      seg_off += stream_bytes(f.child[e]);
+      P[f.child[e]].assign(m_of.back(), 0);
+    }
+    // Serialized chunk cursor, round-robin across the children.
+    sim::Time cursor = 0;
+    for (std::uint32_t j = 0; j < m_max; ++j) {
+      for (std::uint32_t e = e0; e < e1; ++e) {
+        const std::size_t i = e - e0;
+        if (j >= m_of[i]) continue;
+        const double B = stream_bytes(f.child[e]);
+        const double chunk_bytes =
+            j + 1 == m_of[i] ? B - static_cast<double>(j) * C
+                             : static_cast<double>(C);
+        // Cut-through gate: the inbound chunk covering the *last* byte of
+        // this outbound range must have retired.
+        sim::Time avail = 0;
+        if (r != 0) {
+          const double last_byte =
+              off_of[i] + static_cast<double>(j) * C + chunk_bytes - 1.0;
+          const auto k = static_cast<std::size_t>(last_byte /
+                                                  static_cast<double>(C));
+          avail = P[r][std::min(k, P[r].size() - 1)];
+        }
+        const sim::Time ready = std::max(avail, hs.cts_done[r]);
+        last_arrival[e] = cluster::fifo_arrival(
+            cluster::send_departure(cursor, ready, c_h) +
+                costs.wire_time(kFrameBytes + kEntryBytes + chunk_bytes),
+            last_arrival[e]);
+        P[f.child[e]][j] = last_arrival[e] + c_h;
+      }
+    }
+    for (std::uint32_t e = e0; e < e1; ++e) {
+      const std::vector<sim::Time>& in = P[f.child[e]];
+      worst = std::max(worst, in[std::min(head, in.size() - 1)]);
+    }
+  }
+  return worst;
+}
+
 }  // namespace
+
+comm::Topology PerfModel::resolved_topology(const comm::TopologySpec& spec,
+                                            int n) const {
+  comm::TopologySpec resolved = spec;
+  if (resolved.kind == comm::TopologyKind::KAry && resolved.arity == 0) {
+    resolved.arity = static_cast<std::uint32_t>(costs_.rm_launch_fanout);
+  }
+  return comm::Topology(resolved, static_cast<std::uint32_t>(std::max(n, 0)));
+}
 
 double PerfModel::collective_bcast(CollectiveProtocol proto,
                                    const comm::TopologySpec& spec, int n,
@@ -570,229 +856,6 @@ std::optional<std::size_t> PerfModel::collective_crossover(
       });
 }
 
-namespace {
-
-/// Exact replay of the Iccl upstream schedule on one fabric. The release
-/// wave, subtree sizes, announce wave and clearance chain do not depend on
-/// the payload, so they are computed once; chunk buffers are pooled, so a
-/// crossover scan replays every probe payload without rebuilding either.
-class GatherReplay {
- public:
-  GatherReplay(const cluster::CostModel& costs, const comm::Topology& topo)
-      : costs_(costs), topo_(topo) {
-    const std::uint32_t nn = topo_.size();
-    if (nn <= 1) return;
-    const sim::Time h = costs_.iccl_msg_handle;
-    // Release wave: the root broadcasts an empty go frame (eager; 21 wire
-    // bytes, handle-only quanta); rank r's contribution is issued the
-    // moment its release frame is processed. A[0] = 0: the root issues the
-    // release and contributes in the same event.
-    A_.assign(nn, 0);
-    const sim::Time frame_wire =
-        wire_time(costs_, kFrameBytes + kEntryBytes);
-    for (std::uint32_t r = 0; r < nn; ++r) {
-      sim::Time stagger = 0;
-      topo_.for_each_child(r, [&](std::uint32_t c) {
-        A_[c] = A_[r] + stagger + frame_wire + h;
-        stagger += h;
-      });
-    }
-    // Subtree sizes (parent < child in every fabric family).
-    sz_.assign(nn, 1);
-    for (std::uint32_t r = nn - 1; r >= 1; --r) {
-      sz_[*topo_.parent_of(r)] += sz_[r];
-    }
-    // Rendezvous announce wave up (GatherRts, one 12-byte origin record per
-    // subtree rank). R[r]: rank r's announce time (at the root: last
-    // announce processed, >= own contribute); rts_arr[c]: c's RTS arrival
-    // at its parent.
-    R_.assign(nn, 0);
-    rts_arr_.assign(nn, 0);
-    for (std::uint32_t r = nn; r-- > 0;) {
-      sim::Time t = A_[r];
-      topo_.for_each_child(r, [&](std::uint32_t c) {
-        rts_arr_[c] =
-            R_[c] + wire_time(costs_, kFrameBytes + 12.0 * sz_[c]);
-        t = std::max(t, rts_arr_[c] + h);
-      });
-      R_[r] = t;
-    }
-    // G[c]: time child c's clearance (GatherCts) is processed at c. The
-    // root clears each child the moment its RTS is processed; an interior
-    // node clears its children (ascending rank, staggered handle quanta)
-    // only after its own clearance arrives - the flow-control chain.
-    G_.assign(nn, 0);
-    const sim::Time cts_wire = wire_time(costs_, kFrameBytes);
-    for (std::uint32_t r = 0; r < nn; ++r) {
-      sim::Time stagger = 0;
-      topo_.for_each_child(r, [&](std::uint32_t c) {
-        const sim::Time depart = r == 0 ? rts_arr_[c] + h : G_[r] + stagger;
-        G_[c] = depart + cts_wire + h;
-        stagger += h;
-      });
-    }
-    sched_.resize(nn);
-  }
-
-  /// Root delivery time of a gather of `payload_bytes` per rank.
-  sim::Time run(CollectiveProtocol proto, std::size_t payload_bytes) {
-    if (topo_.size() <= 1) return 0;
-    if (proto == CollectiveProtocol::Eager || payload_bytes == 0) {
-      return eager(static_cast<double>(payload_bytes));
-    }
-    return rendezvous(payload_bytes);
-  }
-
- private:
-  /// One chunk on a link: its ready (or departure) time and the wire time
-  /// of its frame. Every chunk is full-sized except each contribution's
-  /// tail, so only two wire times exist per replay.
-  struct Chunk {
-    sim::Time t;
-    sim::Time wire;
-  };
-
-  /// Store-and-forward: each node waits for every child's whole-subtree
-  /// GatherUp, then forwards one combined frame; the receiver pays the
-  /// handle plus the bounce-buffer copy-out of the full frame payload.
-  sim::Time eager(double S) {
-    const std::uint32_t nn = topo_.size();
-    const sim::Time h = costs_.iccl_msg_handle;
-    U_.assign(nn, 0);
-    for (std::uint32_t r = nn; r-- > 0;) {
-      sim::Time t = A_[r];
-      topo_.for_each_child(r, [&](std::uint32_t c) {
-        const double entry_bytes =
-            static_cast<double>(sz_[c]) * (kEntryBytes + S);
-        const sim::Time processed =
-            U_[c] + wire_time(costs_, kFrameBytes + entry_bytes) + h +
-            scaled_per_kb(costs_.iccl_eager_copy_per_kb,
-                          static_cast<double>(sz_[c]) * S);
-        t = std::max(t, processed);
-      });
-      U_[r] = t;
-    }
-    return U_[0];
-  }
-
-  /// Chunks stream through each node's serialized cursor with cut-through
-  /// relay. A relay's own chunks are all enqueued at G[r] and each child's
-  /// arrival stream strictly increases (per-channel FIFO), so the cursor's
-  /// time order is a stable merge of those sorted streams: own chunks
-  /// first, then each child's stream in ascending child order, the earlier
-  /// stream winning ties.
-  sim::Time rendezvous(std::size_t payload_bytes) {
-    const std::uint32_t nn = topo_.size();
-    const std::uint32_t C = costs_.iccl_rndv_chunk_bytes;
-    const sim::Time c_h = costs_.iccl_chunk_handle;
-    const double S = static_cast<double>(payload_bytes);
-    const auto m = static_cast<std::uint32_t>((payload_bytes + C - 1) / C);
-    const sim::Time full_wire =
-        wire_time(costs_, kFrameBytes + kEntryBytes + static_cast<double>(C));
-    const sim::Time tail_wire = wire_time(
-        costs_,
-        kFrameBytes + kEntryBytes + (S - static_cast<double>(m - 1) * C));
-    // sched[r]: rank r's upstream chunk departures, built children-first.
-    for (std::uint32_t r = nn; r-- > 1;) {
-      own_.assign(m - 1, Chunk{G_[r], full_wire});
-      own_.push_back(Chunk{G_[r], tail_wire});
-      heads_.clear();
-      heads_.push_back({G_[r], own_.data(), own_.data() + m});
-      std::size_t total = m;
-      topo_.for_each_child(r, [&](std::uint32_t c) {
-        arrive(c, c_h);
-        const std::vector<Chunk>& in = sched_[c];
-        if (in.empty()) return;
-        heads_.push_back({in.front().t, in.data(), in.data() + in.size()});
-        total += in.size();
-      });
-      std::vector<Chunk> out = take_buffer();
-      out.resize(total);
-      Chunk* o = out.data();
-      sim::Time cursor = 0;
-      while (!heads_.empty()) {
-        std::size_t best = 0;  // strict < keeps the earliest stream on ties
-        for (std::size_t i = 1; i < heads_.size(); ++i) {
-          if (heads_[i].t < heads_[best].t) best = i;
-        }
-        Head& hd = heads_[best];
-        const sim::Time depart = std::max(cursor, hd.t);
-        *o++ = Chunk{depart, hd.next->wire};
-        cursor = depart + c_h;
-        if (++hd.next == hd.end) {
-          heads_.erase(heads_.begin() + static_cast<std::ptrdiff_t>(best));
-        } else {
-          hd.t = hd.next->t;
-        }
-      }
-      topo_.for_each_child(r, [&](std::uint32_t c) { release(sched_[c]); });
-      sched_[r] = std::move(out);
-    }
-    // Root delivery: own contribution and every announce processed (R[0]),
-    // plus the last chunk of every child stream processed.
-    sim::Time done = R_[0];
-    topo_.for_each_child(0, [&](std::uint32_t c) {
-      arrive(c, c_h);
-      if (!sched_[c].empty()) done = std::max(done, sched_[c].back().t);
-      release(sched_[c]);
-    });
-    return done;
-  }
-
-  /// Rewrites child c's departures into processed times at its parent:
-  /// arrival (clamped behind c's RTS and its previous chunk, per-channel
-  /// FIFO) plus the chunk handle.
-  void arrive(std::uint32_t c, sim::Time c_h) {
-    sim::Time last_arrival = rts_arr_[c];
-    for (Chunk& ch : sched_[c]) {
-      sim::Time arr = ch.t + ch.wire;
-      if (arr <= last_arrival) arr = last_arrival + 1;  // FIFO
-      last_arrival = arr;
-      ch.t = arr + c_h;
-    }
-  }
-
-  std::vector<Chunk> take_buffer() {
-    if (pool_.empty()) return {};
-    std::vector<Chunk> buf = std::move(pool_.back());
-    pool_.pop_back();
-    buf.clear();
-    return buf;
-  }
-
-  void release(std::vector<Chunk>& buf) {
-    if (buf.capacity() != 0) pool_.push_back(std::move(buf));
-    buf = {};
-  }
-
-  const cluster::CostModel& costs_;
-  const comm::Topology& topo_;
-  std::vector<sim::Time> A_, R_, rts_arr_, G_, U_;
-  std::vector<std::uint32_t> sz_;
-  std::vector<std::vector<Chunk>> sched_;
-  std::vector<std::vector<Chunk>> pool_;  // freed schedules, for reuse
-  // Merge state of the rank being replayed: its own chunks and the next
-  // unconsumed chunk of every stream.
-  struct Head {
-    sim::Time t;  // ready time of *next
-    const Chunk* next;
-    const Chunk* end;
-  };
-  std::vector<Chunk> own_;
-  std::vector<Head> heads_;
-};
-
-}  // namespace
-
-comm::Topology PerfModel::resolved_topology(const comm::TopologySpec& spec,
-                                            int n) const {
-  comm::TopologySpec resolved = spec;
-  if (resolved.kind == comm::TopologyKind::KAry && resolved.arity == 0) {
-    resolved.arity = static_cast<std::uint32_t>(costs_.rm_launch_fanout);
-  }
-  return comm::Topology(resolved, static_cast<std::uint32_t>(std::max(n, 0)));
-}
-
 double PerfModel::collective_gather(CollectiveProtocol proto,
                                     const comm::TopologySpec& spec, int n,
                                     std::size_t payload_bytes) const {
@@ -815,135 +878,8 @@ double PerfModel::collective_scatter(CollectiveProtocol proto,
                                      const comm::TopologySpec& spec, int n,
                                      std::size_t payload_bytes) const {
   if (n <= 1) return 0.0;
-  const comm::Topology topo = resolved_topology(spec, n);
-  const sim::Time h = costs_.iccl_msg_handle;
-  const double S = static_cast<double>(payload_bytes);
-  const auto nn = static_cast<std::uint32_t>(n);
-
-  // Subtree sizes (parent < child in every fabric family).
-  std::vector<std::uint32_t> sz(nn, 1);
-  for (std::uint32_t r = nn - 1; r >= 1; --r) {
-    sz[*topo.parent_of(r)] += sz[r];
-  }
-
-  if (proto == CollectiveProtocol::Eager) {
-    // Exact replay of handle_scatter: start[r] is when rank r's handler
-    // runs (its whole subtree frame processed); its own part is delivered
-    // in that same event. Child i's frame departs after the serialized
-    // quanta of the parts queued before it.
-    std::vector<sim::Time> start(nn, 0);
-    std::vector<std::uint32_t> children;
-    sim::Time worst = 0;
-    for (std::uint32_t r = 0; r < nn; ++r) {
-      children_into(topo, r, children);
-      sim::Time offset = 0;
-      for (const std::uint32_t c : children) {
-        const double part_data = static_cast<double>(sz[c]) * S;
-        const double frame_bytes =
-            kFrameBytes + static_cast<double>(sz[c]) * (kEntryBytes + S);
-        start[c] = start[r] + offset + wire_time(costs_, frame_bytes) + h +
-                   scaled_per_kb(costs_.iccl_eager_copy_per_kb, part_data);
-        worst = std::max(worst, start[c]);
-        offset += h + scaled_per_kb(costs_.iccl_eager_copy_per_kb, part_data);
-      }
-    }
-    return seconds(worst);
-  }
-
-  // Hypothetical rendezvous scatter. Each link carries the child's whole
-  // subtree stream, laid out subtree-major: the child's own entry first,
-  // then each grandchild segment in children order (recursively). A relay
-  // cut-through-forwards an outbound chunk the moment the inbound chunk
-  // covering its byte range retires; the root holds everything at t=0.
-  const std::uint32_t C = costs_.iccl_rndv_chunk_bytes;
-  const sim::Time c_h = costs_.iccl_chunk_handle;
-  const sim::Time rts_wire = wire_time(costs_, kFrameBytes + kEntryBytes + 4.0);
-  const sim::Time cts_wire = wire_time(costs_, kFrameBytes);
-  const double entry = kEntryBytes + S;
-  auto stream_bytes = [&](std::uint32_t r) {
-    return static_cast<double>(sz[r]) * entry;
-  };
-  auto chunks_of = [&](double bytes) {
-    return static_cast<std::uint32_t>(
-        (static_cast<std::size_t>(bytes) + C - 1) / C);
-  };
-
-  // H[r]: rank r's RTS processed; P[r][k]: inbound chunk k retired at r.
-  // delivered[r]: r's own entry handed to its scatter handler (the chunk
-  // covering stream bytes [0, entry) - the head of its inbound stream).
-  std::vector<sim::Time> H(nn, 0);
-  std::vector<std::vector<sim::Time>> P(nn);
-  std::vector<sim::Time> delivered(nn, 0);
-  std::vector<std::uint32_t> children;
-  sim::Time worst = 0;
-  for (std::uint32_t r = 0; r < nn; ++r) {
-    children_into(topo, r, children);
-    if (children.empty()) continue;
-    // RTS fan-out and the CTS collection gate, as in the bcast replay.
-    std::vector<sim::Time> last_arrival(children.size());
-    sim::Time cts_done = 0;
-    for (std::size_t i = 0; i < children.size(); ++i) {
-      const sim::Time rts_arr =
-          H[r] + static_cast<sim::Time>(i) * h + rts_wire;
-      last_arrival[i] = rts_arr;
-      H[children[i]] = rts_arr + h;
-      cts_done = std::max(cts_done, H[children[i]] + cts_wire + h);
-    }
-    // Offset of child i's segment within r's own inbound stream (own entry
-    // first, then prior siblings' segments). The root reads from the
-    // caller's buffer: every byte is available at t=0.
-    double seg_off = entry;
-    std::vector<std::uint32_t> m_of(children.size());
-    std::vector<double> off_of(children.size());
-    std::uint32_t m_max = 0;
-    for (std::size_t i = 0; i < children.size(); ++i) {
-      off_of[i] = seg_off;
-      m_of[i] = chunks_of(stream_bytes(children[i]));
-      m_max = std::max(m_max, m_of[i]);
-      seg_off += stream_bytes(children[i]);
-    }
-    for (std::size_t i = 0; i < children.size(); ++i) {
-      P[children[i]].assign(m_of[i], 0);
-    }
-    // Serialized chunk cursor, round-robin across the children.
-    sim::Time cursor = 0;
-    for (std::uint32_t j = 0; j < m_max; ++j) {
-      for (std::size_t i = 0; i < children.size(); ++i) {
-        if (j >= m_of[i]) continue;
-        const double B = stream_bytes(children[i]);
-        const double chunk_bytes =
-            j + 1 == m_of[i] ? B - static_cast<double>(j) * C
-                             : static_cast<double>(C);
-        // Cut-through gate: the inbound chunk covering the *last* byte of
-        // this outbound range must have retired.
-        sim::Time avail = 0;
-        if (r != 0) {
-          const double last_byte =
-              off_of[i] + static_cast<double>(j) * C + chunk_bytes - 1.0;
-          const auto k = static_cast<std::size_t>(last_byte /
-                                                  static_cast<double>(C));
-          avail = P[r][std::min(k, P[r].size() - 1)];
-        }
-        const sim::Time ready = std::max(avail, cts_done);
-        const sim::Time chunk_wire =
-            wire_time(costs_, kFrameBytes + kEntryBytes + chunk_bytes);
-        const sim::Time depart = std::max(cursor, ready);
-        sim::Time arr = depart + chunk_wire;
-        if (arr <= last_arrival[i]) arr = last_arrival[i] + 1;  // FIFO
-        last_arrival[i] = arr;
-        P[children[i]][j] = arr + c_h;
-        cursor = depart + c_h;
-      }
-    }
-    for (std::size_t i = 0; i < children.size(); ++i) {
-      const auto head = static_cast<std::size_t>((entry - 1.0) /
-                                                 static_cast<double>(C));
-      const std::uint32_t c = children[i];
-      delivered[c] = P[c][std::min(head, P[c].size() - 1)];
-      worst = std::max(worst, delivered[c]);
-    }
-  }
-  return seconds(worst);
+  return seconds(
+      scatter_replay(costs_, resolved_topology(spec, n), proto, payload_bytes));
 }
 
 std::optional<std::size_t> PerfModel::collective_scatter_crossover(

@@ -114,31 +114,16 @@ class PerfModel {
   /// chunk splitting with this model's degree: level l reaches ~k^l nodes).
   [[nodiscard]] int depth(int n) const;
 
-  /// Fabric-tree depth as a closed form - comm::Topology::depth() walks
-  /// every rank, too slow for crossover scans. Must mirror the heap
-  /// k-ary / binomial / flat shapes in comm/topology.cpp (a unit test
-  /// pins the two together).
-  [[nodiscard]] static int fabric_depth(const comm::TopologySpec& spec,
-                                        int n);
-
-  /// Serialized message quanta on the fabric's collective critical path.
-  /// A parent's fan-out sends serialize (one iccl_msg_handle each, in
-  /// rank order), but levels pipeline: a child starts forwarding the
-  /// moment its own copy arrives, while its parent is still serving later
-  /// siblings. The critical path is therefore the max over ranks of the
-  /// summed sibling positions along the root path - not depth x degree.
-  [[nodiscard]] static double fabric_pipeline_quanta(
-      const comm::TopologySpec& spec, int n);
-
   /// Approximate encoded RPDTAB entry size (bytes) for payload terms.
   static constexpr double kRpdtabEntryBytes = 44.0;
 
   // --- collective protocol family (eager vs rendezvous) ---------------------
   /// Fleet-wide broadcast latency (seconds, root issue to last delivery)
   /// for `payload_bytes` over an n-rank fabric of shape `spec` under
-  /// `proto`. Exact per-rank replay of the Iccl event schedule (frame
-  /// overheads, serialized fan-out/chunk cursors, per-channel FIFO), so
-  /// bench_ablation_iccl can gate model-vs-measured residuals tightly.
+  /// `proto`. Exact per-rank replay of the Iccl event schedule on the
+  /// simulation's own cost terms (the codec's frame sizes, wire time,
+  /// serialized send cursors, per-channel FIFO), so bench_ablation_iccl can
+  /// gate model-vs-measured residuals tightly.
   /// O(n * chunks) per call - keep n in the thousands.
   [[nodiscard]] double collective_bcast(CollectiveProtocol proto,
                                         const comm::TopologySpec& spec, int n,

@@ -164,6 +164,29 @@ TEST_P(TopologyProperty, EveryRankReachesRootAndDepthAgrees) {
   EXPECT_EQ(t.depth(), max_depth);
 }
 
+TEST(Topology, DepthClosedFormMatchesTheDeepestRankAtEverySize) {
+  // depth() is a closed form per family (the model's crossover scans ask it
+  // at every node count); walking every rank is the reference.
+  const TopologySpec specs[] = {
+      {TopologyKind::KAry, 1},     {TopologyKind::KAry, 2},
+      {TopologyKind::KAry, 3},     {TopologyKind::KAry, 8},
+      {TopologyKind::KAry, 32},    {TopologyKind::KAry, 0},
+      {TopologyKind::Binomial, 0}, {TopologyKind::Flat, 0}};
+  std::vector<std::uint32_t> sizes;
+  for (std::uint32_t n = 0; n <= 66; ++n) sizes.push_back(n);
+  sizes.insert(sizes.end(), {100, 257, 512, 1000, 1024, 1025, 4097});
+  for (const auto& spec : specs) {
+    for (std::uint32_t n : sizes) {
+      const Topology t(spec, n);
+      std::uint32_t deepest = 0;
+      for (std::uint32_t r = 0; r < n; ++r) {
+        deepest = std::max(deepest, t.depth_of(r));
+      }
+      EXPECT_EQ(t.depth(), deepest) << spec.to_string() << " n=" << n;
+    }
+  }
+}
+
 TEST_P(TopologyProperty, ConnectedTreeHasSizeMinusOneEdges) {
   const auto [spec, size] = GetParam();
   Topology t(spec, size);

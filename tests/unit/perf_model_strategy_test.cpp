@@ -164,42 +164,6 @@ TEST(PerStrategyModel, CrossoverNeverReachedIsNullopt) {
   EXPECT_FALSE(m.crossover(kSerial, kTree, kary(2), 1, 256).has_value());
 }
 
-TEST(PerStrategyModel, FabricClosedFormsMatchCommTopology) {
-  // The model's O(1)/O(n) closed forms must mirror the authoritative tree
-  // shapes in comm/topology.cpp; if a shape changes there, this is the
-  // tripwire that keeps the model honest.
-  const std::vector<comm::TopologySpec> specs = {
-      kary(1), kary(2), kary(3), kary(8), kary(32),
-      comm::TopologySpec{comm::TopologyKind::Binomial, 0},
-      comm::TopologySpec{comm::TopologyKind::Flat, 0}};
-  std::vector<int> sizes;
-  for (int n = 1; n <= 66; ++n) sizes.push_back(n);
-  sizes.insert(sizes.end(), {100, 257, 512, 1000, 1024, 1025});
-  for (const auto& spec : specs) {
-    for (int n : sizes) {
-      const comm::Topology topo(spec, static_cast<std::uint32_t>(n));
-      EXPECT_EQ(PerfModel::fabric_depth(spec, n),
-                static_cast<int>(topo.depth()))
-          << spec.to_string() << " n=" << n;
-
-      // Reference pipelined-quanta DP straight off Topology::children_of
-      // (children always outrank their parent, so ascending rank order is
-      // a valid schedule order).
-      std::vector<double> arrival(static_cast<std::size_t>(n), 0.0);
-      double worst = 0.0;
-      for (std::uint32_t r = 0; r < static_cast<std::uint32_t>(n); ++r) {
-        const auto children = topo.children_of(r);
-        for (std::size_t i = 0; i < children.size(); ++i) {
-          arrival[children[i]] = arrival[r] + static_cast<double>(i + 1);
-          worst = std::max(worst, arrival[children[i]]);
-        }
-      }
-      EXPECT_DOUBLE_EQ(PerfModel::fabric_pipeline_quanta(spec, n), worst)
-          << spec.to_string() << " n=" << n;
-    }
-  }
-}
-
 // --- collective protocol family (eager vs rendezvous) ------------------------
 
 constexpr auto kEager = core::CollectiveProtocol::Eager;

@@ -14,6 +14,7 @@
 #include "cluster/cost_model_registry.hpp"
 #include "core/auto_tune.hpp"
 #include "core/fe_api.hpp"
+#include "core/iccl.hpp"
 #include "core/perf_model.hpp"
 #include "tests/test_util.hpp"
 
@@ -130,13 +131,12 @@ INSTANTIATE_TEST_SUITE_P(Fig3Sweep, ModelValidation,
 // stable-sorts them by ready time. PerfModel merges the same streams in
 // linear passes instead; the two must agree to the nanosecond.
 
+// Frames are priced in the codec's sizes, as PerfModel prices them (the
+// header still at its 13 B from before StreamKey::session, as there).
 constexpr double kRefFrameBytes = 13.0;
-constexpr double kRefEntryBytes = 8.0;
-
-sim::Time ref_scaled_per_kb(sim::Time per_kb, double bytes) {
-  return static_cast<sim::Time>(static_cast<double>(per_kb) * bytes /
-                                1024.0);
-}
+constexpr auto kRefEntryBytes = static_cast<double>(Iccl::kEntryHeaderBytes);
+constexpr auto kRefTotalEntryBytes =
+    static_cast<double>(Iccl::kTotalEntryBytes);
 
 double ref_collective_gather(const cluster::CostModel& costs,
                              CollectiveProtocol proto,
@@ -148,12 +148,8 @@ double ref_collective_gather(const cluster::CostModel& costs,
     resolved.arity = static_cast<std::uint32_t>(costs.rm_launch_fanout);
   }
   const comm::Topology topo(resolved, static_cast<std::uint32_t>(n));
-  const sim::Time L = costs.net_latency;
   const sim::Time h = costs.iccl_msg_handle;
-  const double bw = costs.bandwidth_bytes_per_sec;
-  auto wire = [&](double bytes) {
-    return L + static_cast<sim::Time>(bytes / bw * 1e9);
-  };
+  auto wire = [&](double bytes) { return costs.wire_time(bytes); };
   const double S = static_cast<double>(payload_bytes);
   const auto nn = static_cast<std::uint32_t>(n);
 
@@ -176,8 +172,8 @@ double ref_collective_gather(const cluster::CostModel& costs,
         const double entry_bytes =
             static_cast<double>(sz[c]) * (kRefEntryBytes + S);
         t = std::max(t, U[c] + wire(kRefFrameBytes + entry_bytes) + h +
-                            ref_scaled_per_kb(costs.iccl_eager_copy_per_kb,
-                                              static_cast<double>(sz[c]) * S));
+                            costs.eager_copy_cost(
+                                static_cast<double>(sz[c]) * S));
       }
       U[r] = t;
     }
@@ -192,7 +188,7 @@ double ref_collective_gather(const cluster::CostModel& costs,
   for (std::uint32_t r = nn; r-- > 0;) {
     sim::Time t = A[r];
     for (std::uint32_t c : topo.children_of(r)) {
-      rts_arr[c] = R[c] + wire(kRefFrameBytes + 12.0 * sz[c]);
+      rts_arr[c] = R[c] + wire(kRefFrameBytes + kRefTotalEntryBytes * sz[c]);
       t = std::max(t, rts_arr[c] + h);
     }
     R[r] = t;
