@@ -85,6 +85,13 @@ Arg hosts_arg(std::string_view csv) {
   return Arg::shared(text);
 }
 
+HostTable hosts_table(const Arg& hosts) {
+  const Arg shared =
+      hosts.slice() != nullptr ? hosts : Arg::shared(hosts.view());
+  return HostTable(shared.slice()->sub(kHostsKey.size(),
+                                       shared.size() - kHostsKey.size()));
+}
+
 Argv bootstrap_args(const BootstrapSpec& spec,
                     std::optional<std::uint32_t> rank, const Arg& hosts,
                     const std::vector<std::string>& extra) {
@@ -130,10 +137,7 @@ std::optional<BootstrapParams> parse_bootstrap(
   if (!size || !port || hosts == nullptr || !topo) return std::nullopt;
   p.size = static_cast<std::uint32_t>(*size);
   p.port = static_cast<cluster::Port>(*port);
-  const Arg shared =
-      hosts->slice() != nullptr ? *hosts : Arg::shared(hosts->view());
-  p.hosts = HostTable(shared.slice()->sub(
-      kHostsKey.size(), shared.size() - kHostsKey.size()));
+  p.hosts = hosts_table(*hosts);
   p.session = arg_value(args, "--lmon-session=").value_or("s0");
   p.fe_host = arg_value(args, "--lmon-fe-host=").value_or("");
   p.fe_port = static_cast<cluster::Port>(

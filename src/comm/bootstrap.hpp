@@ -127,6 +127,11 @@ struct BootstrapParams {
 /// copy of the entry, and every HostTable parsed from one, shares it.
 [[nodiscard]] Arg hosts_arg(std::string_view csv);
 
+/// The host table of a hosts_arg entry: views the list inside the entry's
+/// buffer (an owned entry is copied into one new buffer first), so a table
+/// of the entry every daemon holds shares their index.
+[[nodiscard]] HostTable hosts_table(const Arg& hosts);
+
 /// Emits the "--lmon-*" argv for one daemon, followed by the tool's own
 /// `extra` entries; `hosts` (from hosts_arg) is held, not copied, and
 /// spec.hosts is not read. Pass nullopt as `rank` for launchers that cannot

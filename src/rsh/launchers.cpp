@@ -466,21 +466,18 @@ void TreeAgent::shutdown_subtree(cluster::Process& self) {
 namespace {
 
 /// Maps an rsh LaunchOutcome into the strategy result, assigning fabric
-/// ranks by the host's position in the bootstrap host list.
-comm::LaunchResult outcome_to_result(const comm::LaunchRequest& req,
+/// ranks by the host's first position in the launch's host table (-1 for a
+/// host outside it).
+comm::LaunchResult outcome_to_result(const comm::HostTable& hosts,
+                                     const std::string& daemon_exe,
                                      LaunchOutcome out) {
   comm::LaunchResult res;
   res.status = out.status;
   res.daemons.reserve(out.daemons.size());
   for (const auto& [host, pid] : out.daemons) {
-    std::int32_t rank = -1;
-    for (std::size_t i = 0; i < req.bootstrap.hosts.size(); ++i) {
-      if (req.bootstrap.hosts[i] == host) {
-        rank = static_cast<std::int32_t>(i);
-        break;
-      }
-    }
-    res.daemons.push_back(rm::TaskDesc{host, req.daemon_exe, pid, rank});
+    const auto rank = hosts.rank_of(host);
+    res.daemons.push_back(rm::TaskDesc{
+        host, daemon_exe, pid, rank ? static_cast<std::int32_t>(*rank) : -1});
   }
   std::sort(res.daemons.begin(), res.daemons.end(),
             [](const rm::TaskDesc& a, const rm::TaskDesc& b) {
@@ -528,7 +525,8 @@ void SerialRshStrategy::launch(cluster::Process& self, comm::LaunchRequest req,
                        static_cast<double>(req.bootstrap.hosts.size()));
   SerialRshLauncher::launch(
       self, std::move(targets),
-      [this, &self, span, req = std::move(req),
+      [this, &self, span, table = comm::hosts_table(hosts),
+       daemon_exe = std::move(req.daemon_exe),
        cb = std::move(cb)](LaunchOutcome out) {
         if (obs::Tracer* tracer = self.machine().tracer();
             tracer != nullptr && span != obs::kNoSpan) {
@@ -538,7 +536,7 @@ void SerialRshStrategy::launch(cluster::Process& self, comm::LaunchRequest req,
                         : "failed: " + out.status.message());
         }
         sessions_ = std::move(out.sessions);
-        if (cb) cb(outcome_to_result(req, std::move(out)));
+        if (cb) cb(outcome_to_result(table, daemon_exe, std::move(out)));
       });
 }
 
@@ -551,21 +549,19 @@ void TreeRshStrategy::launch(cluster::Process& self, comm::LaunchRequest req,
                              Callback cb) {
   // One argv for everyone: bootstrap args without an explicit rank, daemons
   // resolve their rank from the host list.
-  auto daemon_args = comm::bootstrap_args(
-      req.bootstrap, std::nullopt,
-      comm::hosts_arg(join_csv(req.bootstrap.hosts)), req.daemon_args);
+  const Arg hosts = comm::hosts_arg(join_csv(req.bootstrap.hosts));
+  auto daemon_args = comm::bootstrap_args(req.bootstrap, std::nullopt, hosts,
+                                          req.daemon_args);
   const int fanout =
       req.launch_fanout == 0 ? 2 : static_cast<int>(req.launch_fanout);
-  // Copy out of `req` before the call: the callback captures req by move,
-  // and argument evaluation order is unspecified.
-  auto hosts = req.bootstrap.hosts;
-  auto daemon_exe = req.daemon_exe;
   TreeRshLauncher::launch(
-      self, std::move(hosts), std::move(daemon_exe), daemon_args, fanout,
-      [this, req = std::move(req), cb = std::move(cb)](LaunchOutcome out) {
+      self, std::move(req.bootstrap.hosts), req.daemon_exe, daemon_args,
+      fanout,
+      [this, table = comm::hosts_table(hosts), daemon_exe = req.daemon_exe,
+       cb = std::move(cb)](LaunchOutcome out) {
         sessions_ = std::move(out.sessions);
         ack_channels_ = std::move(out.ack_channels);
-        if (cb) cb(outcome_to_result(req, std::move(out)));
+        if (cb) cb(outcome_to_result(table, daemon_exe, std::move(out)));
       });
 }
 

@@ -53,12 +53,19 @@ TEST_P(LaunchStrategyTest, SessionComesUpAndTearsDown) {
   ASSERT_TRUE(status.is_ok()) << status.to_string();
   EXPECT_EQ(fe->state(sid), core::FrontEnd::SessionState::Ready);
 
-  // Every strategy must deliver the full daemon table, rank-ordered.
+  // Every strategy must deliver the full daemon table, rank-ordered, with
+  // each daemon at its host's place in the bootstrap host list (the job's
+  // nodes in order) and running on that host.
   const core::Rpdtab* daemons = fe->daemon_table(sid);
   ASSERT_NE(daemons, nullptr);
   ASSERT_EQ(daemons->entries().size(), static_cast<std::size_t>(nodes));
   for (int i = 0; i < nodes; ++i) {
-    EXPECT_EQ(daemons->entries()[static_cast<std::size_t>(i)].rank, i);
+    const rm::TaskDesc& d = daemons->entries()[static_cast<std::size_t>(i)];
+    EXPECT_EQ(d.rank, i);
+    EXPECT_EQ(d.host, tc.machine.compute_node(i).hostname()) << "rank " << i;
+    cluster::Process* p = tc.machine.find_process(d.pid);
+    ASSERT_NE(p, nullptr) << "rank " << i;
+    EXPECT_EQ(p->node().hostname(), d.host) << "rank " << i;
   }
 
   // And one daemon actually runs on every compute node.
