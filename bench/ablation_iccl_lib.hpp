@@ -110,10 +110,19 @@ struct IcclAblationReport {
   /// the go/no-go answer for ever implementing one.
   bool rendezvous_scatter_ever_wins = false;
   double max_abs_residual_pct = 0.0;
+  /// Largest |model - measured| over the measured points, in whole ns: the
+  /// replay runs on the simulation's own cost terms, so the gate is 0.
+  long long max_abs_gap_ns = 0;
   double max_abs_crossover_pct = 0.0;
   bool rendezvous_wins_at_max_everywhere = false;
   int measurement_failures = 0;
 };
+
+/// |model - measured| in whole ns; both sides are simulated ns counts
+/// given in seconds.
+inline long long gap_ns(double model_s, double measured_s) {
+  return std::llabs(std::llround((model_s - measured_s) * 1e9));
+}
 
 namespace iccl_sweep {
 
@@ -323,6 +332,8 @@ inline IcclAblationReport run_iccl_ablation(const IcclAblationOptions& opts) {
               (pt.model_s - pt.measured_s) / pt.measured_s * 100.0;
           report.max_abs_residual_pct = std::max(report.max_abs_residual_pct,
                                                  std::abs(pt.residual_pct));
+          report.max_abs_gap_ns = std::max(
+              report.max_abs_gap_ns, gap_ns(pt.model_s, pt.measured_s));
         } else {
           report.measurement_failures += 1;
         }

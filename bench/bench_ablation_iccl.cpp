@@ -71,9 +71,9 @@ void print_table(const bench::IcclAblationReport& report) {
                   ? "would win somewhere on this sweep"
                   : "never wins on this sweep - not worth implementing");
   std::printf(
-      "\nmax |model - measured| residual: %.1f%% (gate: 15%%); max crossover "
+      "\nmax |model - measured|: %lld ns (gate: 0 ns); max crossover "
       "disagreement: %.1f%% (gate: 15%%)\n",
-      report.max_abs_residual_pct, report.max_abs_crossover_pct);
+      report.max_abs_gap_ns, report.max_abs_crossover_pct);
   std::printf(
       "shape: eager pays (msg-handle + payload-copy) per child per level and "
       "full store-and-forward\nper hop; rendezvous pays RTS/CTS once, then "
@@ -113,10 +113,10 @@ int main(int argc, char** argv) {
   } else {
     print_table(report);
   }
-  // Gate: tight residuals on every measured point, model/measured agreement
-  // on the crossover payload, and the headline claim - rendezvous beats
-  // eager at the largest swept payload on every topology.
-  return (report.max_abs_residual_pct <= 15.0 &&
+  // Gate: the model lands on every measured point to the ns, model/measured
+  // agreement on the crossover payload, and the headline claim - rendezvous
+  // beats eager at the largest swept payload on every topology.
+  return (report.max_abs_gap_ns == 0 &&
           report.max_abs_crossover_pct <= 15.0 &&
           report.rendezvous_wins_at_max_everywhere &&
           report.measurement_failures == 0)

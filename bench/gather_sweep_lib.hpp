@@ -27,7 +27,7 @@
 #include <string>
 #include <vector>
 
-#include "bench/ablation_iccl_lib.hpp"  // last_loss_index / interpolate_crossover
+#include "bench/ablation_iccl_lib.hpp"  // crossover interpolation, gap_ns
 #include "bench/bench_util.hpp"
 #include "core/be_api.hpp"
 #include "core/fe_api.hpp"
@@ -91,15 +91,25 @@ struct GatherSweepReport {
   std::vector<GatherSweepPoint> points;
   std::vector<GatherCrossoverPoint> crossovers;
   double max_abs_residual_pct = 0.0;
+  /// Largest |model - measured| over the measured points, in whole ns.
+  long long max_abs_gap_ns = 0;
   bool rendezvous_wins_at_max_everywhere = false;
   int measurement_failures = 0;
 
-  /// The bench exit gate: tight residuals everywhere, every session
-  /// measured, and the headline claim - the rendezvous gather beats eager
-  /// at the largest swept payload on every topology.
+  /// The model replays the upstream schedule exactly, but each round's
+  /// master issues the go broadcast in the same event as its barrier's
+  /// release broadcast. Every stream has its own send cursor, so on each
+  /// link the two empty frames leave together and the FIFO clamp lands the
+  /// go 1 ns late: every point measures 1 ns above the model
+  /// (IcclModelOnTheWire pins both cases).
+  static constexpr long long kGapNs = 1;
+
+  /// The bench exit gate: the model within kGapNs of every point, every
+  /// session measured, and the headline claim - the rendezvous gather beats
+  /// eager at the largest swept payload on every topology.
   [[nodiscard]] bool gate_ok() const {
-    return max_abs_residual_pct <= 15.0 &&
-           rendezvous_wins_at_max_everywhere && measurement_failures == 0;
+    return max_abs_gap_ns <= kGapNs && rendezvous_wins_at_max_everywhere &&
+           measurement_failures == 0;
   }
 };
 
@@ -273,6 +283,8 @@ inline GatherSweepReport run_gather_sweep(const GatherSweepOptions& opts) {
               (pt.model_s - pt.measured_s) / pt.measured_s * 100.0;
           report.max_abs_residual_pct = std::max(report.max_abs_residual_pct,
                                                  std::abs(pt.residual_pct));
+          report.max_abs_gap_ns = std::max(
+              report.max_abs_gap_ns, gap_ns(pt.model_s, pt.measured_s));
         } else {
           report.measurement_failures += 1;
         }
@@ -406,9 +418,9 @@ inline void print_gather_table(const GatherSweepReport& report) {
                 c.rendezvous_wins_at_max ? "" : "  [rndv never wins!]");
   }
   std::printf(
-      "max |model - measured| residual: %.1f%% (gate: 15%%); rendezvous wins "
-      "at max payload: %s\n",
-      report.max_abs_residual_pct,
+      "max |model - measured|: %lld ns (gate: %lld ns); rendezvous wins at "
+      "max payload: %s\n",
+      report.max_abs_gap_ns, GatherSweepReport::kGapNs,
       report.rendezvous_wins_at_max_everywhere ? "yes (all topologies)"
                                                : "NO");
 }

@@ -296,10 +296,8 @@ bool PerfModel::predicts_failure(comm::LaunchStrategyKind strategy,
 
 namespace {
 
-// Frame sizes in the codec's terms (core/iccl.hpp). The frame header is
-// still the 13 B it was before StreamKey::session joined it; the codec's
-// 17 B replaces it in a change of its own, which moves the model's pins.
-constexpr double kFrameBytes = 13.0;
+// Frame sizes in the codec's terms (core/iccl.hpp).
+constexpr auto kFrameBytes = static_cast<double>(Iccl::kFrameHeaderBytes);
 constexpr auto kEntryBytes = static_cast<double>(Iccl::kEntryHeaderBytes);
 constexpr auto kTotalEntryBytes = static_cast<double>(Iccl::kTotalEntryBytes);
 

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <functional>
 #include <map>
 #include <memory>
 #include <ostream>
@@ -16,6 +18,7 @@
 #include "core/be_api.hpp"
 #include "core/fe_api.hpp"
 #include "core/iccl.hpp"
+#include "core/perf_model.hpp"
 #include "obs/metrics.hpp"
 #include "tests/flight_check.hpp"
 #include "tests/test_util.hpp"
@@ -56,6 +59,8 @@ struct Shared {
   std::map<StreamKey, std::vector<std::pair<std::uint32_t, Bytes>>>
       gather_by_key;
   std::map<StreamKey, int> gather_fired;
+  /// Called after every recorded session-0 broadcast delivery.
+  std::function<void(std::uint32_t rank, std::uint32_t tag)> after_bcast;
   int ready = 0;
   bool bind_scatter = true;  ///< false leaves session 0's scatter unbound
   std::uint32_t extra_sessions = 0;  ///< sessions bound besides session 0
@@ -83,6 +88,7 @@ class RawIcclDaemon : public cluster::Program {
       sh_->bcast_by_tag[rank][tag] = data.to_bytes();
       sh_->bcast_addr[rank][tag] = data.data();
       sh_->bcast_at[rank][tag] = self.sim().now();
+      if (sh_->after_bcast) sh_->after_bcast(rank, tag);
     };
     if (sh_->bind_scatter) {
       handlers.on_scatter = [this, rank, &self](std::uint32_t,
@@ -911,6 +917,100 @@ INSTANTIATE_TEST_SUITE_P(
                 1456739}),
     [](const ::testing::TestParamInfo<WireMix>& pinfo) {
       std::string name = pinfo.param.topo.to_string();
+      for (char& c : name) {
+        if (c == ':' || c == '-') c = '_';
+      }
+      return name;
+    });
+
+// --- the model against the wire --------------------------------------------
+
+class IcclModelOnTheWire
+    : public ::testing::TestWithParam<comm::TopologySpec> {};
+
+TEST_P(IcclModelOnTheWire, ReplaysLandOnTheSimulatedTimesToTheNanosecond) {
+  // IcclWireMix's broadcast and gather rounds with jitter-free costs.
+  // PerfModel prices every frame in the codec's sizes and charges the same
+  // wire time, send cursor and FIFO clamp, so each replay must equal the
+  // simulated time in integer ns.
+  const comm::TopologySpec topo = GetParam();
+  const int n = 7;
+  const cluster::CostModel costs = cluster::CostModel{}.deterministic();
+  TestCluster tc(n, 0, costs);
+  Shared sh;
+  wire_fabric(tc, sh, topo, identity_placement(n), kChunk);
+  ASSERT_TRUE(tc.run_until([&] { return sh.ready == n; }));
+  const PerfModel model(costs,
+                        static_cast<std::uint32_t>(costs.rm_launch_fanout));
+  const auto ns = [](double seconds) {
+    return static_cast<sim::Time>(std::llround(seconds * 1e9));
+  };
+  constexpr auto kEager = CollectiveProtocol::Eager;
+  constexpr auto kRndv = CollectiveProtocol::Rendezvous;
+
+  // A broadcast: the root's issue to the last rank's delivery.
+  auto bcast_round = [&](std::uint32_t tag, std::size_t bytes) {
+    const sim::Time t0 = tc.simulator.now();
+    sh.iccls[0]->broadcast(tag, Bytes(bytes, 0x5a));
+    EXPECT_TRUE(tc.run_until([&] {
+      return static_cast<int>(sh.bcast_at.size()) == n &&
+             std::all_of(sh.bcast_at.begin(), sh.bcast_at.end(),
+                         [&](const auto& r) { return r.second.count(tag); });
+    }));
+    sim::Time last = 0;
+    for (const auto& [rank, by_tag] : sh.bcast_at) {
+      last = std::max(last, by_tag.at(tag) - t0);
+    }
+    return last;
+  };
+  EXPECT_EQ(bcast_round(1, 4096),
+            ns(model.collective_bcast(kEager, topo, n, 4096)));
+  EXPECT_EQ(bcast_round(2, 3 * kChunk + 1000),
+            ns(model.collective_bcast(kRndv, topo, n, 3 * kChunk + 1000)));
+
+  // A gather as the model times it: the root issues an empty release
+  // broadcast, every rank contributes the moment the release lands, and
+  // the clock stops at the root's gather handler. `lead` issues another
+  // empty broadcast in the same event just before the release.
+  auto gather_round = [&](std::uint32_t release, std::uint32_t tag,
+                          std::size_t bytes, bool lead) {
+    sh.after_bcast = [&, release, tag, bytes](std::uint32_t rank,
+                                              std::uint32_t got) {
+      if (got == release) {
+        sh.iccls[rank]->contribute(tag, origin_payload(rank, bytes));
+      }
+    };
+    const sim::Time t0 = tc.simulator.now();
+    if (lead) sh.iccls[0]->broadcast(release + 100, Bytes{});
+    sh.iccls[0]->broadcast(release, Bytes{});
+    EXPECT_TRUE(tc.run_until([&] { return sh.gather_at.count(tag) != 0; }));
+    EXPECT_EQ(sh.gather_by_tag[tag].size(), static_cast<std::size_t>(n));
+    sh.after_bcast = nullptr;
+    return sh.gather_at[tag] - t0;
+  };
+  EXPECT_EQ(gather_round(3, 4, 512, false),
+            ns(model.collective_gather(kEager, topo, n, 512)));
+  EXPECT_EQ(gather_round(5, 6, kChunk + 100, false),
+            ns(model.collective_gather(kRndv, topo, n, kChunk + 100)));
+
+  // The gather sweeps in bench_fig5_jobsnap and bench_fig6_stat measure 1
+  // ns more than the model on every point. Their master issues the release
+  // in the same event as the barrier's own release broadcast. Each stream
+  // has its own send cursor, so on every link the two empty frames depart
+  // together, and the FIFO clamp lands the release 1 ns after the other.
+  EXPECT_EQ(gather_round(7, 8, 512, true),
+            ns(model.collective_gather(kEager, topo, n, 512)) + 1);
+  EXPECT_EQ(gather_round(9, 10, kChunk + 100, true),
+            ns(model.collective_gather(kRndv, topo, n, kChunk + 100)) + 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fabrics, IcclModelOnTheWire,
+    ::testing::Values(comm::TopologySpec{comm::TopologyKind::KAry, 2},
+                      comm::TopologySpec{comm::TopologyKind::Binomial, 0},
+                      comm::TopologySpec{comm::TopologyKind::Flat, 0}),
+    [](const ::testing::TestParamInfo<comm::TopologySpec>& pinfo) {
+      std::string name = pinfo.param.to_string();
       for (char& c : name) {
         if (c == ':' || c == '-') c = '_';
       }

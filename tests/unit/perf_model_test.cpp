@@ -131,9 +131,8 @@ INSTANTIATE_TEST_SUITE_P(Fig3Sweep, ModelValidation,
 // stable-sorts them by ready time. PerfModel merges the same streams in
 // linear passes instead; the two must agree to the nanosecond.
 
-// Frames are priced in the codec's sizes, as PerfModel prices them (the
-// header still at its 13 B from before StreamKey::session, as there).
-constexpr double kRefFrameBytes = 13.0;
+// Frames are priced in the codec's sizes, as PerfModel prices them.
+constexpr auto kRefFrameBytes = static_cast<double>(Iccl::kFrameHeaderBytes);
 constexpr auto kRefEntryBytes = static_cast<double>(Iccl::kEntryHeaderBytes);
 constexpr auto kRefTotalEntryBytes =
     static_cast<double>(Iccl::kTotalEntryBytes);
@@ -385,43 +384,43 @@ TEST(GatherReplayOracle, TunedConfigBytesUnchanged) {
       {"default", 16,
        "000004000000205b01000101019431ba93ba2ad23f205b01000700000064656661756c7400"},
       {"default", 128,
-       "000008000000758e0000010101ed8ba7c5b048e23f758e00000700000064656661756c7400"},
+       "000008000000758e00000101018221b5cdb048e23f758e00000700000064656661756c7400"},
       {"default", 256,
-       "0000080000001f7c00000101018dce5b3ba331ee3f1f7c00000700000064656661756c7400"},
+       "0000080000001f7c00000101019f258f45a331ee3f1f7c00000700000064656661756c7400"},
       {"default", 512,
-       "00000800000065660000010101400c17336ed4fd3f656600000700000064656661756c7400"},
+       "00000800000065660000010101c9b730386ed4fd3f656600000700000064656661756c7400"},
       {"atlas", 16,
        "000004000000205b01000101019431ba93ba2ad23f205b01000500000061746c617300"},
       {"atlas", 128,
-       "000008000000758e0000010101ed8ba7c5b048e23f758e00000500000061746c617300"},
+       "000008000000758e00000101018221b5cdb048e23f758e00000500000061746c617300"},
       {"atlas", 256,
-       "0000080000001f7c00000101018dce5b3ba331ee3f1f7c00000500000061746c617300"},
+       "0000080000001f7c00000101019f258f45a331ee3f1f7c00000500000061746c617300"},
       {"atlas", 512,
-       "00000800000065660000010101400c17336ed4fd3f656600000500000061746c617300"},
+       "00000800000065660000010101c9b730386ed4fd3f656600000500000061746c617300"},
       {"bluegene", 16,
        "000004000000205b0100010101b7d2a2758bf7eb3f205b010008000000626c756567656e6500"},
       {"bluegene", 128,
-       "000008000000758e000001010129bcddf716c5fe3f758e000008000000626c756567656e6500"},
+       "000008000000758e0000010101f386e4fb16c5fe3f758e000008000000626c756567656e6500"},
       {"bluegene", 256,
-       "0000080000001f7c000001010101b44df4705309401f7c000008000000626c756567656e6500"},
+       "0000080000001f7c0000010101c589daf6705309401f7c000008000000626c756567656e6500"},
       {"bluegene", 512,
-       "0000080000006566000001010184e8727a484f17406566000008000000626c756567656e6500"},
+       "000008000000656600000101016653b97b484f17406566000008000000626c756567656e6500"},
       {"thunder", 16,
        "000004000000ad0d0100010101cdc3e9ba3cd8d33fad0d0100070000007468756e64657200"},
       {"thunder", 128,
-       "00000800000014710000010101d61e41650502e63f14710000070000007468756e64657200"},
+       "0000080000001471000001010147e6fd6f0502e63f14710000070000007468756e64657200"},
       {"thunder", 256,
-       "0000080000005c620000010101505bc8543499f23f5c620000070000007468756e64657200"},
+       "0000080000005c620000010101f7577e5b3499f23f5c620000070000007468756e64657200"},
       {"thunder", 512,
-       "000008000000335100000101014b701e8a5751024033510000070000007468756e64657200"},
+       "000008000000335100000101019e6e798d5751024033510000070000007468756e64657200"},
       {"zeus", 16,
-       "0000040000006c0c0100010101bb6524ceccc4d13f6c0c0100040000007a65757300"},
+       "0000040000006d0c0100010101bb6524ceccc4d13f6d0c0100040000007a65757300"},
       {"zeus", 128,
-       "000008000000b17600000101017efd405442a9e03fb1760000040000007a65757300"},
+       "000008000000b1760000010101e947496342a9e03fb1760000040000007a65757300"},
       {"zeus", 256,
-       "00000800000020660000010101e5155e37deefea3f20660000040000007a65757300"},
+       "000008000000206600000101018c029f49deefea3f20660000040000007a65757300"},
       {"zeus", 512,
-       "000008000000af5400000101014355515e5991fa3faf540000040000007a65757300"},
+       "000008000000af54000001010196cb71675991fa3faf540000040000007a65757300"},
   };
   std::vector<std::string> profiles{"default"};
   for (const auto& name : cluster::CostModelRegistry::builtin().names()) {
