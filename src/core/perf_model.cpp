@@ -342,8 +342,7 @@ std::optional<std::size_t> crossover_from_gap(
 
 /// A fabric as the replays walk it, built once per replay: the children of
 /// every rank in for_each_child order as one CSR array (the children of r
-/// are child[first[r] .. first[r + 1]), and e indexes an edge), and the
-/// size of every rank's subtree.
+/// are child[first[r] .. first[r + 1]), and e indexes an edge).
 struct Fabric {
   explicit Fabric(const comm::Topology& topo) : n(topo.size()) {
     first.resize(std::size_t{n} + 1);
@@ -352,17 +351,22 @@ struct Fabric {
       topo.for_each_child(r, [&](std::uint32_t c) { child.push_back(c); });
     }
     first[n] = static_cast<std::uint32_t>(child.size());
-    // Children outrank their parent in every fabric family.
-    subtree.assign(n, 1);
+  }
+
+  /// The size of every rank's subtree (children outrank their parent in
+  /// every fabric family).
+  [[nodiscard]] std::vector<std::uint32_t> subtree_sizes() const {
+    std::vector<std::uint32_t> size(n, 1);
     for (std::uint32_t r = n; r-- > 0;) {
       for (std::uint32_t e = first[r]; e < first[r + 1]; ++e) {
-        subtree[r] += subtree[child[e]];
+        size[r] += size[child[e]];
       }
     }
+    return size;
   }
 
   std::uint32_t n;
-  std::vector<std::uint32_t> first, child, subtree;
+  std::vector<std::uint32_t> first, child;
 };
 
 /// The rendezvous handshake down a fabric, which a broadcast and a scatter
@@ -511,7 +515,7 @@ class BcastReplay {
 class GatherReplay {
  public:
   GatherReplay(const cluster::CostModel& costs, const comm::Topology& topo)
-      : costs_(costs), f_(topo) {
+      : costs_(costs), f_(topo), sz_(f_.subtree_sizes()) {
     const std::uint32_t nn = f_.n;
     if (nn <= 1) return;
     const sim::Time h = costs_.iccl_msg_handle;
@@ -538,8 +542,8 @@ class GatherReplay {
       sim::Time t = A_[r];
       for (std::uint32_t e = f_.first[r]; e < f_.first[r + 1]; ++e) {
         const std::uint32_t c = f_.child[e];
-        rts_arr_[c] = R_[c] + costs_.wire_time(kFrameBytes + kTotalEntryBytes *
-                                                                 f_.subtree[c]);
+        rts_arr_[c] =
+            R_[c] + costs_.wire_time(kFrameBytes + kTotalEntryBytes * sz_[c]);
         t = std::max(t, rts_arr_[c] + h);
       }
       R_[r] = t;
@@ -592,7 +596,7 @@ class GatherReplay {
       sim::Time t = A_[r];
       for (std::uint32_t e = f_.first[r]; e < f_.first[r + 1]; ++e) {
         const std::uint32_t c = f_.child[e];
-        const auto ranks = static_cast<double>(f_.subtree[c]);
+        const auto ranks = static_cast<double>(sz_[c]);
         const sim::Time processed =
             U_[c] + costs_.wire_time(kFrameBytes + ranks * (kEntryBytes + S)) +
             h + costs_.eager_copy_cost(ranks * S);
@@ -695,6 +699,7 @@ class GatherReplay {
 
   const cluster::CostModel& costs_;
   const Fabric f_;
+  const std::vector<std::uint32_t> sz_;  // subtree sizes
   std::vector<sim::Time> A_, R_, rts_arr_, G_, U_;
   std::vector<std::vector<Chunk>> sched_;
   std::vector<std::vector<Chunk>> pool_;  // freed schedules, for reuse
@@ -715,6 +720,7 @@ sim::Time scatter_replay(const cluster::CostModel& costs,
                          const comm::Topology& topo, CollectiveProtocol proto,
                          std::size_t payload_bytes) {
   const Fabric f(topo);
+  const std::vector<std::uint32_t> sz = f.subtree_sizes();
   const sim::Time h = costs.iccl_msg_handle;
   const double S = static_cast<double>(payload_bytes);
   sim::Time worst = 0;
@@ -729,7 +735,7 @@ sim::Time scatter_replay(const cluster::CostModel& costs,
       sim::Time cursor = 0;
       for (std::uint32_t e = f.first[r]; e < f.first[r + 1]; ++e) {
         const std::uint32_t c = f.child[e];
-        const auto ranks = static_cast<double>(f.subtree[c]);
+        const auto ranks = static_cast<double>(sz[c]);
         const sim::Time q = h + costs.eager_copy_cost(ranks * S);
         start[c] = cluster::send_departure(cursor, start[r], q) +
                    costs.wire_time(kFrameBytes + ranks * (kEntryBytes + S)) +
@@ -750,7 +756,7 @@ sim::Time scatter_replay(const cluster::CostModel& costs,
   const sim::Time c_h = costs.iccl_chunk_handle;
   const double entry = kEntryBytes + S;
   auto stream_bytes = [&](std::uint32_t r) {
-    return static_cast<double>(f.subtree[r]) * entry;
+    return static_cast<double>(sz[r]) * entry;
   };
   auto chunks_of = [&](double bytes) {
     return static_cast<std::uint32_t>(
