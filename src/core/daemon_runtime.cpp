@@ -12,10 +12,17 @@ namespace lmon::core {
 
 namespace {
 
-/// Hands a delivered view to a public callback that takes Bytes: its buffer
-/// by reference when the view is all of it, else one copy.
+/// Hands a delivered view to a public callback: as it is to one that takes
+/// the view; to one that takes Bytes, its buffer by reference when the view
+/// is all of it, else one copy.
+void deliver(const std::function<void(const ByteSlice&)>& fn,
+             const ByteSlice& data) {
+  if (fn) fn(data);
+}
+
 template <typename Fn>
-void call_with_bytes(const Fn& fn, const ByteSlice& data) {
+void deliver(const Fn& fn, const ByteSlice& data) {
+  if (!fn) return;
   if (const Bytes* whole = data.whole()) {
     fn(*whole);
   } else {
@@ -206,7 +213,10 @@ void DaemonRuntime::on_handshake_bcast(const ByteSlice& data) {
     return;
   }
   proctable_ = std::move(*rpdtab);
-  usrdata_.assign(usr->begin(), usr->end());
+  // So does the tool data: a tool that decodes it per view (the TBON
+  // topology) decodes it once per launch.
+  usrdata_ = data.sub(static_cast<std::size_t>(usr->data() - data.data()),
+                      usr->size());
 
   auto ack = [this](Status st) {
     ByteWriter w;
@@ -220,8 +230,12 @@ void DaemonRuntime::on_handshake_bcast(const ByteSlice& data) {
     }
     if (cbs_.on_ready && !iccl_->is_root()) cbs_.on_ready(st);
   };
-  if (cbs_.on_init) {
-    cbs_.on_init(proctable_, usrdata_, ack);
+  if (const auto* view_init = std::get_if<1>(&cbs_.on_init);
+      view_init != nullptr && *view_init) {
+    (*view_init)(proctable_, usrdata_, ack);
+  } else if (const auto* copy_init = std::get_if<0>(&cbs_.on_init);
+             copy_init != nullptr && *copy_init) {
+    (*copy_init)(proctable_, usrdata_.to_bytes(), ack);
   } else {
     ack(Status::ok());
   }
@@ -296,7 +310,7 @@ void DaemonRuntime::dispatch_bcast(std::uint32_t tag, const ByteSlice& data) {
     return;
   }
   if (tag >= kTagCommandBase && tag < kUserBarrier) {
-    if (cbs_.on_command) call_with_bytes(cbs_.on_command, data);
+    deliver(cbs_.on_command, data);
     return;
   }
   dispatch_vs_bcast(0, tag, data);
@@ -340,8 +354,7 @@ void DaemonRuntime::gather(
   vgather(0, std::move(contribution), std::move(at_master));
 }
 
-void DaemonRuntime::broadcast(Bytes data,
-                              std::function<void(const Bytes&)> delivered) {
+void DaemonRuntime::broadcast(Bytes data, Delivered delivered) {
   vbroadcast(0, std::move(data), std::move(delivered));
 }
 
@@ -451,9 +464,10 @@ Status DaemonRuntime::vbarrier(std::uint32_t vsid,
   if (vs == nullptr) return Status(Rc::Einval, "unknown virtual session");
   const std::uint32_t tag = kUserBarrier + vs->barrier_count++;
   // Barrier = gather(empty) at master + broadcast(release).
-  vs->bcast_waiters[tag] = [done = std::move(done)](const Bytes&) {
-    if (done) done();
-  };
+  vs->bcast_waiters[tag] = std::function<void(const ByteSlice&)>(
+      [done = std::move(done)](const ByteSlice&) {
+        if (done) done();
+      });
   if (is_master()) {
     vs->gather_waiters[tag] = [this, vsid, tag](auto) {
       iccl_->broadcast(StreamKey{vsid, tag}, {});
@@ -476,7 +490,7 @@ Status DaemonRuntime::vgather(
 }
 
 Status DaemonRuntime::vbroadcast(std::uint32_t vsid, Bytes data,
-                                 std::function<void(const Bytes&)> delivered) {
+                                 Delivered delivered) {
   VSession* vs = vsession(vsid);
   if (vs == nullptr) return Status(Rc::Einval, "unknown virtual session");
   const std::uint32_t tag = kUserBcast + vs->bcast_count++;
@@ -530,9 +544,9 @@ void DaemonRuntime::dispatch_vs_bcast(std::uint32_t vsid, std::uint32_t tag,
                             vs->pending_scatters.size()));
     return;
   }
-  auto fn = std::move(it->second);
+  Delivered fn = std::move(it->second);
   vs->bcast_waiters.erase(it);
-  if (fn) call_with_bytes(fn, data);
+  std::visit([&data](const auto& f) { deliver(f, data); }, fn);
 }
 
 void DaemonRuntime::dispatch_vs_scatter(std::uint32_t vsid, std::uint32_t tag,
@@ -551,7 +565,7 @@ void DaemonRuntime::dispatch_vs_scatter(std::uint32_t vsid, std::uint32_t tag,
   }
   auto fn = std::move(it->second);
   vs->scatter_waiters.erase(it);
-  if (fn) call_with_bytes(fn, data);
+  deliver(fn, data);
 }
 
 void DaemonRuntime::on_vs_gather(

@@ -14,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <variant>
 
 #include "cluster/process.hpp"
 #include "core/iccl.hpp"
@@ -25,14 +26,27 @@ namespace lmon::core {
 
 class DaemonRuntime {
  public:
+  /// A callback handed delivered bytes, in either form: one that takes
+  /// `const ByteSlice&` views them in place, in the buffer that every
+  /// daemon of the session shares; one that takes `const Bytes&` gets that
+  /// buffer by reference when the view is all of it, else its own copy.
+  using Delivered = std::variant<std::function<void(const Bytes&)>,
+                                 std::function<void(const ByteSlice&)>>;
+  using Done = std::function<void(Status)>;
+  /// on_init's handler, in either form: the piggybacked tool data as its
+  /// own copy, or as a view of the handshake broadcast.
+  using InitHandler = std::variant<
+      std::function<void(const Rpdtab& proctable, const Bytes& usrdata,
+                         Done done)>,
+      std::function<void(const Rpdtab& proctable, const ByteSlice& usrdata,
+                         Done done)>>;
+
   struct Callbacks {
     /// Local tool initialization, invoked on every daemon once the RPDTAB
     /// and piggybacked tool data arrive. Call `done` when the daemon is
     /// operational; the master reports Ready to the FE only after all
     /// daemons have done so.
-    std::function<void(const Rpdtab& proctable, const Bytes& usrdata,
-                       std::function<void(Status)> done)>
-        on_init;
+    InitHandler on_init;
     /// Session became ready (every daemon) or failed (status not ok).
     std::function<void(Status)> on_ready;
     /// Master only: tool data sent by the FE outside the startup exchange.
@@ -71,7 +85,8 @@ class DaemonRuntime {
   [[nodiscard]] const Rpdtab& proctable() const { return proctable_; }
   /// RPDTAB entries co-located with this daemon.
   [[nodiscard]] std::vector<rm::TaskDesc> my_entries() const;
-  [[nodiscard]] const Bytes& usrdata() const { return usrdata_; }
+  /// The piggybacked tool data, in place in the handshake broadcast.
+  [[nodiscard]] const ByteSlice& usrdata() const { return usrdata_; }
 
   // --- FE communication (master's representative link) --------------------------
   /// Master only: user payload piggybacked onto the Ready message.
@@ -94,7 +109,7 @@ class DaemonRuntime {
               std::function<void(std::vector<std::pair<std::uint32_t, Bytes>>)>
                   at_master);
   /// Master passes data; everyone's `delivered` fires with it.
-  void broadcast(Bytes data, std::function<void(const Bytes&)> delivered);
+  void broadcast(Bytes data, Delivered delivered);
   /// Master passes size() parts; everyone's `delivered` fires with its own.
   void scatter(std::vector<Bytes> parts,
                std::function<void(const Bytes&)> delivered);
@@ -112,8 +127,7 @@ class DaemonRuntime {
                  std::function<
                      void(std::vector<std::pair<std::uint32_t, Bytes>>)>
                      at_master);
-  Status vbroadcast(std::uint32_t vsid, Bytes data,
-                    std::function<void(const Bytes&)> delivered);
+  Status vbroadcast(std::uint32_t vsid, Bytes data, Delivered delivered);
   Status vscatter(std::uint32_t vsid, std::vector<Bytes> parts,
                   std::function<void(const Bytes&)> delivered);
 
@@ -146,7 +160,7 @@ class DaemonRuntime {
   /// the SPMD round counters. Session 0 (the infrastructure session) and
   /// every attached virtual session each own one.
   struct VSession {
-    std::map<std::uint32_t, std::function<void(const Bytes&)>> bcast_waiters;
+    std::map<std::uint32_t, Delivered> bcast_waiters;
     std::map<std::uint32_t,
              std::function<void(std::vector<std::pair<std::uint32_t, Bytes>>)>>
         gather_waiters;
@@ -198,7 +212,7 @@ class DaemonRuntime {
   cluster::Port fe_port_ = 0;
   cluster::ChannelPtr fe_channel_;  ///< master only
   Rpdtab proctable_;
-  Bytes usrdata_;
+  ByteSlice usrdata_;
   Bytes ready_usr_;
   bool fabric_ready_ = false;
   bool handshake_buffered_ = false;

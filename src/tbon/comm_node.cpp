@@ -40,9 +40,10 @@ void AdHocCommNode::install(cluster::Machine& machine) {
 void LmonCommNode::on_start(cluster::Process& self) {
   mw_ = std::make_unique<core::MiddleWare>(self);
   core::MiddleWare::Callbacks cbs;
-  cbs.on_init = [this, &self](const core::Rpdtab&, const Bytes& usrdata,
+  cbs.on_init = [this, &self](const core::Rpdtab&, const ByteSlice& usrdata,
                               std::function<void(Status)> done) {
-    // The TBON topology is the piggybacked tool data.
+    // The TBON topology is the piggybacked tool data, which every comm
+    // daemon views in the one handshake broadcast.
     auto topo = Topology::unpack(usrdata);
     if (!topo || !topo->valid()) {
       done(Status(Rc::Ebdarg, "no topology in MW handshake"));

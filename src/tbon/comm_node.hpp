@@ -42,6 +42,11 @@ class LmonCommNode : public cluster::Program {
 
   static void install(cluster::Machine& machine);
 
+  /// This daemon's place in the TBON; null until it joined.
+  [[nodiscard]] const TbonEndpoint* endpoint() const {
+    return endpoint_.get();
+  }
+
  private:
   std::unique_ptr<core::MiddleWare> mw_;
   std::unique_ptr<TbonEndpoint> endpoint_;

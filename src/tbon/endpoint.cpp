@@ -21,15 +21,6 @@ const char* packet_kind_name(PacketKind kind) {
 }
 }  // namespace
 
-bool subtree_has_backend(const Topology& topo, int index) {
-  const auto& nodes = topo.nodes();
-  if (nodes[static_cast<std::size_t>(index)].is_backend) return true;
-  for (int c : topo.children_of(index)) {
-    if (subtree_has_backend(topo, c)) return true;
-  }
-  return false;
-}
-
 TbonEndpoint::TbonEndpoint(cluster::Process& self, Topology topology,
                            int my_index, Callbacks callbacks)
     : self_(self),
@@ -44,7 +35,7 @@ TbonEndpoint::TbonEndpoint(cluster::Process& self, Topology topology,
   // Leaves of the wave: BE children report implicitly via Hello; comm
   // children must additionally confirm their subtree.
   for (int c : topo_.children_of(my_index_)) {
-    if (subtree_has_backend(topo_, c)) {
+    if (topo_.subtree_has_backend(c)) {
       node_.expect_child(static_cast<std::uint32_t>(c),
                          /*needs_up=*/!node_at(c).is_backend);
       expected_live_.insert(c);
@@ -193,7 +184,7 @@ void TbonEndpoint::handle_hello(const cluster::ChannelPtr& ch,
     // every stream announced while it was detached, so its upstream
     // contributions land with the right filter.
     self_.machine().count("tbon.heal.adoptions");
-    if (subtree_has_backend(topo_, child_index)) {
+    if (topo_.subtree_has_backend(child_index)) {
       expected_live_.insert(child_index);
     }
     for (const auto& [stream, filter] : stream_filters_) {

@@ -146,7 +146,7 @@ class TbonEndpoint : private comm::TreeNode::Hooks {
   }
 
   cluster::Process& self_;
-  Topology topo_;
+  Topology topo_;  ///< shared with every endpoint built from the same value
   int my_index_;
   Callbacks cbs_;
   /// Parent dial, child table (children with back ends), ready latch and
@@ -163,8 +163,5 @@ class TbonEndpoint : private comm::TreeNode::Hooks {
   sim::Time register_busy_until_ = 0;      ///< serialized child registration
   obs::SpanId span_ = obs::kNoSpan;        ///< bootstrap span (start..ready)
 };
-
-/// True when the subtree rooted at `index` contains a back end.
-bool subtree_has_backend(const Topology& topo, int index);
 
 }  // namespace lmon::tbon

@@ -1,21 +1,110 @@
 #include "tbon/topology.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "comm/topology.hpp"
 
 namespace lmon::tbon {
 
+Topology::Topology() : Topology(std::vector<TopoNode>{}) {}
+
+Topology::Topology(std::vector<TopoNode> nodes) {
+  auto s = std::make_shared<Shape>();
+  s->nodes = std::move(nodes);
+  const std::vector<TopoNode>& n = s->nodes;
+  const auto count = static_cast<int>(n.size());
+  const auto in_range = [count](int i) { return i >= 0 && i < count; };
+
+  // Children of each node, in index order (a counting sort by parent).
+  s->child_begin.assign(n.size() + 1, 0);
+  for (const TopoNode& node : n) {
+    if (in_range(node.parent)) {
+      ++s->child_begin[static_cast<std::size_t>(node.parent) + 1];
+    }
+  }
+  for (std::size_t i = 1; i < s->child_begin.size(); ++i) {
+    s->child_begin[i] += s->child_begin[i - 1];
+  }
+  s->children.resize(static_cast<std::size_t>(s->child_begin.back()));
+  std::vector<int> next(s->child_begin.begin(), s->child_begin.end() - 1);
+  for (int i = 0; i < count; ++i) {
+    const int parent = n[static_cast<std::size_t>(i)].parent;
+    if (in_range(parent)) {
+      s->children[static_cast<std::size_t>(
+          next[static_cast<std::size_t>(parent)]++)] = i;
+    }
+  }
+  shape_ = s;  // children_of() works from here; the rest fills in below
+
+  // Back ends by rank: the ranks must be 0..num_backends-1, each once.
+  for (const TopoNode& node : n) s->num_backends += node.is_backend ? 1 : 0;
+  s->backend_at.assign(static_cast<std::size_t>(s->num_backends), -1);
+  bool ranks_ok = true;
+  for (int i = 0; i < count; ++i) {
+    const TopoNode& node = n[static_cast<std::size_t>(i)];
+    if (!node.is_backend) continue;
+    if (node.be_rank < 0 || node.be_rank >= s->num_backends ||
+        s->backend_at[static_cast<std::size_t>(node.be_rank)] >= 0) {
+      ranks_ok = false;
+      continue;
+    }
+    s->backend_at[static_cast<std::size_t>(node.be_rank)] = i;
+  }
+
+  // Breadth-first from the root: depths, and which nodes the root reaches.
+  // Every non-root node has one parent, so the parent links are acyclic
+  // exactly when the root reaches every node.
+  std::vector<int> order;
+  std::vector<int> depth_of(n.size(), -1);
+  if (!n.empty()) {
+    order.reserve(n.size());
+    order.push_back(0);
+    depth_of[0] = 0;
+  }
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const int u = order[k];
+    for (const int c : children_of(u)) {
+      if (depth_of[static_cast<std::size_t>(c)] >= 0) continue;
+      depth_of[static_cast<std::size_t>(c)] =
+          depth_of[static_cast<std::size_t>(u)] + 1;
+      s->depth = std::max(s->depth, depth_of[static_cast<std::size_t>(c)]);
+      order.push_back(c);
+    }
+  }
+  // A subtree holds a back end when its root is one or a child's does;
+  // reverse breadth-first order visits children before their parents.
+  s->has_backend.resize(n.size());
+  for (std::size_t i = 0; i < n.size(); ++i) {
+    s->has_backend[i] = n[i].is_backend;
+  }
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const int parent = n[static_cast<std::size_t>(*it)].parent;
+    if (s->has_backend[static_cast<std::size_t>(*it)] && in_range(parent)) {
+      s->has_backend[static_cast<std::size_t>(parent)] = true;
+    }
+  }
+
+  s->valid = !n.empty() && n.front().parent == -1 && ranks_ok &&
+             order.size() == n.size();
+  for (std::size_t i = 1; s->valid && i < n.size(); ++i) {
+    // Back ends must be leaves; comm nodes need a listening port.
+    s->valid = !n[static_cast<std::size_t>(n[i].parent)].is_backend &&
+               (n[i].is_backend || n[i].port != 0);
+  }
+}
+
 Topology Topology::one_deep(const std::string& fe_host,
                             cluster::Port fe_port,
                             const std::vector<std::string>& be_hosts) {
-  Topology t;
-  t.nodes_.push_back(TopoNode{fe_host, fe_port, -1, false, -1});
+  std::vector<TopoNode> nodes;
+  nodes.reserve(1 + be_hosts.size());
+  nodes.push_back(TopoNode{fe_host, fe_port, -1, false, -1});
   for (std::size_t i = 0; i < be_hosts.size(); ++i) {
-    t.nodes_.push_back(
+    nodes.push_back(
         TopoNode{be_hosts[i], 0, 0, true, static_cast<std::int32_t>(i)});
   }
-  return t;
+  return Topology(std::move(nodes));
 }
 
 Topology Topology::balanced(const std::string& fe_host,
@@ -76,8 +165,9 @@ Topology Topology::assemble(const std::string& fe_host, cluster::Port fe_port,
                             const std::vector<std::string>& be_hosts,
                             comm::TopologySpec spec,
                             const std::vector<double>& attach_weights) {
-  Topology t;
-  t.nodes_.push_back(TopoNode{fe_host, fe_port, -1, false, -1});
+  std::vector<TopoNode> nodes;
+  nodes.reserve(1 + comm_hosts.size() + be_hosts.size());
+  nodes.push_back(TopoNode{fe_host, fe_port, -1, false, -1});
 
   // Comm daemons form a tree of the requested shape rooted at the FE; the
   // tree arithmetic comes from comm::Topology (host index == rank, the
@@ -88,9 +178,8 @@ Topology Topology::assemble(const std::string& fe_host, cluster::Port fe_port,
   for (std::size_t i = 0; i < comm_hosts.size(); ++i) {
     const auto parent_rank = ct.parent_of(static_cast<std::uint32_t>(i));
     const int parent = parent_rank ? comm_indices[*parent_rank] : 0;
-    t.nodes_.push_back(
-        TopoNode{comm_hosts[i], comm_ports[i], parent, false, -1});
-    comm_indices.push_back(static_cast<int>(t.nodes_.size()) - 1);
+    nodes.push_back(TopoNode{comm_hosts[i], comm_ports[i], parent, false, -1});
+    comm_indices.push_back(static_cast<int>(nodes.size()) - 1);
   }
 
   // Back ends hang off the deepest comm layer (or the FE when no comm
@@ -119,10 +208,10 @@ Topology Topology::assemble(const std::string& fe_host, cluster::Port fe_port,
     }
   }
   for (std::size_t i = 0; i < be_hosts.size(); ++i) {
-    t.nodes_.push_back(TopoNode{be_hosts[i], 0, parent_of_rank[i], true,
-                                static_cast<std::int32_t>(i)});
+    nodes.push_back(TopoNode{be_hosts[i], 0, parent_of_rank[i], true,
+                             static_cast<std::int32_t>(i)});
   }
-  return t;
+  return Topology(std::move(nodes));
 }
 
 Topology Topology::shaped_colocated(
@@ -167,78 +256,34 @@ Topology Topology::shaped_colocated(
                   attach_weights);
 }
 
-std::vector<int> Topology::children_of(int index) const {
-  std::vector<int> out;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].parent == index) out.push_back(static_cast<int>(i));
-  }
-  return out;
+std::span<const int> Topology::children_of(int index) const {
+  if (index < 0 || static_cast<std::size_t>(index) >= size()) return {};
+  const auto i = static_cast<std::size_t>(index);
+  return std::span<const int>(shape_->children)
+      .subspan(static_cast<std::size_t>(shape_->child_begin[i]),
+               static_cast<std::size_t>(shape_->child_begin[i + 1] -
+                                        shape_->child_begin[i]));
 }
 
 int Topology::index_of_backend(int be_rank) const {
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].is_backend && nodes_[i].be_rank == be_rank) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
+  return be_rank >= 0 && be_rank < num_backends()
+             ? shape_->backend_at[static_cast<std::size_t>(be_rank)]
+             : -1;
 }
 
-int Topology::num_backends() const {
-  int n = 0;
-  for (const auto& node : nodes_) n += node.is_backend ? 1 : 0;
-  return n;
+bool Topology::subtree_has_backend(int index) const {
+  return index >= 0 && static_cast<std::size_t>(index) < size() &&
+         shape_->has_backend[static_cast<std::size_t>(index)];
 }
 
 int Topology::num_comm_nodes() const {
-  return static_cast<int>(nodes_.size()) - num_backends() - 1;
-}
-
-int Topology::depth() const {
-  int max_depth = 0;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    int d = 0;
-    int cur = static_cast<int>(i);
-    while (cur > 0 && nodes_[static_cast<std::size_t>(cur)].parent >= 0 &&
-           d <= static_cast<int>(nodes_.size())) {
-      cur = nodes_[static_cast<std::size_t>(cur)].parent;
-      d += 1;
-    }
-    max_depth = std::max(max_depth, d);
-  }
-  return max_depth;
-}
-
-bool Topology::valid() const {
-  if (nodes_.empty()) return false;
-  if (nodes_.front().parent != -1) return false;
-  for (std::size_t i = 1; i < nodes_.size(); ++i) {
-    const TopoNode& n = nodes_[i];
-    if (n.parent < 0 || n.parent >= static_cast<std::int32_t>(nodes_.size()) ||
-        n.parent == static_cast<std::int32_t>(i)) {
-      return false;
-    }
-    if (nodes_[static_cast<std::size_t>(n.parent)].is_backend) {
-      return false;  // back ends must be leaves
-    }
-    if (!n.is_backend && n.port == 0) return false;
-  }
-  // Acyclic: every node reaches the root within |nodes| hops.
-  for (std::size_t i = 1; i < nodes_.size(); ++i) {
-    int cur = static_cast<int>(i);
-    std::size_t hops = 0;
-    while (cur != 0) {
-      cur = nodes_[static_cast<std::size_t>(cur)].parent;
-      if (cur < 0 || ++hops > nodes_.size()) return false;
-    }
-  }
-  return true;
+  return static_cast<int>(size()) - num_backends() - 1;
 }
 
 Bytes Topology::pack() const {
   ByteWriter w;
-  w.u32(static_cast<std::uint32_t>(nodes_.size()));
-  for (const auto& n : nodes_) {
+  w.u32(static_cast<std::uint32_t>(size()));
+  for (const auto& n : nodes()) {
     w.str(n.host);
     w.u16(n.port);
     w.i32(n.parent);
@@ -248,12 +293,14 @@ Bytes Topology::pack() const {
   return std::move(w).take();
 }
 
-std::optional<Topology> Topology::unpack(const Bytes& data) {
+std::optional<Topology> Topology::decode(std::span<const std::uint8_t> data) {
   ByteReader r(data);
   auto count = r.u32();
   if (!count) return std::nullopt;
-  Topology t;
-  t.nodes_.reserve(*count);
+  std::vector<TopoNode> nodes;
+  // Every node takes at least 15 bytes, so a corrupt count cannot reserve
+  // more than the data could hold.
+  nodes.reserve(std::min<std::size_t>(*count, r.remaining() / 15));
   for (std::uint32_t i = 0; i < *count; ++i) {
     auto host = r.str();
     auto port = r.u16();
@@ -261,10 +308,28 @@ std::optional<Topology> Topology::unpack(const Bytes& data) {
     auto is_be = r.boolean();
     auto be_rank = r.i32();
     if (!host || !port || !parent || !is_be || !be_rank) return std::nullopt;
-    t.nodes_.push_back(
+    nodes.push_back(
         TopoNode{std::move(*host), *port, *parent, *is_be, *be_rank});
   }
-  return t;
+  return Topology(std::move(nodes));
+}
+
+std::optional<Topology> Topology::unpack(const ByteSlice& data) {
+  struct Accepted {
+    SliceIdentity view;
+    std::optional<Topology> topology;
+  };
+  thread_local Accepted last;  // successes only; see the header
+  if (!last.view.matches(data)) {
+    auto topology = decode(data.span());
+    if (!topology) return std::nullopt;
+    last = {SliceIdentity(data), std::move(topology)};
+  }
+  return last.topology;
+}
+
+std::optional<Topology> Topology::unpack(const Bytes& data) {
+  return decode(data);
 }
 
 }  // namespace lmon::tbon

@@ -57,8 +57,9 @@ void JobsnapTbonBe::on_start(cluster::Process& self) {
   register_jobsnap_filter();
   be_ = std::make_unique<core::BackEnd>(self);
   core::BackEnd::Callbacks cbs;
-  cbs.on_init = [this, &self](const core::Rpdtab&, const Bytes& usrdata,
+  cbs.on_init = [this, &self](const core::Rpdtab&, const ByteSlice& usrdata,
                               std::function<void(Status)> done) {
+    // Every back end views the one handshake broadcast: one decode.
     auto topo = tbon::Topology::unpack(usrdata);
     if (!topo || !topo->valid()) {
       done(Status(Rc::Ebdarg, "no TBON topology in handshake"));

@@ -40,6 +40,9 @@ class JobsnapTbonBe : public cluster::Program {
 
   static void install(cluster::Machine& machine);
 
+  /// This daemon's place in the TBON; null until it joined.
+  [[nodiscard]] const tbon::TbonEndpoint* tbon() const { return tbon_.get(); }
+
  private:
   void on_snap_request(cluster::Process& self, std::uint32_t stream,
                        std::uint32_t tag);

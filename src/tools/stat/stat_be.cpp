@@ -50,19 +50,13 @@ void StatBe::on_start(cluster::Process& self) {
 void StatBe::start_lmon(cluster::Process& self) {
   be_ = std::make_unique<core::BackEnd>(self);
   core::BackEnd::Callbacks cbs;
-  cbs.on_init = [this, &self](const core::Rpdtab&, const Bytes& usrdata,
+  cbs.on_init = [this, &self](const core::Rpdtab&, const ByteSlice& usrdata,
                               std::function<void(Status)> done) {
     // 1-deep startups piggyback the packed topology on the handshake
     // (via the FE's registered pack function); deeper topologies deliver
     // it after Ready through a LMONP UsrData + ICCL broadcast, because the
     // middleware hosts are only known once the MW daemons are allocated.
-    if (!usrdata.empty()) {
-      if (!accept_topology(self, usrdata)) {
-        done(Status(Rc::Ebdarg, "bad TBON topology in handshake"));
-        return;
-      }
-    }
-    done(Status::ok());
+    done(usrdata.empty() ? Status::ok() : accept_topology(self, usrdata));
   };
   cbs.on_ready = [this, &self](Status st) {
     if (!st.is_ok()) {
@@ -73,30 +67,49 @@ void StatBe::start_lmon(cluster::Process& self) {
     // Wait for the topology broadcast: the master relays the FE's UsrData
     // down the ICCL tree ("STAT also uses LMONP to broadcast MRNet
     // communication tree information from the front end to the daemons").
+    // A daemon that cannot use it stays out of the tree; the master
+    // reports for everyone (see on_usrdata).
     if (!be_->is_master()) {
-      be_->broadcast({}, [this, &self](const Bytes& data) {
+      be_->broadcast({}, [this, &self](const ByteSlice& data) {
         (void)accept_topology(self, data);
       });
     }
   };
   cbs.on_usrdata = [this, &self](const Bytes& data) {
-    // Master only: FE delivered the topology; fan it out.
+    // Master only: FE delivered the topology; fan it out. Every daemon
+    // judges the same bytes by the same rules, so the master's verdict is
+    // everyone's: on a failure the tree can never come up, and the master
+    // sends the reason to the FE instead of leaving it waiting.
     if (tbon_ != nullptr) return;
-    be_->broadcast(data, [this, &self](const Bytes& topo_bytes) {
-      (void)accept_topology(self, topo_bytes);
+    be_->broadcast(data, [this, &self](const ByteSlice& topo_bytes) {
+      const Status st = accept_topology(self, topo_bytes);
+      if (!st.is_ok()) {
+        const std::string& why = st.message();
+        (void)be_->send_usrdata_fe(Bytes(why.begin(), why.end()));
+      }
     });
   };
   const Status st = be_->init(std::move(cbs));
   if (!st.is_ok()) self.exit(1);
 }
 
-bool StatBe::accept_topology(cluster::Process& self, const Bytes& data) {
+Status StatBe::accept_topology(cluster::Process& self,
+                               const ByteSlice& data) {
   auto topo = tbon::Topology::unpack(data);
-  if (!topo || !topo->valid()) return false;
+  if (!topo || !topo->valid()) {
+    return Status(Rc::Ebdarg, "bad TBON topology");
+  }
+  // A valid topology numbers its back ends 0..n-1, so each daemon has its
+  // place exactly when there is one back end per daemon.
+  if (topo->num_backends() != static_cast<int>(be_->size())) {
+    return Status(Rc::Ebdarg,
+                  "TBON topology has " + std::to_string(topo->num_backends()) +
+                      " back ends for " + std::to_string(be_->size()) +
+                      " daemons");
+  }
   const int index = topo->index_of_backend(static_cast<int>(be_->rank()));
-  if (index < 0) return false;
   join_tbon(self, std::move(*topo), index);
-  return true;
+  return Status::ok();
 }
 
 void StatBe::start_adhoc(cluster::Process& self) {

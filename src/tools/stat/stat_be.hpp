@@ -39,10 +39,16 @@ class StatBe : public cluster::Program {
 
   static void install(cluster::Machine& machine);
 
+  /// This daemon's place in the TBON; null until it joined.
+  [[nodiscard]] const tbon::TbonEndpoint* tbon() const { return tbon_.get(); }
+
  private:
   void start_lmon(cluster::Process& self);
   void start_adhoc(cluster::Process& self);
-  bool accept_topology(cluster::Process& self, const Bytes& data);
+  /// Joins the TBON the broadcast `data` describes, or says why it cannot.
+  /// Every daemon views the same broadcast, so the topology is decoded once
+  /// per launch.
+  Status accept_topology(cluster::Process& self, const ByteSlice& data);
   void join_tbon(cluster::Process& self, tbon::Topology topo, int index);
   void on_sample_request(cluster::Process& self, std::uint32_t stream,
                          std::uint32_t tag);

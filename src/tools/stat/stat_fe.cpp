@@ -77,6 +77,11 @@ void StatFe::start_lmon(cluster::Process& self) {
     return;
   }
   sid_ = sid.value;
+  // The back ends send the FE tool data only to say why they cannot use
+  // the topology it broadcast (see StatBe): the tree will never come up.
+  fe_->set_be_usrdata_handler(sid_, [this, &self](const Bytes& why) {
+    finish(self, Status(Rc::Ebdarg, std::string(why.begin(), why.end())));
+  });
 
   core::FrontEnd::SpawnConfig cfg;
   cfg.daemon_exe = "stat_be";

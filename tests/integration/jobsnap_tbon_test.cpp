@@ -97,6 +97,36 @@ TEST(JobsnapTbon, MatchesFlatGatherVariant) {
   EXPECT_EQ(identity_columns(flat), identity_columns(tbon));
 }
 
+TEST(JobsnapTbon, BackEndsShareOneDecodedTopology) {
+  // Every back end views the one handshake broadcast that carries the
+  // topology, so they hold one decoded value and no copy of their own.
+  TestCluster tc(8);
+  JobsnapTbonBe::install(tc.machine);
+  const cluster::Pid launcher = start_job(tc, 8, 2);
+  JobsnapTbonOutcome out;
+  cluster::SpawnOptions opts;
+  opts.executable = "jobsnap_tfe";
+  ASSERT_TRUE(tc.machine.front_end()
+                  .spawn(std::make_unique<JobsnapTbonFe>(launcher, &out),
+                         std::move(opts))
+                  .is_ok());
+  // The sweep starts once the tree is up; the daemons leave at detach.
+  ASSERT_TRUE(tc.run_until([&] { return out.t_snap_sent != 0; }));
+  std::vector<const tbon::TopoNode*> storage;
+  for (int i = 0; i < tc.machine.num_compute_nodes(); ++i) {
+    for (cluster::Process* p : tc.machine.compute_node(i).live_processes()) {
+      auto* be = dynamic_cast<JobsnapTbonBe*>(&p->program());
+      if (be != nullptr && be->tbon() != nullptr) {
+        storage.push_back(be->tbon()->topology().nodes().data());
+      }
+    }
+  }
+  ASSERT_EQ(storage.size(), 8u);
+  for (const tbon::TopoNode* p : storage) EXPECT_EQ(p, storage.front());
+  ASSERT_TRUE(tc.run_until([&] { return out.done; }));
+  EXPECT_TRUE(out.status.is_ok()) << out.status.to_string();
+}
+
 TEST(JobsnapTbon, DetachReapsTbonDaemons) {
   TestCluster tc(4);
   JobsnapTbonBe::install(tc.machine);

@@ -1,6 +1,10 @@
 // Integration tests for STAT (paper §5.2, Fig. 6): both startup paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <optional>
+
 #include "obs/metrics.hpp"
 #include "rm/resource_manager.hpp"
 #include "tbon/comm_node.hpp"
@@ -177,6 +181,111 @@ TEST(Stat, DeepTopologyViaMiddlewareApi) {
   // comm node and once at the FE root. A topology built before the MW
   // table was known has no comm nodes, and only the root reduces.
   EXPECT_EQ(metrics.counter("tbon.rounds_reduced"), 1.0 + 4.0);
+}
+
+/// Where each TBON endpoint of the cluster's LaunchMON daemons keeps its
+/// nodes: STAT back ends on the compute nodes, comm daemons on the
+/// middleware nodes.
+struct TopologyStorage {
+  std::vector<const tbon::TopoNode*> backends;
+  std::vector<const tbon::TopoNode*> comm;
+};
+
+TopologyStorage topology_storage(TestCluster& tc) {
+  TopologyStorage out;
+  for (int i = 0; i < tc.machine.num_compute_nodes(); ++i) {
+    for (cluster::Process* p : tc.machine.compute_node(i).live_processes()) {
+      auto* be = dynamic_cast<tools::stat::StatBe*>(&p->program());
+      if (be != nullptr && be->tbon() != nullptr) {
+        out.backends.push_back(be->tbon()->topology().nodes().data());
+      }
+    }
+  }
+  for (int i = 0; i < tc.machine.num_middleware_nodes(); ++i) {
+    for (cluster::Process* p :
+         tc.machine.middleware_node(i).live_processes()) {
+      auto* cd = dynamic_cast<tbon::LmonCommNode*>(&p->program());
+      if (cd != nullptr && cd->endpoint() != nullptr) {
+        out.comm.push_back(cd->endpoint()->topology().nodes().data());
+      }
+    }
+  }
+  return out;
+}
+
+/// True when every pointer in `v` is the first one.
+bool all_same(const std::vector<const tbon::TopoNode*>& v) {
+  return std::all_of(v.begin(), v.end(),
+                     [&](const tbon::TopoNode* p) { return p == v.front(); });
+}
+
+TEST(Stat, OneDeepBackEndsShareOneDecodedTopology) {
+  // The topology rides the handshake broadcast: every back end decodes
+  // that one view once between them and keeps no copy of its own.
+  TestCluster tc(8);
+  JobHandle job = start_job(tc, 8, 2);
+  StatConfig cfg;
+  cfg.mode = StartupMode::LaunchMon;
+  cfg.launcher_pid = job.launcher;
+  StatOutcome out = run_stat(tc, cfg);
+  ASSERT_TRUE(out.status.is_ok()) << out.status.to_string();
+  const TopologyStorage storage = topology_storage(tc);
+  ASSERT_EQ(storage.backends.size(), 8u);
+  EXPECT_TRUE(all_same(storage.backends));
+}
+
+TEST(Stat, DeepTopologyDaemonsShareOneDecodedTopologyPerLaunch) {
+  // Back ends get the topology from the user broadcast, comm daemons from
+  // their own launch's handshake: one decoded value per launch.
+  TestCluster tc(16, /*middleware=*/4);
+  JobHandle job = start_job(tc, 16, 2);
+  StatConfig cfg;
+  cfg.mode = StartupMode::LaunchMon;
+  cfg.launcher_pid = job.launcher;
+  cfg.n_comm_nodes = 4;
+  cfg.tbon_fanout = 4;
+  StatOutcome out = run_stat(tc, cfg);
+  ASSERT_TRUE(out.status.is_ok()) << out.status.to_string();
+  const TopologyStorage storage = topology_storage(tc);
+  ASSERT_EQ(storage.backends.size(), 16u);
+  ASSERT_EQ(storage.comm.size(), 4u);
+  EXPECT_TRUE(all_same(storage.backends));
+  EXPECT_TRUE(all_same(storage.comm));
+}
+
+TEST(Stat, MasterReportsABroadcastTopologyTheDaemonsCannotUse) {
+  // The deep path broadcasts the topology after Ready. One that leaves a
+  // daemon without a place can never come up, so the master tells the FE
+  // why instead of leaving it waiting on the tree.
+  TestCluster tc(4);
+  JobHandle job = start_job(tc, 4, 2);
+  tools::stat::StatBe::install(tc.machine);
+  std::optional<std::string> reported;
+  std::shared_ptr<core::FrontEnd> fe;
+  tc.spawn_fe([&](cluster::Process& self) {
+    fe = std::make_shared<core::FrontEnd>(self);
+    ASSERT_TRUE(fe->init().is_ok());
+    const int sid = fe->create_session().value;
+    fe->set_be_usrdata_handler(sid, [&](const Bytes& why) {
+      reported.emplace(why.begin(), why.end());
+    });
+    core::FrontEnd::SpawnConfig cfg;
+    cfg.daemon_exe = "stat_be";
+    const std::string fe_host = self.node().hostname();
+    fe->attach_and_spawn(sid, job.launcher, cfg, [&, sid, fe_host](Status st) {
+      ASSERT_TRUE(st.is_ok()) << st.to_string();
+      // Three back ends for four daemons: rank 3 has no place.
+      std::vector<std::string> hosts = fe->proctable(sid)->hosts();
+      hosts.pop_back();
+      ASSERT_TRUE(fe->send_usrdata_be(sid, tbon::Topology::one_deep(
+                                               fe_host, cluster::kTbonBasePort,
+                                               hosts)
+                                               .pack())
+                      .is_ok());
+    });
+  });
+  ASSERT_TRUE(tc.run_until([&] { return reported.has_value(); }));
+  EXPECT_EQ(*reported, "TBON topology has 3 back ends for 4 daemons");
 }
 
 TEST(Stat, ChunkStreamedSampleMatchesWholePayloadByteForByte) {

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -241,8 +242,10 @@ TEST(Topology, ShapedColocatedHonorsWeightsAndDegenerateInputs) {
 /// Builds a topology with the *old* round-robin BE attachment by packing
 /// the wire form directly (Topology::unpack is the only public way to
 /// construct an arbitrary layout - deliberately, but it keeps this
-/// regression honest: nothing downstream may assume contiguity).
-Topology round_robin_topology(int ncomm_leaves, int nbe) {
+/// regression honest: nothing downstream may assume contiguity). Back end
+/// b carries be_ranks[b] when given, else b.
+Topology round_robin_topology(int ncomm_leaves, int nbe,
+                              const std::vector<int>& be_ranks = {}) {
   ByteWriter w;
   w.u32(static_cast<std::uint32_t>(1 + ncomm_leaves + nbe));
   w.str("fe");
@@ -262,7 +265,7 @@ Topology round_robin_topology(int ncomm_leaves, int nbe) {
     w.u16(0);
     w.i32(1 + b % ncomm_leaves);  // the old striding
     w.boolean(true);
-    w.i32(b);
+    w.i32(be_ranks.empty() ? b : be_ranks[static_cast<std::size_t>(b)]);
   }
   auto t = Topology::unpack(std::move(w).take());
   EXPECT_TRUE(t.has_value());
@@ -289,6 +292,193 @@ TEST(Topology, RoundRobinPlacementStillValidatesAndResolvesRanks) {
   EXPECT_EQ(ranks, (std::vector<int>{0, 3, 6, 9}));
 }
 
+TEST(Topology, RejectsDuplicateAndOutOfRangeBackEndRanks) {
+  // The ranks may come in any order, but each of 0..n-1 exactly once.
+  Topology permuted = round_robin_topology(2, 4, {3, 1, 0, 2});
+  ASSERT_TRUE(permuted.valid());
+  for (int r = 0; r < 4; ++r) {
+    const int idx = permuted.index_of_backend(r);
+    ASSERT_GE(idx, 0);
+    EXPECT_EQ(permuted.nodes()[static_cast<std::size_t>(idx)].be_rank, r);
+  }
+  // Two leaves share rank 1 (and rank 3 has none): the second leaf's
+  // daemon could never find its slot.
+  EXPECT_FALSE(round_robin_topology(2, 4, {0, 1, 1, 2}).valid());
+  // A rank past the last back end, and a negative one.
+  EXPECT_FALSE(round_robin_topology(2, 4, {0, 1, 2, 4}).valid());
+  EXPECT_FALSE(round_robin_topology(2, 4, {0, -1, 1, 2}).valid());
+}
+
+// The linear scans the topology's index replaced, kept as the reference.
+std::vector<int> scan_children(const Topology& t, int index) {
+  std::vector<int> out;
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    if (t.nodes()[i].parent == index) out.push_back(static_cast<int>(i));
+  }
+  return out;
+}
+
+int scan_index_of_backend(const Topology& t, int be_rank) {
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    if (t.nodes()[i].is_backend && t.nodes()[i].be_rank == be_rank) {
+      return static_cast<int>(i);
+    }
+  }
+  return -1;
+}
+
+int scan_num_backends(const Topology& t) {
+  int n = 0;
+  for (const auto& node : t.nodes()) n += node.is_backend ? 1 : 0;
+  return n;
+}
+
+int scan_depth(const Topology& t) {
+  int max_depth = 0;
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    int d = 0;
+    for (int cur = static_cast<int>(i);
+         cur > 0 && t.nodes()[static_cast<std::size_t>(cur)].parent >= 0;
+         cur = t.nodes()[static_cast<std::size_t>(cur)].parent) {
+      d += 1;
+    }
+    max_depth = std::max(max_depth, d);
+  }
+  return max_depth;
+}
+
+bool scan_subtree_has_backend(const Topology& t, int index) {
+  if (t.nodes()[static_cast<std::size_t>(index)].is_backend) return true;
+  for (int c : scan_children(t, index)) {
+    if (scan_subtree_has_backend(t, c)) return true;
+  }
+  return false;
+}
+
+TEST(Topology, IndexAnswersWhatTheLinearScansDid) {
+  const std::vector<comm::TopologySpec> specs = {
+      {comm::TopologyKind::KAry, 4},
+      {comm::TopologyKind::Binomial, 0},
+      {comm::TopologyKind::Flat, 0}};
+  for (const int n : {1, 2, 17, 256, 1000}) {
+    const int ncomm = 1 + n / 16;
+    std::vector<std::pair<std::string, Topology>> cases;
+    cases.emplace_back("one_deep", Topology::one_deep("fe", 8300, hosts(n)));
+    cases.emplace_back("balanced",
+                       Topology::balanced("fe", 8300, hosts(ncomm, "c"),
+                                          hosts(n, "b"), 3, 8301));
+    for (const auto& spec : specs) {
+      cases.emplace_back("shaped " + spec.to_string(),
+                         Topology::shaped("fe", 8300, hosts(ncomm, "c"),
+                                          hosts(n, "b"), spec, 8301));
+      cases.emplace_back(
+          "shaped_colocated " + spec.to_string(),
+          Topology::shaped_colocated("fe", 8300,
+                                     static_cast<std::size_t>(ncomm),
+                                     hosts(n, "b"), spec, 8301));
+    }
+    for (const auto& [name, t] : cases) {
+      SCOPED_TRACE(name + " n=" + std::to_string(n));
+      ASSERT_TRUE(t.valid());
+      EXPECT_EQ(t.num_backends(), scan_num_backends(t));
+      EXPECT_EQ(t.num_backends(), n);
+      EXPECT_EQ(t.depth(), scan_depth(t));
+      for (int i = 0; i < static_cast<int>(t.size()); ++i) {
+        const auto children = t.children_of(i);
+        EXPECT_EQ(std::vector<int>(children.begin(), children.end()),
+                  scan_children(t, i))
+            << "node " << i;
+        EXPECT_EQ(t.subtree_has_backend(i), scan_subtree_has_backend(t, i))
+            << "node " << i;
+      }
+      for (int r = -1; r <= n; ++r) {
+        EXPECT_EQ(t.index_of_backend(r), scan_index_of_backend(t, r))
+            << "rank " << r;
+      }
+    }
+  }
+}
+
+TEST(Topology, UnpackOfOneViewSharesOneDecodedTopology) {
+  const Topology built = Topology::balanced("fe", 8300, hosts(3, "c"),
+                                            hosts(20, "b"), 2, 8301);
+  const auto buffer = std::make_shared<const Bytes>(built.pack());
+  const ByteSlice view(buffer);
+
+  auto a = Topology::unpack(view);
+  auto b = Topology::unpack(ByteSlice(view));  // a copy of the same view
+  ASSERT_TRUE(a.has_value());
+  ASSERT_TRUE(b.has_value());
+  EXPECT_EQ(*a, built);
+  EXPECT_TRUE(a->valid());
+  EXPECT_EQ(a->nodes().data(), b->nodes().data());
+
+  // Equal bytes in another buffer decode on their own.
+  const ByteSlice twin(std::make_shared<const Bytes>(*buffer));
+  auto c = Topology::unpack(twin);
+  ASSERT_TRUE(c.has_value());
+  EXPECT_EQ(*c, built);
+  EXPECT_NE(c->nodes().data(), a->nodes().data());
+
+  // So does another view of one buffer: the packed bytes and a spare byte,
+  // viewed with and without it (bytes past the last node are ignored).
+  Bytes padded = *buffer;
+  padded.push_back(0);
+  const ByteSlice with_spare(std::make_shared<const Bytes>(std::move(padded)));
+  auto d = Topology::unpack(with_spare);
+  auto e = Topology::unpack(with_spare.sub(0, buffer->size()));
+  ASSERT_TRUE(d.has_value());
+  ASSERT_TRUE(e.has_value());
+  EXPECT_EQ(*d, built);
+  EXPECT_EQ(*e, built);
+  EXPECT_NE(d->nodes().data(), e->nodes().data());
+
+  // Only the last view is remembered: the first one now decodes afresh,
+  // and is remembered again in its turn.
+  auto again = Topology::unpack(view);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_NE(again->nodes().data(), a->nodes().data());
+  EXPECT_EQ(Topology::unpack(view)->nodes().data(), again->nodes().data());
+}
+
+TEST(Topology, UnpackNeverRemembersAMalformedView) {
+  const Topology built = Topology::one_deep("fe", 8300, hosts(6));
+  const auto buffer = std::make_shared<const Bytes>(built.pack());
+  const ByteSlice view(buffer);
+  auto first = Topology::unpack(view);
+  ASSERT_TRUE(first.has_value());
+
+  // A truncated view of the same buffer, and garbage elsewhere, fail every
+  // time and leave the remembered view in place.
+  const ByteSlice truncated = view.sub(0, view.size() - 1);
+  const ByteSlice garbage(std::make_shared<const Bytes>(Bytes{9, 9}));
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_FALSE(Topology::unpack(truncated).has_value());
+    EXPECT_FALSE(Topology::unpack(garbage).has_value());
+    auto still = Topology::unpack(view);
+    ASSERT_TRUE(still.has_value());
+    EXPECT_EQ(still->nodes().data(), first->nodes().data());
+  }
+}
+
+TEST(Topology, UnpackOfOwnedBytesDecodesOnItsOwn) {
+  // The ad hoc path: every daemon decodes its argv copy. No memo there,
+  // and it leaves the remembered view alone.
+  const Topology built = Topology::one_deep("fe", 8300, hosts(4));
+  const ByteSlice view(std::make_shared<const Bytes>(built.pack()));
+  auto shared = Topology::unpack(view);
+  ASSERT_TRUE(shared.has_value());
+  const Bytes packed = built.pack();
+  auto a = Topology::unpack(packed);
+  auto b = Topology::unpack(packed);
+  ASSERT_TRUE(a.has_value());
+  ASSERT_TRUE(b.has_value());
+  EXPECT_EQ(*a, built);
+  EXPECT_TRUE(a->valid());
+  EXPECT_NE(a->nodes().data(), b->nodes().data());
+  EXPECT_EQ(Topology::unpack(view)->nodes().data(), shared->nodes().data());
+}
+
 TEST(Topology, PackUnpackRoundTrip) {
   Topology t = Topology::balanced("fe", 8300, hosts(7, "c"), hosts(31, "b"),
                                   3, 8301);
@@ -311,10 +501,10 @@ TEST(Topology, ValidationCatchesCorruption) {
 TEST(Topology, SubtreeHasBackend) {
   Topology t = Topology::balanced("fe", 8300, hosts(2, "c"), hosts(4, "b"),
                                   2, 8301);
-  EXPECT_TRUE(subtree_has_backend(t, 0));
+  EXPECT_TRUE(t.subtree_has_backend(0));
   for (int i = 1; i <= t.num_comm_nodes(); ++i) {
     // In this balanced layout every comm node leads to back ends.
-    EXPECT_TRUE(subtree_has_backend(t, i));
+    EXPECT_TRUE(t.subtree_has_backend(i));
   }
 }
 
