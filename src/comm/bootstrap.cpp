@@ -18,41 +18,35 @@ std::string_view chars(const ByteSlice& s) {
 
 std::shared_ptr<const HostTable::Index> HostTable::index_of(
     const ByteSlice& csv) {
-  // The last indexed view and its index, both held weakly: the memo keeps
-  // nothing alive, and a view nobody holds any more is indexed afresh.
-  thread_local struct {
-    SliceIdentity view;
-    std::weak_ptr<const Index> index;
-  } last;
-  if (last.view.matches(csv)) {
-    if (auto index = last.index.lock()) return index;
-  }
-  auto index = std::make_shared<Index>();
-  const std::string_view text = chars(csv);
-  std::size_t start = 0;
-  while (start < text.size()) {
-    std::size_t comma = text.find(',', start);
-    if (comma == std::string_view::npos) comma = text.size();
-    if (comma > start) {
-      index->entries.push_back(Entry{static_cast<std::uint32_t>(start),
-                                     static_cast<std::uint32_t>(comma - start)});
+  thread_local LastView<std::shared_ptr<const Index>> last;
+  return *last.get(csv, [](const ByteSlice& view) {
+    auto index = std::make_shared<Index>();
+    const std::string_view text = chars(view);
+    std::size_t start = 0;
+    while (start < text.size()) {
+      std::size_t comma = text.find(',', start);
+      if (comma == std::string_view::npos) comma = text.size();
+      if (comma > start) {
+        index->entries.push_back(
+            Entry{static_cast<std::uint32_t>(start),
+                  static_cast<std::uint32_t>(comma - start)});
+      }
+      start = comma + 1;
     }
-    start = comma + 1;
-  }
-  const auto name = [&](std::uint32_t rank) {
-    const Entry& e = index->entries[rank];
-    return text.substr(e.offset, e.length);
-  };
-  index->by_host.resize(index->entries.size());
-  std::iota(index->by_host.begin(), index->by_host.end(), 0u);
-  // Equal hosts in rank order, so a search lands on the first rank.
-  std::sort(index->by_host.begin(), index->by_host.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              const int c = name(a).compare(name(b));
-              return c < 0 || (c == 0 && a < b);
-            });
-  last = {SliceIdentity(csv), index};
-  return index;
+    const auto name = [&](std::uint32_t rank) {
+      const Entry& e = index->entries[rank];
+      return text.substr(e.offset, e.length);
+    };
+    index->by_host.resize(index->entries.size());
+    std::iota(index->by_host.begin(), index->by_host.end(), 0u);
+    // Equal hosts in rank order, so a search lands on the first rank.
+    std::sort(index->by_host.begin(), index->by_host.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                const int c = name(a).compare(name(b));
+                return c < 0 || (c == 0 && a < b);
+              });
+    return std::optional<std::shared_ptr<const Index>>(std::move(index));
+  });
 }
 
 HostTable::HostTable(ByteSlice csv)

@@ -71,11 +71,8 @@ struct BootstrapSpec {
 class HostTable {
  public:
   HostTable() = default;
-  /// Views `csv` in place. The index is built once per view: a table made
-  /// from the view the previous table was made from (every daemon of a
-  /// launch parses the same one) shares that table's index. The memo keys
-  /// on the view's SliceIdentity, which is sound because a shared buffer is
-  /// never written.
+  /// Views `csv` in place. The index is built once per view (LastView):
+  /// the tables of every daemon of a launch share one index.
   explicit HostTable(ByteSlice csv);
 
   [[nodiscard]] std::size_t size() const noexcept {

@@ -8,6 +8,7 @@
 // reproducible.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -15,6 +16,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace lmon {
@@ -75,29 +77,48 @@ class ByteSlice {
   std::size_t length_ = 0;
 };
 
-/// Which view a slice is: its buffer, start and length. A decoder that has
-/// validated a view keeps its identity, so that validating the same view
-/// again costs O(1); this is sound because a shared buffer is never
-/// written. The buffer is held weakly: the identity keeps no buffer alive,
-/// and while it holds the buffer's control block no new buffer can share
-/// that identity, even at a reused address. A default identity matches no
-/// slice.
-class SliceIdentity {
+/// Decode once per shared view: remembers the last view a decoder accepted
+/// and what it decoded, so every daemon of a launch decoding the one buffer
+/// they all view decodes it once. Keep one per decoder, `thread_local`.
+/// - Key: the view's buffer, start and length. Any other view, of the same
+///   buffer or of equal bytes elsewhere, decodes on its own.
+/// - Lifetime: the buffer is held weakly, so no buffer is kept alive and no
+///   new one can take the key, even at a reused address. The value is kept
+///   until another view decodes; it must not own the key's buffer.
+/// - Successes only: a failing view decodes again each time and leaves the
+///   last success in place.
+/// - Soundness: a shared ByteSlice buffer is never written, and no fault
+///   mode alters payload bytes in flight; drop the memo if one ever does.
+template <typename V>
+class LastView {
  public:
-  SliceIdentity() = default;
-  explicit SliceIdentity(const ByteSlice& s)
-      : buffer_(s.buffer()), start_(s.data()), length_(s.size()) {}
+  /// The value of `view`: the remembered one when `view` is the last view
+  /// accepted, else `decode(view)` (a std::optional<V>), remembered when it
+  /// holds a value. An empty default slice matches nothing.
+  template <typename Decode>
+  std::optional<V> get(const ByteSlice& view, Decode&& decode) {
+    if (!matches(view)) {
+      std::optional<V> value = decode(view);
+      if (!value) return value;
+      buffer_ = view.buffer();
+      start_ = view.data();
+      length_ = view.size();
+      value_ = std::move(value);
+    }
+    return value_;
+  }
 
+ private:
   [[nodiscard]] bool matches(const ByteSlice& s) const noexcept {
     return s.buffer() != nullptr && !buffer_.owner_before(s.buffer()) &&
            !s.buffer().owner_before(buffer_) && start_ == s.data() &&
            length_ == s.size();
   }
 
- private:
   std::weak_ptr<const Bytes> buffer_;
   const std::uint8_t* start_ = nullptr;
   std::size_t length_ = 0;
+  std::optional<V> value_;
 };
 
 /// Joins slices appended in order. While each slice continues the previous
@@ -249,6 +270,26 @@ class ByteReader {
     if (remaining() < n) return false;
     pos_ += n;
     return true;
+  }
+
+  /// A u32 count, then that many elements of `read(*this)` (optionals). The
+  /// count is untrusted: the reservation is capped at what the remaining
+  /// bytes hold at `min_bytes` per element, so a corrupt count just fails.
+  template <typename Read>
+  auto list(std::size_t min_bytes, Read&& read)
+      -> std::optional<std::vector<
+          typename std::invoke_result_t<Read&, ByteReader&>::value_type>> {
+    auto count = u32();
+    if (!count) return std::nullopt;
+    std::vector<typename std::invoke_result_t<Read&, ByteReader&>::value_type>
+        out;
+    out.reserve(std::min<std::size_t>(*count, remaining() / min_bytes));
+    for (std::uint32_t i = 0; i < *count; ++i) {
+      auto v = read(*this);
+      if (!v) return std::nullopt;
+      out.push_back(std::move(*v));
+    }
+    return out;
   }
 
   [[nodiscard]] std::size_t remaining() const noexcept {

@@ -47,10 +47,8 @@ ByteSlice own(Bytes packed) {
   return ByteSlice(std::make_shared<const Bytes>(std::move(packed)));
 }
 
-/// The last view unpack() accepted and what validating it found (see the
-/// header).
+/// What validating a view found.
 struct Accepted {
-  SliceIdentity view;
   std::uint32_t count = 0;
   std::size_t used = 0;  ///< bytes through the last entry
   std::shared_ptr<Rpdtab::HostIndex> index;
@@ -121,18 +119,21 @@ std::vector<rm::TaskDesc> Rpdtab::entries_for_host(
 }
 
 std::optional<Rpdtab> Rpdtab::unpack(ByteSlice data) {
-  thread_local Accepted last;  // successes only; see the header
-  if (!last.view.matches(data)) {
-    ByteReader r(data.span());
-    const auto count = r.u32();
-    if (!count) return std::nullopt;
-    for (std::uint32_t i = 0; i < *count; ++i) {
-      if (!read_entry(r)) return std::nullopt;
-    }
-    last = {SliceIdentity(data), *count, data.size() - r.remaining(),
-            std::make_shared<HostIndex>()};
-  }
-  return Rpdtab(data.sub(0, last.used), last.count, last.index);
+  thread_local LastView<Accepted> last;
+  const auto accepted = last.get(
+      data, [](const ByteSlice& view) -> std::optional<Accepted> {
+        ByteReader r(view.span());
+        const auto count = r.u32();
+        if (!count) return std::nullopt;
+        for (std::uint32_t i = 0; i < *count; ++i) {
+          if (!read_entry(r)) return std::nullopt;
+        }
+        return Accepted{*count, view.size() - r.remaining(),
+                        std::make_shared<HostIndex>()};
+      });
+  if (!accepted) return std::nullopt;
+  return Rpdtab(data.sub(0, accepted->used), accepted->count,
+                accepted->index);
 }
 
 std::optional<Rpdtab> Rpdtab::unpack(Bytes data) {

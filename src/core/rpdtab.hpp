@@ -58,13 +58,8 @@ class Rpdtab {
   /// Validates the viewed blob without decoding it and keeps a view of it
   /// (no copy) as the table's state; nullopt for a truncated or
   /// inconsistent blob. Bytes past the last entry fall outside the view.
-  ///
-  /// The last accepted view is remembered by its SliceIdentity (buffer,
-  /// start and length), so unpacking that same view again - as every daemon
-  /// of a launch does with the one handshake broadcast - costs O(1), and
-  /// the tables it returns share one host index. This is sound because a
-  /// shared ByteSlice buffer is never written, and no fault mode alters
-  /// payload bytes in flight; drop the memo if one ever does.
+  /// Validates each view once (LastView): every daemon of a launch unpacks
+  /// the one handshake broadcast, and their tables share one host index.
   static std::optional<Rpdtab> unpack(ByteSlice data);
   /// unpack() of an owned blob.
   static std::optional<Rpdtab> unpack(Bytes data);

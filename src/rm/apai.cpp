@@ -13,16 +13,7 @@ Bytes encode_proctable(const std::vector<TaskDesc>& entries) {
 
 std::optional<std::vector<TaskDesc>> decode_proctable(const Bytes& blob) {
   ByteReader r(blob);
-  auto count = r.u32();
-  if (!count) return std::nullopt;
-  std::vector<TaskDesc> out;
-  out.reserve(*count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto e = read_task_desc(r);
-    if (!e) return std::nullopt;
-    out.push_back(std::move(*e));
-  }
-  return out;
+  return read_task_descs(r);
 }
 
 void publish(cluster::Process& launcher, const std::vector<TaskDesc>& entries) {

@@ -100,22 +100,14 @@ void NodeDaemon::on_channel_closed(cluster::Process& self,
 
 Arg NodeDaemon::hosts_arg(const HostList& hosts) {
   // Every request of one launch, on every node, carries the one host buffer
-  // the launcher packed, so the entry built for that view is remembered by
-  // its SliceIdentity and every daemon of the launch shares it. The entry's
-  // buffer is held weakly: the memo keeps no launch's list alive.
-  thread_local struct {
-    SliceIdentity view;
-    std::weak_ptr<const Bytes> buffer;
-  } last;
-  if (last.view.matches(hosts.wire())) {
-    if (auto buffer = last.buffer.lock()) return Arg(ByteSlice(buffer));
-  }
-  std::string csv;
-  csv.reserve(hosts.wire().size());
-  hosts.for_each([&csv](std::string_view host) { append_csv(csv, host); });
-  Arg arg = comm::hosts_arg(csv);
-  last = {SliceIdentity(hosts.wire()), arg.slice()->buffer()};
-  return arg;
+  // the launcher packed, so every daemon of the launch shares one entry.
+  thread_local LastView<Arg> last;
+  return *last.get(hosts.wire(), [&hosts](const ByteSlice&) {
+    std::string csv;
+    csv.reserve(hosts.wire().size());
+    hosts.for_each([&csv](std::string_view host) { append_csv(csv, host); });
+    return std::optional<Arg>(comm::hosts_arg(csv));
+  });
 }
 
 std::vector<std::span<const AllocatedNode>> NodeDaemon::split_subtrees(

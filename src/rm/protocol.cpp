@@ -66,6 +66,51 @@ std::optional<AllocatedNode> read_alloc_node(ByteReader& r) {
   return AllocatedNode{std::move(*host), *index};
 }
 
+std::optional<std::vector<TaskDesc>> read_task_descs(ByteReader& r) {
+  // The smallest entry: two empty strings, pid and rank.
+  return r.list(4 + 4 + 8 + 4, read_task_desc);
+}
+
+namespace {
+
+void write_nodes(ByteWriter& w, std::span<const AllocatedNode> nodes) {
+  w.u32(static_cast<std::uint32_t>(nodes.size()));
+  for (const auto& n : nodes) write_alloc_node(w, n);
+}
+
+std::optional<std::vector<AllocatedNode>> read_nodes(ByteReader& r) {
+  return r.list(4 + 4, read_alloc_node);  // an empty host and the index
+}
+
+// AllocResp and JobInfoResp: one body, two type tags.
+cluster::Message encode_job_nodes(MsgType t, const JobNodes& body) {
+  ByteWriter w = begin(t);
+  w.boolean(body.ok);
+  w.str(body.error);
+  w.u64(body.jobid);
+  write_nodes(w, body.nodes);
+  return finish(std::move(w));
+}
+
+template <typename Resp>
+std::optional<Resp> decode_job_nodes(const cluster::Message& m, MsgType t) {
+  auto r = open(m, t);
+  if (!r) return std::nullopt;
+  auto ok_f = r->boolean();
+  auto err = r->str();
+  auto job = r->u64();
+  auto nodes = read_nodes(*r);
+  if (!ok_f || !err || !job || !nodes) return std::nullopt;
+  Resp out;
+  out.ok = *ok_f;
+  out.error = std::move(*err);
+  out.jobid = *job;
+  out.nodes = std::move(*nodes);
+  return out;
+}
+
+}  // namespace
+
 // --- AllocReq / AllocResp ----------------------------------------------------
 
 cluster::Message AllocReq::encode() const {
@@ -85,34 +130,11 @@ std::optional<AllocReq> AllocReq::decode(const cluster::Message& m) {
 }
 
 cluster::Message AllocResp::encode() const {
-  ByteWriter w = begin(MsgType::AllocResp);
-  w.boolean(ok);
-  w.str(error);
-  w.u64(jobid);
-  w.u32(static_cast<std::uint32_t>(nodes.size()));
-  for (const auto& n : nodes) write_alloc_node(w, n);
-  return finish(std::move(w));
+  return encode_job_nodes(MsgType::AllocResp, *this);
 }
 
 std::optional<AllocResp> AllocResp::decode(const cluster::Message& m) {
-  auto r = open(m, MsgType::AllocResp);
-  if (!r) return std::nullopt;
-  AllocResp out;
-  auto ok_f = r->boolean();
-  auto err = r->str();
-  auto job = r->u64();
-  auto count = r->u32();
-  if (!ok_f || !err || !job || !count) return std::nullopt;
-  out.ok = *ok_f;
-  out.error = std::move(*err);
-  out.jobid = *job;
-  out.nodes.reserve(*count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto n = read_alloc_node(*r);
-    if (!n) return std::nullopt;
-    out.nodes.push_back(std::move(*n));
-  }
-  return out;
+  return decode_job_nodes<AllocResp>(m, MsgType::AllocResp);
 }
 
 // --- JobInfoReq / JobInfoResp ----------------------------------------------------
@@ -132,34 +154,11 @@ std::optional<JobInfoReq> JobInfoReq::decode(const cluster::Message& m) {
 }
 
 cluster::Message JobInfoResp::encode() const {
-  ByteWriter w = begin(MsgType::JobInfoResp);
-  w.boolean(ok);
-  w.str(error);
-  w.u64(jobid);
-  w.u32(static_cast<std::uint32_t>(nodes.size()));
-  for (const auto& n : nodes) write_alloc_node(w, n);
-  return finish(std::move(w));
+  return encode_job_nodes(MsgType::JobInfoResp, *this);
 }
 
 std::optional<JobInfoResp> JobInfoResp::decode(const cluster::Message& m) {
-  auto r = open(m, MsgType::JobInfoResp);
-  if (!r) return std::nullopt;
-  JobInfoResp out;
-  auto ok_f = r->boolean();
-  auto err = r->str();
-  auto job = r->u64();
-  auto count = r->u32();
-  if (!ok_f || !err || !job || !count) return std::nullopt;
-  out.ok = *ok_f;
-  out.error = std::move(*err);
-  out.jobid = *job;
-  out.nodes.reserve(*count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto n = read_alloc_node(*r);
-    if (!n) return std::nullopt;
-    out.nodes.push_back(std::move(*n));
-  }
-  return out;
+  return decode_job_nodes<JobInfoResp>(m, MsgType::JobInfoResp);
 }
 
 cluster::Message JobFreeReq::encode() const {
@@ -194,22 +193,20 @@ HostList HostList::pack(const std::vector<AllocatedNode>& nodes) {
 }
 
 std::optional<HostList> HostList::parse(ByteSlice wire) {
-  // The last accepted view and its count; successes only (see the header).
-  thread_local struct {
-    SliceIdentity view;
-    std::uint32_t count = 0;
-  } last;
-  if (!last.view.matches(wire)) {
-    ByteReader r(wire.span());
-    const auto count = r.u32();
-    if (!count) return std::nullopt;
-    for (std::uint32_t i = 0; i < *count; ++i) {
-      if (!r.str_view()) return std::nullopt;
-    }
-    if (!r.exhausted()) return std::nullopt;
-    last = {SliceIdentity(wire), *count};
-  }
-  return HostList(std::move(wire), last.count);
+  thread_local LastView<std::uint32_t> last;  // the count of the last view
+  const auto count = last.get(
+      wire, [](const ByteSlice& view) -> std::optional<std::uint32_t> {
+        ByteReader r(view.span());
+        const auto count = r.u32();
+        if (!count) return std::nullopt;
+        for (std::uint32_t i = 0; i < *count; ++i) {
+          if (!r.str_view()) return std::nullopt;
+        }
+        if (!r.exhausted()) return std::nullopt;
+        return count;
+      });
+  if (!count) return std::nullopt;
+  return HostList(std::move(wire), *count);
 }
 
 // --- TreeLaunchReq / Ack ------------------------------------------------------------
@@ -228,8 +225,7 @@ cluster::Message TreeLaunchReq::encode_subtree(
   w.u32(static_cast<std::uint32_t>(extra_args.size()));
   for (const auto& a : extra_args) w.str(a);
   w.u32(tasks_per_node);
-  w.u32(static_cast<std::uint32_t>(subtree.size()));
-  for (const auto& n : subtree) write_alloc_node(w, n);
+  write_nodes(w, subtree);
   w.u16(fabric.port);
   w.u32(fabric.fanout);
   w.u32(fabric.total);
@@ -265,14 +261,10 @@ std::optional<TreeLaunchReq> TreeLaunchReq::decode(const cluster::Message& m) {
     out.extra_args.push_back(std::move(*a));
   }
   auto tpn = r->u32();
-  auto nnodes = r->u32();
-  if (!tpn || !nnodes) return std::nullopt;
+  auto nodes = read_nodes(*r);
+  if (!tpn || !nodes) return std::nullopt;
   out.tasks_per_node = *tpn;
-  for (std::uint32_t i = 0; i < *nnodes; ++i) {
-    auto n = read_alloc_node(*r);
-    if (!n) return std::nullopt;
-    out.nodes.push_back(std::move(*n));
-  }
+  out.nodes = std::move(*nodes);
   auto fport = r->u16();
   auto ffan = r->u32();
   auto ftotal = r->u32();
@@ -325,17 +317,12 @@ std::optional<TreeLaunchAck> TreeLaunchAck::decode(const cluster::Message& m) {
   auto seq_f = r->u32();
   auto ok_f = r->boolean();
   auto err = r->str();
-  auto count = r->u32();
-  if (!seq_f || !ok_f || !err || !count) return std::nullopt;
+  auto entries = read_task_descs(*r);
+  if (!seq_f || !ok_f || !err || !entries) return std::nullopt;
   out.seq = *seq_f;
   out.ok = *ok_f;
   out.error = std::move(*err);
-  out.entries.reserve(*count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto e = read_task_desc(*r);
-    if (!e) return std::nullopt;
-    out.entries.push_back(std::move(*e));
-  }
+  out.entries = std::move(*entries);
   return out;
 }
 
@@ -352,8 +339,7 @@ cluster::Message TreeKillReq::encode_subtree(
   w.u32(sub_seq);
   w.u8(static_cast<std::uint8_t>(mode));
   w.str(session);
-  w.u32(static_cast<std::uint32_t>(subtree.size()));
-  for (const auto& n : subtree) write_alloc_node(w, n);
+  write_nodes(w, subtree);
   return finish(std::move(w));
 }
 
@@ -365,17 +351,13 @@ std::optional<TreeKillReq> TreeKillReq::decode(const cluster::Message& m) {
   auto seq_f = r->u32();
   auto mode_f = r->u8();
   auto sess = r->str();
-  auto count = r->u32();
-  if (!job || !seq_f || !mode_f || !sess || !count) return std::nullopt;
+  auto nodes = read_nodes(*r);
+  if (!job || !seq_f || !mode_f || !sess || !nodes) return std::nullopt;
   out.jobid = *job;
   out.seq = *seq_f;
   out.mode = static_cast<LaunchMode>(*mode_f);
   out.session = std::move(*sess);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto n = read_alloc_node(*r);
-    if (!n) return std::nullopt;
-    out.nodes.push_back(std::move(*n));
-  }
+  out.nodes = std::move(*nodes);
   return out;
 }
 
@@ -416,17 +398,12 @@ std::optional<LaunchDone> LaunchDone::decode(const cluster::Message& m) {
   auto ok_f = r->boolean();
   auto err = r->str();
   auto job = r->u64();
-  auto count = r->u32();
-  if (!ok_f || !err || !job || !count) return std::nullopt;
+  auto daemons = read_task_descs(*r);
+  if (!ok_f || !err || !job || !daemons) return std::nullopt;
   out.ok = *ok_f;
   out.error = std::move(*err);
   out.jobid = *job;
-  out.daemons.reserve(*count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto d = read_task_desc(*r);
-    if (!d) return std::nullopt;
-    out.daemons.push_back(std::move(*d));
-  }
+  out.daemons = std::move(*daemons);
   return out;
 }
 

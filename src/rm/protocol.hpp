@@ -48,11 +48,16 @@ struct AllocReq {
   static std::optional<AllocReq> decode(const cluster::Message& m);
 };
 
-struct AllocResp {
+/// The body AllocResp and JobInfoResp share: a verdict, the job and its
+/// nodes.
+struct JobNodes {
   bool ok = false;
   std::string error;
   JobId jobid = kInvalidJob;
   std::vector<AllocatedNode> nodes;
+};
+
+struct AllocResp : JobNodes {
   [[nodiscard]] cluster::Message encode() const;
   static std::optional<AllocResp> decode(const cluster::Message& m);
 };
@@ -63,11 +68,7 @@ struct JobInfoReq {
   static std::optional<JobInfoReq> decode(const cluster::Message& m);
 };
 
-struct JobInfoResp {
-  bool ok = false;
-  std::string error;
-  JobId jobid = kInvalidJob;
-  std::vector<AllocatedNode> nodes;
+struct JobInfoResp : JobNodes {
   [[nodiscard]] cluster::Message encode() const;
   static std::optional<JobInfoResp> decode(const cluster::Message& m);
 };
@@ -121,15 +122,9 @@ class HostList {
   /// Packs the hosts of `nodes`, in order.
   static HostList pack(const std::vector<AllocatedNode>& nodes);
   /// Accepts a received wire form only when the count, every length prefix
-  /// and the end of the last host all agree with the bytes.
-  ///
-  /// The last accepted view is remembered by its SliceIdentity, so parsing
-  /// that same view again - as every hop of a launch does with the one
-  /// host buffer the launcher packed - costs O(1). Only successes are
-  /// remembered, and a shorter view or another buffer with equal bytes is
-  /// validated on its own. This is sound because a shared ByteSlice buffer
-  /// is never written and no fault mode alters payload bytes in flight;
-  /// drop the memo if one ever does.
+  /// and the end of the last host all agree with the bytes. Validates each
+  /// view once (LastView), so every hop of a launch parsing the one host
+  /// buffer the launcher packed costs O(1) after the first.
   static std::optional<HostList> parse(ByteSlice wire);
 
   [[nodiscard]] std::uint32_t size() const noexcept { return count_; }
@@ -224,6 +219,8 @@ struct KillDaemons {
 
 void write_task_desc(ByteWriter& w, const TaskDesc& t);
 std::optional<TaskDesc> read_task_desc(ByteReader& r);
+/// A u32 count and that many task descriptors.
+std::optional<std::vector<TaskDesc>> read_task_descs(ByteReader& r);
 void write_alloc_node(ByteWriter& w, const AllocatedNode& n);
 std::optional<AllocatedNode> read_alloc_node(ByteReader& r);
 

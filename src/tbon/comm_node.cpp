@@ -1,30 +1,19 @@
 #include "tbon/comm_node.hpp"
 
 #include "cluster/machine.hpp"
-#include "common/argparse.hpp"
+#include "tbon/startup.hpp"
 
 namespace lmon::tbon {
 
 void AdHocCommNode::on_start(cluster::Process& self) {
-  const auto topo_hex = arg_value(self.args(), "--tbon-topology=");
-  const auto index = arg_int(self.args(), "--tbon-index=");
-  if (!topo_hex || !index) {
-    self.exit(1);
-    return;
-  }
-  auto blob = from_hex(*topo_hex);
-  if (!blob) {
-    self.exit(1);
-    return;
-  }
-  auto topo = Topology::unpack(*blob);
-  if (!topo || !topo->valid()) {
+  auto place = adhoc_place(self.args());
+  if (!place) {
     self.exit(1);
     return;
   }
   TbonEndpoint::Callbacks cbs;  // pure forwarding node: default callbacks
   endpoint_ = std::make_unique<TbonEndpoint>(
-      self, std::move(*topo), static_cast<int>(*index), std::move(cbs));
+      self, std::move(place->topology), place->index, std::move(cbs));
   endpoint_->start();
 }
 

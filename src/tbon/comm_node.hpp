@@ -4,7 +4,7 @@
 // topology - exactly the contrast the paper's STAT case study measures:
 //
 //  * AdHocCommNode: topology arrives hex-encoded on argv (MRNet's manual
-//    topology-file mechanism), process started via rsh.
+//    topology-file mechanism), process started via rsh; see adhoc_place().
 //  * LmonCommNode: launched through the LaunchMON MW API onto RM-allocated
 //    middleware nodes; the topology is piggybacked on the FE<->MW-master
 //    handshake and the paper notes STAT "uses LMONP to broadcast MRNet
@@ -28,6 +28,11 @@ class AdHocCommNode : public cluster::Program {
   void on_start(cluster::Process& self) override;
 
   static void install(cluster::Machine& machine);
+
+  /// This daemon's place in the TBON; null until it joined.
+  [[nodiscard]] const TbonEndpoint* endpoint() const {
+    return endpoint_.get();
+  }
 
  private:
   std::unique_ptr<TbonEndpoint> endpoint_;

@@ -25,9 +25,9 @@ std::optional<Packet> Packet::decode(const cluster::Message& m) {
   auto tag = r.u32();
   auto filter = r.u32();
   auto node_index = r.i32();
-  auto nranks = r.u32();
+  auto ranks = r.list(4, [](ByteReader& in) { return in.u32(); });
   if (!kind || !reserved || !stream || !tag || !filter || !node_index ||
-      !nranks) {
+      !ranks) {
     return std::nullopt;
   }
   p.kind = static_cast<PacketKind>(*kind);
@@ -35,12 +35,7 @@ std::optional<Packet> Packet::decode(const cluster::Message& m) {
   p.tag = *tag;
   p.filter = *filter;
   p.node_index = *node_index;
-  p.ranks.reserve(*nranks);
-  for (std::uint32_t i = 0; i < *nranks; ++i) {
-    auto rank = r.u32();
-    if (!rank) return std::nullopt;
-    p.ranks.push_back(*rank);
-  }
+  p.ranks = std::move(*ranks);
   auto data = r.blob();
   if (!data) return std::nullopt;
   p.data = std::move(*data);

@@ -293,43 +293,23 @@ Bytes Topology::pack() const {
   return std::move(w).take();
 }
 
-std::optional<Topology> Topology::decode(std::span<const std::uint8_t> data) {
-  ByteReader r(data);
-  auto count = r.u32();
-  if (!count) return std::nullopt;
-  std::vector<TopoNode> nodes;
-  // Every node takes at least 15 bytes, so a corrupt count cannot reserve
-  // more than the data could hold.
-  nodes.reserve(std::min<std::size_t>(*count, r.remaining() / 15));
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto host = r.str();
-    auto port = r.u16();
-    auto parent = r.i32();
-    auto is_be = r.boolean();
-    auto be_rank = r.i32();
-    if (!host || !port || !parent || !is_be || !be_rank) return std::nullopt;
-    nodes.push_back(
-        TopoNode{std::move(*host), *port, *parent, *is_be, *be_rank});
-  }
-  return Topology(std::move(nodes));
-}
-
 std::optional<Topology> Topology::unpack(const ByteSlice& data) {
-  struct Accepted {
-    SliceIdentity view;
-    std::optional<Topology> topology;
-  };
-  thread_local Accepted last;  // successes only; see the header
-  if (!last.view.matches(data)) {
-    auto topology = decode(data.span());
-    if (!topology) return std::nullopt;
-    last = {SliceIdentity(data), std::move(topology)};
-  }
-  return last.topology;
-}
-
-std::optional<Topology> Topology::unpack(const Bytes& data) {
-  return decode(data);
+  thread_local LastView<Topology> last;
+  return last.get(data, [](const ByteSlice& view) -> std::optional<Topology> {
+    ByteReader r(view.span());
+    // Every node takes at least 15 bytes: an empty host and the fields.
+    auto nodes = r.list(15, [](ByteReader& in) -> std::optional<TopoNode> {
+      auto host = in.str();
+      auto port = in.u16();
+      auto parent = in.i32();
+      auto is_be = in.boolean();
+      auto be_rank = in.i32();
+      if (!host || !port || !parent || !is_be || !be_rank) return std::nullopt;
+      return TopoNode{std::move(*host), *port, *parent, *is_be, *be_rank};
+    });
+    if (!nodes) return std::nullopt;
+    return Topology(std::move(*nodes));
+  });
 }
 
 }  // namespace lmon::tbon

@@ -110,17 +110,10 @@ class Topology {
 
   [[nodiscard]] Bytes pack() const;
   /// Decodes a packed topology; nullopt for a truncated one. Structure is
-  /// judged by valid(), not here.
-  ///
-  /// The last view decoded is remembered by its SliceIdentity (buffer,
-  /// start and length), successes only, so unpacking that same view again -
-  /// as every daemon of a launch does with the one broadcast that carries
-  /// the tree - costs O(1) and returns the same shared value. This is sound
-  /// because a shared ByteSlice buffer is never written, and no fault mode
-  /// alters payload bytes in flight; drop the memo if one ever does.
+  /// judged by valid(), not here. Decodes each view once (LastView): every
+  /// daemon of a launch unpacking the one broadcast that carries the tree
+  /// gets the same shared value.
   static std::optional<Topology> unpack(const ByteSlice& data);
-  /// Decodes an owned blob on its own (no memo): the ad hoc argv path.
-  static std::optional<Topology> unpack(const Bytes& data);
 
   friend bool operator==(const Topology& a, const Topology& b) {
     return a.nodes() == b.nodes();
@@ -141,7 +134,6 @@ class Topology {
   };
 
   explicit Topology(std::vector<TopoNode> nodes);
-  static std::optional<Topology> decode(std::span<const std::uint8_t> data);
 
   /// Shared builder behind shaped()/shaped_colocated(): per-daemon listen
   /// ports, because co-located daemons can share a host.

@@ -2,7 +2,33 @@
 
 #include <cstdio>
 
+#include "cluster/machine.hpp"
+
 namespace lmon::tools::jobsnap {
+
+TaskSnapshot snapshot_of(cluster::Machine& machine,
+                         const rm::TaskDesc& entry) {
+  TaskSnapshot snap;
+  snap.rank = entry.rank;
+  snap.host = entry.host;
+  snap.pid = entry.pid;
+  snap.executable = entry.executable;
+  cluster::Process* task = machine.find_process(entry.pid);
+  if (task == nullptr || task->state() == cluster::ProcState::Exited) {
+    snap.state = 'Z';
+    return snap;
+  }
+  const auto& st = task->stats();
+  snap.state = st.state;
+  snap.program_counter = st.program_counter;
+  snap.num_threads = st.num_threads;
+  snap.vm_hwm_kb = st.vm_hwm_kb;
+  snap.vm_lck_kb = st.vm_lck_kb;
+  snap.utime_ms = st.utime_ms;
+  snap.stime_ms = st.stime_ms;
+  snap.maj_faults = st.maj_faults;
+  return snap;
+}
 
 void TaskSnapshot::encode(ByteWriter& w) const {
   w.i32(rank);
@@ -83,16 +109,7 @@ Bytes encode_snapshots(const std::vector<TaskSnapshot>& snaps) {
 std::optional<std::vector<TaskSnapshot>> decode_snapshots(
     std::span<const std::uint8_t> data) {
   ByteReader r(data);
-  auto count = r.u32();
-  if (!count) return std::nullopt;
-  std::vector<TaskSnapshot> out;
-  out.reserve(*count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto s = TaskSnapshot::decode(r);
-    if (!s) return std::nullopt;
-    out.push_back(std::move(*s));
-  }
-  return out;
+  return r.list(TaskSnapshot{}.encoded_size(), TaskSnapshot::decode);
 }
 
 }  // namespace lmon::tools::jobsnap

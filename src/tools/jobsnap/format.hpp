@@ -16,6 +16,11 @@
 
 #include "cluster/types.hpp"
 #include "common/bytes.hpp"
+#include "rm/types.hpp"
+
+namespace lmon::cluster {
+class Machine;
+}  // namespace lmon::cluster
 
 namespace lmon::tools::jobsnap {
 
@@ -45,6 +50,10 @@ struct TaskSnapshot {
   /// master daemon emits.
   [[nodiscard]] std::string format_line() const;
 };
+
+/// The snapshot of the task `entry` names, read through its node's /proc
+/// (Process::stats()); a task that is gone reads as state 'Z'.
+TaskSnapshot snapshot_of(cluster::Machine& machine, const rm::TaskDesc& entry);
 
 Bytes encode_snapshots(const std::vector<TaskSnapshot>& snaps);
 std::optional<std::vector<TaskSnapshot>> decode_snapshots(

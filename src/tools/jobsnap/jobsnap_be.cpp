@@ -34,26 +34,7 @@ void JobsnapBe::collect_and_gather(cluster::Process& self) {
     std::vector<TaskSnapshot> snaps;
     snaps.reserve(locals.size());
     for (const auto& entry : locals) {
-      cluster::Process* task = self.machine().find_process(entry.pid);
-      TaskSnapshot snap;
-      snap.rank = entry.rank;
-      snap.host = entry.host;
-      snap.pid = entry.pid;
-      snap.executable = entry.executable;
-      if (task != nullptr && task->state() != cluster::ProcState::Exited) {
-        const auto& st = task->stats();
-        snap.state = st.state;
-        snap.program_counter = st.program_counter;
-        snap.num_threads = st.num_threads;
-        snap.vm_hwm_kb = st.vm_hwm_kb;
-        snap.vm_lck_kb = st.vm_lck_kb;
-        snap.utime_ms = st.utime_ms;
-        snap.stime_ms = st.stime_ms;
-        snap.maj_faults = st.maj_faults;
-      } else {
-        snap.state = 'Z';
-      }
-      snaps.push_back(std::move(snap));
+      snaps.push_back(snapshot_of(self.machine(), entry));
     }
 
     be_->gather(

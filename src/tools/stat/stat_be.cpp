@@ -3,6 +3,7 @@
 #include "apps/mpi_app.hpp"
 #include "cluster/machine.hpp"
 #include "common/argparse.hpp"
+#include "tbon/startup.hpp"
 
 namespace lmon::tools::stat {
 
@@ -39,7 +40,7 @@ void register_stat_filter() {
 }
 
 void StatBe::on_start(cluster::Process& self) {
-  adhoc_ = arg_value(self.args(), "--tbon-topology=").has_value();
+  adhoc_ = arg_entry(self.args(), "--tbon-topology=") != nullptr;
   if (adhoc_) {
     start_adhoc(self);
   } else {
@@ -113,19 +114,12 @@ Status StatBe::accept_topology(cluster::Process& self,
 }
 
 void StatBe::start_adhoc(cluster::Process& self) {
-  const auto topo_hex = arg_value(self.args(), "--tbon-topology=");
-  const auto index = arg_int(self.args(), "--tbon-index=");
-  if (!topo_hex || !index) {
+  auto place = tbon::adhoc_place(self.args());
+  if (!place) {
     self.exit(1);
     return;
   }
-  auto blob = from_hex(*topo_hex);
-  auto topo = blob ? tbon::Topology::unpack(*blob) : std::nullopt;
-  if (!topo || !topo->valid()) {
-    self.exit(1);
-    return;
-  }
-  join_tbon(self, std::move(*topo), static_cast<int>(*index));
+  join_tbon(self, std::move(place->topology), place->index);
 }
 
 void StatBe::join_tbon(cluster::Process& self, tbon::Topology topo,

@@ -253,6 +253,59 @@ TEST(Stat, DeepTopologyDaemonsShareOneDecodedTopologyPerLaunch) {
   EXPECT_TRUE(all_same(storage.comm));
 }
 
+TEST(Stat, AdHocDaemonsShareOneTopologyEntry) {
+  // The ad hoc path puts the topology on every command line: every daemon's
+  // entry views the launch's one buffer, and every daemon decodes that one
+  // view once between them.
+  TestCluster tc(16, /*middleware=*/4);
+  JobHandle job = start_job(tc, 16, 2);
+  StatConfig cfg;
+  cfg.mode = StartupMode::AdHocRsh;
+  cfg.launcher_pid = job.launcher;
+  cfg.adhoc_hosts = job.hosts;
+  for (int i = 0; i < 4; ++i) {
+    cfg.comm_hosts.push_back(tc.machine.middleware_node(i).hostname());
+  }
+  cfg.tbon_fanout = 4;
+  StatOutcome out = run_stat(tc, cfg);
+  ASSERT_TRUE(out.status.is_ok()) << out.status.to_string();
+  check_tree(out, 32);
+
+  std::vector<const std::uint8_t*> entries;
+  std::vector<const tbon::TopoNode*> nodes;
+  const auto visit = [&](cluster::Node& node) {
+    for (cluster::Process* p : node.live_processes()) {
+      const tbon::TbonEndpoint* ep = nullptr;
+      if (auto* be = dynamic_cast<tools::stat::StatBe*>(&p->program())) {
+        ep = be->tbon();
+      } else if (auto* cd = dynamic_cast<tbon::AdHocCommNode*>(
+                     &p->program())) {
+        ep = cd->endpoint();
+      } else {
+        continue;
+      }
+      const Arg* entry = arg_entry(p->args(), "--tbon-topology=");
+      ASSERT_NE(entry, nullptr);
+      ASSERT_NE(entry->slice(), nullptr);
+      entries.push_back(entry->slice()->data());
+      ASSERT_NE(ep, nullptr);
+      nodes.push_back(ep->topology().nodes().data());
+    }
+  };
+  for (int i = 0; i < tc.machine.num_compute_nodes(); ++i) {
+    visit(tc.machine.compute_node(i));
+  }
+  for (int i = 0; i < tc.machine.num_middleware_nodes(); ++i) {
+    visit(tc.machine.middleware_node(i));
+  }
+  ASSERT_EQ(entries.size(), 16u + 4u);
+  EXPECT_TRUE(std::all_of(entries.begin(), entries.end(),
+                          [&](const std::uint8_t* p) {
+                            return p == entries.front();
+                          }));
+  EXPECT_TRUE(all_same(nodes));
+}
+
 TEST(Stat, MasterReportsABroadcastTopologyTheDaemonsCannotUse) {
   // The deep path broadcasts the topology after Ready. One that leaves a
   // daemon without a place can never come up, so the master tells the FE

@@ -6,7 +6,6 @@
 #include <memory>
 #include <set>
 
-#include "common/argparse.hpp"
 #include "tbon/comm_node.hpp"
 #include "tbon/endpoint.hpp"
 #include "tbon/startup.hpp"
@@ -23,14 +22,11 @@ class LeafDaemon : public cluster::Program {
  public:
   [[nodiscard]] std::string_view name() const override { return "leaf_be"; }
   void on_start(cluster::Process& self) override {
-    auto topo_hex = arg_value(self.args(), "--tbon-topology=");
-    auto index = arg_int(self.args(), "--tbon-index=");
-    ASSERT_TRUE(topo_hex && index);
-    auto topo = Topology::unpack(*from_hex(*topo_hex));
-    ASSERT_TRUE(topo.has_value());
-    const int my_index = static_cast<int>(*index);
+    auto place = adhoc_place(self.args());
+    ASSERT_TRUE(place.has_value());
+    const int my_index = place->index;
     const std::int32_t rank =
-        topo->nodes()[static_cast<std::size_t>(my_index)].be_rank;
+        place->topology.nodes()[static_cast<std::size_t>(my_index)].be_rank;
     TbonEndpoint::Callbacks cbs;
     cbs.on_down = [this, rank](std::uint32_t stream, std::uint32_t tag,
                                const Bytes&) {
@@ -38,8 +34,8 @@ class LeafDaemon : public cluster::Program {
       w.u64(static_cast<std::uint64_t>(rank));
       endpoint_->send_up(stream, tag, std::move(w).take());
     };
-    endpoint_ = std::make_unique<TbonEndpoint>(self, std::move(*topo),
-                                               my_index, std::move(cbs));
+    endpoint_ = std::make_unique<TbonEndpoint>(
+        self, std::move(place->topology), my_index, std::move(cbs));
     endpoint_->start();
   }
   static void install(cluster::Machine& machine) {
@@ -189,7 +185,8 @@ Topology round_robin_topology(const std::string& fe_host,
     w.boolean(true);
     w.i32(static_cast<std::int32_t>(b));
   }
-  auto t = Topology::unpack(std::move(w).take());
+  auto t = Topology::unpack(
+      ByteSlice(std::make_shared<const Bytes>(std::move(w).take())));
   EXPECT_TRUE(t.has_value());
   return *t;
 }
@@ -337,14 +334,11 @@ class HealLeaf : public cluster::Program {
     return "leaf_be_heal";
   }
   void on_start(cluster::Process& self) override {
-    auto topo_hex = arg_value(self.args(), "--tbon-topology=");
-    auto index = arg_int(self.args(), "--tbon-index=");
-    ASSERT_TRUE(topo_hex && index);
-    auto topo = Topology::unpack(*from_hex(*topo_hex));
-    ASSERT_TRUE(topo.has_value());
-    const int my_index = static_cast<int>(*index);
+    auto place = adhoc_place(self.args());
+    ASSERT_TRUE(place.has_value());
+    const int my_index = place->index;
     const std::int32_t rank =
-        topo->nodes()[static_cast<std::size_t>(my_index)].be_rank;
+        place->topology.nodes()[static_cast<std::size_t>(my_index)].be_rank;
     TbonEndpoint::Callbacks cbs;
     cbs.on_down = [this, rank](std::uint32_t stream, std::uint32_t tag,
                                const Bytes&) {
@@ -353,8 +347,8 @@ class HealLeaf : public cluster::Program {
       w.u64(static_cast<std::uint64_t>(rank));
       endpoint_->send_up(stream, tag, std::move(w).take());
     };
-    endpoint_ = std::make_unique<TbonEndpoint>(self, std::move(*topo),
-                                               my_index, std::move(cbs));
+    endpoint_ = std::make_unique<TbonEndpoint>(
+        self, std::move(place->topology), my_index, std::move(cbs));
     endpoint_->set_heal(true);
     sh_->pids[my_index] = self.pid();
     sh_->endpoints[my_index] = endpoint_.get();
@@ -382,14 +376,12 @@ class HealComm : public cluster::Program {
     return "tbon_commd_heal";
   }
   void on_start(cluster::Process& self) override {
-    auto topo_hex = arg_value(self.args(), "--tbon-topology=");
-    auto index = arg_int(self.args(), "--tbon-index=");
-    ASSERT_TRUE(topo_hex && index);
-    auto topo = Topology::unpack(*from_hex(*topo_hex));
-    ASSERT_TRUE(topo.has_value());
-    const int my_index = static_cast<int>(*index);
-    endpoint_ = std::make_unique<TbonEndpoint>(
-        self, std::move(*topo), my_index, TbonEndpoint::Callbacks{});
+    auto place = adhoc_place(self.args());
+    ASSERT_TRUE(place.has_value());
+    const int my_index = place->index;
+    endpoint_ = std::make_unique<TbonEndpoint>(self, std::move(place->topology),
+                                               my_index,
+                                               TbonEndpoint::Callbacks{});
     endpoint_->set_heal(true);
     sh_->pids[my_index] = self.pid();
     sh_->endpoints[my_index] = endpoint_.get();

@@ -1,6 +1,9 @@
 // Unit + property tests for the wire serialization layer.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+
 #include "common/bytes.hpp"
 #include "simkernel/rng.hpp"
 
@@ -232,6 +235,97 @@ TEST_P(HexPropertyTest, RandomBlobRoundTrips) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HexPropertyTest,
                          ::testing::Range<std::uint64_t>(0, 10));
+
+// --- LastView: the decode-once memo -----------------------------------------
+
+/// A decoder that counts its calls and accepts any view of at least two
+/// bytes, decoding it to its first byte.
+struct CountingDecode {
+  int calls = 0;
+  std::optional<int> operator()(const ByteSlice& view) {
+    ++calls;
+    if (view.size() < 2) return std::nullopt;
+    return view.data()[0];
+  }
+};
+
+std::shared_ptr<const Bytes> buffer_of(Bytes b) {
+  return std::make_shared<const Bytes>(std::move(b));
+}
+
+TEST(LastView, RemembersASuccess) {
+  LastView<int> memo;
+  CountingDecode decode;
+  const ByteSlice view(buffer_of({7, 8, 9}));
+  EXPECT_EQ(memo.get(view, std::ref(decode)), 7);
+  EXPECT_EQ(memo.get(ByteSlice(view), std::ref(decode)), 7);  // a copy
+  EXPECT_EQ(decode.calls, 1);
+  // Equal bytes in another buffer are another view.
+  EXPECT_EQ(memo.get(ByteSlice(buffer_of({7, 8, 9})), std::ref(decode)), 7);
+  EXPECT_EQ(decode.calls, 2);
+}
+
+TEST(LastView, NeverRemembersAFailure) {
+  LastView<int> memo;
+  CountingDecode decode;
+  const ByteSlice good(buffer_of({5, 6}));
+  const ByteSlice bad(buffer_of({1}));
+  ASSERT_EQ(memo.get(good, std::ref(decode)), 5);
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_FALSE(memo.get(bad, std::ref(decode)).has_value());
+  }
+  EXPECT_EQ(decode.calls, 4);  // the failure decodes every time
+  // ... and leaves the last success in place.
+  EXPECT_EQ(memo.get(good, std::ref(decode)), 5);
+  EXPECT_EQ(decode.calls, 4);
+  // An empty default slice matches nothing, not even after a success.
+  EXPECT_FALSE(memo.get(ByteSlice(), std::ref(decode)).has_value());
+  EXPECT_EQ(decode.calls, 5);
+}
+
+TEST(LastView, ANarrowerViewOfTheSameBufferMisses) {
+  LastView<int> memo;
+  CountingDecode decode;
+  const ByteSlice whole(buffer_of({1, 2, 3, 4}));
+  ASSERT_EQ(memo.get(whole, std::ref(decode)), 1);
+  // Shorter, and starting later: each its own view.
+  EXPECT_EQ(memo.get(whole.sub(0, 3), std::ref(decode)), 1);
+  EXPECT_EQ(memo.get(whole.sub(1, 3), std::ref(decode)), 2);
+  EXPECT_EQ(decode.calls, 3);
+  // Only the last view is remembered.
+  EXPECT_EQ(memo.get(whole, std::ref(decode)), 1);
+  EXPECT_EQ(decode.calls, 4);
+}
+
+TEST(LastView, ANewBufferDoesNotHitAfterTheOldOneDiedEvenAtAReusedAddress) {
+  // Two buffers with the same bytes at the same address, one after the
+  // other: each is a shared_ptr aliasing one storage, owned by a control
+  // block of its own.
+  static const Bytes storage = {3, 4, 5};
+  const auto at_storage = [] {
+    return std::shared_ptr<const Bytes>(std::make_shared<int>(0), &storage);
+  };
+  LastView<int> memo;
+  CountingDecode decode;
+  auto old_buffer = at_storage();
+  ASSERT_EQ(memo.get(ByteSlice(old_buffer), std::ref(decode)), 3);
+  old_buffer.reset();
+  const ByteSlice reused(at_storage());
+  ASSERT_EQ(reused.data(), storage.data());
+  EXPECT_EQ(memo.get(reused, std::ref(decode)), 3);
+  EXPECT_EQ(decode.calls, 2);
+}
+
+TEST(LastView, KeepsNoBufferAlive) {
+  LastView<int> memo;
+  CountingDecode decode;
+  auto buffer = buffer_of({9, 9});
+  const std::weak_ptr<const Bytes> watch = buffer;
+  ASSERT_EQ(memo.get(ByteSlice(buffer), std::ref(decode)), 9);
+  EXPECT_EQ(buffer.use_count(), 1);
+  buffer.reset();
+  EXPECT_TRUE(watch.expired());
+}
 
 }  // namespace
 }  // namespace lmon

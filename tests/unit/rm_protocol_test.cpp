@@ -1,13 +1,17 @@
 // Unit tests for the RM control protocol encode/decode layer.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "rm/apai.hpp"
 #include "rm/protocol.hpp"
 #include "simkernel/rng.hpp"
+#include "tbon/packet.hpp"
+#include "tools/jobsnap/format.hpp"
 
 namespace lmon::rm {
 namespace {
@@ -275,6 +279,86 @@ TEST(RmProtocol, CrossDecodeRejected) {
   EXPECT_FALSE(JobInfoReq::decode(msg).has_value());
   EXPECT_FALSE(TreeLaunchReq::decode(msg).has_value());
   EXPECT_FALSE(LaunchDone::decode(msg).has_value());
+}
+
+TEST(Decoders, CorruptElementCountFailsOnTheBytesNotInTheAllocator) {
+  // Each decoder's fields up to an element count, that count 0xFFFFFFFF,
+  // and no elements: the decode must fail, not try to reserve 4 G of them.
+  struct Case {
+    std::string name;
+    std::function<void(ByteWriter&)> header;
+    std::function<bool(const Bytes&)> decodes;
+  };
+  const auto rm_decoder = [](auto decode) {
+    return [decode](const Bytes& b) {
+      cluster::Message m;
+      m.bytes = b;
+      return decode(m).has_value();
+    };
+  };
+  const auto job_nodes = [](MsgType t) {
+    return [t](ByteWriter& w) {
+      w.u32(static_cast<std::uint32_t>(t));
+      w.boolean(true);
+      w.str("");
+      w.u64(1);
+    };
+  };
+  const std::vector<Case> cases = {
+      {"AllocResp", job_nodes(MsgType::AllocResp),
+       rm_decoder(AllocResp::decode)},
+      {"JobInfoResp", job_nodes(MsgType::JobInfoResp),
+       rm_decoder(JobInfoResp::decode)},
+      {"TreeLaunchAck",
+       [](ByteWriter& w) {
+         w.u32(static_cast<std::uint32_t>(MsgType::TreeLaunchAck));
+         w.u32(0);
+         w.boolean(true);
+         w.str("");
+       },
+       rm_decoder(TreeLaunchAck::decode)},
+      {"TreeKillReq",
+       [](ByteWriter& w) {
+         w.u32(static_cast<std::uint32_t>(MsgType::TreeKillReq));
+         w.u64(1);
+         w.u32(0);
+         w.u8(1);
+         w.str("s");
+       },
+       rm_decoder(TreeKillReq::decode)},
+      {"LaunchDone", job_nodes(MsgType::LaunchDone),
+       rm_decoder(LaunchDone::decode)},
+      {"decode_proctable", [](ByteWriter&) {},
+       [](const Bytes& b) { return apai::decode_proctable(b).has_value(); }},
+      {"tbon::Packet",
+       [](ByteWriter& w) {
+         w.u8(0);   // kind
+         w.u32(0);  // reserved
+         w.u32(1);  // stream
+         w.u32(0);  // tag
+         w.u32(0);  // filter
+         w.i32(0);  // node index
+       },
+       [](const Bytes& b) {
+         cluster::Message m;
+         m.bytes = b;
+         return tbon::Packet::decode(m).has_value();
+       }},
+      {"decode_snapshots", [](ByteWriter&) {},
+       [](const Bytes& b) {
+         return tools::jobsnap::decode_snapshots(b).has_value();
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ByteWriter w;
+    c.header(w);
+    w.u32(0xFFFFFFFFu);
+    const Bytes corrupt = std::move(w).take();
+    bool decoded = true;
+    EXPECT_NO_THROW(decoded = c.decodes(corrupt));
+    EXPECT_FALSE(decoded);
+  }
 }
 
 // Property: decoding random byte soup never crashes and mostly fails.

@@ -6,6 +6,7 @@
 #include "comm/bootstrap.hpp"
 #include "rsh/client.hpp"
 #include "rsh/launchers.hpp"
+#include "tbon/startup.hpp"
 #include "tests/test_util.hpp"
 
 namespace lmon::rsh {
@@ -85,6 +86,35 @@ TEST(RshProtocol, TreeAgentExecReqKeepsTheFlatLength) {
   ASSERT_TRUE(owned_back.has_value());
   EXPECT_EQ(owned_back->args[1], "--lmon-hosts=n0,n1,n2");
   EXPECT_EQ(owned_back->args[1].slice(), nullptr);
+}
+
+TEST(RshProtocol, AdHocTbonExecReqKeepsTheFlatLengthAndSharesTheTopology) {
+  // An ad hoc TBON daemon's argv: the launch's one topology entry, then the
+  // daemon's index and the tool's own entries.
+  std::vector<std::string> be_hosts;
+  for (int i = 0; i < 64; ++i) be_hosts.push_back("b" + std::to_string(i));
+  const tbon::Topology topo = tbon::Topology::one_deep("fe", 8300, be_hosts);
+  const Arg topology = tbon::adhoc_topology_arg(topo);
+  ExecReq req;
+  req.executable = "stat_be";
+  req.args = tbon::adhoc_args(topology, 5);
+  req.args.push_back("--tool-flag");
+  const cluster::Message m = req.encode();
+  EXPECT_EQ(m.size(), flat_exec_req_size(req));
+  // 19 B of header, the topology entry, "--tbon-index=5", "--tool-flag".
+  EXPECT_EQ(m.size(), 19 + (4 + topology.size()) + (4 + 14) + (4 + 11));
+  EXPECT_EQ(m.view.data(), topology.slice()->data());
+
+  const auto back = ExecReq::decode(m);
+  ASSERT_TRUE(back.has_value());
+  ASSERT_EQ(back->args.size(), 3u);
+  ASSERT_NE(back->args[0].slice(), nullptr);
+  EXPECT_EQ(back->args[0].slice()->data(), topology.slice()->data());
+  EXPECT_EQ(back->args[1], "--tbon-index=5");
+  const auto place = tbon::adhoc_place(back->args);
+  ASSERT_TRUE(place.has_value());
+  EXPECT_EQ(place->index, 5);
+  EXPECT_EQ(place->topology, topo);
 }
 
 TEST(Rsh, RemoteExecSpawnsCommandOnTarget) {

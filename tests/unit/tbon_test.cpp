@@ -11,6 +11,7 @@
 #include "tbon/endpoint.hpp"
 #include "tbon/filter.hpp"
 #include "tbon/packet.hpp"
+#include "tbon/startup.hpp"
 #include "tbon/topology.hpp"
 #include "tools/jobsnap/jobsnap_tbon.hpp"
 #include "tools/stat/stat_be.hpp"
@@ -22,6 +23,12 @@ std::vector<std::string> hosts(int n, const std::string& prefix = "n") {
   std::vector<std::string> out;
   for (int i = 0; i < n; ++i) out.push_back(prefix + std::to_string(i));
   return out;
+}
+
+/// unpack() of `packed` in a buffer of its own.
+std::optional<Topology> unpack(Bytes packed) {
+  return Topology::unpack(
+      ByteSlice(std::make_shared<const Bytes>(std::move(packed))));
 }
 
 TEST(Topology, OneDeepShape) {
@@ -267,7 +274,7 @@ Topology round_robin_topology(int ncomm_leaves, int nbe,
     w.boolean(true);
     w.i32(be_ranks.empty() ? b : be_ranks[static_cast<std::size_t>(b)]);
   }
-  auto t = Topology::unpack(std::move(w).take());
+  auto t = unpack(std::move(w).take());
   EXPECT_TRUE(t.has_value());
   return *t;
 }
@@ -461,28 +468,49 @@ TEST(Topology, UnpackNeverRemembersAMalformedView) {
   }
 }
 
-TEST(Topology, UnpackOfOwnedBytesDecodesOnItsOwn) {
-  // The ad hoc path: every daemon decodes its argv copy. No memo there,
-  // and it leaves the remembered view alone.
-  const Topology built = Topology::one_deep("fe", 8300, hosts(4));
-  const ByteSlice view(std::make_shared<const Bytes>(built.pack()));
-  auto shared = Topology::unpack(view);
-  ASSERT_TRUE(shared.has_value());
-  const Bytes packed = built.pack();
-  auto a = Topology::unpack(packed);
-  auto b = Topology::unpack(packed);
+TEST(Topology, AdHocPlaceDecodesTheSharedEntryOncePerLaunch) {
+  // The ad hoc path: every daemon's argv holds the launch's one topology
+  // entry, and every daemon's place shares one decoded topology.
+  const Topology built = Topology::balanced("fe", 8300, hosts(2, "c"),
+                                            hosts(6, "b"), 2, 8301);
+  const Arg entry = adhoc_topology_arg(built);
+  ASSERT_NE(entry.slice(), nullptr);
+  EXPECT_EQ(entry.view(), "--tbon-topology=" + to_hex(built.pack()));
+  const Argv first = adhoc_args(entry, 1);
+  const Argv last = adhoc_args(entry, 8);
+  EXPECT_EQ(first[0].slice()->data(), entry.slice()->data());
+  auto a = adhoc_place(first);
+  auto b = adhoc_place(last);
   ASSERT_TRUE(a.has_value());
   ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(*a, built);
-  EXPECT_TRUE(a->valid());
-  EXPECT_NE(a->nodes().data(), b->nodes().data());
-  EXPECT_EQ(Topology::unpack(view)->nodes().data(), shared->nodes().data());
+  EXPECT_EQ(a->index, 1);
+  EXPECT_EQ(b->index, 8);
+  EXPECT_EQ(a->topology, built);
+  EXPECT_EQ(a->topology.nodes().data(), b->topology.nodes().data());
+
+  // An owned copy of the entry text decodes on its own.
+  const Argv owned = {std::string(entry.view()), "--tbon-index=2"};
+  auto c = adhoc_place(owned);
+  ASSERT_TRUE(c.has_value());
+  EXPECT_EQ(c->topology, built);
+  EXPECT_NE(c->topology.nodes().data(), a->topology.nodes().data());
+
+  // No place: a missing entry or index, the FE's own slot or one past the
+  // last node, bad hex, and a topology that is not valid().
+  EXPECT_FALSE(adhoc_place(Argv{entry}).has_value());
+  EXPECT_FALSE(adhoc_place(Argv{"--tbon-index=1"}).has_value());
+  EXPECT_FALSE(adhoc_place(adhoc_args(entry, 0)).has_value());
+  EXPECT_FALSE(adhoc_place(adhoc_args(entry, 9)).has_value());
+  EXPECT_FALSE(
+      adhoc_place(Argv{"--tbon-topology=zz", "--tbon-index=1"}).has_value());
+  const Arg invalid = adhoc_topology_arg(round_robin_topology(1, 2, {0, 0}));
+  EXPECT_FALSE(adhoc_place(adhoc_args(invalid, 1)).has_value());
 }
 
 TEST(Topology, PackUnpackRoundTrip) {
   Topology t = Topology::balanced("fe", 8300, hosts(7, "c"), hosts(31, "b"),
                                   3, 8301);
-  auto back = Topology::unpack(t.pack());
+  auto back = unpack(t.pack());
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, t);
   EXPECT_TRUE(back->valid());
@@ -491,11 +519,11 @@ TEST(Topology, PackUnpackRoundTrip) {
 TEST(Topology, ValidationCatchesCorruption) {
   Topology t = Topology::one_deep("fe", 8300, hosts(3));
   auto packed = t.pack();
-  auto mutated = Topology::unpack(packed);
+  auto mutated = unpack(packed);
   ASSERT_TRUE(mutated.has_value());
   // An empty topology and self-parent loops are invalid.
   EXPECT_FALSE(Topology().valid());
-  EXPECT_FALSE(Topology::unpack(Bytes{9, 9}).has_value());
+  EXPECT_FALSE(unpack(Bytes{9, 9}).has_value());
 }
 
 TEST(Topology, SubtreeHasBackend) {
@@ -841,7 +869,7 @@ TEST_P(TopologyPropertyTest, RandomBalancedTopologiesAreValid) {
   EXPECT_TRUE(t.valid());
   EXPECT_EQ(t.num_backends(), nbe);
   EXPECT_EQ(t.num_comm_nodes(), ncomm);
-  auto back = Topology::unpack(t.pack());
+  auto back = unpack(t.pack());
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, t);
   // Every backend rank is findable and unique.
