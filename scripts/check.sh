@@ -43,6 +43,17 @@
 #                  moves them writes the live counts
 #                  (build-bench/work/work_counts.txt) over the golden and says
 #                  why in CHANGES.md.
+#   --sim          build the Release preset, run every bench that has a
+#                  --json report (ablation autotune, heal, iccl, mux and rsh;
+#                  fig5_jobsnap; fig6_stat) at smoke size (LMON_BENCH_SMOKE=1)
+#                  and compare each report byte for byte with
+#                  tests/golden/sim/<bench>.json. Every report must say
+#                  "deterministic": true: it holds only simulated time and
+#                  model values, which are exact for the code, so any
+#                  difference is a change in simulated behaviour. On a
+#                  mismatch the live reports land in build-release/sim/; a
+#                  change that means to move simulated time copies them over
+#                  the goldens and says why in CHANGES.md.
 #   --sanitize     build the ASan+UBSan preset (build-sanitize/) and run
 #                  every unit and integration suite under it; any
 #                  sanitizer report fails the run. The protocol decoders
@@ -150,6 +161,37 @@ if bad:
              f"live counts in {out}/work_counts.txt")
 print("work OK")
 PY
+  exit 0
+fi
+
+if [[ "${1:-}" == "--sim" ]]; then
+  benches=(bench_ablation_autotune bench_ablation_heal bench_ablation_iccl
+           bench_ablation_mux bench_ablation_rsh bench_fig5_jobsnap
+           bench_fig6_stat)
+  cmake --preset release
+  cmake --build --preset release -j "$JOBS" --target "${benches[@]}"
+  out=build-release/sim
+  rm -rf "$out"
+  mkdir -p "$out"
+  bad=0
+  for b in "${benches[@]}"; do
+    LMON_BENCH_SMOKE=1 build-release/"$b" --json > "$out/$b.json"
+    if ! grep -q '"deterministic": true' "$out/$b.json"; then
+      echo "sim: $b does not report \"deterministic\": true" >&2
+      bad=1
+    elif cmp -s "$out/$b.json" "tests/golden/sim/$b.json"; then
+      echo "sim: $b identical"
+    else
+      echo "sim: $b DIFFERS from tests/golden/sim/$b.json" >&2
+      diff "tests/golden/sim/$b.json" "$out/$b.json" | head -n 20 >&2 || true
+      bad=1
+    fi
+  done
+  if [[ $bad != 0 ]]; then
+    echo "sim: simulated results moved; live reports in $out/" >&2
+    exit 1
+  fi
+  echo "sim OK: ${#benches[@]} reports match tests/golden/sim/"
   exit 0
 fi
 
