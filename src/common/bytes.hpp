@@ -275,14 +275,12 @@ class ByteReader {
   /// A u32 count, then that many elements of `read(*this)` (optionals). The
   /// count is untrusted: the reservation is capped at what the remaining
   /// bytes hold at `min_bytes` per element, so a corrupt count just fails.
-  template <typename Read>
-  auto list(std::size_t min_bytes, Read&& read)
-      -> std::optional<std::vector<
-          typename std::invoke_result_t<Read&, ByteReader&>::value_type>> {
+  template <typename Read, typename T = typename std::invoke_result_t<
+                               Read&, ByteReader&>::value_type>
+  std::optional<std::vector<T>> list(std::size_t min_bytes, Read&& read) {
     auto count = u32();
     if (!count) return std::nullopt;
-    std::vector<typename std::invoke_result_t<Read&, ByteReader&>::value_type>
-        out;
+    std::vector<T> out;
     out.reserve(std::min<std::size_t>(*count, remaining() / min_bytes));
     for (std::uint32_t i = 0; i < *count; ++i) {
       auto v = read(*this);
